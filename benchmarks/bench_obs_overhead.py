@@ -5,8 +5,7 @@ calls, the planner's serve steps), so its *disabled* cost is a standing
 tax on everything — the design promise is "zero-overhead by default":
 ``span()`` checks one module global and hands back a shared no-op when
 no tracer is configured.  This bench holds that promise to a number on
-the bench_model_build workload (the Internal2-4ch ALLGATHER MILP COO
-build, the construction path PR 2 optimised):
+the Internal2-4ch ALLGATHER MILP build (a span per constraint family):
 
 * **analytic bound** — spans the workload emits × the measured cost of
   one disabled ``span()`` round-trip, over the build's wall time.  This
@@ -49,7 +48,7 @@ OVERHEAD_BUDGET = 0.02
 
 
 def _workload():
-    """The bench_model_build representative: Internal2-4ch AG MILP, COO."""
+    """Internal2-4ch AG MILP build."""
     topo = topology.internal2(4)
     demand = collectives.allgather(topo.gpus, 1)
     config = TecclConfig(chunk_bytes=1e6)
@@ -57,8 +56,7 @@ def _workload():
     plan = build_epoch_plan(
         topo, config,
         num_epochs=path_based_epoch_bound(topo, demand, probe))
-    return lambda: MilpBuilder(topo, demand, config, plan,
-                               construction="coo").build()
+    return lambda: MilpBuilder(topo, demand, config, plan).build()
 
 
 def _median_s(fn, repeats: int = REPEATS) -> float:

@@ -53,13 +53,12 @@ def test_table4_scale_frontier(benchmark):
         if method == "astar":
             out = _astar_allgather(topo)
             solver_time, finish = out.solve_time, out.finish_time
-            build_time = float("nan")  # A* builds per round (expr path)
+            build_time = float("nan")  # A* builds one model per round
         else:
             out = _lp_alltoall(topo, em)
             solver_time, finish = out.solve_time, out.finish_time
             quality[(label + topo.name, em)] = finish
             build_time = out.result.stats.get("build_time", float("nan"))
-            assert out.result.stats.get("construction") == "coo"
             # the tentpole claim: construction is a small fraction of solve
             assert build_time < max(0.25 * solver_time, 1.0)
         table.add(f"{label} x{topo.num_gpus} EM{em:g}",

@@ -28,7 +28,7 @@ from repro import collectives, topology
 from repro.analysis import Table
 from repro.core import TecclConfig
 from repro.core.epochs import build_epoch_plan, path_based_epoch_bound
-from repro.core.lp import minimize_epochs_lp
+from repro.core.lp import _minimize_epochs_cold, minimize_epochs_lp
 from repro.core.pop import solve_lp_pop
 from repro.core.solve import synthesize
 from repro.failures import replan
@@ -59,8 +59,8 @@ def test_warm_start_speedup(benchmark):
     bound = 4 * path_based_epoch_bound(topo, demand, probe)
     warm, warm_s = _timed(minimize_epochs_lp, topo, demand, config,
                           max_epochs=bound)
-    cold, cold_s = _timed(minimize_epochs_lp, topo, demand, config,
-                          max_epochs=bound, incremental=False)
+    cold, cold_s = _timed(_minimize_epochs_cold, topo, demand, config,
+                          bound)
     assert warm.plan.num_epochs == cold.plan.num_epochs
     assert warm.result.objective == pytest.approx(cold.result.objective,
                                                   rel=1e-6)

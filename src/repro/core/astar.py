@@ -184,14 +184,11 @@ def _solve_round(topology: Topology, remaining: Demand, config: TecclConfig,
                  weights: dict[int, dict[int, float]], gamma: float,
                  carry: dict[tuple[int, int, int], int],
                  ) -> tuple[MilpProblem, SolveResult]:
-    # Round models stay on the expression path: A* bolts its potential terms
-    # onto the built model (quicksum over b/f handles below), and the round
-    # extras (injections, carry, relaxed completion) are expression-only.
     builder = MilpBuilder(
         topology, remaining, config, plan,
         initial_holders=holders, injections=injections,
         require_completion=False, allow_overhang=True,
-        capacity_carry=carry, construction="expr")
+        capacity_carry=carry)
     problem = builder.build()
     _add_potential(problem, remaining, weights, gamma)
     result = problem.model.solve(config.solver).require_solution()
@@ -208,9 +205,9 @@ def _add_potential(problem: MilpProblem, remaining: Demand,
     # End-of-round presence per commodity and node: the final buffer plus
     # any overhanging send that will land at that node next round.
     overhang: dict[tuple[Commodity, int], list] = {}
-    for (q, i, j, k), var in problem.f_vars.items():
+    for (q, i, j, k), col in problem.f_vars.items():
         if k + plan.arrival_offset(i, j) + 1 > K:
-            overhang.setdefault((q, j), []).append(var)
+            overhang.setdefault((q, j), []).append(model.var(col))
 
     potential_terms = []
     for s, c in remaining.commodities():
@@ -223,7 +220,7 @@ def _add_potential(problem: MilpProblem, remaining: Demand,
                 w = weights[n][d]
                 b_end = problem.b_vars.get((q, n, K))
                 if b_end is not None:
-                    presence.append(b_end * w)
+                    presence.append(model.var(b_end) * w)
                 for var in overhang.get((q, n), []):
                     presence.append(var * w)
             if not presence:
@@ -232,23 +229,18 @@ def _add_potential(problem: MilpProblem, remaining: Demand,
             model.add_constr(p.to_expr() <= quicksum(presence),
                              name=f"pot[{q},{d}]")
             potential_terms.append(p)
-    r_terms = [r * (1.0 / (k + 1))
-               for ((_, _), _, k), r in _iter_r(problem)]
+    r_terms = [model.var(r) * (1.0 / (k + 1))
+               for (_q, _d, k), r in problem.r_vars.items()]
     objective = quicksum(r_terms)
     if potential_terms:
         objective = objective + quicksum(potential_terms) * gamma
     model.set_objective(objective)
 
 
-def _iter_r(problem: MilpProblem):
-    for key, var in problem.r_vars.items():
-        yield key, var
-
-
 def _extract_sends(problem: MilpProblem, result: SolveResult) -> list[Send]:
     sends = []
-    for (q, i, j, k), var in problem.f_vars.items():
-        if result.value(var) > 0.5:
+    for (q, i, j, k), col in problem.f_vars.items():
+        if result.value(col) > 0.5:
             sends.append(Send(epoch=k, source=q[0], chunk=q[1], src=i, dst=j))
     return sorted(sends)
 

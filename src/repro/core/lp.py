@@ -35,7 +35,7 @@ from repro.obs.trace import event as _obs_event
 from repro.obs.trace import rspan as _obs_rspan
 from repro.obs.trace import span as _obs_span
 from repro.solver import (Model, Sense, SolveResult, SolveStatus,
-                          SolverOptions, quicksum)
+                          SolverOptions)
 from repro.topology.topology import Topology
 
 _EPS = 1e-9
@@ -93,23 +93,18 @@ def build_commodities(demand: Demand, aggregate: bool = True,
 class LpProblem:
     """A built LP instance.
 
-    The ``*_vars`` dicts map formulation keys to solver columns: values are
-    :class:`repro.solver.Variable` handles on the expression path and raw
-    ``int`` column indices on the bulk (COO) path; both are accepted by
-    :meth:`repro.solver.SolveResult.value`.
+    The ``*_vars`` dicts map formulation keys to raw ``int`` solver column
+    indices (what :meth:`repro.solver.SolveResult.value` takes).
     """
 
     model: Model
     plan: EpochPlan
     topology: Topology
     commodities: list[LpCommodity]
-    f_vars: dict[tuple, object] = field(default_factory=dict)
-    b_vars: dict[tuple, object] = field(default_factory=dict)
-    r_vars: dict[tuple, object] = field(default_factory=dict)
-    #: which construction path built this model ("expr", "coo" or
-    #: "incremental")
-    construction: str = "expr"
-    #: row-placement records emitted by the bulk path under
+    f_vars: dict[tuple, int] = field(default_factory=dict)
+    b_vars: dict[tuple, int] = field(default_factory=dict)
+    r_vars: dict[tuple, int] = field(default_factory=dict)
+    #: row-placement records emitted by the builder under
     #: ``track_rows=True`` — what :class:`IncrementalLp` needs to patch
     #: existing constraint rows when the horizon grows. ``None`` otherwise.
     row_layout: list[tuple] | None = None
@@ -177,19 +172,15 @@ class LpOutcome:
 class LpBuilder:
     """Builds the §4.1 linear program over one horizon.
 
-    Two construction paths produce bit-identical compiled models (enforced
-    by ``tests/test_model_equivalence.py``): the legacy gurobipy-style
-    expression path, and a vectorized bulk path that computes variable
-    existence masks with NumPy index arithmetic and appends COO blocks
-    straight into the compiled-matrix buffers. ``construction`` overrides
-    ``config.solver.construction`` ("auto" → bulk; the LP has no
-    expression-only features).
+    Variable existence masks are computed with NumPy index arithmetic and
+    every constraint family is appended as a COO block straight into the
+    compiled-matrix buffers — no per-term Python objects.
+    ``tests/test_model_equivalence.py`` pins the compiled matrices.
     """
 
     def __init__(self, topology: Topology, demand: Demand,
                  config: TecclConfig, plan: EpochPlan, *,
-                 aggregate: bool = True, construction: str | None = None,
-                 track_rows: bool = False):
+                 aggregate: bool = True, track_rows: bool = False):
         demand.validate(topology)
         topology.validate()
         if config.priorities is not None:
@@ -200,40 +191,18 @@ class LpBuilder:
         self.plan = plan
         self.commodities = build_commodities(demand, aggregate=aggregate)
         self._earliest = earliest_arrival_epochs(topology, plan)
-        requested = construction or config.solver.construction
-        if requested not in ("auto", "coo", "expr"):
-            raise ModelError(f"unknown construction {requested!r}")
-        self.construction = "expr" if requested == "expr" else "coo"
-        if track_rows and self.construction != "coo":
-            raise ModelError(
-                "row tracking is a bulk-path feature (construction='coo')")
         self._track_rows = track_rows
 
     # ------------------------------------------------------------------
     def build(self) -> LpProblem:
-        with _obs_span("lp.build", construction=self.construction,
-                       epochs=self.plan.num_epochs,
+        with _obs_span("lp.build", epochs=self.plan.num_epochs,
                        commodities=len(self.commodities)):
             model = Model("teccl-lp", sense=Sense.MAXIMIZE)
             problem = LpProblem(model=model, plan=self.plan,
                                 topology=self.topology,
-                                commodities=self.commodities,
-                                construction=self.construction)
+                                commodities=self.commodities)
             self._check_horizon()
-            if self.construction == "coo":
-                self._build_coo(problem)
-                return problem
-            for fam, step in (
-                    ("vars", self._make_vars),
-                    ("initialization", self._initialization),
-                    ("conservation", self._conservation),
-                    ("switch_conservation", self._switch_conservation),
-                    ("capacity", self._capacity),
-                    ("demand_met", self._demand_met),
-                    ("buffer_limit", self._buffer_limit),
-                    ("objective", self._objective)):
-                with _obs_span(f"lp.family.{fam}"):
-                    step(problem)
+            self._build_coo(problem)
             return problem
 
     def _check_horizon(self) -> None:
@@ -249,168 +218,8 @@ class LpBuilder:
                         f"horizon K={K} below earliest arrival ({earliest}) "
                         f"for commodity {q.key}->{d}", status="horizon")
 
-    def _reachable(self, q: LpCommodity, node: int, k: int) -> bool:
-        earliest = self._earliest[q.origin].get(node)
-        return earliest is not None and k >= earliest
-
-    def _make_vars(self, problem: LpProblem) -> None:
-        model = problem.model
-        K = self.plan.num_epochs
-        sf = self.config.store_and_forward
-        for q in self.commodities:
-            for (i, j) in self.topology.links:
-                offset = self.plan.arrival_offset(i, j)
-                for k in range(K):
-                    if not self._reachable(q, i, k):
-                        continue
-                    arrival_pool = k + offset + 1
-                    if arrival_pool > K:
-                        continue  # cannot contribute within the horizon
-                    problem.f_vars[(q.key, i, j, k)] = model.add_var(
-                        name=f"F[{q.key},{i},{j},{k}]")
-            for n in self.topology.gpus:
-                if not sf and n != q.origin:
-                    continue  # Figure 9 ablation: no intermediate buffering
-                for k in range(K + 1):
-                    if n != q.origin and not self._reachable(q, n, k):
-                        continue
-                    problem.b_vars[(q.key, n, k)] = model.add_var(
-                        name=f"B[{q.key},{n},{k}]")
-            for d in q.sinks:
-                for k in range(K):
-                    if not self._reachable(q, d, k + 1):
-                        continue
-                    problem.r_vars[(q.key, d, k)] = model.add_var(
-                        name=f"R[{q.key},{d},{k}]")
-
     # ------------------------------------------------------------------
-    def _out_flow(self, problem: LpProblem, q: LpCommodity, n: int, k: int):
-        return quicksum(
-            problem.f_vars[(q.key, n, l.dst, k)]
-            for l in self.topology.out_edges(n)
-            if (q.key, n, l.dst, k) in problem.f_vars)
-
-    def _arrivals(self, problem: LpProblem, q: LpCommodity, n: int, k: int):
-        """Flow arriving at n during epoch k (sent Δ epochs earlier)."""
-        terms = []
-        for link in self.topology.in_edges(n):
-            send_epoch = k - self.plan.arrival_offset(link.src, link.dst)
-            var = problem.f_vars.get((q.key, link.src, link.dst, send_epoch))
-            if var is not None:
-                terms.append(var)
-        return quicksum(terms)
-
-    def _initialization(self, problem: LpProblem) -> None:
-        """Appendix A first-epoch constraints (with the n = s typo fixed)."""
-        model = problem.model
-        for q in self.commodities:
-            b0 = problem.b_vars.get((q.key, q.origin, 0), 0.0)
-            out0 = self._out_flow(problem, q, q.origin, 0)
-            model.add_constr(b0 + out0 == q.supply,
-                             name=f"init[{q.key}]")
-
-    def _conservation(self, problem: LpProblem) -> None:
-        """arrivals(k) + B[k] = B[k+1] + R[k] + sends(k+1), per GPU."""
-        model = problem.model
-        K = self.plan.num_epochs
-        for q in self.commodities:
-            for n in self.topology.gpus:
-                for k in range(K):
-                    if n == q.origin and k == 0:
-                        continue  # epoch 0 at the origin is _initialization
-                    b_k = problem.b_vars.get((q.key, n, k))
-                    b_next = problem.b_vars.get((q.key, n, k + 1))
-                    read = problem.r_vars.get((q.key, n, k))
-                    lhs = self._arrivals(problem, q, n, k)
-                    if b_k is not None:
-                        lhs = lhs + b_k
-                    rhs = (self._out_flow(problem, q, n, k + 1)
-                           if k + 1 < K else quicksum([]))
-                    if b_next is not None:
-                        rhs = rhs + b_next
-                    if read is not None:
-                        rhs = rhs + read
-                    # Skip trivial 0 == 0 rows for unreachable node-epochs.
-                    if lhs.is_constant() and rhs.is_constant():
-                        continue
-                    model.add_constr(lhs == rhs, name=f"cons[{q.key},{n},{k}]")
-
-    def _switch_conservation(self, problem: LpProblem) -> None:
-        """Switches neither buffer nor consume: in(k) == out(k+1)."""
-        model = problem.model
-        K = self.plan.num_epochs
-        for q in self.commodities:
-            for sw in self.topology.switches:
-                for k in range(K):
-                    arrivals = self._arrivals(problem, q, sw, k)
-                    sends_next = (self._out_flow(problem, q, sw, k + 1)
-                                  if k + 1 < K else quicksum([]))
-                    if arrivals.is_constant() and sends_next.is_constant():
-                        continue
-                    model.add_constr(arrivals == sends_next,
-                                     name=f"swc[{q.key},{sw},{k}]")
-
-    def _capacity(self, problem: LpProblem) -> None:
-        model = problem.model
-        K = self.plan.num_epochs
-        tau = self.plan.tau
-        by_link_epoch: dict[tuple[int, int, int], list] = {}
-        for (key, i, j, k), var in problem.f_vars.items():
-            by_link_epoch.setdefault((i, j, k), []).append(var)
-        for (i, j) in self.topology.links:
-            for k in range(K):
-                vars_k = by_link_epoch.get((i, j, k))
-                if not vars_k:
-                    continue
-                if self.config.capacity_fn is not None:
-                    cap = (self.config.capacity_fn(i, j, k) * tau
-                           / self.config.chunk_bytes)
-                else:
-                    cap = self.plan.cap_chunks[(i, j)]
-                model.add_constr(quicksum(vars_k) <= cap,
-                                 name=f"cap[{i},{j},{k}]")
-
-    def _demand_met(self, problem: LpProblem) -> None:
-        model = problem.model
-        K = self.plan.num_epochs
-        for q in self.commodities:
-            for d, amount in q.sinks.items():
-                reads = [problem.r_vars[(q.key, d, k)] for k in range(K)
-                         if (q.key, d, k) in problem.r_vars]
-                if not reads:
-                    raise InfeasibleError(
-                        f"sink {d} cannot be reached within the horizon",
-                        status="horizon")
-                model.add_constr(quicksum(reads) == amount,
-                                 name=f"met[{q.key},{d}]")
-
-    def _buffer_limit(self, problem: LpProblem) -> None:
-        limit = self.config.buffer_limit_chunks
-        if limit is None:
-            return
-        model = problem.model
-        K = self.plan.num_epochs
-        for n in self.topology.gpus:
-            for k in range(K + 1):
-                bufs = [problem.b_vars[(q.key, n, k)]
-                        for q in self.commodities
-                        if (q.key, n, k) in problem.b_vars
-                        and n != q.origin]
-                if bufs:
-                    model.add_constr(quicksum(bufs) <= limit,
-                                     name=f"buflim[{n},{k}]")
-
-    def _objective(self, problem: LpProblem) -> None:
-        terms = []
-        for (key, d, k), r in problem.r_vars.items():
-            weight = 1.0
-            if self.config.priorities is not None and isinstance(key, tuple):
-                weight = self.config.weight(key[0], key[1], d)
-            terms.append(r * (weight / (k + 1)))
-        problem.model.set_objective(quicksum(terms))
-
-    # ------------------------------------------------------------------
-    # vectorized (COO) construction — same model, no per-term Python objects
+    # vectorized (COO) construction — no per-term Python objects
     # ------------------------------------------------------------------
     def _capacity_value(self, i: int, j: int, k: int) -> float:
         if self.config.capacity_fn is not None:
@@ -421,9 +230,10 @@ class LpBuilder:
     def _build_coo(self, problem: LpProblem) -> None:
         """Emit the whole LP as COO blocks via NumPy index arithmetic.
 
-        Variable existence masks replicate the expression path's gating
-        exactly (same reachability and horizon tests, same iteration
-        order), so both paths compile to identical matrices.
+        Per commodity the columns run ``F`` (link, epoch), ``B`` (GPU,
+        epoch), ``R`` (sink, epoch); a variable exists only where the
+        commodity can have reached the node and the send still lands
+        within the horizon.
         """
         model = problem.model
         plan, topo, K = self.plan, self.topology, self.plan.num_epochs
@@ -447,7 +257,7 @@ class LpBuilder:
         sf = self.config.store_and_forward
         k_send = np.arange(K, dtype=np.int64)
 
-        # -- variable index grids, in the expression path's creation order
+        # -- variable index grids, commodity by commodity
         with _obs_span("lp.family.vars"):
             per_q = []
             base = 0
@@ -733,8 +543,8 @@ class IncrementalLp:
     sequences of near-identical instances that differ only in the horizon K.
     This class keeps **one** compiled model alive across the sequence:
 
-    * the initial build is the vectorized bulk path (``track_rows=True``
-      records where every constraint family landed);
+    * the initial build runs with ``track_rows=True``, recording where
+      every constraint family landed;
     * :meth:`grow` appends the epoch-delta — new columns for the epochs
       ``K..K'``, new rows for the new epochs, and
       :meth:`~repro.solver.Model.add_coo_terms` patches into the rows that
@@ -758,8 +568,7 @@ class IncrementalLp:
                  aggregate: bool = True):
         plan = build_epoch_plan(topology, config, num_epochs=num_epochs)
         self.builder = LpBuilder(topology, demand, config, plan,
-                                 aggregate=aggregate, construction="coo",
-                                 track_rows=True)
+                                 aggregate=aggregate, track_rows=True)
         start = time.perf_counter()
         self.problem = self.builder.build()
         self.build_time = time.perf_counter() - start
@@ -1041,8 +850,7 @@ class IncrementalLp:
         plan_k = self.plan.with_num_epochs(num_epochs)
         view = LpProblem(model=self.model, plan=plan_k,
                          topology=self.topology,
-                         commodities=self.commodities,
-                         construction="incremental")
+                         commodities=self.commodities)
         view.f_vars = {
             key: v for key, v in self.f_vars.items()
             if key[3] + plan_k.arrival_offset(key[1], key[2]) + 1
@@ -1101,7 +909,6 @@ def solve_lp(topology: Topology, demand: Demand, config: TecclConfig,
         result, reduced = _solve_maybe_reduced(problem, topology, demand,
                                                config)
         result.stats["build_time"] = build_time
-        result.stats["construction"] = problem.construction
         result.stats["horizon_attempts"] = attempt
         result.stats["horizon_epochs"] = num_epochs
         if result.status.has_solution:
@@ -1168,13 +975,12 @@ def _vet_reduced_outcome(outcome: LpOutcome, problem: LpProblem,
                violations=len(report.violations))
     result = problem.model.solve(config.solver)
     result.stats["symmetry_fallback"] = "conformance"
-    result.stats["construction"] = problem.construction
     result.require_solution()
     return extract_lp_outcome(problem, result)
 
 
 def extract_lp_outcome(problem: LpProblem, result: SolveResult) -> LpOutcome:
-    with _obs_rspan("lp.extract", construction=problem.construction):
+    with _obs_rspan("lp.extract"):
         flows = {key: result.value(var)
                  for key, var in problem.f_vars.items()}
         reads = {key: result.value(var)
@@ -1206,37 +1012,36 @@ def lp_feasible_horizon(topology: Topology, demand: Demand,
 
 
 def minimize_epochs_lp(topology: Topology, demand: Demand,
-                       config: TecclConfig, *, max_epochs: int | None = None,
-                       incremental: bool = True) -> LpOutcome:
+                       config: TecclConfig, *,
+                       max_epochs: int | None = None) -> LpOutcome:
     """Binary search for the smallest feasible horizon (§6 "TE-CCL variants").
 
     The paper runs the ALLTOALL solver in a loop, binary-searching the number
     of epochs; the returned schedule is the optimum for the minimal K.
 
-    By default the search runs on the incremental engine: **one** model is
-    built at the horizon bound, its full-horizon optimum brackets the search
-    (the last read epoch is a feasibility witness; the earliest-arrival
-    bound a floor), and the remaining probes are bound restrictions on the
-    same model, each warm-started from the last feasible solution — no
-    rebuilds, and usually only one or two extra solves. Every incremental
-    result is replayed through the conformance oracle before it is returned;
-    a violation falls back to the cold per-horizon search
-    (``incremental=False``), which builds and solves a fresh model per probe.
+    The search runs on the incremental engine: **one** model is built at
+    the horizon bound, its full-horizon optimum brackets the search (the
+    last read epoch is a feasibility witness; the earliest-arrival bound a
+    floor), and the remaining probes are bound restrictions on the same
+    model, each warm-started from the last feasible solution — no rebuilds,
+    and usually only one or two extra solves. The result is replayed
+    through the conformance oracle before it is returned; a violation falls
+    back to :func:`_minimize_epochs_cold`, which builds and solves a fresh
+    model per probe.
     """
     estimate = None
     if max_epochs is None:
         probe = build_epoch_plan(topology, config, num_epochs=1)
         estimate = path_based_epoch_bound(topology, demand, probe)
         max_epochs = estimate
-    if incremental:
-        return _minimize_epochs_incremental(topology, demand, config,
-                                            max_epochs, estimate=estimate)
-    return _minimize_epochs_cold(topology, demand, config, max_epochs)
+    return _minimize_epochs_incremental(topology, demand, config,
+                                        max_epochs, estimate=estimate)
 
 
 def _minimize_epochs_cold(topology: Topology, demand: Demand,
                           config: TecclConfig, max_epochs: int) -> LpOutcome:
-    """The pre-incremental search: fresh build + cold solve per probe."""
+    """Fresh build + cold solve per probe: the conformance-failure fallback
+    of the incremental search, and its reference in the warm-start tests."""
     lo, hi = 1, max_epochs
     best: LpOutcome | None = None
     while lo <= hi:

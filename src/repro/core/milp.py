@@ -39,7 +39,7 @@ from repro.errors import InfeasibleError, ModelError
 from repro.obs.trace import event as _obs_event
 from repro.obs.trace import rspan as _obs_rspan
 from repro.obs.trace import span as _obs_span
-from repro.solver import (Model, Sense, SolveResult, VarType, quicksum)
+from repro.solver import Model, Sense, SolveResult, VarType
 from repro.topology.topology import Topology
 from repro.topology.transforms import HyperEdgeGroup
 
@@ -70,10 +70,9 @@ def _ranges_take(left: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class MilpProblem:
     """A built (not yet solved) instance; A* reuses this to add its terms.
 
-    The ``*_vars`` dicts map formulation keys to solver columns: values are
-    :class:`repro.solver.Variable` handles on the expression path and raw
-    ``int`` column indices on the bulk (COO) path; both are accepted by
-    :meth:`repro.solver.SolveResult.value`.
+    The ``*_vars`` dicts map formulation keys to raw ``int`` solver column
+    indices (what :meth:`repro.solver.SolveResult.value` and
+    :meth:`repro.solver.Model.var` take).
     """
 
     model: Model
@@ -81,13 +80,11 @@ class MilpProblem:
     topology: Topology
     demand: Demand
     config: TecclConfig
-    f_vars: dict[tuple, object] = field(default_factory=dict)
-    b_vars: dict[tuple, object] = field(default_factory=dict)
-    r_vars: dict[tuple, object] = field(default_factory=dict)
+    f_vars: dict[tuple, int] = field(default_factory=dict)
+    b_vars: dict[tuple, int] = field(default_factory=dict)
+    r_vars: dict[tuple, int] = field(default_factory=dict)
     #: earliest buffer epoch per (commodity, node)
     earliest: dict[tuple[Commodity, int], int] = field(default_factory=dict)
-    #: which construction path built this model ("expr" or "coo")
-    construction: str = "expr"
 
 
 @dataclass
@@ -143,8 +140,7 @@ class MilpBuilder:
                  require_completion: bool = True,
                  allow_overhang: bool = False,
                  hyper_groups: list[HyperEdgeGroup] | None = None,
-                 capacity_carry: dict[tuple[int, int, int], int] | None = None,
-                 construction: str | None = None):
+                 capacity_carry: dict[tuple[int, int, int], int] | None = None):
         demand.validate(topology)
         topology.validate()
         self.topology = topology
@@ -168,6 +164,13 @@ class MilpBuilder:
                 raise ModelError(
                     "time-varying capacity requires slowest-link epochs "
                     "(per-link occupancy must be 1)")
+        if self.injections and (
+                not config.store_and_forward
+                or any(topology.is_switch(n)
+                       for (_s, _c, n, _k) in self.injections)):
+            raise ModelError(
+                "injections land in GPU buffers: they need "
+                "store_and_forward and a GPU target")
         self.commodities = demand.commodities()
         if initial_holders is None:
             self.initial_holders = {q: {q[0]} for q in self.commodities}
@@ -180,49 +183,17 @@ class MilpBuilder:
             for q in self.commodities}
         self.earliest = _commodity_earliest(topology, plan, holders,
                                             tighten=config.tighten)
-        # The A* round models (mid-horizon injections, carried-over capacity,
-        # relaxed completion, overhanging sends) stay on the expression path;
-        # everything else can take the vectorized bulk path.
-        requested = construction or config.solver.construction
-        if requested not in ("auto", "coo", "expr"):
-            raise ModelError(f"unknown construction {requested!r}")
-        eligible = (not self.injections and not self.capacity_carry
-                    and self.require_completion and not self.allow_overhang)
-        if requested == "coo" and not eligible:
-            raise ModelError(
-                "construction='coo' does not support A* round models "
-                "(injections / capacity carry / relaxed completion); "
-                "use 'expr' or 'auto'")
-        self.construction = "coo" if (requested != "expr" and eligible) \
-            else "expr"
 
     # ------------------------------------------------------------------
     def build(self) -> MilpProblem:
-        with _obs_span("milp.build", construction=self.construction,
-                       epochs=self.plan.num_epochs,
+        with _obs_span("milp.build", epochs=self.plan.num_epochs,
                        commodities=len(self.commodities)):
             self._precheck_horizon()
             model = Model("teccl-milp", sense=Sense.MAXIMIZE)
             problem = MilpProblem(model=model, plan=self.plan,
                                   topology=self.topology, demand=self.demand,
-                                  config=self.config, earliest=self.earliest,
-                                  construction=self.construction)
-            if self.construction == "coo":
-                self._build_coo(problem)
-                return problem
-            for fam, step in (
-                    ("vars", self._make_flow_vars),
-                    ("buffer_vars", self._make_buffer_vars),
-                    ("buffer_recurrence", self._buffer_recurrence),
-                    ("availability", self._availability),
-                    ("switch_constraints", self._switch_constraints),
-                    ("capacity", self._capacity),
-                    ("destination", self._destination),
-                    ("buffer_limit", self._buffer_limit),
-                    ("hyper_edge_limits", self._hyper_edge_limits),
-                    ("objective", self._objective)):
-                with _obs_span(f"milp.family.{fam}"):
-                    step(problem)
+                                  config=self.config, earliest=self.earliest)
+            self._build_coo(problem)
             return problem
 
     def _precheck_horizon(self) -> None:
@@ -242,254 +213,7 @@ class MilpBuilder:
                         status="horizon")
 
     # ------------------------------------------------------------------
-    # variables
-    # ------------------------------------------------------------------
-    def _f_exists(self, q: Commodity, i: int, j: int, k: int) -> bool:
-        earliest = self.earliest.get((q, i))
-        if earliest is None or k < earliest:
-            return False
-        offset = self.plan.arrival_offset(i, j)
-        arrival = k + offset + 1
-        K = self.plan.num_epochs
-        if self.topology.is_switch(j):
-            # the switch must forward at epoch `arrival`, which must exist
-            return arrival <= K - 1
-        if self.allow_overhang:
-            return k <= K - 1
-        return arrival <= K
-
-    def _make_flow_vars(self, problem: MilpProblem) -> None:
-        model = problem.model
-        K = self.plan.num_epochs
-        self._link_epoch_vars: dict[tuple[int, int, int], list] = {}
-        for q in self.commodities:
-            for (i, j) in self.topology.links:
-                for k in range(K):
-                    if not self._f_exists(q, i, j, k):
-                        continue
-                    var = model.add_var(vtype=VarType.BINARY,
-                                        name=f"F[{q},{i},{j},{k}]")
-                    problem.f_vars[(q, i, j, k)] = var
-                    self._link_epoch_vars.setdefault((i, j, k), []).append(var)
-
-    def _make_buffer_vars(self, problem: MilpProblem) -> None:
-        model = problem.model
-        K = self.plan.num_epochs
-        for q in self.commodities:
-            holders = self.initial_holders.get(q, set())
-            for n in self.topology.nodes:
-                if self.topology.is_switch(n):
-                    continue
-                earliest = self.earliest.get((q, n))
-                if earliest is None:
-                    continue
-                for k in range(max(0, earliest), K + 1):
-                    if k == 0 and n in holders:
-                        var = model.add_var(lb=1.0, ub=1.0,
-                                            vtype=VarType.BINARY,
-                                            name=f"B[{q},{n},0]")
-                    elif k == 0:
-                        # nothing has arrived yet: non-holders start empty
-                        # (reachable only when tightening is disabled)
-                        var = model.add_var(lb=0.0, ub=0.0,
-                                            vtype=VarType.BINARY,
-                                            name=f"B[{q},{n},0]")
-                    else:
-                        var = model.add_var(vtype=VarType.BINARY,
-                                            name=f"B[{q},{n},{k}]")
-                    problem.b_vars[(q, n, k)] = var
-
-    # ------------------------------------------------------------------
-    # constraints
-    # ------------------------------------------------------------------
-    def _arrivals_expr(self, problem: MilpProblem, q: Commodity, n: int,
-                       buffer_epoch: int):
-        """Sends (plus injections) that appear in n's buffer at that epoch."""
-        terms = []
-        for link in self.topology.in_edges(n):
-            send_epoch = buffer_epoch - 1 - self.plan.arrival_offset(
-                link.src, link.dst)
-            var = problem.f_vars.get((q, link.src, link.dst, send_epoch))
-            if var is not None:
-                terms.append(var)
-        constant = self.injections.get((q[0], q[1], n, buffer_epoch), 0)
-        expr = quicksum(terms)
-        if constant:
-            expr = expr + constant
-        return expr
-
-    def _buffer_recurrence(self, problem: MilpProblem) -> None:
-        model = problem.model
-        for (q, n, k), var in problem.b_vars.items():
-            if k == 0:
-                continue
-            prev = problem.b_vars.get((q, n, k - 1), 0.0)
-            arrivals = self._arrivals_expr(problem, q, n, k)
-            model.add_constr(var.to_expr() <= arrivals + prev,
-                             name=f"buf[{q},{n},{k}]")
-
-    def _availability(self, problem: MilpProblem) -> None:
-        """Flow conservation with copy at GPUs: send only what you hold."""
-        model = problem.model
-        sf = self.config.store_and_forward
-        for (q, i, j, k), f in problem.f_vars.items():
-            if self.topology.is_switch(i):
-                continue  # handled by _switch_constraints
-            holds_initially = i in self.initial_holders.get(q, set())
-            if sf or holds_initially:
-                b = problem.b_vars.get((q, i, k))
-                if b is None:
-                    model.add_constr(f.to_expr() <= 0.0)
-                else:
-                    model.add_constr(f <= b, name=f"avail[{q},{i},{j},{k}]")
-            else:
-                # Figure 9 ablation: relay immediately, like a switch.
-                arrivals = self._arrivals_expr(problem, q, i, k)
-                model.add_constr(f.to_expr() <= arrivals,
-                                 name=f"relay[{q},{i},{j},{k}]")
-
-    def _switch_constraints(self, problem: MilpProblem) -> None:
-        model = problem.model
-        copy_ok = self.config.switch_model is SwitchModel.COPY
-        K = self.plan.num_epochs
-        for sw in self.topology.switches:
-            out_links = self.topology.out_edges(sw)
-            for q in self.commodities:
-                for k in range(K):
-                    outs = [problem.f_vars[(q, sw, l.dst, k)]
-                            for l in out_links
-                            if (q, sw, l.dst, k) in problem.f_vars]
-                    if not outs:
-                        continue
-                    arrivals = self._arrivals_expr(problem, q, sw, k)
-                    if copy_ok:
-                        for f in outs:
-                            model.add_constr(f.to_expr() <= arrivals,
-                                             name=f"sw[{q},{sw},{k}]")
-                    else:
-                        model.add_constr(quicksum(outs) <= arrivals,
-                                         name=f"sw[{q},{sw},{k}]")
-
-    def _capacity(self, problem: MilpProblem) -> None:
-        model = problem.model
-        K = self.plan.num_epochs
-        tau = self.plan.tau
-        for (i, j) in self.topology.links:
-            kappa = self.plan.occupancy[(i, j)]
-            for k in range(K):
-                if self.config.capacity_fn is not None:
-                    cap = (self.config.capacity_fn(i, j, k) * tau
-                           / self.config.chunk_bytes)
-                else:
-                    cap = self.plan.cap_chunks[(i, j)]
-                if kappa == 1:
-                    vars_k = self._link_epoch_vars.get((i, j, k), [])
-                    if vars_k:
-                        model.add_constr(
-                            quicksum(vars_k) <= math.floor(cap + _EPS),
-                            name=f"cap[{i},{j},{k}]")
-                else:
-                    window: list = []
-                    carry = 0
-                    for kk in range(k - kappa + 1, k + 1):
-                        if kk < 0:
-                            carry += self.capacity_carry.get((i, j, kk), 0)
-                        else:
-                            window.extend(
-                                self._link_epoch_vars.get((i, j, kk), []))
-                    if window:
-                        limit = max(1, math.floor(kappa * cap + _EPS))
-                        model.add_constr(quicksum(window) <= limit - carry,
-                                         name=f"capw[{i},{j},{k}]")
-
-    def _destination(self, problem: MilpProblem) -> None:
-        model = problem.model
-        K = self.plan.num_epochs
-        for s, c in self.commodities:
-            q = (s, c)
-            for d in self.demand.destinations(s, c):
-                earliest = self.earliest.get((q, d), 1 << 30)
-                first_k = max(0, earliest - 1)
-                for k in range(first_k, K):
-                    lb = 1.0 if (self.require_completion and k == K - 1) else 0.0
-                    r = model.add_var(lb=lb, ub=1.0,
-                                      name=f"R[{q},{d},{k}]")
-                    problem.r_vars[(q, d, k)] = r
-                    b_next = problem.b_vars.get((q, d, k + 1))
-                    if b_next is None:
-                        model.add_constr(r.to_expr() <= 0.0)
-                    else:
-                        model.add_constr(r <= b_next,
-                                         name=f"read[{q},{d},{k}]")
-
-    def _buffer_limit(self, problem: MilpProblem) -> None:
-        limit = self.config.buffer_limit_chunks
-        if limit is None:
-            return
-        model = problem.model
-        K = self.plan.num_epochs
-        for n in self.topology.gpus:
-            for k in range(K + 1):
-                relay_bufs = []
-                for q in self.commodities:
-                    # A GPU's own input/output buffers are exempt: sources
-                    # hold their data and destinations must keep theirs
-                    # (they store it anyway, §3.1); the limit governs the
-                    # relay buffer.
-                    if n in self.initial_holders.get(q, set()):
-                        continue
-                    if n in self.demand.destinations(*q):
-                        continue
-                    var = problem.b_vars.get((q, n, k))
-                    if var is not None:
-                        relay_bufs.append(var)
-                if relay_bufs:
-                    model.add_constr(quicksum(relay_bufs) <= limit,
-                                     name=f"buflim[{n},{k}]")
-
-    def _hyper_edge_limits(self, problem: MilpProblem) -> None:
-        if not self.hyper_groups:
-            return
-        model = problem.model
-        K = self.plan.num_epochs
-        for group in self.hyper_groups:
-            edges = group.edges
-            out_by_node: dict[int, list[tuple[int, int]]] = {}
-            in_by_node: dict[int, list[tuple[int, int]]] = {}
-            for (i, j) in edges:
-                out_by_node.setdefault(i, []).append((i, j))
-                in_by_node.setdefault(j, []).append((i, j))
-            for k in range(K):
-                total = []
-                for (i, j) in edges:
-                    total.extend(self._link_epoch_vars.get((i, j, k), []))
-                if total:
-                    model.add_constr(quicksum(total) <= group.usage_limit,
-                                     name=f"hyper[{group.switch},{k}]")
-                for node, node_edges in out_by_node.items():
-                    vars_out = []
-                    for (i, j) in node_edges:
-                        vars_out.extend(self._link_epoch_vars.get((i, j, k), []))
-                    if vars_out:
-                        model.add_constr(quicksum(vars_out) <= 1,
-                                         name=f"hout[{group.switch},{node},{k}]")
-                for node, node_edges in in_by_node.items():
-                    vars_in = []
-                    for (i, j) in node_edges:
-                        vars_in.extend(self._link_epoch_vars.get((i, j, k), []))
-                    if vars_in:
-                        model.add_constr(quicksum(vars_in) <= 1,
-                                         name=f"hin[{group.switch},{node},{k}]")
-
-    def _objective(self, problem: MilpProblem) -> None:
-        terms = []
-        for ((s, c), d, k), r in problem.r_vars.items():
-            weight = self.config.weight(s, c, d)
-            terms.append(r * (weight / (k + 1)))
-        problem.model.set_objective(quicksum(terms))
-
-    # ------------------------------------------------------------------
-    # vectorized (COO) construction — same model, no per-term Python objects
+    # vectorized (COO) construction — no per-term Python objects
     # ------------------------------------------------------------------
     def _capacity_value(self, i: int, j: int, k: int) -> float:
         if self.config.capacity_fn is not None:
@@ -500,10 +224,10 @@ class MilpBuilder:
     def _build_coo(self, problem: MilpProblem) -> None:
         """Emit the §3.1 MILP as COO blocks via NumPy index arithmetic.
 
-        Variable gating, bounds, and constraint-row ordering replicate the
-        expression path exactly (``tests/test_model_equivalence.py`` holds
-        the two compiled matrices bit-identical); only the banded families'
-        Python-object churn is gone.
+        Column order is all ``F`` (commodity, link, epoch), then all ``B``
+        (commodity, GPU, epoch), then all ``R`` (commodity, destination,
+        epoch); constraint families append in the order of the spans below.
+        ``tests/test_model_equivalence.py`` pins the compiled matrices.
         """
         model = problem.model
         topo, plan, K = self.topology, self.plan, self.plan.num_epochs
@@ -523,10 +247,13 @@ class MilpBuilder:
         node_pos[gpu_ids] = np.arange(G)
         k_send = np.arange(K, dtype=np.int64)
         sf = self.config.store_and_forward
-        # a send into a switch must be forwardable at its arrival epoch
-        arrival_cap = np.where(switch_dst, K - 1, K)
+        # a send into a switch must be forwardable at its arrival epoch; a
+        # send to a GPU must land within the horizon, unless the next A*
+        # round takes the overhang (then any send epoch k <= K - 1 is open)
+        arrival_cap = np.where(switch_dst, K - 1,
+                               K + offs if self.allow_overhang else K)
 
-        # -- flow variables, all commodities first (== _make_flow_vars)
+        # -- flow variables, all commodities first
         f_grids = []
         base = 0
         for q in self.commodities:
@@ -545,8 +272,8 @@ class MilpBuilder:
             f_grids.append((earliest, f_mask, f_idx))
         model.add_var_array(base, vtype=VarType.BINARY, name="F")
 
-        # -- buffer variables (== _make_buffer_vars): B[q,n,0] is fixed to
-        #    1 for initial holders and 0 otherwise
+        # -- buffer variables: B[q,n,0] is fixed to 1 for initial holders
+        #    and 0 otherwise
         b_grids = []
         b_lb_parts, b_ub_parts = [], []
         b_base = base
@@ -576,8 +303,8 @@ class MilpBuilder:
                 else np.empty(0)),
             vtype=VarType.BINARY, name="B")
 
-        # -- read variables (allocated by _destination on the legacy path;
-        #    indices are contiguous in (q, d, k) order either way)
+        # -- read variables, contiguous in (q, d, k) order; the last epoch
+        #    must read 1 unless an A* round may end with demand outstanding
         r_meta = []  # (q, d, first_k, index array)
         r_lb_parts = []
         r_base = base
@@ -588,7 +315,7 @@ class MilpBuilder:
                 idx = base + np.arange(count)
                 base += count
                 lb = np.zeros(count)
-                if count:  # require_completion is always True on this path
+                if count and self.require_completion:
                     lb[-1] = 1.0
                 r_lb_parts.append(lb)
                 r_meta.append((q, d, first_k, idx))
@@ -638,7 +365,9 @@ class MilpBuilder:
 
     def _coo_buffer_recurrence(self, model, f_grids, b_grids, src, dst, offs,
                                node_pos, G: int, K: int) -> None:
-        """``B[k] ≤ arrivals(k) + B[k−1]`` for every buffer var with k ≥ 1."""
+        """``B[k] ≤ arrivals(k) + B[k−1]`` for every buffer var with k ≥ 1;
+        chunks injected mid-horizon (in flight since the previous A* round)
+        count as arrivals — constants on the right-hand side."""
         for (q, (_e, f_mask, f_idx)), (b_mask, b_idx) in zip(
                 zip(self.commodities, f_grids), b_grids):
             rec_mask = b_mask.copy()
@@ -658,16 +387,21 @@ class MilpBuilder:
             # arrivals: a send on (i, j) at k' reaches j's buffer at k'+Δ+1
             ls, ks = np.nonzero(f_mask)
             vs = f_idx[f_mask]
-            at_gpu = node_pos[dst[ls]] >= 0
-            ls, ks, vs = ls[at_gpu], ks[at_gpu], vs[at_gpu]
+            # (overhanging sends land past K: in no row of this horizon)
+            lands = (node_pos[dst[ls]] >= 0) & (ks + offs[ls] + 1 <= K)
+            ls, ks, vs = ls[lands], ks[lands], vs[lands]
             target = row_grid[node_pos[dst[ls]], ks + offs[ls] + 1]
             landed = target >= 0
             rows.append(target[landed])
             cols.append(vs[landed])
             data.append(-np.ones(int(landed.sum())))
+            injected = np.zeros((G, K + 1))
+            for (s, c, n, k), count in self.injections.items():
+                if (s, c) == q and 0 <= k <= K:
+                    injected[int(node_pos[n]), k] = count
             model.add_constr_coo(np.concatenate(rows), np.concatenate(cols),
-                                 np.concatenate(data), -np.inf, 0.0,
-                                 num_rows=n_rows)
+                                 np.concatenate(data), -np.inf,
+                                 injected[rec_mask], num_rows=n_rows)
 
     def _coo_availability(self, model, f_grids, b_grids, src, dst, offs,
                           node_pos, num_nodes: int, K: int, sf: bool) -> None:
@@ -697,7 +431,8 @@ class MilpBuilder:
             relay = ~avail
             if relay.any():
                 # Figure 9 ablation: forward only what arrives this epoch
-                land_gpu = node_pos[dst[ls]] >= 0
+                land_gpu = (node_pos[dst[ls]] >= 0) \
+                    & (ks + offs[ls] + 1 <= K)
                 key_in = (node_pos[dst[ls[land_gpu]]] * (K + 1)
                           + ks[land_gpu] + offs[ls[land_gpu]] + 1)
                 order = np.argsort(key_in, kind="stable")
@@ -717,8 +452,7 @@ class MilpBuilder:
     def _coo_switch_constraints(self, model, f_grids, links, src, dst, offs,
                                 K: int) -> None:
         """Zero-buffer switches: out(k+1) bounded by in(k), with or without
-        copy; row order matches the nested (switch, commodity, epoch) loops
-        of the expression path."""
+        copy; rows are ordered by (switch, commodity, epoch)."""
         switches = list(self.topology.switches)
         if not switches:
             return
@@ -765,7 +499,9 @@ class MilpBuilder:
                                      num_rows=n_rows)
 
     def _coo_capacity(self, model, f_grids, links, E: int, K: int) -> None:
-        """Per-link capacity, windowed over κ epochs where occupancy > 1."""
+        """Per-link capacity, windowed over κ epochs where occupancy > 1;
+        a window reaching back before epoch 0 loses what the previous A*
+        round's transmissions still occupy (``capacity_carry``)."""
         f_idx_all = np.stack([grid[2] for grid in f_grids])  # (Q, E, K)
         any_f = (f_idx_all >= 0).any(axis=0)
         row_parts, col_parts, uppers = [], [], []
@@ -802,7 +538,9 @@ class MilpBuilder:
                 col_parts.append(span_v[inside])
                 uppers.extend(
                     float(max(1, math.floor(
-                        kappa * self._capacity_value(i, j, int(k)) + _EPS)))
+                        kappa * self._capacity_value(i, j, int(k)) + _EPS))
+                          - sum(self.capacity_carry.get((i, j, kk), 0)
+                                for kk in range(int(k) - kappa + 1, 0)))
                     for k in k_idx)
             row_counter += len(k_idx)
         if row_counter:
@@ -972,7 +710,6 @@ def solve_milp(topology: Topology, demand: Demand, config: TecclConfig,
         cuts = _maybe_add_symmetry_cuts(problem, topology, demand, config)
         result = problem.model.solve(config.solver)
         result.stats["build_time"] = build_time
-        result.stats["construction"] = problem.construction
         result.stats["horizon_attempts"] = attempt
         result.stats["horizon_epochs"] = num_epochs
         if cuts:
@@ -1047,14 +784,13 @@ def _vet_cut_outcome(outcome: "MilpOutcome", topology: Topology,
     problem = builder.build()
     result = problem.model.solve(config.solver)
     result.stats["symmetry_fallback"] = "conformance"
-    result.stats["construction"] = problem.construction
     result.require_solution()
     return extract_outcome(problem, result)
 
 
 def extract_outcome(problem: MilpProblem, result: SolveResult) -> MilpOutcome:
     """Turn a solved MILP into a pruned :class:`Schedule`."""
-    with _obs_rspan("milp.extract", construction=problem.construction):
+    with _obs_rspan("milp.extract"):
         plan = problem.plan
         sends = []
         for (q, i, j, k), var in problem.f_vars.items():

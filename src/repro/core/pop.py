@@ -174,10 +174,10 @@ def solve_lp_pop(topology: Topology, demand: Demand, config: TecclConfig, *,
     in-process — or, when a :class:`~repro.service.pool.SolvePool` is
     passed as ``pool``, across **processes** for the cold path (each
     partition crosses the boundary as plain dicts and is rebuilt by
-    :func:`solve_pop_partition`). ``pool`` requires ``incremental=False``
-    (a live scipy model cannot be pickled) and falls back to the thread
-    path when ``config.capacity_fn`` is set (a Python callable cannot
-    cross the boundary either).
+    :func:`solve_pop_partition`). Passing ``pool`` therefore selects cold
+    partitions whatever ``incremental`` says (a live scipy model cannot be
+    pickled), and falls back to the thread path when ``config.capacity_fn``
+    is set (a Python callable cannot cross the boundary either).
 
     Every merged result produced by the incremental or any parallel path
     is replayed through the conformance oracle; a violation falls back to
@@ -189,11 +189,6 @@ def solve_lp_pop(topology: Topology, demand: Demand, config: TecclConfig, *,
         raise ModelError(
             "POP partitioning applies to the LP form only; multicast "
             "demands need the MILP (use solve_milp or A*)")
-    if pool is not None and incremental:
-        raise ModelError(
-            "process fan-out cannot share in-process incremental models; "
-            "pass incremental=False to solve cold partitions on a "
-            "SolvePool")
     partitions = partition_demand(demand, num_partitions, seed=seed)
 
     auto = config.num_epochs is None
@@ -207,7 +202,7 @@ def solve_lp_pop(topology: Topology, demand: Demand, config: TecclConfig, *,
 
     attempts = 3 if auto else 1
     models: list[IncrementalLp | None] | None = \
-        [None] * len(partitions) if incremental else None
+        [None] * len(partitions) if incremental and pool is None else None
     warms: list[WarmStart | None] = [None] * len(partitions)
     last_error: InfeasibleError | None = None
     for attempt in range(attempts):
@@ -284,7 +279,6 @@ def _solve_at_horizon(topology: Topology, config: TecclConfig,
                 result, reduced = _solve_maybe_reduced(
                     problem, topology, part.demand, sub_config)
                 result.stats["build_time"] = build_time
-                result.stats["construction"] = problem.construction
                 if not result.status.has_solution:
                     raise InfeasibleError(
                         f"POP partition {part.index} infeasible at "
@@ -382,7 +376,6 @@ def solve_pop_partition(request_dict: dict) -> dict:
             except InfeasibleError as err:
                 return {"infeasible": True, "message": str(err)}
             result.stats["build_time"] = build_time
-            result.stats["construction"] = problem.construction
             if not result.status.has_solution:
                 return {"infeasible": True,
                         "message": f"POP partition {request_dict['index']} "

@@ -271,10 +271,6 @@ def find_generators(topology: Topology, demand: Demand | None = None,
 # ----------------------------------------------------------------------
 # induced column permutations
 # ----------------------------------------------------------------------
-def _col(var) -> int:
-    return var.index if hasattr(var, "index") else int(var)
-
-
 def _map_key(key, auto: Automorphism):
     if isinstance(key, tuple):
         if auto.chunk_map is not None:
@@ -309,7 +305,7 @@ def induced_column_permutation(auto: Automorphism, num_cols: int,
             target = vars_.get(image)
             if target is None:
                 return None
-            pi[_col(var)] = _col(target)
+            pi[int(var)] = int(target)
     if not np.array_equal(np.sort(pi), np.arange(num_cols)):
         return None
     return pi

@@ -41,7 +41,9 @@ from repro.topology.topology import Topology
 #: v2: the solver ``symmetry`` knob left the canonical form (it cannot
 #: change the solution) and the planner began canonicalizing demands by
 #: topology automorphism, collapsing symmetric requests to one entry.
-FINGERPRINT_VERSION = 2
+#: v3: the solver ``construction`` knob was deleted (one construction path);
+#: ``config.solver`` now holds solution-affecting keys only.
+FINGERPRINT_VERSION = 3
 
 
 def _normalize(value, path: str):

@@ -8,7 +8,7 @@ TE-CCL instance can be inspected by eye or loaded into any external solver.
 Only the features the modeling layer produces are emitted: a linear
 objective, (in)equality rows, finite bounds, binary/general integer markers.
 Rows are read back from the compiled COO buffers, so models built through
-the bulk path (:meth:`Model.add_constr_coo`) export the same way as
+the bulk API (:meth:`Model.add_constr_coo`) export the same way as
 expression-built ones; two-sided (ranged) rows are split into a ``<=`` and a
 ``>=`` line sharing a label stem.
 """

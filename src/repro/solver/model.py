@@ -8,20 +8,22 @@ and relative-gap early stop — and compiles to sparse matrices consumed by
 routed through :func:`scipy.optimize.linprog` (HiGHS simplex/IPM), which is
 noticeably faster for the LP formulation of §4.1.
 
-Two construction paths feed the same compiled form:
+Two APIs append to the same model:
 
-* the **expression path** (:meth:`Model.add_var`, :meth:`Model.add_constr`)
-  builds gurobipy-style :class:`LinExpr` objects — convenient, used by the
-  small/ablation models and the A* round models;
-* the **bulk path** (:meth:`Model.add_var_array`,
+* the **bulk API** (:meth:`Model.add_var_array`,
   :meth:`Model.add_constr_coo`, :meth:`Model.set_objective_array`) appends
   NumPy COO triplets straight into the compiled-matrix buffers with no
-  per-term Python objects — the fast path the LP/MILP formulations use on
-  large instances.
+  per-term Python objects — the one way the LP/MILP formulations
+  (``repro.core.lp`` / ``repro.core.milp``, A* round models included) are
+  built;
+* the **expression API** (:meth:`Model.add_var`, :meth:`Model.add_constr`)
+  builds gurobipy-style :class:`LinExpr` objects — the small-model API, for
+  ad-hoc models and for terms bolted onto a bulk-built model
+  (:meth:`Model.var` hands out a handle for any column).
 
-Both paths append *row blocks* in call order; :meth:`Model.compile` stacks
-the blocks once and caches the result, so repeated solves of an unchanged
-model do not re-stack constraints.
+Both append *row blocks* in call order; :meth:`Model.compile` stacks the
+blocks once and caches the result, so repeated solves of an unchanged model
+do not re-stack constraints.
 
 For the incremental re-solve engine the model is also *extendable*:
 :meth:`Model.extend` freezes the current stacked matrix as an immutable
@@ -120,9 +122,9 @@ class CompiledModel:
     def canonical(self) -> tuple:
         """A normalised tuple for structural comparison of two models.
 
-        Duplicate COO entries are summed and explicit zeros dropped on both
-        sides, so the expression path and the bulk path compare equal when
-        they describe the same mathematical model.
+        Duplicate COO entries are summed and explicit zeros dropped, so
+        two models compare equal when they describe the same mathematics,
+        whichever API appended their rows.
         """
         matrix = self.A.copy()
         matrix.sum_duplicates()
@@ -600,9 +602,9 @@ class Model:
 
         The constraint stack is cached across calls; only newly added rows
         trigger a re-stack. This is also the comparison point for the
-        differential tests: two models describing the same mathematics
+        golden-pin tests: two models describing the same mathematics
         compile to :meth:`CompiledModel.canonical`-equal tuples regardless
-        of which construction path built them.
+        of which API built them.
         """
         with _obs_span("solver.compile", vars=self.num_vars,
                        rows=self.num_constraints):

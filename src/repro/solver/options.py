@@ -31,15 +31,6 @@ class SolverOptions:
             paper's ``method = 2`` Gurobi setting for large ALLTOALLs) and
             the default simplex otherwise; or force ``"highs"``,
             ``"highs-ds"``, ``"highs-ipm"``.
-        construction: which model-construction path the formulation
-            builders use. ``"auto"`` (default) takes the vectorized COO
-            bulk path whenever the instance supports it (everything except
-            the A* round models) and falls back to the gurobipy-style
-            expression path otherwise; ``"coo"`` requires the bulk path
-            (raises if the instance needs expression-only features);
-            ``"expr"`` forces the legacy expression path. The two paths
-            compile to identical matrices — see
-            ``tests/test_model_equivalence.py``.
         symmetry: whether the LP/MILP solves may exploit fabric
             automorphisms (``repro.core.symmetry``). ``"auto"`` (default)
             attempts a reduction on large models only; ``"on"`` always
@@ -55,7 +46,6 @@ class SolverOptions:
     verbose: bool = False
     presolve: bool = True
     lp_method: str = "auto"
-    construction: str = "auto"
     symmetry: str = "auto"
 
     #: model size at which "auto" switches the LP algorithm to IPM
@@ -70,8 +60,6 @@ class SolverOptions:
             raise ModelError("node_limit must be positive")
         if self.lp_method not in ("auto", "highs", "highs-ds", "highs-ipm"):
             raise ModelError(f"unknown lp_method {self.lp_method!r}")
-        if self.construction not in ("auto", "coo", "expr"):
-            raise ModelError(f"unknown construction {self.construction!r}")
         if self.symmetry not in ("auto", "on", "off"):
             raise ModelError(f"unknown symmetry mode {self.symmetry!r}")
 
@@ -92,13 +80,17 @@ class SolverOptions:
             "verbose": bool(self.verbose),
             "presolve": bool(self.presolve),
             "lp_method": self.lp_method,
-            "construction": self.construction,
             "symmetry": self.symmetry,
         }
 
     @staticmethod
     def from_dict(data: dict) -> "SolverOptions":
-        """Parse the :meth:`to_dict` representation."""
+        """Parse the :meth:`to_dict` representation.
+
+        Unknown keys are ignored, so documents written before a knob was
+        removed (``"construction"`` in request files, WAL snapshots and
+        disk-cache envelopes up to PR 11) still parse.
+        """
         try:
             return SolverOptions(
                 time_limit=(None if data.get("time_limit") is None
@@ -109,7 +101,6 @@ class SolverOptions:
                 verbose=bool(data.get("verbose", False)),
                 presolve=bool(data.get("presolve", True)),
                 lp_method=str(data.get("lp_method", "auto")),
-                construction=str(data.get("construction", "auto")),
                 symmetry=str(data.get("symmetry", "auto")))
         except (TypeError, ValueError) as exc:
             raise ModelError(

@@ -61,9 +61,9 @@ class SolveResult:
         """Evaluate a variable, raw column index, or expression at the
         returned primal point.
 
-        Raw indices are what the bulk construction path
-        (:meth:`repro.solver.model.Model.add_var_array`) hands around
-        instead of :class:`Variable` objects.
+        Raw indices are what the bulk API
+        (:meth:`repro.solver.model.Model.add_var_array`) and the LP/MILP
+        builders hand around instead of :class:`Variable` objects.
         """
         if self.values is None:
             raise ModelError(f"no solution available (status={self.status.value})")

@@ -1,36 +1,45 @@
-"""Differential tests: the COO bulk path equals the expression path.
+"""Golden compiled-matrix pins for the LP/MILP builders.
 
-The vectorized construction in ``core/lp.py`` / ``core/milp.py`` re-derives
-every variable-existence mask and constraint family with NumPy index
-arithmetic. These tests are the proof that the rewrite changed *nothing*
-mathematically: over a sweep of randomized instances
-(:func:`tests.conftest.random_instance`), both paths must compile to
-identical canonicalized ``(A, lb, ub, c, bounds, integrality)`` tuples, and
-the solve facades must return equal objectives and schedules.
+``tests/golden/model_digests.json`` was dumped at the last commit that still
+carried the gurobipy-style *expression-path* builders, from that path: one
+sha256 of :meth:`CompiledModel.canonical` plus digests of the
+``f_vars``/``b_vars``/``r_vars`` key→column maps per case. The vectorized
+builders in ``core/lp.py`` / ``core/milp.py`` must reproduce every pin
+bit-for-bit — over the randomized instance sweep
+(:func:`tests.conftest.random_instance`), the POP ``capacity_fn`` and
+aggregated-commodity variants, and the A* round models (injections, capacity
+carry, relaxed completion, overhang) captured from live ``solve_astar`` runs.
+The solve facades' objectives and finish times are pinned the same way.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro import collectives, topology
+from repro.core import TecclConfig, astar
 from repro.core.epochs import build_epoch_plan, path_based_epoch_bound
 from repro.core.lp import LpBuilder, solve_lp
 from repro.core.milp import MilpBuilder, solve_milp
-from repro.errors import InfeasibleError, ScheduleError
-from repro.solver.model import compiled_equal
+from repro.errors import InfeasibleError, ModelError, ScheduleError
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "model_digests.json").read_text())
 
 #: failures the facades can legitimately raise on a random instance; the
-#: differential claim is that both paths fail the *same* way
+#: pin then records the error type instead of an objective
 _INSTANCE_ERRORS = (InfeasibleError, ScheduleError)
 
-#: the differential sweep — at least 20 randomized instances (acceptance
-#: criterion of PR 2)
+#: the compiled-model sweep — at least 20 randomized instances
 SEEDS = list(range(24))
 
-#: subset solved end-to-end through both facades
+#: subset solved end-to-end through the facades
 SOLVE_SEEDS = list(range(8))
 
 
@@ -40,19 +49,106 @@ def _plan_for(topo, demand, config):
     return build_epoch_plan(topo, config, num_epochs=horizon)
 
 
-def _with_construction(config, construction):
-    return replace(config,
-                   solver=replace(config.solver, construction=construction))
+def _plain(key):
+    """Formulation keys as nested lists of Python ints (JSON-stable)."""
+    if isinstance(key, tuple):
+        return [_plain(part) for part in key]
+    return int(key)
 
 
-def _assert_same_columns(expr_problem, coo_problem):
-    """Same keys must map to the same solver column on both paths."""
-    for attr in ("f_vars", "b_vars", "r_vars"):
-        expr_vars = getattr(expr_problem, attr)
-        coo_vars = getattr(coo_problem, attr)
-        assert set(expr_vars) == set(coo_vars)
-        for key, var in expr_vars.items():
-            assert var.index == coo_vars[key], (attr, key)
+def _map_digest(var_map: dict) -> str:
+    pairs = sorted([_plain(key), int(col)] for key, col in var_map.items())
+    return hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
+
+
+def model_digest(problem) -> dict:
+    """The pinned fingerprint of a built problem: canonical compiled matrix
+    (dtype-normalised, ``-0.0`` folded into ``0.0``) and column maps."""
+    compiled = problem.model.compile()
+    digest = hashlib.sha256()
+    for part in compiled.canonical():
+        if isinstance(part, np.ndarray):
+            kind = np.float64 if part.dtype.kind == "f" else np.int64
+            part = np.ascontiguousarray(part, dtype=kind)
+            if kind is np.float64:
+                part = part + 0.0
+            digest.update(part.tobytes())
+        elif isinstance(part, float):
+            digest.update((part + 0.0).hex().encode())
+        else:  # matrix shape, objective sense
+            digest.update(str(part).encode())
+        digest.update(b"|")
+    return {
+        "cols": int(compiled.A.shape[1]),
+        "rows": int(compiled.A.shape[0]),
+        "model": digest.hexdigest(),
+        "f_vars": _map_digest(problem.f_vars),
+        "b_vars": _map_digest(problem.b_vars),
+        "r_vars": _map_digest(problem.r_vars),
+    }
+
+
+def _scaled_capacity_config(topo, config, seed):
+    """POP subproblems scale capacities via ``capacity_fn``."""
+    share = 0.5 + 0.1 * seed
+
+    def scaled(i, j, k, _base=topo):
+        return _base.link(i, j).capacity * share
+
+    return replace(config, capacity_fn=scaled)
+
+
+def _aggregated_instance(seed, make_instance):
+    """The ALLTOALL fast path (chunks aggregated by source)."""
+    topo = topology.ring(4 + seed % 2, capacity=1.0, alpha=0.0)
+    demand = collectives.alltoall(topo.gpus, 1 + seed % 2)
+    _topo, _demand, config = make_instance(seed)
+    return topo, demand, config
+
+
+def astar_round_digests(instance, monkeypatch) -> list[dict]:
+    """Run ``solve_astar`` and fingerprint every round model it solved
+    (potential terms included), with the round-state features it carried."""
+    captured = []
+    solve_round = astar._solve_round
+
+    def recording(topo, remaining, config, plan, holders, injections,
+                  weights, gamma, carry):
+        problem, result = solve_round(topo, remaining, config, plan,
+                                      holders, injections, weights, gamma,
+                                      carry)
+        K = plan.num_epochs
+        captured.append({
+            **model_digest(problem),
+            "injections": len(injections),
+            "carry": len(carry),
+            "overhang_vars": sum(
+                1 for (_q, i, j, k) in problem.f_vars
+                if k + plan.arrival_offset(i, j) + 1 > K),
+        })
+        return problem, result
+
+    monkeypatch.setattr(astar, "_solve_round", recording)
+    astar.solve_astar(*instance)
+    return captured
+
+
+def solve_pin(solve, topo, demand, config) -> dict:
+    try:
+        outcome = solve(topo, demand, config)
+    except _INSTANCE_ERRORS as exc:
+        return {"error": type(exc).__name__}
+    return {"objective": outcome.result.objective,
+            "finish_time": outcome.finish_time}
+
+
+def _assert_solve_pin(got: dict, pin: dict) -> None:
+    assert set(got) == set(pin)  # same outcome kind: solved or same error
+    if "error" in pin:
+        assert got["error"] == pin["error"]
+        return
+    assert got["objective"] == pytest.approx(pin["objective"], abs=1e-6)
+    assert got["finish_time"] == pytest.approx(pin["finish_time"], abs=1e-9)
 
 
 class TestCompileEquality:
@@ -60,160 +156,116 @@ class TestCompileEquality:
     def test_lp_paths_identical(self, seed, make_instance):
         topo, demand, config = make_instance(seed)
         plan = _plan_for(topo, demand, config)
-        expr = LpBuilder(topo, demand, config, plan,
-                         construction="expr").build()
-        coo = LpBuilder(topo, demand, config, plan,
-                        construction="coo").build()
-        assert expr.construction == "expr" and coo.construction == "coo"
-        assert compiled_equal(expr.model.compile(), coo.model.compile())
-        _assert_same_columns(expr, coo)
+        problem = LpBuilder(topo, demand, config, plan).build()
+        assert model_digest(problem) == GOLDEN["lp"][str(seed)]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_milp_paths_identical(self, seed, make_instance):
         topo, demand, config = make_instance(seed)
         plan = _plan_for(topo, demand, config)
-        expr = MilpBuilder(topo, demand, config, plan,
-                           construction="expr").build()
-        coo = MilpBuilder(topo, demand, config, plan,
-                          construction="coo").build()
-        assert compiled_equal(expr.model.compile(), coo.model.compile())
-        _assert_same_columns(expr, coo)
+        problem = MilpBuilder(topo, demand, config, plan).build()
+        assert model_digest(problem) == GOLDEN["milp"][str(seed)]
 
     @pytest.mark.parametrize("seed", SEEDS[:4])
     def test_lp_pop_capacity_fn_identical(self, seed, make_instance):
-        """POP subproblems scale capacities via capacity_fn — the COO
-        capacity family must evaluate it exactly like the expression one."""
         topo, demand, config = make_instance(seed)
-        share = 0.5 + 0.1 * seed
-
-        def scaled(i, j, k, _base=topo):
-            return _base.link(i, j).capacity * share
-
-        config = replace(config, capacity_fn=scaled)
+        config = _scaled_capacity_config(topo, config, seed)
         plan = _plan_for(topo, demand, config)
-        expr = LpBuilder(topo, demand, config, plan,
-                         construction="expr").build()
-        coo = LpBuilder(topo, demand, config, plan,
-                        construction="coo").build()
-        assert compiled_equal(expr.model.compile(), coo.model.compile())
+        problem = LpBuilder(topo, demand, config, plan).build()
+        assert model_digest(problem) == GOLDEN["lp_capacity_fn"][str(seed)]
 
     @pytest.mark.parametrize("seed", SEEDS[:6])
     def test_lp_aggregated_commodities_identical(self, seed, make_instance):
-        """The ALLTOALL fast path (chunks aggregated by source)."""
-        from repro import collectives, topology
-
-        topo = topology.ring(4 + seed % 2, capacity=1.0, alpha=0.0)
-        demand = collectives.alltoall(topo.gpus, 1 + seed % 2)
-        _topo, _demand, config = make_instance(seed)
+        topo, demand, config = _aggregated_instance(seed, make_instance)
         plan = _plan_for(topo, demand, config)
-        expr = LpBuilder(topo, demand, config, plan,
-                         construction="expr").build()
-        coo = LpBuilder(topo, demand, config, plan,
-                        construction="coo").build()
-        assert compiled_equal(expr.model.compile(), coo.model.compile())
+        problem = LpBuilder(topo, demand, config, plan).build()
+        assert model_digest(problem) == GOLDEN["lp_aggregated"][str(seed)]
 
 
 class TestSolveEquality:
     @pytest.mark.parametrize("seed", SOLVE_SEEDS)
     def test_solve_lp_equal(self, seed, make_instance):
-        topo, demand, config = make_instance(seed)
-        outcomes = {}
-        for construction in ("expr", "coo"):
-            try:
-                outcomes[construction] = solve_lp(
-                    topo, demand, _with_construction(config, construction))
-            except _INSTANCE_ERRORS as exc:
-                outcomes[construction] = type(exc)
-        expr, coo = outcomes["expr"], outcomes["coo"]
-        if isinstance(expr, type) or isinstance(coo, type):
-            assert expr == coo  # both paths fail identically
-            return
-        assert coo.result.stats["construction"] == "coo"
-        assert expr.result.objective == pytest.approx(
-            coo.result.objective, abs=1e-6)
-        assert set(expr.raw_schedule.flows) == set(coo.raw_schedule.flows)
-        for key, flow in expr.raw_schedule.flows.items():
-            assert flow == pytest.approx(coo.raw_schedule.flows[key],
-                                         abs=1e-6), key
-        assert expr.finish_time == pytest.approx(coo.finish_time, abs=1e-9)
+        got = solve_pin(solve_lp, *make_instance(seed))
+        _assert_solve_pin(got, GOLDEN["solve_lp"][str(seed)])
 
     @pytest.mark.parametrize("seed", SOLVE_SEEDS)
     def test_solve_milp_equal(self, seed, make_instance):
-        topo, demand, config = make_instance(seed)
-        outcomes = {}
-        for construction in ("expr", "coo"):
-            try:
-                outcomes[construction] = solve_milp(
-                    topo, demand, _with_construction(config, construction))
-            except _INSTANCE_ERRORS as exc:
-                outcomes[construction] = type(exc)
-        expr, coo = outcomes["expr"], outcomes["coo"]
-        if isinstance(expr, type) or isinstance(coo, type):
-            assert expr == coo  # both paths fail identically
-            return
-        assert coo.result.stats["construction"] == "coo"
-        assert expr.result.objective == pytest.approx(
-            coo.result.objective, abs=1e-6)
-        # identical compiled inputs => HiGHS returns the identical point
-        assert expr.raw_schedule.sends == coo.raw_schedule.sends
-        assert expr.delivered_epoch == coo.delivered_epoch
-        assert expr.finish_time == pytest.approx(coo.finish_time, abs=1e-9)
+        got = solve_pin(solve_milp, *make_instance(seed))
+        _assert_solve_pin(got, GOLDEN["solve_milp"][str(seed)])
 
 
 class TestEdgeCases:
     def test_non_gpu_holders_ignored_like_expr_path(self, star3):
         """A switch in initial_holders must not alias a GPU's buffer rows
-        (the expression path never buffers at switches; regression for the
-        COO path's node_pos[-1] indexing)."""
-        from repro import collectives
-        from repro.core import TecclConfig
-
+        (switches never buffer; regression for ``node_pos[-1]`` indexing)."""
         demand = collectives.allgather(star3.gpus, 1)
         config = TecclConfig(chunk_bytes=1.0, buffer_limit_chunks=2)
         plan = _plan_for(star3, demand, config)
         holders = {q: {q[0]} | set(star3.switches)
                    for q in demand.commodities()}
-        expr = MilpBuilder(star3, demand, config, plan,
-                           initial_holders=holders,
-                           construction="expr").build()
-        coo = MilpBuilder(star3, demand, config, plan,
-                          initial_holders=holders,
-                          construction="coo").build()
-        assert compiled_equal(expr.model.compile(), coo.model.compile())
+        problem = MilpBuilder(star3, demand, config, plan,
+                              initial_holders=holders).build()
+        assert model_digest(problem) == GOLDEN["switch_holders"]
+
+    def test_injections_must_land_in_gpu_buffers(self, star3):
+        """The recurrence rows that carry injections exist for GPU buffers
+        only: a switch target or the no-buffering ablation is rejected
+        instead of silently dropping the in-flight chunk."""
+        demand = collectives.allgather(star3.gpus, 1)
+        config = TecclConfig(chunk_bytes=1.0)
+        plan = _plan_for(star3, demand, config)
+        gpu, switch = star3.gpus[1], min(star3.switches)
+        with pytest.raises(ModelError, match="injections"):
+            MilpBuilder(star3, demand, config, plan,
+                        injections={(0, 0, switch, 1): 1})
+        with pytest.raises(ModelError, match="injections"):
+            MilpBuilder(star3, demand,
+                        replace(config, store_and_forward=False), plan,
+                        injections={(0, 0, gpu, 1): 1})
 
 
-class TestDispatch:
-    def test_auto_uses_coo_for_standard_models(self, ring4, ag_ring4,
-                                               unit_config):
-        plan = _plan_for(ring4, ag_ring4, unit_config)
-        problem = MilpBuilder(ring4, ag_ring4, unit_config, plan).build()
-        assert problem.construction == "coo"
+class TestOneConstructionPath:
+    TOOL = Path(__file__).parent.parent / "tools" / \
+        "check_no_construction_knob.py"
 
-    def test_astar_round_models_fall_back_to_expr(self, ring4, ag_ring4,
-                                                  unit_config):
-        plan = _plan_for(ring4, ag_ring4, unit_config)
-        problem = MilpBuilder(ring4, ag_ring4, unit_config, plan,
-                              require_completion=False,
-                              allow_overhang=True).build()
-        assert problem.construction == "expr"
+    def _lint(self):
+        import importlib.util
 
-    def test_forced_coo_rejects_round_models(self, ring4, ag_ring4,
-                                             unit_config):
-        from repro.errors import ModelError
+        spec = importlib.util.spec_from_file_location("knob_lint", self.TOOL)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
 
-        plan = _plan_for(ring4, ag_ring4, unit_config)
-        with pytest.raises(ModelError):
-            MilpBuilder(ring4, ag_ring4, unit_config, plan,
-                        require_completion=False, construction="coo")
+    def test_src_has_no_construction_knob(self):
+        lint = self._lint()
+        assert [finding for path in sorted(lint.SRC.rglob("*.py"))
+                for finding in lint.find_knobs(path)] == []
 
-    def test_values_survive_solve_on_both_paths(self, ring4, ag_ring4,
-                                                unit_config):
-        plan = _plan_for(ring4, ag_ring4, unit_config)
-        for construction in ("expr", "coo"):
-            problem = MilpBuilder(ring4, ag_ring4, unit_config, plan,
-                                  construction=construction).build()
-            result = problem.model.solve(unit_config.solver)
-            assert result.status.has_solution
-            total = sum(result.value(var)
-                        for var in problem.f_vars.values())
-            assert total > 0
+    def test_lint_flags_parameters_and_fields(self, tmp_path):
+        source = tmp_path / "knob.py"
+        source.write_text(
+            "class Options:\n"
+            "    construction: str = 'auto'\n"
+            "def build(plan, *, construction=None):\n"
+            "    span('build', construction='cold')\n")
+        assert [line for line, _ in self._lint().find_knobs(source)] \
+            == [2, 3]
+
+
+class TestAstarRoundModels:
+    """A* builds its rounds through the same ``MilpBuilder.build()`` as
+    ``solve_milp``; every round model of every ``test_astar.py`` instance is
+    pinned, potential terms and all."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN["astar_rounds"]))
+    def test_round_models_match_pins(self, name, astar_instance,
+                                     monkeypatch):
+        rounds = astar_round_digests(astar_instance(name), monkeypatch)
+        assert rounds == GOLDEN["astar_rounds"][name]
+
+    def test_pins_cover_every_round_feature(self):
+        rounds = [r for runs in GOLDEN["astar_rounds"].values()
+                  for r in runs]
+        assert len(rounds) >= 6
+        for feature in ("injections", "carry", "overhang_vars"):
+            assert any(r[feature] for r in rounds), feature

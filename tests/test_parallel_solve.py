@@ -16,7 +16,6 @@ from repro.core import TecclConfig
 from repro.core.hierarchical import chassis_groups, hierarchical_allgather
 from repro.core.pop import solve_lp_pop
 from repro.core.subsolve import SubSolveCache, run_subsolves
-from repro.errors import ModelError
 from repro.service.pool import SolvePool
 from repro.simulate import check_flow, check_result
 from repro.solver import SolverOptions
@@ -197,13 +196,20 @@ class TestPopParallel:
                            incremental=False, parallel=True)
         _assert_pop_identical(seq, par, topo, demand, config)
 
-    def test_pool_requires_cold_path(self):
+    def test_pool_selects_cold_partitions(self):
+        """Under the default ``incremental=True`` a pool still fans out:
+        live incremental models cannot cross the process boundary, so
+        ``pool=`` means cold partitions — same output as sequential cold."""
         topo = topology.ring(4, capacity=1.0)
         demand = collectives.alltoall(topo.gpus, 1)
+        config = _lp_config()
+        seq = solve_lp_pop(topo, demand, config, num_partitions=2,
+                           incremental=False)
         with SolvePool(executor="inline") as pool:
-            with pytest.raises(ModelError, match="incremental"):
-                solve_lp_pop(topo, demand, _lp_config(),
-                             num_partitions=2, pool=pool)
+            pooled = solve_lp_pop(topo, demand, config, num_partitions=2,
+                                  pool=pool)
+            assert pool.stats.solves == 2
+        _assert_pop_identical(seq, pooled, topo, demand, config)
 
     def test_pooled_process_style_fanout_matches_sequential(self):
         """The full serialise → worker → deserialise round trip, run on

@@ -10,7 +10,7 @@ from repro.core.solve import Method
 from repro.errors import ServiceError
 from repro.service import fingerprint_request
 from repro.service.fingerprint import (FINGERPRINT_VERSION,
-                                       canonical_request)
+                                       canonical_config, canonical_request)
 from repro.solver import SolverOptions
 
 
@@ -144,7 +144,7 @@ class TestSensitivity:
 
 
 class TestCanonicalFormPin:
-    """Golden pins of the canonical form for FINGERPRINT_VERSION == 2.
+    """Golden pins of the canonical form for FINGERPRINT_VERSION == 3.
 
     Any change to the canonical document — a new normalised field, a field
     ordering change, a float formatting change — alters every fingerprint in
@@ -153,11 +153,11 @@ class TestCanonicalFormPin:
     when bumping the version, recompute and update the pinned digest.
     """
 
-    PINNED_VERSION = 2
+    PINNED_VERSION = 3
     # sha256 of json.dumps(canonical_request(...), sort_keys=True,
     # separators=(",", ":")) for the fixed instance below.
-    PINNED_SHA256 = ("72c023594c93b812afa16fc96649834a5d0d832539f3"
-                     "2f0fa53ef6299c385ca0")
+    PINNED_SHA256 = ("34bc8616b09d69965f1465ddee1e49d04ce514e0bad9"
+                     "9b2bc305dc8228c365aa")
 
     @staticmethod
     def _fixed_instance():
@@ -187,3 +187,12 @@ class TestCanonicalFormPin:
             for mode in ("auto", "on", "off")
         }
         assert len(fps) == 1
+
+    def test_solver_section_holds_only_solution_affecting_keys(self):
+        # v3 semantics: a speed-only or cosmetic solver setting (log
+        # verbosity, the symmetry knob, the deleted construction selector)
+        # must never split the cache; what stays can change the returned
+        # point (limits, gap, presolve, the LP algorithm's vertex choice).
+        _topo, _demand, config = self._fixed_instance()
+        assert set(canonical_config(config)["solver"]) == {
+            "time_limit", "mip_gap", "node_limit", "presolve", "lp_method"}

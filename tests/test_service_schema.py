@@ -60,6 +60,19 @@ class TestConfigRoundtrip:
         assert SolverOptions.from_dict(
             _json_roundtrip(options.to_dict())) == options
 
+    def test_stale_construction_key_ignored(self):
+        """Request files, WAL snapshots and disk-cache envelopes written
+        while ``SolverOptions.construction`` existed must still parse."""
+        options = SolverOptions(time_limit=12.0, mip_gap=0.1)
+        stale = dict(options.to_dict(), construction="expr")
+        assert SolverOptions.from_dict(_json_roundtrip(stale)) == options
+        config = TecclConfig(chunk_bytes=2.0, num_epochs=6, solver=options)
+        document = config.to_dict()
+        document["solver"]["construction"] = "coo"
+        back = TecclConfig.from_dict(_json_roundtrip(document))
+        assert back == config
+        assert "construction" not in back.to_dict()["solver"]
+
 
 class TestSynthesisResultRoundtrip:
     def _roundtrip(self, result: SynthesisResult) -> SynthesisResult:

@@ -14,8 +14,9 @@ import pytest
 
 from repro import collectives, topology
 from repro.core import TecclConfig
-from repro.core.epochs import build_epoch_plan
-from repro.core.lp import IncrementalLp, LpBuilder, minimize_epochs_lp
+from repro.core.epochs import build_epoch_plan, path_based_epoch_bound
+from repro.core.lp import (IncrementalLp, LpBuilder, _minimize_epochs_cold,
+                           minimize_epochs_lp)
 from repro.core.pop import pop_auto_horizon, solve_lp_pop
 from repro.core.solve import synthesize
 from repro.errors import ModelError, ReproError
@@ -163,8 +164,7 @@ class TestIncrementalGrowth:
         inc.grow(start_k + 9)
 
         plan = build_epoch_plan(topo, config, num_epochs=start_k + 9)
-        cold = LpBuilder(topo, demand, config, plan,
-                         construction="coo").build()
+        cold = LpBuilder(topo, demand, config, plan).build()
         assert inc.model.num_vars == cold.model.num_vars
         assert inc.model.num_constraints == cold.model.num_constraints
         assert inc.model.compile().A.nnz == cold.model.compile().A.nnz
@@ -210,8 +210,10 @@ class TestMinimizeEpochsDifferential:
         topo, demand, config = random_instance(seed)
         try:
             warm = minimize_epochs_lp(topo, demand, config)
-            cold = minimize_epochs_lp(topo, demand, config,
-                                      incremental=False)
+            probe = build_epoch_plan(topo, config, num_epochs=1)
+            cold = _minimize_epochs_cold(
+                topo, demand, config,
+                path_based_epoch_bound(topo, demand, probe))
         except ReproError:
             pytest.skip("instance infeasible for the horizon search")
         assert warm.plan.num_epochs == cold.plan.num_epochs

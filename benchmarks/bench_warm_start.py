@@ -1,8 +1,8 @@
-"""Warm vs cold re-solving: the incremental engine's end-to-end payoff.
+"""Warm vs cold re-solving: what model reuse and seeded horizons buy.
 
-Three production re-solve loops, cold (build + solve from scratch per
-attempt, the pre-PR-4 behaviour) against warm (one growing model, bound
-restrictions, seeded horizons):
+Two production re-solve loops, cold (build + solve from scratch per
+attempt) against warm (one built model with bound-restricted probes;
+horizons seeded by a prior result):
 
 * **Horizon search** — the §6 ``minimize_epochs`` binary search at Table-4
   scale, run with a generous search bound (the paper's Algorithm-1-style
@@ -10,8 +10,6 @@ restrictions, seeded horizons):
   *feasible* solve per halving of the bound; the warm search anchors at
   the cheap path estimate on one shared model and its cost is independent
   of the bound. This is the acceptance headline: >= 2x end to end.
-* **POP retries** — partitioned solves sharing one growing model per
-  partition across horizon attempts.
 * **Replanning** — a perturbed fabric re-solved seeded by the prior
   result (`replan`), against a from-scratch `synthesize`.
 
@@ -29,7 +27,6 @@ from repro.analysis import Table
 from repro.core import TecclConfig
 from repro.core.epochs import build_epoch_plan, path_based_epoch_bound
 from repro.core.lp import _minimize_epochs_cold, minimize_epochs_lp
-from repro.core.pop import solve_lp_pop
 from repro.core.solve import synthesize
 from repro.failures import replan
 from repro.solver import SolverOptions
@@ -42,7 +39,7 @@ def _timed(fn, *args, **kwargs):
 
 
 def test_warm_start_speedup(benchmark):
-    table = Table("Warm vs cold re-solving (incremental engine, PR 4)",
+    table = Table("Warm vs cold re-solving",
                   columns=["cold s", "warm s", "speedup", "K cold",
                            "K warm", "warm solves"])
     results: dict[str, dict] = {}
@@ -80,31 +77,6 @@ def test_warm_start_speedup(benchmark):
         "K cold": cold.plan.num_epochs, "K warm": warm.plan.num_epochs,
         "warm solves": warm.result.stats.get("horizon_solves")})
 
-    # -- POP retries: shared growing models across horizon attempts ------
-    pop_topo = topology.internal2(8)
-    pop_demand = collectives.alltoall(pop_topo.gpus, 1)
-    pop_config = TecclConfig(chunk_bytes=1e6,
-                             solver=SolverOptions(time_limit=120))
-    warm_pop, warm_pop_s = _timed(solve_lp_pop, pop_topo, pop_demand,
-                                  pop_config, num_partitions=2)
-    cold_pop, cold_pop_s = _timed(solve_lp_pop, pop_topo, pop_demand,
-                                  pop_config, num_partitions=2,
-                                  incremental=False)
-    assert warm_pop.plan.num_epochs == cold_pop.plan.num_epochs
-    assert warm_pop.attempts == cold_pop.attempts
-    results["pop_retries"] = {
-        "topology": pop_topo.name, "gpus": len(pop_topo.gpus),
-        "attempts": warm_pop.attempts,
-        "cold_s": cold_pop_s, "warm_s": warm_pop_s,
-        "speedup": cold_pop_s / warm_pop_s,
-    }
-    table.add("POP partitioned", **{
-        "cold s": round(cold_pop_s, 2), "warm s": round(warm_pop_s, 2),
-        "speedup": round(cold_pop_s / warm_pop_s, 2),
-        "K cold": cold_pop.plan.num_epochs,
-        "K warm": warm_pop.plan.num_epochs,
-        "warm solves": warm_pop.attempts})
-
     # -- replanning a perturbed fabric, seeded by the prior solution -----
     ring = topology.ring(16, capacity=1.0)
     ring_demand = collectives.alltoall(ring.gpus, 1)
@@ -138,9 +110,10 @@ def test_warm_start_speedup(benchmark):
         data={
             "scenarios": results,
             "note": "cold = fresh build+solve per attempt; warm = one "
-                    "growing model with bound-restricted probes and "
-                    "seeded horizons (PR 4). The horizon-search speedup "
-                    "is the acceptance headline (>= 2x).",
+                    "built model with bound-restricted probes (horizon "
+                    "search) or a horizon seeded by the prior result "
+                    "(replan). The horizon-search speedup is the "
+                    "acceptance headline (>= 2x).",
         },
         phases={f"{scenario}_{kind}": results[scenario][f"{kind}_s"]
                 for scenario in results for kind in ("cold", "warm")})

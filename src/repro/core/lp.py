@@ -104,10 +104,6 @@ class LpProblem:
     f_vars: dict[tuple, int] = field(default_factory=dict)
     b_vars: dict[tuple, int] = field(default_factory=dict)
     r_vars: dict[tuple, int] = field(default_factory=dict)
-    #: row-placement records emitted by the builder under
-    #: ``track_rows=True`` — what :class:`IncrementalLp` needs to patch
-    #: existing constraint rows when the horizon grows. ``None`` otherwise.
-    row_layout: list[tuple] | None = None
 
 
 @dataclass
@@ -180,7 +176,7 @@ class LpBuilder:
 
     def __init__(self, topology: Topology, demand: Demand,
                  config: TecclConfig, plan: EpochPlan, *,
-                 aggregate: bool = True, track_rows: bool = False):
+                 aggregate: bool = True):
         demand.validate(topology)
         topology.validate()
         if config.priorities is not None:
@@ -191,7 +187,6 @@ class LpBuilder:
         self.plan = plan
         self.commodities = build_commodities(demand, aggregate=aggregate)
         self._earliest = earliest_arrival_epochs(topology, plan)
-        self._track_rows = track_rows
 
     # ------------------------------------------------------------------
     def build(self) -> LpProblem:
@@ -317,7 +312,6 @@ class LpBuilder:
                     for s, k, v in zip(ss.tolist(), ks.tolist(),
                                        r_idx[r_mask].tolist()))
 
-        self._layout: list[tuple] | None = [] if self._track_rows else None
         with _obs_span("lp.family.initialization"):
             self._coo_initialization(model, per_q, src, node_pos)
         with _obs_span("lp.family.conservation"):
@@ -335,7 +329,6 @@ class LpBuilder:
             self._coo_buffer_limit(model, per_q, gpus, G, K)
         with _obs_span("lp.family.objective"):
             self._coo_objective(model, per_q)
-        problem.row_layout = self._layout
 
     def _coo_initialization(self, model: Model, per_q, src, node_pos) -> None:
         """``B[origin,0] + out(origin,0) == supply``, one row per commodity."""
@@ -350,16 +343,13 @@ class LpBuilder:
             rows.extend([r] * len(out0))
             lower.append(q.supply)
         bounds = np.asarray(lower, dtype=float)
-        first = model.add_constr_coo(rows, cols, np.ones(len(cols)), bounds,
-                                     bounds, num_rows=len(per_q))
-        if self._layout is not None:
-            self._layout.append(("init", first))
+        model.add_constr_coo(rows, cols, np.ones(len(cols)), bounds, bounds,
+                             num_rows=len(per_q))
 
     def _coo_conservation(self, model: Model, per_q, src, dst, offs,
                           node_pos, G: int, K: int) -> None:
         """arrivals(k) + B[k] − B[k+1] − R[k] − sends(k+1) == 0 per GPU."""
-        for qi, (q, f_mask, f_idx, b_mask, b_idx, sinks, r_mask, r_idx) \
-                in enumerate(per_q):
+        for q, f_mask, f_idx, b_mask, b_idx, sinks, r_mask, r_idx in per_q:
             origin_flat = int(node_pos[q.origin]) * K  # (origin, k=0)
             row_parts, col_parts, dat_parts = [], [], []
 
@@ -404,16 +394,13 @@ class LpBuilder:
             present = np.zeros(G * K, dtype=bool)
             present[flat] = True  # trivial 0 == 0 rows never materialise
             row_of = np.cumsum(present) - 1
-            first = model.add_constr_coo(row_of[flat], cols, data, 0.0, 0.0,
-                                         num_rows=int(present.sum()))
-            if self._layout is not None:
-                self._layout.append(("cons", qi, first,
-                                     np.nonzero(present)[0]))
+            model.add_constr_coo(row_of[flat], cols, data, 0.0, 0.0,
+                                 num_rows=int(present.sum()))
 
     def _coo_switch_conservation(self, model: Model, per_q, src, dst, offs,
                                  sw_pos, SW: int, K: int) -> None:
         """Switches neither buffer nor consume: in(k) == out(k+1)."""
-        for qi, (q, f_mask, f_idx, *_rest) in enumerate(per_q):
+        for _q, f_mask, f_idx, *_rest in per_q:
             ls, ks = np.nonzero(f_mask)
             vs = f_idx[f_mask]
             into = sw_pos[dst[ls]] >= 0
@@ -427,11 +414,8 @@ class LpBuilder:
             present = np.zeros(SW * K, dtype=bool)
             present[flat] = True
             row_of = np.cumsum(present) - 1
-            first = model.add_constr_coo(row_of[flat], cols, data, 0.0, 0.0,
-                                         num_rows=int(present.sum()))
-            if self._layout is not None:
-                self._layout.append(("swc", qi, first,
-                                     np.nonzero(present)[0]))
+            model.add_constr_coo(row_of[flat], cols, data, 0.0, 0.0,
+                                 num_rows=int(present.sum()))
 
     def _coo_capacity(self, model: Model, per_q, links, E: int, K: int,
                       ) -> None:
@@ -459,18 +443,15 @@ class LpBuilder:
             for out, (l, k) in enumerate(zip(ls.tolist(), ks.tolist())):
                 i, j = links[l]
                 caps[out] = self._capacity_value(i, j, k)
-        first = model.add_constr_coo(rows, cols, np.ones(len(rows)),
-                                     -np.inf, caps, num_rows=len(caps))
-        if self._layout is not None:
-            self._layout.append(("cap", first, np.nonzero(flat_present)[0]))
+        model.add_constr_coo(rows, cols, np.ones(len(rows)), -np.inf, caps,
+                             num_rows=len(caps))
 
     def _coo_demand_met(self, model: Model, per_q, K: int) -> None:
         """Each sink reads exactly its demanded amount over the horizon."""
         rows, cols, amounts = [], [], []
-        pairs: list[tuple[int, int]] = []
         r = 0
-        for qi, (q, _f_mask, _f_idx, _b_mask, _b_idx, sinks, r_mask, r_idx) \
-                in enumerate(per_q):
+        for q, _f_mask, _f_idx, _b_mask, _b_idx, sinks, r_mask, r_idx \
+                in per_q:
             for s, d in enumerate(sinks):
                 reads = r_idx[s][r_mask[s]]
                 if not len(reads):
@@ -480,13 +461,10 @@ class LpBuilder:
                 cols.extend(reads.tolist())
                 rows.extend([r] * len(reads))
                 amounts.append(q.sinks[d])
-                pairs.append((qi, d))
                 r += 1
         bounds = np.asarray(amounts, dtype=float)
-        first = model.add_constr_coo(rows, cols, np.ones(len(cols)), bounds,
-                                     bounds, num_rows=r)
-        if self._layout is not None:
-            self._layout.append(("met", first, pairs))
+        model.add_constr_coo(rows, cols, np.ones(len(cols)), bounds, bounds,
+                             num_rows=r)
 
     def _coo_buffer_limit(self, model: Model, per_q, gpus, G: int, K: int,
                           ) -> None:
@@ -506,11 +484,8 @@ class LpBuilder:
         row_of = np.cumsum(present) - 1
         rows = np.concatenate([row_of[flat] for flat in row_parts])
         cols = np.concatenate(col_parts)
-        first = model.add_constr_coo(rows, cols, np.ones(len(rows)),
-                                     -np.inf, float(limit),
-                                     num_rows=int(present.sum()))
-        if self._layout is not None:
-            self._layout.append(("buflim", first, np.nonzero(present)[0]))
+        model.add_constr_coo(rows, cols, np.ones(len(rows)), -np.inf,
+                             float(limit), num_rows=int(present.sum()))
 
     def _coo_objective(self, model: Model, per_q) -> None:
         """Maximise weighted reads, earlier epochs worth more (1/(k+1))."""
@@ -533,34 +508,27 @@ class LpBuilder:
 
 
 # ----------------------------------------------------------------------
-# incremental re-solving
+# one built model, many horizons
 # ----------------------------------------------------------------------
 class IncrementalLp:
-    """One growing LP instance: shared-horizon model reuse for re-solves.
+    """One LP built at horizon K that answers every horizon K' <= K.
 
-    The §6 horizon procedures (the ``minimize_epochs`` binary search, POP's
-    infeasible-horizon doubling, replanning after a perturbation) are
-    sequences of near-identical instances that differ only in the horizon K.
-    This class keeps **one** compiled model alive across the sequence:
+    The §6 ``minimize_epochs`` search is a sequence of instances that
+    differ only in the horizon. This class builds the model **once**,
+    through :meth:`LpBuilder.build`, and probes the smaller horizons on it:
 
-    * the initial build runs with ``track_rows=True``, recording where
-      every constraint family landed;
-    * :meth:`grow` appends the epoch-delta — new columns for the epochs
-      ``K..K'``, new rows for the new epochs, and
-      :meth:`~repro.solver.Model.add_coo_terms` patches into the rows that
-      span the horizon (demand-met, initialization, capacity rows gaining
-      newly eligible late-landing flow variables) — on top of a
-      :meth:`~repro.solver.Model.extend` compile prefix, so nothing built
-      before is re-stacked;
-    * :meth:`restrict` answers "is horizon K'' < K feasible?" on the *same*
-      model by zero-bounding every variable that cannot act before K''
-      (reads at or past K'', flows landing past it, buffers beyond it). The
+    * :meth:`restrict` answers "is horizon K' < K feasible?" on the *same*
+      model by zero-bounding every variable that cannot act before K'
+      (reads at or past K', flows landing past it, buffers beyond it). The
       supply/demand-met equalities make this exactly equivalent to the cold
-      horizon-K'' model: every unit of supply must be read, so a feasible
-      point can put no mass on the clamped variables.
+      horizon-K' model: every unit of supply must be read, so a feasible
+      point can put no mass on the clamped variables. Bounds live outside
+      the stacked matrix, so a probe re-stacks nothing.
+    * :meth:`solve_at` solves at one horizon (restricted or full) and
+      :meth:`extract` reads the result back over the horizon-K' view.
 
-    Solutions captured as :class:`~repro.solver.WarmStart` pad onto the
-    grown model (new columns start idle), so each attempt can seed the next.
+    A horizon *above* K is a rebuild: construct a new instance at the
+    larger K (the build is 20–50× cheaper than the solve that follows).
     """
 
     def __init__(self, topology: Topology, demand: Demand,
@@ -568,7 +536,7 @@ class IncrementalLp:
                  aggregate: bool = True):
         plan = build_epoch_plan(topology, config, num_epochs=num_epochs)
         self.builder = LpBuilder(topology, demand, config, plan,
-                                 aggregate=aggregate, track_rows=True)
+                                 aggregate=aggregate)
         start = time.perf_counter()
         self.problem = self.builder.build()
         self.build_time = time.perf_counter() - start
@@ -578,218 +546,11 @@ class IncrementalLp:
         self.config = config
         self.plan = plan
         self.num_epochs = num_epochs
-        self._initial_epochs = num_epochs
         self.commodities = self.builder.commodities
         self.f_vars = self.problem.f_vars
         self.b_vars = self.problem.b_vars
         self.r_vars = self.problem.r_vars
-        self._rows: dict[tuple, int] | None = None  # materialised on demand
         self._restricted: np.ndarray | None = None
-        idx, coef, _ = self.model._objective_arrays()
-        self._obj_idx: list[int] = idx.tolist()
-        self._obj_coef: list[float] = coef.tolist()
-
-    # ------------------------------------------------------------------
-    # row registry (only needed once the model starts growing)
-    # ------------------------------------------------------------------
-    def _materialize_rows(self) -> None:
-        """Decode the builder's layout records into a row-key registry."""
-        layout = self.problem.row_layout or []
-        K0 = self._initial_epochs
-        gpus = list(self.topology.gpus)
-        switches = list(self.topology.switches)
-        links = list(self.topology.links)
-        rows: dict[tuple, int] = {}
-        for rec in layout:
-            kind = rec[0]
-            if kind == "init":
-                for qi in range(len(self.commodities)):
-                    rows[("init", qi)] = rec[1] + qi
-            elif kind == "cons":
-                _, qi, first, flat = rec
-                for li, f in enumerate(flat.tolist()):
-                    rows[("cons", qi, gpus[f // K0], f % K0)] = first + li
-            elif kind == "swc":
-                _, qi, first, flat = rec
-                for li, f in enumerate(flat.tolist()):
-                    rows[("swc", qi, switches[f // K0], f % K0)] = first + li
-            elif kind == "cap":
-                _, first, flat = rec
-                for li, f in enumerate(flat.tolist()):
-                    i, j = links[f // K0]
-                    rows[("cap", i, j, f % K0)] = first + li
-            elif kind == "met":
-                _, first, pairs = rec
-                for li, (qi, d) in enumerate(pairs):
-                    rows[("met", qi, d)] = first + li
-            elif kind == "buflim":
-                _, first, flat = rec
-                for li, f in enumerate(flat.tolist()):
-                    rows[("buflim", gpus[f // (K0 + 1)],
-                          f % (K0 + 1))] = first + li
-        self._rows = rows
-
-    # ------------------------------------------------------------------
-    # growth
-    # ------------------------------------------------------------------
-    def grow(self, num_epochs: int) -> None:
-        """Extend the horizon in place: append the K→K' epoch delta.
-
-        Emits exactly the variables and constraint entries by which the
-        cold horizon-K' model exceeds the horizon-K one (the formulation's
-        eligibility masks are monotone in K), so the grown model matches a
-        fresh build in variable/row/nonzero counts and in every solve.
-        """
-        with _obs_span("lp.incremental.grow", old=self.num_epochs,
-                       new=num_epochs):
-            self._grow(num_epochs)
-
-    def _grow(self, num_epochs: int) -> None:
-        old_K, K = self.num_epochs, num_epochs
-        if K <= old_K:
-            raise ModelError(
-                f"cannot grow from K={old_K} to K={K}; horizons only grow")
-        if self._rows is None:
-            self._materialize_rows()
-        self.release()
-        self.model.extend()
-        topo, config = self.topology, self.config
-        sf = config.store_and_forward
-        limit = config.buffer_limit_chunks
-        links = list(topo.links)
-        offsets = {link: self.plan.arrival_offset(*link) for link in links}
-        switches = set(topo.switches)
-
-        new_f: list[tuple] = []
-        new_b: list[tuple] = []
-        new_r: list[tuple] = []
-        for qi, q in enumerate(self.commodities):
-            earliest = self.builder._earliest[q.origin]
-            for (i, j) in links:
-                e_i = earliest.get(i)
-                if e_i is None:
-                    continue
-                off = offsets[(i, j)]
-                for k in range(max(e_i, old_K - off), K - off):
-                    new_f.append((qi, q.key, i, j, k))
-            for n in topo.gpus:
-                if not sf and n != q.origin:
-                    continue
-                for k in range(old_K + 1, K + 1):
-                    if n != q.origin:
-                        e_n = earliest.get(n)
-                        if e_n is None or e_n > k:
-                            continue
-                    new_b.append((qi, q.key, n, k))
-            for d in q.sinks:
-                e_d = earliest.get(d)
-                if e_d is None:
-                    continue
-                for k in range(max(old_K, e_d - 1), K):
-                    new_r.append((qi, q.key, d, k))
-
-        total = len(new_f) + len(new_b) + len(new_r)
-        col = self.model.num_vars
-        if total:
-            self.model.add_var_array(total, name="lpgrow")
-
-        entries: list[tuple[tuple, int, float]] = []
-        new_rows: dict[tuple, tuple[float, float]] = {}
-        rows = self._rows
-        assert rows is not None
-
-        def add(row_key: tuple, column: int, coef: float,
-                lb: float = 0.0, ub: float = 0.0) -> None:
-            if row_key not in rows and row_key not in new_rows:
-                new_rows[row_key] = (lb, ub)
-            entries.append((row_key, column, coef))
-
-        for (qi, key, i, j, k) in new_f:
-            q = self.commodities[qi]
-            self.f_vars[(key, i, j, k)] = col
-            off = offsets[(i, j)]
-            add(("cap", i, j, k), col, 1.0, -np.inf,
-                self.builder._capacity_value(i, j, k))
-            if k == 0:
-                # only the origin holds mass at epoch 0: the init row
-                entries.append((("init", qi), col, 1.0))
-            elif i in switches:
-                add(("swc", qi, i, k - 1), col, -1.0)
-            elif not (i == q.origin and k - 1 == 0):
-                add(("cons", qi, i, k - 1), col, -1.0)
-            land = k + off
-            if j in switches:
-                add(("swc", qi, j, land), col, 1.0)
-            elif not (j == q.origin and land == 0):
-                add(("cons", qi, j, land), col, 1.0)
-            col += 1
-
-        for (qi, key, n, k) in new_b:
-            q = self.commodities[qi]
-            self.b_vars[(key, n, k)] = col
-            if k <= K - 1 and not (n == q.origin and k == 0):
-                add(("cons", qi, n, k), col, 1.0)
-            if k >= 1 and not (n == q.origin and k - 1 == 0):
-                add(("cons", qi, n, k - 1), col, -1.0)
-            if limit is not None and n != q.origin:
-                add(("buflim", n, k), col, 1.0, -np.inf, float(limit))
-            col += 1
-        # Boundary fix-up: at horizon K the last buffer epoch old_K had no
-        # "held" entry (its row did not exist); the grown horizon
-        # materialises row (n, old_K), which must see B[old_K] on its left.
-        for qi, q in enumerate(self.commodities):
-            for n in topo.gpus:
-                held = self.b_vars.get((q.key, n, old_K))
-                if held is None or (n == q.origin and old_K == 0):
-                    continue
-                add(("cons", qi, n, old_K), int(held), 1.0)
-
-        for (qi, key, d, k) in new_r:
-            q = self.commodities[qi]
-            self.r_vars[(key, d, k)] = col
-            add(("cons", qi, d, k), col, -1.0)
-            entries.append((("met", qi, d), col, 1.0))
-            weight = 1.0
-            if config.priorities is not None and isinstance(key, tuple):
-                weight = config.weight(key[0], key[1], d)
-            self._obj_idx.append(col)
-            self._obj_coef.append(weight / (k + 1))
-            col += 1
-
-        local_index = {rk: i for i, rk in enumerate(new_rows)}
-        blk_rows: list[int] = []
-        blk_cols: list[int] = []
-        blk_data: list[float] = []
-        patch_rows: list[int] = []
-        patch_cols: list[int] = []
-        patch_data: list[float] = []
-        for rk, column, coef in entries:
-            li = local_index.get(rk)
-            if li is not None:
-                blk_rows.append(li)
-                blk_cols.append(column)
-                blk_data.append(coef)
-            else:
-                patch_rows.append(rows[rk])
-                patch_cols.append(column)
-                patch_data.append(coef)
-        if new_rows:
-            bounds = list(new_rows.values())
-            first = self.model.add_constr_coo(
-                blk_rows, blk_cols, blk_data,
-                np.asarray([b[0] for b in bounds]),
-                np.asarray([b[1] for b in bounds]),
-                num_rows=len(new_rows))
-            for rk, li in local_index.items():
-                rows[rk] = first + li
-        if patch_rows:
-            self.model.add_coo_terms(patch_rows, patch_cols, patch_data)
-        self.model.set_objective_array(
-            np.asarray(self._obj_idx, dtype=np.int64),
-            np.asarray(self._obj_coef))
-        self.plan = self.plan.with_num_epochs(K)
-        self.problem.plan = self.plan
-        self.num_epochs = K
 
     # ------------------------------------------------------------------
     # bound-restricted probing
@@ -832,18 +593,15 @@ class IncrementalLp:
             self.model.set_var_bounds(self._restricted, ub=np.inf)
         self._restricted = None
 
-    def solve_at(self, num_epochs: int, *,
-                 warm_start=None, options=None) -> SolveResult:
+    def solve_at(self, num_epochs: int, *, options=None) -> SolveResult:
         """Solve the instance at one horizon (restricted or full)."""
-        with _obs_span("lp.incremental.solve_at", epochs=num_epochs,
-                       warm=warm_start is not None):
+        with _obs_span("lp.incremental.solve_at", epochs=num_epochs):
             if num_epochs == self.num_epochs:
                 self.release()
             else:
                 self.restrict(num_epochs)
             return self.model.solve(options if options is not None
-                                    else self.config.solver,
-                                    warm_start=warm_start)
+                                    else self.config.solver)
 
     def extract(self, result: SolveResult, num_epochs: int) -> LpOutcome:
         """An :class:`LpOutcome` over the horizon-``num_epochs`` view."""
@@ -1019,12 +777,12 @@ def minimize_epochs_lp(topology: Topology, demand: Demand,
     The paper runs the ALLTOALL solver in a loop, binary-searching the number
     of epochs; the returned schedule is the optimum for the minimal K.
 
-    The search runs on the incremental engine: **one** model is built at
+    The search runs on :class:`IncrementalLp`: **one** model is built at
     the horizon bound, its full-horizon optimum brackets the search (the
     last read epoch is a feasibility witness; the earliest-arrival bound a
     floor), and the remaining probes are bound restrictions on the same
-    model, each warm-started from the last feasible solution — no rebuilds,
-    and usually only one or two extra solves. The result is replayed
+    model — no rebuilds below the anchor, and usually only one or two
+    extra solves. The result is replayed
     through the conformance oracle before it is returned; a violation falls
     back to :func:`_minimize_epochs_cold`, which builds and solves a fresh
     model per probe.
@@ -1041,7 +799,7 @@ def minimize_epochs_lp(topology: Topology, demand: Demand,
 def _minimize_epochs_cold(topology: Topology, demand: Demand,
                           config: TecclConfig, max_epochs: int) -> LpOutcome:
     """Fresh build + cold solve per probe: the conformance-failure fallback
-    of the incremental search, and its reference in the warm-start tests."""
+    of the shared-model search, and its reference in the tests."""
     lo, hi = 1, max_epochs
     best: LpOutcome | None = None
     while lo <= hi:
@@ -1064,12 +822,12 @@ def _minimize_epochs_cold(topology: Topology, demand: Demand,
 def _minimize_epochs_incremental(topology: Topology, demand: Demand,
                                  config: TecclConfig, max_epochs: int,
                                  estimate: int | None = None) -> LpOutcome:
-    """One shared growing model: anchor cheap, gallop down, refine.
+    """One shared model: anchor cheap, gallop down, refine.
 
     The anchor solve starts at the path-bound *estimate*, not the caller's
     ``max_epochs``: a generous search bound should cost the search nothing
     (the cold bisection pays an expensive feasible solve per halving of
-    it). An infeasible estimate grows the same model geometrically — the
+    it). An infeasible estimate doubles the horizon and rebuilds — the
     infeasible-horizon attempts are exactly the cheap solves — until the
     first feasible anchor, whose last read epoch then brackets the descent.
     """
@@ -1082,20 +840,15 @@ def _minimize_epochs_incremental(topology: Topology, demand: Demand,
         except ModelError:
             estimate = max_epochs
     k = min(max_epochs, max(2, estimate))
-    inc: IncrementalLp | None = None
-    anchor: SolveResult | None = None
-    anchor_solves = 0
+    solves = 0
     while True:
         attempt = None
         try:
-            if inc is None:
-                inc = IncrementalLp(topology, demand, config, k)
-            elif inc.num_epochs < k:
-                inc.grow(k)
+            inc = IncrementalLp(topology, demand, config, k)
             attempt = inc.solve_at(k)
-            anchor_solves += 1
+            solves += 1
         except InfeasibleError:
-            pass  # horizon below earliest arrival: grow on
+            pass  # horizon below earliest arrival: double on
         if attempt is not None and attempt.status.has_solution:
             anchor = attempt
             break
@@ -1107,8 +860,6 @@ def _minimize_epochs_incremental(topology: Topology, demand: Demand,
                 f"no feasible horizon up to K={max_epochs}",
                 status="horizon")
         k = min(max_epochs, k * 2)
-    anchor.stats["build_time"] = inc.build_time
-    anchor.stats["construction"] = "incremental"
 
     # Bracket the search from the anchor optimum: all reads land by the
     # last read epoch, so last_read + 1 is a *witnessed* feasible horizon
@@ -1122,12 +873,10 @@ def _minimize_epochs_incremental(topology: Topology, demand: Demand,
     best_k = min(inc.num_epochs, max(1, last_read + 1))
     best_result = anchor
     lo = inc.horizon_lower_bound()
-    warm = anchor.warm_start()
-    solves = anchor_solves
 
     def probe(k: int):
         nonlocal solves
-        result = inc.solve_at(k, warm_start=warm)
+        result = inc.solve_at(k)
         solves += 1
         if result.status.has_solution:
             return result
@@ -1145,7 +894,6 @@ def _minimize_epochs_incremental(topology: Topology, demand: Demand,
         result = probe(probe_k)
         if result is not None:
             best_k, best_result = probe_k, result
-            warm = result.warm_start()
             step *= 2
         else:
             lo = probe_k + 1
@@ -1155,18 +903,15 @@ def _minimize_epochs_incremental(topology: Topology, demand: Demand,
         result = probe(mid)
         if result is not None:
             best_k, best_result = mid, result
-            warm = result.warm_start()
         else:
             lo = mid + 1
     best_result.stats["horizon_solves"] = solves
-    # probe results never passed through the anchor's stat stamping
-    best_result.stats.setdefault("build_time", inc.build_time)
-    best_result.stats.setdefault("construction", "incremental")
+    best_result.stats["build_time"] = inc.build_time
     outcome = inc.extract(best_result, best_k)
 
-    # PR 3 conformance gate: a warm-started result never reaches a caller
-    # unchecked. A replay violation (a bug in the incremental machinery,
-    # not in the solver) falls back to the cold search.
+    # PR 3 conformance gate: a bound-restricted result never reaches a
+    # caller unchecked. A replay violation (a bug in the restriction
+    # machinery, not in the solver) falls back to the cold search.
     from repro.simulate import check_flow
 
     report = check_flow(outcome.schedule, topology, demand, outcome.plan,

@@ -26,16 +26,15 @@ from dataclasses import dataclass, replace
 from repro.collectives.demand import Demand
 from repro.core.config import TecclConfig
 from repro.core.epochs import EpochPlan, build_epoch_plan, path_based_epoch_bound
-from repro.core.lp import (IncrementalLp, LpBuilder, LpOutcome,
-                           _solve_maybe_reduced, _vet_reduced_outcome,
-                           extract_lp_outcome)
+from repro.core.lp import (LpBuilder, LpOutcome, _solve_maybe_reduced,
+                           _vet_reduced_outcome, extract_lp_outcome)
 from repro.core.schedule import FlowSchedule
 from repro.core.subsolve import run_subsolves
 from repro.errors import InfeasibleError, ModelError
+from repro.obs.trace import activate as _obs_activate
 from repro.obs.trace import current_context as _obs_context
 from repro.obs.trace import event as _obs_event
 from repro.obs.trace import span as _obs_span
-from repro.solver.result import WarmStart
 from repro.topology.topology import Topology
 
 
@@ -151,37 +150,30 @@ def pop_auto_horizon(num_epochs: int, num_partitions: int) -> int:
 
 def solve_lp_pop(topology: Topology, demand: Demand, config: TecclConfig, *,
                  num_partitions: int = 2, seed: int = 0,
-                 incremental: bool = True, parallel: bool = False,
-                 jobs: int | None = None, pool=None) -> PopOutcome:
+                 parallel: bool = False, jobs: int | None = None,
+                 pool=None) -> PopOutcome:
     """Solve the LP via POP partitioning and merge the sub-schedules.
 
     All subproblems share one epoch plan (same τ, same horizon) so their
     flow variables line up for the merge. An automatically estimated
     horizon is doubled and retried when any subproblem is infeasible —
-    capacity splitting can stretch a partition past the joint optimum.
-
-    With ``incremental=True`` (the default) each partition keeps one
-    :class:`~repro.core.lp.IncrementalLp` model across the retries: an
-    infeasible horizon grows every model in place (epoch blocks appended,
-    nothing recompiled) and each attempt is warm-started from its own
-    partition's last shared-plan solution (sibling partitions' points are
-    never crossed over — their columns describe different commodities).
+    capacity splitting can stretch a partition past the joint optimum —
+    and every retry rebuilds its partitions at the larger horizon
+    (:func:`_solve_partition`).
 
     The partitions are independent by construction, so ``parallel=True``
-    fans them out concurrently: on **threads**
-    (:func:`~repro.core.subsolve.run_subsolves`, width ``jobs``) for the
-    incremental path — the growing models and warm-start slots stay
-    in-process — or, when a :class:`~repro.service.pool.SolvePool` is
-    passed as ``pool``, across **processes** for the cold path (each
-    partition crosses the boundary as plain dicts and is rebuilt by
-    :func:`solve_pop_partition`). Passing ``pool`` therefore selects cold
-    partitions whatever ``incremental`` says (a live scipy model cannot be
-    pickled), and falls back to the thread path when ``config.capacity_fn``
-    is set (a Python callable cannot cross the boundary either).
+    fans them out concurrently on **threads**
+    (:func:`~repro.core.subsolve.run_subsolves`, width ``jobs``), and a
+    :class:`~repro.service.pool.SolvePool` passed as ``pool`` fans them out
+    across **processes** (each partition crosses the boundary as plain
+    dicts and is solved by :func:`solve_pop_partition`). A pool falls back
+    to in-process dispatch when ``config.capacity_fn`` is set (a Python
+    callable cannot cross the boundary).
 
-    Every merged result produced by the incremental or any parallel path
-    is replayed through the conformance oracle; a violation falls back to
-    the sequential cold rebuild path.
+    Every merged schedule is replayed through the conformance oracle
+    before it is returned: a violation on a parallel or pooled run is
+    re-solved sequentially, and a violation on the sequential run raises
+    :class:`~repro.errors.ScheduleError`.
     """
     demand.validate(topology)
     topology.validate()
@@ -201,30 +193,25 @@ def solve_lp_pop(topology: Topology, demand: Demand, config: TecclConfig, *,
         num_epochs = config.num_epochs
 
     attempts = 3 if auto else 1
-    models: list[IncrementalLp | None] | None = \
-        [None] * len(partitions) if incremental and pool is None else None
-    warms: list[WarmStart | None] = [None] * len(partitions)
     last_error: InfeasibleError | None = None
     for attempt in range(attempts):
         try:
             outcome = _solve_at_horizon(topology, config, partitions,
-                                        num_epochs, models=models,
-                                        warms=warms, parallel=parallel,
+                                        num_epochs, parallel=parallel,
                                         jobs=jobs, pool=pool)
-            outcome.attempts = attempt + 1
         except InfeasibleError as err:
             last_error = err
             num_epochs *= 2
             continue
-        if (models is not None or parallel or pool is not None) \
-                and not _pop_conformant(outcome, topology, demand, config):
-            # A violation means the incremental/parallel machinery (not
-            # the solver) mis-built or mis-merged a model; serve the
-            # sequential cold path rather than speed.
+        report = _pop_conformance(outcome, topology, demand, config)
+        if not report.ok and (parallel or pool is not None):
+            # A violation means the fan-out (not the solver) mis-built or
+            # mis-merged a partition; serve the sequential run instead.
             outcome = _solve_at_horizon(topology, config, partitions,
-                                        num_epochs, models=None,
-                                        warms=[None] * len(partitions))
-            outcome.attempts = attempt + 1
+                                        num_epochs)
+            report = _pop_conformance(outcome, topology, demand, config)
+        report.raise_on_violation()
+        outcome.attempts = attempt + 1
         # the fan-out record the explain/flight layer surfaces: how many
         # sub-solves this schedule came from and how hard the horizon fought
         _obs_event("pop.fanout", partitions=len(partitions),
@@ -238,100 +225,68 @@ def solve_lp_pop(topology: Topology, demand: Demand, config: TecclConfig, *,
     raise last_error
 
 
-def _pop_conformant(outcome: PopOutcome, topology: Topology, demand: Demand,
-                    config: TecclConfig) -> bool:
+def _pop_conformance(outcome: PopOutcome, topology: Topology, demand: Demand,
+                     config: TecclConfig):
     """PR 3 gate: replay the merged schedule before handing it out."""
     from repro.simulate import check_flow
 
-    report = check_flow(outcome.schedule, topology, demand, outcome.plan,
-                        config=config)
-    return report.ok
+    return check_flow(outcome.schedule, topology, demand, outcome.plan,
+                      config=config)
+
+
+def _solve_partition(topology: Topology, config: TecclConfig,
+                     part: Partition, plan: EpochPlan) -> LpOutcome:
+    """Solve one partition on its capacity share of the fabric.
+
+    The one place a POP sub-LP is built and solved — the in-process
+    thunks and the :func:`solve_pop_partition` pool worker both land
+    here. The quotient path applies per partition: the uniform capacity
+    scaling keeps the fabric's automorphisms, and the compiled-matrix
+    verification rejects anything a partition's demand slice breaks.
+    """
+    sub_config = replace(
+        config, num_epochs=plan.num_epochs,
+        capacity_fn=_scaled_capacity_fn(topology, config, part.share))
+    with _obs_span("pop.partition", index=part.index,
+                   share=round(part.share, 6)):
+        builder = LpBuilder(topology, part.demand, sub_config, plan)
+        start = time.perf_counter()
+        problem = builder.build()
+        build_time = time.perf_counter() - start
+        result, reduced = _solve_maybe_reduced(problem, topology,
+                                               part.demand, sub_config)
+        result.stats["build_time"] = build_time
+        if not result.status.has_solution:
+            raise InfeasibleError(
+                f"POP partition {part.index} infeasible at "
+                f"K={plan.num_epochs}", status="horizon")
+        outcome = extract_lp_outcome(problem, result)
+        if reduced:
+            outcome = _vet_reduced_outcome(outcome, problem, topology,
+                                           part.demand, sub_config)
+        return outcome
 
 
 def _solve_at_horizon(topology: Topology, config: TecclConfig,
                       partitions: list[Partition], num_epochs: int,
-                      models: list[IncrementalLp | None] | None = None,
-                      warms: list[WarmStart | None] | None = None,
                       parallel: bool = False, jobs: int | None = None,
                       pool=None) -> PopOutcome:
     plan = build_epoch_plan(topology, config, num_epochs=num_epochs)
-    pooled = (pool is not None and models is None
-              and config.capacity_fn is None)
-
-    def solve_one(pi: int) -> LpOutcome:
-        part = partitions[pi]
-        sub_config = replace(
-            config, num_epochs=num_epochs,
-            capacity_fn=_scaled_capacity_fn(topology, config, part.share))
-        if models is None:
-            with _obs_span("pop.partition", index=part.index,
-                           share=round(part.share, 6),
-                           construction="cold", warm=False):
-                builder = LpBuilder(topology, part.demand, sub_config,
-                                    plan)
-                start = time.perf_counter()
-                problem = builder.build()
-                build_time = time.perf_counter() - start
-                # The quotient path applies per partition: the uniform
-                # capacity scaling keeps the fabric's automorphisms, and
-                # the compiled-matrix verification rejects anything a
-                # partition's demand slice breaks.
-                result, reduced = _solve_maybe_reduced(
-                    problem, topology, part.demand, sub_config)
-                result.stats["build_time"] = build_time
-                if not result.status.has_solution:
-                    raise InfeasibleError(
-                        f"POP partition {part.index} infeasible at "
-                        f"K={num_epochs}", status="horizon")
-                outcome = extract_lp_outcome(problem, result)
-                if reduced:
-                    outcome = _vet_reduced_outcome(
-                        outcome, problem, topology, part.demand,
-                        sub_config)
-                return outcome
-        inc = models[pi]
-        warm = warms[pi] if warms is not None else None
-        with _obs_span("pop.partition", index=part.index,
-                       share=round(part.share, 6),
-                       construction="incremental",
-                       fresh=inc is None, warm=warm is not None):
-            if inc is None:
-                inc = models[pi] = IncrementalLp(topology, part.demand,
-                                                 sub_config, num_epochs)
-            elif inc.num_epochs < num_epochs:
-                inc.grow(num_epochs)
-            # Warm-start: this partition's own last shared-plan
-            # solution. A sibling's point is never handed across, even
-            # when variable counts coincide — the columns describe a
-            # *different* partition's commodities, so it would be an
-            # arbitrary seed the moment a backend starts consuming x0.
-            result = inc.solve_at(num_epochs, warm_start=warm)
-            result.stats["build_time"] = inc.build_time
-            result.stats["construction"] = "incremental"
-            if not result.status.has_solution:
-                raise InfeasibleError(
-                    f"POP partition {part.index} infeasible at "
-                    f"K={num_epochs}", status="horizon")
-            if warms is not None:
-                warms[pi] = result.warm_start()
-            return inc.extract(result, num_epochs)
-
+    pooled = pool is not None and config.capacity_fn is None
     with _obs_span("pop.solve", partitions=len(partitions),
-                   epochs=num_epochs,
-                   incremental=models is not None,
-                   parallel=bool(parallel), pooled=pooled):
+                   epochs=num_epochs, parallel=bool(parallel),
+                   pooled=pooled):
         if pooled:
             sub_outcomes = _solve_partitions_pooled(
                 topology, config, partitions, num_epochs, pool)
         else:
-            # Each closure touches only its own models/warms slot, so the
-            # batch is safe to fan out on threads. Sequential dispatch
-            # goes through the same executor at width 1: every partition
-            # runs even when a sibling is infeasible, so grown models and
-            # warm starts reach the retry in the same state either way —
-            # the parallel path stays bit-identical to the sequential one.
-            tasks = [lambda pi=pi: solve_one(pi)
-                     for pi in range(len(partitions))]
+            # Sequential dispatch goes through the same executor at
+            # width 1: every partition runs even when a sibling is
+            # infeasible and the lowest-index failure is raised, so the
+            # retry loop above sees the same error either way.
+            tasks = [lambda part=part: _solve_partition(topology, config,
+                                                        part, plan)
+                     for part in partitions]
             sub_outcomes = run_subsolves(
                 tasks, jobs=jobs if parallel else 1, label="pop")
         merged = merge_flow_schedules([o.schedule for o in sub_outcomes])
@@ -343,51 +298,34 @@ def _solve_at_horizon(topology: Topology, config: TecclConfig,
 def solve_pop_partition(request_dict: dict) -> dict:
     """Solve one serialised POP partition; module-level so workers pickle it.
 
-    The :class:`~repro.service.pool.SolvePool` worker for the cold process
+    The :class:`~repro.service.pool.SolvePool` worker for the process
     fan-out: the fabric, the partition's demand slice, and the config cross
-    the boundary as plain dicts, the capacity scaling is rebuilt from the
-    ``share`` scalar, and the solved :class:`~repro.core.lp.LpOutcome`
-    travels back as its dict form (primal vectors stay behind — the
-    schedules are already extracted). Infeasibility is reported as a
-    payload, not an exception, so it survives any executor's pickling of
-    errors: ``{"infeasible": True, "message": ...}``.
+    the boundary as plain dicts, :func:`_solve_partition` does the work,
+    and the solved :class:`~repro.core.lp.LpOutcome` travels back as its
+    dict form (primal vectors stay behind — the schedules are already
+    extracted). Infeasibility is reported as a payload, not an exception,
+    so it survives any executor's pickling of errors:
+    ``{"infeasible": True, "message": ...}``.
     """
     topology = Topology.from_dict(request_dict["topology"])
-    demand = Demand.from_dict(request_dict["demand"])
     config = TecclConfig.from_dict(request_dict["config"])
-    share = float(request_dict["share"])
-    num_epochs = int(request_dict["num_epochs"])
-    sub_config = replace(
-        config, capacity_fn=_scaled_capacity_fn(topology, config, share))
-    from repro.obs import trace as _obs
-
-    with _obs.activate(request_dict.get("_obs")):
-        with _obs.span("pop.partition", index=request_dict["index"],
-                       share=round(share, 6), construction="pooled",
-                       warm=False):
-            plan = build_epoch_plan(topology, config,
-                                    num_epochs=num_epochs)
-            try:
-                builder = LpBuilder(topology, demand, sub_config, plan)
-                start = time.perf_counter()
-                problem = builder.build()
-                build_time = time.perf_counter() - start
-                result = problem.model.solve(sub_config.solver)
-            except InfeasibleError as err:
-                return {"infeasible": True, "message": str(err)}
-            result.stats["build_time"] = build_time
-            if not result.status.has_solution:
-                return {"infeasible": True,
-                        "message": f"POP partition {request_dict['index']} "
-                                   f"infeasible at K={num_epochs}"}
-            outcome = extract_lp_outcome(problem, result)
+    part = Partition(index=int(request_dict["index"]),
+                     demand=Demand.from_dict(request_dict["demand"]),
+                     share=float(request_dict["share"]))
+    with _obs_activate(request_dict.get("_obs")):
+        plan = build_epoch_plan(topology, config,
+                                num_epochs=int(request_dict["num_epochs"]))
+        try:
+            outcome = _solve_partition(topology, config, part, plan)
+        except InfeasibleError as err:
+            return {"infeasible": True, "message": str(err)}
     return {"infeasible": False, "outcome": outcome.to_dict()}
 
 
 def _solve_partitions_pooled(topology: Topology, config: TecclConfig,
                              partitions: list[Partition], num_epochs: int,
                              pool) -> list[LpOutcome]:
-    """Fan cold partition solves out across a SolvePool's processes.
+    """Fan partition solves out across a SolvePool's processes.
 
     Submissions are keyed by a ``pop-partition`` canonical fingerprint —
     distinct from the planner's request keys, so they never collide in a

@@ -7,12 +7,12 @@ This module is the one place that knows how to run such a batch:
 
 * :func:`run_subsolves` fans zero-argument solve thunks out on a thread
   pool and returns their results in task order. Threads (not processes)
-  are the right default here because the thunks usually close over live
-  in-process state — a partition's growing :class:`~repro.core.lp.
-  IncrementalLp` model, a warm-start slot — that cannot cross a pickle
-  boundary, and scipy's HiGHS calls release the GIL for the long solver
-  stretches. Process fan-out for cold (stateless) solves lives in the
-  service layer (:class:`~repro.service.pool.SolvePool`).
+  are the right default here because the thunks close over live
+  in-process objects — the fabric, a shared epoch plan, a
+  :class:`SubSolveCache` — with no serialisation step, and scipy's HiGHS
+  calls release the GIL for the long solver stretches. Process fan-out
+  (requests serialised to dicts) lives in the service layer
+  (:class:`~repro.service.pool.SolvePool`).
 * :class:`SubSolveCache` coalesces *identical* sub-instances onto one
   solve by caller-provided fingerprint: the first requester computes, any
   concurrent or later requester for the same key waits on (or reads) the
@@ -47,15 +47,15 @@ def run_subsolves(tasks: Sequence[Callable[[], object]], *,
 
     Every task runs to completion regardless of width — including after
     another task failed — and the **lowest-index** failure is then
-    re-raised. Side effects (grown models, recorded warm starts) are
-    therefore identical whether the batch ran on one thread or eight,
-    which is what lets a retry loop above produce bit-identical results
-    for sequential and parallel dispatch.
+    re-raised. Results and the raised error are therefore identical
+    whether the batch ran on one thread or eight, which is what lets a
+    retry loop above produce bit-identical results for sequential and
+    parallel dispatch.
 
     Args:
         tasks: zero-argument callables, one per sub-instance. Each must
-            touch only its own state (its own model/warm-start slot) —
-            the batch may run on concurrent threads.
+            mutate only its own state — the batch may run on concurrent
+            threads.
         jobs: maximum concurrent tasks; ``None`` means
             :func:`default_jobs`. ``jobs <= 1`` (or a single task) runs
             on the calling thread with no pool.

@@ -24,7 +24,7 @@ import dataclasses
 # keys of SynthesisResult / SolveResult stats worth carrying into an
 # explain record (JSON-safe scalars only; model matrices stay behind)
 _SOLVE_STAT_KEYS = (
-    "build_time", "construction", "horizon_attempts", "horizon_solves",
+    "build_time", "horizon_attempts", "horizon_solves",
     "symmetry_generators", "orbits", "cols_full", "cols_reduced",
     "rows_full", "rows_reduced", "symmetry_conformant",
     "symmetry_fallback", "pop_partitions", "pop_attempts",

@@ -46,12 +46,7 @@ LATENCY_BUCKETS = exponential_buckets(1e-5, 2.0, 24)
 
 
 class Counter:
-    """A monotonically increasing value.
-
-    ``set_total`` exists for the legacy stats facades that assign
-    (``stats.submitted += 1`` round-trips through a property setter);
-    new code should only ever :meth:`inc`.
-    """
+    """A monotonically increasing value."""
 
     def __init__(self, name: str, description: str = "") -> None:
         self.name = name
@@ -65,10 +60,6 @@ class Counter:
                 f"counter {self.name}: negative increment {delta}")
         with self._lock:
             self._value += delta
-
-    def set_total(self, value: float) -> None:
-        with self._lock:
-            self._value = value
 
     @property
     def value(self) -> float:
@@ -207,6 +198,28 @@ class Histogram:
                 out.append((bound, running))
             out.append((math.inf, running + self._counts[-1]))
             return out
+
+
+class CounterFields:
+    """Mixin for a stats object over a fixed set of registry counters.
+
+    The subclass names its counters in ``_FIELDS`` and keeps them in
+    ``self._counters``; they move only through :meth:`inc` and read back
+    as ``int`` attributes (the subclass's ``__slots__`` keeps assignment
+    from shadowing one).
+    """
+
+    __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
+
+    def inc(self, name: str, delta: int = 1) -> None:
+        self._counters[name].inc(delta)
+
+    def __getattr__(self, name: str) -> int:
+        # only reached for names that are not real attributes: the fields
+        if name in self._FIELDS:
+            return int(self._counters[name].value)
+        raise AttributeError(name)
 
 
 class MetricsRegistry:

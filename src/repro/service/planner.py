@@ -27,7 +27,7 @@ from repro.errors import ReproError, ServiceError
 from repro.obs import recorder as _flight
 from repro.obs import trace as _obs
 from repro.obs.explain import ExplainRecord
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import CounterFields, MetricsRegistry
 from repro.obs.metrics import get_registry as _default_registry
 from repro.service.cache import ScheduleCache
 from repro.service.fingerprint import (fingerprint_request,
@@ -36,14 +36,14 @@ from repro.service.pool import SolvePool
 from repro.service.schema import PlanRequest, PlanResponse
 
 
-class PlannerStats:
+class PlannerStats(CounterFields):
     """Aggregated serving counters (cumulative since construction).
 
     The counters live on a per-planner
-    :class:`~repro.obs.metrics.MetricsRegistry`; plain attribute reads
-    and writes (``stats.requests += 1``) still work, and :meth:`to_dict`
-    keeps the exact pre-registry key set, so nothing upstream notices
-    the move.
+    :class:`~repro.obs.metrics.MetricsRegistry`: :meth:`inc` bumps one
+    (atomic under the counter's own lock), each field reads back as an
+    ``int`` attribute, and :meth:`to_dict` keeps the exact pre-registry
+    key set.
 
     Fields: ``requests``, ``timeouts``, ``conformance_checks``,
     ``conformance_failures``, ``warm_donors`` (fresh solves seeded by a
@@ -57,6 +57,7 @@ class PlannerStats:
     _FIELDS = ("requests", "timeouts", "conformance_checks",
                "conformance_failures", "warm_donors", "replans",
                "symmetry_collapses")
+    __slots__ = ("registry", "_counters")
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None \
@@ -69,22 +70,6 @@ class PlannerStats:
 
     def to_dict(self) -> dict:
         return {name: int(c.value) for name, c in self._counters.items()}
-
-
-def _stat_property(field_name: str) -> property:
-    """Attribute facade over a registry counter (legacy ``+=`` support)."""
-    def _get(self):
-        return int(self._counters[field_name].value)
-
-    def _set(self, value):
-        self._counters[field_name].set_total(value)
-
-    return property(_get, _set)
-
-
-for _field in PlannerStats._FIELDS:
-    setattr(PlannerStats, _field, _stat_property(_field))
-del _field
 
 
 class Planner:
@@ -153,16 +138,11 @@ class Planner:
         # as one atomic unit (RLock: the inline executor archives on the
         # submitting thread, re-entering while _start still holds the lock).
         self._lock = threading.RLock()
-        # One lock for every mutable stats counter: the fleet daemon thread
-        # bumps them concurrently with pool callbacks and caller threads.
-        self._stats_lock = threading.Lock()
 
     def _bump(self, **deltas: int) -> None:
-        """Atomically add ``deltas`` to the named stats counters."""
-        with self._stats_lock:
-            for field_name, delta in deltas.items():
-                setattr(self._stats, field_name,
-                        getattr(self._stats, field_name) + delta)
+        """Add ``deltas`` to the named stats counters (each one atomic)."""
+        for field_name, delta in deltas.items():
+            self._stats.inc(field_name, delta)
 
     # ------------------------------------------------------------------
     # serving
@@ -532,10 +512,8 @@ class Planner:
         """One dict with the planner, cache, and pool counters (a snapshot)."""
         cache = self.cache.stats
         pool = self.pool.stats
-        with self._stats_lock:
-            planner_stats = self._stats.to_dict()
         return {
-            **planner_stats,
+            **self._stats.to_dict(),
             "hits": cache.hits,
             "misses": cache.misses,
             "solves": pool.solves,

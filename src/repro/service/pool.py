@@ -30,7 +30,7 @@ import threading
 from repro.errors import ServiceError
 from repro.obs import recorder as _flight
 from repro.obs import trace as _obs
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import CounterFields, MetricsRegistry
 
 _EXECUTOR_KINDS = ("process", "thread", "inline")
 
@@ -72,16 +72,18 @@ def solve_request(request_dict: dict) -> dict:
     return result.to_dict()
 
 
-class PoolStats:
+class PoolStats(CounterFields):
     """Counters for one pool instance (cumulative since construction).
 
-    Backed by a per-pool :class:`~repro.obs.metrics.MetricsRegistry`;
-    the attribute surface (``submitted``, ``coalesced``, ``completed``,
-    ``errors``, the derived ``solves``) and the :meth:`to_dict` shape
-    are unchanged from the pre-registry dataclass.
+    Backed by a per-pool :class:`~repro.obs.metrics.MetricsRegistry`:
+    :meth:`inc` bumps a counter, the fields (``submitted``, ``coalesced``,
+    ``completed``, ``errors``, the derived ``solves``) read back as ``int``
+    attributes, and the :meth:`to_dict` shape is unchanged from the
+    pre-registry dataclass.
     """
 
     _FIELDS = ("submitted", "coalesced", "completed", "errors")
+    __slots__ = ("registry", "_counters")
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None \
@@ -103,22 +105,6 @@ class PoolStats:
             "completed": self.completed,
             "errors": self.errors,
         }
-
-
-def _pool_stat_property(field_name: str) -> property:
-    """Attribute facade over a registry counter (legacy ``+=`` support)."""
-    def _get(self):
-        return int(self._counters[field_name].value)
-
-    def _set(self, value):
-        self._counters[field_name].set_total(value)
-
-    return property(_get, _set)
-
-
-for _field in PoolStats._FIELDS:
-    setattr(PoolStats, _field, _pool_stat_property(_field))
-del _field
 
 
 class SolvePool:
@@ -180,9 +166,9 @@ class SolvePool:
         with self._lock:
             existing = self._inflight.get(fingerprint)
             if existing is not None:
-                self.stats.coalesced += 1
+                self.stats.inc("coalesced")
                 return existing, True
-            self.stats.submitted += 1
+            self.stats.inc("submitted")
             if self._executor is None:
                 future: _futures.Future = _futures.Future()
             else:
@@ -209,9 +195,9 @@ class SolvePool:
             if self._inflight.get(fingerprint) is future:
                 del self._inflight[fingerprint]
             if future.cancelled() or future.exception() is not None:
-                self.stats.errors += 1
+                self.stats.inc("errors")
             else:
-                self.stats.completed += 1
+                self.stats.inc("completed")
 
     # ------------------------------------------------------------------
     @staticmethod

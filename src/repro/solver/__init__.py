@@ -4,7 +4,7 @@ Public surface::
 
     Model, Sense, VarType, Variable, LinExpr, Constraint, quicksum
     SolverOptions, DEFAULT_OPTIONS, EARLY_STOP_30
-    SolveResult, SolveStatus, WarmStart
+    SolveResult, SolveStatus
 """
 
 from repro.solver.expr import (Constraint, LinExpr, Relation, Sense, Variable,
@@ -12,13 +12,13 @@ from repro.solver.expr import (Constraint, LinExpr, Relation, Sense, Variable,
 from repro.solver.io import lp_statistics, save_lp, write_lp
 from repro.solver.model import CompiledModel, Model, compiled_equal
 from repro.solver.options import DEFAULT_OPTIONS, EARLY_STOP_30, SolverOptions
-from repro.solver.result import SolveResult, SolveStatus, WarmStart
+from repro.solver.result import SolveResult, SolveStatus
 
 __all__ = [
     "Model", "CompiledModel", "compiled_equal",
     "Sense", "VarType", "Variable", "LinExpr", "Constraint",
     "Relation", "quicksum",
     "SolverOptions", "DEFAULT_OPTIONS", "EARLY_STOP_30",
-    "SolveResult", "SolveStatus", "WarmStart",
+    "SolveResult", "SolveStatus",
     "write_lp", "save_lp", "lp_statistics",
 ]

@@ -25,15 +25,9 @@ Both append *row blocks* in call order; :meth:`Model.compile` stacks the
 blocks once and caches the result, so repeated solves of an unchanged model
 do not re-stack constraints.
 
-For the incremental re-solve engine the model is also *extendable*:
-:meth:`Model.extend` freezes the current stacked matrix as an immutable
-prefix, after which new variables/row blocks append and
-:meth:`Model.add_coo_terms` may patch coefficients into already-stacked rows
-(epoch-tagged constraint families gaining terms as the horizon grows). The
-next compile stacks only the suffix onto the cached prefix instead of
-re-stacking everything. :meth:`Model.set_var_bounds` mutates bounds without
-touching the matrix cache at all, and :meth:`Model.solve` accepts a
-:class:`WarmStart` captured from a prior :class:`SolveResult`.
+:meth:`Model.set_var_bounds` mutates bounds without touching the matrix
+cache at all, so a bound-restricted re-solve of a built model re-stacks
+nothing.
 
 Example:
     >>> from repro.solver import Model, Sense, VarType
@@ -63,29 +57,18 @@ from repro.obs.trace import span as _obs_span
 from repro.solver.expr import (Constraint, LinExpr, Relation, Sense, Variable,
                                VarType, quicksum)
 from repro.solver.options import DEFAULT_OPTIONS, SolverOptions
-from repro.solver.result import SolveResult, SolveStatus, WarmStart
+from repro.solver.result import SolveResult, SolveStatus
 
 _MODEL_COUNTER = itertools.count()
 
 _INF = float("inf")
-
-#: linprog methods that consume an ``x0`` primal seed. The HiGHS methods do
-#: not (scipy removed the only one that did, ``revised simplex``, in 1.11);
-#: the set stays so a capable method is picked up automatically if scipy
-#: grows one.
-_LINPROG_X0_METHODS = frozenset({"revised simplex"})
-
 
 @dataclass(frozen=True)
 class _RowBlock:
     """One batch of compiled constraint rows in ``lb <= A x <= ub`` form.
 
     ``rows`` holds block-local row ids; duplicate ``(row, col)`` entries sum,
-    matching :meth:`LinExpr.add_term` accumulation semantics. A *patch*
-    block (``global_rows=True``) introduces no rows of its own: its row ids
-    are global indices into already-stacked rows, and its entries sum into
-    them — how an epoch-tagged constraint family gains terms when the
-    horizon grows (:meth:`Model.add_coo_terms`).
+    matching :meth:`LinExpr.add_term` accumulation semantics.
     """
 
     rows: np.ndarray
@@ -94,7 +77,6 @@ class _RowBlock:
     lower: np.ndarray
     upper: np.ndarray
     names: list[str] | None = None
-    global_rows: bool = False
 
     @property
     def num_rows(self) -> int:
@@ -176,10 +158,6 @@ class Model:
         self._matrix_cache: tuple[tuple[int, int, int],
                                   sparse.csr_matrix,
                                   np.ndarray, np.ndarray] | None = None
-        # frozen compile prefix set by extend(): (num blocks, num rows,
-        # num vars, stacked CSR, row lower, row upper)
-        self._prefix: tuple[int, int, int, sparse.csr_matrix,
-                            np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -358,39 +336,6 @@ class Model:
         self._matrix_cache = None
         return first_row
 
-    def add_coo_terms(self, rows: Sequence | np.ndarray,
-                      cols: Sequence | np.ndarray,
-                      data: Sequence | np.ndarray) -> None:
-        """Sum COO entries into *existing* rows, addressed by global index.
-
-        The extension mechanism for constraint families that span the
-        horizon: when a model grows from K to K' epochs, a demand-met row or
-        a capacity row at an old epoch gains terms from newly eligible
-        variables instead of being rebuilt. Row bounds are untouched;
-        duplicate ``(row, col)`` entries sum, as everywhere else.
-        """
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        data = np.asarray(data, dtype=float).ravel()
-        if not (len(rows) == len(cols) == len(data)):
-            raise ModelError(
-                f"COO triplet lengths differ: {len(rows)}/{len(cols)}/"
-                f"{len(data)}")
-        if not len(rows):
-            return
-        self._flush_pending()
-        if rows.min() < 0 or rows.max() >= self._num_rows:
-            raise ModelError(
-                "patch row index out of range (rows must already exist)")
-        if cols.min() < 0 or cols.max() >= len(self._lb):
-            raise ModelError(
-                "patch column index out of range "
-                "(variable of another model?)")
-        self._blocks.append(_RowBlock(
-            rows=rows, cols=cols, data=data,
-            lower=np.empty(0), upper=np.empty(0), global_rows=True))
-        self._matrix_cache = None
-
     def set_var_bounds(self, indices: Sequence | np.ndarray,
                        lb: float | Sequence | np.ndarray | None = None,
                        ub: float | Sequence | np.ndarray | None = None,
@@ -400,7 +345,7 @@ class Model:
         Bounds live outside the stacked constraint matrix, so this never
         invalidates the compile cache — the mechanism behind bound-restricted
         feasibility probes (fix the late-epoch variables to zero, solve,
-        restore) in the incremental horizon search.
+        restore) in the shared-model horizon search.
         """
         indices = np.asarray(indices, dtype=np.int64).ravel()
         if not len(indices):
@@ -422,21 +367,6 @@ class Model:
                 raise ModelError(
                     f"variable {self.var_name(idx)}: lower bound "
                     f"{self._lb[idx]} > upper bound {self._ub[idx]}")
-
-    def extend(self) -> int:
-        """Freeze the current stacked matrix as a reusable compile prefix.
-
-        After this call the model keeps accepting appended variables, row
-        blocks and :meth:`add_coo_terms` patches, but the next compile
-        stacks only the *new* blocks onto the frozen prefix (columns are
-        zero-padded) instead of re-stacking every block from scratch —
-        growing a horizon-K model to K' pays for the delta, not the whole
-        model. Returns the number of rows in the frozen prefix.
-        """
-        matrix, lower, upper = self._stacked_matrix()
-        self._prefix = (len(self._blocks), self._num_rows, len(self._lb),
-                        matrix, lower, upper)
-        return self._num_rows
 
     def set_objective(self, expr: LinExpr | Variable | float,
                       sense: Sense | None = None) -> None:
@@ -521,63 +451,28 @@ class Model:
         self._pending = []
         self._matrix_cache = None
 
-    @staticmethod
-    def _stack_blocks(blocks: list[_RowBlock], start_row: int,
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                 np.ndarray, np.ndarray]:
-        """COO triplets + bounds for a run of blocks, rows offset in call
-        order from ``start_row`` (patch blocks keep their global rows)."""
-        row_parts, col_parts, dat_parts = [], [], []
-        lo_parts, up_parts = [], []
-        offset = start_row
-        for block in blocks:
-            if block.global_rows:
-                row_parts.append(block.rows)
-            else:
-                row_parts.append(block.rows + offset)
-                lo_parts.append(block.lower)
-                up_parts.append(block.upper)
-                offset += block.num_rows
-            col_parts.append(block.cols)
-            dat_parts.append(block.data)
-        empty_i = np.empty(0, dtype=np.int64)
-        empty_f = np.empty(0)
-        return (np.concatenate(row_parts) if row_parts else empty_i,
-                np.concatenate(col_parts) if col_parts else empty_i,
-                np.concatenate(dat_parts) if dat_parts else empty_f,
-                np.concatenate(lo_parts) if lo_parts else empty_f,
-                np.concatenate(up_parts) if up_parts else empty_f)
-
     def _stacked_matrix(self) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-        """Stack all row blocks into one ``lb <= A x <= ub`` system (cached).
-
-        With an :meth:`extend` prefix frozen, only the blocks appended since
-        are stacked; the prefix matrix is zero-padded to the grown shape and
-        the suffix (including patches into prefix rows) is summed on top.
-        """
+        """Stack all row blocks into one ``lb <= A x <= ub`` system (cached)."""
         self._flush_pending()
         key = (self._num_rows, len(self._blocks), len(self._lb))
         if self._matrix_cache is not None and self._matrix_cache[0] == key:
             return self._matrix_cache[1], self._matrix_cache[2], \
                 self._matrix_cache[3]
-        shape = (self._num_rows, len(self._lb))
-        if self._prefix is not None:
-            nblocks, nrows, _nvars, pmat, plo, pup = self._prefix
-            rows, cols, data, lo, up = self._stack_blocks(
-                self._blocks[nblocks:], nrows)
-            matrix = pmat.copy()
-            matrix.resize(shape)
-            if len(rows):
-                matrix = (matrix + sparse.csr_matrix(
-                    (data, (rows, cols)), shape=shape)).tocsr()
-            matrix.sum_duplicates()
-            lower = np.concatenate([plo, lo])
-            upper = np.concatenate([pup, up])
-        else:
-            rows, cols, data, lower, upper = self._stack_blocks(
-                self._blocks, 0)
-            matrix = sparse.csr_matrix((data, (rows, cols)), shape=shape)
-            matrix.sum_duplicates()
+        # an empty head keeps np.concatenate defined for a row-less model
+        ints, floats = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+        row_parts = list(ints)
+        offset = 0
+        for block in self._blocks:
+            row_parts.append(block.rows + offset)
+            offset += block.num_rows
+        rows = np.concatenate(row_parts)
+        cols = np.concatenate(ints + [b.cols for b in self._blocks])
+        data = np.concatenate(floats + [b.data for b in self._blocks])
+        lower = np.concatenate(floats + [b.lower for b in self._blocks])
+        upper = np.concatenate(floats + [b.upper for b in self._blocks])
+        matrix = sparse.csr_matrix((data, (rows, cols)),
+                                   shape=(self._num_rows, len(self._lb)))
+        matrix.sum_duplicates()
         self._matrix_cache = (key, matrix, lower, upper)
         return matrix, lower, upper
 
@@ -623,50 +518,22 @@ class Model:
                     dtype=np.int64, count=len(self._vtype)),
                 sense=self.sense)
 
-    def solve(self, options: SolverOptions = DEFAULT_OPTIONS,
-              warm_start: WarmStart | None = None) -> SolveResult:
-        """Compile and solve; never raises on infeasibility (check status).
-
-        ``warm_start`` seeds the backend with a prior solution *where the
-        backend supports it*; otherwise it is recorded in
-        ``result.stats["warm_start"]`` as ``"unsupported"`` and the solve
-        proceeds cold (the scipy HiGHS wrappers accept no primal seed — the
-        incremental engine's savings come from model reuse instead).
-        """
+    def solve(self, options: SolverOptions = DEFAULT_OPTIONS) -> SolveResult:
+        """Compile and solve; never raises on infeasibility (check status)."""
         if not self._lb:
             raise ModelError("model has no variables")
         start = time.perf_counter()
         if self._num_integer:
-            result = self._solve_milp(options, warm_start)
+            result = self._solve_milp(options)
         else:
-            result = self._solve_lp(options, warm_start)
+            result = self._solve_lp(options)
         result.solve_time = time.perf_counter() - start
         result.stats.setdefault("num_vars", self.num_vars)
         result.stats.setdefault("num_constraints", self.num_constraints)
         result.stats.setdefault("num_integer_vars", self.num_integer_vars)
         return result
 
-    def check_point(self, values: np.ndarray, tol: float = 1e-6) -> bool:
-        """Is ``values`` feasible for the current model (within ``tol``)?
-
-        Used to vet a warm-start donor before trusting it as a feasibility
-        certificate; costs one sparse mat-vec, not a solve.
-        """
-        values = np.asarray(values, dtype=float)
-        if values.shape != (len(self._lb),):
-            return False
-        if np.any(values < np.asarray(self._lb) - tol) \
-                or np.any(values > np.asarray(self._ub) + tol):
-            return False
-        matrix, lower, upper = self._stacked_matrix()
-        if not matrix.shape[0]:
-            return True
-        row_values = matrix @ values
-        return bool(np.all(row_values >= lower - tol)
-                    and np.all(row_values <= upper + tol))
-
-    def _solve_milp(self, options: SolverOptions,
-                    warm_start: WarmStart | None = None) -> SolveResult:
+    def _solve_milp(self, options: SolverOptions) -> SolveResult:
         c = self._objective_vector()
         compiled = self.compile()
         constraints = None
@@ -680,14 +547,9 @@ class Model:
                        bounds=Bounds(compiled.col_lower, compiled.col_upper),
                        options=options.to_scipy())
             sp.set_attr(status=int(res.status))
-        wrapped = self._wrap(res, options, is_mip=True)
-        if warm_start is not None:
-            # scipy.optimize.milp accepts no incumbent seed.
-            wrapped.stats["warm_start"] = "unsupported"
-        return wrapped
+        return self._wrap(res, options, is_mip=True)
 
-    def _solve_lp(self, options: SolverOptions,
-                  warm_start: WarmStart | None = None) -> SolveResult:
+    def _solve_lp(self, options: SolverOptions) -> SolveResult:
         with _obs_span("solver.prepare", vars=self.num_vars,
                        rows=self.num_constraints):
             c = self._objective_vector()
@@ -719,27 +581,15 @@ class Model:
             if options.time_limit is not None:
                 lp_options["time_limit"] = float(options.time_limit)
             method = options.resolve_lp_method(len(self._lb))
-            x0 = None
-            warm_status = None
-            if warm_start is not None:
-                if method in _LINPROG_X0_METHODS:
-                    x0 = warm_start.padded(len(self._lb))
-                    warm_status = "applied"
-                else:
-                    warm_status = "unsupported"
         with _obs_span("solver.backend", backend=f"highs-lp:{method}",
                        vars=self.num_vars, rows=self.num_constraints) as sp:
             res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                           bounds=np.column_stack([
                               np.asarray(self._lb),
                               np.asarray(self._ub)]),
-                          method=method, x0=x0,
-                          options=lp_options)
+                          method=method, options=lp_options)
             sp.set_attr(status=int(res.status))
-        wrapped = self._wrap(res, options, is_mip=False)
-        if warm_status is not None:
-            wrapped.stats["warm_start"] = warm_status
-        return wrapped
+        return self._wrap(res, options, is_mip=False)
 
     def _wrap(self, res, options: SolverOptions, is_mip: bool) -> SolveResult:
         values = np.asarray(res.x) if res.x is not None else None
@@ -764,9 +614,8 @@ class Model:
     def rows(self) -> Iterable[tuple[str, dict[int, float], float, float]]:
         """Iterate rows as ``(name, terms, lower, upper)`` across all blocks.
 
-        Reconstructs per-row term dicts from the COO buffers (patch blocks
-        folded into the rows they target) — meant for export/inspection,
-        not hot paths.
+        Reconstructs per-row term dicts from the COO buffers — meant for
+        export/inspection, not hot paths.
         """
         self._flush_pending()
         terms: list[dict[int, float]] = [dict()
@@ -776,17 +625,16 @@ class Model:
         upper = np.empty(self._num_rows)
         offset = 0
         for block in self._blocks:
-            base = 0 if block.global_rows else offset
             for r, col, coef in zip(block.rows.tolist(),
                                     block.cols.tolist(),
                                     block.data.tolist()):
-                terms[base + r][col] = terms[base + r].get(col, 0.0) + coef
-            if not block.global_rows:
-                lower[offset:offset + block.num_rows] = block.lower
-                upper[offset:offset + block.num_rows] = block.upper
-                if block.names:
-                    names[offset:offset + block.num_rows] = block.names
-                offset += block.num_rows
+                terms[offset + r][col] = \
+                    terms[offset + r].get(col, 0.0) + coef
+            lower[offset:offset + block.num_rows] = block.lower
+            upper[offset:offset + block.num_rows] = block.upper
+            if block.names:
+                names[offset:offset + block.num_rows] = block.names
+            offset += block.num_rows
         for r in range(self._num_rows):
             yield names[r], terms[r], float(lower[r]), float(upper[r])
 
@@ -830,4 +678,4 @@ def _map_status(code: int, has_values: bool, *, is_mip: bool,
 
 __all__ = ["Model", "CompiledModel", "compiled_equal", "Sense", "VarType",
            "Variable", "LinExpr", "Constraint", "quicksum", "SolverOptions",
-           "SolveResult", "SolveStatus", "WarmStart"]
+           "SolveResult", "SolveStatus"]

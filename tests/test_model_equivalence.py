@@ -225,8 +225,7 @@ class TestEdgeCases:
 
 
 class TestOneConstructionPath:
-    TOOL = Path(__file__).parent.parent / "tools" / \
-        "check_no_construction_knob.py"
+    TOOL = Path(__file__).parent.parent / "tools" / "check_retired_names.py"
 
     def _lint(self):
         import importlib.util
@@ -239,17 +238,19 @@ class TestOneConstructionPath:
     def test_src_has_no_construction_knob(self):
         lint = self._lint()
         assert [finding for path in sorted(lint.SRC.rglob("*.py"))
-                for finding in lint.find_knobs(path)] == []
+                for finding in lint.find_retired(path)] == []
 
     def test_lint_flags_parameters_and_fields(self, tmp_path):
         source = tmp_path / "knob.py"
         source.write_text(
             "class Options:\n"
             "    construction: str = 'auto'\n"
-            "def build(plan, *, construction=None):\n"
-            "    span('build', construction='cold')\n")
-        assert [line for line, _ in self._lint().find_knobs(source)] \
-            == [2, 3]
+            "def build(plan, *, construction=None, track_rows=False):\n"
+            "    span('build', construction='cold')\n"
+            "def solve(options, warm_start=None, *, incremental=True):\n"
+            "    pass\n")
+        assert [line for line, _ in self._lint().find_retired(source)] \
+            == [2, 3, 3, 5, 5]
 
 
 class TestAstarRoundModels:

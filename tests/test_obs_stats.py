@@ -1,9 +1,9 @@
-"""Regression pins: legacy stats facades atop the metrics registry.
+"""Regression pins: the stats surfaces atop the metrics registry.
 
 PR 6 moved ``PlannerStats``, ``PoolStats``, and the fleet controller's
 counters onto :class:`repro.obs.metrics.MetricsRegistry`.  Every test in
-this file pins the *old* public surface — dict keys, value types,
-attribute ``+=`` mutation — byte-for-byte, so downstream consumers of
+this file pins the public surface — dict keys, value types, read-only
+``int`` attributes — byte-for-byte, so downstream consumers of
 ``stats()`` dicts (status files, benches, the CLI) cannot silently
 break.
 """
@@ -36,16 +36,19 @@ class TestPlannerStats:
 
     def test_values_stay_ints(self):
         stats = PlannerStats()
-        stats.requests += 3
-        stats.warm_donors = 2
+        stats.inc("requests", 3)
+        stats.inc("warm_donors", 2)
         assert stats.requests == 3
+        assert stats.to_dict()["warm_donors"] == 2
+        with pytest.raises(AttributeError):
+            stats.requests = 5  # counters only move through inc()
         assert isinstance(stats.requests, int)
         assert all(isinstance(v, int) for v in stats.to_dict().values())
         json.dumps(stats.to_dict())  # JSON-safe, as status files require
 
     def test_backed_by_registry(self):
         stats = PlannerStats()
-        stats.requests += 1
+        stats.inc("requests")
         snapshot = stats.registry.snapshot()
         assert snapshot["planner_requests_total"]["value"] == 1
         text = stats.registry.prometheus_text()
@@ -62,7 +65,7 @@ class TestPoolStats:
 
     def test_solves_mirrors_submitted(self):
         stats = PoolStats()
-        stats.submitted += 2
+        stats.inc("submitted", 2)
         assert stats.solves == 2
         assert isinstance(stats.solves, int)
         assert stats.registry.snapshot()["pool_submitted_total"]["value"] == 2

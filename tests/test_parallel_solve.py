@@ -190,26 +190,10 @@ class TestPopParallel:
         demand = collectives.alltoall(topo.gpus, 1)
         config = TecclConfig(chunk_bytes=1e6,
                              solver=SolverOptions(time_limit=60))
-        seq = solve_lp_pop(topo, demand, config, num_partitions=2,
-                           incremental=False)
+        seq = solve_lp_pop(topo, demand, config, num_partitions=2)
         par = solve_lp_pop(topo, demand, config, num_partitions=2,
-                           incremental=False, parallel=True)
+                           parallel=True)
         _assert_pop_identical(seq, par, topo, demand, config)
-
-    def test_pool_selects_cold_partitions(self):
-        """Under the default ``incremental=True`` a pool still fans out:
-        live incremental models cannot cross the process boundary, so
-        ``pool=`` means cold partitions — same output as sequential cold."""
-        topo = topology.ring(4, capacity=1.0)
-        demand = collectives.alltoall(topo.gpus, 1)
-        config = _lp_config()
-        seq = solve_lp_pop(topo, demand, config, num_partitions=2,
-                           incremental=False)
-        with SolvePool(executor="inline") as pool:
-            pooled = solve_lp_pop(topo, demand, config, num_partitions=2,
-                                  pool=pool)
-            assert pool.stats.solves == 2
-        _assert_pop_identical(seq, pooled, topo, demand, config)
 
     def test_pooled_process_style_fanout_matches_sequential(self):
         """The full serialise → worker → deserialise round trip, run on
@@ -217,45 +201,56 @@ class TestPopParallel:
         topo = topology.ring(4, capacity=1.0)
         demand = collectives.alltoall(topo.gpus, 1)
         config = _lp_config()
-        seq = solve_lp_pop(topo, demand, config, num_partitions=2,
-                           incremental=False)
+        seq = solve_lp_pop(topo, demand, config, num_partitions=2)
         with SolvePool(executor="inline") as pool:
             pooled = solve_lp_pop(topo, demand, config, num_partitions=2,
-                                  incremental=False, pool=pool)
+                                  pool=pool)
             assert pool.stats.solves == 2
         _assert_pop_identical(seq, pooled, topo, demand, config)
         # the primal vector stays behind in the worker
         assert all(o.result.values is None for o in pooled.sub_outcomes)
+
+    def test_pooled_partitions_take_the_quotient(self):
+        """The pool worker runs the same partition solve as the in-process
+        path, symmetry quotient included."""
+        topo = topology.ring(6, capacity=1.0)
+        demand = collectives.alltoall(topo.gpus, 1)
+        config = TecclConfig(chunk_bytes=1.0, solver=SolverOptions(
+            time_limit=60, symmetry="on"))
+        seq = solve_lp_pop(topo, demand, config, num_partitions=1)
+        with SolvePool(executor="inline") as pool:
+            pooled = solve_lp_pop(topo, demand, config, num_partitions=1,
+                                  pool=pool)
+        for out in (seq, pooled):
+            assert out.sub_outcomes[0].result.stats["symmetry_conformant"]
+        _assert_pop_identical(seq, pooled, topo, demand, config)
 
     @pytest.mark.slow
     def test_pooled_real_processes_match_sequential(self):
         topo = topology.ring(4, capacity=1.0)
         demand = collectives.alltoall(topo.gpus, 1)
         config = _lp_config()
-        seq = solve_lp_pop(topo, demand, config, num_partitions=2,
-                           incremental=False)
+        seq = solve_lp_pop(topo, demand, config, num_partitions=2)
         with SolvePool(max_workers=2, executor="process") as pool:
             pooled = solve_lp_pop(topo, demand, config, num_partitions=2,
-                                  incremental=False, pool=pool)
+                                  pool=pool)
         _assert_pop_identical(seq, pooled, topo, demand, config)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("partitions", [2, 4])
     def test_seeded_differential_sweep(self, seed, partitions):
-        """The full grid: every (seed, k) pair, warm and cold, threads."""
+        """The full grid: every (seed, k) pair, threads vs sequential."""
         topo = topology.internal2(2)
         demand = collectives.alltoall(topo.gpus, 1)
         config = TecclConfig(chunk_bytes=1e6,
                              solver=SolverOptions(time_limit=60))
-        for incremental in (True, False):
-            seq = solve_lp_pop(topo, demand, config,
-                               num_partitions=partitions, seed=seed,
-                               incremental=incremental)
-            par = solve_lp_pop(topo, demand, config,
-                               num_partitions=partitions, seed=seed,
-                               incremental=incremental, parallel=True)
-            _assert_pop_identical(seq, par, topo, demand, config)
+        seq = solve_lp_pop(topo, demand, config,
+                           num_partitions=partitions, seed=seed)
+        par = solve_lp_pop(topo, demand, config,
+                           num_partitions=partitions, seed=seed,
+                           parallel=True)
+        _assert_pop_identical(seq, par, topo, demand, config)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from repro import collectives, topology
 from repro.core import TecclConfig
 from repro.core.solve import Method
 from repro.errors import ServiceError
-from repro.service import Planner, PlanRequest, SolvePool
+from repro.service import Planner, PlanRequest, SolvePool, solve_request
 from repro.solver import SolverOptions
 
 
@@ -75,21 +75,39 @@ class TestCaching:
 class TestCoalescing:
     def test_concurrent_identical_requests_share_one_solve(self):
         n = 6
-        with Planner(executor="thread", max_workers=4) as planner:
-            barrier = threading.Barrier(n)
-            responses: list = [None] * n
+        everyone_arrived = threading.Event()
 
-            def serve(i: int) -> None:
-                barrier.wait()
-                responses[i] = planner.plan(_request())
+        def gated_solve(request_dict: dict) -> dict:
+            # Hold the solve open until every client has reached the pool:
+            # one that arrives after it finished is (correctly) served
+            # from the cache instead of coalescing.
+            assert everyone_arrived.wait(30)
+            return solve_request(request_dict)
 
-            threads = [threading.Thread(target=serve, args=(i,))
-                       for i in range(n)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        stats = planner.stats()
+        pool = SolvePool(max_workers=4, executor="thread",
+                         solve_fn=gated_solve)
+        try:
+            with Planner(pool=pool) as planner:
+                responses: list = [None] * n
+
+                def serve(i: int) -> None:
+                    responses[i] = planner.plan(_request())
+
+                threads = [threading.Thread(target=serve, args=(i,))
+                           for i in range(n)]
+                for t in threads:
+                    t.start()
+                deadline = time.monotonic() + 30
+                while pool.stats.submitted + pool.stats.coalesced < n \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                everyone_arrived.set()
+                for t in threads:
+                    t.join()
+                stats = planner.stats()
+        finally:
+            everyone_arrived.set()
+            pool.shutdown()
         assert stats["solves"] == 1            # exactly one synthesize()
         assert stats["coalesced"] == n - 1
         finishes = {r.result.finish_time for r in responses}

@@ -1,10 +1,11 @@
-"""The incremental re-solve engine: warm starts, model growth, re-planning.
+"""Re-solving near-identical instances: horizon search, POP retries, replans.
 
-Differential suite for PR 4: every warm path (shared-model
-``minimize_epochs`` searches, POP retries on growing models, seeded
-``replan``/repair re-solves) must reach the same objectives as a cold solve
-of the same model — float-tight — and every schedule it hands out must
-replay cleanly through the PR 3 conformance oracle.
+Differential suite: every shortcut (the shared-model ``minimize_epochs``
+search with its bound-restricted probes and rebuild-at-2K anchor loop, POP's
+infeasible-horizon retries, result-seeded ``replan``/repair re-solves) must
+reach the same objectives as a cold solve of the same model — float-tight —
+and every schedule it hands out must replay cleanly through the conformance
+oracle.
 """
 
 import math
@@ -14,16 +15,18 @@ import pytest
 
 from repro import collectives, topology
 from repro.core import TecclConfig
+from repro.core import lp as lp_module
+from repro.core import pop as pop_module
 from repro.core.epochs import build_epoch_plan, path_based_epoch_bound
 from repro.core.lp import (IncrementalLp, LpBuilder, _minimize_epochs_cold,
-                           minimize_epochs_lp)
+                           _minimize_epochs_incremental, minimize_epochs_lp)
 from repro.core.pop import pop_auto_horizon, solve_lp_pop
 from repro.core.solve import synthesize
 from repro.errors import ModelError, ReproError
 from repro.failures import FailureEvent, replan
 from repro.simulate import check_flow, check_result
 from repro.simulate.harness import random_instance
-from repro.solver import Model, Sense, SolveStatus, WarmStart
+from repro.solver import Model, Sense
 
 TOL = 1e-6
 
@@ -35,98 +38,9 @@ _scaled_topology = topology.scale_capacity
 
 
 # ----------------------------------------------------------------------
-# solver layer: WarmStart + extend/patch/bounds mechanics
+# solver layer: bound mutation (the mechanism behind restricted probes)
 # ----------------------------------------------------------------------
-class TestWarmStartApi:
-    def _toy(self):
-        model = Model("toy", sense=Sense.MAXIMIZE)
-        idx = model.add_var_array(2, ub=4.0)
-        model.add_constr_coo([0, 0], [0, 1], [1.0, 2.0], -np.inf, 6.0)
-        model.set_objective_array(idx, np.ones(2))
-        return model, idx
-
-    def test_capture_and_pad(self):
-        model, _ = self._toy()
-        result = model.solve()
-        warm = result.warm_start()
-        assert warm is not None
-        assert warm.num_vars == 2
-        assert warm.objective == pytest.approx(result.objective)
-        padded = warm.padded(4)
-        assert padded.shape == (4,)
-        assert padded[2:] == pytest.approx([0.0, 0.0])
-
-    def test_pad_rejects_shrinking(self):
-        model, _ = self._toy()
-        warm = model.solve().warm_start()
-        with pytest.raises(ModelError):
-            warm.padded(1)
-
-    def test_no_solution_no_warm_start(self):
-        model = Model("inf")
-        x = model.add_var_array(1, ub=1.0)
-        model.add_constr_coo([0], [0], [1.0], 2.0, np.inf)
-        model.set_objective_array(x, np.ones(1))
-        result = model.solve()
-        assert result.status is SolveStatus.INFEASIBLE
-        assert result.warm_start() is None
-        assert WarmStart.from_result(result) is None
-        assert WarmStart.from_result(None) is None
-
-    def test_solve_records_backend_support(self):
-        model, _ = self._toy()
-        warm = model.solve().warm_start()
-        result = model.solve(warm_start=warm)
-        # scipy's HiGHS wrappers accept no primal seed today; the solve
-        # must still succeed and say what happened to the hint.
-        assert result.stats["warm_start"] in ("applied", "unsupported")
-        assert result.objective == pytest.approx(5.0)
-
-    def test_check_point(self):
-        model, _ = self._toy()
-        result = model.solve()
-        assert model.check_point(result.values)
-        assert not model.check_point(np.array([10.0, 10.0]))
-        assert not model.check_point(np.array([1.0]))
-
-
 class TestModelExtend:
-    def test_extend_matches_cold_build(self):
-        grown = Model("g", sense=Sense.MAXIMIZE)
-        idx = grown.add_var_array(2, ub=3.0)
-        grown.add_constr_coo([0, 0], [0, 1], [1.0, 1.0], -np.inf, 4.0)
-        grown.set_objective_array(idx, np.ones(2))
-        first = grown.solve()
-        grown.extend()
-        extra = grown.add_var_array(1, ub=2.0)
-        grown.add_coo_terms([0], [int(extra[0])], [1.0])
-        grown.add_constr_coo([0], [int(extra[0])], [1.0], 0.5, np.inf)
-        grown.set_objective_array(np.concatenate([idx, extra]), np.ones(3))
-
-        cold = Model("c", sense=Sense.MAXIMIZE)
-        cidx = cold.add_var_array(2, ub=3.0)
-        cextra = cold.add_var_array(1, ub=2.0)
-        cold.add_constr_coo([0, 0, 0], [0, 1, 2], [1.0, 1.0, 1.0],
-                            -np.inf, 4.0)
-        cold.add_constr_coo([0], [int(cextra[0])], [1.0], 0.5, np.inf)
-        cold.set_objective_array(np.concatenate([cidx, cextra]), np.ones(3))
-
-        a, b = grown.compile(), cold.compile()
-        assert a.A.shape == b.A.shape
-        assert (a.A != b.A).nnz == 0
-        assert np.array_equal(a.row_lower, b.row_lower)
-        assert np.array_equal(a.row_upper, b.row_upper)
-        assert grown.solve().objective == pytest.approx(
-            cold.solve().objective)
-        # the pre-extension solve is untouched by the growth
-        assert first.objective == pytest.approx(4.0)
-
-    def test_patch_requires_existing_rows(self):
-        model = Model("p")
-        model.add_var_array(1)
-        with pytest.raises(ModelError):
-            model.add_coo_terms([0], [0], [1.0])
-
     def test_bound_restriction_roundtrip(self):
         model, idx = Model("b", sense=Sense.MAXIMIZE), None
         idx = model.add_var_array(3, ub=2.0)
@@ -146,40 +60,9 @@ class TestModelExtend:
 
 
 # ----------------------------------------------------------------------
-# LP layer: growth differential (append == rebuild)
+# LP layer: one built model answers the smaller horizons
 # ----------------------------------------------------------------------
 class TestIncrementalGrowth:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_grown_model_equals_cold_build(self, seed):
-        topo, demand, config = random_instance(seed)
-        inc = None
-        for start_k in (3, 6, 10):
-            try:
-                inc = IncrementalLp(topo, demand, config, start_k)
-                break
-            except ReproError:
-                continue
-        assert inc is not None, "no feasible starting horizon up to 10"
-        inc.grow(start_k + 2)
-        inc.grow(start_k + 9)
-
-        plan = build_epoch_plan(topo, config, num_epochs=start_k + 9)
-        cold = LpBuilder(topo, demand, config, plan).build()
-        assert inc.model.num_vars == cold.model.num_vars
-        assert inc.model.num_constraints == cold.model.num_constraints
-        assert inc.model.compile().A.nnz == cold.model.compile().A.nnz
-        warm_result = inc.model.solve(config.solver)
-        cold_result = cold.model.solve(config.solver)
-        assert warm_result.status.has_solution \
-            == cold_result.status.has_solution
-        if warm_result.status.has_solution:
-            assert warm_result.objective == pytest.approx(
-                cold_result.objective, rel=TOL)
-            outcome = inc.extract(warm_result, start_k + 9)
-            report = check_flow(outcome.schedule, topo, demand,
-                                outcome.plan, config=config)
-            assert report.ok, report.violations[:3]
-
     def test_restricted_probe_matches_cold_horizon(self):
         ring4 = topology.ring(4, capacity=1.0)
         atoa = collectives.alltoall(ring4.gpus, 1)
@@ -193,16 +76,9 @@ class TestIncrementalGrowth:
         assert probe.objective == pytest.approx(cold_result.objective,
                                                 rel=TOL)
 
-    def test_grow_rejects_shrinking(self):
-        ring4 = topology.ring(4, capacity=1.0)
-        atoa = collectives.alltoall(ring4.gpus, 1)
-        inc = IncrementalLp(ring4, atoa, TecclConfig(chunk_bytes=1.0), 4)
-        with pytest.raises(ModelError):
-            inc.grow(3)
-
 
 # ----------------------------------------------------------------------
-# the acceptance sweep: >= 20 randomized instances, three warm paths
+# the acceptance sweep: >= 20 randomized instances
 # ----------------------------------------------------------------------
 class TestMinimizeEpochsDifferential:
     @pytest.mark.parametrize("seed", range(20))
@@ -227,31 +103,79 @@ class TestMinimizeEpochsDifferential:
         # fallback to the cold path)
         assert "horizon_solves" in warm.result.stats
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_undershot_estimate_rebuilds_and_equals_cold(self, seed,
+                                                         monkeypatch):
+        """``estimate=2`` is infeasible on every one of these instances, so
+        the anchor loop must rebuild at 4, 8, … before it can descend."""
+        built = []
+
+        class Recording(IncrementalLp):
+            def __init__(self, topology, demand, config, num_epochs, **kw):
+                built.append(num_epochs)
+                super().__init__(topology, demand, config, num_epochs, **kw)
+
+        monkeypatch.setattr(lp_module, "IncrementalLp", Recording)
+        topo, demand, config = random_instance(seed)
+        probe = build_epoch_plan(topo, config, num_epochs=1)
+        bound = path_based_epoch_bound(topo, demand, probe)
+        warm = _minimize_epochs_incremental(topo, demand, config, bound,
+                                            estimate=2)
+        cold = _minimize_epochs_cold(topo, demand, config, bound)
+        assert len(built) >= 2 and built[0] == 2
+        assert built[1:] == [min(bound, 2 * k) for k in built[:-1]]
+        assert warm.plan.num_epochs == cold.plan.num_epochs
+        assert warm.result.objective == pytest.approx(
+            cold.result.objective, rel=TOL)
+        report = check_flow(warm.schedule, topo, demand, warm.plan,
+                            config=config)
+        assert report.ok, (seed, report.violations[:3])
+
 
 class TestPopDifferential:
     @pytest.mark.parametrize("seed", range(10))
     def test_warm_equals_cold(self, seed):
+        """The merged schedule of the default path replays clean."""
         topo, demand, config = random_instance(seed)
         if demand.benefits_from_copy():
             demand = collectives.alltoall(topo.gpus, 1)
         if len(demand.sources) < 2:
             pytest.skip("POP needs at least two sources")
         try:
-            warm = solve_lp_pop(topo, demand, config, num_partitions=2,
-                                seed=seed)
-            cold = solve_lp_pop(topo, demand, config, num_partitions=2,
-                                seed=seed, incremental=False)
+            out = solve_lp_pop(topo, demand, config, num_partitions=2,
+                               seed=seed)
         except ReproError:
             pytest.skip("POP infeasible on this instance")
-        assert warm.attempts == cold.attempts
-        assert warm.plan.num_epochs == cold.plan.num_epochs
-        assert len(warm.sub_outcomes) == len(cold.sub_outcomes)
-        for w, c in zip(warm.sub_outcomes, cold.sub_outcomes):
-            assert w.result.objective == pytest.approx(
-                c.result.objective, rel=TOL)
-        report = check_flow(warm.schedule, topo, demand, warm.plan,
+        report = check_flow(out.schedule, topo, demand, out.plan,
                             config=config)
         assert report.ok, (seed, report.violations[:3])
+
+    def test_undershot_horizon_retries_to_the_explicit_result(
+            self, monkeypatch):
+        """An infeasible auto horizon is doubled and every partition
+        rebuilt; the result is the direct solve at the final horizon."""
+        from dataclasses import replace
+
+        monkeypatch.setattr(pop_module, "pop_auto_horizon",
+                            lambda num_epochs, num_partitions: 2)
+        ring6 = topology.ring(6, capacity=1.0)
+        atoa = collectives.alltoall(ring6.gpus, 1)
+        config = TecclConfig(chunk_bytes=1.0)
+        retried = solve_lp_pop(ring6, atoa, config, num_partitions=2)
+        assert retried.attempts >= 2
+        final_k = retried.plan.num_epochs
+        assert final_k == 2 * 2 ** (retried.attempts - 1)
+        direct = solve_lp_pop(ring6, atoa,
+                              replace(config, num_epochs=final_k),
+                              num_partitions=2)
+        assert direct.attempts == 1
+        assert direct.plan.num_epochs == final_k
+        assert retried.schedule.flows == direct.schedule.flows
+        assert retried.schedule.reads == direct.schedule.reads
+        assert retried.finish_time == pytest.approx(direct.finish_time)
+        for a, b in zip(retried.sub_outcomes, direct.sub_outcomes):
+            assert a.result.objective == pytest.approx(b.result.objective,
+                                                       rel=TOL)
 
 
 class TestReplanDifferential:

@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Lint: retired parameter/field names must not reappear under ``src/``.
+
+Each name below once selected between two ways of doing the same thing;
+the redundant path was deleted, and the selector with it. This lint fails
+if one grows back:
+
+* ``construction`` — chose between the COO and the expression-path LP/MILP
+  builders (one construction path now); as a ``SolverOptions`` field it
+  also split the fingerprint cache on a speed-only setting.
+* ``incremental`` — chose between a growing shared model and a fresh build
+  in the horizon search and in POP (a larger horizon is a rebuild now).
+* ``track_rows`` — made ``LpBuilder`` record a row layout for the
+  epoch-delta growth path.
+* ``warm_start`` — threaded a primal seed to solver backends that cannot
+  consume one.
+
+Walks the AST and flags every function parameter and every class-level
+field carrying a retired name. Keyword arguments to *calls* (span
+attributes such as ``span(..., construction="cold")``) are labels, not
+parameters, and are not flagged.
+
+Exit status 0 when clean, 1 with a findings listing otherwise.
+"""
+
+import ast
+import pathlib
+import sys
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
+
+RETIRED = frozenset({"construction", "incremental", "track_rows",
+                     "warm_start"})
+
+
+def find_retired(path: pathlib.Path) -> list[tuple[int, str]]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+                if arg.arg in RETIRED:
+                    findings.append(
+                        (arg.lineno,
+                         f"`{arg.arg}` parameter of {node.name}()"))
+        elif isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target]
+                           if isinstance(stmt, ast.AnnAssign) else [])
+                for target in targets:
+                    if isinstance(target, ast.Name) and target.id in RETIRED:
+                        findings.append(
+                            (stmt.lineno,
+                             f"`{target.id}` field of class {node.name}"))
+    return findings
+
+
+def main() -> int:
+    failures = [f"{path.relative_to(REPO)}:{lineno}: {what}"
+                for path in sorted(SRC.rglob("*.py"))
+                for lineno, what in find_retired(path)]
+    if failures:
+        print(f"{len(failures)} retired name(s) in library code (each "
+              "selected a path that was deleted; do not add the selector "
+              "back):", file=sys.stderr)
+        for failure in failures:
+            print(f"  {failure}", file=sys.stderr)
+        return 1
+    print("retired-names-lint: clean")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

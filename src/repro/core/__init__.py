@@ -14,7 +14,7 @@ from repro.core.lp import (IncrementalLp, LpOutcome, minimize_epochs_lp,
 from repro.core.milp import MilpOutcome, solve_milp
 from repro.core.pop import (Partition, PopOutcome, merge_flow_schedules,
                             partition_demand, pop_auto_horizon,
-                            solve_lp_pop, solve_pop_partition)
+                            solve_lp_pop)
 from repro.core.subsolve import SubSolveCache, default_jobs, run_subsolves
 from repro.core.schedule import FlowSchedule, Schedule, Send
 from repro.core.solve import (Method, SynthesisResult, synthesize,
@@ -30,7 +30,7 @@ __all__ = [
     "synthesize", "synthesize_multi_tenant", "Method", "SynthesisResult",
     "Schedule", "FlowSchedule", "Send",
     "solve_lp_pop", "partition_demand", "merge_flow_schedules",
-    "Partition", "PopOutcome", "pop_auto_horizon", "solve_pop_partition",
+    "Partition", "PopOutcome", "pop_auto_horizon",
     "run_subsolves", "SubSolveCache", "default_jobs",
     "decompose", "strips_to_schedule", "PathStrip",
     "hierarchical_allgather", "chassis_groups", "ChassisPlan",

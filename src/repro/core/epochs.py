@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.collectives.demand import Demand
 from repro.core.config import EpochMode, TecclConfig
-from repro.errors import ModelError
+from repro.errors import InfeasibleError, ModelError
 from repro.topology.topology import Topology
 
 _EPS = 1e-9
@@ -290,16 +290,85 @@ def path_based_epoch_bound(topology: Topology, demand: Demand,
     return max(2, max_path + queueing)
 
 
+def horizon_bound(topology: Topology, demand: Demand,
+                  config: TecclConfig) -> int:
+    """:func:`path_based_epoch_bound` on the configured τ grid."""
+    probe = build_epoch_plan(topology, config, num_epochs=1)
+    return path_based_epoch_bound(topology, demand, probe)
+
+
 def next_horizon(num_epochs: int, bound: int | None) -> int:
-    """Retry ladder for infeasible auto horizons.
+    """One step up the retry ladder for infeasible auto horizons.
 
     An undershot warm hint steps up to the sound path bound first (the
-    horizon a cold solve would have used), then doubles — shared by the LP
-    and MILP facades so their escalation policies cannot diverge.
+    horizon a cold solve would have used), then doubles.
     """
     if bound is not None and num_epochs < bound:
         return bound
     return num_epochs * 2
+
+
+#: auto-horizon rungs tried at or above the bound before giving up
+HORIZON_ATTEMPTS = 3
+
+
+def horizon_ladder(topology: Topology, demand: Demand, config: TecclConfig,
+                   *, initial_epochs: int | None = None, stretch=None):
+    """Yield ``(attempt, num_epochs)``: the horizons a solve tries in turn.
+
+    The whole auto-horizon policy of the LP, MILP and POP facades (§4.1 /
+    Appendix E: a loose K only costs variables, an undershoot is repaired
+    by re-solving at a larger K); :func:`first_feasible_rung` climbs it.
+
+    * An explicit ``config.num_epochs`` is one attempt at that K.
+    * Otherwise the first rung is the path bound — ``stretch(bound)`` for
+      callers whose sub-problems need more room than the joint bound (POP's
+      capacity split) — each next rung is :func:`next_horizon`, and
+      :data:`HORIZON_ATTEMPTS` rungs are tried from the bound up: bound,
+      2·bound, 4·bound.
+    * ``initial_epochs`` is a warm hint. It may only *shrink* the model
+      (its estimates can overshoot the grid; the bound is a sound ceiling),
+      and a hinted rung below the bound is free: a hint can cost an
+      attempt, never a feasible answer the cold ladder would have reached.
+    """
+    if config.num_epochs is not None:
+        yield 1, config.num_epochs
+        return
+    bound = horizon_bound(topology, demand, config)
+    if stretch is not None:
+        bound = stretch(bound)
+    num_epochs = bound if initial_epochs is None \
+        else max(2, min(initial_epochs, bound))
+    attempt = 0
+    remaining = HORIZON_ATTEMPTS
+    while remaining:
+        attempt += 1
+        if num_epochs >= bound:
+            remaining -= 1
+        yield attempt, num_epochs
+        num_epochs = next_horizon(num_epochs, bound)
+
+
+def first_feasible_rung(ladder, solve_at):
+    """Climb ``ladder`` until ``solve_at(num_epochs)`` succeeds.
+
+    Returns ``(attempt, num_epochs, solve_at(num_epochs))`` for the first
+    rung that does not raise a horizon :class:`InfeasibleError` (the
+    builders' earliest-arrival pre-check, or an INFEASIBLE solve); the last
+    rung's error is re-raised when the ladder runs out. Any other failure
+    — a backend error, a time limit without an incumbent — is not a short
+    horizon and propagates at once.
+    """
+    for attempt, num_epochs in ladder:
+        try:
+            return attempt, num_epochs, solve_at(num_epochs)
+        except InfeasibleError as err:
+            if err.status != "horizon":
+                raise
+            # without its traceback: the frames would pin the infeasible
+            # model in memory while the next, larger one is built
+            last_error = err.with_traceback(None)
+    raise last_error
 
 
 def candidate_completion_times(topology: Topology, demand: Demand,
@@ -337,5 +406,4 @@ def algorithm1_num_epochs(topology: Topology, demand: Demand,
                                    tau=total_time / ne, num_epochs=ne):
                 return max(2, math.ceil(total_time / tau_opt))
     # Fall back to the generous path bound rather than failing.
-    plan = build_epoch_plan(topology, config, num_epochs=1)
-    return path_based_epoch_bound(topology, demand, plan)
+    return horizon_bound(topology, demand, config)

@@ -26,8 +26,9 @@ import numpy as np
 from repro.collectives.demand import Demand
 from repro.core.config import TecclConfig
 from repro.core.epochs import (EpochPlan, build_epoch_plan,
-                               earliest_arrival_epochs, next_horizon,
-                               path_based_epoch_bound, plan_with_tau)
+                               earliest_arrival_epochs,
+                               first_feasible_rung, horizon_bound,
+                               horizon_ladder, plan_with_tau)
 from repro.core.postprocess import prune_fractional
 from repro.core.schedule import FlowSchedule
 from repro.errors import InfeasibleError, ModelError
@@ -119,50 +120,6 @@ class LpOutcome:
     @property
     def solve_time(self) -> float:
         return self.result.solve_time
-
-    def to_dict(self) -> dict:
-        """JSON-ready form for crossing a process boundary (POP fan-out).
-
-        The schedules are already extracted, so the solver's primal vector
-        does not travel: :meth:`from_dict` rebuilds the
-        :class:`~repro.solver.result.SolveResult` with ``values=None``
-        (status, objective, timings, and JSON-safe stats survive).
-        """
-        return {
-            "schedule": self.schedule.to_dict(),
-            "raw_schedule": self.raw_schedule.to_dict(),
-            "plan": self.plan.to_dict(),
-            "finish_time": self.finish_time,
-            "result": {
-                "status": self.result.status.value,
-                "objective": self.result.objective,
-                "solve_time": self.result.solve_time,
-                "mip_gap": self.result.mip_gap,
-                "message": self.result.message,
-                "stats": {k: v for k, v in self.result.stats.items()
-                          if v is None
-                          or isinstance(v, (bool, int, float, str))},
-            },
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "LpOutcome":
-        """Parse the :meth:`to_dict` representation (no primal point)."""
-        res = data["result"]
-        result = SolveResult(
-            status=SolveStatus(res["status"]),
-            objective=res["objective"],
-            values=None,
-            solve_time=float(res["solve_time"]),
-            mip_gap=res.get("mip_gap"),
-            message=res.get("message", ""),
-            stats=dict(res.get("stats", {})))
-        return LpOutcome(
-            schedule=FlowSchedule.from_dict(data["schedule"]),
-            raw_schedule=FlowSchedule.from_dict(data["raw_schedule"]),
-            result=result,
-            plan=EpochPlan.from_dict(data["plan"]),
-            finish_time=float(data["finish_time"]))
 
 
 class LpBuilder:
@@ -628,61 +585,52 @@ def solve_lp(topology: Topology, demand: Demand, config: TecclConfig,
              initial_epochs: int | None = None) -> LpOutcome:
     """Build and solve the LP; returns a pruned fractional schedule.
 
-    Like :func:`repro.core.milp.solve_milp`, an automatically estimated
-    horizon is retried with an escalated K if it proves infeasible (the
-    bound is a heuristic). ``initial_epochs`` is the warm-start hint a
+    Like :func:`repro.core.milp.solve_milp`, the horizon climbs
+    :func:`~repro.core.epochs.horizon_ladder`: an automatically estimated
+    K that proves infeasible is retried at the next rung (the bound is a
+    heuristic). ``initial_epochs`` is the warm-start hint a
     :func:`repro.failures.repair.replan` derives from a prior solution's
-    achieved extent — clamped to the path bound (a hint may only shrink
-    the model), and stepped back up to the bound, then doubled, if it
-    undershoots.
+    achieved extent.
     """
-    auto = config.num_epochs is None
-    bound = None
-    if auto:
-        probe = build_epoch_plan(topology, config, num_epochs=1)
-        bound = path_based_epoch_bound(topology, demand, probe)
-        num_epochs = bound
-        if initial_epochs is not None:
-            # A warm hint may only *shrink* the model: its estimates can
-            # overshoot the grid, and the path bound is a sound ceiling.
-            num_epochs = max(2, min(initial_epochs, bound))
-    else:
-        num_epochs = config.num_epochs
-    attempts = 3 if auto else 1
-    last_error: InfeasibleError | None = None
-    for attempt in range(1, attempts + 1):
+    def solve_at(num_epochs: int) -> LpOutcome:
         plan = build_epoch_plan(topology, config, num_epochs=num_epochs)
-        try:
-            builder = LpBuilder(topology, demand, config, plan,
-                                aggregate=aggregate)
-            start = time.perf_counter()
-            problem = builder.build()
-        except InfeasibleError as err:
-            # A horizon below the earliest arrival (possible when a warm
-            # hint undershoots) is just an infeasible attempt: escalate.
-            last_error = err
-            num_epochs = next_horizon(num_epochs, bound)
-            continue
-        build_time = time.perf_counter() - start
-        result, reduced = _solve_maybe_reduced(problem, topology, demand,
-                                               config)
-        result.stats["build_time"] = build_time
-        result.stats["horizon_attempts"] = attempt
-        result.stats["horizon_epochs"] = num_epochs
-        if result.status.has_solution:
-            outcome = extract_lp_outcome(problem, result)
-            if reduced:
-                outcome = _vet_reduced_outcome(outcome, problem, topology,
-                                               demand, config)
-            return outcome
-        from repro.solver import SolveStatus
+        return _solve_lp_at(topology, demand, config, plan,
+                            aggregate=aggregate)
 
-        if result.status is not SolveStatus.INFEASIBLE:
-            result.require_solution()
-        last_error = InfeasibleError(
-            f"infeasible at horizon K={num_epochs}", status="horizon")
-        num_epochs = next_horizon(num_epochs, bound)
-    raise last_error
+    attempt, num_epochs, outcome = first_feasible_rung(
+        horizon_ladder(topology, demand, config,
+                       initial_epochs=initial_epochs), solve_at)
+    outcome.result.stats["horizon_attempts"] = attempt
+    outcome.result.stats["horizon_epochs"] = num_epochs
+    return outcome
+
+
+def _solve_lp_at(topology: Topology, demand: Demand, config: TecclConfig,
+                 plan: EpochPlan, *, aggregate: bool = True) -> LpOutcome:
+    """One LP at one horizon: build → quotient → solve → extract → vet.
+
+    The only place a built :class:`LpProblem` becomes a solved, vetted
+    :class:`LpOutcome`; :func:`solve_lp`, the cold horizon search and POP's
+    partitions all land here. A horizon too short for the demand — caught
+    by the builder's earliest-arrival pre-check or proved by the solver —
+    raises :class:`InfeasibleError` with ``status="horizon"``; any other
+    solver failure raises with the backend's status.
+    """
+    builder = LpBuilder(topology, demand, config, plan, aggregate=aggregate)
+    start = time.perf_counter()
+    problem = builder.build()
+    build_time = time.perf_counter() - start
+    result, reduced = _solve_maybe_reduced(problem, topology, demand, config)
+    if result.status is SolveStatus.INFEASIBLE:
+        raise InfeasibleError(
+            f"infeasible at horizon K={plan.num_epochs}", status="horizon")
+    result.require_solution()
+    outcome = extract_lp_outcome(problem, result)
+    if reduced:
+        outcome = _vet_reduced_outcome(outcome, problem, topology, demand,
+                                       config)
+    outcome.result.stats["build_time"] = build_time
+    return outcome
 
 
 def _solve_maybe_reduced(problem: LpProblem, topology: Topology,
@@ -789,9 +737,7 @@ def minimize_epochs_lp(topology: Topology, demand: Demand,
     """
     estimate = None
     if max_epochs is None:
-        probe = build_epoch_plan(topology, config, num_epochs=1)
-        estimate = path_based_epoch_bound(topology, demand, probe)
-        max_epochs = estimate
+        max_epochs = estimate = horizon_bound(topology, demand, config)
     return _minimize_epochs_incremental(topology, demand, config,
                                         max_epochs, estimate=estimate)
 
@@ -804,14 +750,11 @@ def _minimize_epochs_cold(topology: Topology, demand: Demand,
     best: LpOutcome | None = None
     while lo <= hi:
         mid = (lo + hi) // 2
+        plan = build_epoch_plan(topology, config, num_epochs=mid)
         try:
-            outcome = _try_horizon(topology, demand, config, mid)
-        except InfeasibleError:
-            outcome = None
-        if outcome is not None:
-            best = outcome
+            best = _solve_lp_at(topology, demand, config, plan)
             hi = mid - 1
-        else:
+        except InfeasibleError:
             lo = mid + 1
     if best is None:
         raise InfeasibleError(
@@ -831,12 +774,9 @@ def _minimize_epochs_incremental(topology: Topology, demand: Demand,
     infeasible-horizon attempts are exactly the cheap solves — until the
     first feasible anchor, whose last read epoch then brackets the descent.
     """
-    from repro.solver import SolveStatus
-
     if estimate is None:
         try:
-            probe_plan = build_epoch_plan(topology, config, num_epochs=1)
-            estimate = path_based_epoch_bound(topology, demand, probe_plan)
+            estimate = horizon_bound(topology, demand, config)
         except ModelError:
             estimate = max_epochs
     k = min(max_epochs, max(2, estimate))
@@ -918,20 +858,4 @@ def _minimize_epochs_incremental(topology: Topology, demand: Demand,
                         config=config)
     if not report.ok:
         return _minimize_epochs_cold(topology, demand, config, max_epochs)
-    return outcome
-
-
-def _try_horizon(topology: Topology, demand: Demand, config: TecclConfig,
-                 num_epochs: int) -> LpOutcome | None:
-    plan = build_epoch_plan(topology, config, num_epochs=num_epochs)
-    builder = LpBuilder(topology, demand, config, plan)
-    problem = builder.build()
-    result, reduced = _solve_maybe_reduced(problem, topology, demand,
-                                           config)
-    if not result.status.has_solution:
-        return None
-    outcome = extract_lp_outcome(problem, result)
-    if reduced:
-        outcome = _vet_reduced_outcome(outcome, problem, topology, demand,
-                                       config)
     return outcome

@@ -31,15 +31,15 @@ import numpy as np
 from repro.collectives.demand import Demand
 from repro.core.config import SwitchModel, TecclConfig
 from repro.core.epochs import (EpochPlan, build_epoch_plan,
-                               earliest_arrival_epochs, next_horizon,
-                               path_based_epoch_bound)
+                               earliest_arrival_epochs,
+                               first_feasible_rung, horizon_ladder)
 from repro.core.postprocess import prune_sends
 from repro.core.schedule import Schedule, Send
 from repro.errors import InfeasibleError, ModelError
 from repro.obs.trace import event as _obs_event
 from repro.obs.trace import rspan as _obs_rspan
 from repro.obs.trace import span as _obs_span
-from repro.solver import Model, Sense, SolveResult, VarType
+from repro.solver import Model, Sense, SolveResult, SolveStatus, VarType
 from repro.topology.topology import Topology
 from repro.topology.transforms import HyperEdgeGroup
 
@@ -672,62 +672,51 @@ def solve_milp(topology: Topology, demand: Demand, config: TecclConfig,
     With an explicit ``num_epochs`` an infeasible horizon raises
     :class:`InfeasibleError`. With the automatic horizon, the path-based
     bound is a heuristic (side constraints such as hyper-edge usage limits
-    can invalidate it), so the solve retries with a doubled horizon before
-    giving up. ``initial_epochs`` is a warm hint — typically derived from
-    a prior solution's achieved extent by
-    :func:`repro.failures.repair.replan` — clamped to the path bound (a
-    hint may only shrink the model) and escalated back to the bound, then
-    doubled, if it undershoots.
+    can invalidate it), so the solve climbs
+    :func:`~repro.core.epochs.horizon_ladder` before giving up.
+    ``initial_epochs`` is a warm hint — typically derived from a prior
+    solution's achieved extent by :func:`repro.failures.repair.replan`.
     """
-    auto = config.num_epochs is None
-    bound = None
-    if auto:
-        probe = build_epoch_plan(topology, config, num_epochs=1)
-        bound = path_based_epoch_bound(topology, demand, probe)
-        num_epochs = bound
-        if initial_epochs is not None:
-            # A warm hint may only *shrink* the model: its estimates can
-            # overshoot the grid, and the path bound is a sound ceiling.
-            num_epochs = max(2, min(initial_epochs, bound))
-    else:
-        num_epochs = config.num_epochs
-    attempts = 3 if auto else 1
-    last_error: InfeasibleError | None = None
-    for attempt in range(1, attempts + 1):
+    def solve_at(num_epochs: int) -> MilpOutcome:
         plan = build_epoch_plan(topology, config, num_epochs=num_epochs)
-        try:
-            builder = MilpBuilder(topology, demand, config, plan,
-                                  hyper_groups=hyper_groups)
-            start = time.perf_counter()
-            problem = builder.build()
-        except InfeasibleError as err:
-            # A horizon below the earliest arrival (possible when a warm
-            # hint undershoots) is just an infeasible attempt: escalate.
-            last_error = err
-            num_epochs = next_horizon(num_epochs, bound)
-            continue
-        build_time = time.perf_counter() - start
-        cuts = _maybe_add_symmetry_cuts(problem, topology, demand, config)
-        result = problem.model.solve(config.solver)
-        result.stats["build_time"] = build_time
-        result.stats["horizon_attempts"] = attempt
-        result.stats["horizon_epochs"] = num_epochs
-        if cuts:
-            result.stats["symmetry_cuts"] = cuts
-        if result.status.has_solution:
-            outcome = extract_outcome(problem, result)
-            if cuts:
-                outcome = _vet_cut_outcome(outcome, topology, demand,
-                                           config, plan, hyper_groups)
-            return outcome
-        from repro.solver import SolveStatus
+        return _solve_milp_at(topology, demand, config, plan, hyper_groups)
 
-        if result.status is not SolveStatus.INFEASIBLE:
-            result.require_solution()  # raises with the backend message
-        last_error = InfeasibleError(
-            f"infeasible at horizon K={num_epochs}", status="horizon")
-        num_epochs = next_horizon(num_epochs, bound)
-    raise last_error
+    attempt, num_epochs, outcome = first_feasible_rung(
+        horizon_ladder(topology, demand, config,
+                       initial_epochs=initial_epochs), solve_at)
+    outcome.result.stats["horizon_attempts"] = attempt
+    outcome.result.stats["horizon_epochs"] = num_epochs
+    return outcome
+
+
+def _solve_milp_at(topology: Topology, demand: Demand, config: TecclConfig,
+                   plan: EpochPlan, hyper_groups) -> MilpOutcome:
+    """One MILP at one horizon: build → lex cuts → solve → extract → vet.
+
+    A horizon too short for the demand — caught by the builder's
+    earliest-arrival pre-check or proved by the solver — raises
+    :class:`InfeasibleError` with ``status="horizon"``; any other solver
+    failure raises with the backend's status and message.
+    """
+    builder = MilpBuilder(topology, demand, config, plan,
+                          hyper_groups=hyper_groups)
+    start = time.perf_counter()
+    problem = builder.build()
+    build_time = time.perf_counter() - start
+    cuts = _maybe_add_symmetry_cuts(problem, topology, demand, config)
+    result = problem.model.solve(config.solver)
+    result.stats["build_time"] = build_time
+    if cuts:
+        result.stats["symmetry_cuts"] = cuts
+    if result.status is SolveStatus.INFEASIBLE:
+        raise InfeasibleError(
+            f"infeasible at horizon K={plan.num_epochs}", status="horizon")
+    result.require_solution()
+    outcome = extract_outcome(problem, result)
+    if cuts:
+        outcome = _vet_cut_outcome(outcome, topology, demand, config, plan,
+                                   hyper_groups)
+    return outcome
 
 
 def _maybe_add_symmetry_cuts(problem: MilpProblem, topology: Topology,

@@ -20,19 +20,16 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, replace
 
 from repro.collectives.demand import Demand
 from repro.core.config import TecclConfig
-from repro.core.epochs import EpochPlan, build_epoch_plan, path_based_epoch_bound
-from repro.core.lp import (LpBuilder, LpOutcome, _solve_maybe_reduced,
-                           _vet_reduced_outcome, extract_lp_outcome)
+from repro.core.epochs import (EpochPlan, build_epoch_plan,
+                               first_feasible_rung, horizon_ladder)
+from repro.core.lp import LpOutcome, _solve_lp_at
 from repro.core.schedule import FlowSchedule
 from repro.core.subsolve import run_subsolves
-from repro.errors import InfeasibleError, ModelError
-from repro.obs.trace import activate as _obs_activate
-from repro.obs.trace import current_context as _obs_context
+from repro.errors import ModelError
 from repro.obs.trace import event as _obs_event
 from repro.obs.trace import span as _obs_span
 from repro.topology.topology import Topology
@@ -150,29 +147,24 @@ def pop_auto_horizon(num_epochs: int, num_partitions: int) -> int:
 
 def solve_lp_pop(topology: Topology, demand: Demand, config: TecclConfig, *,
                  num_partitions: int = 2, seed: int = 0,
-                 parallel: bool = False, jobs: int | None = None,
-                 pool=None) -> PopOutcome:
+                 parallel: bool = False,
+                 jobs: int | None = None) -> PopOutcome:
     """Solve the LP via POP partitioning and merge the sub-schedules.
 
     All subproblems share one epoch plan (same τ, same horizon) so their
-    flow variables line up for the merge. An automatically estimated
-    horizon is doubled and retried when any subproblem is infeasible —
-    capacity splitting can stretch a partition past the joint optimum —
-    and every retry rebuilds its partitions at the larger horizon
-    (:func:`_solve_partition`).
+    flow variables line up for the merge. The horizon climbs
+    :func:`~repro.core.epochs.horizon_ladder` from the
+    :func:`pop_auto_horizon` stretch of the joint bound: when any
+    subproblem is infeasible — capacity splitting can stretch a partition
+    past the joint optimum — every partition is rebuilt at the next rung.
 
     The partitions are independent by construction, so ``parallel=True``
-    fans them out concurrently on **threads**
-    (:func:`~repro.core.subsolve.run_subsolves`, width ``jobs``), and a
-    :class:`~repro.service.pool.SolvePool` passed as ``pool`` fans them out
-    across **processes** (each partition crosses the boundary as plain
-    dicts and is solved by :func:`solve_pop_partition`). A pool falls back
-    to in-process dispatch when ``config.capacity_fn`` is set (a Python
-    callable cannot cross the boundary).
+    fans them out concurrently on threads
+    (:func:`~repro.core.subsolve.run_subsolves`, width ``jobs``).
 
     Every merged schedule is replayed through the conformance oracle
-    before it is returned: a violation on a parallel or pooled run is
-    re-solved sequentially, and a violation on the sequential run raises
+    before it is returned: a violation on a parallel run is re-solved
+    sequentially, and a violation on the sequential run raises
     :class:`~repro.errors.ScheduleError`.
     """
     demand.validate(topology)
@@ -183,46 +175,34 @@ def solve_lp_pop(topology: Topology, demand: Demand, config: TecclConfig, *,
             "demands need the MILP (use solve_milp or A*)")
     partitions = partition_demand(demand, num_partitions, seed=seed)
 
-    auto = config.num_epochs is None
-    if auto:
-        probe = build_epoch_plan(topology, config, num_epochs=1)
-        # Partitioned capacity stretches completion by ~1/share; be generous.
-        num_epochs = pop_auto_horizon(
-            path_based_epoch_bound(topology, demand, probe), num_partitions)
-    else:
-        num_epochs = config.num_epochs
+    def solve_at(num_epochs: int) -> PopOutcome:
+        return _solve_at_horizon(topology, config, partitions, num_epochs,
+                                 parallel=parallel, jobs=jobs)
 
-    attempts = 3 if auto else 1
-    last_error: InfeasibleError | None = None
-    for attempt in range(attempts):
-        try:
-            outcome = _solve_at_horizon(topology, config, partitions,
-                                        num_epochs, parallel=parallel,
-                                        jobs=jobs, pool=pool)
-        except InfeasibleError as err:
-            last_error = err
-            num_epochs *= 2
-            continue
+    # Partitioned capacity stretches completion by ~1/share; be generous.
+    attempt, num_epochs, outcome = first_feasible_rung(
+        horizon_ladder(
+            topology, demand, config,
+            stretch=lambda bound: pop_auto_horizon(bound, num_partitions)),
+        solve_at)
+    report = _pop_conformance(outcome, topology, demand, config)
+    if not report.ok and parallel:
+        # A violation means the fan-out (not the solver) mis-built or
+        # mis-merged a partition; serve the sequential run instead.
+        outcome = _solve_at_horizon(topology, config, partitions,
+                                    num_epochs)
         report = _pop_conformance(outcome, topology, demand, config)
-        if not report.ok and (parallel or pool is not None):
-            # A violation means the fan-out (not the solver) mis-built or
-            # mis-merged a partition; serve the sequential run instead.
-            outcome = _solve_at_horizon(topology, config, partitions,
-                                        num_epochs)
-            report = _pop_conformance(outcome, topology, demand, config)
-        report.raise_on_violation()
-        outcome.attempts = attempt + 1
-        # the fan-out record the explain/flight layer surfaces: how many
-        # sub-solves this schedule came from and how hard the horizon fought
-        _obs_event("pop.fanout", partitions=len(partitions),
-                   attempts=outcome.attempts, parallel=parallel,
-                   pooled=pool is not None, epochs=num_epochs)
-        if outcome.sub_outcomes:
-            stats = outcome.sub_outcomes[0].result.stats
-            stats["pop_partitions"] = len(partitions)
-            stats["pop_attempts"] = outcome.attempts
-        return outcome
-    raise last_error
+    report.raise_on_violation()
+    outcome.attempts = attempt
+    # the fan-out record the explain/flight layer surfaces: how many
+    # sub-solves this schedule came from and how hard the horizon fought
+    _obs_event("pop.fanout", partitions=len(partitions),
+               attempts=attempt, parallel=parallel, epochs=num_epochs)
+    if outcome.sub_outcomes:
+        stats = outcome.sub_outcomes[0].result.stats
+        stats["pop_partitions"] = len(partitions)
+        stats["pop_attempts"] = attempt
+    return outcome
 
 
 def _pop_conformance(outcome: PopOutcome, topology: Topology, demand: Demand,
@@ -238,138 +218,38 @@ def _solve_partition(topology: Topology, config: TecclConfig,
                      part: Partition, plan: EpochPlan) -> LpOutcome:
     """Solve one partition on its capacity share of the fabric.
 
-    The one place a POP sub-LP is built and solved — the in-process
-    thunks and the :func:`solve_pop_partition` pool worker both land
-    here. The quotient path applies per partition: the uniform capacity
-    scaling keeps the fabric's automorphisms, and the compiled-matrix
-    verification rejects anything a partition's demand slice breaks.
+    The quotient path applies per partition: the uniform capacity scaling
+    keeps the fabric's automorphisms, and the compiled-matrix verification
+    rejects anything a partition's demand slice breaks.
     """
     sub_config = replace(
         config, num_epochs=plan.num_epochs,
         capacity_fn=_scaled_capacity_fn(topology, config, part.share))
     with _obs_span("pop.partition", index=part.index,
                    share=round(part.share, 6)):
-        builder = LpBuilder(topology, part.demand, sub_config, plan)
-        start = time.perf_counter()
-        problem = builder.build()
-        build_time = time.perf_counter() - start
-        result, reduced = _solve_maybe_reduced(problem, topology,
-                                               part.demand, sub_config)
-        result.stats["build_time"] = build_time
-        if not result.status.has_solution:
-            raise InfeasibleError(
-                f"POP partition {part.index} infeasible at "
-                f"K={plan.num_epochs}", status="horizon")
-        outcome = extract_lp_outcome(problem, result)
-        if reduced:
-            outcome = _vet_reduced_outcome(outcome, problem, topology,
-                                           part.demand, sub_config)
-        return outcome
+        return _solve_lp_at(topology, part.demand, sub_config, plan)
 
 
 def _solve_at_horizon(topology: Topology, config: TecclConfig,
                       partitions: list[Partition], num_epochs: int,
-                      parallel: bool = False, jobs: int | None = None,
-                      pool=None) -> PopOutcome:
+                      parallel: bool = False,
+                      jobs: int | None = None) -> PopOutcome:
     plan = build_epoch_plan(topology, config, num_epochs=num_epochs)
-    pooled = pool is not None and config.capacity_fn is None
     with _obs_span("pop.solve", partitions=len(partitions),
-                   epochs=num_epochs, parallel=bool(parallel),
-                   pooled=pooled):
-        if pooled:
-            sub_outcomes = _solve_partitions_pooled(
-                topology, config, partitions, num_epochs, pool)
-        else:
-            # Sequential dispatch goes through the same executor at
-            # width 1: every partition runs even when a sibling is
-            # infeasible and the lowest-index failure is raised, so the
-            # retry loop above sees the same error either way.
-            tasks = [lambda part=part: _solve_partition(topology, config,
-                                                        part, plan)
-                     for part in partitions]
-            sub_outcomes = run_subsolves(
-                tasks, jobs=jobs if parallel else 1, label="pop")
+                   epochs=num_epochs, parallel=bool(parallel)):
+        # Sequential dispatch goes through the same executor at width 1:
+        # every partition runs even when a sibling is infeasible and the
+        # lowest-index failure is raised, so the ladder above sees the
+        # same error either way.
+        tasks = [lambda part=part: _solve_partition(topology, config,
+                                                    part, plan)
+                 for part in partitions]
+        sub_outcomes = run_subsolves(
+            tasks, jobs=jobs if parallel else 1, label="pop")
         merged = merge_flow_schedules([o.schedule for o in sub_outcomes])
         return PopOutcome(schedule=merged, partitions=partitions,
                           sub_outcomes=sub_outcomes, plan=plan,
                           finish_time=merged.finish_time(topology))
-
-
-def solve_pop_partition(request_dict: dict) -> dict:
-    """Solve one serialised POP partition; module-level so workers pickle it.
-
-    The :class:`~repro.service.pool.SolvePool` worker for the process
-    fan-out: the fabric, the partition's demand slice, and the config cross
-    the boundary as plain dicts, :func:`_solve_partition` does the work,
-    and the solved :class:`~repro.core.lp.LpOutcome` travels back as its
-    dict form (primal vectors stay behind — the schedules are already
-    extracted). Infeasibility is reported as a payload, not an exception,
-    so it survives any executor's pickling of errors:
-    ``{"infeasible": True, "message": ...}``.
-    """
-    topology = Topology.from_dict(request_dict["topology"])
-    config = TecclConfig.from_dict(request_dict["config"])
-    part = Partition(index=int(request_dict["index"]),
-                     demand=Demand.from_dict(request_dict["demand"]),
-                     share=float(request_dict["share"]))
-    with _obs_activate(request_dict.get("_obs")):
-        plan = build_epoch_plan(topology, config,
-                                num_epochs=int(request_dict["num_epochs"]))
-        try:
-            outcome = _solve_partition(topology, config, part, plan)
-        except InfeasibleError as err:
-            return {"infeasible": True, "message": str(err)}
-    return {"infeasible": False, "outcome": outcome.to_dict()}
-
-
-def _solve_partitions_pooled(topology: Topology, config: TecclConfig,
-                             partitions: list[Partition], num_epochs: int,
-                             pool) -> list[LpOutcome]:
-    """Fan partition solves out across a SolvePool's processes.
-
-    Submissions are keyed by a ``pop-partition`` canonical fingerprint —
-    distinct from the planner's request keys, so they never collide in a
-    shared pool, while identical concurrent partition solves still
-    coalesce onto one worker.
-    """
-    from repro.service.fingerprint import (FINGERPRINT_VERSION,
-                                           canonical_config,
-                                           canonical_demand,
-                                           canonical_topology,
-                                           fingerprint_canonical)
-    from repro.service.pool import SolvePool
-
-    sub_config = replace(config, num_epochs=num_epochs)
-    topo_doc = topology.to_dict()
-    config_doc = sub_config.to_dict()
-    canonical_topo = canonical_topology(topology)
-    canonical_cfg = canonical_config(sub_config)
-    context = _obs_context()
-    futures = []
-    for part in partitions:
-        request = {"kind": "pop-partition", "index": part.index,
-                   "share": part.share, "num_epochs": num_epochs,
-                   "topology": topo_doc, "demand": part.demand.to_dict(),
-                   "config": config_doc}
-        if context is not None:
-            request["_obs"] = context
-        key = "pop:" + fingerprint_canonical({
-            "kind": "pop-partition", "version": FINGERPRINT_VERSION,
-            "topology": canonical_topo,
-            "demand": canonical_demand(part.demand),
-            "config": canonical_cfg, "share": float(part.share)})
-        future, _ = pool.submit(key, request, solve_fn=solve_pop_partition)
-        futures.append(future)
-    sub_outcomes: list[LpOutcome] = []
-    for part, future in zip(partitions, futures):
-        payload = SolvePool.wait(future)
-        if payload.get("infeasible"):
-            raise InfeasibleError(
-                payload.get("message")
-                or f"POP partition {part.index} infeasible at "
-                   f"K={num_epochs}", status="horizon")
-        sub_outcomes.append(LpOutcome.from_dict(payload["outcome"]))
-    return sub_outcomes
 
 
 def merge_flow_schedules(schedules: list[FlowSchedule]) -> FlowSchedule:

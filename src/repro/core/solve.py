@@ -282,39 +282,24 @@ def _synthesize(topology: Topology, demand: Demand, config: TecclConfig, *,
         else:
             outcome = solve_lp(work_topology, work_demand, config,
                                initial_epochs=initial_epochs)
-        return SynthesisResult(
-            method=Method.LP, schedule=outcome.schedule,
-            finish_time=outcome.finish_time,
-            solve_time=outcome.solve_time, plan=outcome.plan,
-            outcome=outcome, hyper=hyper, topology_used=work_topology,
-            demand_used=work_demand, config=config)
-
-    if method is Method.MILP:
+    elif method is Method.MILP:
         outcome = solve_milp(work_topology, work_demand, config,
                              hyper_groups=hyper_groups,
                              initial_epochs=initial_epochs)
-        return SynthesisResult(
-            method=Method.MILP, schedule=outcome.schedule,
-            finish_time=outcome.finish_time,
-            solve_time=outcome.solve_time, plan=outcome.plan,
-            outcome=outcome, hyper=hyper, topology_used=work_topology,
-            demand_used=work_demand, config=config)
-
-    if method is Method.ASTAR:
+    elif method is Method.ASTAR:
         if hyper_groups:
             raise ModelError(
                 "the A* decomposition does not support hyper-edge switches; "
                 "use the COPY or NO_COPY switch model")
         outcome = solve_astar(work_topology, work_demand, config,
                               astar_config)
-        return SynthesisResult(
-            method=Method.ASTAR, schedule=outcome.schedule,
-            finish_time=outcome.finish_time,
-            solve_time=outcome.solve_time, plan=outcome.plan,
-            outcome=outcome, hyper=hyper, topology_used=work_topology,
-            demand_used=work_demand, config=config)
-
-    raise ModelError(f"unknown method {method!r}")
+    else:
+        raise ModelError(f"unknown method {method!r}")
+    return SynthesisResult(
+        method=method, schedule=outcome.schedule,
+        finish_time=outcome.finish_time, solve_time=outcome.solve_time,
+        plan=outcome.plan, outcome=outcome, hyper=hyper,
+        topology_used=work_topology, demand_used=work_demand, config=config)
 
 
 def _warm_horizon_hint(topology: Topology, config: TecclConfig,

@@ -541,8 +541,8 @@ def solve_reduced(orbit_map: OrbitMap,
     """
     note_reduction()
     with _obs_rspan("symmetry.solve", orbits=orbit_map.num_orbits,
-                    cols_full=orbit_map.stats.get("cols_full"),
-                    cols_reduced=orbit_map.stats.get("cols_reduced")):
+                    cols_full=orbit_map.stats["symmetry_cols_full"],
+                    cols_reduced=orbit_map.stats["symmetry_cols_reduced"]):
         result = orbit_map.reduced.solve(options)
     values = None
     if result.values is not None:

@@ -30,15 +30,13 @@ from repro.service.fingerprint import (FINGERPRINT_VERSION,
                                        fingerprint_request,
                                        near_fingerprint_request)
 from repro.service.planner import Planner, PlannerStats
-from repro.service.pool import (PoolStats, SolvePool, reset_shared_pool,
-                                shared_pool, solve_request)
+from repro.service.pool import PoolStats, SolvePool, solve_request
 from repro.service.schema import PlanRequest, PlanResponse
 
 __all__ = [
     "Planner", "PlannerStats", "PlanRequest", "PlanResponse",
     "ScheduleCache", "CacheStats", "CacheEntryInfo", "CACHE_FORMAT_VERSION",
     "SolvePool", "PoolStats", "solve_request",
-    "shared_pool", "reset_shared_pool",
     "canonical_request", "fingerprint_request", "FINGERPRINT_VERSION",
     "canonical_near_request", "near_fingerprint_request",
 ]

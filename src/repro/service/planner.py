@@ -118,8 +118,7 @@ class Planner:
         self.symmetry = symmetry
         self.cache = cache if cache is not None else ScheduleCache(
             capacity=cache_capacity, directory=cache_dir)
-        # An injected pool may be shared with other planners or with
-        # library-level fan-out (repro.service.pool.shared_pool); only a
+        # An injected pool may be shared with other planners; only a
         # pool this planner created is shut down by close().
         self._owns_pool = pool is None
         self.pool = pool if pool is not None else SolvePool(

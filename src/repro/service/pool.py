@@ -141,8 +141,7 @@ class SolvePool:
 
     # ------------------------------------------------------------------
     def submit(self, fingerprint: str, request_dict: dict,
-               on_complete=None, *,
-               solve_fn=None) -> tuple[_futures.Future, bool]:
+               on_complete=None) -> tuple[_futures.Future, bool]:
         """Submit a solve, or join the identical one already in flight.
 
         Returns ``(future, coalesced)``: the future resolves to the
@@ -150,19 +149,12 @@ class SolvePool:
         ``coalesced`` is True when the request piggybacked on an in-flight
         solve instead of starting its own.
 
-        ``solve_fn`` overrides the pool's worker function for this request
-        only — how library code (e.g. POP's cold partition fan-out) runs
-        its own work kind on a shared pool. It must be module-level
-        picklable for process executors, and a coalesced join ignores it:
-        the already-in-flight solve, whatever function it runs, wins.
-
         ``on_complete(fingerprint, future)``, if given, runs *before* the
         fingerprint leaves the in-flight registry. The planner archives the
         result there: because archival strictly precedes deregistration, a
         concurrent identical request always finds the solve either still in
         flight (coalesces) or already in the cache — never neither.
         """
-        fn = solve_fn if solve_fn is not None else self._solve_fn
         with self._lock:
             existing = self._inflight.get(fingerprint)
             if existing is not None:
@@ -172,13 +164,13 @@ class SolvePool:
             if self._executor is None:
                 future: _futures.Future = _futures.Future()
             else:
-                future = self._executor.submit(fn, request_dict)
+                future = self._executor.submit(self._solve_fn, request_dict)
             self._inflight[fingerprint] = future
         if self._executor is None:
             # Inline: solve on the calling thread. The future is already
             # registered, so re-entrant submits from a solve_fn still coalesce.
             try:
-                future.set_result(fn(request_dict))
+                future.set_result(self._solve_fn(request_dict))
             except BaseException as exc:  # noqa: BLE001 - forwarded to waiters
                 future.set_exception(exc)
         # Done-callbacks fire in registration order (immediately, in this
@@ -229,38 +221,3 @@ class SolvePool:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-
-
-# ----------------------------------------------------------------------
-# the process-wide shared pool (library-code reuse)
-# ----------------------------------------------------------------------
-_shared_pool: SolvePool | None = None
-_shared_lock = threading.Lock()
-
-
-def shared_pool(max_workers: int | None = None,
-                executor: str = "process") -> SolvePool:
-    """The lazily created process-wide pool for library-level fan-out.
-
-    Callers outside the planner (e.g. ``solve_lp_pop(..., pool=...)``)
-    share one pool instead of each paying process startup; the first call
-    fixes the configuration, later calls return the same instance. A
-    :class:`~repro.service.planner.Planner` handed this pool will not shut
-    it down on ``close()`` — only pools the planner created itself are
-    owned by it.
-    """
-    global _shared_pool
-    with _shared_lock:
-        if _shared_pool is None:
-            _shared_pool = SolvePool(max_workers=max_workers,
-                                     executor=executor)
-        return _shared_pool
-
-
-def reset_shared_pool() -> None:
-    """Shut down and forget the shared pool (tests, interpreter teardown)."""
-    global _shared_pool
-    with _shared_lock:
-        pool, _shared_pool = _shared_pool, None
-    if pool is not None:
-        pool.shutdown()

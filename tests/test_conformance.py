@@ -448,3 +448,112 @@ class TestFlowStranding:
         report = check_flow(flow, topo, demand, plan)
         assert any(v.kind == "stranded" and v.node == 3
                    for v in report.violations)
+
+
+class TestShortcutGateFallbacks:
+    """Every shortcut is gated by a replay; here the replay is made to
+    report a violation once, and the documented fallback must answer."""
+
+    @pytest.fixture
+    def fail_replays(self, monkeypatch):
+        """``fail_replays(name, count)``: the first ``count`` calls of
+        ``repro.simulate.<name>`` report a violation, later ones are real.
+        Returns the list of calls seen (``True`` = failed on purpose)."""
+        import repro.simulate as simulate
+        from repro.simulate.conformance import ConformanceReport, Violation
+
+        def install(name, count=1):
+            real, calls = getattr(simulate, name), []
+
+            def replay(*args, **kwargs):
+                calls.append(len(calls) < count)
+                if calls[-1]:
+                    return ConformanceReport(violations=[
+                        Violation(kind="capacity", message="injected")])
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(simulate, name, replay)
+            return calls
+        return install
+
+    @staticmethod
+    def _ring8_atoa(symmetry):
+        from repro.solver import SolverOptions
+
+        ring8 = topology.ring(8, capacity=1.0)
+        config = TecclConfig(chunk_bytes=1.0,
+                             solver=SolverOptions(symmetry=symmetry))
+        return ring8, collectives.alltoall(ring8.gpus, 1), config
+
+    def test_quotient_lp_falls_back_to_the_full_model(self, fail_replays):
+        from repro.core.lp import solve_lp
+
+        topo, demand, config = self._ring8_atoa("off")
+        full = solve_lp(topo, demand, config)
+        topo, demand, config = self._ring8_atoa("on")
+        calls = fail_replays("check_flow")
+        out = solve_lp(topo, demand, config)
+        assert calls == [True]
+        assert out.result.stats["symmetry_fallback"] == "conformance"
+        assert "symmetry_conformant" not in out.result.stats
+        assert out.result.stats["horizon_attempts"] == 1
+        assert out.result.objective == pytest.approx(full.result.objective)
+        assert check_flow(out.schedule, topo, demand, out.plan,
+                          config=config).ok
+
+    def test_cut_milp_falls_back_to_the_uncut_model(self, fail_replays):
+        from repro.core.milp import solve_milp
+        from repro.solver import SolverOptions
+
+        ring6 = topology.ring(6, capacity=1.0)
+        demand = collectives.allgather(ring6.gpus, 1)
+        config = TecclConfig(chunk_bytes=1.0,
+                             solver=SolverOptions(symmetry="on"))
+        calls = fail_replays("check_schedule")
+        out = solve_milp(ring6, demand, config)
+        assert calls == [True]
+        assert out.result.stats["symmetry_fallback"] == "conformance"
+        assert check_schedule(out.schedule, ring6, demand, out.plan,
+                              config=config).ok
+
+    def test_horizon_search_falls_back_to_the_cold_bisection(
+            self, fail_replays, monkeypatch):
+        from repro.core import lp as lp_module
+
+        topo, demand, config = self._ring8_atoa("off")
+        reference = lp_module.minimize_epochs_lp(topo, demand, config)
+        cold_calls = []
+        real_cold = lp_module._minimize_epochs_cold
+
+        def recording_cold(*args):
+            cold_calls.append(args[-1])
+            return real_cold(*args)
+
+        monkeypatch.setattr(lp_module, "_minimize_epochs_cold",
+                            recording_cold)
+        calls = fail_replays("check_flow")
+        out = lp_module.minimize_epochs_lp(topo, demand, config)
+        assert calls == [True] and len(cold_calls) == 1
+        assert out.plan.num_epochs == reference.plan.num_epochs
+        assert out.result.objective == pytest.approx(
+            reference.result.objective)
+
+    def test_pop_parallel_violation_is_resolved_sequentially(
+            self, fail_replays):
+        from repro.core.pop import solve_lp_pop
+
+        topo, demand, config = self._ring8_atoa("off")
+        reference = solve_lp_pop(topo, demand, config, num_partitions=2)
+        calls = fail_replays("check_flow")
+        out = solve_lp_pop(topo, demand, config, num_partitions=2,
+                           parallel=True, jobs=2)
+        assert calls == [True, False]  # parallel merge, then sequential
+        assert out.schedule.flows == reference.schedule.flows
+
+    def test_pop_sequential_violation_raises(self, fail_replays):
+        from repro.core.pop import solve_lp_pop
+
+        topo, demand, config = self._ring8_atoa("off")
+        fail_replays("check_flow")
+        with pytest.raises(ScheduleError, match="injected"):
+            solve_lp_pop(topo, demand, config, num_partitions=2)

@@ -5,11 +5,12 @@ import pytest
 from repro.collectives import allgather, alltoall
 from repro.core import TecclConfig
 from repro.core.config import EpochMode
+from repro.core import epochs as epochs_module
 from repro.core.epochs import (algorithm1_num_epochs, build_epoch_plan,
                                candidate_completion_times,
                                earliest_arrival_epochs, epoch_duration,
-                               min_time_seconds, path_based_epoch_bound,
-                               plan_with_tau)
+                               horizon_ladder, min_time_seconds,
+                               path_based_epoch_bound, plan_with_tau)
 from repro.errors import ModelError
 from repro.topology import Topology, line, ndv2, ring
 
@@ -149,6 +150,36 @@ class TestHorizonBounds:
         cfg = TecclConfig(chunk_bytes=1e6)
         bound = algorithm1_num_epochs(topo, demand, cfg)
         assert bound >= 1
+
+
+class TestHorizonLadder:
+    """The auto-horizon policy of solve_lp / solve_milp / solve_lp_pop,
+    pinned in the one place it is stated (path bound patched to 5)."""
+
+    @pytest.mark.parametrize("explicit, kwargs, rungs", [
+        # an explicit K is one attempt at that K, hint or not
+        (7, {}, [(1, 7)]),
+        (7, {"initial_epochs": 2}, [(1, 7)]),
+        # cold: three rungs from the bound, doubling
+        (None, {}, [(1, 5), (2, 10), (3, 20)]),
+        # a hint below the bound is a free rung, then the cold ladder
+        (None, {"initial_epochs": 3}, [(1, 3), (2, 5), (3, 10), (4, 20)]),
+        (None, {"initial_epochs": 1}, [(1, 2), (2, 5), (3, 10), (4, 20)]),
+        # a hint at or above the bound is clamped to it
+        (None, {"initial_epochs": 5}, [(1, 5), (2, 10), (3, 20)]),
+        (None, {"initial_epochs": 40}, [(1, 5), (2, 10), (3, 20)]),
+        # POP: the stretched bound is the first rung, then doublings
+        (None, {"stretch": lambda bound: bound + 2},
+         [(1, 7), (2, 14), (3, 28)]),
+    ])
+    def test_rungs(self, monkeypatch, explicit, kwargs, rungs):
+        monkeypatch.setattr(epochs_module, "path_based_epoch_bound",
+                            lambda topology, demand, plan: 5)
+        topo = ring(4, capacity=1.0)
+        config = TecclConfig(chunk_bytes=1.0, num_epochs=explicit)
+        ladder = horizon_ladder(topo, alltoall(topo.gpus, 1), config,
+                                **kwargs)
+        assert list(ladder) == rungs
 
 
 class TestAlphaStretchIteration:

@@ -4,6 +4,7 @@ import pytest
 
 from repro import collectives, topology
 from repro.core import TecclConfig
+from repro.core import epochs as epochs_module
 from repro.core.config import EpochMode
 from repro.core.epochs import build_epoch_plan
 from repro.core.lp import (LpBuilder, build_commodities, lp_feasible_horizon,
@@ -154,6 +155,21 @@ class TestHorizonMachinery:
         demand = collectives.Demand.from_triples([(0, 0, 2)])
         with pytest.raises(InfeasibleError):
             minimize_epochs_lp(line3, demand, cfg(), max_epochs=1)
+
+    @pytest.mark.parametrize("hint, attempts", [(None, 3), (2, 4)])
+    def test_warm_hint_never_costs_a_feasible_answer(self, monkeypatch,
+                                                     hint, attempts):
+        """With the bound undershooting (3; ring8 AtoA needs K > 6) the
+        cold ladder succeeds on its third rung, K=12 — and so must the
+        hinted one: the rung below the bound is free."""
+        monkeypatch.setattr(epochs_module, "path_based_epoch_bound",
+                            lambda topology, demand, plan: 3)
+        ring8 = topology.ring(8, capacity=1.0)
+        out = solve_lp(ring8, collectives.alltoall(ring8.gpus, 1), cfg(),
+                       initial_epochs=hint)
+        assert out.plan.num_epochs == 12
+        assert out.result.stats["horizon_epochs"] == 12
+        assert out.result.stats["horizon_attempts"] == attempts
 
 
 class TestBufferLimitLp:

@@ -8,6 +8,7 @@ import pytest
 
 from repro import collectives, topology
 from repro.core import TecclConfig, solve_milp
+from repro.core import epochs as epochs_module
 from repro.core.config import EpochMode, SwitchModel
 from repro.core.epochs import build_epoch_plan
 from repro.core.milp import MilpBuilder
@@ -37,6 +38,21 @@ class TestBroadcastLine:
         demand = collectives.broadcast(0, [2], 1)
         out = solve_milp(line3, demand, cfg(2))
         assert out.schedule.finish_epoch == 1
+
+    @pytest.mark.parametrize("hint, attempts", [(None, 3), (2, 4)])
+    def test_warm_hint_never_costs_a_feasible_answer(self, monkeypatch,
+                                                     hint, attempts):
+        """Seven hops need K >= 7: with the bound undershooting (3) the
+        cold ladder succeeds on its third rung, K=12 — and so must the
+        hinted one: the rung below the bound is free."""
+        monkeypatch.setattr(epochs_module, "path_based_epoch_bound",
+                            lambda topology, demand, plan: 3)
+        line8 = topology.line(8, capacity=1.0)
+        demand = collectives.broadcast(0, line8.gpus, 1)
+        out = solve_milp(line8, demand, cfg(), initial_epochs=hint)
+        assert out.plan.num_epochs == 12
+        assert out.result.stats["horizon_attempts"] == attempts
+        verify(out.schedule, line8, demand, out.plan)
 
 
 class TestRingAllgather:

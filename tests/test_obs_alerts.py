@@ -226,13 +226,14 @@ class TestExplainRecord:
             conformance="ok", serve_time=0.002,
             phases={"planner.submit": 0.001},
             solve={"method": "milp",
-                   "stats": {"orbits": 4, "cols_reduced": 10}})
+                   "stats": {"symmetry_orbits": 4,
+                             "symmetry_cols_reduced": 10}})
         text = record.render()
         assert "source        : solve" in text
         assert "abc123" in text
         assert "symmetry-collapsed" in text
         assert "donor9" in text
-        assert "orbits" in text
+        assert "symmetry_orbits" in text
         assert "planner.submit" in text
 
     def test_error_record_renders_error_line(self):
@@ -240,9 +241,24 @@ class TestExplainRecord:
         assert "error         : boom" in record.render()
 
     def test_solve_stats_subset_filters_to_scalars(self):
-        stats = {"horizon_attempts": 3, "orbits": 4,
+        stats = {"horizon_attempts": 3, "symmetry_orbits": 4,
                  "matrix": [[1, 2]], "build_time": 0.5, "junk": object()}
         subset = solve_stats_subset(stats)
-        assert subset == {"horizon_attempts": 3, "orbits": 4,
+        assert subset == {"horizon_attempts": 3, "symmetry_orbits": 4,
                           "build_time": 0.5}
         assert solve_stats_subset(None) == {}
+
+    def test_symmetric_solve_explains_its_compression(self):
+        """The names the quotient stamps are the names the record lifts:
+        a real symmetry-on solve reports how far the LP was compressed."""
+        from repro import collectives, topology
+        from repro.core import TecclConfig, synthesize
+
+        ring8 = topology.ring(8, capacity=1.0)
+        result = synthesize(ring8, collectives.alltoall(ring8.gpus, 1),
+                            TecclConfig(chunk_bytes=1.0), symmetry="on")
+        stats = result.explain["stats"]
+        assert stats["symmetry_conformant"] is True
+        assert stats["symmetry_cols_reduced"] < stats["symmetry_cols_full"]
+        assert stats["symmetry_rows_reduced"] < stats["symmetry_rows_full"]
+        assert stats["symmetry_orbits"] == stats["symmetry_cols_reduced"]

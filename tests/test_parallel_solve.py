@@ -1,7 +1,7 @@
 """Tests for the parallel decomposition paths (PR 7).
 
 Covers the shared sub-solve executor (:mod:`repro.core.subsolve`), the
-POP thread/process fan-out, and the hierarchical fingerprint dedup —
+POP thread fan-out, and the hierarchical fingerprint dedup —
 always against the invariant that parallel/deduped runs produce merged
 schedules *identical* to the sequential paths and conformance-clean.
 """
@@ -16,7 +16,6 @@ from repro.core import TecclConfig
 from repro.core.hierarchical import chassis_groups, hierarchical_allgather
 from repro.core.pop import solve_lp_pop
 from repro.core.subsolve import SubSolveCache, run_subsolves
-from repro.service.pool import SolvePool
 from repro.simulate import check_flow, check_result
 from repro.solver import SolverOptions
 
@@ -195,46 +194,19 @@ class TestPopParallel:
                            parallel=True)
         _assert_pop_identical(seq, par, topo, demand, config)
 
-    def test_pooled_process_style_fanout_matches_sequential(self):
-        """The full serialise → worker → deserialise round trip, run on
-        an inline pool so the test stays cheap and deterministic."""
-        topo = topology.ring(4, capacity=1.0)
-        demand = collectives.alltoall(topo.gpus, 1)
-        config = _lp_config()
-        seq = solve_lp_pop(topo, demand, config, num_partitions=2)
-        with SolvePool(executor="inline") as pool:
-            pooled = solve_lp_pop(topo, demand, config, num_partitions=2,
-                                  pool=pool)
-            assert pool.stats.solves == 2
-        _assert_pop_identical(seq, pooled, topo, demand, config)
-        # the primal vector stays behind in the worker
-        assert all(o.result.values is None for o in pooled.sub_outcomes)
-
-    def test_pooled_partitions_take_the_quotient(self):
-        """The pool worker runs the same partition solve as the in-process
-        path, symmetry quotient included."""
+    def test_partitions_take_the_quotient(self):
+        """A POP partition goes through the symmetry quotient like any
+        other LP solve, on the sequential and the thread fan-out alike."""
         topo = topology.ring(6, capacity=1.0)
         demand = collectives.alltoall(topo.gpus, 1)
         config = TecclConfig(chunk_bytes=1.0, solver=SolverOptions(
             time_limit=60, symmetry="on"))
         seq = solve_lp_pop(topo, demand, config, num_partitions=1)
-        with SolvePool(executor="inline") as pool:
-            pooled = solve_lp_pop(topo, demand, config, num_partitions=1,
-                                  pool=pool)
-        for out in (seq, pooled):
+        par = solve_lp_pop(topo, demand, config, num_partitions=1,
+                           parallel=True, jobs=2)
+        for out in (seq, par):
             assert out.sub_outcomes[0].result.stats["symmetry_conformant"]
-        _assert_pop_identical(seq, pooled, topo, demand, config)
-
-    @pytest.mark.slow
-    def test_pooled_real_processes_match_sequential(self):
-        topo = topology.ring(4, capacity=1.0)
-        demand = collectives.alltoall(topo.gpus, 1)
-        config = _lp_config()
-        seq = solve_lp_pop(topo, demand, config, num_partitions=2)
-        with SolvePool(max_workers=2, executor="process") as pool:
-            pooled = solve_lp_pop(topo, demand, config, num_partitions=2,
-                                  pool=pool)
-        _assert_pop_identical(seq, pooled, topo, demand, config)
+        _assert_pop_identical(seq, par, topo, demand, config)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -5,9 +5,10 @@ constraint block per automorphism orbit and lifts the reduced solution back
 to the full fabric, replay-vetted by the conformance oracle. This bench
 times the full LP pipeline with ``symmetry=off`` vs ``symmetry=on`` on the
 symmetric members of the Table-4 family (uniform ring, 2-D torus), asserts
-the ≥2× end-to-end win and objective parity, and publishes per-orbit
-variable/constraint counts to ``benchmarks/results/BENCH_symmetry.json``
-so future PRs can track compression regressions.
+the ≥8× end-to-end win on *every* instance and objective parity, and
+publishes per-orbit variable/constraint counts to
+``benchmarks/results/BENCH_symmetry.json`` so future PRs can track
+compression regressions.
 """
 
 from _common import timed, write_result
@@ -86,8 +87,10 @@ def test_symmetry_speedup(benchmark):
         phases={"solve_off": sum(r["solve_off_s"] for r in records),
                 "solve_on": sum(r["solve_on_s"] for r in records)})
 
-    # the acceptance claim: ≥2× end to end on symmetric Table-4 instances
-    assert max(speedups.values()) >= 2.0, speedups
+    # the acceptance claim, on every instance: measured 17.9-19.8× (ring16)
+    # and 14.8-17.1× (torus4x4) with the array kernels of PR 15; the floor
+    # leaves most of a factor of two for slower hosts
+    assert min(speedups.values()) >= 8.0, speedups
 
     # representative quotient solve for pytest-benchmark tracking
     topo = topology.ring(16, capacity=1.0, alpha=0.0)

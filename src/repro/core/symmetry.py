@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from repro.collectives.demand import Demand
 from repro.obs.metrics import get_registry as _default_registry
@@ -253,7 +254,7 @@ def find_generators(topology: Topology, demand: Demand | None = None,
     identity = list(range(topology.num_nodes))
     out: list[Automorphism] = []
     seen = {tuple(identity)}
-    with _obs_span("symmetry.detect", nodes=topology.num_nodes) as sp:
+    with _obs_rspan("symmetry.detect", nodes=topology.num_nodes) as sp:
         for cand in _candidate_perms(topology, demand):
             key = tuple(cand)
             if key in seen:
@@ -279,6 +280,84 @@ def _map_key(key, auto: Automorphism):
     return auto.perm[key]
 
 
+class ColumnKeys:
+    """The formulation keys of one built model as sorted integer codes.
+
+    The ``f_vars``/``b_vars``/``r_vars`` dicts are walked once: every key
+    ``(q, i, j, k)`` / ``(q, n, k)`` becomes one int64 code over (family,
+    head index, node, second-node slot, epoch), kept sorted beside its
+    column. A generator then maps all keys at once — node arrays gathered
+    through ``perm``, heads through a per-generator head table — and finds
+    the image columns with one ``searchsorted`` (:meth:`permutation`).
+    """
+
+    def __init__(self, num_cols: int, f_vars: dict, b_vars: dict,
+                 r_vars: dict) -> None:
+        self.num_cols = num_cols
+        self._heads: dict = {}
+        # one (family, head, node, slot, epoch, column) block per dict;
+        # slot 0 = "no second node" (b/r keys), else second node + 1
+        blocks = [np.empty((6, 0), dtype=np.int64)]
+        for fam, vars_ in enumerate((f_vars, b_vars, r_vars)):
+            if not vars_:
+                continue
+            q, *nodes, k = zip(*vars_)
+            count = len(vars_)
+            blocks.append(np.array([
+                np.full(count, fam),
+                [self._heads.setdefault(h, len(self._heads)) for h in q],
+                nodes[0],
+                np.array(nodes[1]) + 1 if len(nodes) > 1
+                else np.zeros(count, dtype=np.int64),
+                k,
+                list(vars_.values())], dtype=np.int64))
+        (family, self._head, self._node, self._slot, self._epoch,
+         self._cols) = np.concatenate(blocks, axis=1)
+        self._num_nodes = int(max(self._node.max(initial=-1) + 1,
+                                  self._slot.max(initial=0)))
+        self._num_epochs = int(self._epoch.max(initial=-1)) + 1
+        self._base = family * len(self._heads)
+        # codes < 3 * heads * (nodes + 1)^2 * epochs: nowhere near int64
+        # for a model that fits in memory
+        codes = self._code(self._head, self._node, self._slot)
+        order = np.argsort(codes)
+        self._sorted_codes = codes[order]
+        self._sorted_cols = self._cols[order]
+
+    def _code(self, head, node, slot) -> np.ndarray:
+        n = self._num_nodes
+        return ((((self._base + head) * n + node) * (n + 1) + slot)
+                * self._num_epochs + self._epoch)
+
+    def permutation(self, auto: Automorphism):
+        """The column permutation ``auto`` induces, or ``None``."""
+        heads = self._heads
+        head_image = np.empty(len(heads), dtype=np.int64)
+        for h, index in heads.items():
+            image = heads.get(_map_key(h, auto))
+            if image is None:
+                return None
+            head_image[index] = image
+        perm = np.asarray(auto.perm, dtype=np.int64)
+        node = perm[self._node]
+        slot = np.concatenate(([0], perm + 1))[self._slot]
+        n = self._num_nodes
+        if node.max(initial=0) >= n or slot.max(initial=0) > n:
+            return None  # an image node no key of this model mentions
+        image = self._code(head_image[self._head], node, slot)
+        pos = np.searchsorted(self._sorted_codes, image)
+        pos[pos == len(self._sorted_codes)] = 0
+        if not np.array_equal(self._sorted_codes[pos], image):
+            return None
+        pi = np.arange(self.num_cols, dtype=np.int64)
+        pi[self._cols] = self._sorted_cols[pos]
+        hit = np.zeros(self.num_cols, dtype=bool)
+        hit[pi] = True
+        if not hit.all():
+            return None
+        return pi
+
+
 def induced_column_permutation(auto: Automorphism, num_cols: int,
                                f_vars: dict, b_vars: dict, r_vars: dict):
     """The column permutation a node automorphism induces on a built model.
@@ -291,29 +370,14 @@ def induced_column_permutation(auto: Automorphism, num_cols: int,
     absent (the permutation does not act on this model) or the induced
     map is not a bijection; columns in none of the dicts stay fixed —
     :func:`verify_column_permutation` is the backstop for any auxiliary
-    structure.
+    structure. One-generator form of :class:`ColumnKeys`, which callers
+    with many generators build once.
     """
-    perm = auto.perm
-    pi = np.arange(num_cols, dtype=np.int64)
-    for vars_ in (f_vars, b_vars, r_vars):
-        for key, var in vars_.items():
-            head = _map_key(key[0], auto)
-            if head is None:
-                return None
-            image = (head,) + tuple(
-                perm[x] for x in key[1:-1]) + (key[-1],)
-            target = vars_.get(image)
-            if target is None:
-                return None
-            pi[int(var)] = int(target)
-    if not np.array_equal(np.sort(pi), np.arange(num_cols)):
-        return None
-    return pi
+    return ColumnKeys(num_cols, f_vars, b_vars, r_vars).permutation(auto)
 
 
-def verify_column_permutation(compiled: CompiledModel, pi,
-                              seed: int = 0) -> bool:
-    """Verify ``pi`` leaves the compiled model invariant.
+class PermutationVerifier:
+    """Checks column permutations against one compiled model.
 
     A feasible ``x`` must map to a feasible ``x'`` with ``x'[pi[i]] =
     x[i]`` and equal objective. Exact checks: ``c[pi] == c``, column
@@ -322,37 +386,68 @@ def verify_column_permutation(compiled: CompiledModel, pi,
     ``(A w[pi], lb, ub)`` rows must agree — sound up to hash collision
     odds, and the conformance replay at the call sites is the hard gate.
     A spurious rejection only costs the reduction, never correctness.
+
+    Everything that depends on the model alone (``A w``, the bound keys,
+    the sorted ``A w`` side of the comparison) is computed here, once;
+    a call pays one ``A @ w[pi]`` product and one sort.
     """
-    pi = np.asarray(pi, dtype=np.int64)
-    if not (np.array_equal(compiled.c[pi], compiled.c)
-            and np.array_equal(compiled.col_lower[pi], compiled.col_lower)
-            and np.array_equal(compiled.col_upper[pi], compiled.col_upper)
-            and np.array_equal(compiled.integrality[pi],
-                               compiled.integrality)):
-        return False
-    rng = np.random.default_rng(seed)
-    w = rng.uniform(1.0, 2.0, size=(compiled.A.shape[1], 2))
-    u = compiled.A @ w
-    v = compiled.A @ w[pi]
-    return _row_multisets_match(u, v, compiled.row_lower, compiled.row_upper)
+
+    def __init__(self, compiled: CompiledModel, seed: int = 0) -> None:
+        self._compiled = compiled
+        rng = np.random.default_rng(seed)
+        self._w = rng.uniform(1.0, 2.0, size=(compiled.A.shape[1], 2))
+        u = compiled.A @ self._w
+        self._quantum = 1e7 / max(1.0, float(np.abs(u).max(initial=0.0)))
+        # rows can only match rows with identical bounds: one group id
+        # per distinct (lb, ub) pair stands in for both keys in the sorts
+        bounds = np.stack([_bound_key(compiled.row_lower),
+                           _bound_key(compiled.row_upper)], axis=1)
+        self._group = np.unique(bounds, axis=0, return_inverse=True)[1] \
+            .reshape(-1)
+        self._u_sorted = self._sorted_rows(u)
+
+    def _sorted_rows(self, product: np.ndarray) -> np.ndarray:
+        q = np.round(product * self._quantum).astype(np.int64)
+        order = np.lexsort((q[:, 1], q[:, 0], self._group))
+        return np.column_stack([self._group[order], q[order]])
+
+    def __call__(self, pi) -> bool:
+        compiled = self._compiled
+        pi = np.asarray(pi, dtype=np.int64)
+        if not (np.array_equal(compiled.c[pi], compiled.c)
+                and np.array_equal(compiled.col_lower[pi],
+                                   compiled.col_lower)
+                and np.array_equal(compiled.col_upper[pi],
+                                   compiled.col_upper)
+                and np.array_equal(compiled.integrality[pi],
+                                   compiled.integrality)):
+            return False
+        return np.array_equal(self._sorted_rows(compiled.A @ self._w[pi]),
+                              self._u_sorted)
+
+
+def verify_column_permutation(compiled: CompiledModel, pi,
+                              seed: int = 0) -> bool:
+    """Verify ``pi`` leaves the compiled model invariant (one-permutation
+    form of :class:`PermutationVerifier`)."""
+    return PermutationVerifier(compiled, seed)(pi)
 
 
 def _bound_key(bounds: np.ndarray) -> np.ndarray:
     return np.nan_to_num(bounds, posinf=1e300, neginf=-1e300)
 
 
-def _row_multisets_match(u: np.ndarray, v: np.ndarray, lb: np.ndarray,
-                         ub: np.ndarray) -> bool:
-    scale = max(1.0, float(np.abs(u).max(initial=0.0)))
-    uq = np.round(u * (1e7 / scale)).astype(np.int64)
-    vq = np.round(v * (1e7 / scale)).astype(np.int64)
-    lbq = _bound_key(lb)
-    ubq = _bound_key(ub)
-    order_u = np.lexsort((uq[:, 1], uq[:, 0], ubq, lbq))
-    order_v = np.lexsort((vq[:, 1], vq[:, 0], ubq, lbq))
-    return (np.array_equal(uq[order_u], vq[order_v])
-            and np.array_equal(lbq[order_u], lbq[order_v])
-            and np.array_equal(ubq[order_u], ubq[order_v]))
+def _verified_column_permutations(compiled: CompiledModel, generators,
+                                  num_cols: int, f_vars: dict,
+                                  b_vars: dict, r_vars: dict):
+    """Yield the verified column permutation of every generator that acts
+    on the model (trust layer 2: none is taken on faith, none skipped)."""
+    keys = ColumnKeys(num_cols, f_vars, b_vars, r_vars)
+    verify = PermutationVerifier(compiled)
+    for gen in generators:
+        pi = keys.permutation(gen)
+        if pi is not None and verify(pi):
+            yield pi
 
 
 # ----------------------------------------------------------------------
@@ -365,28 +460,38 @@ def column_orbits(num_cols: int, perms) -> tuple[np.ndarray, np.ndarray]:
     column ``i`` (ids ``0..k-1`` ordered by smallest member) and
     ``reps[o]`` the smallest column in orbit ``o``.
     """
-    parent = list(range(num_cols))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    orbit = reps = np.arange(num_cols, dtype=np.int64)
     for p in perms:
-        for i, j in enumerate(np.asarray(p).tolist()):
-            if i == j:
-                continue
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                if ri < rj:
-                    parent[rj] = ri
-                else:
-                    parent[ri] = rj
-    roots = np.fromiter((find(i) for i in range(num_cols)),
-                        dtype=np.int64, count=num_cols)
-    reps, orbit = np.unique(roots, return_inverse=True)
-    return orbit.astype(np.int64), reps
+        orbit, reps = _merge_orbits(orbit, reps, p)
+    return orbit, reps
+
+
+def _merge_orbits(orbit: np.ndarray, reps: np.ndarray,
+                  perm) -> tuple[np.ndarray, np.ndarray]:
+    """Fold one more permutation into an orbit partition.
+
+    The permutation merges the *current* orbits it connects (connected
+    components over orbit ids), so folding permutations in one at a time
+    keeps the working set at a few arrays of ``num_cols`` however many
+    there are — all their edges in one graph cost +47 % peak RSS on the
+    ledger's ``cold-symmetric``.
+    """
+    image = orbit[np.asarray(perm, dtype=np.int64)]
+    moved = orbit != image
+    if not moved.any():
+        return orbit, reps
+    k = len(reps)
+    edges = sparse.coo_matrix(
+        (np.ones(int(moved.sum()), dtype=np.int8),
+         (orbit[moved], image[moved])), shape=(k, k))
+    count, comp = connected_components(edges, directed=False)
+    # orbit ids are ordered by smallest member, so a merged orbit's
+    # smallest member belongs to its first old id: renumbering the
+    # components in first-occurrence order keeps that invariant
+    first = np.unique(comp, return_index=True)[1]
+    rank = np.empty(count, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(count)
+    return rank[comp][orbit], reps[np.sort(first)]
 
 
 # ----------------------------------------------------------------------
@@ -424,91 +529,91 @@ def reduce_lp(model: Model, generators, num_cols: int, f_vars: dict,
     and lies in the subspace. The quotient substitutes ``x = S y`` (S the
     0/1 column-orbit selector), deduplicates the rows that become
     identical, and keeps representative bounds (constant on orbits by
-    generator verification). Returns ``None`` when nothing collapses or no
-    generator survives verification.
+    generator verification). Returns ``None`` for a model with integer
+    columns (the restriction is only valid for LPs), when nothing
+    collapses, or when no generator survives verification.
     """
-    compiled = model.compile()
-    colperms = []
-    for gen in generators:
-        pi = induced_column_permutation(gen, num_cols, f_vars, b_vars,
-                                        r_vars)
-        if pi is not None and verify_column_permutation(compiled, pi):
-            colperms.append(pi)
-    if not colperms:
-        return None
-    if np.any(compiled.integrality != 0):
-        return None
-    orbit, reps = column_orbits(num_cols, colperms)
-    k = len(reps)
-    if k >= num_cols:
-        return None
-    with _obs_span("symmetry.quotient", cols=num_cols, orbits=k):
-        selector = sparse.csr_matrix(
-            (np.ones(num_cols), (np.arange(num_cols), orbit)),
-            shape=(num_cols, k))
-        a_red = (compiled.A @ selector).tocsr()
-        a_red.sort_indices()
-        keep = _dedup_rows(a_red, compiled.row_lower, compiled.row_upper)
-        a_red = a_red[keep]
-        reduced = Model(name="quotient", sense=compiled.sense)
-        reduced.add_var_array(k, lb=compiled.col_lower[reps],
-                              ub=compiled.col_upper[reps])
-        coo = a_red.tocoo()
-        reduced.add_constr_coo(coo.row, coo.col, coo.data,
-                               lb=compiled.row_lower[keep],
-                               ub=compiled.row_upper[keep],
-                               num_rows=a_red.shape[0])
-        c_red = np.zeros(k)
-        np.add.at(c_red, orbit, compiled.c)
-        reduced.set_objective_array(np.arange(k), c_red,
-                                    const=compiled.obj_const)
-        stats = {
-            "symmetry_generators": len(colperms),
-            "symmetry_orbits": k,
-            "symmetry_cols_full": num_cols,
-            "symmetry_cols_reduced": k,
-            "symmetry_rows_full": int(compiled.A.shape[0]),
-            "symmetry_rows_reduced": int(a_red.shape[0]),
-        }
-        return OrbitMap(generators=list(generators), orbit=orbit, reps=reps,
-                        reduced=reduced, stats=stats)
+    with _obs_rspan("symmetry.reduce", cols=num_cols,
+                    generators=len(generators)):
+        compiled = model.compile()
+        if np.any(compiled.integrality != 0):
+            return None
+        orbit = reps = np.arange(num_cols, dtype=np.int64)
+        verified = 0
+        for pi in _verified_column_permutations(
+                compiled, generators, num_cols, f_vars, b_vars, r_vars):
+            verified += 1
+            orbit, reps = _merge_orbits(orbit, reps, pi)
+        k = len(reps)
+        if k >= num_cols:
+            return None
+        with _obs_span("symmetry.quotient", cols=num_cols, orbits=k):
+            selector = sparse.csr_matrix(
+                (np.ones(num_cols), (np.arange(num_cols), orbit)),
+                shape=(num_cols, k))
+            a_red = (compiled.A @ selector).tocsr()
+            a_red.sort_indices()
+            keep = _dedup_rows(a_red, compiled.row_lower,
+                               compiled.row_upper)
+            a_red = a_red[keep]
+            reduced = Model(name="quotient", sense=compiled.sense)
+            reduced.add_var_array(k, lb=compiled.col_lower[reps],
+                                  ub=compiled.col_upper[reps])
+            coo = a_red.tocoo()
+            reduced.add_constr_coo(coo.row, coo.col, coo.data,
+                                   lb=compiled.row_lower[keep],
+                                   ub=compiled.row_upper[keep],
+                                   num_rows=a_red.shape[0])
+            c_red = np.zeros(k)
+            np.add.at(c_red, orbit, compiled.c)
+            reduced.set_objective_array(np.arange(k), c_red,
+                                        const=compiled.obj_const)
+            stats = {
+                "symmetry_generators": verified,
+                "symmetry_orbits": k,
+                "symmetry_cols_full": num_cols,
+                "symmetry_cols_reduced": k,
+                "symmetry_rows_full": int(compiled.A.shape[0]),
+                "symmetry_rows_reduced": int(a_red.shape[0]),
+            }
+            return OrbitMap(generators=list(generators), orbit=orbit,
+                            reps=reps, reduced=reduced, stats=stats)
 
 
 def _dedup_rows(a: sparse.csr_matrix, lb: np.ndarray,
                 ub: np.ndarray) -> np.ndarray:
     """Indices of rows to keep after dropping exact duplicates.
 
-    Candidate duplicates are grouped by a randomized hash and then
-    compared *exactly* (sparsity pattern, data, both bounds) against the
-    group representative — a float-association mismatch merely keeps the
-    row, which loses compression but never correctness.
+    Rows are sorted by (bounds, randomized hash) and each is compared
+    *exactly* (sparsity pattern, data, both bounds) with its predecessor
+    in that order; a row equal to it is dropped. ``a`` must have sorted
+    indices. A float-association mismatch merely keeps the row, which
+    loses compression but never correctness.
     """
-    m = a.shape[0]
     rng = np.random.default_rng(1)
     w = rng.integers(1, 1 << 30, size=(a.shape[1], 2)).astype(float)
     h = a @ w
-    lbq = _bound_key(lb)
-    ubq = _bound_key(ub)
-    order = np.lexsort((h[:, 1], h[:, 0], ubq, lbq))
-    indptr, indices, data = a.indptr, a.indices, a.data
-
-    def _same(r1: int, r2: int) -> bool:
-        s1, e1 = indptr[r1], indptr[r1 + 1]
-        s2, e2 = indptr[r2], indptr[r2 + 1]
-        return (lb[r1] == lb[r2] and ub[r1] == ub[r2]
-                and e1 - s1 == e2 - s2
-                and np.array_equal(indices[s1:e1], indices[s2:e2])
-                and np.array_equal(data[s1:e1], data[s2:e2]))
-
-    keep = []
-    rep = -1
-    for r in order.tolist():
-        if rep >= 0 and h[r, 0] == h[rep, 0] and h[r, 1] == h[rep, 1] \
-                and _same(rep, r):
-            continue
-        rep = r
-        keep.append(r)
-    return np.sort(np.asarray(keep, dtype=np.int64))
+    order = np.lexsort((h[:, 1], h[:, 0], _bound_key(ub), _bound_key(lb)))
+    prev, row = order[:-1], order[1:]
+    length = np.diff(a.indptr)
+    pairs = np.nonzero((h[prev, 0] == h[row, 0]) & (h[prev, 1] == h[row, 1])
+                       & (lb[prev] == lb[row]) & (ub[prev] == ub[row])
+                       & (length[prev] == length[row]))[0]
+    # entry-by-entry comparison of every candidate pair at once: ``pair``
+    # names the candidate each compared entry belongs to, ``within`` its
+    # offset inside the row
+    size = length[row[pairs]]
+    pair = np.repeat(np.arange(len(pairs)), size)
+    within = np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size,
+                                                    size)
+    at_prev = a.indptr[prev[pairs]][pair] + within
+    at_row = a.indptr[row[pairs]][pair] + within
+    differs = ((a.indices[at_prev] != a.indices[at_row])
+               | (a.data[at_prev] != a.data[at_row]))
+    same = np.bincount(pair[differs], minlength=len(pairs)) == 0
+    duplicate = np.zeros(a.shape[0], dtype=bool)
+    duplicate[row[pairs[same]]] = True
+    return np.nonzero(~duplicate)[0]
 
 
 def note_reduction() -> None:
@@ -571,24 +676,23 @@ def add_symmetry_cuts(model: Model, generators, num_cols: int,
     x[pi^-1(p)]`` — every orbit keeps at least one optimum and the optimal
     value is unchanged. Returns the number of cut rows added.
     """
-    compiled = model.compile()
-    added = 0
-    for gen in generators:
-        pi = induced_column_permutation(gen, num_cols, f_vars, b_vars,
-                                        r_vars)
-        if pi is None or not verify_column_permutation(compiled, pi):
-            continue
-        moved = np.nonzero(pi != np.arange(num_cols))[0]
-        if not len(moved):
-            continue
-        p = int(moved[0])
-        inv = np.empty_like(pi)
-        inv[pi] = np.arange(num_cols)
-        for q in {int(pi[p]), int(inv[p])}:
-            model.add_constr_coo([0, 0], [p, q], [1.0, -1.0],
-                                 lb=0.0, ub=float("inf"), num_rows=1)
-            added += 1
-    return added
+    with _obs_rspan("symmetry.reduce", cols=num_cols,
+                    generators=len(generators)):
+        added = 0
+        for pi in _verified_column_permutations(
+                model.compile(), generators, num_cols, f_vars, b_vars,
+                r_vars):
+            moved = np.nonzero(pi != np.arange(num_cols))[0]
+            if not len(moved):
+                continue
+            p = int(moved[0])
+            inv = np.empty_like(pi)
+            inv[pi] = np.arange(num_cols)
+            for q in {int(pi[p]), int(inv[p])}:
+                model.add_constr_coo([0, 0], [p, q], [1.0, -1.0],
+                                     lb=0.0, ub=float("inf"), num_rows=1)
+                added += 1
+        return added
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro import collectives, topology
-from repro.core import TecclConfig, astar
+from repro.core import TecclConfig, astar, symmetry
 from repro.core.epochs import build_epoch_plan, path_based_epoch_bound
 from repro.core.lp import LpBuilder, solve_lp
 from repro.core.milp import MilpBuilder, solve_milp
@@ -61,10 +61,10 @@ def _map_digest(var_map: dict) -> str:
     return hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
 
 
-def model_digest(problem) -> dict:
-    """The pinned fingerprint of a built problem: canonical compiled matrix
-    (dtype-normalised, ``-0.0`` folded into ``0.0``) and column maps."""
-    compiled = problem.model.compile()
+def compiled_digest(model) -> dict:
+    """sha256 of a model's canonical compiled matrix (dtype-normalised,
+    ``-0.0`` folded into ``0.0``), with its shape."""
+    compiled = model.compile()
     digest = hashlib.sha256()
     for part in compiled.canonical():
         if isinstance(part, np.ndarray):
@@ -82,10 +82,30 @@ def model_digest(problem) -> dict:
         "cols": int(compiled.A.shape[1]),
         "rows": int(compiled.A.shape[0]),
         "model": digest.hexdigest(),
+    }
+
+
+def model_digest(problem) -> dict:
+    """The pinned fingerprint of a built problem: canonical compiled matrix
+    and column maps."""
+    return {
+        **compiled_digest(problem.model),
         "f_vars": _map_digest(problem.f_vars),
         "b_vars": _map_digest(problem.b_vars),
         "r_vars": _map_digest(problem.r_vars),
     }
+
+
+def quotient_digest(topo, demand) -> dict:
+    """Fingerprint of the *reduced* model ``reduce_lp`` hands to HiGHS."""
+    config = TecclConfig(chunk_bytes=1.0)
+    problem = LpBuilder(topo, demand, config,
+                        _plan_for(topo, demand, config)).build()
+    orbit_map = symmetry.reduce_lp(
+        problem.model, symmetry.find_generators(topo, demand),
+        problem.model.num_vars, problem.f_vars, problem.b_vars,
+        problem.r_vars)
+    return compiled_digest(orbit_map.reduced)
 
 
 def _scaled_capacity_config(topo, config, seed):
@@ -180,6 +200,25 @@ class TestCompileEquality:
         plan = _plan_for(topo, demand, config)
         problem = LpBuilder(topo, demand, config, plan).build()
         assert model_digest(problem) == GOLDEN["lp_aggregated"][str(seed)]
+
+
+@pytest.mark.symmetry
+class TestQuotientPins:
+    """The symmetry bookkeeping (column permutations, orbit numbering, row
+    dedup) decides which reduced model the backend sees; the pins were
+    dumped from the per-column loop kernels PR 15 replaced."""
+
+    CASES = {
+        "ring8_a2a": lambda: topology.ring(8, capacity=1.0),
+        "torus3x3_a2a": lambda: topology.torus2d(3, 3, capacity=1.0,
+                                                 alpha=0.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_reduced_model_matches_pin(self, name):
+        topo = self.CASES[name]()
+        demand = collectives.alltoall(topo.gpus, 1)
+        assert quotient_digest(topo, demand) == GOLDEN["quotient"][name]
 
 
 class TestSolveEquality:

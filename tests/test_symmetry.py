@@ -9,23 +9,32 @@ tests pin each layer and then the end-to-end contract: quotient and full
 builds agree on the objective, float-tight, and both replay clean.
 """
 
-import pytest
+import tracemalloc
 
-from repro import collectives
+import numpy as np
+import pytest
+from scipy import sparse
+
+from repro import collectives, topology
 from repro.collectives.demand import Demand
-from repro.core import TecclConfig
+from repro.core import TecclConfig, synthesize
 from repro.core import symmetry
-from repro.core.lp import solve_lp
-from repro.core.milp import solve_milp
-from repro.core.symmetry import (Automorphism, canonicalize_demand,
-                                 chunk_relabeling, column_orbits,
-                                 find_generators, invert_permutation,
-                                 is_automorphism)
+from repro.core.config import SwitchModel
+from repro.core.epochs import build_epoch_plan, horizon_bound
+from repro.core.lp import LpBuilder, solve_lp
+from repro.core.milp import MilpBuilder, solve_milp
+from repro.core.symmetry import (Automorphism, ColumnKeys,
+                                 canonicalize_demand, chunk_relabeling,
+                                 column_orbits, find_generators,
+                                 induced_column_permutation,
+                                 invert_permutation, is_automorphism,
+                                 verify_column_permutation)
 from repro.service import Planner, PlanRequest
 from repro.simulate import check_flow, check_schedule
 from repro.simulate.harness import PRODUCERS, sweep
 from repro.solver import SolverOptions
-from repro.topology import line, ring, with_capacity_overrides
+from repro.topology import (line, ring, to_hyper_edges,
+                            with_capacity_overrides)
 
 pytestmark = pytest.mark.symmetry
 
@@ -106,6 +115,298 @@ class TestDetection:
         perm = [2, 0, 3, 1]
         inv = invert_permutation(perm)
         assert [perm[i] for i in inv] == [0, 1, 2, 3]
+
+
+# ----------------------------------------------------------------------
+# array kernels vs brute-force oracles
+# ----------------------------------------------------------------------
+def oracle_column_permutation(auto, num_cols, f_vars, b_vars, r_vars):
+    """The per-column dict walk the array kernel replaced: one image
+    tuple and one dict probe per column."""
+    perm = auto.perm
+    pi = np.arange(num_cols, dtype=np.int64)
+    for vars_ in (f_vars, b_vars, r_vars):
+        for key, var in vars_.items():
+            head = symmetry._map_key(key[0], auto)
+            if head is None:
+                return None
+            image = (head,) + tuple(
+                perm[x] for x in key[1:-1]) + (key[-1],)
+            target = vars_.get(image)
+            if target is None:
+                return None
+            pi[int(var)] = int(target)
+    if not np.array_equal(np.sort(pi), np.arange(num_cols)):
+        return None
+    return pi
+
+
+def oracle_column_orbits(num_cols, perms):
+    """Union-find over every (column, image) pair."""
+    parent = list(range(num_cols))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p in perms:
+        for i, j in enumerate(np.asarray(p).tolist()):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    roots = np.array([find(i) for i in range(num_cols)], dtype=np.int64)
+    reps, orbit = np.unique(roots, return_inverse=True)
+    return orbit.astype(np.int64), reps
+
+
+def oracle_dedup_rows(a, lb, ub):
+    """Row-by-row exact comparison against the last kept row."""
+    h = a @ np.random.default_rng(1).integers(
+        1, 1 << 30, size=(a.shape[1], 2)).astype(float)
+    order = np.lexsort((h[:, 1], h[:, 0], symmetry._bound_key(ub),
+                        symmetry._bound_key(lb)))
+    dense = a.toarray()
+    keep, rep = [], None
+    for r in order.tolist():
+        if rep is not None and lb[r] == lb[rep] and ub[r] == ub[rep] \
+                and np.array_equal(dense[r], dense[rep]):
+            continue
+        rep = r
+        keep.append(r)
+    return np.sort(np.asarray(keep, dtype=np.int64))
+
+
+def _built(topo, demand, *, milp=False, aggregate=True, config=None):
+    """``(problem, generators)`` at the auto horizon, in the solve space
+    (hyper-edge configs are rewritten the way ``synthesize`` does)."""
+    config = config or TecclConfig(chunk_bytes=1.0)
+    groups = None
+    if config.switch_model is SwitchModel.HYPER_EDGE:
+        hyper = to_hyper_edges(topo)
+        new_id = {old: new for new, old in hyper.node_map.items()}
+        demand = Demand.from_triples(
+            (new_id[s], c, new_id[d]) for s, c, d in demand.triples())
+        topo, groups = hyper.topology, hyper.groups
+    plan = build_epoch_plan(topo, config,
+                            num_epochs=horizon_bound(topo, demand, config))
+    builder = (MilpBuilder(topo, demand, config, plan, hyper_groups=groups)
+               if milp else LpBuilder(topo, demand, config, plan,
+                                      aggregate=aggregate))
+    return builder.build(), find_generators(topo, demand)
+
+
+def _kernel_case(name):
+    if name == "ring8-a2a":  # int-keyed (aggregated) commodities
+        topo = ring(8, capacity=1.0)
+        return _built(topo, collectives.alltoall(topo.gpus, 1))
+    if name == "torus3x3-a2a":
+        topo = topology.torus2d(3, 3, capacity=1.0, alpha=0.0)
+        return _built(topo, collectives.alltoall(topo.gpus, 1))
+    if name == "ring8-a2a-2chunk":  # (s, c) keys through a chunk_map
+        topo = ring(8, capacity=1.0)
+        return _built(topo, collectives.alltoall(topo.gpus, 2),
+                      aggregate=False,
+                      config=TecclConfig(chunk_bytes=0.5))
+    if name == "dgx1-ag-milp":
+        topo = topology.dgx1()
+        return _built(topo, collectives.allgather(topo.gpus, 1), milp=True,
+                      config=TecclConfig(chunk_bytes=25e3))
+    if name == "internal2-a2a":  # switch fabric
+        topo = topology.internal2(2)
+        return _built(topo, collectives.alltoall(topo.gpus, 1))
+    assert name == "internal1-ag-hyper"  # hyper-edge rewrite
+    topo = topology.internal1(2)
+    return _built(topo, collectives.allgather(topo.gpus, 1), milp=True,
+                  config=TecclConfig(chunk_bytes=1.0,
+                                     switch_model=SwitchModel.HYPER_EDGE))
+
+
+KERNEL_CASES = ("ring8-a2a", "torus3x3-a2a", "ring8-a2a-2chunk",
+                "dgx1-ag-milp", "internal2-a2a", "internal1-ag-hyper")
+
+
+class TestArrayKernels:
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_kernels_equal_oracles(self, name):
+        problem, gens = _kernel_case(name)
+        assert gens
+        maps = (problem.f_vars, problem.b_vars, problem.r_vars)
+        num_cols = problem.model.num_vars
+        keys = ColumnKeys(num_cols, *maps)
+        perms = []
+        for gen in gens:
+            expected = oracle_column_permutation(gen, num_cols, *maps)
+            assert expected is not None
+            got = keys.permutation(gen)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+            perms.append(got)
+        assert np.array_equal(
+            induced_column_permutation(gens[0], num_cols, *maps), perms[0])
+
+        orbit, reps = column_orbits(num_cols, perms)
+        want_orbit, want_reps = oracle_column_orbits(num_cols, perms)
+        assert np.array_equal(orbit, want_orbit)
+        assert np.array_equal(reps, want_reps)
+        assert orbit.dtype == reps.dtype == np.int64
+
+        # the quotient's row dedup, on the substituted matrix
+        compiled = problem.model.compile()
+        selector = sparse.csr_matrix(
+            (np.ones(num_cols), (np.arange(num_cols), orbit)),
+            shape=(num_cols, len(reps)))
+        a_red = (compiled.A @ selector).tocsr()
+        a_red.sort_indices()
+        keep = symmetry._dedup_rows(a_red, compiled.row_lower,
+                                    compiled.row_upper)
+        assert len(keep) < a_red.shape[0]
+        assert np.array_equal(keep, oracle_dedup_rows(
+            a_red, compiled.row_lower, compiled.row_upper))
+
+    def test_verifier_accepts_induced_and_rejects_foreign_permutations(self):
+        problem, gens = _kernel_case("ring8-a2a")
+        num_cols = problem.model.num_vars
+        compiled = problem.model.compile()
+        pi = induced_column_permutation(
+            gens[0], num_cols, problem.f_vars, problem.b_vars,
+            problem.r_vars)
+        assert verify_column_permutation(compiled, pi)
+        # swapping two flow columns of one commodity on different links
+        # keeps costs and bounds but breaks the constraint rows
+        a, b = problem.f_vars[(0, 0, 1, 0)], problem.f_vars[(0, 1, 2, 1)]
+        swap = np.arange(num_cols)
+        swap[[a, b]] = [b, a]
+        assert not verify_column_permutation(compiled, swap)
+        # ... and a cost-changing swap is caught by the exact checks
+        r = next(iter(problem.r_vars.values()))
+        swap = np.arange(num_cols)
+        swap[[a, r]] = [r, a]
+        assert not verify_column_permutation(compiled, swap)
+
+    def test_dedup_keeps_rows_that_differ_anywhere(self):
+        rows = np.array([[1.0, 2.0, 0.0],
+                         [1.0, 2.0, 0.0],   # duplicate of row 0
+                         [1.0, 2.0, 0.0],   # same entries, other bound
+                         [1.0, 0.0, 2.0],   # same data, other pattern
+                         [1.0, 2.5, 0.0],   # same pattern, other data
+                         [0.0, 0.0, 0.0],
+                         [0.0, 0.0, 0.0]])  # empty duplicate
+        lb = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -np.inf, -np.inf])
+        ub = np.array([1.0, 1.0, 2.0, 1.0, 1.0, np.inf, np.inf])
+        a = sparse.csr_matrix(rows)
+        keep = symmetry._dedup_rows(a, lb, ub)
+        assert keep.tolist() == [0, 2, 3, 4, 5]
+        assert np.array_equal(keep, oracle_dedup_rows(a, lb, ub))
+
+    def test_generator_that_does_not_act_returns_none(self):
+        # a broadcast from rank 0 has a single commodity head: the
+        # rotation's image head (rank 1) names no column of the model
+        topo = ring(6, capacity=1.0)
+        problem, _ = _built(topo, collectives.broadcast(0, [2, 3], 1),
+                            milp=True)
+        maps = (problem.f_vars, problem.b_vars, problem.r_vars)
+        rotation = Automorphism(perm=tuple(_rotation(6, 1)))
+        num_cols = problem.model.num_vars
+        assert oracle_column_permutation(rotation, num_cols, *maps) is None
+        assert induced_column_permutation(rotation, num_cols, *maps) is None
+        # ... and an image *node* the model never mentions
+        wide = Automorphism(perm=(0, 7, 2, 3, 4, 5, 6, 1))
+        b_vars = {(0, 0, 0): 0, (0, 1, 0): 1}
+        assert oracle_column_permutation(wide, 2, {}, b_vars, {}) is None
+        assert induced_column_permutation(wide, 2, {}, b_vars, {}) is None
+
+    def test_non_bijection_returns_none(self):
+        # every image key exists, but two columns share an image
+        b_vars = {((s, 0), n, k): 4 * s + 2 * n + k
+                  for s in range(2) for n in range(2) for k in range(2)}
+        collapse_heads = Automorphism(
+            perm=(0, 1), chunk_map={(0, 0): (0, 0), (1, 0): (0, 0)})
+        collapse_nodes = Automorphism(
+            perm=(0, 0), chunk_map={(0, 0): (0, 0), (1, 0): (1, 0)})
+        for auto in (collapse_heads, collapse_nodes):
+            assert oracle_column_permutation(auto, 8, {}, b_vars, {}) is None
+            assert induced_column_permutation(auto, 8, {}, b_vars, {}) \
+                is None
+        swap = Automorphism(
+            perm=(1, 0), chunk_map={(0, 0): (1, 0), (1, 0): (0, 0)})
+        assert induced_column_permutation(swap, 8, {}, b_vars, {}).tolist() \
+            == oracle_column_permutation(swap, 8, {}, b_vars, {}).tolist() \
+            == [6, 7, 4, 5, 2, 3, 0, 1]
+
+    @staticmethod
+    def _random_perms(rng, num_cols, count):
+        """Permutations that move columns only within random blocks, so
+        the orbit structure is neither trivial nor one big orbit."""
+        cuts = np.sort(rng.choice(np.arange(1, num_cols), size=num_cols // 7,
+                                  replace=False))
+        perms = []
+        for _ in range(count):
+            p = np.arange(num_cols)
+            for block in np.split(np.arange(num_cols), cuts):
+                if rng.random() < 0.3:
+                    p[block] = rng.permutation(block)
+            perms.append(p)
+        return perms
+
+    def test_orbits_accept_lists_and_number_by_smallest_member(self):
+        num_cols = 1500
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            perms = self._random_perms(rng, num_cols, count=6)
+            orbit, reps = column_orbits(num_cols, [p.tolist() for p in perms])
+            want_orbit, want_reps = oracle_column_orbits(num_cols, perms)
+            assert np.array_equal(orbit, want_orbit), seed
+            assert np.array_equal(reps, want_reps), seed
+            # dense ids ordered by smallest member; reps are those members
+            assert np.all(np.diff(reps) > 0)
+            assert np.array_equal(orbit[reps], np.arange(len(reps)))
+            assert np.all(reps[orbit] <= np.arange(num_cols))
+        orbit, reps = column_orbits(4, [])
+        assert orbit.tolist() == reps.tolist() == [0, 1, 2, 3]
+
+    def test_orbit_merge_memory_stays_linear_in_columns(self):
+        # all generators' edges in one graph measured +47 % peak RSS on the
+        # ledger; folding one permutation at a time must stay at a few
+        # arrays of num_cols however many permutations there are
+        # (measured: 7-8 arrays' worth)
+        num_cols = 50_000
+        perms = self._random_perms(np.random.default_rng(7), num_cols,
+                                   count=32)
+        tracemalloc.start()
+        try:
+            _orbit, reps = column_orbits(num_cols, perms)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 1 < len(reps) < num_cols
+        assert peak < 16 * num_cols * 8, peak
+
+    def test_integer_model_returns_before_any_bookkeeping(self, monkeypatch):
+        # the quotient is invalid for integer programs: reduce_lp must say
+        # so without inducing or verifying a single permutation
+        topo = ring(5, capacity=1.0)
+        problem, gens = _built(topo, collectives.allgather(topo.gpus, 1),
+                               milp=True)
+        assert gens
+
+        def unreachable(*_args, **_kwargs):
+            raise AssertionError("bookkeeping ran on an integer model")
+
+        monkeypatch.setattr(symmetry, "ColumnKeys", unreachable)
+        monkeypatch.setattr(symmetry, "PermutationVerifier", unreachable)
+        assert symmetry.reduce_lp(
+            problem.model, gens, problem.model.num_vars, problem.f_vars,
+            problem.b_vars, problem.r_vars) is None
+
+    def test_detect_and_reduce_are_explain_phases(self):
+        topo = ring(8, capacity=1.0)
+        result = synthesize(topo, collectives.alltoall(topo.gpus, 1),
+                            _cfg(symmetry="on"))
+        phases = result.explain["phases"]
+        assert {"symmetry.detect", "symmetry.reduce"} <= set(phases)
+        assert phases["symmetry.reduce"] > 0.0
 
 
 # ----------------------------------------------------------------------

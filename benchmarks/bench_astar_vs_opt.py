@@ -12,7 +12,7 @@ from repro.analysis import Table
 from repro.core import TecclConfig, solve_milp
 from repro.core.astar import solve_astar
 from repro.core.config import AStarConfig
-from repro.simulate import verify
+from repro.simulate import check_schedule
 from repro.solver import SolverOptions
 
 CHASSIS = 4
@@ -27,7 +27,8 @@ def _case(alpha_zero: bool, chunks: int):
                          solver=SolverOptions(mip_gap=0.1, time_limit=90))
     opt = solve_milp(topo, demand, config)
     astar = solve_astar(topo, demand, config, AStarConfig())
-    verify(astar.schedule, topo, demand, astar.plan)
+    check_schedule(astar.schedule, topo, demand,
+                   astar.plan).raise_on_violation()
     return opt, astar
 
 

@@ -14,7 +14,7 @@ from _common import single_solve_benchmark, write_result
 from repro import collectives, topology
 from repro.analysis import Table
 from repro.core import TecclConfig, solve_lp, solve_milp
-from repro.simulate import verify
+from repro.simulate import check_schedule
 
 
 def _fig1a():
@@ -22,7 +22,7 @@ def _fig1a():
     demand = collectives.Demand.from_triples([(0, 0, 4), (5, 0, 4)])
     out = solve_milp(topo, demand, TecclConfig(chunk_bytes=1e9,
                                                num_epochs=12))
-    verify(out.schedule, topo, demand, out.plan)
+    check_schedule(out.schedule, topo, demand, out.plan).raise_on_violation()
     return out
 
 

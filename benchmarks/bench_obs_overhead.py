@@ -1,27 +1,30 @@
-"""Observability overhead guard: disabled tracing must cost ≤ 2%.
+"""Observability overhead guard: ``span()`` must cost ≤ 2% in both states.
 
-The tracing layer rides every hot path (model build families, solver
-calls, the planner's serve steps), so its *disabled* cost is a standing
-tax on everything — the design promise is "zero-overhead by default":
-``span()`` checks one module global and hands back a shared no-op when
-no tracer is configured.  This bench holds that promise to a number on
-the Internal2-4ch ALLGATHER MILP build (a span per constraint family):
+There is one ``span()`` and it rides every phase (model build families,
+solver calls, the planner's serve steps), so its cost is a standing tax
+on everything.  It has two states worth a number, and this bench measures
+the same function in both:
 
-* **analytic bound** — spans the workload emits × the measured cost of
-  one disabled ``span()`` round-trip, over the build's wall time.  This
-  is the assertion: the instrumentation's worst-case share of the build
+* **all sinks off** (no tracer, recorder disabled, no phase collector) —
+  ``span()`` hands back the shared no-op.  Asserted on the Internal2-4ch
+  ALLGATHER MILP build (a span per constraint family): spans the build
+  emits × the measured all-off round-trip, over the build's wall time,
   must stay under ``OVERHEAD_BUDGET``.
-* **A/B wall clock** — disabled vs enabled-to-memory medians, reported
-  (not asserted: at micro scale the A/B delta is dominated by run-to-run
-  build noise, which is exactly why the analytic bound is the guard).
-* **flight recorder** — the always-on ring (``rspan()`` at coarse sites)
-  must also fit the budget: recorded events per end-to-end solve × the
-  measured on-cost of one ``rspan()`` ring append, over the solve's wall
-  time.  Asserted, because "always on" is only tenable if it is free.
+* **recorder on, tracer off** (the default) — every span is two clock
+  reads and a ring append.  Asserted on an end-to-end solve: ring records
+  per ``synthesize`` × the measured recorder-on round-trip, over the
+  solve's wall time, under the same budget — "always on" is only tenable
+  if it is free, and the count is what a span in a per-element loop
+  would blow.
+* **A/B wall clocks** — all-off vs traced-to-memory builds, recorder-off
+  vs recorder-on solves: reported, not asserted (at this scale the A/B
+  delta is run-to-run noise, which is why the analytic bounds are the
+  guards).
 
 Publishes ``benchmarks/results/BENCH_obs_overhead.json``.
 """
 
+import contextlib
 import statistics
 import time
 
@@ -33,16 +36,16 @@ from repro.core.epochs import build_epoch_plan, path_based_epoch_bound
 from repro.core.milp import MilpBuilder
 from repro.core.solve import synthesize
 from repro.obs import (MemorySink, configure, disable, disable_recorder,
-                       get_recorder, get_tracer, rspan, span)
+                       get_recorder, get_tracer, span)
 
 #: build repetitions per timing (median taken)
 REPEATS = 5
-#: disabled-``span()`` microbench iterations
+#: all-off ``span()`` microbench iterations
 NOOP_CALLS = 200_000
-#: recorder-on ``rspan()`` microbench iterations (ring appends are
+#: recorder-on ``span()`` microbench iterations (ring appends are
 #: pricier than no-ops; fewer reps keep the bench quick)
-RSPAN_CALLS = 50_000
-#: the acceptance bar: disabled tracing ≤ 2% of the workload — and the
+RING_CALLS = 50_000
+#: the acceptance bar: all-off spans ≤ 2% of the build — and the
 #: always-on recorder's share of an end-to-end solve
 OVERHEAD_BUDGET = 0.02
 
@@ -59,6 +62,16 @@ def _workload():
     return lambda: MilpBuilder(topo, demand, config, plan).build()
 
 
+@contextlib.contextmanager
+def _recorder_off():
+    """The all-sinks-off state (no tracer is configured in this bench)."""
+    disable_recorder()
+    try:
+        yield
+    finally:
+        get_recorder()  # re-enables the ring
+
+
 def _median_s(fn, repeats: int = REPEATS) -> float:
     times = []
     for _ in range(repeats):
@@ -68,26 +81,17 @@ def _median_s(fn, repeats: int = REPEATS) -> float:
     return statistics.median(times)
 
 
-def _noop_span_cost_s() -> float:
-    """Cost of one full disabled ``with span(...)`` round-trip."""
-    start = time.perf_counter()
-    for _ in range(NOOP_CALLS):
-        with span("bench.noop", probe=1):
-            pass
-    return (time.perf_counter() - start) / NOOP_CALLS
-
-
-def _rspan_cost_s(calls: int) -> float:
-    """Cost of one ``with rspan(...)`` round-trip in the current mode."""
+def _span_cost_s(calls: int) -> float:
+    """Cost of one ``with span(...)`` round-trip in the current state."""
     start = time.perf_counter()
     for _ in range(calls):
-        with rspan("bench.rnoop", probe=1):
+        with span("bench.noop", probe=1):
             pass
     return (time.perf_counter() - start) / calls
 
 
 def _solve_workload():
-    """A fast end-to-end solve crossing every coarse ``rspan()`` site."""
+    """A fast end-to-end solve crossing every solve-side ``span()`` site."""
     topo = topology.dgx1()
     demand = collectives.allgather(topo.gpus, 1)
     config = TecclConfig(chunk_bytes=1e6)
@@ -95,47 +99,38 @@ def _solve_workload():
 
 
 def _measure_recorder() -> dict:
-    """Flight-recorder on/off measurements on an end-to-end solve.
-
-    The recorder rings coarse ``rspan()`` sites only, so the MILP build
-    microworkload never touches it — the honest denominator is a full
-    ``synthesize`` crossing the planner-facing sites.
-    """
+    """Recorder on/off measurements on an end-to-end solve (tracer off)."""
     solve = _solve_workload()
     solve()  # warm caches outside the timed region
 
     recorder = get_recorder()  # (re-)enables the ring
-    rspan_on_s = _rspan_cost_s(RSPAN_CALLS)
-    disable_recorder()
-    try:
-        rspan_off_s = _rspan_cost_s(NOOP_CALLS)
-        solve_off_s = _median_s(solve)
-    finally:
-        recorder = get_recorder()
+    span_on_s = _span_cost_s(RING_CALLS)
     recorder.clear()
     solve_on_s = _median_s(solve)
-    # ring growth across the timed repeats → recorded events per solve
+    # ring growth across the timed repeats → ring records per solve
     events_per_solve = len(recorder.snapshot()) // REPEATS
-    assert events_per_solve >= 2, recorder.snapshot()  # synthesize + leaf
+    assert events_per_solve >= 9, recorder.snapshot()  # build + families
+    with _recorder_off():
+        solve_off_s = _median_s(solve)
     return {
         "recorder_off_solve_s": solve_off_s,
         "recorder_on_solve_s": solve_on_s,
         "recorder_events_per_solve": events_per_solve,
-        "rspan_on_s": rspan_on_s,
-        "rspan_off_s": rspan_off_s,
+        "span_on_s": span_on_s,
         "recorder_analytic_overhead":
-            events_per_solve * rspan_on_s / solve_off_s,
+            events_per_solve * span_on_s / solve_off_s,
         "recorder_ab_overhead": solve_on_s / solve_off_s - 1.0,
     }
 
 
-def test_disabled_tracer_overhead(benchmark):
+def test_span_overhead(benchmark):
     assert get_tracer() is None, "tracer must start disabled"
     build = _workload()
     build()  # warm imports and numpy caches outside the timed region
 
-    disabled_s = _median_s(build)
-    noop_s = _noop_span_cost_s()
+    with _recorder_off():  # span() is the shared no-op
+        disabled_s = _median_s(build)
+        span_off_s = _span_cost_s(NOOP_CALLS)
 
     # count the spans one traced build emits
     sink = MemorySink()
@@ -148,24 +143,23 @@ def test_disabled_tracer_overhead(benchmark):
                           if r.get("kind") == "span") // REPEATS
     assert spans_per_build >= 9, sink.records  # milp.build + families
 
-    analytic_overhead = spans_per_build * noop_s / disabled_s
+    analytic_overhead = spans_per_build * span_off_s / disabled_s
     ab_overhead = enabled_s / disabled_s - 1.0
     rec = _measure_recorder()
 
-    table = Table("Tracing overhead on the MILP COO build (Internal2 4ch)",
-                  columns=["value"])
-    table.add("disabled build s", value=disabled_s)
-    table.add("enabled (memory) build s", value=enabled_s)
+    table = Table("span() overhead: all-off MILP COO build (Internal2 "
+                  "4ch), recorder-on solve (dgx1 AG)", columns=["value"])
+    table.add("all-off build s", value=disabled_s)
+    table.add("traced (memory) build s", value=enabled_s)
     table.add("spans per build", value=spans_per_build)
-    table.add("noop span us", value=noop_s * 1e6)
+    table.add("span off us", value=span_off_s * 1e6)
     table.add("analytic overhead %", value=100 * analytic_overhead)
     table.add("A/B delta %", value=100 * ab_overhead)
     table.add("recorder-off solve s", value=rec["recorder_off_solve_s"])
     table.add("recorder-on solve s", value=rec["recorder_on_solve_s"])
-    table.add("recorded events/solve",
+    table.add("ring records/solve",
               value=rec["recorder_events_per_solve"])
-    table.add("rspan on us", value=rec["rspan_on_s"] * 1e6)
-    table.add("rspan off us", value=rec["rspan_off_s"] * 1e6)
+    table.add("span on us", value=rec["span_on_s"] * 1e6)
     table.add("recorder analytic overhead %",
               value=100 * rec["recorder_analytic_overhead"])
     write_result(
@@ -176,28 +170,29 @@ def test_disabled_tracer_overhead(benchmark):
             "disabled_build_s": disabled_s,
             "enabled_memory_build_s": enabled_s,
             "spans_per_build": spans_per_build,
-            "noop_span_s": noop_s,
+            "span_off_s": span_off_s,
             "analytic_overhead": analytic_overhead,
             "ab_overhead": ab_overhead,
             "budget": OVERHEAD_BUDGET,
             "recorder_workload": "dgx1/allgather end-to-end synthesize",
             **rec,
-            "note": "analytic = spans/build x disabled-span cost / build "
-                    "time; recorder analytic = events/solve x recorder-on "
-                    "rspan cost / solve time; both asserted against the "
-                    "budget",
+            "note": "analytic = spans/build x all-off span cost / build "
+                    "time; recorder analytic = ring records/solve x "
+                    "recorder-on span cost / solve time; both asserted "
+                    "against the budget",
         },
         phases={"disabled_build": disabled_s,
                 "enabled_build": enabled_s,
                 "recorder_off_solve": rec["recorder_off_solve_s"],
                 "recorder_on_solve": rec["recorder_on_solve_s"]})
 
-    # the acceptance bar: disabled instrumentation ≤ 2% of the workload
+    # the acceptance bar: all-off instrumentation ≤ 2% of the workload
     assert analytic_overhead <= OVERHEAD_BUDGET, {
-        "spans_per_build": spans_per_build, "noop_span_s": noop_s,
+        "spans_per_build": spans_per_build, "span_off_s": span_off_s,
         "disabled_build_s": disabled_s, "overhead": analytic_overhead}
     # and the always-on flight recorder ≤ 2% of an end-to-end solve
     assert rec["recorder_analytic_overhead"] <= OVERHEAD_BUDGET, rec
 
-    # representative disabled build for pytest-benchmark tracking
-    benchmark.pedantic(build, rounds=3, iterations=1)
+    # representative all-off build for pytest-benchmark tracking
+    with _recorder_off():
+        benchmark.pedantic(build, rounds=3, iterations=1)

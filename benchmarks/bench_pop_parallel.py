@@ -71,7 +71,7 @@ def _hier_scenario(topo, group: int, chunks_per_gpu: int) -> dict:
                         dedup=False)
     ded, ded_s = _timed(hierarchical_allgather, topo, config,
                         chassis=chassis, chunks_per_gpu=chunks_per_gpu,
-                        parallel=True, dedup=True)
+                        jobs=None, dedup=True)
     _assert_hier_identical(seq, ded)
     _assert_hier_conformant(ded)
     return {
@@ -120,7 +120,7 @@ def test_parallel_decomposition_speedup(benchmark):
                                 pop_config, num_partitions=4)
     par_pop, par_pop_s = _timed(solve_lp_pop, pop_topo, pop_demand,
                                 pop_config, num_partitions=4,
-                                parallel=True, jobs=4)
+                                jobs=4)
     assert par_pop.attempts == seq_pop.attempts
     assert par_pop.schedule.flows == seq_pop.schedule.flows
     assert par_pop.schedule.reads == seq_pop.schedule.reads
@@ -172,5 +172,5 @@ def test_parallel_decomposition_speedup(benchmark):
             TecclConfig(chunk_bytes=1e6,
                         solver=SolverOptions(mip_gap=0.2, time_limit=30)),
             chassis=chassis_groups(topology.internal2(2), 2),
-            parallel=True, dedup=True),
+            jobs=None, dedup=True),
         rounds=1, iterations=1)

@@ -14,7 +14,7 @@ from repro.core import TecclConfig
 from repro.core.astar import solve_astar
 from repro.core.config import AStarConfig
 from repro.core.lp import solve_lp
-from repro.simulate import verify
+from repro.simulate import check_schedule
 from repro.solver import SolverOptions
 
 
@@ -24,7 +24,7 @@ def _astar_allgather(topo):
         chunk_bytes=1e6,
         solver=SolverOptions(mip_gap=0.3, time_limit=MILP_TIME_LIMIT))
     out = solve_astar(topo, demand, config, AStarConfig())
-    verify(out.schedule, topo, demand, out.plan)
+    check_schedule(out.schedule, topo, demand, out.plan).raise_on_violation()
     return out
 
 

@@ -21,7 +21,7 @@ from repro.baselines import find_ring
 from repro.core import TecclConfig, synthesize
 from repro.errors import TopologyError
 from repro.failures import replan
-from repro.simulate import verify
+from repro.simulate import check_schedule
 from repro.topology import without_links
 
 healthy = topology.dgx1()
@@ -52,7 +52,8 @@ except TopologyError:
 # horizon is dropped so the warm hint sizes the new model.
 adapted = replan(baseline, degraded, demand,
                  replace(config, num_epochs=None))
-verify(adapted.schedule, degraded, demand, adapted.plan)
+check_schedule(adapted.schedule, degraded, demand,
+               adapted.plan).raise_on_violation()
 slowdown = 100 * (adapted.finish_time - baseline.finish_time) \
     / baseline.finish_time
 print(f"re-planned     : finish {adapted.finish_time * 1e6:6.2f} us "

@@ -12,7 +12,7 @@ Run:  python examples/motivating_examples.py
 
 from repro import collectives, topology
 from repro.core import TecclConfig, solve_lp, solve_milp
-from repro.simulate import verify
+from repro.simulate import check_schedule
 
 
 def figure_1a() -> None:
@@ -22,7 +22,8 @@ def figure_1a() -> None:
     demand = collectives.Demand.from_triples([(0, 0, 4), (5, 0, 4)])
     out = solve_milp(topo, demand, TecclConfig(chunk_bytes=1e9,
                                                num_epochs=12))
-    report = verify(out.schedule, topo, demand, out.plan)
+    report = check_schedule(out.schedule, topo, demand,
+                            out.plan).raise_on_violation()
     alpha1 = beta = 1.0
     alpha2 = 2 * beta + 3 * alpha1
     print(f"  traditional TE estimate : alpha2 + 4 beta = {alpha2 + 4:.1f} s")

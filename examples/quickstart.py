@@ -6,7 +6,7 @@ Covers the full TE-CCL pipeline in ~40 lines:
 1. pick a topology and a collective demand,
 2. synthesize a schedule (the facade auto-selects the MILP, since
    ALLGATHER benefits from in-network copy),
-3. validate it with the independent α–β simulator,
+3. replay it through the independent α–β conformance oracle,
 4. lower it to MSCCL XML, ready for a GPU runtime.
 
 Run:  python examples/quickstart.py
@@ -17,7 +17,7 @@ from repro.collectives import allgather_plan
 from repro.core import TecclConfig
 from repro.core.solve import synthesize
 from repro.msccl import to_msccl_xml
-from repro.simulate import verify
+from repro.simulate import check_schedule
 
 # 1. an 8-GPU DGX1 and the demand: every GPU gathers every GPU's buffer.
 topo = topology.dgx1()
@@ -37,8 +37,9 @@ print(f"algo bandwidth: "
       f"{result.algorithmic_bandwidth(plan.output_buffer_bytes) / 1e9:.2f} "
       "GB/s")
 
-# 3. validate against the simulator (raises on any violation)
-report = verify(result.schedule, topo, demand, result.plan)
+# 3. replay against the execution model (raises on any violation)
+report = check_schedule(result.schedule, topo, demand,
+                        result.plan).raise_on_violation()
 print(f"simulated     : ok={report.ok}, "
       f"finish={report.finish_time * 1e6:.2f} us")
 

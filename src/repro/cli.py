@@ -111,14 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
                             "alltoall; 0 = monolithic solve). The merged "
                             "schedule is fractional, so --export/--timeline"
                             "/--events do not apply")
-    synth.add_argument("--parallel", action="store_true",
-                       help="fan independent decomposition sub-solves out "
-                            "on threads (with --partitions: one thread per "
-                            "POP partition; see README 'Parallel "
+    synth.add_argument("--jobs", type=int, default=1,
+                       help="with --partitions: solve the POP partitions "
+                            "on this many threads (1 = sequential, 0 = "
+                            "CPU count; see README 'Parallel "
                             "decomposition solving')")
-    synth.add_argument("--jobs", type=int, default=None,
-                       help="fan-out width for --parallel "
-                            "(default: CPU count)")
 
     sweep = sub.add_parser("sweep", help="sweep chunk sizes (§5)")
     sweep.add_argument("--topology", choices=sorted(_TOPOLOGIES),
@@ -489,11 +486,11 @@ def _run_synth_pop(args: argparse.Namespace, topo, demand, config) -> int:
 
     outcome = solve_lp_pop(topo, demand, config,
                            num_partitions=args.partitions,
-                           parallel=args.parallel, jobs=args.jobs)
+                           jobs=args.jobs or None)
     print(f"topology     : {topo!r}")
     print(f"demand       : {demand!r}")
-    print(f"method       : pop-lp ({args.partitions} partitions"
-          f"{', parallel' if args.parallel else ''})")
+    print(f"method       : pop-lp ({args.partitions} partitions, "
+          f"jobs={args.jobs or 'cpu-count'})")
     print(f"epoch (tau)  : {outcome.plan.tau * 1e6:.3f} us")
     print(f"horizon (K)  : {outcome.plan.num_epochs} epochs "
           f"({outcome.attempts} attempt(s))")

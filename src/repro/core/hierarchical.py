@@ -19,8 +19,8 @@ remote byte enters a chassis through one GPU — which is exactly the
 suboptimality the flat formulations avoid; the ablation bench measures it.
 
 The *solves* mirror the runtime concurrency: every per-chassis instance in
-every phase is independent, so ``parallel=True`` fans the whole batch out
-on threads (:func:`~repro.core.subsolve.run_subsolves`), and ``dedup=True``
+every phase is independent, so ``jobs`` fans the whole batch out on
+threads (:func:`~repro.core.subsolve.run_subsolves`), and ``dedup=True``
 canonicalizes each induced subfabric + demand through the service
 fingerprint machinery and solves each distinct instance once — a symmetric
 G-chassis fabric pays for 1 chassis solve instead of G per phase, with the
@@ -198,8 +198,7 @@ def hierarchical_allgather(topology: Topology, config: TecclConfig, *,
                            chassis: list[ChassisPlan],
                            chunks_per_gpu: int = 1,
                            method: Method = Method.AUTO,
-                           parallel: bool = False,
-                           jobs: int | None = None,
+                           jobs: int | None = 1,
                            dedup: bool = True,
                            ) -> HierarchicalOutcome:
     """Synthesize an ALLGATHER hierarchically over the given chassis.
@@ -209,10 +208,10 @@ def hierarchical_allgather(topology: Topology, config: TecclConfig, *,
     payloads are *more chunks*, not bigger ones, so one τ fits all).
 
     Args:
-        parallel: fan every phase instance (all three phases are mutually
-            independent solves) out on threads via
-            :func:`~repro.core.subsolve.run_subsolves`.
-        jobs: fan-out width for ``parallel`` (default: CPU count).
+        jobs: fan every phase instance (all three phases are mutually
+            independent solves) out on this many threads via
+            :func:`~repro.core.subsolve.run_subsolves`; ``1`` solves them
+            one after another, ``None`` uses the CPU count.
         dedup: solve each *distinct* sub-instance once, keyed by the
             service-layer canonical fingerprint of (subfabric, demand,
             config, method); identical chassis share the result. Hits are
@@ -315,12 +314,10 @@ def hierarchical_allgather(topology: Topology, config: TecclConfig, *,
         return synthesis, hit
 
     with _obs_span("hier.solve", chassis=len(chassis), instances=len(specs),
-                   parallel=bool(parallel), dedup=dedup_on) as span:
-        tasks = [lambda s=spec: solve_one(*s) for spec in specs]
-        if parallel:
-            solved = run_subsolves(tasks, jobs=jobs, label="hier")
-        else:
-            solved = [task() for task in tasks]
+                   jobs=jobs, dedup=dedup_on) as span:
+        solved = run_subsolves(
+            [lambda s=spec: solve_one(*s) for spec in specs],
+            jobs=jobs, label="hier")
         span.set_attr(sub_solves=stats["solves"], dedup_hits=stats["hits"])
 
     results = [PhaseResult(label=label, fabric=fabric, demand=demand,

@@ -33,7 +33,6 @@ from repro.core.postprocess import prune_fractional
 from repro.core.schedule import FlowSchedule
 from repro.errors import InfeasibleError, ModelError
 from repro.obs.trace import event as _obs_event
-from repro.obs.trace import rspan as _obs_rspan
 from repro.obs.trace import span as _obs_span
 from repro.solver import (Model, Sense, SolveResult, SolveStatus,
                           SolverOptions)
@@ -686,7 +685,7 @@ def _vet_reduced_outcome(outcome: LpOutcome, problem: LpProblem,
 
 
 def extract_lp_outcome(problem: LpProblem, result: SolveResult) -> LpOutcome:
-    with _obs_rspan("lp.extract"):
+    with _obs_span("lp.extract"):
         flows = {key: result.value(var)
                  for key, var in problem.f_vars.items()}
         reads = {key: result.value(var)

@@ -37,7 +37,6 @@ from repro.core.postprocess import prune_sends
 from repro.core.schedule import Schedule, Send
 from repro.errors import InfeasibleError, ModelError
 from repro.obs.trace import event as _obs_event
-from repro.obs.trace import rspan as _obs_rspan
 from repro.obs.trace import span as _obs_span
 from repro.solver import Model, Sense, SolveResult, SolveStatus, VarType
 from repro.topology.topology import Topology
@@ -779,7 +778,7 @@ def _vet_cut_outcome(outcome: "MilpOutcome", topology: Topology,
 
 def extract_outcome(problem: MilpProblem, result: SolveResult) -> MilpOutcome:
     """Turn a solved MILP into a pruned :class:`Schedule`."""
-    with _obs_rspan("milp.extract"):
+    with _obs_span("milp.extract"):
         plan = problem.plan
         sends = []
         for (q, i, j, k), var in problem.f_vars.items():

@@ -147,8 +147,7 @@ def pop_auto_horizon(num_epochs: int, num_partitions: int) -> int:
 
 def solve_lp_pop(topology: Topology, demand: Demand, config: TecclConfig, *,
                  num_partitions: int = 2, seed: int = 0,
-                 parallel: bool = False,
-                 jobs: int | None = None) -> PopOutcome:
+                 jobs: int | None = 1) -> PopOutcome:
     """Solve the LP via POP partitioning and merge the sub-schedules.
 
     All subproblems share one epoch plan (same τ, same horizon) so their
@@ -158,12 +157,13 @@ def solve_lp_pop(topology: Topology, demand: Demand, config: TecclConfig, *,
     subproblem is infeasible — capacity splitting can stretch a partition
     past the joint optimum — every partition is rebuilt at the next rung.
 
-    The partitions are independent by construction, so ``parallel=True``
-    fans them out concurrently on threads
-    (:func:`~repro.core.subsolve.run_subsolves`, width ``jobs``).
+    The partitions are independent by construction, so ``jobs`` fans
+    them out concurrently on threads
+    (:func:`~repro.core.subsolve.run_subsolves`: ``1`` is sequential,
+    ``None`` the CPU count).
 
     Every merged schedule is replayed through the conformance oracle
-    before it is returned: a violation on a parallel run is re-solved
+    before it is returned: a violation on a fanned-out run is re-solved
     sequentially, and a violation on the sequential run raises
     :class:`~repro.errors.ScheduleError`.
     """
@@ -177,7 +177,7 @@ def solve_lp_pop(topology: Topology, demand: Demand, config: TecclConfig, *,
 
     def solve_at(num_epochs: int) -> PopOutcome:
         return _solve_at_horizon(topology, config, partitions, num_epochs,
-                                 parallel=parallel, jobs=jobs)
+                                 jobs=jobs)
 
     # Partitioned capacity stretches completion by ~1/share; be generous.
     attempt, num_epochs, outcome = first_feasible_rung(
@@ -186,7 +186,7 @@ def solve_lp_pop(topology: Topology, demand: Demand, config: TecclConfig, *,
             stretch=lambda bound: pop_auto_horizon(bound, num_partitions)),
         solve_at)
     report = _pop_conformance(outcome, topology, demand, config)
-    if not report.ok and parallel:
+    if not report.ok and jobs != 1:
         # A violation means the fan-out (not the solver) mis-built or
         # mis-merged a partition; serve the sequential run instead.
         outcome = _solve_at_horizon(topology, config, partitions,
@@ -197,7 +197,7 @@ def solve_lp_pop(topology: Topology, demand: Demand, config: TecclConfig, *,
     # the fan-out record the explain/flight layer surfaces: how many
     # sub-solves this schedule came from and how hard the horizon fought
     _obs_event("pop.fanout", partitions=len(partitions),
-               attempts=attempt, parallel=parallel, epochs=num_epochs)
+               attempts=attempt, jobs=jobs, epochs=num_epochs)
     if outcome.sub_outcomes:
         stats = outcome.sub_outcomes[0].result.stats
         stats["pop_partitions"] = len(partitions)
@@ -232,11 +232,10 @@ def _solve_partition(topology: Topology, config: TecclConfig,
 
 def _solve_at_horizon(topology: Topology, config: TecclConfig,
                       partitions: list[Partition], num_epochs: int,
-                      parallel: bool = False,
-                      jobs: int | None = None) -> PopOutcome:
+                      jobs: int | None = 1) -> PopOutcome:
     plan = build_epoch_plan(topology, config, num_epochs=num_epochs)
     with _obs_span("pop.solve", partitions=len(partitions),
-                   epochs=num_epochs, parallel=bool(parallel)):
+                   epochs=num_epochs, jobs=jobs):
         # Sequential dispatch goes through the same executor at width 1:
         # every partition runs even when a sibling is infeasible and the
         # lowest-index failure is raised, so the ladder above sees the
@@ -244,8 +243,7 @@ def _solve_at_horizon(topology: Topology, config: TecclConfig,
         tasks = [lambda part=part: _solve_partition(topology, config,
                                                     part, plan)
                  for part in partitions]
-        sub_outcomes = run_subsolves(
-            tasks, jobs=jobs if parallel else 1, label="pop")
+        sub_outcomes = run_subsolves(tasks, jobs=jobs, label="pop")
         merged = merge_flow_schedules([o.schedule for o in sub_outcomes])
         return PopOutcome(schedule=merged, partitions=partitions,
                           sub_outcomes=sub_outcomes, plan=plan,

@@ -23,7 +23,7 @@ from repro.core.schedule import FlowSchedule, Schedule
 from repro.errors import ModelError
 from repro.obs import recorder as _flight
 from repro.obs.explain import solve_stats_subset
-from repro.obs.trace import rspan as _obs_rspan
+from repro.obs.trace import span as _obs_span
 from repro.topology.topology import Topology
 from repro.topology.transforms import HyperEdgeTopology, to_hyper_edges
 
@@ -196,10 +196,10 @@ def synthesize(topology: Topology, demand: Demand, config: TecclConfig, *,
     if symmetry is not None:
         config = replace(config,
                          solver=replace(config.solver, symmetry=symmetry))
-    with _obs_rspan("synthesize", method=method.value,
-                    gpus=len(topology.gpus),
-                    minimize_epochs=minimize_epochs,
-                    warm=warm_from is not None) as sp:
+    with _obs_span("synthesize", method=method.value,
+                   gpus=len(topology.gpus),
+                   minimize_epochs=minimize_epochs,
+                   warm=warm_from is not None) as sp:
         with _flight.collect_phases() as phases:
             result = _synthesize(topology, demand, config, method=method,
                                  astar_config=astar_config,
@@ -257,7 +257,7 @@ def _synthesize(topology: Topology, demand: Demand, config: TecclConfig, *,
             raise ModelError(
                 "per-triple priorities are keyed by original node ids and "
                 "are not supported together with the hyper-edge transform")
-        with _obs_rspan("synthesize.hyper_transform"):
+        with _obs_span("synthesize.hyper_transform"):
             hyper = to_hyper_edges(topology)
             work_topology = hyper.topology
             hyper_groups = hyper.groups

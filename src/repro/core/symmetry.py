@@ -47,7 +47,6 @@ from scipy.sparse.csgraph import connected_components
 
 from repro.collectives.demand import Demand
 from repro.obs.metrics import get_registry as _default_registry
-from repro.obs.trace import rspan as _obs_rspan
 from repro.obs.trace import span as _obs_span
 from repro.solver.model import CompiledModel, Model
 from repro.solver.options import SolverOptions
@@ -254,7 +253,7 @@ def find_generators(topology: Topology, demand: Demand | None = None,
     identity = list(range(topology.num_nodes))
     out: list[Automorphism] = []
     seen = {tuple(identity)}
-    with _obs_rspan("symmetry.detect", nodes=topology.num_nodes) as sp:
+    with _obs_span("symmetry.detect", nodes=topology.num_nodes) as sp:
         for cand in _candidate_perms(topology, demand):
             key = tuple(cand)
             if key in seen:
@@ -533,8 +532,8 @@ def reduce_lp(model: Model, generators, num_cols: int, f_vars: dict,
     columns (the restriction is only valid for LPs), when nothing
     collapses, or when no generator survives verification.
     """
-    with _obs_rspan("symmetry.reduce", cols=num_cols,
-                    generators=len(generators)):
+    with _obs_span("symmetry.reduce", cols=num_cols,
+                   generators=len(generators)):
         compiled = model.compile()
         if np.any(compiled.integrality != 0):
             return None
@@ -645,9 +644,9 @@ def solve_reduced(orbit_map: OrbitMap,
     is infeasible iff the full LP is).
     """
     note_reduction()
-    with _obs_rspan("symmetry.solve", orbits=orbit_map.num_orbits,
-                    cols_full=orbit_map.stats["symmetry_cols_full"],
-                    cols_reduced=orbit_map.stats["symmetry_cols_reduced"]):
+    with _obs_span("symmetry.solve", orbits=orbit_map.num_orbits,
+                   cols_full=orbit_map.stats["symmetry_cols_full"],
+                   cols_reduced=orbit_map.stats["symmetry_cols_reduced"]):
         result = orbit_map.reduced.solve(options)
     values = None
     if result.values is not None:
@@ -676,8 +675,8 @@ def add_symmetry_cuts(model: Model, generators, num_cols: int,
     x[pi^-1(p)]`` — every orbit keeps at least one optimum and the optimal
     value is unchanged. Returns the number of cut rows added.
     """
-    with _obs_rspan("symmetry.reduce", cols=num_cols,
-                    generators=len(generators)):
+    with _obs_span("symmetry.reduce", cols=num_cols,
+                   generators=len(generators)):
         added = 0
         for pi in _verified_column_permutations(
                 model.compile(), generators, num_cols, f_vars, b_vars,

@@ -595,7 +595,7 @@ class AdaptationController:
         grown = self.wal.records_written - self._last_compact_records
         if grown < self.compact_every:
             return
-        with _obs.rspan("fleet.wal_compact", records=grown):
+        with _obs.span("fleet.wal_compact", records=grown):
             self.wal.compact(self.registry_state())
         self._last_compact_records = self.wal.records_written
 
@@ -776,19 +776,19 @@ class AdaptationController:
             return self._step_locked()
 
     def _step_locked(self) -> list[AdaptationDecision]:
-        with _obs.rspan("fleet.step") as step_sp:
+        with _obs.span("fleet.step") as step_sp:
             index = self._step_index
             self._journal("begin", {"op": "step", "index": index})
             try:
-                with _obs.rspan("fleet.poll"):
+                with _obs.span("fleet.poll"):
                     samples = self.source.poll()
                 self._bump(polls=1, samples=len(samples))
                 if samples:
                     self.now = max(self.now, max(s.time for s in samples))
-                with _obs.rspan("fleet.estimate", samples=len(samples)):
+                with _obs.span("fleet.estimate", samples=len(samples)):
                     transitions = self.estimator.observe_all(samples)
                 step_sp.set_attr(samples=len(samples),
-                                 transitions=len(transitions))
+                                transitions=len(transitions))
                 decisions: list[AdaptationDecision] = []
                 if transitions:
                     self._bump(transitions=len(transitions))
@@ -857,9 +857,8 @@ class AdaptationController:
         to_replan: list[tuple[FleetJob, RegistryEntry, float, bool]] = []
         decisions: list[AdaptationDecision] = []
         jobs = self._jobs_snapshot()
-        gate_sp = _obs.rspan("fleet.cost_gate", jobs=len(jobs),
-                            transitions=len(transitions))
-        with gate_sp:
+        with _obs.span("fleet.cost_gate", jobs=len(jobs),
+                       transitions=len(transitions)) as gate_sp:
             self._gate_jobs(jobs, live, worsened, recovered,
                             to_replan, decisions)
             gate_sp.set_attr(replans=len(to_replan))
@@ -926,7 +925,7 @@ class AdaptationController:
         if speculative is None:
             speculative = [False] * len(jobs)
         requests = [self._request(job, live) for job in jobs]
-        with _obs.rspan("fleet.replan", jobs=len(jobs)):
+        with _obs.span("fleet.replan", jobs=len(jobs)):
             responses = self.planner.plan_batch(
                 requests, warm_from=[p.result for p in priors])
         decisions = []
@@ -1105,7 +1104,7 @@ class AdaptationController:
         if self.wal is None:
             raise FleetError("recover() needs a WAL "
                              "(AdaptationController(wal=...))")
-        with self._op_lock, _obs.rspan("fleet.recover") as sp:
+        with self._op_lock, _obs.span("fleet.recover") as sp:
             if self._jobs_snapshot() or self._step_index:
                 raise FleetError(
                     "recover() must run on a fresh controller, before any "

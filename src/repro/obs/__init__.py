@@ -2,18 +2,19 @@
 
 The pieces and how they fit:
 
-* :mod:`repro.obs.trace` — nested spans with monotonic timing, a
-  process-global tracer behind a zero-overhead ``span()`` switch, and
-  carrier-based stitching across the solve pool's process boundary;
-  ``rspan()`` is the recorded variant the coarse decision sites use;
+* :mod:`repro.obs.trace` — ``span()``, the one way to time a phase: a
+  closed span goes to whichever sinks are live (the process-global
+  tracer, the flight ring, the explain-phase collector) and is the
+  shared ``NOOP_SPAN`` when all are off; carrier-based stitching across
+  the solve pool's process boundary;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms the legacy
   stats dicts (planner, pool, fleet controller) now sit on;
 * :mod:`repro.obs.export` — JSONL → Chrome/Perfetto traces, per-phase
   summaries with leaf coverage, Prometheus text exposition;
 * :mod:`repro.obs.recorder` — the always-on flight recorder: a bounded
-  ring of recent span/event/decision records, dumped to JSONL on
-  planner failures, fleet rollbacks, ``SIGUSR2``, firing alerts, or
-  ``teccl obs dump``;
+  ring of every recent span plus event/decision records, dumped to
+  JSONL on planner failures, fleet rollbacks, ``SIGUSR2``, firing
+  alerts, or ``teccl obs dump``;
 * :mod:`repro.obs.explain` — plan provenance records riding every
   ``PlanResponse``/``SynthesisResult`` (``teccl explain``);
 * :mod:`repro.obs.alerts` — declarative SLO rules evaluated over
@@ -47,17 +48,16 @@ from repro.obs.recorder import (FLIGHT_DIR_ENV, FLIGHT_SCHEMA_VERSION,
                                 get_recorder, install_signal_dump,
                                 load_last_explain, read_dump,
                                 save_last_explain, set_dump_dir)
-from repro.obs.recorder import active as recorder_active
 from repro.obs.recorder import context as recorder_context
 from repro.obs.trace import (NOOP_SPAN, TRACE_ENV_VAR, TRACE_SCHEMA_VERSION,
                              JsonlSink, MemorySink, Sink, Span, Tracer,
                              activate, configure, current_context, disable,
-                             event, get_tracer, rspan, span)
+                             event, get_tracer, span)
 
 __all__ = [
     # trace
     "Span", "Tracer", "Sink", "JsonlSink", "MemorySink", "NOOP_SPAN",
-    "span", "rspan", "event", "configure", "disable", "get_tracer",
+    "span", "event", "configure", "disable", "get_tracer",
     "current_context", "activate", "TRACE_SCHEMA_VERSION", "TRACE_ENV_VAR",
     # metrics
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "get_registry",
@@ -67,7 +67,7 @@ __all__ = [
     "format_summary",
     # flight recorder
     "FlightRecorder", "FLIGHT_SCHEMA_VERSION", "FLIGHT_DIR_ENV",
-    "get_recorder", "recorder_active", "configure_recorder",
+    "get_recorder", "configure_recorder",
     "disable_recorder", "recorder_context", "collect_phases", "auto_dump",
     "set_dump_dir", "dump_dir", "install_signal_dump", "read_dump",
     "format_flight", "save_last_explain", "load_last_explain",

@@ -121,7 +121,7 @@ class ExplainRecord:
                 lines.append("  solve phases:")
                 for name, dur in sorted(solve_phases.items(),
                                         key=lambda kv: -kv[1]):
-                    lines.append(f"    {name:<24}: {dur * 1e3:9.2f} ms")
+                    lines.append(f"    {name:<32}: {dur * 1e3:9.2f} ms")
         if self.phases:
             lines.append("serve phases:")
             for name, dur in sorted(self.phases.items(),

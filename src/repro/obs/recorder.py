@@ -3,10 +3,11 @@
 Tracing (:mod:`repro.obs.trace`) answers "where does the time go" when
 someone *planned* to ask; this module answers the production question —
 "what just happened" — after the fact, with nobody having enabled
-anything. A bounded, lock-cheap ring holds the most recent span, event,
-and decision records from the coarse instrumentation sites (planner
-serve phases, pool solves, fleet decisions, solver milestones). On an
-incident the ring is dumped to a JSONL snapshot:
+anything. A bounded, lock-cheap ring holds the most recent event and
+decision records and *every* closed ``trace.span`` (planner serve
+phases, pool solves, fleet decisions, and the solve's own build /
+compile / backend / extract / conformance phases). On an incident the
+ring is dumped to a JSONL snapshot:
 
 * automatically, on planner failures, fleet rollbacks and
   recovery-drops, and newly-firing SLO alerts (see
@@ -17,13 +18,16 @@ incident the ring is dumped to a JSONL snapshot:
   verbs install it);
 * on demand, via :meth:`FlightRecorder.dump` / ``teccl obs dump``.
 
-Design constraints mirror the tracer's: the recorder rides the same
-coarse call sites as ``trace.rspan`` (never the per-family model-build
-hot loops), appends are a ``deque`` push under the GIL plus one short
-lock for the drop counter, and the whole layer can be disabled for the
-overhead bench's A/B runs. ``benchmarks/bench_obs_overhead.py`` holds
-the recorder-on, tracing-off default under the same 2% budget as the
-disabled tracer.
+The recorder is one of the three sinks of ``trace.span`` (with the
+tracer and the phase collector); there is no second, coarser span API
+and no filter. A cache hit rings its five planner spans; a cold solve
+rings 13–28 spans (about 3× what the former hand-picked subset rang),
+so the ``DEFAULT_CAPACITY``-record ring holds proportionally fewer cold
+requests of history. Appends are a ``deque`` push under the GIL plus
+one short lock for the drop counter (~1.8 µs per span, no ids minted),
+and the whole layer can be disabled for the overhead bench's A/B runs:
+``benchmarks/bench_obs_overhead.py`` holds spans-per-solve × append
+cost under a 2% budget.
 """
 
 from __future__ import annotations
@@ -106,14 +110,6 @@ class FlightRecorder:
         self._ring.append(rec)
         with self._lock:
             self._total += 1
-
-    def note_span(self, name: str, t0_wall: float, dur: float,
-                  attrs: dict) -> None:
-        """A closed recorded span: ring entry + phase-accumulator credit."""
-        self.record("span", name, attrs=attrs, dur=dur, t=t0_wall)
-        acc = _phases.get()
-        if acc is not None:
-            acc[name] = acc.get(name, 0.0) + dur
 
     # ------------------------------------------------------------------
     # introspection
@@ -219,11 +215,6 @@ _configure_lock = threading.Lock()
 _dump_dir: Path | None = None
 
 
-def active() -> FlightRecorder | None:
-    """The process recorder, or ``None`` when disabled (bench A/B runs)."""
-    return _recorder
-
-
 def get_recorder() -> FlightRecorder:
     """The process recorder; re-enables a disabled one."""
     global _recorder
@@ -248,12 +239,11 @@ def disable_recorder() -> None:
         _recorder = None
 
 
-def record(kind: str, name: str, attrs: dict | None = None,
-           dur: float | None = None) -> None:
+def record(kind: str, name: str, attrs: dict | None = None) -> None:
     """Append a record to the process recorder (no-op when disabled)."""
     rec = _recorder
     if rec is not None:
-        rec.record(kind, name, attrs=attrs, dur=dur)
+        rec.record(kind, name, attrs=attrs)
 
 
 def auto_dump(reason: str) -> Path | None:
@@ -264,10 +254,16 @@ def auto_dump(reason: str) -> Path | None:
     return rec.auto_dump(reason)
 
 
+def wants_spans() -> bool:
+    """Whether a closed span has anywhere to go here: the ring is on, or
+    a ``collect_phases`` block is open on this thread."""
+    return _recorder is not None or _phases.get() is not None
+
+
 def note_span(name: str, t0_wall: float, dur: float, attrs: dict) -> None:
-    """A closed recorded span (trace.Span with recording on): ring entry
-    when the recorder is active, plus phase-accumulator credit either
-    way — explain phases survive a disabled recorder."""
+    """A closed ``trace.Span``: ring entry when the recorder is active,
+    plus phase-accumulator credit either way — explain phases survive a
+    disabled recorder."""
     rec = _recorder
     if rec is not None:
         rec.record("span", name, attrs=attrs, dur=dur, t=t0_wall)
@@ -289,16 +285,12 @@ def context(label: str | None):
         _ctx.reset(token)
 
 
-def current_label() -> str | None:
-    return _ctx.get()
-
-
 @contextlib.contextmanager
 def collect_phases():
-    """Accumulate recorded-span durations by name into the yielded dict.
+    """Accumulate span durations by name into the yielded dict.
 
     The explain path wraps a serving (or synthesis) step in this: every
-    ``rspan`` that closes inside contributes its duration, so per-phase
+    ``span`` that closes inside contributes its duration, so per-phase
     costs are lifted from the live span stack instead of re-read from a
     trace file. Nesting replaces the accumulator (inner phases belong to
     the inner collector), exactly what a planner-calls-synthesize stack
@@ -310,40 +302,6 @@ def collect_phases():
         yield acc
     finally:
         _phases.reset(token)
-
-
-# ----------------------------------------------------------------------
-# recorded spans (tracing disabled, recorder on)
-# ----------------------------------------------------------------------
-class RecorderSpan:
-    """The lightweight span handed out by ``trace.rspan`` when no tracer
-    is configured: two clock reads and one ring append, no ids."""
-
-    __slots__ = ("name", "attrs", "_recorder", "_t0_wall", "_t0")
-
-    def __init__(self, recorder: FlightRecorder, name: str,
-                 attrs: dict) -> None:
-        self.name = name
-        self.attrs = attrs
-        self._recorder = recorder
-        self._t0_wall = 0.0
-        self._t0 = 0.0
-
-    def set_attr(self, **attrs) -> "RecorderSpan":
-        self.attrs.update(attrs)
-        return self
-
-    def __enter__(self) -> "RecorderSpan":
-        self._t0_wall = time.time()
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is not None:
-            self.attrs.setdefault("error", exc_type.__name__)
-        self._recorder.note_span(self.name, self._t0_wall,
-                                 time.perf_counter() - self._t0, self.attrs)
-        return False
 
 
 # ----------------------------------------------------------------------

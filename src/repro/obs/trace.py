@@ -1,18 +1,28 @@
 """Structured tracing: nested spans, thread-safe, process-aware.
 
 The tracer answers the question the ROADMAP cannot: *where* do the
-12.3 seconds of solve time on Internal1 AtoA go?  Every hot path in the
-solver, planner, and fleet layers opens a :func:`span` around its phase;
-when tracing is enabled the spans land in a sink (usually a JSONL file)
-as one record each, and the exporters in :mod:`repro.obs.export` turn
-that stream into a Chrome/Perfetto trace or a per-phase summary.
+12.3 seconds of solve time on Internal1 AtoA go?  Every phase in the
+solver, planner, and fleet layers opens a :func:`span` — the only way
+to time a phase, as :func:`event` is the only way to log one.  A closed
+span is handed to whichever of three sinks are live:
+
+* the **tracer**, when one is configured: one JSONL record (trace/span
+  ids, parent linkage) that the exporters in :mod:`repro.obs.export`
+  turn into a Chrome/Perfetto trace or a per-phase summary;
+* the **flight ring** (:mod:`repro.obs.recorder`), on by default;
+* the active ``collect_phases`` accumulator — the ``phases`` of an
+  explain record.
 
 Design constraints, in order:
 
-* **zero overhead when disabled** — the default state.  ``span(...)``
-  checks one module global and returns a shared no-op context manager;
-  nothing is allocated, no clock is read.  The observability overhead
-  bench (``benchmarks/bench_obs_overhead.py``) guards this.
+* **cheap by default, free when off** — the default state is recorder
+  on, tracer off: a span is two clock reads and one ring append, and
+  mints no ids (``uuid4`` runs only under a configured tracer).  With
+  the tracer *and* the recorder off and no phase collector active,
+  ``span(...)`` returns the shared ``NOOP_SPAN``: nothing is allocated,
+  no clock is read.  No call site chooses a sink and there is no filter
+  (:mod:`repro.obs.recorder` has the per-solve span counts that make
+  that affordable; ``benchmarks/bench_obs_overhead.py`` holds them).
 * **thread-safe** — the fleet daemon thread, coalesced planner callers,
   and solve-pool worker threads all emit concurrently.  The current-span
   stack lives in a :class:`contextvars.ContextVar` (per-thread by
@@ -147,26 +157,24 @@ class JsonlSink(Sink):
 # spans
 # ----------------------------------------------------------------------
 class Span:
-    """One timed phase.  Use as a context manager via :meth:`Tracer.span`."""
+    """One timed phase.  Use as a context manager via :func:`span`."""
 
     __slots__ = ("name", "trace_id", "span_id", "parent_id", "attrs",
-                 "_tracer", "_t0_wall", "_t0", "duration", "_token",
-                 "_record")
+                 "_tracer", "_t0_wall", "_t0", "duration", "_token")
 
-    def __init__(self, tracer: "Tracer", name: str, attrs: dict) -> None:
+    def __init__(self, tracer: "Tracer | None", name: str,
+                 attrs: dict) -> None:
         self.name = name
         self.attrs = attrs
         self._tracer = tracer
         self.trace_id = ""
-        self.span_id = _new_id()
+        # ids exist for the trace file's parent linkage only
+        self.span_id = _new_id() if tracer is not None else ""
         self.parent_id: str | None = None
         self._t0_wall = 0.0
         self._t0 = 0.0
         self.duration = 0.0
         self._token = None
-        # rspan() flips this: the closed span also lands in the flight
-        # recorder ring and the active phase accumulator
-        self._record = False
 
     def set_attr(self, **attrs) -> "Span":
         """Attach attributes after the span has opened (e.g. a result)."""
@@ -174,43 +182,46 @@ class Span:
         return self
 
     def __enter__(self) -> "Span":
-        parent = _current.get()
-        if parent is not None:
-            self.trace_id, self.parent_id = parent
-        else:
-            self.trace_id = self._tracer.trace_id()
-            self.parent_id = self._tracer.root_parent()
-        self._token = _current.set((self.trace_id, self.span_id))
+        tracer = self._tracer
+        if tracer is not None:
+            parent = _current.get()
+            if parent is not None:
+                self.trace_id, self.parent_id = parent
+            else:
+                self.trace_id = tracer._trace_id
+                self.parent_id = tracer._root_parent
+            self._token = _current.set((self.trace_id, self.span_id))
         self._t0_wall = time.time()
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.duration = time.perf_counter() - self._t0
-        _current.reset(self._token)
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
-        self._tracer.emit({
-            "kind": "span",
-            "v": TRACE_SCHEMA_VERSION,
-            "name": self.name,
-            "trace": self.trace_id,
-            "span": self.span_id,
-            "parent": self.parent_id,
-            "pid": os.getpid(),
-            "tid": threading.get_ident(),
-            "t0": self._t0_wall,
-            "dur": self.duration,
-            "attrs": self.attrs,
-        })
-        if self._record:
-            _flight.note_span(self.name, self._t0_wall, self.duration,
-                              self.attrs)
+        tracer = self._tracer
+        if tracer is not None:
+            _current.reset(self._token)
+            tracer.emit({
+                "kind": "span",
+                "v": TRACE_SCHEMA_VERSION,
+                "name": self.name,
+                "trace": self.trace_id,
+                "span": self.span_id,
+                "parent": self.parent_id,
+                "pid": os.getpid(),
+                "tid": threading.get_ident(),
+                "t0": self._t0_wall,
+                "dur": self.duration,
+                "attrs": self.attrs,
+            })
+        _flight.note_span(self.name, self._t0_wall, self.duration,
+                          self.attrs)
         return False
 
 
 class _NoopSpan:
-    """The shared do-nothing span handed out when tracing is disabled."""
+    """The shared do-nothing span handed out when every sink is off."""
 
     __slots__ = ()
 
@@ -245,15 +256,6 @@ class Tracer:
         self._trace_id = _new_id()
         # parent inherited from a carrier (worker-process stitching)
         self._root_parent: str | None = None
-
-    def trace_id(self) -> str:
-        return self._trace_id
-
-    def root_parent(self) -> str | None:
-        return self._root_parent
-
-    def span(self, name: str, **attrs):
-        return Span(self, name, attrs)
 
     def emit(self, record: dict) -> None:
         self.sink.write(record)
@@ -314,7 +316,7 @@ def configure(sink: Sink | str | Path | None = None) -> Tracer:
 
 
 def disable() -> None:
-    """Return to the zero-overhead disabled state."""
+    """Turn the tracer off (spans still reach the flight ring)."""
     global _tracer
     with _configure_lock:
         old, _tracer = _tracer, None
@@ -323,40 +325,18 @@ def disable() -> None:
 
 
 def span(name: str, **attrs):
-    """Open a span on the process tracer — or a no-op when disabled.
+    """Time a phase: the closed span goes to every live sink — the
+    tracer, the flight ring, the active phase collector.
 
-    The disabled path is the hot one: a single global load and an
-    immediate return of a shared object.  Keyword attributes are only
-    meaningful when tracing is on, but evaluating them must stay cheap
-    at every call site (pass scalars, not renders).
+    With all three off this is two loads and the shared ``NOOP_SPAN``.
+    Keyword attributes must stay cheap to evaluate at every call site
+    (pass scalars, not renders), and a span must never sit in a
+    per-element loop: the ring holds every one.
     """
     tracer = _tracer
-    if tracer is None:
+    if tracer is None and not _flight.wants_spans():
         return NOOP_SPAN
-    return tracer.span(name, **attrs)
-
-
-def rspan(name: str, **attrs):
-    """A *recorded* span: lands in the flight recorder ring always, and
-    in the trace sink too when tracing is enabled.
-
-    Only the coarse decision sites use this — planner serve phases, pool
-    solves, synthesis, solver milestones, fleet steps — roughly a dozen
-    per request, never the per-family model-build loops. The plain
-    :func:`span` keeps its pinned zero-overhead contract (a shared no-op
-    object when tracing is off); ``rspan`` trades two clock reads and a
-    deque push for always-on incident forensics, a cost the overhead
-    bench holds under the same budget.
-    """
-    tracer = _tracer
-    if tracer is not None:
-        sp = tracer.span(name, **attrs)
-        sp._record = True
-        return sp
-    rec = _flight.active()
-    if rec is not None:
-        return _flight.RecorderSpan(rec, name, attrs)
-    return NOOP_SPAN
+    return Span(tracer, name, attrs)
 
 
 def event(name: str, **attrs) -> None:
@@ -386,7 +366,6 @@ class _Activation:
     def __init__(self, ctx: dict | None) -> None:
         self._ctx = ctx
         self._token = None
-        self._configured_here = False
 
     def __enter__(self):
         ctx = self._ctx
@@ -396,7 +375,6 @@ class _Activation:
         with _configure_lock:
             if _tracer is None and ctx.get("sink"):
                 _tracer = Tracer(ctx["sink"])
-                self._configured_here = True
         if _tracer is not None and ctx.get("trace"):
             _tracer._trace_id = ctx["trace"]
             _tracer._root_parent = ctx.get("span")

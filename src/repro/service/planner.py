@@ -157,8 +157,8 @@ class Planner:
         not rely on the near-fingerprint index finding it. Cache hits still
         win: a seed only matters when the request actually solves.
         """
-        request, inverse = self._canonical_request(request)
-        fingerprint, pending = self._start(request, warm_from=warm_from)
+        request, inverse, fingerprint, pending = self._start(
+            request, warm_from=warm_from)
         response = self._finish(request, fingerprint, pending,
                                 timeout=self._budget(timeout),
                                 raise_errors=True)
@@ -181,15 +181,12 @@ class Planner:
                 f"{len(requests)} requests")
         budget = self._budget(timeout)
         deadline = None if budget is None else time.perf_counter() + budget
-        canonical = [self._canonical_request(request)
-                     for request in requests]
         started = [self._start(request,
                                warm_from=None if warm_from is None
                                else warm_from[i])
-                   for i, (request, _) in enumerate(canonical)]
+                   for i, request in enumerate(requests)]
         responses = []
-        for (request, inverse), (fingerprint, pending) in zip(canonical,
-                                                              started):
+        for request, inverse, fingerprint, pending in started:
             remaining = None if deadline is None \
                 else max(0.0, deadline - time.perf_counter())
             response = self._finish(request, fingerprint, pending,
@@ -234,7 +231,7 @@ class Planner:
 
         from repro.core import symmetry as _symmetry
 
-        with _obs.rspan("planner.canonicalize"):
+        with _obs.span("planner.canonicalize"):
             demand, sigma = _symmetry.canonicalize_demand(
                 request.topology, request.demand)
         if demand is request.demand:
@@ -255,11 +252,13 @@ class Planner:
 
     def _start(self, request: PlanRequest,
                warm_from: SynthesisResult | None = None):
-        """Fingerprint + cache probe + (on miss) pool submission.
+        """Canonicalize + fingerprint + cache probe + (on miss) pool
+        submission — all on the serve clock and inside the phase collector.
 
-        Returns ``(fingerprint, pending)`` where pending is either a ready
-        :class:`PlanResponse` (cache hit) or ``(future, coalesced, t0,
-        warm_donor, explain)``.
+        Returns ``(request, inverse, fingerprint, pending)``: the canonical
+        request with its relabeling (:meth:`_canonical_request`), and
+        pending — either a ready :class:`PlanResponse` (cache hit) or
+        ``(future, coalesced, t0, warm_donor, explain)``.
 
         A miss also probes the cache's *near* index: a schedule solved for
         the same fabric shape and demand under a different horizon or
@@ -268,63 +267,60 @@ class Planner:
         knows its donor is fresher than anything the cache can offer.
         """
         explain = ExplainRecord(tag=request.tag)
+        t0 = time.perf_counter()
         with _flight.collect_phases() as phases:
+            request, inverse = self._canonical_request(request)
             fingerprint, pending = self._start_inner(request, warm_from,
-                                                     explain)
+                                                     explain, t0)
         explain.phases.update(phases)
-        return fingerprint, pending
+        return request, inverse, fingerprint, pending
+
+    @staticmethod
+    def _hit_response(request: PlanRequest, fingerprint: str, payload: dict,
+                      explain: ExplainRecord, t0: float) -> PlanResponse:
+        result = SynthesisResult.from_dict(payload)
+        explain.source = "cache"
+        explain.cache_hit = True
+        explain.solve = result.explain
+        return PlanResponse(fingerprint=fingerprint, result=result,
+                            cache_hit=True, tag=request.tag,
+                            serve_time=time.perf_counter() - t0,
+                            explain=explain)
 
     def _start_inner(self, request: PlanRequest,
                      warm_from: SynthesisResult | None,
-                     explain: ExplainRecord):
-        t0 = time.perf_counter()
+                     explain: ExplainRecord, t0: float):
         self._bump(requests=1)
-        with _obs.rspan("planner.fingerprint"):
+        with _obs.span("planner.fingerprint"):
             fingerprint = fingerprint_request(
                 request.topology, request.demand, request.config,
                 method=request.method, astar_config=request.astar_config,
                 minimize_epochs=request.minimize_epochs)
         explain.fingerprint = fingerprint
-        with _obs.rspan("planner.cache_lookup") as lookup_sp, self._lock:
+        with _obs.span("planner.cache_lookup") as lookup_sp, self._lock:
             payload = self.cache.get(fingerprint)
             lookup_sp.set_attr(hit=payload is not None)
             if payload is not None:
-                explain.source = "cache"
-                explain.cache_hit = True
-                response = PlanResponse(
-                    fingerprint=fingerprint,
-                    result=SynthesisResult.from_dict(payload),
-                    cache_hit=True, tag=request.tag,
-                    serve_time=time.perf_counter() - t0,
-                    explain=explain)
-                response.explain.solve = response.result.explain
-                return fingerprint, response
+                return fingerprint, self._hit_response(
+                    request, fingerprint, payload, explain, t0)
         # Misses only, and outside the lock: the near key is a second
         # canonicalisation and to_dict() serialises the whole request —
         # pure CPU work that must neither tax the cache-hit hot path nor
         # stall concurrent requests on self._lock.
-        with _obs.rspan("planner.near_donor"):
+        with _obs.span("planner.near_donor"):
             near = near_fingerprint_request(
                 request.topology, request.demand, request.config,
                 method=request.method, astar_config=request.astar_config,
                 minimize_epochs=request.minimize_epochs)
             request_dict = request.to_dict()
-        with _obs.rspan("planner.submit") as submit_sp, self._lock:
+        with _obs.span("planner.submit") as submit_sp, self._lock:
             # re-probe: the solve of an identical request may have been
             # archived while we were canonicalising (peek, not get: the
             # miss was already counted once above)
             payload = self.cache.peek(fingerprint)
             if payload is not None:
-                explain.source = "cache"
-                explain.cache_hit = True
-                response = PlanResponse(
-                    fingerprint=fingerprint,
-                    result=SynthesisResult.from_dict(payload),
-                    cache_hit=True, tag=request.tag,
-                    serve_time=time.perf_counter() - t0,
-                    explain=explain)
-                response.explain.solve = response.result.explain
-                return fingerprint, response
+                return fingerprint, self._hit_response(
+                    request, fingerprint, payload, explain, t0)
             explicit_seed = warm_from is not None
             if explicit_seed:
                 request_dict["_warm_from"] = warm_from.to_dict()
@@ -411,7 +407,7 @@ class Planner:
                     # raise_errors path: the caller sees the exception, the
                     # flight recorder keeps the full story (decision event
                     # with the explain record, then an incident dump)
-                    self._record_failure(fingerprint, pending, exc, phases)
+                    self._record_failure(pending, exc, phases)
                     raise
             if response.explain is not None:
                 response.explain.phases.update(phases)
@@ -433,15 +429,13 @@ class Planner:
             return "unchecked"
         return "ok" if response.conformant else "failed"
 
-    def _record_failure(self, fingerprint: str, pending, exc,
-                        phases: dict) -> None:
+    @staticmethod
+    def _record_failure(pending, exc, phases: dict) -> None:
         """Flight-record a serve failure that is about to raise."""
-        explain = pending[4] if isinstance(pending, tuple) \
-            and len(pending) >= 5 else (
-                pending.explain if isinstance(pending, PlanResponse)
-                else None)
-        if explain is None:
-            explain = ExplainRecord(fingerprint=fingerprint)
+        # pending is a cache-hit response or the miss's 5-tuple; both
+        # carry the explain record _start opened
+        explain = pending.explain if isinstance(pending, PlanResponse) \
+            else pending[4]
         explain.source = "error"
         explain.error = str(exc)
         explain.phases.update(phases)
@@ -478,16 +472,11 @@ class Planner:
         future, coalesced, t0, warm_donor, explain = pending
         try:
             payload = self.pool.wait(future, timeout)
-        except ServiceError as exc:  # timeout
-            self._bump(timeouts=1)
-            if raise_errors:
-                raise
-            return self._observe(PlanResponse(
-                fingerprint=fingerprint, error=str(exc),
-                coalesced=coalesced, tag=request.tag,
-                warm_donor=warm_donor,
-                serve_time=time.perf_counter() - t0, explain=explain))
-        except ReproError as exc:  # solver-side failure (infeasible, ...)
+        except ReproError as exc:
+            # a ServiceError is the wait timing out; anything else is a
+            # solver-side failure (infeasible, ...)
+            if isinstance(exc, ServiceError):
+                self._bump(timeouts=1)
             if raise_errors:
                 raise
             return self._observe(PlanResponse(

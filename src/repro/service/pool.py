@@ -61,8 +61,8 @@ def solve_request(request_dict: dict) -> dict:
     request = PlanRequest.from_dict(request_dict)
     with _obs.activate(request_dict.get("_obs")), \
             _flight.context(request_dict.get("_fingerprint")):
-        with _obs.rspan("pool.solve", method=request.method.value,
-                        warm=warm_from is not None):
+        with _obs.span("pool.solve", method=request.method.value,
+                       warm=warm_from is not None):
             result = synthesize(request.topology, request.demand,
                                 request.config,
                                 method=request.method,

@@ -4,7 +4,10 @@ The package's centrepiece is the **conformance engine**
 (:mod:`repro.simulate.conformance`): a strict replay oracle written against
 the paper's execution model that every schedule producer in the repo is
 swept through by the randomized cross-producer harness
-(:mod:`repro.simulate.harness`). The continuous-time event executor
+(:mod:`repro.simulate.harness`). :func:`check_schedule` /
+:func:`check_flow` / :func:`check_result` return a structured
+:class:`ConformanceReport`; ``.raise_on_violation()`` is the "verify or
+raise" form. The continuous-time event executor
 (:mod:`repro.simulate.events`) and the perturbation robustness tools
 (:mod:`repro.simulate.perturb`) answer the follow-up questions — what would
 this schedule do on un-quantised hardware, and under congestion?
@@ -23,14 +26,12 @@ from repro.simulate.perturb import (DriftModel, PerturbationModel,
                                     RobustnessReport, congestion_robustness,
                                     drift_step, drift_trace,
                                     perturbed_topology)
-from repro.simulate.simulator import SimulationReport, simulate, verify
 
 __all__ = [
     "ConformanceReport", "Violation", "check_schedule", "check_flow",
     "check_result", "FINISH_RTOL", "FLOW_ATOL",
     "ReplayCase", "SweepRecord", "PRODUCERS", "random_instance",
     "replay_case", "run_producer", "sweep",
-    "SimulationReport", "simulate", "verify",
     "run_events", "EventReport", "ChunkArrival", "quantisation_gap",
     "PerturbationModel", "RobustnessReport", "congestion_robustness",
     "perturbed_topology", "DriftModel", "drift_step", "drift_trace",

@@ -1,6 +1,6 @@
 """A continuous-time event simulator for collective schedules.
 
-The epoch-grid simulator (:mod:`repro.simulate.simulator`) validates a
+The epoch-grid replay (:mod:`repro.simulate.conformance`) validates a
 schedule against the *model* TE-CCL optimised. This module answers the next
 question the paper asks (§6 "Platform"): what would the schedule do on real
 hardware, where time is not quantised? It executes sends under the α–β
@@ -13,7 +13,7 @@ model with per-link FIFO serialisation:
   its absolute timing is not — that is the point);
 * every node holds chunks once received. This is *lenient* for zero-buffer
   switches: the executor measures timing, not switch-memory feasibility —
-  the epoch-grid simulator (:func:`repro.simulate.verify`) owns that check.
+  :func:`repro.simulate.check_schedule` owns that check.
 
 The gap between the event-simulated finish and the α–β epoch estimate is the
 discretisation error — reported by :func:`quantisation_gap` and kept small

@@ -15,7 +15,7 @@ from repro.core import TecclConfig, solve_milp
 from repro.core.astar import solve_astar
 from repro.core.config import AStarConfig
 from repro.errors import ModelError
-from repro.simulate import verify
+from repro.simulate import check_schedule
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "astar_outputs.json").read_text())
@@ -29,7 +29,8 @@ class TestCorrectness:
     def test_ring_allgather_valid(self, astar_instance):
         topo, demand, config, astar = astar_instance("ring4_ag_r3")
         out = solve_astar(topo, demand, config, astar)
-        report = verify(out.schedule, topo, demand, out.plan)
+        report = check_schedule(out.schedule, topo, demand,
+                                out.plan).raise_on_violation()
         assert report.ok
         assert out.num_rounds >= 1
 
@@ -38,24 +39,28 @@ class TestCorrectness:
         topo, demand, config, astar = astar_instance("line6_bcast_r3")
         out = solve_astar(topo, demand, config, astar)
         assert out.num_rounds >= 2
-        verify(out.schedule, topo, demand, out.plan)
+        check_schedule(out.schedule, topo, demand,
+                       out.plan).raise_on_violation()
 
     def test_progress_carries_across_rounds(self, astar_instance):
         topo, demand, config, astar = astar_instance("line5_bcast2_r2")
         out = solve_astar(topo, demand, config, astar)
-        verify(out.schedule, topo, demand, out.plan)
+        check_schedule(out.schedule, topo, demand,
+                       out.plan).raise_on_violation()
         # the chunk advances at least one hop per round
         assert out.num_rounds <= 5
 
     def test_with_alpha_delays(self, astar_instance):
         topo, demand, config, astar = astar_instance("line4_alpha_r4")
         out = solve_astar(topo, demand, config, astar)
-        verify(out.schedule, topo, demand, out.plan)
+        check_schedule(out.schedule, topo, demand,
+                       out.plan).raise_on_violation()
 
     def test_switch_topology(self, astar_instance):
         topo, demand, config, astar = astar_instance("internal2x2_ag")
         out = solve_astar(topo, demand, config, astar)
-        report = verify(out.schedule, topo, demand, out.plan)
+        report = check_schedule(out.schedule, topo, demand,
+                                out.plan).raise_on_violation()
         assert report.ok
 
     def test_slow_link_occupancy_respected_across_rounds(self,
@@ -67,7 +72,8 @@ class TestCorrectness:
         """
         topo, demand, config, astar = astar_instance("mixed_kappa2_r3")
         out = solve_astar(topo, demand, config, astar)
-        report = verify(out.schedule, topo, demand, out.plan)
+        report = check_schedule(out.schedule, topo, demand,
+                                out.plan).raise_on_violation()
         assert report.ok, report.violations
 
 

@@ -12,7 +12,7 @@ from repro.baselines.common import GreedyScheduler, LinkLedger
 from repro.core import TecclConfig, solve_milp
 from repro.core.epochs import build_epoch_plan, plan_with_tau
 from repro.errors import InfeasibleError, TopologyError
-from repro.simulate import verify
+from repro.simulate import check_schedule
 
 
 def cfg(num_epochs=None, **kwargs):
@@ -56,7 +56,7 @@ class TestGreedyScheduler:
         assert arrival == 2
         sched = scheduler.to_schedule()
         demand = collectives.Demand.from_triples([(0, 0, 1)])
-        verify(sched, topo, demand, plan)
+        check_schedule(sched, topo, demand, plan).raise_on_violation()
 
     def test_path_ending_at_switch_rejected(self):
         topo = topology.star(3)
@@ -95,7 +95,7 @@ class TestShortestPath:
         sched = shortest_path_schedule(ring4, demand, cfg())
         plan = plan_with_tau(ring4, 1.0, tau=1.0,
                              num_epochs=sched.num_epochs)
-        verify(sched, ring4, demand, plan)
+        check_schedule(sched, ring4, demand, plan).raise_on_violation()
 
     def test_never_better_than_milp(self, ring4, ag_ring4):
         sp = shortest_path_schedule(ring4, ag_ring4, cfg())
@@ -132,7 +132,7 @@ class TestRing:
         sched = ring_allgather(topo, cfg())
         demand = ring_demand(topo)
         plan = plan_with_tau(topo, 1.0, tau=1.0, num_epochs=sched.num_epochs)
-        verify(sched, topo, demand, plan)
+        check_schedule(sched, topo, demand, plan).raise_on_violation()
 
     def test_ring_time_closed_form(self):
         topo = topology.ring(5, capacity=2.0, alpha=0.5)
@@ -181,7 +181,8 @@ class TestScclLike:
         from repro.baselines.sccl_like import _barrier_plan
 
         plan = _barrier_plan(ring4, 1.0, out.steps)
-        verify(out.schedule, ring4, ag_ring4, plan)
+        check_schedule(out.schedule, ring4, ag_ring4,
+                       plan).raise_on_violation()
 
 
 class TestTacclLike:
@@ -192,7 +193,8 @@ class TestTacclLike:
         plan = build_epoch_plan(out.topology,
                                 TecclConfig(chunk_bytes=1e6),
                                 out.schedule.num_epochs)
-        verify(out.schedule, out.topology, out.demand, plan)
+        check_schedule(out.schedule, out.topology, out.demand,
+                       plan).raise_on_violation()
         assert out.finish_time > 0
         assert out.routing_time >= 0 and out.scheduling_time >= 0
 

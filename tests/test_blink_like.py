@@ -8,7 +8,7 @@ from repro.baselines.blink_like import (blink_allgather, blink_broadcast,
 from repro.core import TecclConfig, solve_milp
 from repro.core.epochs import build_epoch_plan, plan_with_tau
 from repro.errors import DemandError, TopologyError
-from repro.simulate import verify
+from repro.simulate import check_schedule
 
 
 def cfg(num_epochs=None, **kwargs):
@@ -100,13 +100,13 @@ class TestBlinkSchedules:
         sched = blink_broadcast(topo, cfg(), root=0, num_chunks=4)
         demand = collectives.broadcast(0, topo.gpus, 4)
         plan = plan_with_tau(topo, 1.0, tau=1.0, num_epochs=sched.num_epochs)
-        verify(sched, topo, demand, plan)
+        check_schedule(sched, topo, demand, plan).raise_on_violation()
 
     def test_broadcast_through_switch(self, star3):
         sched = blink_broadcast(star3, cfg(), root=0, num_chunks=2)
         demand = collectives.broadcast(0, star3.gpus, 2)
         plan = plan_with_tau(star3, 1.0, tau=1.0, num_epochs=sched.num_epochs)
-        verify(sched, star3, demand, plan)
+        check_schedule(sched, star3, demand, plan).raise_on_violation()
 
     def test_multi_tree_beats_single_tree_on_mesh(self):
         """Packing >1 tree must not be slower than the best single tree —
@@ -123,7 +123,7 @@ class TestBlinkSchedules:
         sched = blink_allgather(dgx1, config, chunks_per_gpu=1, max_trees=2)
         demand = collectives.allgather(dgx1.gpus, 1)
         plan = build_epoch_plan(dgx1, config, num_epochs=sched.num_epochs)
-        verify(sched, dgx1, demand, plan)
+        check_schedule(sched, dgx1, demand, plan).raise_on_violation()
 
     def test_milp_at_least_as_good(self, ring4, ag_ring4):
         blink = blink_allgather(ring4, cfg(), chunks_per_gpu=1)

@@ -546,7 +546,7 @@ class TestShortcutGateFallbacks:
         reference = solve_lp_pop(topo, demand, config, num_partitions=2)
         calls = fail_replays("check_flow")
         out = solve_lp_pop(topo, demand, config, num_partitions=2,
-                           parallel=True, jobs=2)
+                           jobs=2)
         assert calls == [True, False]  # parallel merge, then sequential
         assert out.schedule.flows == reference.schedule.flows
 

@@ -8,7 +8,7 @@ from repro.collectives import (alltoallv, halo_exchange,
 from repro.core import TecclConfig, solve_lp, solve_milp, synthesize
 from repro.core.solve import Method
 from repro.errors import DemandError
-from repro.simulate import verify
+from repro.simulate import check_schedule
 
 
 class TestAlltoallv:
@@ -87,9 +87,11 @@ class TestHierarchicalAllgather:
         intra, inter = hierarchical_allgather(groups, 1)
         cfg = TecclConfig(chunk_bytes=1e6, num_epochs=12)
         phase1 = solve_milp(internal2x2, intra, cfg)
-        verify(phase1.schedule, internal2x2, intra, phase1.plan)
+        check_schedule(phase1.schedule, internal2x2, intra,
+                       phase1.plan).raise_on_violation()
         phase2 = solve_milp(internal2x2, inter, cfg)
-        verify(phase2.schedule, internal2x2, inter, phase2.plan)
+        check_schedule(phase2.schedule, internal2x2, inter,
+                       phase2.plan).raise_on_violation()
         # staging never beats the flat joint optimization (sanity anchor)
         flat = synthesize(internal2x2,
                           collectives.allgather(internal2x2.gpus, 1),

@@ -7,7 +7,7 @@ from repro.core import (Method, TecclConfig, chassis_groups,
                         hierarchical_allgather, synthesize)
 from repro.core.hierarchical import ChassisPlan, _induce
 from repro.errors import DemandError, TopologyError
-from repro.simulate import verify
+from repro.simulate import check_schedule
 from repro.solver import SolverOptions
 
 
@@ -81,8 +81,8 @@ class TestHierarchicalAllgather:
                                      method=Method.MILP)
         for phase in out.phases():
             schedule = phase.synthesis.schedule
-            verify(schedule, phase.fabric.topology, phase.demand,
-                   phase.synthesis.plan)
+            check_schedule(schedule, phase.fabric.topology, phase.demand,
+                           phase.synthesis.plan).raise_on_violation()
 
     def test_never_beats_flat_optimum(self):
         """The leader bottleneck must cost something (or tie)."""

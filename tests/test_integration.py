@@ -12,7 +12,7 @@ from repro.core import TecclConfig, solve_lp, solve_milp
 from repro.core.astar import solve_astar
 from repro.core.config import AStarConfig, EpochMode, SwitchModel
 from repro.core.solve import (Method, synthesize, synthesize_multi_tenant)
-from repro.simulate import verify
+from repro.simulate import check_schedule
 from repro.solver import SolverOptions
 
 
@@ -114,7 +114,8 @@ class TestScalePath:
         cfg = TecclConfig(chunk_bytes=1e6,
                           solver=SolverOptions(mip_gap=0.3, time_limit=120))
         out = solve_astar(topo, demand, cfg, AStarConfig())
-        report = verify(out.schedule, topo, demand, out.plan)
+        report = check_schedule(out.schedule, topo, demand,
+                                out.plan).raise_on_violation()
         assert report.ok
 
     @pytest.mark.slow

@@ -16,7 +16,7 @@ from repro.core.pop import solve_lp_pop
 from repro.core.solve import Method
 from repro.failures import FailureEvent, repair_schedule
 from repro.msccl import to_msccl_xml, verify_program
-from repro.simulate import run_events, verify
+from repro.simulate import check_schedule, run_events
 from repro.solver import SolverOptions
 from repro.toposearch import DesignSpec, greedy_augment
 
@@ -138,4 +138,5 @@ class TestMultiTenantSimulation:
                              solver=SolverOptions(time_limit=30))
         result = synthesize_multi_tenant(topo, tenants, config,
                                          method=Method.MILP)
-        verify(result.schedule, topo, result.demand_used, result.plan)
+        check_schedule(result.schedule, topo, result.demand_used,
+                       result.plan).raise_on_violation()

@@ -13,7 +13,7 @@ from repro.core.config import EpochMode, SwitchModel
 from repro.core.epochs import build_epoch_plan
 from repro.core.milp import MilpBuilder
 from repro.errors import InfeasibleError, ModelError
-from repro.simulate import simulate, verify
+from repro.simulate import check_schedule
 from repro.solver import SolverOptions
 from repro.topology import to_hyper_edges
 
@@ -27,7 +27,8 @@ class TestBroadcastLine:
         demand = collectives.broadcast(0, [1, 2], 1)
         out = solve_milp(line3, demand, cfg(4))
         assert out.schedule.finish_epoch == 1
-        verify(out.schedule, line3, demand, out.plan)
+        check_schedule(out.schedule, line3, demand,
+                       out.plan).raise_on_violation()
 
     def test_horizon_too_short_is_infeasible(self, line3):
         demand = collectives.broadcast(0, [2], 1)
@@ -52,7 +53,8 @@ class TestBroadcastLine:
         out = solve_milp(line8, demand, cfg(), initial_epochs=hint)
         assert out.plan.num_epochs == 12
         assert out.result.stats["horizon_attempts"] == attempts
-        verify(out.schedule, line8, demand, out.plan)
+        check_schedule(out.schedule, line8, demand,
+                       out.plan).raise_on_violation()
 
 
 class TestRingAllgather:
@@ -61,13 +63,15 @@ class TestRingAllgather:
         # bidirectional 4-ring: farthest chunk needs 2 hops; every node can
         # receive its 3 chunks over 2 in-links in 2 epochs.
         assert out.schedule.finish_epoch == 1
-        report = verify(out.schedule, ring4, ag_ring4, out.plan)
+        report = check_schedule(out.schedule, ring4, ag_ring4,
+                                out.plan).raise_on_violation()
         assert report.finish_time == pytest.approx(out.finish_time)
 
     def test_prune_removes_noise(self, ring4, ag_ring4):
         out = solve_milp(ring4, ag_ring4, cfg(8))
         assert out.schedule.num_sends <= out.raw_schedule.num_sends
-        verify(out.schedule, ring4, ag_ring4, out.plan)
+        check_schedule(out.schedule, ring4, ag_ring4,
+                       out.plan).raise_on_violation()
 
     def test_copy_reduces_bytes_on_wire(self, ring4, ag_ring4):
         out = solve_milp(ring4, ag_ring4, cfg(6))
@@ -86,7 +90,8 @@ class TestAlphaDelay:
         topo = topology.line(3, capacity=1.0, alpha=1.5)
         demand = collectives.broadcast(0, [2], 1)
         out = solve_milp(topo, demand, cfg(8))
-        verify(out.schedule, topo, demand, out.plan)
+        check_schedule(out.schedule, topo, demand,
+                       out.plan).raise_on_violation()
         hops = sorted(out.schedule.sends)
         # alpha=1.5, tau=1 -> Delta=2: second hop at epoch >= first + 3
         assert hops[1].epoch >= hops[0].epoch + 3
@@ -102,7 +107,8 @@ class TestAlphaDelay:
         demand = collectives.Demand.from_triples([(0, 0, 4), (5, 0, 4)])
         config = TecclConfig(chunk_bytes=1e9, num_epochs=12)
         out = solve_milp(topo, demand, config)
-        report = verify(out.schedule, topo, demand, out.plan)
+        report = check_schedule(out.schedule, topo, demand,
+                                out.plan).raise_on_violation()
         alpha1, beta = 1.0, 1.0
         alpha2 = 2 * beta + 3 * alpha1
         assert report.finish_time <= alpha2 + 3 * beta + 1e-6
@@ -114,7 +120,8 @@ class TestSwitchModels:
     def test_switch_copy_allgather(self, star3):
         demand = collectives.allgather(star3.gpus, 1)
         out = solve_milp(star3, demand, cfg(6))
-        report = verify(out.schedule, star3, demand, out.plan)
+        report = check_schedule(out.schedule, star3, demand,
+                                out.plan).raise_on_violation()
         assert report.ok
         # 6 fan-out deliveries over 3 dst links need >= 2 fan-out epochs, so
         # the collective finishes at epoch 2 (inject at 0/1, fan out at 1/2).
@@ -168,7 +175,8 @@ class TestStoreAndForward:
         without = solve_milp(ring4, ag_ring4,
                              cfg(6, store_and_forward=False))
         assert without.schedule.finish_epoch == with_sf.schedule.finish_epoch
-        verify(without.schedule, ring4, ag_ring4, without.plan)
+        check_schedule(without.schedule, ring4, ag_ring4,
+                       without.plan).raise_on_violation()
 
     def test_relay_is_immediate_without_sf(self):
         topo = topology.line(4, capacity=1.0)
@@ -186,7 +194,8 @@ class TestLimitedBuffers:
         demand = collectives.Demand.from_triples(
             [(0, c, 2) for c in range(4)])
         out = solve_milp(topo, demand, cfg(8, buffer_limit_chunks=1))
-        verify(out.schedule, topo, demand, out.plan)
+        check_schedule(out.schedule, topo, demand,
+                       out.plan).raise_on_violation()
         # node 1 relays every chunk but may hold at most 1 at a time:
         # count, per epoch, chunks that arrived at 1 but not yet left
         arrivals = {}
@@ -231,7 +240,8 @@ class TestEpochModes:
                              epoch_multiplier=0.25)
         demand = collectives.Demand.from_triples([(0, c, 1) for c in range(2)])
         out = solve_milp(topo, demand, config)
-        verify(out.schedule, topo, demand, out.plan)
+        check_schedule(out.schedule, topo, demand,
+                       out.plan).raise_on_violation()
         # slow link fits one chunk per 4 epochs
         epochs = sorted(s.epoch for s in out.schedule.sends)
         assert epochs[1] - epochs[0] >= 4
@@ -284,7 +294,8 @@ class TestEarlyStop:
         config = TecclConfig(chunk_bytes=25e3, num_epochs=10,
                              solver=SolverOptions(mip_gap=0.3))
         out = solve_milp(dgx1, demand, config)
-        verify(out.schedule, dgx1, demand, out.plan)
+        check_schedule(out.schedule, dgx1, demand,
+                       out.plan).raise_on_violation()
 
     def test_objective_prefers_early_delivery(self, line3):
         demand = collectives.broadcast(0, [1], 1)

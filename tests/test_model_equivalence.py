@@ -287,9 +287,14 @@ class TestOneConstructionPath:
             "def build(plan, *, construction=None, track_rows=False):\n"
             "    span('build', construction='cold')\n"
             "def solve(options, warm_start=None, *, incremental=True):\n"
+            "    pass\n"
+            "def fan_out(tasks, parallel=False, jobs=None):\n"
             "    pass\n")
         assert [line for line, _ in self._lint().find_retired(source)] \
-            == [2, 3, 3, 5, 5]
+            == [2, 3, 3, 5, 5, 7]
+
+    def test_deleted_exports_stay_deleted(self):
+        assert self._lint().find_retired_exports() == []
 
 
 class TestAstarRoundModels:

@@ -7,6 +7,7 @@ well-formed records with correct parent linkage — including across the
 process boundary, where the trace context rides the request dict.
 """
 
+import collections
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import time
 import pytest
 
 from repro import collectives, obs, topology
-from repro.core import TecclConfig
+from repro.core import TecclConfig, synthesize
 from repro.errors import ObservabilityError
 from repro.obs.metrics import prometheus_from_snapshot
 
@@ -25,10 +26,13 @@ pytestmark = pytest.mark.obs
 
 @pytest.fixture(autouse=True)
 def _tracing_disabled():
-    """Every test starts and ends in the zero-overhead default state."""
+    """Every test starts and ends in the default state: tracer off,
+    a fresh flight ring on."""
     obs.disable()
+    obs.configure_recorder()
     yield
     obs.disable()
+    obs.configure_recorder()
 
 
 # ----------------------------------------------------------------------
@@ -36,7 +40,9 @@ def _tracing_disabled():
 # ----------------------------------------------------------------------
 class TestSpan:
     def test_disabled_is_shared_noop(self):
+        # "disabled" means every sink off: no tracer, no flight ring
         assert obs.get_tracer() is None
+        obs.disable_recorder()
         sp = obs.span("anything", cost="free")
         assert sp is obs.NOOP_SPAN
         with sp as inner:
@@ -100,6 +106,92 @@ class TestSpan:
         parent = next(r for r in sink.records if r["kind"] == "span")
         assert event["span"] == parent["span"]
         assert event["attrs"] == {"job": "j1"}
+
+
+# span-name multisets of a traced ``synthesize`` on the dgx1 fixtures,
+# captured at the commit before span() became the only span API (where
+# 4-5 of these were ``rspan`` sites): what was traced then is traced now
+_PARENT_LP_SPANS = {
+    "conformance.check": 1, "lp.build": 1, "lp.extract": 1,
+    "lp.family.buffer_limit": 1, "lp.family.capacity": 1,
+    "lp.family.conservation": 1, "lp.family.demand_met": 1,
+    "lp.family.initialization": 1, "lp.family.objective": 1,
+    "lp.family.vars": 1, "solver.backend": 1, "solver.compile": 1,
+    "solver.prepare": 1, "symmetry.detect": 1, "symmetry.quotient": 1,
+    "symmetry.reduce": 1, "symmetry.solve": 1, "synthesize": 1,
+}
+_PARENT_MILP_SPANS = {
+    "conformance.check": 1, "milp.build": 1, "milp.extract": 1,
+    "milp.family.availability": 1, "milp.family.buffer_limit": 1,
+    "milp.family.buffer_recurrence": 1, "milp.family.capacity": 1,
+    "milp.family.destination": 1, "milp.family.hyper_edge_limits": 1,
+    "milp.family.objective": 1, "milp.family.switch_constraints": 1,
+    "solver.backend": 1, "solver.compile": 2, "symmetry.detect": 1,
+    "symmetry.reduce": 1, "synthesize": 1,
+}
+
+
+def _dgx1_instance(collective):
+    topo = topology.dgx1()
+    return topo, collective(topo.gpus, 1), TecclConfig(chunk_bytes=25e3)
+
+
+class TestSpanSinks:
+    """One ``span()``: the tracer, the flight ring and the explain phases
+    are three sinks of the same closed span."""
+
+    @pytest.mark.parametrize("collective, method, expected", [
+        (collectives.alltoall, "lp", _PARENT_LP_SPANS),
+        (collectives.allgather, "milp", _PARENT_MILP_SPANS),
+    ], ids=["lp", "milp"])
+    def test_traced_span_names_match_parent(self, collective, method,
+                                            expected):
+        sink = obs.MemorySink()
+        obs.configure(sink)
+        result = synthesize(*_dgx1_instance(collective))
+        obs.disable()
+        assert result.method.value == method
+        names = collections.Counter(r["name"] for r in sink.records
+                                    if r["kind"] == "span")
+        assert dict(names) == expected
+
+    def test_default_state_rings_a_bounded_number_of_spans(self):
+        """The guard that replaced the two-tier API: a span in a
+        per-element loop would blow this count, not a budget knob."""
+        assert obs.get_tracer() is None
+        ring = obs.configure_recorder()
+        synthesize(*_dgx1_instance(collectives.allgather))
+        spans = [r for r in ring.snapshot() if r["kind"] == "span"]
+        assert 0 < len(spans) <= 40
+
+    @pytest.mark.parametrize("collective, build", [
+        (collectives.alltoall, "lp.build"),
+        (collectives.allgather, "milp.build"),
+    ], ids=["lp", "milp"])
+    def test_explain_phases_cover_build_compile_backend(self, collective,
+                                                        build):
+        ring = obs.configure_recorder()
+        result = synthesize(*_dgx1_instance(collective))
+        phases = result.explain["phases"]
+        assert {build, "solver.compile", "solver.backend"} <= set(phases)
+        [total] = [r["dur"] for r in ring.snapshot()
+                   if r["name"] == "synthesize"]
+        # phases are rounded to the microsecond
+        assert all(0.0 <= dur <= total + 1e-6 for dur in phases.values())
+
+    def test_planner_canonicalize_is_on_the_serve_clock(self):
+        from repro.service import Planner, PlanRequest
+
+        topo, demand, config = _dgx1_instance(collectives.allgather)
+        request = PlanRequest(topology=topo, demand=demand, config=config)
+        with Planner(executor="inline") as planner:
+            cold = planner.plan(request)
+            hit = planner.plan(request)
+        assert hit.cache_hit and not cold.cache_hit
+        for response in (cold, hit):
+            canon = response.explain.phases["planner.canonicalize"]
+            assert 0.0 < canon <= response.serve_time
+            assert response.explain.serve_time == response.serve_time
 
 
 class TestJsonlSink:
@@ -167,6 +259,7 @@ class TestCarrier:
         assert solve["parent"] == submit["span"]
 
     def test_activate_none_is_noop(self):
+        obs.disable_recorder()
         with obs.activate(None):
             assert obs.span("x") is obs.NOOP_SPAN
 

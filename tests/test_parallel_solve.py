@@ -181,7 +181,7 @@ class TestPopParallel:
         seq = solve_lp_pop(topo, demand, config, num_partitions=2,
                            seed=seed)
         par = solve_lp_pop(topo, demand, config, num_partitions=2,
-                           seed=seed, parallel=True, jobs=4)
+                           seed=seed, jobs=4)
         _assert_pop_identical(seq, par, topo, demand, config)
 
     def test_cold_thread_fanout_matches_sequential(self):
@@ -191,7 +191,7 @@ class TestPopParallel:
                              solver=SolverOptions(time_limit=60))
         seq = solve_lp_pop(topo, demand, config, num_partitions=2)
         par = solve_lp_pop(topo, demand, config, num_partitions=2,
-                           parallel=True)
+                           jobs=None)
         _assert_pop_identical(seq, par, topo, demand, config)
 
     def test_partitions_take_the_quotient(self):
@@ -203,7 +203,7 @@ class TestPopParallel:
             time_limit=60, symmetry="on"))
         seq = solve_lp_pop(topo, demand, config, num_partitions=1)
         par = solve_lp_pop(topo, demand, config, num_partitions=1,
-                           parallel=True, jobs=2)
+                           jobs=2)
         for out in (seq, par):
             assert out.sub_outcomes[0].result.stats["symmetry_conformant"]
         _assert_pop_identical(seq, par, topo, demand, config)
@@ -221,7 +221,7 @@ class TestPopParallel:
                            num_partitions=partitions, seed=seed)
         par = solve_lp_pop(topo, demand, config,
                            num_partitions=partitions, seed=seed,
-                           parallel=True)
+                           jobs=None)
         _assert_pop_identical(seq, par, topo, demand, config)
 
 
@@ -274,7 +274,7 @@ class TestHierarchicalDedupParallel:
         seq = hierarchical_allgather(topo, _hier_config(), chassis=plans,
                                      dedup=False)
         fast = hierarchical_allgather(topo, _hier_config(), chassis=plans,
-                                      dedup=True, parallel=True, jobs=4)
+                                      dedup=True, jobs=4)
         _assert_hier_identical(seq, fast)
         _assert_hier_conformant(fast)
         assert fast.sub_solves == 3
@@ -285,7 +285,7 @@ class TestHierarchicalDedupParallel:
         seq = hierarchical_allgather(topo, _hier_config(), chassis=plans,
                                      dedup=False)
         par = hierarchical_allgather(topo, _hier_config(), chassis=plans,
-                                     dedup=False, parallel=True)
+                                     dedup=False, jobs=None)
         _assert_hier_identical(seq, par)
         assert par.sub_solves == 5
 
@@ -310,7 +310,7 @@ class TestHierarchicalDedupParallel:
         seq = hierarchical_allgather(topo, _hier_config(), chassis=plans,
                                      dedup=False)
         ded = hierarchical_allgather(topo, _hier_config(), chassis=plans,
-                                     dedup=True, parallel=True)
+                                     dedup=True, jobs=None)
         _assert_hier_identical(seq, ded)
         _assert_hier_conformant(ded)
         assert seq.sub_solves == 9

@@ -22,7 +22,7 @@ from repro.core.astar import solve_astar
 from repro.core.config import AStarConfig
 from repro.core.epochs import build_epoch_plan, path_based_epoch_bound
 from repro.errors import InfeasibleError
-from repro.simulate import simulate
+from repro.simulate import check_schedule
 from repro.solver import Model, Sense, SolverOptions, quicksum
 
 _LIMIT = SolverOptions(time_limit=20.0)
@@ -94,7 +94,7 @@ class TestMilpProperties:
                           num_epochs=horizon_for(topo, demand,
                                                  TecclConfig(chunk_bytes=1.0)))
         out = solve_milp(topo, demand, cfg)
-        report = simulate(out.schedule, topo, demand, out.plan)
+        report = check_schedule(out.schedule, topo, demand, out.plan)
         assert report.ok, report.violations
 
     @pytest.mark.slow
@@ -153,7 +153,7 @@ class TestAstarProperties:
                               AStarConfig(epochs_per_round=4, max_rounds=32))
         except InfeasibleError:
             pytest.skip("round budget too small for this instance")
-        report = simulate(out.schedule, topo, demand, out.plan)
+        report = check_schedule(out.schedule, topo, demand, out.plan)
         assert report.ok, report.violations
 
     @pytest.mark.slow

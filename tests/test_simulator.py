@@ -1,4 +1,5 @@
-"""Unit tests for the α–β schedule executor (the hardware stand-in)."""
+"""Replay behaviours of ``check_schedule`` on hand-written schedules:
+availability, capacity windows, switch strictness, delivery."""
 
 import pytest
 
@@ -6,7 +7,7 @@ from repro import collectives, topology
 from repro.core.epochs import plan_with_tau
 from repro.core.schedule import Schedule, Send
 from repro.errors import ScheduleError
-from repro.simulate import simulate, verify
+from repro.simulate import check_schedule
 
 
 def send(epoch, src, dst, source=0, chunk=0):
@@ -31,21 +32,22 @@ def sched(sends, num_epochs=8, chunk_bytes=1.0):
 class TestAvailability:
     def test_valid_relay_passes(self, line3, plan3):
         demand = collectives.Demand.from_triples([(0, 0, 2)])
-        report = simulate(sched([send(0, 0, 1), send(1, 1, 2)]),
-                          line3, demand, plan3)
+        report = check_schedule(sched([send(0, 0, 1), send(1, 1, 2)]),
+                                line3, demand, plan3)
         assert report.ok
         assert report.finish_time == pytest.approx(2.0)
 
     def test_premature_forward_detected(self, line3, plan3):
         demand = collectives.Demand.from_triples([(0, 0, 2)])
-        report = simulate(sched([send(0, 0, 1), send(0, 1, 2)]),
-                          line3, demand, plan3)
+        report = check_schedule(sched([send(0, 0, 1), send(0, 1, 2)]),
+                                line3, demand, plan3)
         assert not report.ok
-        assert any("before holding" in v for v in report.violations)
+        assert any("before holding" in str(v) for v in report.violations)
+        assert "availability" in report.counts_by_kind()
 
     def test_forward_of_never_received_chunk(self, line3, plan3):
         demand = collectives.Demand.from_triples([(0, 0, 2)])
-        report = simulate(sched([send(0, 1, 2)]), line3, demand, plan3)
+        report = check_schedule(sched([send(0, 1, 2)]), line3, demand, plan3)
         assert not report.ok
 
     def test_alpha_shifts_availability(self):
@@ -53,22 +55,22 @@ class TestAvailability:
         plan = plan_with_tau(topo, 1.0, tau=1.0, num_epochs=8)
         demand = collectives.Demand.from_triples([(0, 0, 2)])
         # Delta = 2: forwarding at epoch 2 is one epoch too early
-        early = simulate(sched([send(0, 0, 1), send(2, 1, 2)]),
-                         topo, demand, plan)
+        early = check_schedule(sched([send(0, 0, 1), send(2, 1, 2)]),
+                               topo, demand, plan)
         assert not early.ok
-        ok = simulate(sched([send(0, 0, 1), send(3, 1, 2)]),
-                      topo, demand, plan)
+        ok = check_schedule(sched([send(0, 0, 1), send(3, 1, 2)]),
+                            topo, demand, plan)
         assert ok.ok
 
 
 class TestCapacity:
     def test_over_capacity_detected(self, line3, plan3):
         demand = collectives.Demand.from_triples([(0, 0, 1), (0, 1, 1)])
-        report = simulate(
+        report = check_schedule(
             sched([send(0, 0, 1), send(0, 0, 1, chunk=1)]),
             line3, demand, plan3)
         assert not report.ok
-        assert any("capacity" in v for v in report.violations)
+        assert "capacity" in report.counts_by_kind()
 
     def test_windowed_capacity_on_slow_links(self):
         topo = topology.Topology("w", num_nodes=2)
@@ -76,12 +78,12 @@ class TestCapacity:
         plan = plan_with_tau(topo, 4.0, tau=1.0, num_epochs=12)
         assert plan.occupancy[(0, 1)] == 4
         demand = collectives.Demand.from_triples([(0, 0, 1), (0, 1, 1)])
-        burst = simulate(
+        burst = check_schedule(
             sched([send(0, 0, 1), send(2, 0, 1, chunk=1)], num_epochs=12,
                   chunk_bytes=4.0),
             topo, demand, plan)
         assert not burst.ok
-        spaced = simulate(
+        spaced = check_schedule(
             sched([send(0, 0, 1), send(4, 0, 1, chunk=1)], num_epochs=12,
                   chunk_bytes=4.0),
             topo, demand, plan)
@@ -93,7 +95,7 @@ class TestSwitchSemantics:
         topo = topology.star(3)
         plan = plan_with_tau(topo, 1.0, tau=1.0, num_epochs=8)
         demand = collectives.Demand.from_triples([(0, 0, 1)])
-        report = simulate(
+        report = check_schedule(
             sched([send(0, 0, 3), send(0, 0, 1)]),  # direct link 0->1 absent!
             topo, demand, plan)
         assert not report.ok
@@ -102,43 +104,44 @@ class TestSwitchSemantics:
         topo = topology.star(3)
         plan = plan_with_tau(topo, 1.0, tau=1.0, num_epochs=8)
         demand = collectives.Demand.from_triples([(0, 0, 1)])
-        good = simulate(sched([send(0, 0, 3), send(1, 3, 1)]),
-                        topo, demand, plan)
+        good = check_schedule(sched([send(0, 0, 3), send(1, 3, 1)]),
+                              topo, demand, plan)
         assert good.ok
-        late = simulate(sched([send(0, 0, 3), send(2, 3, 1)]),
-                        topo, demand, plan, strict_switches=True)
+        late = check_schedule(sched([send(0, 0, 3), send(2, 3, 1)]),
+                              topo, demand, plan, strict_switches=True)
         assert not late.ok
 
     def test_lenient_mode_allows_buffered_switches(self):
         topo = topology.star(3)
         plan = plan_with_tau(topo, 1.0, tau=1.0, num_epochs=8)
         demand = collectives.Demand.from_triples([(0, 0, 1)])
-        report = simulate(sched([send(0, 0, 3), send(2, 3, 1)]),
-                          topo, demand, plan, strict_switches=False)
+        report = check_schedule(sched([send(0, 0, 3), send(2, 3, 1)]),
+                                topo, demand, plan, strict_switches=False)
         # forwarding late is an arrival violation only in strict mode
-        assert not any("stranded" in v for v in report.violations)
+        assert "stranded" not in report.counts_by_kind()
 
 
 class TestDelivery:
     def test_unmet_demand_detected(self, line3, plan3):
         demand = collectives.Demand.from_triples([(0, 0, 1), (0, 0, 2)])
-        report = simulate(sched([send(0, 0, 1)]), line3, demand, plan3)
+        report = check_schedule(sched([send(0, 0, 1)]), line3, demand, plan3)
         assert not report.ok
-        assert any("unmet" in v for v in report.violations)
+        assert "delivery" in report.counts_by_kind()
 
     def test_finish_time_is_last_useful_arrival(self, line3, plan3):
         demand = collectives.Demand.from_triples([(0, 0, 1)])
-        report = simulate(sched([send(0, 0, 1), send(3, 1, 2)]),
-                          line3, demand, plan3)
+        report = check_schedule(sched([send(0, 0, 1), send(3, 1, 2)]),
+                                line3, demand, plan3)
         # the epoch-3 hop serves nothing; finish tracks demand only
         assert report.finish_time == pytest.approx(1.0)
 
     def test_verify_raises(self, line3, plan3):
         demand = collectives.Demand.from_triples([(0, 0, 2)])
+        report = check_schedule(sched([]), line3, demand, plan3)
         with pytest.raises(ScheduleError):
-            verify(sched([]), line3, demand, plan3)
+            report.raise_on_violation()
 
     def test_total_bytes_reported(self, line3, plan3):
         demand = collectives.Demand.from_triples([(0, 0, 1)])
-        report = simulate(sched([send(0, 0, 1)]), line3, demand, plan3)
+        report = check_schedule(sched([send(0, 0, 1)]), line3, demand, plan3)
         assert report.total_bytes == pytest.approx(1.0)

@@ -12,7 +12,7 @@ from repro.baselines.trees import (LogicalTree, binomial_broadcast,
 from repro.core import TecclConfig, solve_milp
 from repro.core.epochs import plan_with_tau
 from repro.errors import DemandError, TopologyError
-from repro.simulate import verify
+from repro.simulate import check_schedule
 
 
 def cfg(num_epochs=None, **kwargs):
@@ -109,20 +109,20 @@ class TestBroadcastSchedules:
         sched = binomial_broadcast(ring4, cfg(), root=0, num_chunks=2)
         demand = collectives.broadcast(0, ring4.gpus, 2)
         plan = plan_with_tau(ring4, 1.0, tau=1.0, num_epochs=sched.num_epochs)
-        verify(sched, ring4, demand, plan)
+        check_schedule(sched, ring4, demand, plan).raise_on_violation()
 
     def test_binomial_broadcast_through_switch(self, star3):
         sched = binomial_broadcast(star3, cfg(), root=0, num_chunks=1)
         demand = collectives.broadcast(0, star3.gpus, 1)
         plan = plan_with_tau(star3, 1.0, tau=1.0, num_epochs=sched.num_epochs)
-        verify(sched, star3, demand, plan)
+        check_schedule(sched, star3, demand, plan).raise_on_violation()
 
     def test_double_tree_broadcast_delivers(self):
         topo = topology.full_mesh(6, capacity=1.0)
         sched = double_tree_broadcast(topo, cfg(), root=0, num_chunks=4)
         demand = collectives.broadcast(0, topo.gpus, 4)
         plan = plan_with_tau(topo, 1.0, tau=1.0, num_epochs=sched.num_epochs)
-        verify(sched, topo, demand, plan)
+        check_schedule(sched, topo, demand, plan).raise_on_violation()
 
     def test_double_tree_requires_two_chunks(self, ring4):
         with pytest.raises(DemandError):
@@ -141,7 +141,7 @@ class TestTreeAllgather:
         sched = tree_allgather(topo, cfg(), chunks_per_gpu=1)
         demand = collectives.allgather(topo.gpus, 1)
         plan = plan_with_tau(topo, 1.0, tau=1.0, num_epochs=sched.num_epochs)
-        verify(sched, topo, demand, plan)
+        check_schedule(sched, topo, demand, plan).raise_on_violation()
 
     def test_delivers_on_dgx1(self, dgx1):
         config = TecclConfig(chunk_bytes=1e6)
@@ -150,7 +150,7 @@ class TestTreeAllgather:
         from repro.core.epochs import build_epoch_plan
 
         plan = build_epoch_plan(dgx1, config, num_epochs=sched.num_epochs)
-        verify(sched, dgx1, demand, plan)
+        check_schedule(sched, dgx1, demand, plan).raise_on_violation()
 
     def test_milp_at_least_as_good(self, ring4, ag_ring4):
         tree_sched = tree_allgather(ring4, cfg(), chunks_per_gpu=1)

@@ -14,11 +14,17 @@ if one grows back:
   epoch-delta growth path.
 * ``warm_start`` — threaded a primal seed to solver backends that cannot
   consume one.
+* ``parallel`` — a second setting for the fan-out width ``jobs`` already
+  states (``jobs=1`` is the sequential loop).
 
 Walks the AST and flags every function parameter and every class-level
 field carrying a retired name. Keyword arguments to *calls* (span
 attributes such as ``span(..., construction="cold")``) are labels, not
 parameters, and are not flagged.
+
+Two deleted *exports* are checked by import: ``repro.obs.rspan`` (the
+second span API; ``span()`` is the only one) and the
+``repro.simulate.simulator`` adapter module.
 
 Exit status 0 when clean, 1 with a findings listing otherwise.
 """
@@ -31,7 +37,10 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
 RETIRED = frozenset({"construction", "incremental", "track_rows",
-                     "warm_start"})
+                     "warm_start", "parallel"})
+
+#: (package, attribute) pairs that were deleted and must stay unexported
+RETIRED_EXPORTS = (("repro.obs", "rspan"), ("repro.simulate", "simulator"))
 
 
 def find_retired(path: pathlib.Path) -> list[tuple[int, str]]:
@@ -58,10 +67,21 @@ def find_retired(path: pathlib.Path) -> list[tuple[int, str]]:
     return findings
 
 
+def find_retired_exports() -> list[str]:
+    import importlib
+
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+    return [f"{package}.{name} is exported again"
+            for package, name in RETIRED_EXPORTS
+            if hasattr(importlib.import_module(package), name)]
+
+
 def main() -> int:
     failures = [f"{path.relative_to(REPO)}:{lineno}: {what}"
                 for path in sorted(SRC.rglob("*.py"))
                 for lineno, what in find_retired(path)]
+    failures += find_retired_exports()
     if failures:
         print(f"{len(failures)} retired name(s) in library code (each "
               "selected a path that was deleted; do not add the selector "

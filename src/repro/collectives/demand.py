@@ -9,6 +9,7 @@ forces the MILP formulation (§4.1).
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -95,6 +96,16 @@ class Demand:
 
     def is_empty(self) -> bool:
         return not self._wants
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash(frozenset(self._wants.items()))
+
+    def __hash__(self) -> int:
+        """Content hash, consistent with the field-wise ``==`` and computed
+        once per instance (the class is frozen), so a demand can key a memo
+        and an equal demand rebuilt from JSON lands on the same entry."""
+        return self._hash
 
     def benefits_from_copy(self) -> bool:
         """True iff some chunk is wanted by ≥ 2 destinations (multicast).

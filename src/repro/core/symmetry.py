@@ -28,6 +28,8 @@ and collapses the instance:
   of the topology alone relabel the demand; the lexicographically minimal
   relabeling is a canonical form, so symmetric requests collapse to one
   cache entry (used by the planner, salted into ``FINGERPRINT_VERSION``).
+  The group is the fabric's: generators and closure are derived once per
+  topology content (:mod:`repro.topology.facts`), not per request.
 
 Every reduced result is replay-vetted by the conformance oracle at the
 call sites in ``core/lp.py`` / ``core/milp.py``, with automatic cold
@@ -51,6 +53,7 @@ from repro.obs.trace import span as _obs_span
 from repro.solver.model import CompiledModel, Model
 from repro.solver.options import SolverOptions
 from repro.solver.result import SolveResult
+from repro.topology.facts import TopologyFacts, topology_facts
 from repro.topology.topology import Topology
 
 #: "auto" mode only attempts a reduction above this many columns — below
@@ -67,6 +70,9 @@ MAX_NODES = 256
 
 #: BFS budget (group elements visited) for demand canonicalization
 CANONICAL_BFS_BUDGET = 512
+
+#: canonicalization answers remembered per fabric (cleared when full)
+CANONICAL_MEMO_SIZE = 128
 
 
 # ----------------------------------------------------------------------
@@ -706,10 +712,54 @@ def symmetry_enabled(options: SolverOptions, num_vars: int) -> bool:
     return num_vars >= AUTO_SYMMETRY_MIN_VARS
 
 
-def canonicalize_demand(topology: Topology, demand: Demand,
-                        budget: int = CANONICAL_BFS_BUDGET,
-                        generators: list[Automorphism] | None = None,
-                        ) -> tuple[Demand, list[int]]:
+def _generator_closure(facts: TopologyFacts) -> list[tuple[int, ...]]:
+    """Budgeted BFS over the closure of the topology-only generators, in
+    visit order (identity first). A function of the fabric alone."""
+    generators = facts.derive(
+        "generators", lambda f: find_generators(f.topology, None))
+    order = [tuple(range(facts.topology.num_nodes))]
+    seen = set(order)
+    for sigma in order:  # grows while walked: FIFO is the BFS visit order
+        for gen in generators:
+            comp = tuple(gen.perm[i] for i in sigma)
+            if comp not in seen:
+                seen.add(comp)
+                order.append(comp)
+                if len(order) >= CANONICAL_BFS_BUDGET:
+                    return order
+    return order
+
+
+def canonicalize(facts: TopologyFacts,
+                 demand: Demand) -> tuple[Demand, list[int]]:
+    """:func:`canonicalize_demand` on an already looked-up facts entry: the
+    fabric's closure is cached, the answer remembered per demand content."""
+    memo = facts.derive("canonical", lambda f: {})
+    found = memo.get(demand)
+    _default_registry().counter(
+        f"canonicalize_memo_{'misses' if found is None else 'hits'}_total",
+        "Demand canonicalizations by memo outcome").inc()
+    if found is None:
+        triples = demand.triples()
+
+        def relabeled(sigma):
+            return sorted((sigma[s], c, sigma[d]) for (s, c, d) in triples)
+
+        closure = facts.derive("closure", _generator_closure)
+        # min() keeps the first of equal minima: the BFS's strict ``<``
+        sigma = min(closure, key=relabeled)
+        if len(memo) >= CANONICAL_MEMO_SIZE:
+            memo.clear()
+        # the identity (visited first) winning leaves the demand alone
+        found = memo[demand] = (
+            None if sigma == closure[0]
+            else Demand.from_triples(relabeled(sigma)), sigma)
+    canonical, sigma = found
+    return (demand if canonical is None else canonical), list(sigma)
+
+
+def canonicalize_demand(topology: Topology,
+                        demand: Demand) -> tuple[Demand, list[int]]:
     """Lexicographically minimal relabeling of ``demand`` under the
     topology's automorphism group, with the permutation that achieves it.
 
@@ -718,44 +768,10 @@ def canonicalize_demand(topology: Topology, demand: Demand,
     to the same canonical form whenever the budgeted BFS over the
     generator closure reaches the global minimum from both — a truncated
     search can only miss a collapse, never produce a wrong equivalence.
-    ``sigma`` is the identity when no symmetry is found.
+    ``sigma`` is the identity (and the demand returned as is) when no
+    symmetry improves on it.
     """
-    n = topology.num_nodes
-    identity = list(range(n))
-    if generators is None:
-        generators = find_generators(topology, None)
-    if not generators:
-        return demand, identity
-
-    def relabeled(sig: tuple) -> tuple:
-        return tuple(sorted((sig[s], c, sig[d])
-                            for (s, c, d) in demand.triples()))
-
-    best_sigma = tuple(identity)
-    best_key = relabeled(best_sigma)
-    seen = {best_sigma}
-    frontier = [best_sigma]
-    while frontier and len(seen) < budget:
-        nxt = []
-        for sigma in frontier:
-            for gen in generators:
-                comp = tuple(gen.perm[sigma[i]] for i in range(n))
-                if comp in seen:
-                    continue
-                seen.add(comp)
-                nxt.append(comp)
-                key = relabeled(comp)
-                if key < best_key:
-                    best_key = key
-                    best_sigma = comp
-                if len(seen) >= budget:
-                    break
-            if len(seen) >= budget:
-                break
-        frontier = nxt
-    if best_sigma == tuple(identity):
-        return demand, identity
-    return Demand.from_triples(best_key), list(best_sigma)
+    return canonicalize(topology_facts(topology)[0], demand)
 
 
 def invert_permutation(perm) -> list[int]:

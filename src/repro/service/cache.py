@@ -5,8 +5,10 @@ The paper amortises a one-off synthesis over millions of training iterations
 offline-generated algorithm files. The cache makes that amortisation a
 property of the serving layer instead of the caller's discipline:
 
-* **memory tier** — a bounded LRU of deserialised payload dicts, for the
-  steady state where one planner process serves a hot working set;
+* **memory tier** — a bounded LRU of payload dicts, each with its parsed
+  :class:`~repro.core.solve.SynthesisResult` built on first hit
+  (:class:`CacheEntry`), for the steady state where one planner process
+  serves a hot working set;
 * **disk tier** — one ``<fingerprint>.json`` envelope per entry (the same
   "plain JSON document" dialect as :mod:`repro.topology.io`), so schedules
   survive process restarts and can be shipped between machines.
@@ -24,12 +26,17 @@ from collections import OrderedDict
 from pathlib import Path
 
 from repro import __version__ as _package_version
+from repro.core.solve import SynthesisResult
 from repro.errors import ServiceError
 
 #: Bump when the envelope layout or payload schema changes.
 CACHE_FORMAT_VERSION = 1
 
 _FINGERPRINT_CHARS = set("0123456789abcdef")
+
+#: parsed forms kept per entry: the deserialised result plus one relabelled
+#: copy per symmetric variant served from it (cleared when full)
+PARSED_PER_ENTRY = 32
 
 
 def make_envelope(fingerprint: str, payload: dict,
@@ -62,6 +69,35 @@ def open_envelope(envelope: dict) -> dict | None:
     if version != CACHE_FORMAT_VERSION or package != _package_version:
         return None
     return payload if isinstance(payload, dict) else None
+
+
+class CacheEntry:
+    """One memory-tier entry: the payload and, lazily, its parsed forms.
+
+    The parsed results live and die with the entry — a ``put``, ``evict``,
+    ``purge`` or LRU eviction replaces or drops the whole object, so a
+    changed payload is always parsed again. They are **shared**: every hit
+    is handed the same object, which callers must treat as read-only.
+    """
+
+    __slots__ = ("payload", "_parsed")
+
+    def __init__(self, payload: dict) -> None:
+        self.payload = payload
+        self._parsed: dict = {}
+
+    def result(self, inverse: tuple | None = None) -> SynthesisResult:
+        """The deserialised result — mapped through the node permutation
+        ``inverse`` when given — built on first request, shared after."""
+        found = self._parsed.get(inverse)
+        if found is None:
+            found = (SynthesisResult.from_dict(self.payload)
+                     if inverse is None
+                     else self.result().relabeled(inverse))
+            if len(self._parsed) >= PARSED_PER_ENTRY:
+                self._parsed.clear()
+            self._parsed[inverse] = found
+        return found
 
 
 @dataclass
@@ -126,7 +162,7 @@ class ScheduleCache:
                           if directory is not None else None)
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-        self._memory: OrderedDict[str, dict] = OrderedDict()
+        self._memory: OrderedDict[str, CacheEntry] = OrderedDict()
         # near-fingerprint -> fingerprints sharing it, in store order (the
         # warm-start donor index; see fingerprint.canonical_near_request)
         self._near_index: dict[str, OrderedDict[str, None]] = {}
@@ -143,7 +179,7 @@ class ScheduleCache:
         if fingerprint in self._memory:
             self._memory.move_to_end(fingerprint)
             self.stats.memory_hits += 1
-            return self._memory[fingerprint]
+            return self._memory[fingerprint].payload
         payload = self._read_disk(fingerprint)
         if payload is not None:
             self.stats.disk_hits += 1
@@ -240,8 +276,14 @@ class ScheduleCache:
         the serving path.
         """
         if fingerprint in self._memory:
-            return self._memory[fingerprint]
+            return self._memory[fingerprint].payload
         return self._read_disk(fingerprint)
+
+    def entry(self, fingerprint: str) -> CacheEntry | None:
+        """The memory-tier entry (payload + shared parsed results), or
+        ``None`` when the fingerprint is not resident; no counters, no LRU
+        touch — call it right after the :meth:`get` that served the hit."""
+        return self._memory.get(fingerprint)
 
     def contains(self, fingerprint: str) -> bool:
         """Membership test that does not touch hit/miss counters."""
@@ -344,7 +386,7 @@ class ScheduleCache:
     # memory tier
     # ------------------------------------------------------------------
     def _insert_memory(self, fingerprint: str, payload: dict) -> None:
-        self._memory[fingerprint] = payload
+        self._memory[fingerprint] = CacheEntry(payload)
         self._memory.move_to_end(fingerprint)
         while len(self._memory) > self.capacity:
             evicted, _ = self._memory.popitem(last=False)

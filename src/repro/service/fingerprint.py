@@ -25,6 +25,7 @@ fabric, and cache keys must not fragment on labels.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -33,6 +34,7 @@ from repro.collectives.demand import Demand
 from repro.core.config import AStarConfig, TecclConfig
 from repro.core.solve import Method
 from repro.errors import ServiceError
+from repro.topology.facts import TopologyFacts, topology_facts
 from repro.topology.topology import Topology
 
 #: Bump when the canonical form changes or when solver semantics change in a
@@ -103,40 +105,50 @@ def canonical_config(config: TecclConfig) -> dict:
     return _normalize(document, "config")
 
 
-def canonical_request(topology: Topology, demand: Demand,
-                      config: TecclConfig, *,
-                      method: Method = Method.AUTO,
-                      astar_config: AStarConfig | None = None,
-                      minimize_epochs: bool = False) -> dict:
-    """The full canonical document for one ``synthesize()`` invocation."""
-    return {
+def _scale_free(topology_document: dict) -> dict:
+    """Divide every link capacity by the fastest link's, in place: a
+    uniformly renegotiated-bandwidth fabric keeps its near class."""
+    links = topology_document["links"]
+    scale = max((link["capacity"] for link in links), default=0.0)
+    if scale > 0:
+        for link in links:
+            # round the quotient: (0.1*s)/(1.0*s) must hash like 0.1/1.0
+            # for every scale s, not only the bit-exact ones
+            link["capacity"] = round(link["capacity"] / scale, 12)
+    return topology_document
+
+
+def _request_document(topology, demand, config: TecclConfig, method: Method,
+                      astar_config: AStarConfig | None,
+                      minimize_epochs: bool, near: bool) -> dict:
+    """The one statement of the canonical document's shape. ``topology``
+    and ``demand`` are already-canonical parts: documents on the public
+    ``canonical_*_request`` path, splice slots on the memoised one."""
+    document = {
         "version": FINGERPRINT_VERSION,
-        "topology": canonical_topology(topology),
-        "demand": canonical_demand(demand),
+        "topology": topology,
+        "demand": demand,
         "config": canonical_config(config),
         "method": method.value,
         "astar": (None if astar_config is None
                   else _normalize(astar_config.to_dict(), "astar")),
         "minimize_epochs": bool(minimize_epochs),
     }
+    if near:
+        document["near"] = True  # never collides with an exact fingerprint
+        document["config"]["num_epochs"] = None
+    return document
 
 
-def fingerprint_canonical(document: dict) -> str:
-    """SHA-256 hex digest of a canonical document."""
-    payload = json.dumps(document, sort_keys=True,
-                         separators=(",", ":"), allow_nan=False)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def fingerprint_request(topology: Topology, demand: Demand,
-                        config: TecclConfig, *,
-                        method: Method = Method.AUTO,
-                        astar_config: AStarConfig | None = None,
-                        minimize_epochs: bool = False) -> str:
-    """Stable fingerprint: equivalent requests hash identically."""
-    return fingerprint_canonical(canonical_request(
-        topology, demand, config, method=method, astar_config=astar_config,
-        minimize_epochs=minimize_epochs))
+def canonical_request(topology: Topology, demand: Demand,
+                      config: TecclConfig, *,
+                      method: Method = Method.AUTO,
+                      astar_config: AStarConfig | None = None,
+                      minimize_epochs: bool = False) -> dict:
+    """The full canonical document for one ``synthesize()`` invocation."""
+    return _request_document(
+        canonical_topology(topology), canonical_demand(demand), config,
+        method, astar_config, minimize_epochs, near=False)
 
 
 def canonical_near_request(topology: Topology, demand: Demand,
@@ -155,19 +167,84 @@ def canonical_near_request(topology: Topology, demand: Demand,
     it informs horizon estimates, never the optimum within them — which is
     exactly what the planner's donor lookup needs on a cache miss.
     """
-    document = canonical_request(
-        topology, demand, config, method=method, astar_config=astar_config,
-        minimize_epochs=minimize_epochs)
-    document["near"] = True  # never collides with an exact fingerprint
-    document["config"]["num_epochs"] = None
-    links = document["topology"]["links"]
-    scale = max((link["capacity"] for link in links), default=0.0)
-    if scale > 0:
-        for link in links:
-            # round the quotient: (0.1*s)/(1.0*s) must hash like 0.1/1.0
-            # for every scale s, not only the bit-exact ones
-            link["capacity"] = round(link["capacity"] / scale, 12)
-    return document
+    return _request_document(
+        _scale_free(canonical_topology(topology)), canonical_demand(demand),
+        config, method, astar_config, minimize_epochs, near=True)
+
+
+def _dumps(document) -> str:
+    return json.dumps(document, sort_keys=True,
+                      separators=(",", ":"), allow_nan=False)
+
+
+def fingerprint_canonical(document: dict) -> str:
+    """SHA-256 hex digest of a canonical document."""
+    return hashlib.sha256(_dumps(document).encode("utf-8")).hexdigest()
+
+
+# ----------------------------------------------------------------------
+# the serve path: the same bytes, assembled from memoised fragments
+# ----------------------------------------------------------------------
+#: stand-ins for the topology and demand parts while the small per-request
+#: remainder is serialised (no canonical string starts with NUL), and how
+#: they read once serialised
+_SLOTS = ("\0topology", "\0demand")
+_QUOTED_SLOTS = tuple(_dumps(slot) for slot in _SLOTS)
+
+
+@functools.lru_cache(maxsize=256)
+def _demand_fragment(demand: Demand) -> str:
+    """Canonical JSON of a demand, remembered by content."""
+    return _dumps(canonical_demand(demand))
+
+
+def _topology_fragments(facts: TopologyFacts) -> tuple[str, str]:
+    """Canonical JSON of a fabric: ``(exact, scale-free)``."""
+    document = canonical_topology(facts.topology)
+    return _dumps(document), _dumps(_scale_free(document))
+
+
+@functools.lru_cache(maxsize=256)
+def _remainder(config: TecclConfig, method: Method,
+               astar_config: AStarConfig | None, minimize_epochs: bool,
+               near: bool) -> str:
+    """Canonical JSON of everything but the fabric and the demand, around
+    their two slots; remembered by content."""
+    return _dumps(_request_document(
+        *_SLOTS, config, method, astar_config, minimize_epochs, near))
+
+
+def fingerprint_facts(facts: TopologyFacts, demand: Demand,
+                      config: TecclConfig, method: Method,
+                      astar_config: AStarConfig | None,
+                      minimize_epochs: bool, near: bool = False) -> str:
+    """The exact (or ``near``) fingerprint of a request whose fabric facts
+    are already looked up.
+
+    Hashes byte-for-byte what :func:`fingerprint_canonical` would over the
+    ``canonical_*_request`` document, spliced together from three cached
+    pieces of canonical JSON — the fabric's, the demand's and the
+    remainder's — so a repeated request re-walks none of them.
+    """
+    # a priorities dict cannot key a memo: such a config is serialised afresh
+    remainder = _remainder if config.priorities is None \
+        else _remainder.__wrapped__
+    payload = remainder(config, method, astar_config, minimize_epochs, near)
+    for slot, part in zip(_QUOTED_SLOTS, (
+            facts.derive("json", _topology_fragments)[near],
+            _demand_fragment(demand))):
+        payload = payload.replace(slot, part)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def fingerprint_request(topology: Topology, demand: Demand,
+                        config: TecclConfig, *,
+                        method: Method = Method.AUTO,
+                        astar_config: AStarConfig | None = None,
+                        minimize_epochs: bool = False) -> str:
+    """Stable fingerprint: equivalent requests hash identically."""
+    return fingerprint_facts(topology_facts(topology)[0], demand, config,
+                             method, astar_config, minimize_epochs)
 
 
 def near_fingerprint_request(topology: Topology, demand: Demand,
@@ -176,6 +253,5 @@ def near_fingerprint_request(topology: Topology, demand: Demand,
                              astar_config: AStarConfig | None = None,
                              minimize_epochs: bool = False) -> str:
     """Fingerprint of the :func:`canonical_near_request` equivalence class."""
-    return fingerprint_canonical(canonical_near_request(
-        topology, demand, config, method=method, astar_config=astar_config,
-        minimize_epochs=minimize_epochs))
+    return fingerprint_facts(topology_facts(topology)[0], demand, config,
+                             method, astar_config, minimize_epochs, near=True)

@@ -20,8 +20,11 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
+from repro.core import symmetry as _symmetry
+from repro.core.config import SwitchModel
 from repro.core.solve import SynthesisResult
 from repro.errors import ReproError, ServiceError
 from repro.obs import recorder as _flight
@@ -29,11 +32,11 @@ from repro.obs import trace as _obs
 from repro.obs.explain import ExplainRecord
 from repro.obs.metrics import CounterFields, MetricsRegistry
 from repro.obs.metrics import get_registry as _default_registry
-from repro.service.cache import ScheduleCache
-from repro.service.fingerprint import (fingerprint_request,
-                                       near_fingerprint_request)
+from repro.service.cache import CacheEntry, ScheduleCache
+from repro.service.fingerprint import fingerprint_facts
 from repro.service.pool import SolvePool
 from repro.service.schema import PlanRequest, PlanResponse
+from repro.topology.facts import TopologyFacts, topology_facts
 
 
 class PlannerStats(CounterFields):
@@ -74,6 +77,12 @@ class PlannerStats(CounterFields):
 
 class Planner:
     """Schedule-planning service over the synthesis facade.
+
+    A cache hit costs a content hash and a few lookups: fabric-only facts
+    (:mod:`repro.topology.facts`), fingerprint fragments and the parsed
+    result are all remembered. The result a hit returns is therefore
+    **shared** with every other hit on its entry — treat
+    ``response.result`` as read-only.
 
     Args:
         executor: solve-pool kind — ``"process"`` (default), ``"thread"``,
@@ -157,12 +166,8 @@ class Planner:
         not rely on the near-fingerprint index finding it. Cache hits still
         win: a seed only matters when the request actually solves.
         """
-        request, inverse, fingerprint, pending = self._start(
-            request, warm_from=warm_from)
-        response = self._finish(request, fingerprint, pending,
-                                timeout=self._budget(timeout),
-                                raise_errors=True)
-        return self._relabel_response(response, inverse)
+        return self._finish(*self._start(request, warm_from),
+                            timeout=self._budget(timeout), raise_errors=True)
 
     def plan_batch(self, requests: list[PlanRequest], *,
                    timeout: float | None = None,
@@ -182,17 +187,14 @@ class Planner:
         budget = self._budget(timeout)
         deadline = None if budget is None else time.perf_counter() + budget
         started = [self._start(request,
-                               warm_from=None if warm_from is None
-                               else warm_from[i])
+                               None if warm_from is None else warm_from[i])
                    for i, request in enumerate(requests)]
         responses = []
-        for request, inverse, fingerprint, pending in started:
+        for start in started:
             remaining = None if deadline is None \
                 else max(0.0, deadline - time.perf_counter())
-            response = self._finish(request, fingerprint, pending,
-                                    timeout=remaining,
-                                    raise_errors=False)
-            responses.append(self._relabel_response(response, inverse))
+            responses.append(self._finish(*start, timeout=remaining,
+                                          raise_errors=False))
         return responses
 
     def warm(self, requests: list[PlanRequest], *,
@@ -208,7 +210,7 @@ class Planner:
     def _budget(self, timeout: float | None) -> float | None:
         return self.default_timeout if timeout is None else timeout
 
-    def _canonical_request(self, request: PlanRequest):
+    def _canonical_request(self, facts: TopologyFacts, request: PlanRequest):
         """Rewrite a request onto its symmetry-canonical demand.
 
         Returns ``(request, inverse)`` where ``inverse`` is the node
@@ -219,112 +221,88 @@ class Planner:
         truncated canonicalization search can only miss a cache collapse,
         never produce a wrong equivalence.
         """
-        if self.symmetry == "off":
-            return request, None
         config = request.config
-        from repro.core.config import SwitchModel
-
-        if (config.priorities or config.capacity_fn is not None
+        if (self.symmetry == "off" or config.priorities
+                or config.capacity_fn is not None
                 or config.switch_model is SwitchModel.HYPER_EDGE):
             return request, None
-        from dataclasses import replace as _replace
-
-        from repro.core import symmetry as _symmetry
-
-        with _obs.span("planner.canonicalize"):
-            demand, sigma = _symmetry.canonicalize_demand(
-                request.topology, request.demand)
+        demand, sigma = _symmetry.canonicalize(facts, request.demand)
         if demand is request.demand:
             return request, None
         self._bump(symmetry_collapses=1)
-        return (_replace(request, demand=demand),
-                _symmetry.invert_permutation(sigma))
+        return (replace(request, demand=demand),
+                tuple(_symmetry.invert_permutation(sigma)))
 
     @staticmethod
-    def _relabel_response(response: PlanResponse,
-                          inverse) -> PlanResponse:
-        """Map a canonical-space result back to the caller's node ids."""
-        if inverse is not None and response.result is not None:
-            response.result = response.result.relabeled(inverse)
-        if inverse is not None and response.explain is not None:
-            response.explain.symmetry_collapsed = True
-        return response
+    def _key(facts: TopologyFacts, request: PlanRequest,
+             near: bool = False) -> str:
+        return fingerprint_facts(
+            facts, request.demand, request.config, request.method,
+            request.astar_config, request.minimize_epochs, near)
 
     def _start(self, request: PlanRequest,
                warm_from: SynthesisResult | None = None):
-        """Canonicalize + fingerprint + cache probe + (on miss) pool
-        submission — all on the serve clock and inside the phase collector.
+        """Facts lookup + canonicalize + fingerprint + cache probe + (on
+        miss) pool submission — all on the serve clock and inside the
+        phase collector.
 
         Returns ``(request, inverse, fingerprint, pending)``: the canonical
         request with its relabeling (:meth:`_canonical_request`), and
-        pending — either a ready :class:`PlanResponse` (cache hit) or
-        ``(future, coalesced, t0, warm_donor, explain)``.
-
-        A miss also probes the cache's *near* index: a schedule solved for
-        the same fabric shape and demand under a different horizon or
-        capacity scale rides along as the solve's warm-start seed. An
-        explicit ``warm_from`` result outranks the near index — the caller
-        knows its donor is fresher than anything the cache can offer.
+        ``pending = (t0, explain, source, coalesced, seeded)`` whose
+        ``source`` is the hit's :class:`CacheEntry` or the miss's future.
         """
         explain = ExplainRecord(tag=request.tag)
         t0 = time.perf_counter()
         with _flight.collect_phases() as phases:
-            request, inverse = self._canonical_request(request)
-            fingerprint, pending = self._start_inner(request, warm_from,
-                                                     explain, t0)
+            with _obs.span("planner.canonicalize") as canon_sp:
+                facts, known = topology_facts(request.topology)
+                canon_sp.set_attr(facts="hit" if known else "miss")
+                request, inverse = self._canonical_request(facts, request)
+            explain.symmetry_collapsed = inverse is not None
+            self._bump(requests=1)
+            with _obs.span("planner.fingerprint"):
+                fingerprint = explain.fingerprint = self._key(facts, request)
+            with _obs.span("planner.cache_lookup") as lookup_sp, self._lock:
+                entry = self.cache.entry(fingerprint) \
+                    if self.cache.get(fingerprint) is not None else None
+                lookup_sp.set_attr(hit=entry is not None)
+            submitted = (entry, False, False) if entry is not None \
+                else self._submit(facts, request, fingerprint, explain,
+                                  warm_from)
         explain.phases.update(phases)
-        return request, inverse, fingerprint, pending
+        return request, inverse, fingerprint, (t0, explain, *submitted)
 
-    @staticmethod
-    def _hit_response(request: PlanRequest, fingerprint: str, payload: dict,
-                      explain: ExplainRecord, t0: float) -> PlanResponse:
-        result = SynthesisResult.from_dict(payload)
-        explain.source = "cache"
-        explain.cache_hit = True
-        explain.solve = result.explain
-        return PlanResponse(fingerprint=fingerprint, result=result,
-                            cache_hit=True, tag=request.tag,
-                            serve_time=time.perf_counter() - t0,
-                            explain=explain)
+    def _submit(self, facts: TopologyFacts, request: PlanRequest,
+                fingerprint: str, explain: ExplainRecord,
+                warm_from: SynthesisResult | None = None, *,
+                cold: bool = False):
+        """A miss: hand the request to the pool (or join its in-flight
+        twin). Returns ``(source, coalesced, seeded)``.
 
-    def _start_inner(self, request: PlanRequest,
-                     warm_from: SynthesisResult | None,
-                     explain: ExplainRecord, t0: float):
-        self._bump(requests=1)
-        with _obs.span("planner.fingerprint"):
-            fingerprint = fingerprint_request(
-                request.topology, request.demand, request.config,
-                method=request.method, astar_config=request.astar_config,
-                minimize_epochs=request.minimize_epochs)
-        explain.fingerprint = fingerprint
-        with _obs.span("planner.cache_lookup") as lookup_sp, self._lock:
-            payload = self.cache.get(fingerprint)
-            lookup_sp.set_attr(hit=payload is not None)
-            if payload is not None:
-                return fingerprint, self._hit_response(
-                    request, fingerprint, payload, explain, t0)
-        # Misses only, and outside the lock: the near key is a second
-        # canonicalisation and to_dict() serialises the whole request —
-        # pure CPU work that must neither tax the cache-hit hot path nor
-        # stall concurrent requests on self._lock.
+        The cache's *near* index is probed first: a schedule solved for
+        the same fabric shape and demand under a different horizon or
+        capacity scale rides along as the solve's warm-start seed. An
+        explicit ``warm_from`` result outranks the near index — the caller
+        knows its donor is fresher than anything the cache can offer —
+        and ``cold`` skips seeding altogether.
+        """
+        # Outside the lock: to_dict() serialises the whole request — pure
+        # CPU work that must not stall concurrent requests on self._lock.
         with _obs.span("planner.near_donor"):
-            near = near_fingerprint_request(
-                request.topology, request.demand, request.config,
-                method=request.method, astar_config=request.astar_config,
-                minimize_epochs=request.minimize_epochs)
+            near = self._key(facts, request, near=True)
             request_dict = request.to_dict()
         with _obs.span("planner.submit") as submit_sp, self._lock:
             # re-probe: the solve of an identical request may have been
-            # archived while we were canonicalising (peek, not get: the
-            # miss was already counted once above)
+            # archived while we were serialising (peek, not get: the
+            # miss was already counted once)
             payload = self.cache.peek(fingerprint)
             if payload is not None:
-                return fingerprint, self._hit_response(
-                    request, fingerprint, payload, explain, t0)
+                return (self.cache.entry(fingerprint)
+                        or CacheEntry(payload)), False, False
             explicit_seed = warm_from is not None
             if explicit_seed:
                 request_dict["_warm_from"] = warm_from.to_dict()
-            else:
+            elif not cold:
                 donor = self.cache.get_near(near)
                 if donor is not None:
                     request_dict["_warm_from"] = donor
@@ -345,18 +323,15 @@ class Planner:
             # A coalesced join discarded request_dict — the in-flight solve
             # was submitted by someone else and may not carry the seed.
             seeded = "_warm_from" in request_dict and not coalesced
-            warm_donor = seeded and not explicit_seed
             submit_sp.set_attr(coalesced=coalesced, seeded=seeded)
-        explain.source = "coalesced" if coalesced else "solve"
-        explain.coalesced = coalesced
         explain.replan_seed = seeded and explicit_seed
-        if not warm_donor:
-            explain.warm_donor = None
-        if warm_donor:
+        if seeded and not explicit_seed:
             self._bump(warm_donors=1)
-        if seeded and explicit_seed:
+        else:
+            explain.warm_donor = None
+        if explain.replan_seed:
             self._bump(replans=1)
-        return fingerprint, (future, coalesced, t0, seeded, explain)
+        return future, coalesced, seeded
 
     def _observe(self, response: PlanResponse) -> PlanResponse:
         """Record the response's end-to-end latency in the histogram."""
@@ -364,23 +339,22 @@ class Planner:
             self._serve_latency.observe(response.serve_time)
         return response
 
-    def _archive(self, fingerprint: str, future,
-                 near: str | None = None) -> None:
+    def _archive(self, fingerprint: str, future, near: str) -> None:
         """Store a completed solve in the cache (runs on the pool's thread)."""
         if future.cancelled() or future.exception() is not None:
             return
         with self._lock:
-            self.cache.put(fingerprint, future.result(),
-                           meta=None if near is None else {"near": near})
+            self.cache.put(fingerprint, future.result(), meta={"near": near})
 
     def _post_check(self, request: PlanRequest, response: PlanResponse,
-                    raise_errors: bool) -> PlanResponse:
-        """Optional post-solve conformance replay (``check_conformance``)."""
-        if not self.check_conformance or response.result is None:
-            return response
+                    canonical: SynthesisResult, raise_errors: bool) -> None:
+        """Optional conformance replay (``check_conformance``) of the
+        result as solved — ``canonical``, before any relabel-back."""
+        if not self.check_conformance:
+            return
         from repro.simulate import check_result
 
-        report = check_result(response.result, config=request.config)
+        report = check_result(canonical, config=request.config)
         response.conformance = report.to_dict()
         self._bump(conformance_checks=1,
                    conformance_failures=0 if report.ok else 1)
@@ -390,108 +364,97 @@ class Planner:
                 + "; ".join(str(v) for v in report.violations[:3]))
             if raise_errors:
                 raise ServiceError(response.error)
-        return response
 
-    def _finish(self, request: PlanRequest, fingerprint: str, pending,
-                *, timeout: float | None,
+    def _finish(self, request: PlanRequest, inverse, fingerprint: str,
+                pending, *, timeout: float | None,
                 raise_errors: bool) -> PlanResponse:
+        explain = pending[1]
         # every record inside carries the request fingerprint as its
         # correlation label, so a flight dump reconstructs this serve
         with _flight.context(fingerprint):
             with _flight.collect_phases() as phases:
                 try:
-                    response = self._finish_inner(request, fingerprint,
-                                                  pending, timeout=timeout,
+                    response = self._finish_inner(request, inverse,
+                                                  fingerprint, pending,
+                                                  timeout=timeout,
                                                   raise_errors=raise_errors)
                 except ReproError as exc:
                     # raise_errors path: the caller sees the exception, the
                     # flight recorder keeps the full story (decision event
                     # with the explain record, then an incident dump)
-                    self._record_failure(pending, exc, phases)
+                    self._close_explain(explain, phases, str(exc))
                     raise
-            if response.explain is not None:
-                response.explain.phases.update(phases)
-                response.explain.serve_time = response.serve_time
-                response.explain.conformance = self._verdict(response)
-                if response.error is not None:
-                    response.explain.source = "error"
-                    response.explain.error = response.error
-                    _obs.event("planner.serve_failed",
-                               explain=response.explain.to_dict())
-                    _flight.auto_dump("planner-failure")
-                else:
-                    _flight.save_last_explain(response.explain.to_dict())
+            explain.serve_time = response.serve_time
+            explain.conformance = (
+                "unchecked" if response.conformance is None
+                else "ok" if response.conformant else "failed")
+            self._close_explain(explain, phases, response.error)
         return response
 
     @staticmethod
-    def _verdict(response: PlanResponse) -> str:
-        if response.conformance is None:
-            return "unchecked"
-        return "ok" if response.conformant else "failed"
-
-    @staticmethod
-    def _record_failure(pending, exc, phases: dict) -> None:
-        """Flight-record a serve failure that is about to raise."""
-        # pending is a cache-hit response or the miss's 5-tuple; both
-        # carry the explain record _start opened
-        explain = pending.explain if isinstance(pending, PlanResponse) \
-            else pending[4]
-        explain.source = "error"
-        explain.error = str(exc)
+    def _close_explain(explain: ExplainRecord, phases: dict,
+                       error: str | None) -> None:
+        """Fold the finish phases in and flight-record the outcome."""
         explain.phases.update(phases)
+        if error is None:
+            _flight.save_last_explain(explain.to_dict())
+            return
+        explain.source = "error"
+        explain.error = error
         _obs.event("planner.serve_failed", explain=explain.to_dict())
         _flight.auto_dump("planner-failure")
 
-    def _finish_inner(self, request: PlanRequest, fingerprint: str,
+    def _finish_inner(self, request: PlanRequest, inverse, fingerprint: str,
                       pending, *, timeout: float | None,
                       raise_errors: bool) -> PlanResponse:
-        if isinstance(pending, PlanResponse):
-            checked = self._post_check(request, pending, raise_errors=False)
-            if checked.ok:
-                return self._observe(checked)
-            # A *cached* schedule failed its replay: the entry is poisoned
-            # (bit-rot, a stale format, a buggy producer of an earlier
-            # version). Expel it and fall through to a fresh solve rather
-            # than failing this fingerprint forever (and solve cold: a
-            # poisoned class should not seed its own replacement).
-            _obs.event("planner.cache_poisoned", fingerprint=fingerprint)
-            t0 = time.perf_counter()
-            request_dict = request.to_dict()
-            ctx = _obs.current_context()
-            if ctx is not None:
-                request_dict["_obs"] = ctx
-            request_dict["_fingerprint"] = fingerprint
-            with self._lock:
-                self.cache.evict(fingerprint)
-                future, coalesced = self.pool.submit(
-                    fingerprint, request_dict,
-                    on_complete=self._archive)
-            pending = (future, coalesced, t0, False,
-                       ExplainRecord(fingerprint=fingerprint,
-                                     tag=request.tag))
-        future, coalesced, t0, warm_donor, explain = pending
-        try:
-            payload = self.pool.wait(future, timeout)
-        except ReproError as exc:
-            # a ServiceError is the wait timing out; anything else is a
-            # solver-side failure (infeasible, ...)
-            if isinstance(exc, ServiceError):
-                self._bump(timeouts=1)
-            if raise_errors:
-                raise
-            return self._observe(PlanResponse(
-                fingerprint=fingerprint, error=str(exc),
-                coalesced=coalesced, tag=request.tag,
-                warm_donor=warm_donor,
-                serve_time=time.perf_counter() - t0, explain=explain))
+        t0, explain, source, coalesced, seeded = pending
+        hit = isinstance(source, CacheEntry)
+        explain.source = "cache" if hit else \
+            "coalesced" if coalesced else "solve"
+        explain.cache_hit, explain.coalesced = hit, coalesced
         response = PlanResponse(
-            fingerprint=fingerprint,
-            result=SynthesisResult.from_dict(payload),
-            coalesced=coalesced, tag=request.tag, warm_donor=warm_donor,
-            serve_time=time.perf_counter() - t0, explain=explain)
-        response.explain.solve = response.result.explain
-        return self._observe(self._post_check(request, response,
-                                              raise_errors))
+            fingerprint=fingerprint, cache_hit=hit, coalesced=coalesced,
+            tag=request.tag, warm_donor=seeded, explain=explain)
+        if not hit:
+            try:
+                source = CacheEntry(self.pool.wait(source, timeout))
+            except ReproError as exc:
+                # a ServiceError is the wait timing out; anything else is a
+                # solver-side failure (infeasible, ...)
+                if isinstance(exc, ServiceError):
+                    self._bump(timeouts=1)
+                if raise_errors:
+                    raise
+                response.error = str(exc)
+                response.serve_time = time.perf_counter() - t0
+                return self._observe(response)
+        # a hit's entry hands out its shared parsed forms (built on first
+        # use); a fresh solve's throwaway entry parses the pool's payload
+        with _obs.span("planner.deserialize"):
+            canonical = response.result = source.result()
+        explain.solve = canonical.explain
+        if inverse is not None:
+            with _obs.span("planner.relabel"):
+                response.result = source.result(inverse)
+        response.serve_time = time.perf_counter() - t0
+        self._post_check(request, response, canonical,
+                         raise_errors and not hit)
+        if response.ok or not hit:
+            return self._observe(response)
+        # A *cached* schedule failed its replay: the entry is poisoned
+        # (bit-rot, a stale format, a buggy producer of an earlier
+        # version). Expel it and re-solve rather than failing this
+        # fingerprint forever (and solve cold: a poisoned class should
+        # not seed its own replacement).
+        _obs.event("planner.cache_poisoned", fingerprint=fingerprint)
+        with self._lock:
+            self.cache.evict(fingerprint)
+        resubmitted = self._submit(
+            topology_facts(request.topology)[0], request, fingerprint,
+            explain, cold=True)
+        return self._finish_inner(
+            request, inverse, fingerprint, (t0, explain, *resubmitted),
+            timeout=timeout, raise_errors=raise_errors)
 
     # ------------------------------------------------------------------
     # introspection & lifecycle

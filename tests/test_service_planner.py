@@ -270,15 +270,9 @@ class TestConformanceCheck:
         assert planner.stats()["conformance_checks"] == 2
 
     def test_corrupted_cache_entry_is_evicted_and_resolved(self):
-        import copy
-
         with Planner(executor="inline", check_conformance=True) as planner:
             first = planner.plan(_request())
-            # sabotage the cached document: every send collapses to epoch 0
-            payload = copy.deepcopy(planner.cache.get(first.fingerprint))
-            for send in payload["schedule"]["sends"]:
-                send[0] = 0
-            planner.cache.put(first.fingerprint, payload)
+            self._poison(planner, first.fingerprint)
             healed = planner.plan(_request())
             again = planner.plan(_request())
         # the poisoned entry was expelled and the request re-solved fresh
@@ -289,6 +283,48 @@ class TestConformanceCheck:
         stats = planner.stats()
         assert stats["conformance_failures"] == 1
         assert stats["solves"] == 2
+
+    @staticmethod
+    def _poison(planner, fingerprint):
+        """Overwrite a cached entry: every send collapses to epoch 0."""
+        import copy
+
+        payload = copy.deepcopy(planner.cache.get(fingerprint))
+        for send in payload["schedule"]["sends"]:
+            send[0] = 0
+        planner.cache.put(fingerprint, payload)
+        return payload
+
+    def test_poisoned_put_over_a_parsed_entry_is_seen(self):
+        # hits share one parsed result per entry; a put must drop it, or
+        # the sabotaged payload would hide behind the stale parse
+        with Planner(executor="inline", check_conformance=True) as planner:
+            first = planner.plan(_request())
+            assert planner.plan(_request()).cache_hit  # parsed, shared
+            self._poison(planner, first.fingerprint)
+            healed = planner.plan(_request())
+            again = planner.plan(_request())
+        assert healed.ok and not healed.cache_hit
+        assert again.cache_hit and again.conformant is True
+        assert planner.stats()["conformance_failures"] == 1
+
+    def test_poison_recovery_keeps_the_near_donor(self):
+        # evicting the poisoned entry drops it from the near index; the
+        # re-solve must register the fresh entry under the same near key
+        from repro.service.fingerprint import near_fingerprint_request
+
+        request = _request()
+        near = near_fingerprint_request(request.topology, request.demand,
+                                        request.config)
+        with Planner(executor="inline", check_conformance=True) as planner:
+            first = planner.plan(request)
+            assert planner.cache.get_near(near) is not None
+            poisoned = self._poison(planner, first.fingerprint)
+            assert not planner.plan(request).cache_hit
+            donor = planner.cache.get_near(near)
+            fresh = planner.cache.peek(first.fingerprint)
+        assert donor is not None and donor is fresh
+        assert donor != poisoned
 
     def test_disabled_by_default(self):
         with Planner(executor="inline") as planner:

@@ -15,14 +15,33 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
+import math
 import os
+import pathlib
 import sys
 
-from repro import collectives, topology
-from repro.core import TecclConfig
+# ``import repro`` has already loaded every module named here; only
+# ``repro.fleet`` is imported lazily, where its verbs need it
+from repro import collectives, obs, topology
+from repro.analysis import chunk_size_sweep, render_timeline
+from repro.baselines import (blink_allgather, ring_allgather,
+                             shortest_path_schedule, tree_allgather)
+from repro.core import TecclConfig, solve_lp_pop
 from repro.core.config import EpochMode, SwitchModel
-from repro.core.solve import Method, synthesize
-from repro.errors import ReproError, TopologyError
+from repro.core.schedule import Schedule as _IntegralSchedule
+from repro.core.solve import Method, SynthesisResult, synthesize
+from repro.errors import (ModelError, ObservabilityError, ReproError,
+                          ServiceError, TopologyError)
+from repro.failures import failure_impact
+from repro.msccl import to_msccl_xml, verify_program
+from repro.obs import AlertEngine, AlertRule, ExplainRecord
+from repro.obs import recorder as _flight
+from repro.service import Planner, PlanRequest, ScheduleCache
+from repro.simulate import DriftModel, check_flow, check_result, run_events
+from repro.solver import SolverOptions
+from repro.toposearch import rank_link_upgrades
 
 _TOPOLOGIES = {
     # size = the --chassis/--size argument; each entry documents its meaning
@@ -38,20 +57,89 @@ _TOPOLOGIES = {
 }
 
 _COLLECTIVES = {
-    "allgather": lambda gpus, chunks: collectives.allgather(gpus, chunks),
-    "alltoall": lambda gpus, chunks: collectives.alltoall(gpus, chunks),
+    "allgather": collectives.allgather,
+    "alltoall": collectives.alltoall,
     "broadcast": lambda gpus, chunks: collectives.broadcast(
         gpus[0], gpus[1:], chunks),
-    "reducescatter": lambda gpus, chunks: collectives.reduce_scatter(
-        gpus, chunks),
+    "reducescatter": collectives.reduce_scatter,
 }
 
 _WORKLOADS = {
-    "bert": lambda gpus: collectives.bert_like_job(gpus),
-    "dlrm": lambda gpus: collectives.dlrm_like_job(gpus),
+    "bert": collectives.bert_like_job,
+    "dlrm": collectives.dlrm_like_job,
     "moe": lambda gpus: collectives.moe_job(gpus, skew=0.5),
-    "pipeline": lambda gpus: collectives.pipeline_job(gpus),
+    "pipeline": collectives.pipeline_job,
 }
+
+
+# The instance flags, stated once; a verb names the ones it carries.
+_INSTANCE_FLAGS = {
+    "--topology": dict(choices=sorted(_TOPOLOGIES), required=True),
+    "--chassis": dict(type=int, default=1),
+    "--collective": dict(choices=sorted(_COLLECTIVES), default="allgather"),
+    "--chunks": dict(type=int, default=1),
+    "--chunk-size": dict(type=float, default=1e6),
+}
+
+
+def _instance_flags(*flags: str, **overrides: dict
+                    ) -> argparse.ArgumentParser:
+    """Parent parser: ``--topology --chassis`` plus the named instance flags.
+
+    ``overrides`` (by dest) restate one flag's keywords for one verb. Built
+    per verb, like :func:`_solver_flags`: argparse shares Action objects
+    between parent and child, so one instance cannot hold per-verb defaults.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag in ("--topology", "--chassis", *flags):
+        dest = flag[2:].replace("-", "_")
+        parent.add_argument(
+            flag, **{**_INSTANCE_FLAGS[flag], **overrides.get(dest, {})})
+    return parent
+
+
+def _solver_flags(*, mip_gap: float, time_limit: float | None
+                  ) -> argparse.ArgumentParser:
+    """Parent parser: the solver flags, with one verb's defaults."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--mip-gap", type=float, default=mip_gap)
+    parent.add_argument("--time-limit", type=float, default=time_limit)
+    return parent
+
+
+def _request_flags() -> tuple[argparse.ArgumentParser, ...]:
+    """The flag groups that state one plan request: ``synth``'s parents,
+    and — read off the same Action objects by :func:`_request_from_spec` — the
+    serve-batch compact-spec vocabulary, so the two cannot drift."""
+    formulation = argparse.ArgumentParser(add_help=False)
+    formulation.add_argument("--epochs", type=int, default=None,
+                             help="horizon K (default: auto upper bound)")
+    formulation.add_argument("--method",
+                             choices=[m.value for m in Method],
+                             default="auto")
+    formulation.add_argument("--epoch-mode",
+                             choices=[m.value for m in EpochMode],
+                             default=EpochMode.FASTEST_LINK.value)
+    formulation.add_argument("--switch-model",
+                             choices=[m.value for m in SwitchModel],
+                             default=SwitchModel.COPY.value)
+    formulation.add_argument("--symmetry", choices=["auto", "on", "off"],
+                             default="auto",
+                             help="quotient the solve by verified fabric "
+                                  "automorphisms (auto: large models only; "
+                                  "results are always conformance-vetted "
+                                  "with cold fallback, so this only affects "
+                                  "speed)")
+    return (
+        _instance_flags(
+            "--collective", "--chunks", "--chunk-size",
+            chunks={"help": "chunks per source (or per pair for alltoall)"},
+            chunk_size={"help": "bytes per chunk"}),
+        _solver_flags(mip_gap=0.0, time_limit=None),
+        formulation)
+
+
+_REQUEST_FLAGS = _request_flags()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,36 +148,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="TE-CCL: collective communication schedule synthesis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("topologies", help="list built-in topologies")
+    def verb(group, name: str, handler, *parents, **kwargs):
+        """One verb = its flag groups + the handler ``main`` dispatches to."""
+        leaf = group.add_parser(name, parents=parents, **kwargs)
+        leaf.set_defaults(handler=handler)
+        return leaf
 
-    synth = sub.add_parser("synth", help="synthesize a schedule")
-    synth.add_argument("--topology", choices=sorted(_TOPOLOGIES),
-                       required=True)
-    synth.add_argument("--chassis", type=int, default=1)
-    synth.add_argument("--collective", choices=sorted(_COLLECTIVES),
-                       default="allgather")
-    synth.add_argument("--chunks", type=int, default=1,
-                       help="chunks per source (or per pair for alltoall)")
-    synth.add_argument("--chunk-size", type=float, default=1e6,
-                       help="bytes per chunk")
-    synth.add_argument("--epochs", type=int, default=None,
-                       help="horizon K (default: auto upper bound)")
-    synth.add_argument("--method",
-                       choices=[m.value for m in Method], default="auto")
-    synth.add_argument("--epoch-mode",
-                       choices=[m.value for m in EpochMode],
-                       default=EpochMode.FASTEST_LINK.value)
-    synth.add_argument("--switch-model",
-                       choices=[m.value for m in SwitchModel],
-                       default=SwitchModel.COPY.value)
-    synth.add_argument("--time-limit", type=float, default=None)
-    synth.add_argument("--mip-gap", type=float, default=0.0)
-    synth.add_argument("--symmetry", choices=["auto", "on", "off"],
-                       default="auto",
-                       help="quotient the solve by verified fabric "
-                            "automorphisms (auto: large models only; "
-                            "results are always conformance-vetted with "
-                            "cold fallback, so this only affects speed)")
+    verb(sub, "topologies", _cmd_topologies, help="list built-in topologies")
+
+    synth = verb(sub, "synth", _cmd_synth, *_REQUEST_FLAGS,
+                 help="synthesize a schedule")
     synth.add_argument("--export", metavar="FILE", default=None,
                        help="write the schedule as MSCCL XML")
     synth.add_argument("--export-json", metavar="FILE", default=None,
@@ -117,31 +185,24 @@ def _build_parser() -> argparse.ArgumentParser:
                             "CPU count; see README 'Parallel "
                             "decomposition solving')")
 
-    sweep = sub.add_parser("sweep", help="sweep chunk sizes (§5)")
-    sweep.add_argument("--topology", choices=sorted(_TOPOLOGIES),
-                       required=True)
-    sweep.add_argument("--chassis", type=int, default=1)
-    sweep.add_argument("--collective", choices=sorted(_COLLECTIVES),
-                       default="allgather")
+    sweep = verb(sub, "sweep", _cmd_sweep, _instance_flags("--collective"),
+                 _solver_flags(mip_gap=0.1, time_limit=60.0),
+                 help="sweep chunk sizes (§5)")
     sweep.add_argument("--chunk-sizes", type=str, required=True,
                        help="comma-separated byte counts, e.g. 1e5,1e6,1e7")
-    sweep.add_argument("--mip-gap", type=float, default=0.1)
-    sweep.add_argument("--time-limit", type=float, default=60.0)
 
-    compare = sub.add_parser(
-        "compare", help="TE-CCL vs baselines on one collective")
-    compare.add_argument("--topology", choices=sorted(_TOPOLOGIES),
-                         required=True)
-    compare.add_argument("--chassis", type=int, default=1)
-    compare.add_argument("--collective", choices=sorted(_COLLECTIVES),
-                         default="allgather")
-    compare.add_argument("--chunks", type=int, default=1)
-    compare.add_argument("--chunk-size", type=float, default=1e6)
-    compare.add_argument("--mip-gap", type=float, default=0.1)
-    compare.add_argument("--time-limit", type=float, default=60.0)
+    verb(sub, "compare", _cmd_compare,
+         _instance_flags("--collective", "--chunks", "--chunk-size"),
+         _solver_flags(mip_gap=0.1, time_limit=60.0),
+         help="TE-CCL vs baselines on one collective")
 
-    verify_cmd = sub.add_parser(
-        "verify",
+    verify_cmd = verb(
+        sub, "verify", _cmd_verify,
+        _instance_flags(
+            "--collective", "--chunks", "--chunk-size",
+            topology={"required": False, "default": None,
+                      "help": "required with --xml; ignored with "
+                              "--schedule (the document carries its own)"}),
         help="verify a schedule: conformance-replay a synthesis result "
              "(--schedule) or execute an exported MSCCL program (--xml)")
     what = verify_cmd.add_mutually_exclusive_group(required=True)
@@ -150,53 +211,28 @@ def _build_parser() -> argparse.ArgumentParser:
     what.add_argument("--schedule", metavar="FILE", default=None,
                       help="synthesis-result JSON (runs the conformance "
                            "engine; see `teccl synth --export-json`)")
-    verify_cmd.add_argument("--topology", choices=sorted(_TOPOLOGIES),
-                            default=None,
-                            help="required with --xml; ignored with "
-                                 "--schedule (the document carries its own)")
-    verify_cmd.add_argument("--chassis", type=int, default=1)
-    verify_cmd.add_argument("--collective", choices=sorted(_COLLECTIVES),
-                            default="allgather")
-    verify_cmd.add_argument("--chunks", type=int, default=1)
-    verify_cmd.add_argument("--chunk-size", type=float, default=1e6)
 
-    impact = sub.add_parser(
-        "impact", help="per-link failure criticality (re-synthesis cost)")
-    impact.add_argument("--topology", choices=sorted(_TOPOLOGIES),
-                        required=True)
-    impact.add_argument("--chassis", type=int, default=1)
-    impact.add_argument("--collective", choices=sorted(_COLLECTIVES),
-                        default="allgather")
-    impact.add_argument("--chunk-size", type=float, default=1e6)
+    impact = verb(sub, "impact", _cmd_impact,
+                  _instance_flags("--collective", "--chunk-size"),
+                  _solver_flags(mip_gap=0.1, time_limit=30.0),
+                  help="per-link failure criticality (re-synthesis cost)")
     impact.add_argument("--top", type=int, default=10)
-    impact.add_argument("--mip-gap", type=float, default=0.1)
-    impact.add_argument("--time-limit", type=float, default=30.0)
 
-    upgrade = sub.add_parser(
-        "upgrade", help="what-if link upgrades (toposearch)")
-    upgrade.add_argument("--topology", choices=sorted(_TOPOLOGIES),
-                         required=True)
-    upgrade.add_argument("--chassis", type=int, default=1)
-    upgrade.add_argument("--collective", choices=sorted(_COLLECTIVES),
-                         default="allgather")
-    upgrade.add_argument("--chunk-size", type=float, default=1e6)
+    upgrade = verb(sub, "upgrade", _cmd_upgrade,
+                   _instance_flags("--collective", "--chunk-size"),
+                   _solver_flags(mip_gap=0.1, time_limit=30.0),
+                   help="what-if link upgrades (toposearch)")
     upgrade.add_argument("--factor", type=float, default=2.0)
     upgrade.add_argument("--top", type=int, default=10)
-    upgrade.add_argument("--mip-gap", type=float, default=0.1)
-    upgrade.add_argument("--time-limit", type=float, default=30.0)
 
-    workload = sub.add_parser(
-        "workload", help="schedule a whole training step's communication")
-    workload.add_argument("--topology", choices=sorted(_TOPOLOGIES),
-                          required=True)
-    workload.add_argument("--chassis", type=int, default=1)
+    workload = verb(sub, "workload", _cmd_workload, _instance_flags(),
+                    _solver_flags(mip_gap=0.2, time_limit=30.0),
+                    help="schedule a whole training step's communication")
     workload.add_argument("--job", choices=sorted(_WORKLOADS),
                           required=True)
-    workload.add_argument("--mip-gap", type=float, default=0.2)
-    workload.add_argument("--time-limit", type=float, default=30.0)
 
-    serve = sub.add_parser(
-        "serve-batch",
+    serve = verb(
+        sub, "serve-batch", _cmd_serve_batch,
         help="serve a batch of plan requests through the planner service")
     serve.add_argument("--requests", metavar="FILE", required=True,
                        help="JSON file: a list of request specs (compact "
@@ -227,8 +263,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="flight-recorder directory: enables auto "
                             "dumps on failure and `teccl explain --last`")
 
-    explain = sub.add_parser(
-        "explain",
+    explain = verb(
+        sub, "explain", _cmd_explain,
         help="render a plan's provenance record (where the schedule came "
              "from and what each stage cost)")
     explain_src = explain.add_mutually_exclusive_group(required=True)
@@ -246,47 +282,40 @@ def _build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--json", dest="as_json", action="store_true",
                          help="emit the raw record as JSON")
 
-    cache = sub.add_parser(
-        "cache", help="inspect or purge an on-disk schedule cache")
+    cache = verb(sub, "cache", _cmd_cache,
+                 help="inspect or purge an on-disk schedule cache")
     cache.add_argument("--dir", dest="cache_dir", required=True)
     cache.add_argument("--action", choices=["stats", "list", "purge"],
                        default="stats")
 
-    bench_sweep = sub.add_parser(
-        "bench-sweep",
+    bench_sweep = verb(
+        sub, "bench-sweep", _cmd_bench_sweep,
+        _instance_flags("--collective", collective={
+            "choices": ["allgather", "alltoall", "allreduce"]}),
+        _solver_flags(mip_gap=0.1, time_limit=30.0),
         help="hccl_demo-style message-size sweep: algbw/busbw per 2^k size")
-    bench_sweep.add_argument("--topology", choices=sorted(_TOPOLOGIES),
-                             required=True)
-    bench_sweep.add_argument("--chassis", type=int, default=1)
-    bench_sweep.add_argument("--collective",
-                             choices=["allgather", "alltoall", "allreduce"],
-                             default="allgather")
     bench_sweep.add_argument("--min-size", type=float, default=4096,
                              help="smallest buffer in bytes (rounded up to "
                                   "a power of two)")
     bench_sweep.add_argument("--max-size", type=float, default=4194304,
                              help="largest buffer in bytes")
-    bench_sweep.add_argument("--mip-gap", type=float, default=0.1)
-    bench_sweep.add_argument("--time-limit", type=float, default=30.0)
     bench_sweep.add_argument("--output", default=None,
                              help="JSON results file (default: "
                                   "benchmarks/results/BENCH_fleet_sweep"
                                   ".json when run from the repo root)")
 
-    fleet = sub.add_parser(
-        "fleet", help="fleet control plane: telemetry-driven adaptation")
-    fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
+    fleet_sub = sub.add_parser(
+        "fleet", help="fleet control plane: telemetry-driven adaptation"
+    ).add_subparsers(dest="fleet_command", required=True)
 
-    fleet_run = fleet_sub.add_parser(
-        "run", help="run the adaptation daemon over a seeded scenario")
-    fleet_run.add_argument("--topology", choices=sorted(_TOPOLOGIES),
-                           required=True)
-    fleet_run.add_argument("--chassis", type=int, default=1)
+    fleet_run = verb(
+        fleet_sub, "run", _cmd_fleet_run,
+        _instance_flags("--chunks", "--chunk-size"),
+        _solver_flags(mip_gap=0.1, time_limit=30.0),
+        help="run the adaptation daemon over a seeded scenario")
     fleet_run.add_argument("--jobs", default="alltoall",
                            help="comma-separated collectives, one fleet "
                                 "job each (e.g. alltoall,allgather)")
-    fleet_run.add_argument("--chunks", type=int, default=1)
-    fleet_run.add_argument("--chunk-size", type=float, default=1e6)
     fleet_run.add_argument("--steps", type=int, default=8,
                            help="telemetry polls to run")
     fleet_run.add_argument("--seed", type=int, default=0)
@@ -302,8 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="scripted link failure, repeatable")
     fleet_run.add_argument("--pool", dest="pool_kind", default="inline",
                            choices=["process", "thread", "inline"])
-    fleet_run.add_argument("--mip-gap", type=float, default=0.1)
-    fleet_run.add_argument("--time-limit", type=float, default=30.0)
     fleet_run.add_argument("--status-file", default=None,
                            help="write the final fleet status as JSON "
                                 "(readable with `teccl fleet status`)")
@@ -328,31 +355,32 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "recovery drops, firing alerts and SIGUSR2 "
                                 "each dump the recent-event ring there")
 
-    fleet_status = fleet_sub.add_parser(
-        "status", help="render a status file written by `teccl fleet run`")
+    fleet_status = verb(
+        fleet_sub, "status", _cmd_fleet_status,
+        help="render a status file written by `teccl fleet run`")
     fleet_status.add_argument("--status-file", required=True)
 
-    obs = sub.add_parser(
-        "obs", help="observability: inspect traces and metrics snapshots")
-    obs_sub = obs.add_subparsers(dest="obs_command", required=True)
+    obs_sub = sub.add_parser(
+        "obs", help="observability: inspect traces and metrics snapshots"
+    ).add_subparsers(dest="obs_command", required=True)
 
-    obs_summary = obs_sub.add_parser(
-        "summary",
+    obs_summary = verb(
+        obs_sub, "summary", _cmd_obs_summary,
         help="per-phase totals, self time, and leaf coverage of a trace")
     obs_summary.add_argument("--trace", metavar="FILE", required=True,
                              help="JSONL trace (see `synth --trace`)")
     obs_summary.add_argument("--top", type=int, default=20,
                              help="phases to show (by total time)")
 
-    obs_export = obs_sub.add_parser(
-        "export-trace",
+    obs_export = verb(
+        obs_sub, "export-trace", _cmd_obs_export_trace,
         help="convert a JSONL trace to Chrome trace-event JSON "
              "(loadable in chrome://tracing or https://ui.perfetto.dev)")
     obs_export.add_argument("--trace", metavar="FILE", required=True)
     obs_export.add_argument("--output", metavar="FILE", required=True)
 
-    obs_metrics = obs_sub.add_parser(
-        "metrics",
+    obs_metrics = verb(
+        obs_sub, "metrics", _cmd_obs_metrics,
         help="render a metrics snapshot (see `serve-batch --metrics-file`)")
     obs_metrics.add_argument("--file", metavar="FILE", required=True,
                              help="metrics snapshot JSON")
@@ -360,8 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              choices=["table", "prometheus", "json"],
                              default="table")
 
-    obs_dump = obs_sub.add_parser(
-        "dump",
+    obs_dump = verb(
+        obs_sub, "dump", _cmd_obs_dump,
         help="flight recorder: render a dump file, or dump this "
              "process's ring on demand")
     obs_dump.add_argument("--file", metavar="FILE", default=None,
@@ -374,8 +402,8 @@ def _build_parser() -> argparse.ArgumentParser:
     obs_dump.add_argument("--json", dest="as_json", action="store_true",
                           help="emit raw event records as JSON lines")
 
-    obs_alerts = obs_sub.add_parser(
-        "alerts",
+    obs_alerts = verb(
+        obs_sub, "alerts", _cmd_obs_alerts,
         help="evaluate SLO alert rules against a metrics snapshot, or "
              "render the alerts a fleet status file recorded")
     alerts_src = obs_alerts.add_mutually_exclusive_group(required=True)
@@ -393,44 +421,93 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_topologies() -> int:
+def _instance(ns: argparse.Namespace):
+    """``(topology, demand)`` from the instance flags a verb carries;
+    ``demand`` is ``None`` where ``--collective`` names no single demand
+    (absent on ``workload``/``fleet run``; bench-sweep's ``allreduce``)."""
+    topo = _TOPOLOGIES[ns.topology](ns.chassis)
+    build = _COLLECTIVES.get(getattr(ns, "collective", None))
+    if build is None:
+        return topo, None
+    return topo, build(topo.gpus, getattr(ns, "chunks", 1))
+
+
+def _config(ns: argparse.Namespace, **fields) -> TecclConfig:
+    """The config a verb's solver flags (on ``synth`` and in a compact
+    spec: formulation flags too) state; ``fields`` are the verb's own
+    (``chunk_bytes`` where it is not ``--chunk-size``)."""
+    solver = {"time_limit": ns.time_limit, "mip_gap": ns.mip_gap}
+    if hasattr(ns, "symmetry"):
+        solver["symmetry"] = ns.symmetry
+        fields.update(num_epochs=ns.epochs,
+                      epoch_mode=EpochMode(ns.epoch_mode),
+                      switch_model=SwitchModel(ns.switch_model))
+    if "chunk_bytes" not in fields:
+        fields["chunk_bytes"] = ns.chunk_size
+    return TecclConfig(solver=SolverOptions(**solver), **fields)
+
+
+def _read_json(path: str, what: str, error=ServiceError):
+    """Parse a JSON file; unreadable or malformed is the verb's typed error."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON in {path}: {exc}") from exc
+
+
+def _write_json(path: str, doc, flag: str) -> None:
+    """Write ``doc`` as indented JSON; an OS failure names the ``flag``."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle, indent=2)
+    except OSError as exc:
+        raise ServiceError(f"cannot write {flag}: {exc}") from exc
+
+
+def _alert_line(doc: dict, width: int = 0) -> str:
+    """One recorded alert (a status file's ``alerts`` entry), rendered."""
+    return (f"[{doc.get('severity', '?'):<{width}}] {doc.get('name')}: "
+            f"{doc.get('metric')} = {doc.get('value', 0.0):.6g} "
+            f"{doc.get('op')} {doc.get('threshold', 0.0):g}")
+
+
+@contextlib.contextmanager
+def _tracing(path: str | None):
+    """The one tracer lifetime: ``--trace FILE`` turns the process-global
+    tracer on for a verb's body (no constructor below takes a sink)."""
+    if not path:
+        yield
+        return
+    obs.configure(path)
+    try:
+        yield
+    finally:
+        obs.disable()
+
+
+def _cmd_topologies(args: argparse.Namespace) -> int:
     for name, builder in sorted(_TOPOLOGIES.items()):
-        topo = builder(2) if name != "dgx1" else builder(1)
-        print(f"{name:<10} e.g. {topo!r}")
+        print(f"{name:<10} e.g. {builder(2)!r}")
     return 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    if not args.trace:
-        return _run_synth(args)
-    from repro import obs
-
-    obs.configure(args.trace)
-    try:
+    with _tracing(args.trace):
         code = _run_synth(args)
-    finally:
-        obs.disable()
-    summary = obs.summarize(obs.read_events(args.trace))
-    print(f"trace        : {args.trace} ({summary['num_spans']} spans, "
-          f"leaf coverage {100 * summary['coverage']:.1f}%)")
+    if args.trace:
+        summary = obs.summarize(obs.read_events(args.trace))
+        print(f"trace        : {args.trace} ({summary['num_spans']} spans, "
+              f"leaf coverage {100 * summary['coverage']:.1f}%)")
     return code
 
 
 def _run_synth(args: argparse.Namespace) -> int:
-    from repro.solver import SolverOptions
-
-    builder = _TOPOLOGIES[args.topology]
-    topo = builder(args.chassis) if args.topology != "dgx1" else builder(1)
-    demand = _COLLECTIVES[args.collective](topo.gpus, args.chunks)
-    config = TecclConfig(
-        chunk_bytes=args.chunk_size,
-        num_epochs=args.epochs,
-        epoch_mode=EpochMode(args.epoch_mode),
-        switch_model=SwitchModel(args.switch_model),
-        solver=SolverOptions(time_limit=args.time_limit,
-                             mip_gap=args.mip_gap,
-                             symmetry=args.symmetry))
-    if getattr(args, "partitions", 0):
+    topo, demand = _instance(args)
+    config = _config(args)
+    if args.partitions:
         return _run_synth_pop(args, topo, demand, config)
     result = synthesize(topo, demand, config, method=Method(args.method))
     print(f"topology     : {topo!r}")
@@ -442,21 +519,13 @@ def _run_synth(args: argparse.Namespace) -> int:
     print(f"finish time  : {result.finish_time * 1e6:.3f} us")
     schedule = result.schedule
     print(f"schedule     : {schedule!r}")
-    from repro.core.schedule import Schedule as _IntegralSchedule
-
     if args.events and isinstance(schedule, _IntegralSchedule):
-        from repro.simulate import run_events
-
         report = run_events(schedule, result.topology_used,
                             result.demand_used)
         print(f"event finish : {report.finish_time * 1e6:.3f} us")
     if args.timeline and isinstance(schedule, _IntegralSchedule):
-        from repro.analysis.timeline import render_timeline
-
         print(render_timeline(schedule))
     if args.export:
-        from repro.msccl import to_msccl_xml
-
         work = result.hyper.topology if result.hyper else topo
         xml = to_msccl_xml(schedule, work, demand,
                            name=f"{args.topology}-{args.collective}",
@@ -464,26 +533,12 @@ def _run_synth(args: argparse.Namespace) -> int:
         with open(args.export, "w", encoding="utf-8") as handle:
             handle.write(xml)
         print(f"exported     : {args.export}")
-    if args.export_json:
-        import json
-
-        with open(args.export_json, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2)
-        print(f"exported     : {args.export_json}")
-    if args.check:
-        from repro.simulate import check_result
-
-        report = check_result(result, config=config)
-        _print_conformance(report)
-        if not report.ok:
-            return 1
-    return 0
+    return _export_and_check(
+        args, result, lambda: check_result(result, config=config))
 
 
 def _run_synth_pop(args: argparse.Namespace, topo, demand, config) -> int:
     """The `synth --partitions N` route: POP-partitioned LP solving."""
-    from repro.core.pop import solve_lp_pop
-
     outcome = solve_lp_pop(topo, demand, config,
                            num_partitions=args.partitions,
                            jobs=args.jobs or None)
@@ -498,17 +553,19 @@ def _run_synth_pop(args: argparse.Namespace, topo, demand, config) -> int:
           f"path ({outcome.serial_solve_time:.3f} s summed)")
     print(f"finish time  : {outcome.finish_time * 1e6:.3f} us")
     print(f"schedule     : {outcome.schedule!r}")
-    if args.export_json:
-        import json
+    return _export_and_check(
+        args, outcome.schedule,
+        lambda: check_flow(outcome.schedule, topo, demand, outcome.plan,
+                           config=config))
 
-        with open(args.export_json, "w", encoding="utf-8") as handle:
-            json.dump(outcome.schedule.to_dict(), handle, indent=2)
+
+def _export_and_check(args: argparse.Namespace, document, replay) -> int:
+    """``synth``'s ``--export-json`` / ``--check`` tail, for either route."""
+    if args.export_json:
+        _write_json(args.export_json, document.to_dict(), "--export-json")
         print(f"exported     : {args.export_json}")
     if args.check:
-        from repro.simulate import check_flow
-
-        report = check_flow(outcome.schedule, topo, demand, outcome.plan,
-                            config=config)
+        report = replay()
         _print_conformance(report)
         if not report.ok:
             return 1
@@ -536,18 +593,10 @@ def _print_conformance(report) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.analysis.sweeps import chunk_size_sweep
-    from repro.solver import SolverOptions
-
-    builder = _TOPOLOGIES[args.topology]
-    topo = builder(args.chassis) if args.topology != "dgx1" else builder(1)
-    demand = _COLLECTIVES[args.collective](topo.gpus, 1)
+    topo, demand = _instance(args)
     sizes = [float(s) for s in args.chunk_sizes.split(",") if s.strip()]
-    base = TecclConfig(
-        chunk_bytes=sizes[0],
-        solver=SolverOptions(mip_gap=args.mip_gap,
-                             time_limit=args.time_limit))
-    result = chunk_size_sweep(topo, demand, base, sizes)
+    result = chunk_size_sweep(topo, demand,
+                              _config(args, chunk_bytes=sizes[0]), sizes)
     print(f"{'chunk bytes':>14} {'finish us':>12} {'solve s':>10} {'K':>5}")
     for point in result.points:
         if point.infeasible:
@@ -561,28 +610,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_instance(args: argparse.Namespace):
-    """(topology, demand) from the shared --topology/--collective flags."""
-    builder = _TOPOLOGIES[args.topology]
-    size = getattr(args, "chassis", 1)
-    topo = builder(size) if args.topology != "dgx1" else builder(1)
-    chunks = getattr(args, "chunks", 1)
-    demand = _COLLECTIVES[args.collective](topo.gpus, chunks)
-    return topo, demand
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.baselines import (blink_allgather, ring_allgather,
-                                 shortest_path_schedule, tree_allgather)
-    from repro.core.schedule import Schedule as _IntegralSchedule
-    from repro.simulate import run_events
-    from repro.solver import SolverOptions
-
-    topo, demand = _build_instance(args)
-    config = TecclConfig(
-        chunk_bytes=args.chunk_size,
-        solver=SolverOptions(time_limit=args.time_limit,
-                             mip_gap=args.mip_gap))
+    topo, demand = _instance(args)
+    config = _config(args)
 
     rows: list[tuple[str, float]] = []
 
@@ -620,12 +650,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.schedule is not None:
         return _cmd_verify_schedule(args)
-    from repro.errors import ServiceError
-    from repro.msccl import verify_program
-
     if args.topology is None:
         raise ServiceError("--xml verification needs --topology")
-    topo, demand = _build_instance(args)
+    topo, demand = _instance(args)
     with open(args.xml, "r", encoding="utf-8") as handle:
         document = handle.read()
     report = verify_program(document, topo, demand,
@@ -639,19 +666,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_verify_schedule(args: argparse.Namespace) -> int:
     """Replay a serialised synthesis result through the conformance engine."""
-    import json
-
-    from repro.core.solve import SynthesisResult
-    from repro.errors import ModelError
-    from repro.simulate import check_result
-
-    with open(args.schedule, "r", encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ModelError(
-                f"invalid JSON in {args.schedule}: {exc}") from exc
-    result = SynthesisResult.from_dict(document)
+    result = SynthesisResult.from_dict(
+        _read_json(args.schedule, "--schedule file", ModelError))
     report = check_result(result)
     print(f"schedule     : {args.schedule}")
     print(f"method       : {result.method.value}")
@@ -660,15 +676,7 @@ def _cmd_verify_schedule(args: argparse.Namespace) -> int:
 
 
 def _cmd_impact(args: argparse.Namespace) -> int:
-    from repro.failures import failure_impact
-    from repro.solver import SolverOptions
-
-    topo, demand = _build_instance(args)
-    config = TecclConfig(
-        chunk_bytes=args.chunk_size,
-        solver=SolverOptions(time_limit=args.time_limit,
-                             mip_gap=args.mip_gap))
-    rows = failure_impact(topo, demand, config)
+    rows = failure_impact(*_instance(args), _config(args))
     print(f"{'failed link':<14} {'finish us':>12} {'slowdown':>9} "
           f"{'survivable':>11}")
     for row in rows[:args.top]:
@@ -680,15 +688,8 @@ def _cmd_impact(args: argparse.Namespace) -> int:
 
 
 def _cmd_upgrade(args: argparse.Namespace) -> int:
-    from repro.solver import SolverOptions
-    from repro.toposearch import rank_link_upgrades
-
-    topo, demand = _build_instance(args)
-    config = TecclConfig(
-        chunk_bytes=args.chunk_size,
-        solver=SolverOptions(time_limit=args.time_limit,
-                             mip_gap=args.mip_gap))
-    options = rank_link_upgrades(topo, demand, config, factor=args.factor)
+    options = rank_link_upgrades(*_instance(args), _config(args),
+                                 factor=args.factor)
     print(f"{'upgraded link':<14} {'finish us':>12} {'improvement':>12}")
     for option in options[:args.top]:
         print(f"{option.link[0]}->{option.link[1]:<11} "
@@ -698,17 +699,10 @@ def _cmd_upgrade(args: argparse.Namespace) -> int:
 
 
 def _cmd_workload(args: argparse.Namespace) -> int:
-    from repro.collectives import synthesize_workload
-    from repro.solver import SolverOptions
-
-    builder = _TOPOLOGIES[args.topology]
-    topo = builder(args.chassis) if args.topology != "dgx1" else builder(1)
-    job = _WORKLOADS[args.job](topo.gpus)
-    config = TecclConfig(
-        chunk_bytes=1.0,  # per-call sizes override this
-        solver=SolverOptions(mip_gap=args.mip_gap,
-                             time_limit=args.time_limit))
-    report = synthesize_workload(topo, job, config)
+    topo, _ = _instance(args)
+    report = collectives.synthesize_workload(
+        topo, _WORKLOADS[args.job](topo.gpus),
+        _config(args, chunk_bytes=1.0))  # per-call sizes override this
     print(f"{'collective':<18} {'phase':<9} {'MB':>9} {'method':<6} "
           f"{'finish us':>11} {'reused':>7}")
     for item in report.scheduled:
@@ -727,72 +721,55 @@ def _request_from_spec(spec: dict, index: int):
     """One serve-batch spec → PlanRequest.
 
     Two dialects: a *full* spec (``topology`` is a dict) is parsed as a
-    serialised PlanRequest; a *compact* spec names a built-in topology and
-    collective the way ``teccl synth`` flags do.
+    serialised PlanRequest; a *compact* spec is the ``teccl synth`` request
+    flags as a JSON object — keys are the dests of ``_REQUEST_FLAGS`` (plus
+    ``tag``), values take the flag's own type, choices and default. A spec
+    is outside input: whatever argparse would refuse on the command line
+    is a :class:`ServiceError` naming the request here.
     """
-    from repro.errors import ServiceError
-    from repro.service import PlanRequest
-    from repro.solver import SolverOptions
-
     if not isinstance(spec, dict):
         raise ServiceError(f"request #{index}: spec must be an object")
     if isinstance(spec.get("topology"), dict):
         return PlanRequest.from_dict(spec)
-    try:
-        topo_name = spec["topology"]
-        builder = _TOPOLOGIES[topo_name]
-    except KeyError:
+    flags = {action.dest: action
+             for group in _REQUEST_FLAGS for action in group._actions}
+    unknown = sorted(set(spec) - set(flags) - {"tag"})
+    if unknown:
         raise ServiceError(
-            f"request #{index}: unknown topology "
-            f"{spec.get('topology')!r}") from None
-    topo = builder(int(spec.get("chassis", 1))) if topo_name != "dgx1" \
-        else builder(1)
-    collective = spec.get("collective", "allgather")
-    if collective not in _COLLECTIVES:
-        raise ServiceError(
-            f"request #{index}: unknown collective {collective!r}")
-    demand = _COLLECTIVES[collective](topo.gpus, int(spec.get("chunks", 1)))
-    config = TecclConfig(
-        chunk_bytes=float(spec.get("chunk_size", 1e6)),
-        num_epochs=(None if spec.get("epochs") is None
-                    else int(spec["epochs"])),
-        epoch_mode=EpochMode(spec.get("epoch_mode",
-                                      EpochMode.FASTEST_LINK.value)),
-        switch_model=SwitchModel(spec.get("switch_model",
-                                          SwitchModel.COPY.value)),
-        solver=SolverOptions(
-            time_limit=(None if spec.get("time_limit") is None
-                        else float(spec["time_limit"])),
-            mip_gap=float(spec.get("mip_gap", 0.0))))
-    tag = str(spec.get("tag", f"{topo_name}/{collective}#{index}"))
-    return PlanRequest(topology=topo, demand=demand, config=config,
-                       method=Method(spec.get("method", "auto")), tag=tag)
+            f"request #{index}: unknown key(s) {', '.join(unknown)} (a "
+            f"compact spec takes {', '.join(flags)}, tag)")
+    ns = argparse.Namespace()
+    for key, flag in flags.items():
+        value = spec.get(key)
+        if value is None:
+            value = flag.default
+        elif flag.type is not None:
+            try:
+                value = flag.type(value)
+            except (TypeError, ValueError):
+                raise ServiceError(
+                    f"request #{index}: invalid {flag.type.__name__} value "
+                    f"for {key}: {value!r}") from None
+        if flag.choices is not None and value not in flag.choices:
+            raise ServiceError(f"request #{index}: unknown {key} {value!r}")
+        setattr(ns, key, value)
+    topo, demand = _instance(ns)
+    tag = str(spec.get("tag", f"{ns.topology}/{ns.collective}#{index}"))
+    return PlanRequest(topology=topo, demand=demand, config=_config(ns),
+                       method=Method(ns.method), tag=tag)
 
 
 def _cmd_serve_batch(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.errors import ServiceError
-    from repro.obs import recorder as _flight
-    from repro.service import Planner
-
     if args.flight_dir:
         _flight.set_dump_dir(args.flight_dir)
-    try:
-        with open(args.requests, "r", encoding="utf-8") as handle:
-            specs = json.load(handle)
-    except OSError as exc:
-        raise ServiceError(f"cannot read --requests file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ServiceError(
-            f"invalid JSON in {args.requests}: {exc}") from exc
+    specs = _read_json(args.requests, "--requests file")
     if not isinstance(specs, list):
         raise ServiceError("--requests file must hold a JSON list")
     requests = [_request_from_spec(spec, i) for i, spec in enumerate(specs)]
-    with Planner(executor=args.pool_kind, max_workers=args.workers,
-                 cache_dir=args.cache_dir, timeout=args.timeout,
-                 check_conformance=args.check,
-                 sink=args.trace) as planner:
+    with _tracing(args.trace), \
+            Planner(executor=args.pool_kind, max_workers=args.workers,
+                    cache_dir=args.cache_dir, timeout=args.timeout,
+                    check_conformance=args.check) as planner:
         responses = planner.plan_batch(requests)
         stats = planner.stats()
         latency = planner.serve_latency()
@@ -822,20 +799,11 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
               f"p95 {latency['p95'] * 1e3:.2f} ms / "
               f"p99 {latency['p99'] * 1e3:.2f} ms")
     if metrics is not None:
-        try:
-            with open(args.metrics_file, "w", encoding="utf-8") as handle:
-                json.dump(metrics, handle, indent=2)
-        except OSError as exc:
-            raise ServiceError(
-                f"cannot write --metrics-file: {exc}") from exc
+        _write_json(args.metrics_file, metrics, "--metrics-file")
         print(f"metrics      : {args.metrics_file}")
     if args.responses_file:
-        try:
-            with open(args.responses_file, "w", encoding="utf-8") as handle:
-                json.dump([r.to_dict() for r in responses], handle, indent=2)
-        except OSError as exc:
-            raise ServiceError(
-                f"cannot write --responses-file: {exc}") from exc
+        _write_json(args.responses_file, [r.to_dict() for r in responses],
+                    "--responses-file")
         print(f"responses    : {args.responses_file}")
     if args.trace:
         print(f"trace        : {args.trace}")
@@ -843,14 +811,9 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.errors import ServiceError
-    from repro.service import ScheduleCache
-
     # An inspection verb must not invent the directory it is inspecting
     # (ScheduleCache creates missing directories for serving use).
-    if not Path(args.cache_dir).expanduser().is_dir():
+    if not pathlib.Path(args.cache_dir).expanduser().is_dir():
         raise ServiceError(
             f"cache directory {args.cache_dir!r} does not exist")
     cache = ScheduleCache(directory=args.cache_dir)
@@ -874,12 +837,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _sweep_sizes(min_size: float, max_size: float) -> list[int]:
     """The 2^k buffer sizes between min and max, hccl_demo-style."""
-    from repro.errors import ServiceError
-
     if min_size <= 0 or max_size < min_size:
         raise ServiceError("need 0 < --min-size <= --max-size")
-    import math
-
     low = math.ceil(math.log2(min_size))
     high = math.floor(math.log2(max_size))
     if high < low:
@@ -896,15 +855,11 @@ def _bench_sweep_config(topo, chunk_bytes: float, args) -> TecclConfig:
     fabric because the sweep solves under the COPY switch model — no
     hyper-edge rewrite is involved here.
     """
-    from repro.solver import SolverOptions
-
     base_tau = chunk_bytes / topo.max_capacity
     alpha = topo.max_alpha
     multiplier = 1.0 if alpha <= 10 * base_tau else alpha / (10 * base_tau)
-    return TecclConfig(
-        chunk_bytes=chunk_bytes, epoch_multiplier=multiplier,
-        solver=SolverOptions(mip_gap=args.mip_gap,
-                             time_limit=args.time_limit))
+    return _config(args, chunk_bytes=chunk_bytes,
+                   epoch_multiplier=multiplier)
 
 
 def _cmd_bench_sweep(args: argparse.Namespace) -> int:
@@ -914,14 +869,7 @@ def _cmd_bench_sweep(args: argparse.Namespace) -> int:
     ((N−1)/N for allgather/alltoall, 2(N−1)/N for allreduce) so numbers
     are comparable across GPU counts — the convention NCCL/hccl_demo use.
     """
-    import json
-    import pathlib
-
-    from repro.collectives import (allgather_plan, alltoall_plan,
-                                   synthesize_allreduce)
-
-    builder = _TOPOLOGIES[args.topology]
-    topo = builder(args.chassis) if args.topology != "dgx1" else builder(1)
+    topo, demand = _instance(args)
     n = topo.num_gpus
     rows = []
     print(f"{'size':>12} {'finish us':>12} {'algbw GB/s':>11} "
@@ -929,14 +877,13 @@ def _cmd_bench_sweep(args: argparse.Namespace) -> int:
     for size in _sweep_sizes(args.min_size, args.max_size):
         if args.collective == "allreduce":
             config = _bench_sweep_config(topo, size / n, args)
-            outcome = synthesize_allreduce(topo, config)
+            outcome = collectives.synthesize_allreduce(topo, config)
             finish, solve = outcome.finish_time, outcome.solve_time
             busbw = outcome.bus_bandwidth(n, size)
         else:
-            plan = (allgather_plan(n, size)
+            plan = (collectives.allgather_plan(n, size)
                     if args.collective == "allgather"
-                    else alltoall_plan(n, size))
-            demand = _COLLECTIVES[args.collective](topo.gpus, 1)
+                    else collectives.alltoall_plan(n, size))
             config = _bench_sweep_config(topo, plan.chunk_bytes, args)
             result = synthesize(topo, demand, config)
             finish, solve = result.finish_time, result.solve_time
@@ -946,66 +893,48 @@ def _cmd_bench_sweep(args: argparse.Namespace) -> int:
                      "algbw": algbw, "busbw": busbw, "solve_time": solve})
         print(f"{size:>12} {finish * 1e6:>12.3f} {algbw / 1e9:>11.3f} "
               f"{busbw / 1e9:>11.3f} {solve:>8.2f}")
-    output = args.output
-    if output is None:
-        output = str(pathlib.Path("benchmarks") / "results"
-                     / "BENCH_fleet_sweep.json")
-    from repro.errors import ServiceError
-
-    path = pathlib.Path(output)
+    path = pathlib.Path(args.output if args.output is not None
+                        else "benchmarks/results/BENCH_fleet_sweep.json")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({
-            "topology": topo.name, "gpus": n,
-            "collective": args.collective, "rows": rows,
-            "note": "hccl_demo-style sweep: algbw = buffer/finish, busbw "
-                    "applies the collective's traffic factor",
-        }, indent=2) + "\n", encoding="utf-8")
     except OSError as exc:
         raise ServiceError(f"cannot write --output: {exc}") from exc
+    _write_json(path, {
+        "topology": topo.name, "gpus": n,
+        "collective": args.collective, "rows": rows,
+        "note": "hccl_demo-style sweep: algbw = buffer/finish, busbw "
+                "applies the collective's traffic factor",
+    }, "--output")
     print(f"published    : {path}")
     return 0
 
 
 def _parse_fleet_events(args: argparse.Namespace):
     """--degrade/--fail flags → scripted telemetry events."""
-    from repro.errors import ServiceError
     from repro.fleet import LinkEvent
 
     events = []
-    for spec in args.degrade:
-        parts = spec.split(",")
-        if len(parts) != 4:
-            raise ServiceError(
-                f"--degrade wants SRC,DST,FACTOR,AT, got {spec!r}")
-        src, dst, factor, at = parts
-        try:
-            events.append(LinkEvent(at=float(at),
-                                    link=(int(src), int(dst)),
-                                    factor=float(factor)))
-        except ValueError as exc:
-            raise ServiceError(f"bad --degrade {spec!r}: {exc}") from exc
-    for spec in args.fail:
-        parts = spec.split(",")
-        if len(parts) != 3:
-            raise ServiceError(f"--fail wants SRC,DST,AT, got {spec!r}")
-        src, dst, at = parts
-        try:
-            events.append(LinkEvent(at=float(at),
-                                    link=(int(src), int(dst)), down=True))
-        except ValueError as exc:
-            raise ServiceError(f"bad --fail {spec!r}: {exc}") from exc
+    for flag, specs, shape in (
+            ("--degrade", args.degrade, "SRC,DST,FACTOR,AT"),
+            ("--fail", args.fail, "SRC,DST,AT")):
+        for spec in specs:
+            parts = spec.split(",")
+            if len(parts) != len(shape.split(",")):
+                raise ServiceError(f"{flag} wants {shape}, got {spec!r}")
+            src, dst, *factor, at = parts
+            try:
+                how = {"factor": float(factor[0])} if factor \
+                    else {"down": True}
+                events.append(LinkEvent(at=float(at),
+                                        link=(int(src), int(dst)), **how))
+            except ValueError as exc:
+                raise ServiceError(f"bad {flag} {spec!r}: {exc}") from exc
     return events
 
 
 def _cmd_fleet_run(args: argparse.Namespace) -> int:
-    from repro.errors import ServiceError
     from repro.fleet import (FleetJob, FleetOrchestrator, SyntheticTelemetry,
                              WriteAheadLog, atomic_write_json)
-    from repro.obs import recorder as _flight
-    from repro.service import Planner
-    from repro.simulate import DriftModel
-    from repro.solver import SolverOptions
 
     if args.recover and not args.wal:
         raise ServiceError("--recover needs --wal (nothing to recover from)")
@@ -1016,8 +945,7 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
                   "(SIGUSR2 dumps the ring)")
         else:
             print(f"flight       : {args.flight_dir}")
-    builder = _TOPOLOGIES[args.topology]
-    topo = builder(args.chassis) if args.topology != "dgx1" else builder(1)
+    topo, _ = _instance(args)
     events = _parse_fleet_events(args)
     job_names = [name.strip() for name in args.jobs.split(",")
                  if name.strip()]
@@ -1027,16 +955,16 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
     source = SyntheticTelemetry(
         topo, events=events, seed=args.seed,
         drift=DriftModel(sigma=args.drift) if args.drift > 0 else None)
-    config = TecclConfig(
-        chunk_bytes=args.chunk_size,
-        solver=SolverOptions(mip_gap=args.mip_gap,
-                             time_limit=args.time_limit))
-    wal = None
-    if args.wal:
-        wal = WriteAheadLog(args.wal)
-        generation = wal.attach_lease(takeover=args.takeover)
-        print(f"wal          : {args.wal} (generation {generation})")
-    with Planner(executor=args.pool_kind, sink=args.trace) as planner:
+    config = _config(args)
+    # the WAL is a context: a failed lease, admission or recovery must
+    # still close the log's file handle
+    with (WriteAheadLog(args.wal) if args.wal
+          else contextlib.nullcontext()) as wal, \
+            _tracing(args.trace), \
+            Planner(executor=args.pool_kind) as planner:
+        if wal is not None:
+            generation = wal.attach_lease(takeover=args.takeover)
+            print(f"wal          : {args.wal} (generation {generation})")
         fleet = FleetOrchestrator(topo, source, planner, wal=wal)
         if args.recover:
             if wal.has_state():
@@ -1086,8 +1014,6 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
                 print(f"  {decision}")
         status = fleet.status()
         stats = status["stats"]
-    if wal is not None:
-        wal.close()
     fabric = status["fabric"]
     print(f"fabric       : {fabric['health']['healthy']} healthy / "
           f"{fabric['health']['degraded']} degraded / "
@@ -1098,10 +1024,7 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
     print(f"solve budget : {stats['adaptation_solve_time']:.3f} s "
           "spent adapting")
     for doc in status.get("alerts", []):
-        print(f"  alert      : [{doc.get('severity', '?')}] "
-              f"{doc.get('name')}: {doc.get('metric')} = "
-              f"{doc.get('value', 0.0):.6g} {doc.get('op')} "
-              f"{doc.get('threshold', 0.0):g}")
+        print(f"  alert      : {_alert_line(doc)}")
     if args.trace:
         print(f"trace        : {args.trace}")
     if args.status_file:
@@ -1117,18 +1040,7 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_status(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.errors import ServiceError
-
-    try:
-        with open(args.status_file, "r", encoding="utf-8") as handle:
-            status = json.load(handle)
-    except OSError as exc:
-        raise ServiceError(f"cannot read status file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ServiceError(
-            f"invalid JSON in {args.status_file}: {exc}") from exc
+    status = _read_json(args.status_file, "status file")
     recovery = status.get("recovery")
     if recovery:
         dropped = recovery.get("entries_dropped", [])
@@ -1172,9 +1084,7 @@ def _cmd_fleet_status(args: argparse.Namespace) -> int:
     if alerts:
         print(f"alerts       : {len(alerts)} firing")
         for doc in alerts:
-            print(f"  [{doc.get('severity', '?'):<8}] {doc.get('name')}: "
-                  f"{doc.get('metric')} = {doc.get('value', 0.0):.6g} "
-                  f"{doc.get('op')} {doc.get('threshold', 0.0):g}")
+            print(f"  {_alert_line(doc, 8)}")
     latency = status.get("serve_latency", {})
     if latency.get("count"):
         print(f"serve latency: p50 {latency['p50'] * 1e3:.2f} ms / "
@@ -1186,40 +1096,32 @@ def _cmd_fleet_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs(args: argparse.Namespace) -> int:
-    import json
+def _cmd_obs_summary(args: argparse.Namespace) -> int:
+    summary = obs.summarize(obs.read_events(args.trace))
+    print(obs.format_summary(summary, top=args.top))
+    return 0
 
-    from repro import obs
-    from repro.errors import ObservabilityError
 
-    if args.obs_command == "summary":
-        summary = obs.summarize(obs.read_events(args.trace))
-        print(obs.format_summary(summary, top=args.top))
-        return 0
-    if args.obs_command == "export-trace":
-        events = obs.read_events(args.trace)
-        path = obs.write_chrome_trace(events, args.output)
-        spans = sum(1 for e in events if e.get("kind") == "span")
-        print(f"exported     : {path} ({spans} spans; load in "
-              "chrome://tracing or https://ui.perfetto.dev)")
-        return 0
-    if args.obs_command == "dump":
-        return _cmd_obs_dump(args)
-    if args.obs_command == "alerts":
-        return _cmd_obs_alerts(args)
-    # metrics: render a snapshot written by `serve-batch --metrics-file`
-    try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            snapshot = json.load(handle)
-    except OSError as exc:
-        raise ObservabilityError(
-            f"cannot read metrics file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ObservabilityError(
-            f"invalid JSON in {args.file}: {exc}") from exc
+def _cmd_obs_export_trace(args: argparse.Namespace) -> int:
+    events = obs.read_events(args.trace)
+    path = obs.write_chrome_trace(events, args.output)
+    spans = sum(1 for e in events if e.get("kind") == "span")
+    print(f"exported     : {path} ({spans} spans; load in "
+          "chrome://tracing or https://ui.perfetto.dev)")
+    return 0
+
+
+def _read_snapshot(path: str) -> dict:
+    """A metrics snapshot file (see `serve-batch --metrics-file`)."""
+    snapshot = _read_json(path, "metrics file", ObservabilityError)
     if not isinstance(snapshot, dict):
         raise ObservabilityError(
             "metrics file must hold a JSON object (registry snapshot)")
+    return snapshot
+
+
+def _cmd_obs_metrics(args: argparse.Namespace) -> int:
+    snapshot = _read_snapshot(args.file)
     if args.metrics_format == "json":
         print(json.dumps(snapshot, indent=2))
     elif args.metrics_format == "prometheus":
@@ -1241,15 +1143,14 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_dump(args: argparse.Namespace) -> int:
-    import json
-
-    from repro import obs
-    from repro.errors import ObservabilityError
-
     if (args.file is None) == (args.output is None):
         raise ObservabilityError(
             "obs dump needs exactly one of --file (render an existing "
             "dump) or --output (dump this process's ring)")
+    if args.limit is not None and args.limit < 1:
+        # 0 would slice [-0:] (everything, plus an "N earlier records not
+        # shown" footer) and a negative N would drop the oldest instead
+        raise ObservabilityError("--limit must be a positive event count")
     if args.output is not None:
         path = obs.get_recorder().dump(args.output, reason="manual")
         print(f"dumped       : {path}")
@@ -1264,28 +1165,10 @@ def _cmd_obs_dump(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_json(path: str, what: str) -> object:
-    import json
-
-    from repro.errors import ObservabilityError
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise ObservabilityError(f"cannot read {what}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ObservabilityError(f"invalid JSON in {path}: {exc}") from exc
-
-
 def _cmd_obs_alerts(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.errors import ObservabilityError
-    from repro.obs.alerts import AlertEngine, AlertRule
-
     if args.status_file is not None:
-        status = _load_json(args.status_file, "status file")
+        status = _read_json(args.status_file, "status file",
+                            ObservabilityError)
         if not isinstance(status, dict):
             raise ObservabilityError("status file must hold a JSON object")
         firing = status.get("alerts", [])
@@ -1295,18 +1178,12 @@ def _cmd_obs_alerts(args: argparse.Namespace) -> int:
             print("alerts       : none firing")
         else:
             for doc in firing:
-                print(f"  [{doc.get('severity', '?'):<8}] "
-                      f"{doc.get('name')}: {doc.get('metric')} = "
-                      f"{doc.get('value', 0.0):.6g} {doc.get('op')} "
-                      f"{doc.get('threshold', 0.0):g}")
+                print(f"  {_alert_line(doc, 8)}")
         return 1 if firing else 0
-    snapshot = _load_json(args.metrics_file, "metrics file")
-    if not isinstance(snapshot, dict):
-        raise ObservabilityError(
-            "metrics file must hold a JSON object (registry snapshot)")
+    snapshot = _read_snapshot(args.metrics_file)
     rules = None
     if args.rules:
-        docs = _load_json(args.rules, "rules file")
+        docs = _read_json(args.rules, "rules file", ObservabilityError)
         if not isinstance(docs, list):
             raise ObservabilityError("--rules file must hold a JSON list")
         rules = [AlertRule.from_dict(doc) for doc in docs]
@@ -1323,16 +1200,11 @@ def _cmd_obs_alerts(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    import json
-
-    from repro import obs
-    from repro.errors import ObservabilityError
-    from repro.obs.explain import ExplainRecord
-
     if args.last:
         docs = [obs.load_last_explain(args.flight_dir)]
     else:
-        loaded = _load_json(args.response, "response file")
+        loaded = _read_json(args.response, "response file",
+                            ObservabilityError)
         # accept a bare explain record, one PlanResponse document, or the
         # JSON list `serve-batch --responses-file` writes
         responses = loaded if isinstance(loaded, list) else [loaded]
@@ -1358,30 +1230,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "topologies": lambda: _cmd_topologies(),
-        "synth": lambda: _cmd_synth(args),
-        "sweep": lambda: _cmd_sweep(args),
-        "compare": lambda: _cmd_compare(args),
-        "verify": lambda: _cmd_verify(args),
-        "impact": lambda: _cmd_impact(args),
-        "upgrade": lambda: _cmd_upgrade(args),
-        "workload": lambda: _cmd_workload(args),
-        "serve-batch": lambda: _cmd_serve_batch(args),
-        "cache": lambda: _cmd_cache(args),
-        "bench-sweep": lambda: _cmd_bench_sweep(args),
-        "fleet": lambda: (_cmd_fleet_run(args)
-                          if args.fleet_command == "run"
-                          else _cmd_fleet_status(args)),
-        "obs": lambda: _cmd_obs(args),
-        "explain": lambda: _cmd_explain(args),
-    }
     try:
-        return handlers[args.command]()
+        return args.handler(args)
     except ReproError as exc:
         # post-incident context: when a flight dir is configured the ring
         # around the failure lands on disk (quiet no-op otherwise)
-        from repro.obs import recorder as _flight
         _flight.auto_dump("error")
         print(f"error: {exc}", file=sys.stderr)
         return 1

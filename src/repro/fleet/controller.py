@@ -30,7 +30,9 @@ import enum
 import threading
 import time as _time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.collectives.demand import Demand
 from repro.core.config import TecclConfig
@@ -358,10 +360,6 @@ class ScheduleRegistry:
                             for job, entry_seq in active.items()}
             self._seq = max(seq, self._seq)
 
-    def seq(self) -> int:
-        with self._lock:
-            return self._seq
-
     def active(self, job: str) -> RegistryEntry | None:
         with self._lock:
             return self._active.get(job)
@@ -452,9 +450,6 @@ class AdaptationController:
         fabric_view: optional per-job view of the live fabric — the
             orchestrator injects priority capacity shares here. Called as
             ``fabric_view(job, live_topology) -> Topology``.
-        sink: enable process-wide tracing into this sink (a path makes a
-            JSONL file) for the controller's lifetime — daemon-thread
-            spans and the replans they fan out land there.
         wal: a :class:`~repro.fleet.wal.WriteAheadLog`. Every registry
             lifecycle transition, decision, and estimator cool-down clock
             is durably appended *before* it is applied; :meth:`recover`
@@ -479,7 +474,6 @@ class AdaptationController:
                  estimator: FabricEstimator | None = None,
                  gate: CostGate | None = None,
                  fabric_view=None,
-                 sink: str | _obs.Sink | None = None,
                  wal: WriteAheadLog | None = None,
                  compact_every: int = 256,
                  alert_rules: list[AlertRule] | None = None) -> None:
@@ -539,9 +533,6 @@ class AdaptationController:
         # of every step over the merged planner+controller snapshot
         self.alert_engine = AlertEngine(alert_rules)
         self._alerts: list[Alert] = []
-        self._owns_tracer = sink is not None
-        if sink is not None:
-            _obs.configure(sink)
         #: last exception the daemon loop swallowed (None = healthy)
         self.last_error: str | None = None
         self._stats_lock = threading.Lock()
@@ -571,23 +562,33 @@ class AdaptationController:
         self._wal_append_latency.observe(_time.perf_counter() - start)
         self._wal_records.inc()
 
-    def _journal_abort(self, op: str, job: str | None = None) -> None:
-        """Best-effort abort marker for a failed operation.
+    @contextmanager
+    def _txn(self, op: str, **ident):
+        """One write-ahead transaction: ``begin`` → body → ``commit``.
 
-        Without it, the operation's records would sit in front of the
-        next successful commit and recovery would replay them as if they
-        had happened (a ghost admission, a half-applied step). The append
-        may itself fail — a fenced WAL is one of the very reasons the
-        operation aborted — which is tolerable: recovery also discards
-        any ``begin`` that is never matched by a ``commit``.
+        A body that raises gets a best-effort ``abort`` marker and the
+        exception back; the caller keeps only its own in-memory
+        compensation. Without the marker the operation's records would sit
+        in front of the next successful commit and recovery would replay
+        them as if they had happened (a ghost admission, a half-applied
+        step). The abort append may itself fail — a fenced WAL is one of
+        the very reasons an operation aborts — which is tolerable:
+        recovery also discards any ``begin`` that is never matched by a
+        ``commit``.
         """
-        data = {"op": op}
-        if job is not None:
-            data["job"] = job
+        marker = {"op": op, **ident}
         try:
-            self._journal("abort", data)
-        except (FleetError, OSError):
-            pass
+            self._journal("begin", marker)
+            yield
+            self._journal("commit", marker)
+        except BaseException:
+            try:
+                self._journal("abort", {key: marker[key]
+                                        for key in ("op", "job")
+                                        if key in marker})
+            except (FleetError, OSError):
+                pass
+            raise
 
     def _maybe_compact(self) -> None:
         if self.wal is None:
@@ -663,10 +664,9 @@ class AdaptationController:
                     raise FleetError(f"job {job.name!r} already admitted")
                 self.jobs[job.name] = job
             try:
-                self._journal("begin", {"op": "admit", "job": job.name})
-                self._journal("job_admit", job.to_dict())
-                activated = self._plan_fresh(job, verb="admit")
-                self._journal("commit", {"op": "admit", "job": job.name})
+                with self._txn("admit", job=job.name):
+                    self._journal("job_admit", job.to_dict())
+                    activated = self._plan_fresh(job, verb="admit")
             except BaseException:
                 # a failed admission must not leave a ghost job (it would
                 # block re-admission and distort the orchestrator's shares
@@ -675,7 +675,6 @@ class AdaptationController:
                 # admission once a later operation commits)
                 with self._jobs_lock:
                     self.jobs.pop(job.name, None)
-                self._journal_abort("admit", job.name)
                 raise
             self._maybe_compact()
             return activated
@@ -688,16 +687,11 @@ class AdaptationController:
         """
         live = self.estimator.live_topology()
         response = self.planner.plan(self._request(job, live))
-        entry = self.registry.propose(job.name, response.result,
-                                      self.now, fabric=live)
-        entry.conformance_ok = self._vet(response.result)
+        entry = self._propose_vetted(
+            job.name, response.result, live,
+            note="initial plan failed conformance",
+            reason="initial-conformance")
         if entry.conformance_ok is not True:
-            self.registry.rollback(entry,
-                                   "initial plan failed conformance")
-            self._bump(rollbacks=1)
-            _obs.event("fleet.rollback", job=job.name, seq=entry.seq,
-                       reason="initial-conformance")
-            _flight.auto_dump("fleet-rollback")
             raise FleetError(
                 f"initial plan for job {job.name!r} failed "
                 f"conformance replay; refusing to {verb}")
@@ -724,13 +718,8 @@ class AdaptationController:
                 job = snapshot.get(name)
                 if job is None or self.registry.active(name) is not None:
                     continue
-                try:
-                    self._journal("begin", {"op": "plan", "job": name})
+                with self._txn("plan", job=name):
                     planned[name] = self._plan_fresh(job, verb="activate")
-                    self._journal("commit", {"op": "plan", "job": name})
-                except BaseException:
-                    self._journal_abort("plan", name)
-                    raise
             self._maybe_compact()
             return planned
 
@@ -745,16 +734,14 @@ class AdaptationController:
                 # mutating memory, so a refused append (a fenced WAL)
                 # leaves both the in-memory and the durable fleet with
                 # the job still present
-                self._journal("begin", {"op": "remove", "job": name})
-                self._journal("job_remove", {"job": name})
-                with self._jobs_lock:
-                    self.jobs.pop(name, None)
-                self.registry.retire(name)
-                self._journal("commit", {"op": "remove", "job": name})
+                with self._txn("remove", job=name):
+                    self._journal("job_remove", {"job": name})
+                    with self._jobs_lock:
+                        self.jobs.pop(name, None)
+                    self.registry.retire(name)
             except BaseException:
                 with self._jobs_lock:
                     self.jobs.setdefault(name, job)
-                self._journal_abort("remove", name)
                 raise
 
     def _jobs_snapshot(self) -> dict[str, FleetJob]:
@@ -772,14 +759,13 @@ class AdaptationController:
         daemon re-executes it from committed state, so a crash can never
         half-apply a tick.
         """
-        with self._op_lock:
-            return self._step_locked()
-
-    def _step_locked(self) -> list[AdaptationDecision]:
-        with _obs.span("fleet.step") as step_sp:
+        with self._op_lock, _obs.span("fleet.step") as step_sp:
             index = self._step_index
-            self._journal("begin", {"op": "step", "index": index})
-            try:
+            # the daemon loop swallows step errors and keeps ticking;
+            # without the transaction's abort marker this step's records
+            # would sit in front of the next tick's commit and recovery
+            # would replay half a step
+            with self._txn("step", index=index):
                 with _obs.span("fleet.poll"):
                     samples = self.source.poll()
                 self._bump(polls=1, samples=len(samples))
@@ -788,7 +774,7 @@ class AdaptationController:
                 with _obs.span("fleet.estimate", samples=len(samples)):
                     transitions = self.estimator.observe_all(samples)
                 step_sp.set_attr(samples=len(samples),
-                                transitions=len(transitions))
+                                 transitions=len(transitions))
                 decisions: list[AdaptationDecision] = []
                 if transitions:
                     self._bump(transitions=len(transitions))
@@ -799,22 +785,19 @@ class AdaptationController:
                             "old": transition.old.value,
                             "new": transition.new.value,
                             "factor": transition.factor})
-                    decisions = self.adapt(transitions)
-                    self.decisions.extend(decisions)
-                    for decision in decisions:
-                        self._journal("decision", decision.to_dict())
-                self._journal("commit", {"op": "step", "index": index})
-            except BaseException:
-                # the daemon loop swallows step errors and keeps ticking;
-                # without the abort marker this step's records would sit
-                # in front of the next tick's commit and recovery would
-                # replay half a step
-                self._journal_abort("step")
-                raise
+                    decisions = self._record(self.adapt(transitions))
             self._step_index = index + 1
             self._maybe_compact()
             self.evaluate_alerts()
             return decisions
+
+    def _record(self, decisions: list[AdaptationDecision],
+                ) -> list[AdaptationDecision]:
+        """Keep and journal a transaction's decisions (returns them)."""
+        self.decisions.extend(decisions)
+        for decision in decisions:
+            self._journal("decision", decision.to_dict())
+        return decisions
 
     def evaluate_alerts(self) -> list[Alert]:
         """One alert-engine pass over the merged metrics snapshot.
@@ -862,11 +845,7 @@ class AdaptationController:
             self._gate_jobs(jobs, live, worsened, recovered,
                             to_replan, decisions)
             gate_sp.set_attr(replans=len(to_replan))
-        decisions.extend(self._replan(
-            [job for job, _, _, _ in to_replan], live,
-            priors=[e for _, e, _, _ in to_replan],
-            predicted=[p for _, _, p, _ in to_replan],
-            speculative=[s for _, _, _, s in to_replan]))
+        decisions.extend(self._replan(to_replan, live))
         return decisions
 
     def _gate_jobs(self, jobs: dict[str, FleetJob], live: Topology,
@@ -909,80 +888,63 @@ class AdaptationController:
             return True  # transformed node space: assume affected
         return bool(used & changed)
 
-    def _replan(self, jobs: list[FleetJob], live: Topology, *,
-                priors: list[RegistryEntry],
-                predicted: list[float],
-                speculative: list[bool] | None = None,
-                ) -> list[AdaptationDecision]:
-        """Warm-replan a batch of jobs through the planner's solve pool.
+    def _replan(self, batch: list[tuple],
+                live: Topology) -> list[AdaptationDecision]:
+        """Warm-replan a batch of ``(job, incumbent, predicted finish,
+        speculative)`` tuples through the planner's solve pool.
 
         A ``speculative`` replan (recovery probing) only activates when it
         strictly improves on the incumbent's finish; a mandatory one
         (regression) activates any conformant result.
         """
-        if not jobs:
+        if not batch:
             return []
-        if speculative is None:
-            speculative = [False] * len(jobs)
-        requests = [self._request(job, live) for job in jobs]
-        with _obs.span("fleet.replan", jobs=len(jobs)):
+        requests = [self._request(job, live) for job, _, _, _ in batch]
+        with _obs.span("fleet.replan", jobs=len(batch)):
             responses = self.planner.plan_batch(
-                requests, warm_from=[p.result for p in priors])
+                requests,
+                warm_from=[prior.result for _, prior, _, _ in batch])
         decisions = []
-        for job, prior, pred, probe, response in zip(jobs, priors,
-                                                     predicted,
-                                                     speculative,
-                                                     responses):
+        for (job, prior, pred, probe), response in zip(batch, responses):
+            # every outcome below is one decision about this job against
+            # this incumbent; only action, reason and the new result vary
+            decide = partial(AdaptationDecision, job=job.name, time=self.now,
+                             predicted=pred,
+                             active_finish=prior.result.finish_time)
             if not response.ok:
                 self._bump(failed=1)
-                decisions.append(AdaptationDecision(
-                    job=job.name, time=self.now, action="failed",
-                    reason=f"replan failed: {response.error}",
-                    predicted=pred,
-                    active_finish=prior.result.finish_time))
+                decisions.append(decide(
+                    action="failed",
+                    reason=f"replan failed: {response.error}"))
                 continue
             result = response.result
+            decide = partial(decide, new_finish=result.finish_time,
+                             solve_time=result.solve_time)
             self._bump(adaptation_solve_time=result.solve_time)
             if probe and result.finish_time >= prior.result.finish_time:
                 self._bump(kept=1)
-                decisions.append(AdaptationDecision(
-                    job=job.name, time=self.now, action="keep",
-                    reason="recovery probe did not beat the incumbent",
-                    predicted=pred,
-                    active_finish=prior.result.finish_time,
-                    new_finish=result.finish_time,
-                    solve_time=result.solve_time))
+                decisions.append(decide(
+                    action="keep",
+                    reason="recovery probe did not beat the incumbent"))
                 continue
-            entry = self.registry.propose(job.name, result, self.now,
-                                          fabric=live)
-            entry.conformance_ok = self._vet(result)
+            entry = self._propose_vetted(
+                job.name, result, live,
+                note="adapted schedule failed conformance replay",
+                reason="conformance")
             if entry.conformance_ok is not True:
-                self.registry.rollback(
-                    entry, "adapted schedule failed conformance replay")
-                self._bump(rollbacks=1)
-                _obs.event("fleet.rollback", job=job.name, seq=entry.seq,
-                           reason="conformance")
-                _flight.auto_dump("fleet-rollback")
-                decisions.append(AdaptationDecision(
-                    job=job.name, time=self.now, action="rollback",
+                decisions.append(decide(
+                    action="rollback",
                     reason="adapted schedule failed conformance replay; "
-                           "incumbent stays active",
-                    predicted=pred,
-                    active_finish=prior.result.finish_time,
-                    new_finish=result.finish_time,
-                    solve_time=result.solve_time))
+                           "incumbent stays active"))
                 continue
             self.registry.activate(entry)
             _obs.event("fleet.activate", job=job.name,
                        finish_time=result.finish_time)
             self._bump(replans=1)
-            decisions.append(AdaptationDecision(
-                job=job.name, time=self.now, action="replan",
+            decisions.append(decide(
+                action="replan",
                 reason=("recovery probe beat the incumbent" if probe
-                        else "warm replan on the live fabric"),
-                predicted=pred, active_finish=prior.result.finish_time,
-                new_finish=result.finish_time,
-                solve_time=result.solve_time))
+                        else "warm replan on the live fabric")))
         return decisions
 
     def replan_all(self, reason: str,
@@ -995,30 +957,35 @@ class AdaptationController:
         solve pool exactly like degradation-driven ones.
         """
         with self._op_lock:
-            self._journal("begin", {"op": "replan_all", "reason": reason})
-            try:
-                live = self.estimator.live_topology()
+            with self._txn("replan_all", reason=reason):
                 snapshot = self._jobs_snapshot()
-                jobs, priors = [], []
+                batch = []
                 for name in sorted(snapshot if names is None else names):
                     entry = self.registry.active(name)
                     if entry is None or name not in snapshot:
                         continue
-                    jobs.append(snapshot[name])
-                    priors.append(entry)
-                decisions = self._replan(
-                    jobs, live, priors=priors,
-                    predicted=[p.result.finish_time for p in priors])
-                self.decisions.extend(decisions)
-                for decision in decisions:
-                    self._journal("decision", decision.to_dict())
-                self._journal("commit",
-                              {"op": "replan_all", "reason": reason})
-            except BaseException:
-                self._journal_abort("replan_all")
-                raise
+                    batch.append((snapshot[name], entry,
+                                  entry.result.finish_time, False))
+                decisions = self._record(self._replan(
+                    batch, self.estimator.live_topology()))
             self._maybe_compact()
             return decisions
+
+    def _propose_vetted(self, job: str, result: SynthesisResult,
+                        live: Topology, *, note: str,
+                        reason: str) -> RegistryEntry:
+        """Propose ``result`` and vet it (the activation gate): a failed
+        replay is rolled back, counted, evented and flight-dumped here;
+        the caller decides what a refusal means for its operation."""
+        entry = self.registry.propose(job, result, self.now, fabric=live)
+        entry.conformance_ok = self._vet(result)
+        if entry.conformance_ok is not True:
+            self.registry.rollback(entry, note)
+            self._bump(rollbacks=1)
+            _obs.event("fleet.rollback", job=job, seq=entry.seq,
+                       reason=reason)
+            _flight.auto_dump("fleet-rollback")
+        return entry
 
     def _vet(self, result: SynthesisResult) -> bool:
         """Conformance-replay one result (the activation gate)."""
@@ -1077,9 +1044,6 @@ class AdaptationController:
             self._stop.set()
             self._thread.join()
             self._thread = None
-        if self._owns_tracer:
-            self._owns_tracer = False
-            _obs.disable()
 
     # ------------------------------------------------------------------
     # crash recovery

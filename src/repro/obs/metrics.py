@@ -203,14 +203,27 @@ class Histogram:
 class CounterFields:
     """Mixin for a stats object over a fixed set of registry counters.
 
-    The subclass names its counters in ``_FIELDS`` and keeps them in
-    ``self._counters``; they move only through :meth:`inc` and read back
-    as ``int`` attributes (the subclass's ``__slots__`` keeps assignment
-    from shadowing one).
+    The subclass names its counters in ``_FIELDS``; each is registered as
+    ``<_PREFIX>_<field>_total`` and described by ``_DESCRIPTION`` (its
+    ``{words}`` is the field name with spaces). They move only through
+    :meth:`inc` and read back as ``int`` attributes (the subclass's
+    ``__slots__ = ("registry", "_counters")`` keeps assignment from
+    shadowing one).
     """
 
     __slots__ = ()
     _FIELDS: tuple[str, ...] = ()
+    _PREFIX = ""
+    _DESCRIPTION = ""
+
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+        self.registry = registry if registry is not None \
+            else MetricsRegistry()
+        self._counters = {
+            name: self.registry.counter(
+                f"{self._PREFIX}_{name}_total",
+                self._DESCRIPTION.format(words=name.replace("_", " ")))
+            for name in self._FIELDS}
 
     def inc(self, name: str, delta: int = 1) -> None:
         self._counters[name].inc(delta)
@@ -284,25 +297,9 @@ class MetricsRegistry:
 
     def prometheus_text(self) -> str:
         """Render the registry in the Prometheus text exposition format."""
-        lines: list[str] = []
-        for inst in self.instruments():
-            if inst.description:
-                lines.append(f"# HELP {inst.name} {inst.description}")
-            if isinstance(inst, Counter):
-                lines.append(f"# TYPE {inst.name} counter")
-                lines.append(f"{inst.name} {_fmt(inst.value)}")
-            elif isinstance(inst, Gauge):
-                lines.append(f"# TYPE {inst.name} gauge")
-                lines.append(f"{inst.name} {_fmt(inst.value)}")
-            else:
-                lines.append(f"# TYPE {inst.name} histogram")
-                for bound, count in inst.snapshot_buckets():
-                    le = "+Inf" if bound == math.inf else _fmt(bound)
-                    lines.append(
-                        f'{inst.name}_bucket{{le="{le}"}} {count}')
-                lines.append(f"{inst.name}_sum {_fmt(inst.sum)}")
-                lines.append(f"{inst.name}_count {inst.count}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        return prometheus_from_snapshot(
+            self.snapshot(),
+            {inst.name: inst.description for inst in self.instruments()})
 
 
 def _fmt(value: float) -> str:
@@ -311,17 +308,23 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
-def prometheus_from_snapshot(snapshot: dict) -> str:
+def prometheus_from_snapshot(snapshot: dict,
+                             descriptions: dict[str, str] | None = None,
+                             ) -> str:
     """Prometheus text exposition from a :meth:`MetricsRegistry.snapshot`.
 
     The snapshot is the JSON-ready form the CLI persists (``serve-batch
     --metrics-file``, fleet status files); this renders it scrape-ready
     without needing the live registry — histogram buckets are already
-    cumulative, exactly the Prometheus layout.
+    cumulative, exactly the Prometheus layout. A snapshot carries no
+    descriptions; ``descriptions`` (the live registry's) supply the
+    ``# HELP`` lines.
     """
     lines: list[str] = []
     for name in sorted(snapshot):
         entry = snapshot[name]
+        if descriptions and descriptions.get(name):
+            lines.append(f"# HELP {name} {descriptions[name]}")
         try:
             kind = entry["type"]
             if kind in ("counter", "gauge"):

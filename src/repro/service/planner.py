@@ -30,7 +30,7 @@ from repro.errors import ReproError, ServiceError
 from repro.obs import recorder as _flight
 from repro.obs import trace as _obs
 from repro.obs.explain import ExplainRecord
-from repro.obs.metrics import CounterFields, MetricsRegistry
+from repro.obs.metrics import CounterFields
 from repro.obs.metrics import get_registry as _default_registry
 from repro.service.cache import CacheEntry, ScheduleCache
 from repro.service.fingerprint import fingerprint_facts
@@ -60,16 +60,9 @@ class PlannerStats(CounterFields):
     _FIELDS = ("requests", "timeouts", "conformance_checks",
                "conformance_failures", "warm_donors", "replans",
                "symmetry_collapses")
+    _PREFIX = "planner"
+    _DESCRIPTION = "planner {words} (cumulative)"
     __slots__ = ("registry", "_counters")
-
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
-        self._counters = {
-            name: self.registry.counter(
-                f"planner_{name}_total",
-                f"planner {name.replace('_', ' ')} (cumulative)")
-            for name in self._FIELDS}
 
     def to_dict(self) -> dict:
         return {name: int(c.value) for name, c in self._counters.items()}
@@ -99,9 +92,6 @@ class Planner:
             (a stale or corrupted cache entry is exactly what the oracle
             exists to catch).
         cache / pool: inject pre-built components (tests, shared caches).
-        sink: enable process-wide tracing into this sink (a path makes a
-            JSONL file) for the planner's lifetime — spans from every
-            layer under it (solver phases, pool workers) land there too.
         symmetry: ``"auto"``/``"on"`` rewrite each request onto the
             lexicographically minimal relabeling of its demand under the
             topology's automorphism group before fingerprinting, so
@@ -120,7 +110,6 @@ class Planner:
                  check_conformance: bool = False,
                  cache: ScheduleCache | None = None,
                  pool: SolvePool | None = None,
-                 sink: str | Path | _obs.Sink | None = None,
                  symmetry: str = "auto") -> None:
         if symmetry not in ("auto", "on", "off"):
             raise ServiceError(f"unknown symmetry mode {symmetry!r}")
@@ -139,9 +128,6 @@ class Planner:
         self._serve_latency = self.registry.histogram(
             "planner_serve_latency_seconds",
             "end-to-end serve latency per request")
-        self._owns_tracer = sink is not None
-        if sink is not None:
-            _obs.configure(sink)
         # Guards the cache-probe → pool-submit step and the archive callback
         # as one atomic unit (RLock: the inline executor archives on the
         # submitting thread, re-entering while _start still holds the lock).
@@ -512,8 +498,6 @@ class Planner:
     def close(self) -> None:
         if self._owns_pool:
             self.pool.shutdown()
-        if self._owns_tracer:
-            _obs.disable()
 
     def __enter__(self) -> "Planner":
         return self

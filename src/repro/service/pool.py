@@ -30,7 +30,7 @@ import threading
 from repro.errors import ServiceError
 from repro.obs import recorder as _flight
 from repro.obs import trace as _obs
-from repro.obs.metrics import CounterFields, MetricsRegistry
+from repro.obs.metrics import CounterFields
 
 _EXECUTOR_KINDS = ("process", "thread", "inline")
 
@@ -83,15 +83,9 @@ class PoolStats(CounterFields):
     """
 
     _FIELDS = ("submitted", "coalesced", "completed", "errors")
+    _PREFIX = "pool"
+    _DESCRIPTION = "pool {words} requests (cumulative)"
     __slots__ = ("registry", "_counters")
-
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
-        self._counters = {
-            name: self.registry.counter(
-                f"pool_{name}_total", f"pool {name} requests (cumulative)")
-            for name in self._FIELDS}
 
     @property
     def solves(self) -> int:

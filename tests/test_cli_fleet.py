@@ -187,6 +187,34 @@ class TestFleetRunStatus:
                      "--steps", "1", "--wal", str(wal)]) == 1
         assert "--takeover" in capsys.readouterr().err
 
+    def test_wal_closed_when_admission_fails(self, tmp_path, capsys,
+                                             monkeypatch):
+        import repro.fleet
+        from repro.errors import ServiceError
+        from repro.service import Planner
+
+        opened = []
+
+        class Recording(repro.fleet.WriteAheadLog):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        def refuse(self, request, **kwargs):
+            raise ServiceError("solver pool on fire")
+
+        monkeypatch.setattr(repro.fleet, "WriteAheadLog", Recording)
+        monkeypatch.setattr(Planner, "plan", refuse)
+        assert main(["fleet", "run", "--topology", "dgx1",
+                     "--jobs", "alltoall", "--steps", "1",
+                     "--wal", str(tmp_path / "fleet.wal")]) == 1
+        assert "solver pool on fire" in capsys.readouterr().err
+        (wal,) = opened
+        # the admission's begin marker opened the log file; the error
+        # path must close it just like the success path does
+        assert wal.records_written >= 1
+        assert wal._file is None
+
     def test_unwritable_status_file_rejected(self, capsys):
         assert main(["fleet", "run", "--topology", "dgx1",
                      "--jobs", "alltoall", "--chunk-size", "1e6",

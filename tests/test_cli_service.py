@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -77,6 +79,57 @@ class TestServeBatch:
                      "--pool", "inline"])
         assert code == 1
         assert "unknown topology" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"chunks": "two"}, "request #1: invalid int value for chunks"),
+        ({"chassis": "x"}, "request #1: invalid int value for chassis"),
+        ({"method": "quantum"}, "request #1: unknown method 'quantum'"),
+        ({"epoch_mode": "sideways"},
+         "request #1: unknown epoch_mode 'sideways'"),
+        ({"switch_model": 7}, "request #1: unknown switch_model 7"),
+        ({"chunk_bytes": 1e6}, "request #1: unknown key(s) chunk_bytes"),
+    ], ids=["chunks", "chassis", "method", "epoch_mode", "switch_model",
+            "unknown-key"])
+    def test_compact_spec_is_outside_input(self, tmp_path, capsys, bad,
+                                           message):
+        # a bad value or an unknown key is a typed error naming the
+        # request — never a traceback, never a silently ignored key
+        requests = _write_requests(
+            tmp_path, BATCH[:1] + [{"topology": "dgx1", **bad}])
+        code = main(["serve-batch", "--requests", requests,
+                     "--pool", "inline"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: " + message)
+        assert "Traceback" not in captured.err
+        assert captured.out == ""  # refused before anything was served
+
+    def test_compact_spec_shares_the_synth_vocabulary(self):
+        from repro.cli import _request_from_spec
+        from repro.core.config import EpochMode
+        from repro.core.solve import Method
+
+        # every synth request flag is a spec key, `symmetry` included
+        request = _request_from_spec(
+            {"topology": "torus", "chassis": "3", "collective": "alltoall",
+             "chunks": 2, "chunk_size": "25e3", "epochs": 12,
+             "method": "lp", "epoch_mode": "slowest", "time_limit": 9,
+             "mip_gap": 0.25, "symmetry": "off"}, 0)
+        assert request.topology.num_gpus == 9
+        assert request.demand.num_triples == 2 * 9 * 8
+        assert request.method is Method.LP
+        config = request.config
+        assert (config.chunk_bytes, config.num_epochs) == (25e3, 12)
+        assert config.epoch_mode is EpochMode.SLOWEST_LINK
+        assert (config.solver.time_limit, config.solver.mip_gap,
+                config.solver.symmetry) == (9.0, 0.25, "off")
+        assert request.tag == "torus/alltoall#0"
+        # defaults are synth's own; null means "not given"
+        plain = _request_from_spec({"topology": "dgx1", "epochs": None,
+                                    "tag": "t"}, 3)
+        assert plain.tag == "t" and plain.method is Method.AUTO
+        assert plain.config.solver.symmetry == "auto"
+        assert plain.config.num_epochs is None
 
 
 class TestCacheVerb:

@@ -462,9 +462,10 @@ class TestConcurrency:
 
         path = tmp_path / "fleet.jsonl"
         topo = topology.ring(4, capacity=1.0)
+        obs.configure(path)
         with Planner(executor="inline") as planner:
             daemon = AdaptationController(
-                topo, SyntheticTelemetry(topo), planner, sink=path)
+                topo, SyntheticTelemetry(topo), planner)
             daemon.add_job(FleetJob(
                 name="a2a", demand=collectives.alltoall(topo.gpus, 1),
                 config=TecclConfig(chunk_bytes=1.0)))
@@ -473,6 +474,7 @@ class TestConcurrency:
             while daemon.stats()["polls"] < 3 and time.time() < deadline:
                 time.sleep(0.01)
             daemon.stop()
+        obs.disable()
         events = obs.read_events(path)
         steps = [e for e in events if e["name"] == "fleet.step"]
         assert len(steps) >= 3
@@ -487,11 +489,12 @@ class TestConcurrency:
         from repro.service import Planner, PlanRequest
 
         path = tmp_path / "pool.jsonl"
-        with Planner(executor="process", max_workers=2,
-                     sink=path) as planner:
+        obs.configure(path)
+        with Planner(executor="process", max_workers=2) as planner:
             responses = planner.plan_batch(
                 [PlanRequest(**_small_request("r0")),
                  PlanRequest(**_small_request("r1"))])
+        obs.disable()
         assert all(r.ok for r in responses)
         events = obs.read_events(path)  # raises on any corrupt record
         solves = [e for e in events if e["name"] == "pool.solve"]

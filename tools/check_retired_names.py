@@ -26,6 +26,13 @@ Two deleted *exports* are checked by import: ``repro.obs.rspan`` (the
 second span API; ``span()`` is the only one) and the
 ``repro.simulate.simulator`` adapter module.
 
+One retired *parameter* is checked by signature: ``sink`` on
+``Planner.__init__`` and ``AdaptationController.__init__``. Tracing is
+process-global — it is turned on by ``obs.configure`` or a CLI verb's
+``--trace``, never by a constructor that only wrapped that call. The name
+stays legitimate inside ``repro.obs.trace`` (a ``Tracer`` *has* a sink),
+so it cannot join the blanket ``RETIRED`` set.
+
 Exit status 0 when clean, 1 with a findings listing otherwise.
 """
 
@@ -41,6 +48,11 @@ RETIRED = frozenset({"construction", "incremental", "track_rows",
 
 #: (package, attribute) pairs that were deleted and must stay unexported
 RETIRED_EXPORTS = (("repro.obs", "rspan"), ("repro.simulate", "simulator"))
+
+#: (module, class, parameter) triples: the constructor must not take it
+RETIRED_INIT_PARAMS = (
+    ("repro.service.planner", "Planner", "sink"),
+    ("repro.fleet.controller", "AdaptationController", "sink"))
 
 
 def find_retired(path: pathlib.Path) -> list[tuple[int, str]]:
@@ -69,12 +81,18 @@ def find_retired(path: pathlib.Path) -> list[tuple[int, str]]:
 
 def find_retired_exports() -> list[str]:
     import importlib
+    import inspect
 
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
-    return [f"{package}.{name} is exported again"
-            for package, name in RETIRED_EXPORTS
-            if hasattr(importlib.import_module(package), name)]
+    findings = [f"{package}.{name} is exported again"
+                for package, name in RETIRED_EXPORTS
+                if hasattr(importlib.import_module(package), name)]
+    for module, cls, param in RETIRED_INIT_PARAMS:
+        init = getattr(importlib.import_module(module), cls).__init__
+        if param in inspect.signature(init).parameters:
+            findings.append(f"{module}.{cls}.__init__ takes `{param}` again")
+    return findings
 
 
 def main() -> int:

@@ -62,7 +62,8 @@ def test_symmetry_speedup(benchmark):
                      "cols/orbit": stats["symmetry_cols_reduced"],
                      "rows": stats["symmetry_rows_full"],
                      "rows/orbit": stats["symmetry_rows_reduced"],
-                     "gens": stats["symmetry_generators"],
+                     "gens": f"{stats['symmetry_generators']}"
+                             f"+{stats['symmetry_generators_skipped']}skip",
                      "off s": off_time, "on s": on_time,
                      "speedup": speedup})
         records.append({
@@ -72,6 +73,7 @@ def test_symmetry_speedup(benchmark):
             "rows_full": stats["symmetry_rows_full"],
             "rows_reduced": stats["symmetry_rows_reduced"],
             "generators": stats["symmetry_generators"],
+            "generators_skipped": stats["symmetry_generators_skipped"],
             "orbits": stats["symmetry_orbits"],
             "solve_off_s": off_time, "solve_on_s": on_time,
             "speedup": speedup,

@@ -98,6 +98,20 @@ class Demand:
         return not self._wants
 
     @functools.cached_property
+    def chunk_classes(self) -> dict[int, tuple[list, dict]]:
+        """Per source ``(chunks, classes)``: its ``(chunk, destinations)``
+        pairs, chunk ascending, and the chunk ids grouped by destination
+        set, ascending — two chunks of one source with the same destination
+        set are interchangeable, which is what symmetry detection matches
+        on. Computed once per (frozen) instance; read-only."""
+        index: dict[int, tuple[list, dict]] = {}
+        for (s, c) in sorted(self._wants):
+            chunks, classes = index.setdefault(s, ([], {}))
+            chunks.append((c, self._wants[(s, c)]))
+            classes.setdefault(self._wants[(s, c)], []).append(c)
+        return index
+
+    @functools.cached_property
     def _hash(self) -> int:
         return hash(frozenset(self._wants.items()))
 

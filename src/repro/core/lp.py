@@ -24,11 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.collectives.demand import Demand
+from repro.core.columns import ColumnTable
 from repro.core.config import TecclConfig
 from repro.core.epochs import (EpochPlan, build_epoch_plan,
                                earliest_arrival_epochs,
                                first_feasible_rung, horizon_bound,
                                horizon_ladder, plan_with_tau)
+from repro.core.postprocess import _TOL as _PRUNE_TOL
 from repro.core.postprocess import prune_fractional
 from repro.core.schedule import FlowSchedule
 from repro.errors import InfeasibleError, ModelError
@@ -93,17 +95,18 @@ def build_commodities(demand: Demand, aggregate: bool = True,
 class LpProblem:
     """A built LP instance.
 
-    The ``*_vars`` dicts map formulation keys to raw ``int`` solver column
-    indices (what :meth:`repro.solver.SolveResult.value` takes).
+    The ``*_vars`` tables map formulation keys to raw ``int`` solver column
+    indices (what :meth:`repro.solver.SolveResult.value` takes); they read
+    as dicts and are held as arrays (:class:`ColumnTable`).
     """
 
     model: Model
     plan: EpochPlan
     topology: Topology
     commodities: list[LpCommodity]
-    f_vars: dict[tuple, int] = field(default_factory=dict)
-    b_vars: dict[tuple, int] = field(default_factory=dict)
-    r_vars: dict[tuple, int] = field(default_factory=dict)
+    f_vars: ColumnTable = field(default_factory=ColumnTable)
+    b_vars: ColumnTable = field(default_factory=ColumnTable)
+    r_vars: ColumnTable = field(default_factory=ColumnTable)
 
 
 @dataclass
@@ -247,26 +250,16 @@ class LpBuilder:
                 base += nr
                 per_q.append((q, f_mask, f_idx, b_mask, b_idx, sinks, r_mask,
                               r_idx))
-            model.add_var_array(base, name="lpvar")
 
-            # -- handle dicts for extraction (raw column indices as values)
-            for q, f_mask, f_idx, b_mask, b_idx, sinks, r_mask, r_idx in per_q:
-                key = q.key
+                # -- key tables for symmetry and extraction
                 ls, ks = np.nonzero(f_mask)
-                problem.f_vars.update(
-                    ((key, links[l][0], links[l][1], k), v)
-                    for l, k, v in zip(ls.tolist(), ks.tolist(),
-                                       f_idx[f_mask].tolist()))
+                problem.f_vars.append(q.key, src[ls], ks, f_idx[f_mask],
+                                      node2=dst[ls])
                 ns, ks = np.nonzero(b_mask)
-                problem.b_vars.update(
-                    ((key, gpus[n], k), v)
-                    for n, k, v in zip(ns.tolist(), ks.tolist(),
-                                       b_idx[b_mask].tolist()))
+                problem.b_vars.append(q.key, gpu_ids[ns], ks, b_idx[b_mask])
                 ss, ks = np.nonzero(r_mask)
-                problem.r_vars.update(
-                    ((key, sinks[s], k), v)
-                    for s, k, v in zip(ss.tolist(), ks.tolist(),
-                                       r_idx[r_mask].tolist()))
+                problem.r_vars.append(q.key, sink_ids[ss], ks, r_idx[r_mask])
+            model.add_var_array(base, name="lpvar")
 
         with _obs_span("lp.family.initialization"):
             self._coo_initialization(model, per_q, src, node_pos)
@@ -506,6 +499,12 @@ class IncrementalLp:
         self.f_vars = self.problem.f_vars
         self.b_vars = self.problem.b_vars
         self.r_vars = self.problem.r_vars
+        # buffer index at which each flow column lands: epoch + Δ + 1
+        offset = np.zeros((topology.num_nodes,) * 2, dtype=np.int64)
+        for i, j in topology.links:
+            offset[i, j] = plan.arrival_offset(i, j)
+        self._lands = (self.f_vars.epoch
+                       + offset[self.f_vars.node, self.f_vars.node2] + 1)
         self._restricted: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -528,18 +527,10 @@ class IncrementalLp:
             raise ModelError(
                 f"restriction K={num_epochs} outside [1, {self.num_epochs}]")
         self.release()
-        plan = self.plan
-        cols: list[int] = []
-        for (key, i, j, k), v in self.f_vars.items():
-            if k + plan.arrival_offset(i, j) + 1 > num_epochs:
-                cols.append(int(v))
-        for (key, n, k), v in self.b_vars.items():
-            if k > num_epochs:
-                cols.append(int(v))
-        for (key, d, k), v in self.r_vars.items():
-            if k >= num_epochs:
-                cols.append(int(v))
-        clamped = np.asarray(cols, dtype=np.int64)
+        clamped = np.concatenate([
+            self.f_vars.column[self._lands > num_epochs],
+            self.b_vars.column[self.b_vars.epoch > num_epochs],
+            self.r_vars.column[self.r_vars.epoch >= num_epochs]])
         self.model.set_var_bounds(clamped, ub=0.0)
         self._restricted = clamped
 
@@ -562,17 +553,12 @@ class IncrementalLp:
     def extract(self, result: SolveResult, num_epochs: int) -> LpOutcome:
         """An :class:`LpOutcome` over the horizon-``num_epochs`` view."""
         plan_k = self.plan.with_num_epochs(num_epochs)
-        view = LpProblem(model=self.model, plan=plan_k,
-                         topology=self.topology,
-                         commodities=self.commodities)
-        view.f_vars = {
-            key: v for key, v in self.f_vars.items()
-            if key[3] + plan_k.arrival_offset(key[1], key[2]) + 1
-            <= num_epochs}
-        view.b_vars = {key: v for key, v in self.b_vars.items()
-                       if key[2] <= num_epochs}
-        view.r_vars = {key: v for key, v in self.r_vars.items()
-                       if key[2] < num_epochs}
+        view = LpProblem(
+            model=self.model, plan=plan_k, topology=self.topology,
+            commodities=self.commodities,
+            f_vars=self.f_vars.where(self._lands <= num_epochs),
+            b_vars=self.b_vars.where(self.b_vars.epoch <= num_epochs),
+            r_vars=self.r_vars.where(self.r_vars.epoch < num_epochs))
         return extract_lp_outcome(view, result)
 
 
@@ -686,17 +672,19 @@ def _vet_reduced_outcome(outcome: LpOutcome, problem: LpProblem,
 
 def extract_lp_outcome(problem: LpProblem, result: SolveResult) -> LpOutcome:
     with _obs_span("lp.extract"):
-        flows = {key: result.value(var)
-                 for key, var in problem.f_vars.items()}
-        reads = {key: result.value(var)
-                 for key, var in problem.r_vars.items()}
-        raw = FlowSchedule(flows=flows, reads=reads, tau=problem.plan.tau,
-                           chunk_bytes=problem.plan.chunk_bytes,
-                           num_epochs=problem.plan.num_epochs)
-        buffers = {key: result.value(var)
-                   for key, var in problem.b_vars.items()}
-        pruned = prune_fractional(raw, problem.topology, problem.plan,
-                                  buffers=buffers)
+        # only values a consumer can see become dict entries: the schedule
+        # drops flows/reads at or below its tolerance, the pruner never
+        # draws on a hold at or below its own
+        values = result.require_solution().values
+        tolerance = FlowSchedule.tolerance
+        raw = FlowSchedule(
+            flows=problem.f_vars.above(values, tolerance),
+            reads=problem.r_vars.above(values, tolerance),
+            tau=problem.plan.tau, chunk_bytes=problem.plan.chunk_bytes,
+            num_epochs=problem.plan.num_epochs)
+        pruned = prune_fractional(
+            raw, problem.topology, problem.plan,
+            buffers=problem.b_vars.above(values, _PRUNE_TOL))
         return LpOutcome(schedule=pruned, raw_schedule=raw, result=result,
                          plan=problem.plan,
                          finish_time=pruned.finish_time(problem.topology))
@@ -804,11 +792,8 @@ def _minimize_epochs_incremental(topology: Topology, demand: Demand,
     # last read epoch, so last_read + 1 is a *witnessed* feasible horizon
     # (total supply must be read, hence nothing can sit on later epochs);
     # no horizon can beat the earliest-arrival floor.
-    values = anchor.values
-    last_read = -1
-    for (_key, _d, read_k), v in inc.r_vars.items():
-        if read_k > last_read and values[int(v)] > 1e-9:
-            last_read = read_k
+    read = anchor.values[inc.r_vars.column] > 1e-9
+    last_read = int(inc.r_vars.epoch[read].max(initial=-1))
     best_k = min(inc.num_epochs, max(1, last_read + 1))
     best_result = anchor
     lo = inc.horizon_lower_bound()

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.collectives.demand import Demand
+from repro.core.columns import ColumnTable
 from repro.core.config import SwitchModel, TecclConfig
 from repro.core.epochs import (EpochPlan, build_epoch_plan,
                                earliest_arrival_epochs,
@@ -69,9 +70,10 @@ def _ranges_take(left: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class MilpProblem:
     """A built (not yet solved) instance; A* reuses this to add its terms.
 
-    The ``*_vars`` dicts map formulation keys to raw ``int`` solver column
+    The ``*_vars`` tables map formulation keys to raw ``int`` solver column
     indices (what :meth:`repro.solver.SolveResult.value` and
-    :meth:`repro.solver.Model.var` take).
+    :meth:`repro.solver.Model.var` take); they read as dicts and are held
+    as arrays (:class:`ColumnTable`).
     """
 
     model: Model
@@ -79,9 +81,9 @@ class MilpProblem:
     topology: Topology
     demand: Demand
     config: TecclConfig
-    f_vars: dict[tuple, int] = field(default_factory=dict)
-    b_vars: dict[tuple, int] = field(default_factory=dict)
-    r_vars: dict[tuple, int] = field(default_factory=dict)
+    f_vars: ColumnTable = field(default_factory=ColumnTable)
+    b_vars: ColumnTable = field(default_factory=ColumnTable)
+    r_vars: ColumnTable = field(default_factory=ColumnTable)
     #: earliest buffer epoch per (commodity, node)
     earliest: dict[tuple[Commodity, int], int] = field(default_factory=dict)
 
@@ -324,23 +326,16 @@ class MilpBuilder:
                 else np.empty(0)),
             ub=1.0, name="R")
 
-        # -- handle dicts for extraction (raw column indices as values)
+        # -- key tables for symmetry and extraction
         for q, (_e, f_mask, f_idx), (b_mask, b_idx) in zip(
                 self.commodities, f_grids, b_grids):
             ls, ks = np.nonzero(f_mask)
-            problem.f_vars.update(
-                ((q, links[l][0], links[l][1], k), v)
-                for l, k, v in zip(ls.tolist(), ks.tolist(),
-                                   f_idx[f_mask].tolist()))
+            problem.f_vars.append(q, src[ls], ks, f_idx[f_mask],
+                                  node2=dst[ls])
             ns, ks = np.nonzero(b_mask)
-            problem.b_vars.update(
-                ((q, gpus[n], k), v)
-                for n, k, v in zip(ns.tolist(), ks.tolist(),
-                                   b_idx[b_mask].tolist()))
+            problem.b_vars.append(q, gpu_ids[ns], ks, b_idx[b_mask])
         for q, d, first_k, idx in r_meta:
-            problem.r_vars.update(
-                ((q, d, k), v)
-                for k, v in zip(range(first_k, K), idx.tolist()))
+            problem.r_vars.append(q, d, np.arange(first_k, K), idx)
 
         with _obs_span("milp.family.buffer_recurrence"):
             self._coo_buffer_recurrence(model, f_grids, b_grids, src, dst,
@@ -780,24 +775,22 @@ def extract_outcome(problem: MilpProblem, result: SolveResult) -> MilpOutcome:
     """Turn a solved MILP into a pruned :class:`Schedule`."""
     with _obs_span("milp.extract"):
         plan = problem.plan
-        sends = []
-        for (q, i, j, k), var in problem.f_vars.items():
-            if result.value(var) > 0.5:
-                sends.append(Send(epoch=k, source=q[0], chunk=q[1],
-                                  src=i, dst=j))
+        values = result.require_solution().values
+        sends = [Send(epoch=k, source=q[0], chunk=q[1], src=i, dst=j)
+                 for (q, i, j, k) in problem.f_vars.above(values, 0.5)]
         raw = Schedule(sends=sorted(sends), tau=plan.tau,
                        chunk_bytes=plan.chunk_bytes,
                        num_epochs=plan.num_epochs)
 
         delivered: dict[tuple[int, int, int], int] = {}
-        for ((s, c), d, k), r in sorted(problem.r_vars.items(),
-                                        key=lambda item: item[0][2]):
-            if result.value(r) > 0.5 and (s, c, d) not in delivered:
-                delivered[(s, c, d)] = k
+        for (s, c), d, k in sorted(problem.r_vars.above(values, 0.5),
+                                   key=lambda key: key[2]):
+            delivered.setdefault((s, c, d), k)
+
+        held = problem.b_vars.above(values, 0.5)
 
         def holds(s: int, c: int, n: int, k: int) -> bool:
-            var = problem.b_vars.get(((s, c), n, k))
-            return var is not None and result.value(var) > 0.5
+            return ((s, c), n, k) in held
 
         pruned = prune_sends(raw, problem.demand, problem.topology, plan,
                              delivered, buffer_values=holds,

@@ -48,6 +48,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from repro.collectives.demand import Demand
+from repro.core.columns import ColumnTable
 from repro.obs.metrics import get_registry as _default_registry
 from repro.obs.trace import span as _obs_span
 from repro.solver.model import CompiledModel, Model
@@ -104,26 +105,24 @@ def chunk_relabeling(demand: Demand, perm) -> dict | None:
     of one source with identical destination sets are interchangeable, so
     a greedy exact matching is complete.
     """
-    by_source: dict[int, dict[int, set]] = {}
-    for (s, c, d) in demand.triples():
-        by_source.setdefault(s, {}).setdefault(c, set()).add(d)
+    index = demand.chunk_classes
     mapping: dict = {}
-    for s, chunks in by_source.items():
+    for s, (chunks, _classes) in index.items():
         t = perm[s]
-        target = by_source.get(t)
-        if target is None or len(target) != len(chunks):
+        if t not in index:
             return None
-        pool: dict[frozenset, list[int]] = {}
-        for c, dests in target.items():
-            pool.setdefault(frozenset(dests), []).append(c)
-        for bucket in pool.values():
-            bucket.sort(reverse=True)
-        for c in sorted(chunks):
-            image = frozenset(perm[d] for d in chunks[c])
-            bucket = pool.get(image)
-            if not bucket:
+        target_chunks, classes = index[t]
+        if len(target_chunks) != len(chunks):
+            return None
+        taken: dict[frozenset, int] = {}
+        for c, dests in chunks:
+            image = frozenset(perm[d] for d in dests)
+            # smallest unmatched chunk of the image class first
+            bucket, rank = classes.get(image, ()), taken.get(image, 0)
+            if rank == len(bucket):
                 return None
-            mapping[(s, c)] = (t, bucket.pop())
+            mapping[(s, c)] = (t, bucket[rank])
+            taken[image] = rank + 1
     return mapping
 
 
@@ -288,54 +287,57 @@ def _map_key(key, auto: Automorphism):
 class ColumnKeys:
     """The formulation keys of one built model as sorted integer codes.
 
-    The ``f_vars``/``b_vars``/``r_vars`` dicts are walked once: every key
-    ``(q, i, j, k)`` / ``(q, n, k)`` becomes one int64 code over (family,
-    head index, node, second-node slot, epoch), kept sorted beside its
-    column. A generator then maps all keys at once — node arrays gathered
-    through ``perm``, heads through a per-generator head table — and finds
-    the image columns with one ``searchsorted`` (:meth:`permutation`).
+    The three :class:`ColumnTable` families (a plain dict is adapted by
+    ``ColumnTable.from_mapping``) are concatenated, never walked. A column
+    is a *stem* — (family, head index, node, second-node slot) — at an
+    epoch, and every induced permutation fixes the epoch, so a generator
+    acts on the few hundred–thousand stems (:meth:`stem_permutation`: node
+    arrays gathered through ``perm``, heads through a per-generator head
+    table, one ``searchsorted``) and only a generator worth folding pays
+    for the per-column image (:meth:`permutation`).
     """
 
-    def __init__(self, num_cols: int, f_vars: dict, b_vars: dict,
-                 r_vars: dict) -> None:
+    def __init__(self, num_cols: int, f_vars, b_vars, r_vars) -> None:
         self.num_cols = num_cols
         self._heads: dict = {}
-        # one (family, head, node, slot, epoch, column) block per dict;
+        # one (family, head, node, slot, epoch, column) block per table;
         # slot 0 = "no second node" (b/r keys), else second node + 1
-        blocks = [np.empty((6, 0), dtype=np.int64)]
+        blocks = []
         for fam, vars_ in enumerate((f_vars, b_vars, r_vars)):
-            if not vars_:
-                continue
-            q, *nodes, k = zip(*vars_)
-            count = len(vars_)
-            blocks.append(np.array([
-                np.full(count, fam),
-                [self._heads.setdefault(h, len(self._heads)) for h in q],
-                nodes[0],
-                np.array(nodes[1]) + 1 if len(nodes) > 1
-                else np.zeros(count, dtype=np.int64),
-                k,
-                list(vars_.values())], dtype=np.int64))
-        (family, self._head, self._node, self._slot, self._epoch,
-         self._cols) = np.concatenate(blocks, axis=1)
-        self._num_nodes = int(max(self._node.max(initial=-1) + 1,
-                                  self._slot.max(initial=0)))
+            table = ColumnTable.from_mapping(vars_)
+            heads = np.array([self._heads.setdefault(h, len(self._heads))
+                              for h in table.heads], dtype=np.int64)
+            blocks.append(np.stack([
+                np.full(len(table), fam), heads[table.head], table.node,
+                table.node2 + 1, table.epoch, table.column]))
+        family, head, node, slot, self._epoch, self._cols = np.concatenate(
+            blocks, axis=1)
+        self._num_nodes = int(max(node.max(initial=-1) + 1,
+                                  slot.max(initial=0)))
         self._num_epochs = int(self._epoch.max(initial=-1)) + 1
-        self._base = family * len(self._heads)
         # codes < 3 * heads * (nodes + 1)^2 * epochs: nowhere near int64
         # for a model that fits in memory
-        codes = self._code(self._head, self._node, self._slot)
+        self._stem_codes, first, self._stem = np.unique(
+            self._stem_code(family, head, node, slot),
+            return_index=True, return_inverse=True)
+        self._stem_keys = np.stack([family, head, node, slot])[:, first]
+        codes = self._stem * self._num_epochs + self._epoch
         order = np.argsort(codes)
         self._sorted_codes = codes[order]
         self._sorted_cols = self._cols[order]
 
-    def _code(self, head, node, slot) -> np.ndarray:
-        n = self._num_nodes
-        return ((((self._base + head) * n + node) * (n + 1) + slot)
-                * self._num_epochs + self._epoch)
+    @property
+    def num_stems(self) -> int:
+        return len(self._stem_codes)
 
-    def permutation(self, auto: Automorphism):
-        """The column permutation ``auto`` induces, or ``None``."""
+    def _stem_code(self, family, head, node, slot) -> np.ndarray:
+        n = self._num_nodes
+        return ((family * len(self._heads) + head) * n + node) * (n + 1) \
+            + slot
+
+    def stem_permutation(self, auto: Automorphism):
+        """Where ``auto`` sends every stem (an index array over the
+        stems), or ``None`` when some image is not a stem of this model."""
         heads = self._heads
         head_image = np.empty(len(heads), dtype=np.int64)
         for h, index in heads.items():
@@ -343,16 +345,24 @@ class ColumnKeys:
             if image is None:
                 return None
             head_image[index] = image
+        family, head, node, slot = self._stem_keys
         perm = np.asarray(auto.perm, dtype=np.int64)
-        node = perm[self._node]
-        slot = np.concatenate(([0], perm + 1))[self._slot]
+        node = perm[node]
+        slot = np.concatenate(([0], perm + 1))[slot]
         n = self._num_nodes
         if node.max(initial=0) >= n or slot.max(initial=0) > n:
             return None  # an image node no key of this model mentions
-        image = self._code(head_image[self._head], node, slot)
-        pos = np.searchsorted(self._sorted_codes, image)
-        pos[pos == len(self._sorted_codes)] = 0
-        if not np.array_equal(self._sorted_codes[pos], image):
+        return _positions(self._stem_codes, self._stem_code(
+            family, head_image[head], node, slot))
+
+    def permutation(self, auto: Automorphism):
+        """The column permutation ``auto`` induces, or ``None``."""
+        stems = self.stem_permutation(auto)
+        if stems is None:
+            return None
+        pos = _positions(self._sorted_codes,
+                         stems[self._stem] * self._num_epochs + self._epoch)
+        if pos is None:
             return None
         pi = np.arange(self.num_cols, dtype=np.int64)
         pi[self._cols] = self._sorted_cols[pos]
@@ -361,6 +371,16 @@ class ColumnKeys:
         if not hit.all():
             return None
         return pi
+
+
+def _positions(sorted_codes: np.ndarray, wanted: np.ndarray):
+    """Index of every ``wanted`` code in ``sorted_codes``; ``None`` when
+    one is absent."""
+    pos = np.searchsorted(sorted_codes, wanted)
+    pos[pos == len(sorted_codes)] = 0
+    if not np.array_equal(sorted_codes[pos], wanted):
+        return None
+    return pos
 
 
 def induced_column_permutation(auto: Automorphism, num_cols: int,
@@ -405,10 +425,9 @@ class PermutationVerifier:
         self._quantum = 1e7 / max(1.0, float(np.abs(u).max(initial=0.0)))
         # rows can only match rows with identical bounds: one group id
         # per distinct (lb, ub) pair stands in for both keys in the sorts
-        bounds = np.stack([_bound_key(compiled.row_lower),
-                           _bound_key(compiled.row_upper)], axis=1)
-        self._group = np.unique(bounds, axis=0, return_inverse=True)[1] \
-            .reshape(-1)
+        lower = np.unique(compiled.row_lower, return_inverse=True)[1]
+        uppers, upper = np.unique(compiled.row_upper, return_inverse=True)
+        self._group = lower * len(uppers) + upper
         self._u_sorted = self._sorted_rows(u)
 
     def _sorted_rows(self, product: np.ndarray) -> np.ndarray:
@@ -440,19 +459,6 @@ def verify_column_permutation(compiled: CompiledModel, pi,
 
 def _bound_key(bounds: np.ndarray) -> np.ndarray:
     return np.nan_to_num(bounds, posinf=1e300, neginf=-1e300)
-
-
-def _verified_column_permutations(compiled: CompiledModel, generators,
-                                  num_cols: int, f_vars: dict,
-                                  b_vars: dict, r_vars: dict):
-    """Yield the verified column permutation of every generator that acts
-    on the model (trust layer 2: none is taken on faith, none skipped)."""
-    keys = ColumnKeys(num_cols, f_vars, b_vars, r_vars)
-    verify = PermutationVerifier(compiled)
-    for gen in generators:
-        pi = keys.permutation(gen)
-        if pi is not None and verify(pi):
-            yield pi
 
 
 # ----------------------------------------------------------------------
@@ -539,16 +545,33 @@ def reduce_lp(model: Model, generators, num_cols: int, f_vars: dict,
     collapses, or when no generator survives verification.
     """
     with _obs_span("symmetry.reduce", cols=num_cols,
-                   generators=len(generators)):
+                   generators=len(generators)) as sp:
         compiled = model.compile()
         if np.any(compiled.integrality != 0):
             return None
+        keys = ColumnKeys(num_cols, f_vars, b_vars, r_vars)
+        verify = PermutationVerifier(compiled)
         orbit = reps = np.arange(num_cols, dtype=np.int64)
-        verified = 0
-        for pi in _verified_column_permutations(
-                compiled, generators, num_cols, f_vars, b_vars, r_vars):
-            verified += 1
+        stem_orbit = stem_reps = np.arange(keys.num_stems, dtype=np.int64)
+        used = skipped = 0
+        for gen in generators:
+            # column orbits are stem orbits x epoch: a generator that
+            # merges no stem orbits of the verified generators folded so
+            # far cannot merge columns either, and is not paid for
+            image = keys.stem_permutation(gen)
+            if image is None:
+                continue
+            merged = _merge_orbits(stem_orbit, stem_reps, image)
+            if len(merged[1]) == len(stem_reps):
+                skipped += 1
+                continue
+            pi = keys.permutation(gen)
+            if pi is None or not verify(pi):
+                continue
+            used += 1
+            stem_orbit, stem_reps = merged
             orbit, reps = _merge_orbits(orbit, reps, pi)
+        sp.set_attr(used=used, skipped=skipped)
         k = len(reps)
         if k >= num_cols:
             return None
@@ -574,7 +597,8 @@ def reduce_lp(model: Model, generators, num_cols: int, f_vars: dict,
             reduced.set_objective_array(np.arange(k), c_red,
                                         const=compiled.obj_const)
             stats = {
-                "symmetry_generators": verified,
+                "symmetry_generators": used,
+                "symmetry_generators_skipped": skipped,
                 "symmetry_orbits": k,
                 "symmetry_cols_full": num_cols,
                 "symmetry_cols_reduced": k,
@@ -684,9 +708,14 @@ def add_symmetry_cuts(model: Model, generators, num_cols: int,
     with _obs_span("symmetry.reduce", cols=num_cols,
                    generators=len(generators)):
         added = 0
-        for pi in _verified_column_permutations(
-                model.compile(), generators, num_cols, f_vars, b_vars,
-                r_vars):
+        keys = ColumnKeys(num_cols, f_vars, b_vars, r_vars)
+        verify = PermutationVerifier(model.compile())
+        # one cut pair per generator that acts on the model (trust layer
+        # 2: none is taken on faith, none skipped)
+        for gen in generators:
+            pi = keys.permutation(gen)
+            if pi is None or not verify(pi):
+                continue
             moved = np.nonzero(pi != np.arange(num_cols))[0]
             if not len(moved):
                 continue

@@ -352,21 +352,28 @@ class Model:
             return
         if indices.min() < 0 or indices.max() >= len(self._lb):
             raise ModelError("variable index out of range")
-        if lb is not None:
-            lb_arr = np.broadcast_to(np.asarray(lb, dtype=float),
-                                     indices.shape)
-            for idx, value in zip(indices.tolist(), lb_arr.tolist()):
-                self._lb[idx] = value
-        if ub is not None:
-            ub_arr = np.broadcast_to(np.asarray(ub, dtype=float),
-                                     indices.shape)
-            for idx, value in zip(indices.tolist(), ub_arr.tolist()):
-                self._ub[idx] = value
-        for idx in indices.tolist():
-            if self._lb[idx] > self._ub[idx]:
+        where = indices.tolist()
+
+        def proposed(store: list[float], bound) -> list[float]:
+            if bound is None:
+                return [store[idx] for idx in where]
+            return np.broadcast_to(np.asarray(bound, dtype=float),
+                                   indices.shape).tolist()
+
+        # validate the would-be bounds before writing any: a raise leaves
+        # the model as it was
+        lower, upper = proposed(self._lb, lb), proposed(self._ub, ub)
+        for idx, lo, hi in zip(where, lower, upper):
+            if lo > hi:
                 raise ModelError(
                     f"variable {self.var_name(idx)}: lower bound "
-                    f"{self._lb[idx]} > upper bound {self._ub[idx]}")
+                    f"{lo} > upper bound {hi}")
+        if lb is not None:
+            for idx, value in zip(where, lower):
+                self._lb[idx] = value
+        if ub is not None:
+            for idx, value in zip(where, upper):
+                self._ub[idx] = value
 
     def set_objective(self, expr: LinExpr | Variable | float,
                       sense: Sense | None = None) -> None:
@@ -515,7 +522,9 @@ class Model:
                 integrality=np.fromiter(
                     (0 if v is VarType.CONTINUOUS else 1
                      for v in self._vtype),
-                    dtype=np.int64, count=len(self._vtype)),
+                    dtype=np.int64, count=len(self._vtype))
+                if self._num_integer
+                else np.zeros(len(self._vtype), dtype=np.int64),
                 sense=self.sense)
 
     def solve(self, options: SolverOptions = DEFAULT_OPTIONS) -> SolveResult:

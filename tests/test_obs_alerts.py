@@ -262,3 +262,7 @@ class TestExplainRecord:
         assert stats["symmetry_cols_reduced"] < stats["symmetry_cols_full"]
         assert stats["symmetry_rows_reduced"] < stats["symmetry_rows_full"]
         assert stats["symmetry_orbits"] == stats["symmetry_cols_reduced"]
+        # a skip is a decision: ring8's 15 verified generators are offered,
+        # a generating set of the same group is folded, the rest counted
+        assert stats["symmetry_generators"] == 2
+        assert stats["symmetry_generators_skipped"] == 13

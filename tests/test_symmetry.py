@@ -410,6 +410,239 @@ class TestArrayKernels:
 
 
 # ----------------------------------------------------------------------
+# generator folding: a generating set, not the group
+# ----------------------------------------------------------------------
+def oracle_chunk_relabeling(demand, perm):
+    """``chunk_relabeling`` as it was: the demand re-indexed and every
+    destination-set pool rebuilt and re-sorted per candidate."""
+    by_source = {}
+    for (s, c, d) in demand.triples():
+        by_source.setdefault(s, {}).setdefault(c, set()).add(d)
+    mapping = {}
+    for s, chunks in by_source.items():
+        t = perm[s]
+        target = by_source.get(t)
+        if target is None or len(target) != len(chunks):
+            return None
+        pool = {}
+        for c, dests in target.items():
+            pool.setdefault(frozenset(dests), []).append(c)
+        for bucket in pool.values():
+            bucket.sort(reverse=True)
+        for c in sorted(chunks):
+            image = frozenset(perm[d] for d in chunks[c])
+            bucket = pool.get(image)
+            if not bucket:
+                return None
+            mapping[(s, c)] = (t, bucket.pop())
+    return mapping
+
+
+def oracle_fold_everything(problem, gens):
+    """The parent's ``reduce_lp`` loop: every generator's column
+    permutation built and verified, every verified one folded."""
+    num_cols = problem.model.num_vars
+    keys = ColumnKeys(num_cols, problem.f_vars, problem.b_vars,
+                      problem.r_vars)
+    verify = symmetry.PermutationVerifier(problem.model.compile())
+    perms = [pi for pi in map(keys.permutation, gens)
+             if pi is not None and verify(pi)]
+    return column_orbits(num_cols, perms), len(perms)
+
+
+def _reduce(problem, gens):
+    return symmetry.reduce_lp(problem.model, gens, problem.model.num_vars,
+                              problem.f_vars, problem.b_vars, problem.r_vars)
+
+
+def _fold_case(name):
+    if name == "fullmesh8-2chunk":
+        topo = topology.full_mesh(8, capacity=1.0)
+        return _built(topo, collectives.alltoall(topo.gpus, 2),
+                      config=TecclConfig(chunk_bytes=0.5))
+    topo = {
+        "ring8": lambda: ring(8, capacity=1.0),
+        "ring16": lambda: ring(16, capacity=1.0),
+        "torus3x3": lambda: topology.torus2d(3, 3, capacity=1.0, alpha=0.0),
+        "torus4x4": lambda: topology.torus2d(4, 4, capacity=1.0, alpha=0.0),
+        "hypercube4": lambda: topology.hypercube(4, capacity=1.0, alpha=0.0),
+    }[name]()
+    return _built(topo, collectives.alltoall(topo.gpus, 1))
+
+
+def _count_calls(monkeypatch, cls, method):
+    calls = []
+    original = getattr(cls, method)
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, method, counted)
+    return calls
+
+
+class TestGeneratorFolding:
+    @pytest.mark.parametrize("name", ["ring8", "torus3x3", "fullmesh8-2chunk",
+                                      "ring16", "torus4x4", "hypercube4"])
+    def test_quotient_is_the_parents_in_every_generator_order(self, name):
+        from test_model_equivalence import compiled_digest
+
+        problem, gens = _fold_case(name)
+        reference = _reduce(problem, gens)
+        (orbit, reps), verified = oracle_fold_everything(problem, gens)
+        assert np.array_equal(reference.orbit, orbit)
+        assert np.array_equal(reference.reps, reps)
+        stats = reference.stats
+        # every offered generator is verified (detection did that), so
+        # each is either folded or provably redundant
+        assert stats["symmetry_generators"] \
+            + stats["symmetry_generators_skipped"] == verified == len(gens)
+        digest = compiled_digest(reference.reduced)
+
+        rng = np.random.default_rng(19)
+        orders = [list(rng.permutation(len(gens))) for _ in range(5)]
+        variants = [[gens[i] for i in order] for order in orders]
+        variants += [gens[::-1], [g for gen in gens for g in (gen, gen)]]
+        for variant in variants:
+            got = _reduce(problem, variant)
+            assert np.array_equal(got.orbit, orbit)
+            assert np.array_equal(got.reps, reps)
+            assert compiled_digest(got.reduced) == digest
+            assert got.stats["symmetry_generators"] \
+                + got.stats["symmetry_generators_skipped"] == len(variant)
+
+    def test_ring16_pays_for_two_generators_not_thirty_one(self, monkeypatch):
+        problem, gens = _fold_case("ring16")
+        assert len(gens) == 31
+        verified = _count_calls(monkeypatch, symmetry.PermutationVerifier,
+                                "__call__")
+        built = _count_calls(monkeypatch, ColumnKeys, "permutation")
+        orbit_map = _reduce(problem, gens)
+        # the 32-element dihedral group has a 2-element generating set
+        assert len(verified) == len(built) == 2
+        assert orbit_map.stats["symmetry_generators"] == 2
+        assert orbit_map.stats["symmetry_generators_skipped"] == 29
+
+    @pytest.mark.parametrize("name", ["ring8", "torus3x3"])
+    def test_rejected_generator_cannot_shadow_a_later_one(self, name,
+                                                          monkeypatch):
+        problem, gens = _fold_case(name)
+        honest = _reduce(problem, gens)
+        without_first = _reduce(problem, gens[1:])
+        verify = symmetry.PermutationVerifier.__call__
+        seen = []
+
+        def reject_first(self, pi):
+            seen.append(pi)
+            return len(seen) > 1 and verify(self, pi)
+
+        monkeypatch.setattr(symmetry.PermutationVerifier, "__call__",
+                            reject_first)
+        faulted = _reduce(problem, gens)
+        # the first generator merges stems (nothing is folded yet), so it
+        # is the one built, offered to the verifier and rejected ...
+        keys = ColumnKeys(problem.model.num_vars, problem.f_vars,
+                          problem.b_vars, problem.r_vars)
+        assert np.array_equal(seen[0], keys.permutation(gens[0]))
+        # ... and it leaves no trace: the rest fold as if it was never
+        # offered, the generators carrying its merges included
+        assert np.array_equal(faulted.orbit, without_first.orbit)
+        assert np.array_equal(faulted.reps, without_first.reps)
+        assert faulted.stats == without_first.stats
+        # (the remaining generators still generate the whole group here)
+        assert np.array_equal(faulted.orbit, honest.orbit)
+        assert len(seen) > honest.stats["symmetry_generators"]
+
+    def test_generator_without_a_stem_image_is_passed_over(self):
+        problem, gens = _fold_case("ring8")
+        reference = _reduce(problem, gens)
+        # node 1 -> a node no key of the model mentions
+        stray = Automorphism(perm=(0, 8, 2, 3, 4, 5, 6, 7, 1))
+        keys = ColumnKeys(problem.model.num_vars, problem.f_vars,
+                          problem.b_vars, problem.r_vars)
+        assert keys.stem_permutation(stray) is None
+        assert keys.permutation(stray) is None
+        for offered in ([stray] + gens, gens + [stray]):
+            got = _reduce(problem, offered)
+            assert np.array_equal(got.orbit, reference.orbit)
+            assert np.array_equal(got.reps, reference.reps)
+            assert got.stats == reference.stats  # neither used nor skipped
+        assert _reduce(problem, [stray]) is None
+
+    def test_stem_permutation_is_the_column_permutation_minus_epochs(self):
+        problem, gens = _fold_case("torus3x3")
+        num_cols = problem.model.num_vars
+        keys = ColumnKeys(num_cols, problem.f_vars, problem.b_vars,
+                          problem.r_vars)
+        assert keys.num_stems < num_cols
+        stem_of = np.empty(num_cols, dtype=np.int64)
+        stem_of[keys._cols] = keys._stem
+        for gen in gens:
+            stems, pi = keys.stem_permutation(gen), keys.permutation(gen)
+            assert np.array_equal(stems[stem_of], stem_of[pi])
+
+    def test_cuts_are_added_for_every_generator(self, monkeypatch):
+        # the MILP consumer must not skip: one cut pair per generator
+        topo = topology.dgx1()
+        problem, gens = _built(topo, collectives.allgather(topo.gpus, 1),
+                               milp=True, config=TecclConfig(chunk_bytes=25e3))
+        maps = (problem.f_vars, problem.b_vars, problem.r_vars)
+        num_cols = problem.model.num_vars
+        expected = []  # the parent's loop, over the dict-walk oracle
+        compiled = problem.model.compile()
+        for gen in gens:
+            pi = oracle_column_permutation(gen, num_cols, *maps)
+            assert pi is not None and verify_column_permutation(compiled, pi)
+            p = int(np.nonzero(pi != np.arange(num_cols))[0][0])
+            inv = np.argsort(pi)
+            expected.extend((p, q) for q in {int(pi[p]), int(inv[p])})
+        rows_before = compiled.A.shape[0]
+        verified = _count_calls(monkeypatch, symmetry.PermutationVerifier,
+                                "__call__")
+        added = symmetry.add_symmetry_cuts(problem.model, gens, num_cols,
+                                           *maps)
+        assert len(verified) == len(gens) > 1
+        assert added == len(expected)
+        cuts = problem.model.compile().A[rows_before:].tocoo()
+        got = [(int(cuts.col[(cuts.row == r) & (cuts.data > 0)][0]),
+                int(cuts.col[(cuts.row == r) & (cuts.data < 0)][0]))
+               for r in range(added)]
+        assert got == expected
+
+    @pytest.mark.parametrize("kind", ["alltoall", "allgather", "scatter",
+                                      "broadcast", "gather"])
+    def test_chunk_relabeling_equals_the_per_candidate_reindex(self, kind):
+        rng = np.random.default_rng(5)
+        n = 6
+        nodes = list(range(n))
+        if kind in ("alltoall", "allgather"):
+            demands = [getattr(collectives, kind)(nodes, chunks)
+                       for chunks in (1, 2, 3)]
+        else:
+            demands = [getattr(collectives, kind)(root, [
+                v for v in nodes if v != root], chunks)
+                for root in (0, 3) for chunks in (1, 2)]
+        # chunk-count mismatch: one source has an extra chunk
+        lopsided = Demand.from_triples(
+            list(demands[0].triples()) + [(1, 7, 2)])
+        perms = [_rotation(n, r) for r in range(n)]
+        perms += [[(a - i) % n for i in range(n)] for a in range(n)]
+        perms += [rng.permutation(n).tolist() for _ in range(20)]
+        perms += [[0] * n, [1, 1, 2, 3, 4, 5]]  # not even bijections
+        hits = 0
+        for demand in demands + [lopsided]:
+            for perm in perms:
+                want = oracle_chunk_relabeling(demand, perm)
+                got = chunk_relabeling(demand, perm)
+                assert got == want, (kind, perm)
+                if want is not None:
+                    hits += 1
+                    assert list(got.items()) == list(want.items())
+        assert hits  # some candidates do stabilize the demand
+
+
+# ----------------------------------------------------------------------
 # canonicalization
 # ----------------------------------------------------------------------
 class TestCanonicalization:

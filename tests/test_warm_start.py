@@ -58,6 +58,38 @@ class TestModelExtend:
         with pytest.raises(ModelError):
             model.set_var_bounds(idx, ub=0.5)
 
+    def test_rejected_bound_mutation_leaves_the_model_untouched(self):
+        # validate, then assign: a crossing anywhere in the batch must not
+        # leave lb > ub (or half the batch written) for the next solve
+        model = Model("x")
+        idx = model.add_var_array(3, lb=0.0, ub=4.0)
+        for kwargs in ({"lb": 5.0, "ub": 1.0},
+                       {"lb": [1.0, 1.0, 9.0]},
+                       {"ub": [3.0, -1.0, 3.0]}):
+            with pytest.raises(ModelError):
+                model.set_var_bounds(idx, **kwargs)
+            compiled = model.compile()
+            assert compiled.col_lower.tolist() == [0.0, 0.0, 0.0]
+            assert compiled.col_upper.tolist() == [4.0, 4.0, 4.0]
+        model.set_var_bounds(idx, lb=[1.0, 2.0, 3.0], ub=3.0)  # still works
+        compiled = model.compile()
+        assert compiled.col_lower.tolist() == [1.0, 2.0, 3.0]
+        assert compiled.col_upper.tolist() == [3.0, 3.0, 3.0]
+
+    def test_integrality_vector_is_the_same_with_and_without_integers(self):
+        from repro.solver import VarType
+
+        model = Model("lp")
+        model.add_var_array(4)
+        integrality = model.compile().integrality
+        assert integrality.dtype == np.int64
+        assert integrality.tolist() == [0, 0, 0, 0]
+        model.add_var_array(2, vtype=VarType.BINARY)
+        model.add_var(vtype=VarType.INTEGER)
+        integrality = model.compile().integrality
+        assert integrality.dtype == np.int64
+        assert integrality.tolist() == [0, 0, 0, 0, 1, 1, 1]
+
 
 # ----------------------------------------------------------------------
 # LP layer: one built model answers the smaller horizons

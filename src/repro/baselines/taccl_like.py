@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass
 
 import networkx as nx
+import numpy as np
 
 from repro.baselines.common import GreedyScheduler
 from repro.collectives.demand import Demand
@@ -31,7 +32,7 @@ from repro.core.config import TecclConfig
 from repro.core.epochs import build_epoch_plan, path_based_epoch_bound
 from repro.core.schedule import Schedule
 from repro.errors import InfeasibleError
-from repro.solver import (Model, Sense, SolverOptions, VarType, quicksum)
+from repro.solver import Model, Sense, SolverOptions, VarType
 from repro.topology.topology import Topology
 from repro.topology.transforms import HyperEdgeTopology, to_hyper_edges
 
@@ -116,36 +117,45 @@ def _route(topology: Topology, demand: Demand, config: TecclConfig,
                 break
         candidates[(s, c, d)] = paths
 
-    model = Model("taccl-routing", sense=Sense.MINIMIZE)
-    choice: dict[tuple, object] = {}
-    for triple, paths in candidates.items():
-        vars_t = [model.add_var(vtype=VarType.BINARY,
-                                name=f"x[{triple},{p}]")
-                  for p in range(len(paths))]
-        model.add_constr(quicksum(vars_t) == 1, name=f"pick[{triple}]")
-        for p, var in enumerate(vars_t):
-            choice[(triple, p)] = var
+    # columns: x (one per candidate path), then y (one per commodity-link
+    # pair, in first-use order), then the bottleneck z
+    counts = [len(paths) for paths in candidates.values()]
+    first_x = dict(zip(candidates, np.cumsum([0] + counts).tolist()))
     # copy-aware link usage: commodity (s, c) pays a link once even if
     # several of its destinations route over it
-    usage: dict[tuple, object] = {}
+    usage: dict[tuple, int] = {}
+    use_x, use_y = [], []
     for triple, paths in candidates.items():
         s, c, _ = triple
         for p, path in enumerate(paths):
             for i, j in zip(path, path[1:]):
-                key = (s, c, i, j)
-                if key not in usage:
-                    usage[key] = model.add_var(vtype=VarType.BINARY,
-                                               name=f"y[{key}]")
-                model.add_constr(choice[(triple, p)] <= usage[key],
-                                 name=f"use[{triple},{p},{i},{j}]")
-    bottleneck = model.add_var(name="z")
-    for (i, j), link in topology.links.items():
-        load_terms = [usage[key] * (config.chunk_bytes / link.capacity)
-                      for key in usage if key[2] == i and key[3] == j]
-        if load_terms:
-            model.add_constr(quicksum(load_terms) <= bottleneck,
-                             name=f"load[{i},{j}]")
-    model.set_objective(bottleneck.to_expr())
+                use_x.append(first_x[triple] + p)
+                use_y.append(usage.setdefault((s, c, i, j), len(usage)))
+    model = Model("taccl-routing", sense=Sense.MINIMIZE)
+    x = model.add_var_array(sum(counts), vtype=VarType.BINARY, name="x")
+    y = model.add_var_array(len(usage), vtype=VarType.BINARY, name="y")
+    z = model.add_var_array(1, name="z")
+    # pick: every triple takes exactly one of its paths
+    model.add_constr_coo(np.repeat(np.arange(len(counts)), counts), x,
+                         np.ones(len(x)), 1.0, 1.0)
+    # use: x <= y for every link on the path
+    rows = np.arange(len(use_x))
+    model.add_constr_coo(
+        np.concatenate([rows, rows]), np.concatenate([x[use_x], y[use_y]]),
+        np.concatenate([np.ones(len(rows)), -np.ones(len(rows))]),
+        -np.inf, 0.0)
+    # load: transmission time of everything on a used link <= z
+    used = {key[2:] for key in usage}
+    load_row = {link: row for row, link in enumerate(
+        link for link in topology.links if link in used)}
+    rows = np.arange(len(load_row))
+    model.add_constr_coo(
+        np.concatenate([[load_row[key[2:]] for key in usage], rows]),
+        np.concatenate([y, np.broadcast_to(z, rows.shape)]),
+        np.concatenate([[config.chunk_bytes / topology.links[key[2:]].capacity
+                         for key in usage], -np.ones(len(rows))]),
+        -np.inf, 0.0)
+    model.set_objective_array(z, [1.0])
     result = model.solve(SolverOptions(time_limit=time_limit, mip_gap=0.05))
     if not result.status.has_solution:
         raise InfeasibleError("TACCL-like routing found no solution",
@@ -153,7 +163,7 @@ def _route(topology: Topology, demand: Demand, config: TecclConfig,
     routes = {}
     for triple, paths in candidates.items():
         for p in range(len(paths)):
-            if result.value(choice[(triple, p)]) > 0.5:
+            if result.value(first_x[triple] + p) > 0.5:
                 routes[triple] = paths[p]
                 break
         else:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.collectives.demand import Demand, Triple
 from repro.core.config import AStarConfig, TecclConfig
 from repro.core.epochs import (EpochPlan, build_epoch_plan,
@@ -28,7 +30,7 @@ from repro.core.milp import Commodity, MilpBuilder, MilpProblem
 from repro.core.postprocess import prune_sends
 from repro.core.schedule import Schedule, Send
 from repro.errors import InfeasibleError, ModelError
-from repro.solver import SolveResult, quicksum
+from repro.solver import SolveResult
 from repro.topology.topology import Topology
 
 
@@ -204,37 +206,39 @@ def _add_potential(problem: MilpProblem, remaining: Demand,
     K = plan.num_epochs
     # End-of-round presence per commodity and node: the final buffer plus
     # any overhanging send that will land at that node next round.
-    overhang: dict[tuple[Commodity, int], list] = {}
+    present: dict[tuple[Commodity, int], list[int]] = {}
+    for (q, n, k), col in problem.b_vars.items():
+        if k == K:
+            present.setdefault((q, n), []).append(col)
     for (q, i, j, k), col in problem.f_vars.items():
         if k + plan.arrival_offset(i, j) + 1 > K:
-            overhang.setdefault((q, j), []).append(model.var(col))
+            present.setdefault((q, j), []).append(col)
+    gpus = [n for n in problem.topology.nodes
+            if not problem.topology.is_switch(n)]
 
-    potential_terms = []
-    for s, c in remaining.commodities():
-        q = (s, c)
-        for d in remaining.destinations(s, c):
-            presence = []
-            for n in problem.topology.nodes:
-                if problem.topology.is_switch(n):
-                    continue
-                w = weights[n][d]
-                b_end = problem.b_vars.get((q, n, K))
-                if b_end is not None:
-                    presence.append(model.var(b_end) * w)
-                for var in overhang.get((q, n), []):
-                    presence.append(var * w)
-            if not presence:
+    # one P per (commodity, destination) with any presence:
+    # P - sum(w * presence) <= 0
+    rows, cols, data = [], [], []
+    num_p = 0
+    for q in remaining.commodities():
+        for d in remaining.destinations(*q):
+            terms = [(col, -weights[n][d]) for n in gpus
+                     for col in present.get((q, n), ())]
+            if not terms:
                 continue
-            p = model.add_var(lb=0.0, ub=1.0, name=f"P[{q},{d}]")
-            model.add_constr(p.to_expr() <= quicksum(presence),
-                             name=f"pot[{q},{d}]")
-            potential_terms.append(p)
-    r_terms = [model.var(r) * (1.0 / (k + 1))
-               for (_q, _d, k), r in problem.r_vars.items()]
-    objective = quicksum(r_terms)
-    if potential_terms:
-        objective = objective + quicksum(potential_terms) * gamma
-    model.set_objective(objective)
+            rows += [num_p] * len(terms)
+            cols += [col for col, _ in terms]
+            data += [w for _, w in terms]
+            num_p += 1
+    p = model.add_var_array(num_p, ub=1.0, name="P")
+    model.add_constr_coo(np.concatenate([rows, np.arange(num_p)]),
+                         np.concatenate([cols, p]),
+                         np.concatenate([data, np.ones(num_p)]),
+                         -np.inf, 0.0, num_rows=num_p)
+    r = problem.r_vars
+    model.set_objective_array(
+        np.concatenate([r.column, p]),
+        np.concatenate([1.0 / (r.epoch + 1), np.full(num_p, gamma)]))
 
 
 def _extract_sends(problem: MilpProblem, result: SolveResult) -> list[Send]:

@@ -45,7 +45,7 @@ from repro.fleet.wal import WriteAheadLog
 from repro.obs import recorder as _flight
 from repro.obs import trace as _obs
 from repro.obs.alerts import Alert, AlertEngine, AlertRule
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import CounterFields
 from repro.fleet.telemetry import TelemetrySource
 from repro.service.cache import make_envelope, open_envelope
 from repro.service.fingerprint import fingerprint_canonical
@@ -437,6 +437,16 @@ class AdaptationDecision:
                 f"malformed adaptation decision document: {exc}") from exc
 
 
+class FleetStats(CounterFields):
+    """The controller's integer counters, in the ``stats()`` dict order."""
+
+    _FIELDS = ("polls", "samples", "transitions", "replans", "kept",
+               "rollbacks", "failed", "errors")
+    _PREFIX = "fleet"
+    _DESCRIPTION = "fleet {words} (cumulative)"
+    __slots__ = ("registry", "_counters")
+
+
 class AdaptationController:
     """The online adaptation daemon over one planner and one fabric.
 
@@ -464,10 +474,6 @@ class AdaptationController:
             :meth:`status` and newly-firing ones trigger a
             flight-recorder dump.
     """
-
-    #: integer stats keys, in the legacy ``stats()`` dict order
-    _COUNT_KEYS = ("polls", "samples", "transitions", "replans", "kept",
-                   "rollbacks", "failed", "errors")
 
     def __init__(self, topology: Topology, source: TelemetrySource,
                  planner: Planner, *,
@@ -506,15 +512,11 @@ class AdaptationController:
         # Stats live on a per-controller metrics registry (``metrics`` —
         # ``registry`` is the schedule registry); stats() keeps the
         # legacy flat-dict shape (regression-pinned) on top of it.
-        self.metrics = MetricsRegistry()
-        self._stat_counters = {
-            key: self.metrics.counter(
-                f"fleet_{key}_total", f"fleet {key} (cumulative)")
-            for key in self._COUNT_KEYS}
-        self._stat_counters["adaptation_solve_time"] = \
-            self.metrics.counter(
-                "fleet_adaptation_solve_seconds_total",
-                "wall-clock spent in adaptation replans (cumulative)")
+        self._stats = FleetStats()
+        self.metrics = self._stats.registry
+        self._solve_seconds = self.metrics.counter(
+            "fleet_adaptation_solve_seconds_total",
+            "wall-clock spent in adaptation replans (cumulative)")
         # durability counters live on the metrics registry only — the
         # legacy stats() dict shape is regression-pinned and stays as-is
         self._wal_records = self.metrics.counter(
@@ -535,7 +537,6 @@ class AdaptationController:
         self._alerts: list[Alert] = []
         #: last exception the daemon loop swallowed (None = healthy)
         self.last_error: str | None = None
-        self._stats_lock = threading.Lock()
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         # serialises control-plane operations (step / admission /
@@ -768,7 +769,8 @@ class AdaptationController:
             with self._txn("step", index=index):
                 with _obs.span("fleet.poll"):
                     samples = self.source.poll()
-                self._bump(polls=1, samples=len(samples))
+                self._stats.inc("polls")
+                self._stats.inc("samples", len(samples))
                 if samples:
                     self.now = max(self.now, max(s.time for s in samples))
                 with _obs.span("fleet.estimate", samples=len(samples)):
@@ -777,7 +779,7 @@ class AdaptationController:
                                  transitions=len(transitions))
                 decisions: list[AdaptationDecision] = []
                 if transitions:
-                    self._bump(transitions=len(transitions))
+                    self._stats.inc("transitions", len(transitions))
                     for transition in transitions:
                         self._journal("transition", {
                             "link": list(transition.link),
@@ -874,7 +876,7 @@ class AdaptationController:
             if recovered:
                 to_replan.append((job, entry, predicted, True))
                 continue
-            self._bump(kept=1)
+            self._stats.inc("kept")
             decisions.append(AdaptationDecision(
                 job=name, time=self.now, action="keep",
                 reason=("cost gate: regression below the replan bar"
@@ -912,7 +914,7 @@ class AdaptationController:
                              predicted=pred,
                              active_finish=prior.result.finish_time)
             if not response.ok:
-                self._bump(failed=1)
+                self._stats.inc("failed")
                 decisions.append(decide(
                     action="failed",
                     reason=f"replan failed: {response.error}"))
@@ -920,9 +922,9 @@ class AdaptationController:
             result = response.result
             decide = partial(decide, new_finish=result.finish_time,
                              solve_time=result.solve_time)
-            self._bump(adaptation_solve_time=result.solve_time)
+            self._solve_seconds.inc(result.solve_time)
             if probe and result.finish_time >= prior.result.finish_time:
-                self._bump(kept=1)
+                self._stats.inc("kept")
                 decisions.append(decide(
                     action="keep",
                     reason="recovery probe did not beat the incumbent"))
@@ -940,7 +942,7 @@ class AdaptationController:
             self.registry.activate(entry)
             _obs.event("fleet.activate", job=job.name,
                        finish_time=result.finish_time)
-            self._bump(replans=1)
+            self._stats.inc("replans")
             decisions.append(decide(
                 action="replan",
                 reason=("recovery probe beat the incumbent" if probe
@@ -981,7 +983,7 @@ class AdaptationController:
         entry.conformance_ok = self._vet(result)
         if entry.conformance_ok is not True:
             self.registry.rollback(entry, note)
-            self._bump(rollbacks=1)
+            self._stats.inc("rollbacks")
             _obs.event("fleet.rollback", job=job, seq=entry.seq,
                        reason=reason)
             _flight.auto_dump("fleet-rollback")
@@ -1029,7 +1031,7 @@ class AdaptationController:
                 # the error where stats()/status() surface it and keep
                 # polling (the next tick may see a healed fabric).
                 self.last_error = f"{type(exc).__name__}: {exc}"
-                self._bump(errors=1)
+                self._stats.inc("errors")
 
     def stop(self) -> None:
         """Stop the daemon thread.
@@ -1147,18 +1149,9 @@ class AdaptationController:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def _bump(self, **deltas) -> None:
-        with self._stats_lock:
-            for key, delta in deltas.items():
-                self._stat_counters[key].inc(delta)
-
     def stats(self) -> dict:
-        with self._stats_lock:
-            out: dict = {key: int(self._stat_counters[key].value)
-                         for key in self._COUNT_KEYS}
-            out["adaptation_solve_time"] = \
-                self._stat_counters["adaptation_solve_time"].value
-            return out
+        return {**self._stats.to_dict(),
+                "adaptation_solve_time": self._solve_seconds.value}
 
     def status(self) -> dict:
         """JSON-ready fleet status (``teccl fleet status`` renders this)."""

@@ -234,6 +234,10 @@ class CounterFields:
             return int(self._counters[name].value)
         raise AttributeError(name)
 
+    def to_dict(self) -> dict:
+        """Every field as an ``int``, in ``_FIELDS`` order."""
+        return {name: int(c.value) for name, c in self._counters.items()}
+
 
 class MetricsRegistry:
     """A named family of instruments; get-or-create semantics.

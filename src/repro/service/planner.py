@@ -45,8 +45,8 @@ class PlannerStats(CounterFields):
     The counters live on a per-planner
     :class:`~repro.obs.metrics.MetricsRegistry`: :meth:`inc` bumps one
     (atomic under the counter's own lock), each field reads back as an
-    ``int`` attribute, and :meth:`to_dict` keeps the exact pre-registry
-    key set.
+    ``int`` attribute, and ``to_dict`` keeps the exact pre-registry key
+    set.
 
     Fields: ``requests``, ``timeouts``, ``conformance_checks``,
     ``conformance_failures``, ``warm_donors`` (fresh solves seeded by a
@@ -63,9 +63,6 @@ class PlannerStats(CounterFields):
     _PREFIX = "planner"
     _DESCRIPTION = "planner {words} (cumulative)"
     __slots__ = ("registry", "_counters")
-
-    def to_dict(self) -> dict:
-        return {name: int(c.value) for name, c in self._counters.items()}
 
 
 class Planner:

@@ -5,55 +5,39 @@ constraints; every industrial solver (Gurobi included — the paper's tooling)
 writes ``.lp`` files for that. This module does the same for our models so a
 TE-CCL instance can be inspected by eye or loaded into any external solver.
 
-Only the features the modeling layer produces are emitted: a linear
-objective, (in)equality rows, finite bounds, binary/general integer markers.
-Rows are read back from the compiled COO buffers, so models built through
-the bulk API (:meth:`Model.add_constr_coo`) export the same way as
-expression-built ones; two-sided (ranged) rows are split into a ``<=`` and a
-``>=`` line sharing a label stem.
+Everything is read from :meth:`Model.compile`: columns are ``x<index>``,
+rows ``c<index>``; a linear objective, (in)equality rows, finite bounds and
+binary/general integer markers are emitted, and two-sided (ranged) rows are
+split into a ``<=`` and a ``>=`` line sharing a label stem.
 """
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 
+import numpy as np
+
 from repro.errors import ModelError
-from repro.solver.expr import Sense, VarType
-from repro.solver.model import Model
+from repro.solver.model import Model, Sense
 
 _INF = float("inf")
 
-_NAME_RE = re.compile(r"[^A-Za-z0-9_]")
 
-
-def _lp_name(raw: str, index: int) -> str:
-    """LP-format identifiers cannot contain brackets/commas; sanitise."""
-    cleaned = _NAME_RE.sub("_", raw).strip("_")
-    if not cleaned or cleaned[0].isdigit():
-        cleaned = f"x{index}_{cleaned}" if cleaned else f"x{index}"
-    return cleaned
-
-
-def _terms(expr_terms: dict[int, float], names: list[str]) -> str:
+def _terms(cols: np.ndarray, coefs: np.ndarray) -> str:
     parts = []
-    for idx in sorted(expr_terms):
-        coef = expr_terms[idx]
+    for col, coef in zip(cols.tolist(), coefs.tolist()):
         if coef == 0:
             continue
         sign = "-" if coef < 0 else "+"
-        magnitude = abs(coef)
         if parts or sign == "-":
-            parts.append(f"{sign} {magnitude:g} {names[idx]}")
+            parts.append(f"{sign} {abs(coef):g} x{col}")
         else:
-            parts.append(f"{magnitude:g} {names[idx]}")
-    return " ".join(parts) if parts else "0 " + names[0]
+            parts.append(f"{abs(coef):g} x{col}")
+    return " ".join(parts) if parts else "0 x0"
 
 
-def _row_lines(row: int, name: str, terms: dict[int, float],
-               lower: float, upper: float, names: list[str]) -> list[str]:
-    label = _lp_name(name, row) if name else f"c{row}"
-    body = _terms(terms, names)
+def _row_lines(row: int, body: str, lower: float, upper: float) -> list[str]:
+    label = f"c{row}"
     if lower == upper:
         return [f" {label}: {body} = {lower:g}"]
     lines = []
@@ -71,37 +55,35 @@ def write_lp(model: Model) -> str:
     """Serialise the model as LP-format text."""
     if not model.num_vars:
         raise ModelError("cannot export a model with no variables")
-    variables = list(model.variables())
-    names = [_lp_name(v.name, v.index) for v in variables]
-    if len(set(names)) != len(names):  # collisions after sanitising
-        names = [f"{n}_{i}" for i, n in enumerate(names)]
+    compiled = model.compile()
+    matrix = compiled.A
+    lower, upper = compiled.col_lower, compiled.col_upper
+    integer = compiled.integrality.astype(bool)
+    binary = integer & (lower == 0.0) & (upper == 1.0)
 
     lines = [f"\\ {model.name}"]
-    lines.append("Maximize" if model.sense is Sense.MAXIMIZE else "Minimize")
-    obj_terms, _ = model.objective_terms()
-    lines.append(" obj: " + _terms(obj_terms, names))
+    lines.append("Maximize" if compiled.sense is Sense.MAXIMIZE
+                 else "Minimize")
+    objective = np.flatnonzero(compiled.c)
+    lines.append(" obj: " + _terms(objective, compiled.c[objective]))
     lines.append("Subject To")
-    for row, (name, terms, lower, upper) in enumerate(model.rows()):
-        lines.extend(_row_lines(row, name, terms, lower, upper, names))
+    for row in range(matrix.shape[0]):
+        entries = slice(matrix.indptr[row], matrix.indptr[row + 1])
+        lines.extend(_row_lines(
+            row, _terms(matrix.indices[entries], matrix.data[entries]),
+            float(compiled.row_lower[row]), float(compiled.row_upper[row])))
     lines.append("Bounds")
-    for var, name in zip(variables, names):
-        if var.vtype is VarType.BINARY:
-            continue  # implied 0/1
-        lower = f"{var.lb:g}" if var.lb != -_INF else "-inf"
-        upper = f"{var.ub:g}" if var.ub != _INF else "+inf"
-        if var.lb == 0.0 and var.ub == _INF:
-            continue  # the LP-format default
-        lines.append(f" {lower} <= {name} <= {upper}")
-    binaries = [name for var, name in zip(variables, names)
-                if var.vtype is VarType.BINARY]
-    if binaries:
-        lines.append("Binaries")
-        lines.extend(f" {name}" for name in binaries)
-    generals = [name for var, name in zip(variables, names)
-                if var.vtype is VarType.INTEGER]
-    if generals:
-        lines.append("Generals")
-        lines.extend(f" {name}" for name in generals)
+    # binaries are implied 0/1; [0, +inf) is the LP-format default
+    stated = ~binary & ~((lower == 0.0) & (upper == _INF))
+    for col in np.flatnonzero(stated).tolist():
+        lo = f"{lower[col]:g}" if lower[col] != -_INF else "-inf"
+        hi = f"{upper[col]:g}" if upper[col] != _INF else "+inf"
+        lines.append(f" {lo} <= x{col} <= {hi}")
+    for header, members in (("Binaries", binary),
+                            ("Generals", integer & ~binary)):
+        if members.any():
+            lines.append(header)
+            lines.extend(f" x{col}" for col in np.flatnonzero(members))
     lines.append("End")
     return "\n".join(lines) + "\n"
 

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ModelError
-from repro.solver.expr import LinExpr, Variable
 
 
 class SolveStatus(enum.Enum):
@@ -52,26 +51,12 @@ class SolveResult:
     message: str = ""
     stats: dict = field(default_factory=dict)
 
-    def value(self, item: Variable | LinExpr | int | np.integer) -> float:
-        """Evaluate a variable, raw column index, or expression at the
-        returned primal point.
-
-        Raw indices are what the bulk API
-        (:meth:`repro.solver.model.Model.add_var_array`) and the LP/MILP
-        builders hand around instead of :class:`Variable` objects.
-        """
+    def value(self, index: int | np.integer) -> float:
+        """The returned primal value of the column ``index`` (what
+        :meth:`repro.solver.model.Model.add_var_array` hands out)."""
         if self.values is None:
             raise ModelError(f"no solution available (status={self.status.value})")
-        if isinstance(item, Variable):
-            return float(self.values[item.index])
-        if isinstance(item, (int, np.integer)):
-            return float(self.values[item])
-        if isinstance(item, LinExpr):
-            total = item.const
-            for idx, coef in item.terms.items():
-                total += coef * float(self.values[idx])
-            return total
-        raise ModelError(f"cannot evaluate {type(item).__name__}")
+        return float(self.values[index])
 
     def require_solution(self) -> "SolveResult":
         """Return self, raising if the solve produced no usable point."""

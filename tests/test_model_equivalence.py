@@ -23,11 +23,13 @@ import numpy as np
 import pytest
 
 from repro import collectives, topology
+from repro.baselines import taccl_like
 from repro.core import TecclConfig, astar, symmetry
 from repro.core.epochs import build_epoch_plan, path_based_epoch_bound
 from repro.core.lp import LpBuilder, solve_lp
 from repro.core.milp import MilpBuilder, solve_milp
 from repro.errors import InfeasibleError, ModelError, ScheduleError
+from repro.solver import Model
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "model_digests.json").read_text())
@@ -151,6 +153,33 @@ def astar_round_digests(instance, monkeypatch) -> list[dict]:
     monkeypatch.setattr(astar, "_solve_round", recording)
     astar.solve_astar(*instance)
     return captured
+
+
+#: the TACCL-style routing MILP (``baselines/taccl_like._route``), seed 0
+TACCL_ROUTING_CASES = {
+    "ring6_allgather": (lambda: topology.ring(6), collectives.allgather),
+    "ring6_alltoall": (lambda: topology.ring(6), collectives.alltoall),
+    "dgx1_allgather": (topology.dgx1, collectives.allgather),
+    "dgx1_alltoall": (topology.dgx1, collectives.alltoall),
+}
+
+
+def taccl_routing_digest(name, monkeypatch) -> dict:
+    """Fingerprint the one model a ``taccl_like`` run hands to the solver."""
+    make_topology, collective = TACCL_ROUTING_CASES[name]
+    topo = make_topology()
+    captured = []
+    solve = Model.solve
+
+    def recording(model, options):
+        captured.append(compiled_digest(model))
+        return solve(model, options)
+
+    monkeypatch.setattr(Model, "solve", recording)
+    taccl_like(topo, collective(topo.gpus, 1), TecclConfig(chunk_bytes=1e6),
+               seed=0)
+    (digest,) = captured
+    return digest
 
 
 def solve_pin(solve, topo, demand, config) -> dict:
@@ -314,3 +343,14 @@ class TestAstarRoundModels:
         assert len(rounds) >= 6
         for feature in ("injections", "carry", "overhang_vars"):
             assert any(r[feature] for r in rounds), feature
+
+
+class TestTacclRoutingModel:
+    """The TACCL-style routing MILP, pinned at the last commit that built it
+    through the expression API (column order x…, y…, z; rows pick / use /
+    load)."""
+
+    @pytest.mark.parametrize("name", sorted(TACCL_ROUTING_CASES))
+    def test_routing_model_matches_pin(self, name, monkeypatch):
+        assert taccl_routing_digest(name, monkeypatch) \
+            == GOLDEN["taccl_routing"][name]

@@ -12,6 +12,7 @@ invariants the paper's correctness rests on:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from repro.core.config import AStarConfig
 from repro.core.epochs import build_epoch_plan, path_based_epoch_bound
 from repro.errors import InfeasibleError
 from repro.simulate import check_schedule
-from repro.solver import Model, Sense, SolverOptions, quicksum
+from repro.solver import Model, Sense, SolverOptions
 
 _LIMIT = SolverOptions(time_limit=20.0)
 
@@ -229,13 +230,12 @@ class TestSolverLayerProperties:
 
         def build(integral: bool):
             m = Model(sense=Sense.MAXIMIZE)
-            xs = [m.add_var(ub=1.0,
-                            vtype=VarType.BINARY if integral
-                            else VarType.CONTINUOUS)
-                  for _ in items]
-            m.add_constr(quicksum(w * x for (w, _), x in zip(items, xs))
-                         <= budget)
-            m.set_objective(quicksum(v * x for (_, v), x in zip(items, xs)))
+            xs = m.add_var_array(len(items), ub=1.0,
+                                 vtype=VarType.BINARY if integral
+                                 else VarType.CONTINUOUS)
+            m.add_constr_coo(np.zeros(len(xs)), xs, [w for w, _ in items],
+                             -np.inf, budget)
+            m.set_objective_array(xs, [v for _, v in items])
             return m.solve(SolverOptions())
 
         relaxed = build(False)

@@ -1,9 +1,8 @@
-"""Property tests for the bulk construction path and the compile layer.
+"""Property tests for the array construction path and the compile layer.
 
-Edge cases the COO buffers must handle exactly like the expression algebra:
-duplicate ``(row, col)`` entries (sum), empty-term rows (all-zero rows with
-bounds), constant-only objectives, ``quicksum([])``, and the cross-model
-ownership guard.
+Edge cases the COO buffers must handle: duplicate ``(row, col)`` entries
+(sum), entry-less rows (all-zero rows with bounds), constant-only
+objectives, and the index-range guard.
 """
 
 import numpy as np
@@ -12,80 +11,58 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ModelError
-from repro.solver import (Model, Sense, SolveStatus, VarType, quicksum)
-from repro.solver.expr import LinExpr
-from repro.solver.model import compiled_equal
+from repro.solver import Model, Sense, SolveStatus, VarType
 
 
 class TestCooSemantics:
     def test_duplicate_coo_entries_sum(self):
-        """Duplicates must accumulate, matching LinExpr.add_term."""
-        bulk = Model(sense=Sense.MAXIMIZE)
-        idx = bulk.add_var_array(2, ub=10.0)
-        bulk.add_constr_coo(rows=[0, 0, 0], cols=[idx[0], idx[0], idx[1]],
-                            data=[1.0, 2.0, 1.0], lb=-np.inf, ub=6.0)
-        bulk.set_objective_array(idx, [1.0, 1.0])
-
-        expr = Model(sense=Sense.MAXIMIZE)
-        x, y = expr.add_var(ub=10.0), expr.add_var(ub=10.0)
-        total = LinExpr()
-        total.add_term(x, 1.0)
-        total.add_term(x, 2.0)
-        total.add_term(y, 1.0)
-        expr.add_constr(total <= 6.0)
-        expr.set_objective(x + y)
-
-        assert compiled_equal(bulk.compile(), expr.compile())
-        assert bulk.solve().objective == pytest.approx(
-            expr.solve().objective)
+        m = Model(sense=Sense.MAXIMIZE)
+        idx = m.add_var_array(2, ub=10.0)
+        m.add_constr_coo(rows=[0, 0, 0], cols=[idx[0], idx[0], idx[1]],
+                         data=[1.0, 2.0, 1.0], lb=-np.inf, ub=6.0)
+        m.set_objective_array(idx, [1.0, 1.0])
+        compiled = m.compile()
+        assert compiled.A.toarray().tolist() == [[3.0, 1.0]]
+        assert compiled.A.nnz == 2
+        # max x + y  s.t. 3x + y <= 6, x, y <= 10  ->  x = 0, y = 6
+        assert m.solve().objective == pytest.approx(6.0)
 
     def test_duplicates_cancelling_to_zero(self):
-        """+c and −c on the same cell vanish, like add_term popping zeros."""
-        bulk = Model()
-        idx = bulk.add_var_array(1, ub=1.0)
-        bulk.add_constr_coo(rows=[0, 0], cols=[idx[0], idx[0]],
-                            data=[1.0, -1.0], lb=0.0, ub=0.0)
-        expr = Model()
-        x = expr.add_var(ub=1.0)
-        expr.add_constr(x - x == 0.0)
-        assert compiled_equal(bulk.compile(), expr.compile())
+        """+c and −c on the same cell vanish from the canonical form."""
+        m = Model()
+        idx = m.add_var_array(1, ub=1.0)
+        m.add_constr_coo(rows=[0, 0], cols=[idx[0], idx[0]],
+                         data=[1.0, -1.0], lb=0.0, ub=0.0)
+        shape, indptr, indices, data = m.compile().canonical()[:4]
+        assert shape == (1, 1)
+        assert indptr.tolist() == [0, 0]
+        assert len(indices) == len(data) == 0
 
-    def test_empty_term_row_matches_constant_constraint(self):
-        """A row with no COO entries is the constant-expression analogue."""
-        bulk = Model()
-        bulk.add_var_array(1)
-        bulk.add_constr_coo(rows=[], cols=[], data=[], lb=0.0, ub=0.0,
-                            num_rows=1)
-        expr = Model()
-        expr.add_var()
-        expr.add_constr(quicksum([]) == 0.0)
-        assert bulk.num_constraints == expr.num_constraints == 1
-        assert compiled_equal(bulk.compile(), expr.compile())
-
-    def test_quicksum_empty_objective(self):
-        m = Model(sense=Sense.MAXIMIZE)
-        m.add_var(ub=1.0)
-        m.set_objective(quicksum([]))
-        result = m.solve()
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(0.0)
+    def test_entry_less_row_is_an_all_zero_row(self):
+        m = Model()
+        m.add_var_array(1)
+        m.add_constr_coo(rows=[], cols=[], data=[], lb=0.0, ub=0.0,
+                         num_rows=1)
+        assert m.num_constraints == 1
+        compiled = m.compile()
+        assert compiled.A.shape == (1, 1) and compiled.A.nnz == 0
+        assert compiled.row_lower.tolist() == compiled.row_upper.tolist() \
+            == [0.0]
+        assert m.solve().status is SolveStatus.OPTIMAL
 
     def test_constant_only_objective(self):
-        for m in (Model(), Model()):
-            m.add_var(ub=2.0)
-        bulk, expr = Model(), Model()
-        bulk.add_var_array(1, ub=2.0)
-        bulk.set_objective_array([], [], const=5.0)
-        expr.add_var(ub=2.0)
-        expr.set_objective(5.0)
-        assert compiled_equal(bulk.compile(), expr.compile())
-        assert bulk.solve().objective == pytest.approx(5.0)
-        assert expr.solve().objective == pytest.approx(5.0)
+        m = Model()
+        m.add_var_array(1, ub=2.0)
+        m.set_objective_array([], [], const=5.0)
+        compiled = m.compile()
+        assert compiled.c.tolist() == [0.0] and compiled.obj_const == 5.0
+        assert m.solve().objective == pytest.approx(5.0)
 
     def test_objective_array_duplicates_sum(self):
         m = Model(sense=Sense.MAXIMIZE)
         idx = m.add_var_array(1, ub=3.0)
         m.set_objective_array([idx[0], idx[0]], [1.0, 1.0])
+        assert m.compile().c.tolist() == [2.0]
         assert m.solve().objective == pytest.approx(6.0)
 
     def test_bulk_binary_bounds_clamped(self):
@@ -103,6 +80,7 @@ class TestCooSemantics:
         assert m.num_vars == 6
         with pytest.raises(ModelError):
             m.add_var_array(2, lb=2.0, ub=1.0)
+        assert m.num_vars == 6
 
     def test_coo_validation(self):
         m = Model()
@@ -116,51 +94,37 @@ class TestCooSemantics:
             m.add_constr_coo([0], [idx[0]], [1.0], lb=1.0, ub=0.0)
         with pytest.raises(ModelError):  # ragged triplets
             m.add_constr_coo([0, 0], [idx[0]], [1.0], lb=0.0, ub=0.0)
+        assert m.num_constraints == 0
 
     def test_interleaved_blocks_keep_row_order(self):
-        """Expression and COO rows interleave in call order."""
+        """Row blocks stack in call order, each after every earlier row."""
         m = Model()
         idx = m.add_var_array(2, ub=4.0)
-        x = m.var(idx[0])
-        m.add_constr(x <= 1.0, name="first")
-        m.add_constr_coo([0], [idx[1]], [1.0], lb=-np.inf, ub=2.0)
-        m.add_constr(x >= 0.5, name="third")
-        rows = list(m.rows())
-        assert [r[3] for r in rows] == [1.0, 2.0, np.inf]
-        assert rows[0][0] == "first" and rows[2][0] == "third"
-
-    def test_mixed_paths_solve(self):
-        m = Model(sense=Sense.MAXIMIZE)
-        idx = m.add_var_array(2, ub=4.0)
-        x, y = m.var(idx[0]), m.var(idx[1])
-        m.add_constr(x + 2 * y <= 6)
-        m.set_objective_array(idx, [1.0, 1.0])
-        result = m.solve()
-        assert result.objective == pytest.approx(5.0)
-        assert result.value(int(idx[0])) == pytest.approx(4.0)
-        assert result.value(x) == pytest.approx(4.0)
+        assert m.add_constr_coo([0], [idx[0]], [1.0], -np.inf, 1.0) == 0
+        assert m.add_constr_coo([1, 0], [idx[1], idx[0]], [1.0, 1.0],
+                                -np.inf, [2.0, 3.0]) == 1
+        assert m.add_constr_coo([0], [idx[0]], [1.0], 0.5, np.inf) == 3
+        compiled = m.compile()
+        assert compiled.row_upper.tolist() == [1.0, 2.0, 3.0, np.inf]
+        assert compiled.A.toarray().tolist() == [
+            [1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3),
                               st.floats(-3, 3, allow_nan=False)),
                     min_size=0, max_size=24))
     @settings(max_examples=50, deadline=None)
-    def test_random_coo_blocks_match_expressions(self, entries):
-        """Any duplicate-laden COO block equals its expression twin."""
-        bulk = Model()
-        idx = bulk.add_var_array(4, ub=9.0)
+    def test_random_coo_blocks_match_dense_accumulation(self, entries):
+        """Any duplicate-laden COO block compiles to its dense sum."""
+        m = Model()
+        idx = m.add_var_array(4, ub=9.0)
         rows = [r for r, _c, _v in entries]
         cols = [idx[c] for _r, c, _v in entries]
         data = [v for _r, _c, v in entries]
-        bulk.add_constr_coo(rows, cols, data, lb=-np.inf, ub=1.0,
-                            num_rows=5)
-        expr = Model()
-        handles = [expr.add_var(ub=9.0) for _ in range(4)]
-        accumulators = [LinExpr() for _ in range(5)]
-        for r, c, v in entries:
-            accumulators[r].add_term(handles[c], v)
-        for accumulator in accumulators:
-            expr.add_constr(accumulator <= 1.0)
-        assert compiled_equal(bulk.compile(), expr.compile())
+        m.add_constr_coo(rows, cols, data, lb=-np.inf, ub=1.0, num_rows=5)
+        dense = np.zeros((5, 4))
+        np.add.at(dense, (np.asarray(rows, dtype=int),
+                          np.asarray(cols, dtype=int)), data)
+        assert np.allclose(m.compile().A.toarray(), dense, atol=1e-12)
 
 
 class TestCompileCache:
@@ -188,7 +152,7 @@ class TestCompileCache:
         idx = m.add_var_array(1, ub=1.0)
         m.add_constr_coo([0], [idx[0]], [1.0], lb=-np.inf, ub=1.0)
         assert m.compile().A.shape == (1, 1)
-        m.add_var()
+        m.add_var_array(1)
         assert m.compile().A.shape == (1, 2)
 
     def test_objective_change_does_not_restack(self):
@@ -203,39 +167,16 @@ class TestCompileCache:
 
 
 class TestOwnership:
-    def test_smaller_foreign_model_variable_rejected(self):
-        """Regression: an in-range index from a foreign model must not
-        silently alias this model's same-index column."""
-        small = Model()
-        foreign = small.add_var(ub=1.0)  # index 0
-        big = Model()
-        big.add_var(ub=5.0)  # also index 0 — would alias silently before
-        big.add_var(ub=5.0)
-        with pytest.raises(ModelError):
-            big.add_constr(foreign <= 1.0)
-        with pytest.raises(ModelError):
-            big.set_objective(foreign.to_expr())
-
-    def test_combining_two_models_rejected(self):
-        m1, m2 = Model(), Model()
-        x1 = m1.add_var()
-        x2 = m2.add_var()
-        with pytest.raises(ModelError):
-            _ = x1 + x2
-        with pytest.raises(ModelError):
-            quicksum([x1, x2])
-
-    def test_constants_combine_with_anything(self):
-        m = Model()
-        x = m.add_var(ub=2.0)
-        expr = x + LinExpr({}, 1.0)
-        assert expr.model_id == x._model_id
-        constraint = m.add_constr(expr <= 3.0)
-        assert constraint.expr.model_id == x._model_id
+    """Columns are plain indices: what is left of ownership is the range
+    check at every entry point that takes them."""
 
     def test_out_of_range_index_still_rejected(self):
-        # a hand-rolled LinExpr has no owner tag; the range check remains
         m = Model()
-        m.add_var()
-        with pytest.raises(ModelError):
-            m.add_constr(LinExpr({5: 1.0}) <= 1.0)
+        m.add_var_array(1)
+        for bad in (1, 5, -1):
+            with pytest.raises(ModelError):
+                m.add_constr_coo([0], [bad], [1.0], -np.inf, 1.0)
+            with pytest.raises(ModelError):
+                m.set_objective_array([bad], [1.0])
+            with pytest.raises(ModelError):
+                m.set_var_bounds([bad], ub=1.0)

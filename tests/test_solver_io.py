@@ -1,22 +1,25 @@
 """Tests for LP-format model export."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.solver import Model, Sense, VarType, quicksum
+from repro.solver import Model, Sense, VarType
 from repro.solver.io import lp_statistics, save_lp, write_lp
 
 
 @pytest.fixture
 def toy_model():
-    m = Model("toy", sense=Sense.MAXIMIZE)
-    x = m.add_var(ub=4, name="x")
-    y = m.add_var(vtype=VarType.BINARY, name="F[(0,0),0,1,2]")
-    z = m.add_var(vtype=VarType.INTEGER, lb=1, ub=5, name="z")
-    m.add_constr(x + 2 * y <= 6, name="cap[0,1]")
-    m.add_constr(x - z >= -1)
-    m.add_constr(y + z == 3)
-    m.set_objective(x + 3 * y + z)
+    """max x0 + 3 x1 + x2 over x0 <= 4, binary x1, integer 1 <= x2 <= 5:
+    x0 + 2 x1 <= 6,  x0 - x2 >= -1,  x1 + x2 == 3."""
+    m = Model("toy[0,1]", sense=Sense.MAXIMIZE)
+    (x,) = m.add_var_array(1, ub=4.0)
+    (y,) = m.add_var_array(1, vtype=VarType.BINARY)
+    (z,) = m.add_var_array(1, vtype=VarType.INTEGER, lb=1.0, ub=5.0)
+    m.add_constr_coo([0, 0, 1, 1, 2, 2], [x, y, x, z, y, z],
+                     [1.0, 2.0, 1.0, -1.0, 1.0, 1.0],
+                     [-np.inf, -1.0, 3.0], [6.0, np.inf, 3.0])
+    m.set_objective_array([x, y, z], [1.0, 3.0, 1.0])
     return m
 
 
@@ -30,8 +33,11 @@ class TestWriteLp:
         assert stats["num_generals"] == 1
 
     def test_names_sanitised(self, toy_model):
-        text = write_lp(toy_model)
-        assert "[" not in text and "(" not in text
+        """Identifiers are ``x<col>`` / ``c<row>``: nothing LP-unsafe."""
+        body = write_lp(toy_model).split("\n", 1)[1]  # skip the comment line
+        assert "[" not in body and "(" not in body
+        assert " obj: 1 x0 + 3 x1 + 1 x2" in body
+        assert " c1: 1 x0 - 1 x2 >= -1" in body
 
     def test_relations_rendered(self, toy_model):
         text = write_lp(toy_model)
@@ -41,13 +47,13 @@ class TestWriteLp:
 
     def test_bounds_section(self, toy_model):
         text = write_lp(toy_model)
-        assert "0 <= x <= 4" in text
-        assert "1 <= z <= 5" in text
+        assert "0 <= x0 <= 4" in text
+        assert "1 <= x2 <= 5" in text
+        assert "<= x1 <=" not in text  # binaries are implied 0/1
 
     def test_minimise_header(self):
         m = Model("min")
-        x = m.add_var()
-        m.set_objective(x)
+        m.set_objective_array(m.add_var_array(1), [1.0])
         assert "Minimize" in write_lp(m)
 
     def test_empty_model_rejected(self):
@@ -71,9 +77,11 @@ class TestWriteLp:
         problem = MilpBuilder(ring4, demand, cfg, plan).build()
         stats = lp_statistics(write_lp(problem.model))
         assert stats["num_constraints"] == problem.model.num_constraints
-        assert stats["num_binaries"] == sum(
-            1 for v in problem.model.variables()
-            if v.vtype is VarType.BINARY)
+        # a binary fixed by its bounds (initial holders) is stated as a
+        # general integer with those bounds
+        assert stats["num_binaries"] + stats["num_generals"] \
+            == problem.model.num_integer_vars
+        assert stats["num_binaries"] > stats["num_generals"] > 0
 
 
 class TestLpStatistics:

@@ -1,19 +1,29 @@
 """Unit tests for the Model → HiGHS compile-and-solve path."""
 
+import numpy as np
 import pytest
 
+from repro import collectives, topology
+from repro.core import TecclConfig
+from repro.core.solve import synthesize
 from repro.errors import InfeasibleError, ModelError
-from repro.solver import (Model, Sense, SolverOptions, SolveStatus, VarType,
-                          quicksum)
+from repro.solver import (Model, Sense, SolverOptions, SolveStatus, VarType)
+
+NAN, INF = float("nan"), float("inf")
+
+
+def toy_lp(sense=Sense.MAXIMIZE):
+    """max x + y  s.t.  x + 2y <= 6,  x, y in [0, 4]  (optimum 5 at x=4)."""
+    m = Model(sense=sense)
+    x, y = m.add_var_array(2, ub=4.0)
+    m.add_constr_coo([0, 0], [x, y], [1.0, 2.0], -INF, 6.0)
+    m.set_objective_array([x, y], [1.0, 1.0])
+    return m, x, y
 
 
 class TestLpSolve:
     def test_simple_maximise(self):
-        m = Model(sense=Sense.MAXIMIZE)
-        x = m.add_var(ub=4)
-        y = m.add_var(ub=4)
-        m.add_constr(x + 2 * y <= 6)
-        m.set_objective(x + y)
+        m, x, _y = toy_lp()
         res = m.solve()
         assert res.status is SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(5.0)
@@ -21,73 +31,61 @@ class TestLpSolve:
 
     def test_simple_minimise(self):
         m = Model()
-        x = m.add_var(lb=1)
-        y = m.add_var(lb=2)
-        m.set_objective(x + y)
-        res = m.solve()
-        assert res.objective == pytest.approx(3.0)
+        xy = m.add_var_array(2, lb=[1.0, 2.0])
+        m.set_objective_array(xy, [1.0, 1.0])
+        assert m.solve().objective == pytest.approx(3.0)
 
     def test_equality_constraint(self):
         m = Model(sense=Sense.MAXIMIZE)
-        x = m.add_var(ub=10)
-        y = m.add_var(ub=10)
-        m.add_constr(x + y == 7)
-        m.set_objective(x)
+        x, y = m.add_var_array(2, ub=10.0)
+        m.add_constr_coo([0, 0], [x, y], [1.0, 1.0], 7.0, 7.0)
+        m.set_objective_array([x], [1.0])
         res = m.solve()
         assert res.value(x) == pytest.approx(7.0)
         assert res.value(y) == pytest.approx(0.0)
 
     def test_infeasible(self):
         m = Model()
-        x = m.add_var(ub=1)
-        m.add_constr(x >= 2)
-        m.set_objective(x)
+        x = m.add_var_array(1, ub=1.0)
+        m.add_constr_coo([0], x, [1.0], 2.0, INF)
+        m.set_objective_array(x, [1.0])
         res = m.solve()
         assert res.status is SolveStatus.INFEASIBLE
         with pytest.raises(InfeasibleError):
             res.require_solution()
+        with pytest.raises(ModelError):
+            res.value(0)
 
     def test_unbounded(self):
         m = Model(sense=Sense.MAXIMIZE)
-        x = m.add_var()
-        m.set_objective(x)
+        m.set_objective_array(m.add_var_array(1), [1.0])
         res = m.solve()
         assert res.status in (SolveStatus.UNBOUNDED, SolveStatus.ERROR)
-
-    def test_expression_evaluation(self):
-        m = Model(sense=Sense.MAXIMIZE)
-        x = m.add_var(ub=3)
-        m.set_objective(x)
-        res = m.solve()
-        assert res.value(2 * x + 1) == pytest.approx(7.0)
 
 
 class TestMilpSolve:
     def test_knapsack(self):
         m = Model(sense=Sense.MAXIMIZE)
-        values = [10, 13, 7]
-        weights = [3, 4, 2]
-        xs = [m.add_var(vtype=VarType.BINARY) for _ in range(3)]
-        m.add_constr(quicksum(w * x for w, x in zip(weights, xs)) <= 6)
-        m.set_objective(quicksum(v * x for v, x in zip(values, xs)))
+        xs = m.add_var_array(3, vtype=VarType.BINARY)
+        m.add_constr_coo([0, 0, 0], xs, [3.0, 4.0, 2.0], -INF, 6.0)
+        m.set_objective_array(xs, [10.0, 13.0, 7.0])
         res = m.solve()
         assert res.status is SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(20.0)  # items 1 and 2
 
     def test_integer_rounding_matters(self):
         m = Model(sense=Sense.MAXIMIZE)
-        x = m.add_var(vtype=VarType.INTEGER, ub=10)
-        m.add_constr(2 * x <= 7)
-        m.set_objective(x)
-        res = m.solve()
-        assert res.objective == pytest.approx(3.0)
+        x = m.add_var_array(1, vtype=VarType.INTEGER, ub=10.0)
+        m.add_constr_coo([0], x, [2.0], -INF, 7.0)
+        m.set_objective_array(x, [1.0])
+        assert m.solve().objective == pytest.approx(3.0)
 
     def test_mip_gap_early_stop_accepts_incumbent(self):
         # with a huge allowed gap any incumbent is acceptable
         m = Model(sense=Sense.MAXIMIZE)
-        xs = [m.add_var(vtype=VarType.BINARY) for _ in range(12)]
-        m.add_constr(quicksum(xs) <= 6)
-        m.set_objective(quicksum((i + 1) * x for i, x in enumerate(xs)))
+        xs = m.add_var_array(12, vtype=VarType.BINARY)
+        m.add_constr_coo(np.zeros(12), xs, np.ones(12), -INF, 6.0)
+        m.set_objective_array(xs, np.arange(1.0, 13.0))
         res = m.solve(SolverOptions(mip_gap=0.5))
         assert res.status in (SolveStatus.OPTIMAL, SolveStatus.GAP_LIMIT)
         assert res.objective is not None
@@ -96,10 +94,9 @@ class TestMilpSolve:
 
     def test_milp_infeasible(self):
         m = Model()
-        x = m.add_var(vtype=VarType.BINARY)
-        y = m.add_var(vtype=VarType.BINARY)
-        m.add_constr(x + y >= 3)
-        m.set_objective(x)
+        xy = m.add_var_array(2, vtype=VarType.BINARY)
+        m.add_constr_coo([0, 0], xy, [1.0, 1.0], 3.0, INF)
+        m.set_objective_array(xy[:1], [1.0])
         assert m.solve().status is SolveStatus.INFEASIBLE
 
 
@@ -109,30 +106,17 @@ class TestModelHygiene:
             Model().solve()
 
     def test_foreign_variable_rejected(self):
-        # ownership is index-based: an out-of-range index is always caught
+        # columns are plain indices: one from a bigger model is out of range
         m1, m2 = Model(), Model()
-        m1.add_var()
-        x2 = m1.add_var()
-        m2.add_var()
+        foreign = m1.add_var_array(2)[1]
+        m2.add_var_array(1)
         with pytest.raises(ModelError):
-            m2.add_constr(x2 <= 1)
-
-    def test_add_constr_requires_constraint(self):
-        m = Model()
-        x = m.add_var()
-        with pytest.raises(ModelError):
-            m.add_constr(x)  # type: ignore[arg-type]
-
-    def test_add_vars_names(self):
-        m = Model()
-        vs = m.add_vars([(0, 1), (0, 2)], name="F")
-        assert set(vs) == {(0, 1), (0, 2)}
-        assert vs[(0, 1)].name == "F[(0, 1)]"
+            m2.add_constr_coo([0], [foreign], [1.0], -INF, 1.0)
 
     def test_summary_counts(self):
         m = Model("demo")
-        m.add_var(vtype=VarType.BINARY)
-        m.add_var()
+        m.add_var_array(1, vtype=VarType.BINARY)
+        m.add_var_array(1)
         text = m.summary()
         assert "2 vars" in text and "1 integer" in text
 
@@ -164,19 +148,74 @@ class TestModelHygiene:
         assert forced.resolve_lp_method(10 ** 6) == "highs-ds"
 
     def test_forced_ipm_still_solves(self):
-        m = Model(sense=Sense.MAXIMIZE)
-        x = m.add_var(ub=4)
-        y = m.add_var(ub=4)
-        m.add_constr(x + 2 * y <= 6)
-        m.set_objective(x + y)
+        m, _x, _y = toy_lp()
         res = m.solve(SolverOptions(lp_method="highs-ipm"))
         assert res.objective == pytest.approx(5.0, abs=1e-6)
 
     def test_stats_populated(self):
         m = Model()
-        x = m.add_var(ub=1)
-        m.add_constr(x <= 1)
-        m.set_objective(x)
+        x = m.add_var_array(1, ub=1.0)
+        m.add_constr_coo([0], x, [1.0], -INF, 1.0)
+        m.set_objective_array(x, [1.0])
         res = m.solve()
         assert res.stats["num_vars"] == 1
         assert res.stats["num_constraints"] == 1
+
+
+class TestNonFiniteRejected:
+    """NaN never reaches a backend: a NaN row bound used to slip past the
+    ``lower > upper`` check and was then *dropped* by the LP path's
+    finite-bound masks; a NaN coefficient surfaced as a raw SciPy error."""
+
+    @pytest.mark.parametrize("bounds", [{"lb": NAN}, {"ub": NAN},
+                                        {"ub": [1.0, NAN]}])
+    def test_add_var_array(self, bounds):
+        m = Model()
+        with pytest.raises(ModelError):
+            m.add_var_array(2, **bounds)
+        assert m.num_vars == 0
+
+    @pytest.mark.parametrize("data, lb, ub", [
+        ([1.0, 1.0], -INF, NAN), ([1.0, 1.0], NAN, 1.0),
+        ([1.0, 1.0], [0.0, NAN], [1.0, 1.0]),
+        ([NAN, 1.0], -INF, 1.0), ([INF, 1.0], -INF, 1.0)])
+    def test_add_constr_coo(self, data, lb, ub):
+        m = Model()
+        idx = m.add_var_array(2)
+        with pytest.raises(ModelError):
+            m.add_constr_coo([0, 1], idx, data, lb, ub)
+        assert m.num_constraints == 0
+
+    @pytest.mark.parametrize("bounds", [{"lb": NAN}, {"ub": NAN},
+                                        {"lb": 0.0, "ub": [1.0, NAN]}])
+    def test_set_var_bounds(self, bounds):
+        m = Model()
+        idx = m.add_var_array(2, ub=4.0)
+        with pytest.raises(ModelError):
+            m.set_var_bounds(idx, **bounds)
+        compiled = m.compile()
+        assert compiled.col_lower.tolist() == [0.0, 0.0]
+        assert compiled.col_upper.tolist() == [4.0, 4.0]
+
+    @pytest.mark.parametrize("coefs, const", [
+        ([NAN, 1.0], 0.0), ([1.0, -INF], 0.0), ([1.0, 1.0], NAN)])
+    def test_set_objective_array(self, coefs, const):
+        m, x, y = toy_lp()
+        with pytest.raises(ModelError):
+            m.set_objective_array([x, y], coefs, const=const)
+        assert m.compile().c.tolist() == [1.0, 1.0]  # objective kept
+
+    def test_infinite_bounds_stay_legal(self):
+        m = Model()
+        idx = m.add_var_array(2, lb=-INF, ub=INF)
+        m.add_constr_coo([0], idx[:1], [1.0], -INF, INF)
+        m.set_var_bounds(idx, lb=-INF, ub=INF)
+
+    def test_nan_capacity_fn_fails_the_build(self):
+        """End to end: the capacity rows used to vanish and the solve came
+        back "optimal" (finish 2.0) with no capacity constraint at all."""
+        topo = topology.ring(4)
+        config = TecclConfig(chunk_bytes=1.0,
+                             capacity_fn=lambda i, j, k: float("nan"))
+        with pytest.raises(ModelError):
+            synthesize(topo, collectives.alltoall(topo.gpus, 1), config)

@@ -85,7 +85,7 @@ class TestModelExtend:
         assert integrality.dtype == np.int64
         assert integrality.tolist() == [0, 0, 0, 0]
         model.add_var_array(2, vtype=VarType.BINARY)
-        model.add_var(vtype=VarType.INTEGER)
+        model.add_var_array(1, vtype=VarType.INTEGER)
         integrality = model.compile().integrality
         assert integrality.dtype == np.int64
         assert integrality.tolist() == [0, 0, 0, 0, 1, 1, 1]

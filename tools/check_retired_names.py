@@ -22,9 +22,12 @@ field carrying a retired name. Keyword arguments to *calls* (span
 attributes such as ``span(..., construction="cold")``) are labels, not
 parameters, and are not flagged.
 
-Two deleted *exports* are checked by import: ``repro.obs.rspan`` (the
-second span API; ``span()`` is the only one) and the
-``repro.simulate.simulator`` adapter module.
+Deleted *exports* are checked by import: ``repro.obs.rspan`` (the second
+span API; ``span()`` is the only one), the ``repro.simulate.simulator``
+adapter module, and the expression algebra of ``repro.solver``
+(``Variable``, ``LinExpr``, ``Constraint``, ``Relation``, ``quicksum``) —
+with it the ``Model`` methods that consumed it (``add_var``,
+``add_constr``, ``set_objective``, ``var``): a model is stated as arrays.
 
 One retired *parameter* is checked by signature: ``sink`` on
 ``Planner.__init__`` and ``AdaptationController.__init__``. Tracing is
@@ -47,7 +50,15 @@ RETIRED = frozenset({"construction", "incremental", "track_rows",
                      "warm_start", "parallel"})
 
 #: (package, attribute) pairs that were deleted and must stay unexported
-RETIRED_EXPORTS = (("repro.obs", "rspan"), ("repro.simulate", "simulator"))
+RETIRED_EXPORTS = (
+    ("repro.obs", "rspan"), ("repro.simulate", "simulator"),
+    *(("repro.solver", name) for name in (
+        "Variable", "LinExpr", "Constraint", "Relation", "quicksum")))
+
+#: (module, class, attribute) triples: the class must not have it
+RETIRED_METHODS = tuple(
+    ("repro.solver.model", "Model", name)
+    for name in ("add_var", "add_constr", "set_objective", "var"))
 
 #: (module, class, parameter) triples: the constructor must not take it
 RETIRED_INIT_PARAMS = (
@@ -88,6 +99,10 @@ def find_retired_exports() -> list[str]:
     findings = [f"{package}.{name} is exported again"
                 for package, name in RETIRED_EXPORTS
                 if hasattr(importlib.import_module(package), name)]
+    findings += [f"{module}.{cls}.{name} is back"
+                 for module, cls, name in RETIRED_METHODS
+                 if hasattr(getattr(importlib.import_module(module), cls),
+                            name)]
     for module, cls, param in RETIRED_INIT_PARAMS:
         init = getattr(importlib.import_module(module), cls).__init__
         if param in inspect.signature(init).parameters:

@@ -54,13 +54,13 @@ def shortest_path_schedule(topology: Topology, demand: Demand,
     """Greedy shortest-path-first schedule for any demand.
 
     Args:
-        horizon_factor: multiple of the generous path bound allowed before the
+        horizon_factor: multiple of the no-copy path bound allowed before the
             greedy gives up (mirrors the baseline's lack of global planning).
     """
     demand.validate(topology)
     topology.validate()
     probe = build_epoch_plan(topology, config, num_epochs=1)
-    bound = path_based_epoch_bound(topology, demand, probe)
+    bound = path_based_epoch_bound(topology, demand, probe, copy=False)
     max_epochs = max(4, int(bound * horizon_factor))
     plan = build_epoch_plan(topology, config, num_epochs=max_epochs)
     scheduler = GreedyScheduler(topology, plan, max_epochs)

@@ -216,7 +216,7 @@ def _schedule(topology: Topology, demand: Demand, config: TecclConfig,
               hyper_groups=()) -> Schedule:
     """Greedy earliest-slot booking over the routed edges, copy-aware."""
     probe = build_epoch_plan(topology, config, num_epochs=1)
-    bound = path_based_epoch_bound(topology, demand, probe)
+    bound = path_based_epoch_bound(topology, demand, probe, copy=False)
     max_epochs = max(4, int(bound * horizon_factor))
     plan = build_epoch_plan(topology, config, num_epochs=max_epochs)
     scheduler = GreedyScheduler(topology, plan, max_epochs)

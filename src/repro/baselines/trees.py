@@ -191,7 +191,7 @@ def _horizon(topology: Topology, config: TecclConfig,
 
     probe = build_epoch_plan(topology, config, num_epochs=1)
     bound = path_based_epoch_bound(
-        topology, allgather(topology.gpus, 1), probe)
+        topology, allgather(topology.gpus, 1), probe, copy=False)
     max_epochs = max(8, int(bound * factor))
     return build_epoch_plan(topology, config, num_epochs=max_epochs), max_epochs
 

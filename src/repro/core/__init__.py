@@ -3,8 +3,7 @@
 from repro.core.astar import AStarOutcome, solve_astar
 from repro.core.config import AStarConfig, EpochMode, SwitchModel, TecclConfig
 from repro.core.decompose import PathStrip, decompose, strips_to_schedule
-from repro.core.epochs import (EpochPlan, algorithm1_num_epochs,
-                               build_epoch_plan, epoch_duration,
+from repro.core.epochs import (EpochPlan, build_epoch_plan, epoch_duration,
                                path_based_epoch_bound, plan_with_tau)
 from repro.core.hierarchical import (ChassisPlan, HierarchicalOutcome,
                                      PhaseResult, chassis_groups,
@@ -23,7 +22,7 @@ from repro.core.solve import (Method, SynthesisResult, synthesize,
 __all__ = [
     "TecclConfig", "AStarConfig", "EpochMode", "SwitchModel",
     "EpochPlan", "build_epoch_plan", "plan_with_tau", "epoch_duration",
-    "algorithm1_num_epochs", "path_based_epoch_bound",
+    "path_based_epoch_bound",
     "solve_milp", "MilpOutcome",
     "solve_lp", "minimize_epochs_lp", "LpOutcome", "IncrementalLp",
     "solve_astar", "AStarOutcome",

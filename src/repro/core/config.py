@@ -42,8 +42,8 @@ class TecclConfig:
 
     Attributes:
         chunk_bytes: size of the scheduling unit (the paper sweeps this).
-        num_epochs: horizon K; ``None`` lets the solver estimate an upper
-            bound (Algorithm 1 or the cheap path-based bound).
+        num_epochs: horizon K; ``None`` lets the solver estimate it (the
+            path-based bound, repaired by the horizon ladder).
         epoch_mode: τ derivation, see :class:`EpochMode`.
         epoch_multiplier: the "EM" factor of Table 4 — multiplies τ to trade
             schedule granularity for solver scalability.

@@ -14,12 +14,15 @@ fastest-link mechanics of Appendix F. All formulations consume an
 
 from __future__ import annotations
 
+import heapq
 import math
+import operator
 from dataclasses import dataclass
 
 from repro.collectives.demand import Demand
 from repro.core.config import EpochMode, TecclConfig
 from repro.errors import InfeasibleError, ModelError
+from repro.obs.metrics import get_registry as _default_registry
 from repro.topology.topology import Topology
 
 _EPS = 1e-9
@@ -153,7 +156,7 @@ def build_epoch_plan(topology: Topology, config: TecclConfig,
 
 def plan_with_tau(topology: Topology, chunk_bytes: float, tau: float,
                   num_epochs: int) -> EpochPlan:
-    """Build a plan for an explicitly chosen τ (Algorithm 1's coarse grids)."""
+    """Build a plan for an explicitly chosen τ."""
     if tau <= 0:
         raise ModelError("tau must be positive")
     if num_epochs < 1:
@@ -173,128 +176,134 @@ def plan_with_tau(topology: Topology, chunk_bytes: float, tau: float,
 # ----------------------------------------------------------------------
 # reachability (used for variable tightening and for horizon estimation)
 # ----------------------------------------------------------------------
+def _shortest_paths(out_adj, plan: EpochPlan, src: int):
+    """Dijkstra from ``src`` over the discretised graph: ``(dist, prev)``.
+
+    Edge cost is Δ + 1 (send one epoch, appear in the buffer Δ epochs
+    later); ``prev`` is one shortest-path tree — the first predecessor that
+    reached each node at its final distance.
+    """
+    dist = {src: 0}
+    prev: dict[int, int] = {}
+    heap = [(0, src)]
+    while heap:
+        cost, node = heapq.heappop(heap)
+        if cost > dist.get(node, 1 << 30):
+            continue
+        for link in out_adj[node]:
+            new = cost + plan.arrival_offset(link.src, link.dst) + 1
+            if new < dist.get(link.dst, 1 << 30):
+                dist[link.dst] = new
+                prev[link.dst] = node
+                heapq.heappush(heap, (new, link.dst))
+    return dist, prev
+
+
 def earliest_arrival_epochs(topology: Topology,
                             plan: EpochPlan) -> dict[int, dict[int, int]]:
     """All-pairs earliest arrival, in epochs, over the discretised graph.
 
-    Edge cost is Δ + 1 (send one epoch, appear in the buffer Δ epochs later);
-    a Bellman-Ford/Dijkstra pass per node. Used to eliminate variables that
-    cannot be non-zero (a chunk cannot reach node n before this bound) and to
-    lower-bound the horizon.
+    Used to eliminate variables that cannot be non-zero (a chunk cannot
+    reach node n before this bound) and to lower-bound the horizon.
     """
-    import heapq
-
     out_adj, _ = topology.adjacency()
-    dist: dict[int, dict[int, int]] = {}
-    for src in topology.nodes:
-        d = {src: 0}
-        heap = [(0, src)]
-        while heap:
-            cost, node = heapq.heappop(heap)
-            if cost > d.get(node, 1 << 30):
-                continue
-            for link in out_adj[node]:
-                step = plan.arrival_offset(link.src, link.dst) + 1
-                new = cost + step
-                if new < d.get(link.dst, 1 << 30):
-                    d[link.dst] = new
-                    heapq.heappush(heap, (new, link.dst))
-        dist[src] = d
-    return dist
+    return {src: _shortest_paths(out_adj, plan, src)[0]
+            for src in topology.nodes}
 
 
-def min_time_seconds(topology: Topology, chunk_bytes: float) -> dict[int, dict[int, float]]:
-    """All-pairs fastest single-chunk delivery time (α + β·S per hop)."""
-    import heapq
+def _load_links(load: dict, weight: dict, preds: dict, farthest_first: list,
+                merge=operator.add) -> None:
+    """Route ``weight`` (node → units wanted there) back to the source.
 
-    out_adj, _ = topology.adjacency()
-    dist: dict[int, dict[int, float]] = {}
-    for src in topology.nodes:
-        d = {src: 0.0}
-        heap = [(0.0, src)]
-        while heap:
-            cost, node = heapq.heappop(heap)
-            if cost > d.get(node, float("inf")):
-                continue
-            for link in out_adj[node]:
-                new = cost + link.transfer_time(chunk_bytes)
-                if new < d.get(link.dst, float("inf")):
-                    d[link.dst] = new
-                    heapq.heappush(heap, (new, link.dst))
-        dist[src] = d
-    return dist
+    ``preds`` maps a node to the predecessors it draws on, in equal shares;
+    walking the nodes farthest first, what crosses each link is added to
+    ``load`` and handed to the predecessor, where ``merge`` combines it with
+    what that node already carries.
+    """
+    for node in farthest_first:
+        if node in weight:
+            share = weight[node] / len(preds[node])
+            for pred in preds[node]:
+                load[(pred, node)] = load.get((pred, node), 0.0) + share
+                weight[pred] = merge(weight.get(pred, 0.0), share)
 
 
 def path_based_epoch_bound(topology: Topology, demand: Demand,
-                           plan: EpochPlan) -> int:
-    """A cheap, generous upper bound on the horizon K.
+                           plan: EpochPlan, *,
+                           copy: bool | None = None) -> int:
+    """Estimate the horizon K: longest shortest path + worst link queue.
 
-    Routes every demanded triple along its shortest path (in epoch units),
-    accumulates the per-link load, and bounds the finish by the longest path
-    plus the worst per-link queueing delay. Deliberately loose: the
-    optimization finds the true finish; a loose K only costs variables
-    (the paper's Algorithm 1 has the same contract).
+    The first rung of :func:`horizon_ladder`, so the size every layer in
+    front of the solver is built at. It is an estimate, not a bound: an
+    optimal schedule may detour or hit a side constraint, and the ladder
+    repairs an undershoot by re-solving at the next rung.
+
+    Each source's demand is routed over shortest paths (in epoch units)
+    and the per-link load becomes a queueing delay at the link's rate.
+    ``copy`` says whether the formulation it sizes may duplicate chunks
+    (``None``: whenever the demand is multicast, what ``Method.AUTO``
+    solves; the LP never copies):
+
+    * with copy, a commodity loads each link of its shortest-path tree
+      once, however many destinations sit below it;
+    * without copy, every destination is its own unit of load, routed two
+      ways — along that one tree, and split evenly over *every*
+      shortest-path predecessor (total chunk-hops / links on an
+      edge-transitive fabric) — and the smaller queue is taken: the even
+      split wins wherever there is path diversity, the single tree where
+      link speeds differ and the fast links are the tree.
     """
-    import heapq
-
-    out_adj, _ = topology.adjacency()
-
-    def paths_from(src: int) -> dict[int, list[int]]:
-        dist = {src: 0}
-        prev: dict[int, int] = {}
-        heap = [(0, src)]
-        while heap:
-            cost, node = heapq.heappop(heap)
-            if cost > dist.get(node, 1 << 30):
-                continue
-            for link in out_adj[node]:
-                step = plan.arrival_offset(link.src, link.dst) + 1
-                new = cost + step
-                if new < dist.get(link.dst, 1 << 30):
-                    dist[link.dst] = new
-                    prev[link.dst] = node
-                    heapq.heappush(heap, (new, link.dst))
-        paths: dict[int, list[int]] = {}
-        for node in dist:
-            path = [node]
-            while path[-1] != src:
-                path.append(prev[path[-1]])
-            path.reverse()
-            paths[node] = path
-        return paths
-
+    if copy is None:
+        copy = demand.benefits_from_copy()
+    out_adj, in_adj = topology.adjacency()
     max_path = 0
-    load: dict[tuple[int, int], int] = {}
-    path_cache: dict[int, dict[int, list[int]]] = {}
-    dist = earliest_arrival_epochs(topology, plan)
-    for s, c in demand.commodities():
-        if s not in path_cache:
-            path_cache[s] = paths_from(s)
-        for d in demand.destinations(s, c):
-            if d not in dist[s]:
-                raise ModelError(
-                    f"destination {d} unreachable from source {s}")
-            max_path = max(max_path, dist[s][d])
-            path = path_cache[s][d]
-            for i, j in zip(path, path[1:]):
-                load[(i, j)] = load.get((i, j), 0) + 1
+    tree_load: dict[tuple[int, int], float] = {}
+    spread_load: dict[tuple[int, int], float] = {}
+    for s, (_chunks, classes) in demand.chunk_classes.items():
+        dist, prev = _shortest_paths(out_adj, plan, s)
+        # chunks of one class share a destination set, hence their routes
+        wanted: dict[int, int] = {}
+        for dsts, same in classes.items():
+            for d in dsts:
+                if d not in dist:
+                    raise ModelError(
+                        f"destination {d} unreachable from source {s}")
+                wanted[d] = wanted.get(d, 0) + len(same)
+        max_path = max(max_path, max(dist[d] for d in wanted))
+        farthest_first = sorted(prev, key=dist.get, reverse=True)
+        tree = {node: (pred,) for node, pred in prev.items()}
+        if copy:
+            # a link with any of a class's destinations below it carries
+            # each of its chunks once
+            for dsts, same in classes.items():
+                _load_links(tree_load, dict.fromkeys(dsts, len(same)), tree,
+                            farthest_first, merge=max)
+        else:
+            dag = {node: [link.src for link in in_adj[node]
+                          if dist.get(link.src, 1 << 30)
+                          + plan.arrival_offset(link.src, node) + 1
+                          == dist[node]]
+                   for node in prev}
+            _load_links(tree_load, dict(wanted), tree, farthest_first)
+            _load_links(spread_load, dict(wanted), dag, farthest_first)
 
     def rate(key: tuple[int, int]) -> float:
         window = max(
             1, math.floor(plan.cap_chunks[key] * plan.occupancy[key] + _EPS))
         return window / plan.occupancy[key]
 
-    queueing = max(
-        (math.ceil(count / rate(key)) for key, count in load.items()),
-        default=1)
+    queueing = min(
+        max((math.ceil(count / rate(key) - _EPS)
+             for key, count in load.items()), default=1)
+        for load in ((tree_load,) if copy else (tree_load, spread_load)))
     return max(2, max_path + queueing)
 
 
-def horizon_bound(topology: Topology, demand: Demand,
-                  config: TecclConfig) -> int:
+def horizon_bound(topology: Topology, demand: Demand, config: TecclConfig,
+                  *, copy: bool | None = None) -> int:
     """:func:`path_based_epoch_bound` on the configured τ grid."""
     probe = build_epoch_plan(topology, config, num_epochs=1)
-    return path_based_epoch_bound(topology, demand, probe)
+    return path_based_epoch_bound(topology, demand, probe, copy=copy)
 
 
 def next_horizon(num_epochs: int, bound: int | None) -> int:
@@ -313,28 +322,32 @@ HORIZON_ATTEMPTS = 3
 
 
 def horizon_ladder(topology: Topology, demand: Demand, config: TecclConfig,
-                   *, initial_epochs: int | None = None, stretch=None):
+                   *, initial_epochs: int | None = None, stretch=None,
+                   copy: bool | None = None):
     """Yield ``(attempt, num_epochs)``: the horizons a solve tries in turn.
 
-    The whole auto-horizon policy of the LP, MILP and POP facades (§4.1 /
-    Appendix E: a loose K only costs variables, an undershoot is repaired
-    by re-solving at a larger K); :func:`first_feasible_rung` climbs it.
+    The whole auto-horizon policy of the LP, MILP and POP facades: every
+    layer in front of the solver scales with K, so the first rung is an
+    estimate near the answer and an undershoot is repaired by re-solving
+    at a larger K; :func:`first_feasible_rung` climbs it.
 
     * An explicit ``config.num_epochs`` is one attempt at that K.
-    * Otherwise the first rung is the path bound — ``stretch(bound)`` for
-      callers whose sub-problems need more room than the joint bound (POP's
-      capacity split) — each next rung is :func:`next_horizon`, and
-      :data:`HORIZON_ATTEMPTS` rungs are tried from the bound up: bound,
-      2·bound, 4·bound.
+    * Otherwise the first rung is the path bound for a formulation that
+      copies or not (``copy``, see :func:`path_based_epoch_bound`) —
+      ``stretch(bound)`` for callers whose sub-problems need more room
+      than the joint bound (POP's capacity split) — each next rung is
+      :func:`next_horizon`, and :data:`HORIZON_ATTEMPTS` rungs are tried
+      from the bound up: bound, 2·bound, 4·bound.
     * ``initial_epochs`` is a warm hint. It may only *shrink* the model
-      (its estimates can overshoot the grid; the bound is a sound ceiling),
-      and a hinted rung below the bound is free: a hint can cost an
-      attempt, never a feasible answer the cold ladder would have reached.
+      (its estimates can overshoot the grid; the bound is what a cold
+      solve would build), and a hinted rung below the bound is free: a
+      hint can cost an attempt, never a feasible answer the cold ladder
+      would have reached.
     """
     if config.num_epochs is not None:
         yield 1, config.num_epochs
         return
-    bound = horizon_bound(topology, demand, config)
+    bound = horizon_bound(topology, demand, config, copy=copy)
     if stretch is not None:
         bound = stretch(bound)
     num_epochs = bound if initial_epochs is None \
@@ -358,8 +371,21 @@ def first_feasible_rung(ladder, solve_at):
     rung's error is re-raised when the ladder runs out. Any other failure
     — a backend error, a time limit without an incumbent — is not a short
     horizon and propagates at once.
+
+    Every climb counts one ``horizon_solves_total`` and every rung past the
+    first one ``horizon_retries_total`` in the process registry: an
+    undershooting estimate is a decision the ``horizon_retry_rate`` alert
+    (:mod:`repro.obs.alerts`) watches.
     """
+    registry = _default_registry()
+    registry.counter("horizon_solves_total",
+                     "Solves that climbed the horizon ladder").inc()
+    retries = registry.counter(
+        "horizon_retries_total",
+        "Horizon rungs re-solved after an infeasible one")
     for attempt, num_epochs in ladder:
+        if attempt > 1:
+            retries.inc()
         try:
             return attempt, num_epochs, solve_at(num_epochs)
         except InfeasibleError as err:
@@ -369,41 +395,3 @@ def first_feasible_rung(ladder, solve_at):
             # model in memory while the next, larger one is built
             last_error = err.with_traceback(None)
     raise last_error
-
-
-def candidate_completion_times(topology: Topology, demand: Demand,
-                               chunk_bytes: float,
-                               count: int = 8) -> list[float]:
-    """The Cτ sweep of Algorithm 1: geometric candidates from a lower bound."""
-    seconds = min_time_seconds(topology, chunk_bytes)
-    lower = 0.0
-    for s, c in demand.commodities():
-        for d in demand.destinations(s, c):
-            lower = max(lower, seconds[s].get(d, 0.0))
-    if lower <= 0:
-        raise ModelError("demand has no reachable destinations")
-    return [lower * (2 ** i) for i in range(count)]
-
-
-def algorithm1_num_epochs(topology: Topology, demand: Demand,
-                          config: TecclConfig,
-                          coarse_epochs: tuple[int, ...] = (4, 8, 12)) -> int:
-    """Algorithm 1 (Appendix E): find an epoch-count upper bound.
-
-    Sweeps candidate completion times; for each, tries coarse epoch grids and
-    solves the *LP relaxation* of the general form for feasibility (fast, and
-    feasibility at a coarse grid implies the horizon suffices). Returns
-    ``feasible_time / τ_opt`` converted to epochs of the configured τ.
-    """
-    from repro.core.lp import lp_feasible_horizon
-
-    tau_opt = epoch_duration(topology, config.chunk_bytes, config.epoch_mode,
-                             config.epoch_multiplier)
-    for total_time in candidate_completion_times(
-            topology, demand, config.chunk_bytes):
-        for ne in coarse_epochs:
-            if lp_feasible_horizon(topology, demand, config,
-                                   tau=total_time / ne, num_epochs=ne):
-                return max(2, math.ceil(total_time / tau_opt))
-    # Fall back to the generous path bound rather than failing.
-    return horizon_bound(topology, demand, config)

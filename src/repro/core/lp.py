@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,16 +28,14 @@ from repro.core.columns import ColumnTable
 from repro.core.config import TecclConfig
 from repro.core.epochs import (EpochPlan, build_epoch_plan,
                                earliest_arrival_epochs,
-                               first_feasible_rung, horizon_bound,
-                               horizon_ladder, plan_with_tau)
+                               first_feasible_rung, horizon_ladder)
 from repro.core.postprocess import _TOL as _PRUNE_TOL
 from repro.core.postprocess import prune_fractional
 from repro.core.schedule import FlowSchedule
 from repro.errors import InfeasibleError, ModelError
 from repro.obs.trace import event as _obs_event
 from repro.obs.trace import span as _obs_span
-from repro.solver import (Model, Sense, SolveResult, SolveStatus,
-                          SolverOptions)
+from repro.solver import Model, Sense, SolveResult, SolveStatus
 from repro.topology.topology import Topology
 
 _EPS = 1e-9
@@ -583,7 +581,7 @@ def solve_lp(topology: Topology, demand: Demand, config: TecclConfig,
                             aggregate=aggregate)
 
     attempt, num_epochs, outcome = first_feasible_rung(
-        horizon_ladder(topology, demand, config,
+        horizon_ladder(topology, demand, config, copy=False,
                        initial_epochs=initial_epochs), solve_at)
     outcome.result.stats["horizon_attempts"] = attempt
     outcome.result.stats["horizon_epochs"] = num_epochs
@@ -690,20 +688,6 @@ def extract_lp_outcome(problem: LpProblem, result: SolveResult) -> LpOutcome:
                          finish_time=pruned.finish_time(problem.topology))
 
 
-def lp_feasible_horizon(topology: Topology, demand: Demand,
-                        config: TecclConfig, *, tau: float,
-                        num_epochs: int) -> bool:
-    """Feasibility probe used by Algorithm 1 (coarse grid, custom τ)."""
-    plan = plan_with_tau(topology, config.chunk_bytes, tau, num_epochs)
-    try:
-        builder = LpBuilder(topology, demand, config, plan)
-        problem = builder.build()
-    except InfeasibleError:
-        return False
-    result = problem.model.solve(SolverOptions(time_limit=60))
-    return result.status.has_solution
-
-
 def minimize_epochs_lp(topology: Topology, demand: Demand,
                        config: TecclConfig, *,
                        max_epochs: int | None = None) -> LpOutcome:
@@ -713,80 +697,34 @@ def minimize_epochs_lp(topology: Topology, demand: Demand,
     of epochs; the returned schedule is the optimum for the minimal K.
 
     The search runs on :class:`IncrementalLp`: **one** model is built at
-    the horizon bound, its full-horizon optimum brackets the search (the
-    last read epoch is a feasibility witness; the earliest-arrival bound a
-    floor), and the remaining probes are bound restrictions on the same
-    model — no rebuilds below the anchor, and usually only one or two
-    extra solves. The result is replayed
-    through the conformance oracle before it is returned; a violation falls
-    back to :func:`_minimize_epochs_cold`, which builds and solves a fresh
-    model per probe.
+    the first feasible rung of :func:`~repro.core.epochs.horizon_ladder`
+    (``max_epochs``, when given, is a hard cap on the rungs — a generous
+    one costs nothing, the anchor still starts at the path bound), its
+    full-horizon optimum brackets the search (the last read epoch is a
+    feasibility witness; the earliest-arrival bound a floor), and the
+    remaining probes are bound restrictions on the same model — no
+    rebuilds below the anchor, and usually only one or two extra solves.
+    The result is replayed through the conformance oracle before it is
+    returned; a violation falls back to :func:`_minimize_epochs_cold`,
+    which builds and solves a fresh model per probe.
     """
-    estimate = None
-    if max_epochs is None:
-        max_epochs = estimate = horizon_bound(topology, demand, config)
-    return _minimize_epochs_incremental(topology, demand, config,
-                                        max_epochs, estimate=estimate)
-
-
-def _minimize_epochs_cold(topology: Topology, demand: Demand,
-                          config: TecclConfig, max_epochs: int) -> LpOutcome:
-    """Fresh build + cold solve per probe: the conformance-failure fallback
-    of the shared-model search, and its reference in the tests."""
-    lo, hi = 1, max_epochs
-    best: LpOutcome | None = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        plan = build_epoch_plan(topology, config, num_epochs=mid)
-        try:
-            best = _solve_lp_at(topology, demand, config, plan)
-            hi = mid - 1
-        except InfeasibleError:
-            lo = mid + 1
-    if best is None:
-        raise InfeasibleError(
-            f"no feasible horizon up to K={max_epochs}", status="horizon")
-    return best
-
-
-def _minimize_epochs_incremental(topology: Topology, demand: Demand,
-                                 config: TecclConfig, max_epochs: int,
-                                 estimate: int | None = None) -> LpOutcome:
-    """One shared model: anchor cheap, gallop down, refine.
-
-    The anchor solve starts at the path-bound *estimate*, not the caller's
-    ``max_epochs``: a generous search bound should cost the search nothing
-    (the cold bisection pays an expensive feasible solve per halving of
-    it). An infeasible estimate doubles the horizon and rebuilds — the
-    infeasible-horizon attempts are exactly the cheap solves — until the
-    first feasible anchor, whose last read epoch then brackets the descent.
-    """
-    if estimate is None:
-        try:
-            estimate = horizon_bound(topology, demand, config)
-        except ModelError:
-            estimate = max_epochs
-    k = min(max_epochs, max(2, estimate))
-    solves = 0
-    while True:
-        attempt = None
-        try:
-            inc = IncrementalLp(topology, demand, config, k)
-            attempt = inc.solve_at(k)
-            solves += 1
-        except InfeasibleError:
-            pass  # horizon below earliest arrival: double on
-        if attempt is not None and attempt.status.has_solution:
-            anchor = attempt
-            break
-        if attempt is not None \
-                and attempt.status is not SolveStatus.INFEASIBLE:
-            attempt.require_solution()
-        if k >= max_epochs:
+    def anchor_at(num_epochs: int):
+        inc = IncrementalLp(topology, demand, config, num_epochs)
+        result = inc.solve_at(num_epochs)
+        if result.status is SolveStatus.INFEASIBLE:
             raise InfeasibleError(
-                f"no feasible horizon up to K={max_epochs}",
-                status="horizon")
-        k = min(max_epochs, k * 2)
+                f"infeasible at horizon K={num_epochs}", status="horizon")
+        result.require_solution()
+        return inc, result
+
+    # the search ignores an explicit ``config.num_epochs``: its rungs come
+    # from the bound, its ceiling from ``max_epochs``
+    ladder = horizon_ladder(topology, demand,
+                            replace(config, num_epochs=None), copy=False)
+    if max_epochs is not None:
+        ladder = _capped(ladder, max_epochs)
+    attempts, _, (inc, anchor) = first_feasible_rung(ladder, anchor_at)
+    solves = attempts
 
     # Bracket the search from the anchor optimum: all reads land by the
     # last read epoch, so last_read + 1 is a *witnessed* feasible horizon
@@ -829,6 +767,7 @@ def _minimize_epochs_incremental(topology: Topology, demand: Demand,
             best_k, best_result = mid, result
         else:
             lo = mid + 1
+    best_result.stats["horizon_attempts"] = attempts
     best_result.stats["horizon_solves"] = solves
     best_result.stats["build_time"] = inc.build_time
     outcome = inc.extract(best_result, best_k)
@@ -841,5 +780,35 @@ def _minimize_epochs_incremental(topology: Topology, demand: Demand,
     report = check_flow(outcome.schedule, topology, demand, outcome.plan,
                         config=config)
     if not report.ok:
-        return _minimize_epochs_cold(topology, demand, config, max_epochs)
+        return _minimize_epochs_cold(topology, demand, config,
+                                     inc.num_epochs)
     return outcome
+
+
+def _capped(ladder, max_epochs: int):
+    """``ladder`` with every rung clipped to ``max_epochs``, the last one
+    it yields."""
+    for attempt, num_epochs in ladder:
+        yield attempt, min(num_epochs, max_epochs)
+        if num_epochs >= max_epochs:
+            return
+
+
+def _minimize_epochs_cold(topology: Topology, demand: Demand,
+                          config: TecclConfig, max_epochs: int) -> LpOutcome:
+    """Fresh build + cold solve per probe: the conformance-failure fallback
+    of the shared-model search, and its reference in the tests."""
+    lo, hi = 1, max_epochs
+    best: LpOutcome | None = None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        plan = build_epoch_plan(topology, config, num_epochs=mid)
+        try:
+            best = _solve_lp_at(topology, demand, config, plan)
+            hi = mid - 1
+        except InfeasibleError:
+            lo = mid + 1
+    if best is None:
+        raise InfeasibleError(
+            f"no feasible horizon up to K={max_epochs}", status="horizon")
+    return best

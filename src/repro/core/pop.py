@@ -182,7 +182,7 @@ def solve_lp_pop(topology: Topology, demand: Demand, config: TecclConfig, *,
     # Partitioned capacity stretches completion by ~1/share; be generous.
     attempt, num_epochs, outcome = first_feasible_rung(
         horizon_ladder(
-            topology, demand, config,
+            topology, demand, config, copy=False,
             stretch=lambda bound: pop_auto_horizon(bound, num_partitions)),
         solve_at)
     report = _pop_conformance(outcome, topology, demand, config)

@@ -186,10 +186,10 @@ def synthesize(topology: Topology, demand: Demand, config: TecclConfig, *,
             the numerically tricky large ALLTOALLs).
         warm_from: a prior result for a near-identical instance (same or
             perturbed fabric/demand). With the automatic horizon, its
-            achieved finish time seeds the horizon estimate — usually far
-            tighter than the generous path bound, so the re-solve builds a
-            much smaller model (the infeasible-horizon doubling retries
-            make a too-tight seed safe). Exactness is untouched: the seed
+            achieved finish time seeds the horizon estimate — tighter
+            than the cold path bound wherever one slow or shared link
+            inflates it, so the re-solve builds a smaller model (the
+            horizon ladder makes a too-tight seed safe). Exactness is untouched: the seed
             changes how many epochs are modelled, never the optimum within
             them.
     """
@@ -236,6 +236,7 @@ def _build_explain(result: SynthesisResult, warm_seeded: bool,
         "finish_time": result.finish_time,
         "solve_time": result.solve_time,
         "horizon_epochs": result.plan.num_epochs,
+        "finish_epoch": result.schedule.finish_epoch,
         "warm_seeded": warm_seeded,
         "hyper_transform": result.hyper is not None,
         "stats": stats,

@@ -196,7 +196,7 @@ def repair_schedule(topology: Topology, demand: Demand, config: TecclConfig,
     by original triples, which re-homing renames). ``warm_from`` seeds that
     horizon from a prior solution's achieved finish — the residual needs no
     more time than the whole collective did, so the seed replaces the
-    generous path bound with a much smaller model.
+    path bound with a smaller model.
     """
     if not failures:
         raise ModelError("no failures to repair")

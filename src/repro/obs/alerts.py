@@ -249,6 +249,14 @@ def builtin_rules() -> list[AlertRule]:
             description="more than 25% of symmetry-reduced solves fell "
                         "back to the full model"),
         AlertRule(
+            name="horizon_retry_rate",
+            metric="horizon_retries_total",
+            denominator="horizon_solves_total",
+            kind="ratio", ratio_of_total=True,
+            op=">", threshold=0.25, min_count=8,
+            description="more than one horizon rung in four was a "
+                        "re-solve: the first-rung estimate undershoots"),
+        AlertRule(
             name="wal_append_latency_p99",
             metric="fleet_wal_append_seconds_p99",
             op=">", threshold=0.25,

@@ -110,7 +110,7 @@ class ExplainRecord:
         if solve:
             lines.append("solve:")
             for key in ("method", "finish_time", "solve_time",
-                        "horizon_epochs", "warm_seeded"):
+                        "horizon_epochs", "finish_epoch", "warm_seeded"):
                 if key in solve:
                     lines.append(f"  {key:<20}: {solve[key]}")
             stats = solve.get("stats") or {}

@@ -192,7 +192,7 @@ SMOKE_CASES = [
     ("obs dump --file {dump} --json", 0,
      ['"kind": "flight_header"', '"reason": "manual"'], None),
     ("obs alerts --metrics-file {metrics}", 0,
-     ["rules        : 6 evaluated, 0 firing"], None),
+     ["rules        : 7 evaluated, 0 firing"], None),
     ("obs alerts --metrics-file {metrics} --rules {rules}", 1,
      ["rules        : 1 evaluated, 1 firing",
       "  [warning] always: planner_requests_total=1 >= 1"], None),

@@ -30,6 +30,13 @@ from repro.topology import to_hyper_edges
 from test_model_equivalence import GOLDEN, SEEDS, _map_digest, _plan_for
 
 
+def _auto_plan(topo, demand, config):
+    """The plan ``solve_lp`` would build first (the LP never copies)."""
+    return build_epoch_plan(
+        topo, config,
+        num_epochs=horizon_bound(topo, demand, config, copy=False))
+
+
 # ----------------------------------------------------------------------
 # the Mapping view
 # ----------------------------------------------------------------------
@@ -42,7 +49,7 @@ def _tables(problem):
 @pytest.mark.parametrize("kind", ["lp", "milp"])
 def test_mapping_view_hashes_to_the_dict_era_pins(kind, seed, make_instance):
     topo, demand, config = make_instance(seed)
-    plan = _plan_for(topo, demand, config)
+    plan = _plan_for(topo, config, GOLDEN[kind][str(seed)])
     builder = (LpBuilder(topo, demand, config, plan, aggregate=False)
                if kind == "lp" else MilpBuilder(topo, demand, config, plan))
     problem = builder.build()
@@ -97,7 +104,7 @@ def test_append_after_a_read_extends_the_view():
 def test_above_equals_the_filtered_comprehension(seed, make_instance):
     topo, demand, config = make_instance(seed)
     problem = LpBuilder(topo, demand, config,
-                        _plan_for(topo, demand, config)).build()
+                        _auto_plan(topo, demand, config)).build()
     rng = np.random.default_rng(seed)
     tol = 1e-7
     values = rng.choice(
@@ -303,7 +310,7 @@ def _demand(topo, demand):
 def test_lp_extraction_is_byte_equal_to_the_comprehensions(name):
     topo, demand, config, aggregate = LP_CASES[name]()
     demand = _demand(topo, demand)
-    plan = _plan_for(topo, demand, config) if config.num_epochs is None \
+    plan = _auto_plan(topo, demand, config) if config.num_epochs is None \
         else build_epoch_plan(topo, config, num_epochs=config.num_epochs)
     problem = LpBuilder(topo, demand, config, plan,
                         aggregate=aggregate).build()

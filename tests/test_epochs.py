@@ -1,18 +1,29 @@
 """Unit tests for epoch duration, discretisation and horizon estimation."""
 
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
-from repro.collectives import allgather, alltoall
-from repro.core import TecclConfig
+from repro.collectives import allgather, alltoall, broadcast, scatter
+from repro.core import TecclConfig, synthesize
 from repro.core.config import EpochMode
 from repro.core import epochs as epochs_module
-from repro.core.epochs import (algorithm1_num_epochs, build_epoch_plan,
-                               candidate_completion_times,
-                               earliest_arrival_epochs, epoch_duration,
-                               horizon_ladder, min_time_seconds,
-                               path_based_epoch_bound, plan_with_tau)
+from repro.core.epochs import (build_epoch_plan, earliest_arrival_epochs,
+                               epoch_duration, horizon_bound,
+                               horizon_ladder, path_based_epoch_bound,
+                               plan_with_tau)
 from repro.errors import ModelError
-from repro.topology import Topology, line, ndv2, ring
+from repro.simulate import check_result
+from repro.simulate.harness import random_instance
+from repro.topology import (Topology, dgx1, hypercube, line, ring, torus2d,
+                            with_capacity_overrides)
+
+#: first rungs at 791f48f (one shortest path per pair, one unit of load per
+#: destination): the 24 sweep seeds of ``random_instance`` and FABRICS
+PARENT = json.loads(
+    (Path(__file__).parent / "golden" / "horizon_bounds.json").read_text())
 
 
 def hetero_topo() -> Topology:
@@ -108,11 +119,6 @@ class TestReachability:
         assert dist[0][1] == 3  # Delta = 2, +1
         assert dist[0][2] == 4
 
-    def test_min_time_seconds(self):
-        topo = line(3, capacity=2.0, alpha=0.5)
-        seconds = min_time_seconds(topo, 4.0)
-        assert seconds[0][2] == pytest.approx(2 * (0.5 + 2.0))
-
 
 class TestHorizonBounds:
     def test_path_bound_dominates_distance(self):
@@ -129,27 +135,122 @@ class TestHorizonBounds:
         large = path_based_epoch_bound(topo, alltoall(topo.gpus, 4), plan)
         assert large > small
 
-    def test_candidates_geometric(self):
-        topo = ring(4, capacity=1.0)
-        times = candidate_completion_times(topo, allgather(topo.gpus, 1), 1.0,
-                                           count=4)
-        assert len(times) == 4
-        assert times[1] == pytest.approx(2 * times[0])
 
-    def test_algorithm1_feasible_bound(self):
-        topo = ring(4, capacity=1.0)
+def _torus4() -> Topology:
+    return torus2d(4, 4, capacity=1.0, alpha=0.0)
+
+
+def _a2a(topo, chunks=1):
+    return alltoall(topo.gpus, chunks)
+
+
+def _from_root(collective):
+    return lambda topo: collective(topo.gpus[0], topo.gpus[1:], 1)
+
+
+UNIT = TecclConfig(chunk_bytes=1.0)
+
+#: name -> (fabric, demand of the fabric, config, first rung)
+FABRICS = {
+    "torus4x4_a2a": (_torus4, _a2a, UNIT, 12),
+    "hypercube4_a2a": (lambda: hypercube(4, capacity=1.0, alpha=0.0),
+                       _a2a, UNIT, 12),
+    "torus3x3_a2a": (lambda: torus2d(3, 3, capacity=1.0, alpha=0.0),
+                     _a2a, UNIT, 5),
+    "ring16_a2a": (lambda: ring(16, capacity=1.0), _a2a, UNIT, 40),
+    "ring12_a2a": (lambda: ring(12, capacity=1.0), _a2a, UNIT, 24),
+    "ring8_a2a_2chunk": (lambda: ring(8, capacity=1.0),
+                         lambda topo: _a2a(topo, 2),
+                         TecclConfig(chunk_bytes=0.5), 20),
+    # one half-speed link: the even split is no longer uniform (10 needed)
+    "torus4x4_degraded_a2a": (
+        lambda: with_capacity_overrides(_torus4(), {(0, 1): 0.5}),
+        _a2a, UNIT, 15),
+    "ring16_broadcast": (lambda: ring(16, capacity=1.0),
+                         _from_root(broadcast), UNIT, 9),
+    "ring8_allgather": (lambda: ring(8, capacity=1.0),
+                        lambda topo: allgather(topo.gpus, 1), UNIT, 8),
+    # the fast NVLinks *are* the shortest-path tree: 9, where the even
+    # split over every predecessor alone would give 12
+    "dgx1_scatter": (dgx1, _from_root(scatter),
+                     TecclConfig(chunk_bytes=25e3), 9),
+}
+
+
+def fabric(name):
+    """``(topology, demand, config, first rung)`` of one FABRICS row."""
+    make_topology, make_demand, config, rung = FABRICS[name]
+    topo = make_topology()
+    return topo, make_demand(topo), config, rung
+
+
+def _solved_on_first_rung(topo, demand, config) -> int:
+    """Synthesize at the auto horizon; returns the K it was answered at
+    after asserting one attempt and a conformant replay."""
+    result = synthesize(topo, demand, config)
+    assert result.outcome.result.stats["horizon_attempts"] == 1
+    check_result(result).raise_on_violation()
+    return result.plan.num_epochs
+
+
+class TestFirstRung:
+    """The contract of :func:`path_based_epoch_bound` as the first rung of
+    the horizon ladder: near the answer where there is path diversity or
+    multicast, never looser than the one-path, per-destination count it
+    replaced, and repaired by the ladder when it undershoots."""
+
+    @pytest.mark.parametrize("name", sorted(FABRICS))
+    def test_named_fabrics(self, name):
+        topo, demand, config, rung = fabric(name)
+        bound = horizon_bound(topo, demand, config)
+        assert bound == rung <= PARENT["fabrics"][name]
+        assert _solved_on_first_rung(topo, demand, config) == bound
+
+    @pytest.mark.parametrize("copy", [False, None])
+    @pytest.mark.parametrize("seed", range(24))
+    def test_never_looser_than_the_parent(self, seed, copy):
+        topo, demand, config = random_instance(seed)
+        assert horizon_bound(topo, demand, config, copy=copy) \
+            <= PARENT["sweep"][str(seed)]
+
+    def test_copy_counts_a_multicast_chunk_once_per_link(self):
+        """``copy=False`` keeps one unit of load per destination (the LP
+        and the greedy baselines never duplicate), ``None`` infers it from
+        the demand."""
+        topo, demand, config, rung = fabric("ring16_broadcast")
+        assert horizon_bound(topo, demand, config, copy=True) == rung
+        assert horizon_bound(topo, demand, config, copy=False) \
+            == PARENT["fabrics"]["ring16_broadcast"] == 16
+        for name in FABRICS:
+            topo, demand, config, _ = fabric(name)
+            assert horizon_bound(topo, demand, config) == horizon_bound(
+                topo, demand, config, copy=demand.benefits_from_copy())
+
+    def test_an_undershoot_is_repaired_by_the_ladder(self):
+        """At a third of the capacity the bound knows about, ring8 ALLTOALL
+        needs about three times its first rung — and is still answered."""
+        topo = ring(8, capacity=1.0)
         demand = alltoall(topo.gpus, 1)
-        cfg = TecclConfig(chunk_bytes=1.0)
-        bound = algorithm1_num_epochs(topo, demand, cfg)
-        # the optimum is 2 epochs; Algorithm 1 must return at least that
-        assert bound >= 2
+        config = replace(UNIT, capacity_fn=lambda i, j, k: 1.0 / 3.0)
+        result = synthesize(topo, demand, config)
+        assert result.outcome.result.stats["horizon_attempts"] in (2, 3)
+        assert result.plan.num_epochs > horizon_bound(topo, demand, config)
+        check_result(result).raise_on_violation()
 
-    def test_algorithm1_on_switch_topology(self):
-        topo = ndv2(2)
-        demand = allgather(topo.gpus[:4], 1)
-        cfg = TecclConfig(chunk_bytes=1e6)
-        bound = algorithm1_num_epochs(topo, demand, cfg)
-        assert bound >= 1
+    def test_torus6x6(self):
+        topo = torus2d(6, 6, capacity=1.0, alpha=0.0)
+        assert _solved_on_first_rung(
+            topo, alltoall(topo.gpus, 1), UNIT) <= 36
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("make_topology, ceiling", [
+        (lambda: hypercube(5, capacity=1.0, alpha=0.0), 24),
+        (lambda: torus2d(8, 8, capacity=1.0, alpha=0.0), 76),
+    ], ids=["hypercube5", "torus8x8"])
+    def test_big_fabrics(self, make_topology, ceiling):
+        topo = make_topology()
+        assert _solved_on_first_rung(
+            topo, alltoall(topo.gpus, 1), UNIT) <= ceiling
 
 
 class TestHorizonLadder:
@@ -174,7 +275,7 @@ class TestHorizonLadder:
     ])
     def test_rungs(self, monkeypatch, explicit, kwargs, rungs):
         monkeypatch.setattr(epochs_module, "path_based_epoch_bound",
-                            lambda topology, demand, plan: 5)
+                            lambda topology, demand, plan, copy=None: 5)
         topo = ring(4, capacity=1.0)
         config = TecclConfig(chunk_bytes=1.0, num_epochs=explicit)
         ladder = horizon_ladder(topo, alltoall(topo.gpus, 1), config,

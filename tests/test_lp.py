@@ -7,8 +7,8 @@ from repro.core import TecclConfig
 from repro.core import epochs as epochs_module
 from repro.core.config import EpochMode
 from repro.core.epochs import build_epoch_plan
-from repro.core.lp import (LpBuilder, build_commodities, lp_feasible_horizon,
-                           minimize_epochs_lp, solve_lp)
+from repro.core.lp import (LpBuilder, build_commodities, minimize_epochs_lp,
+                           solve_lp)
 from repro.errors import InfeasibleError
 
 TOL = 1e-6
@@ -144,13 +144,6 @@ class TestHorizonMachinery:
         with pytest.raises(InfeasibleError):
             solve_lp(line3, demand, cfg(1))
 
-    def test_feasibility_probe(self, ring4, atoa_ring4):
-        config = cfg()
-        assert lp_feasible_horizon(ring4, atoa_ring4, config, tau=1.0,
-                                   num_epochs=4)
-        assert not lp_feasible_horizon(ring4, atoa_ring4, config, tau=1.0,
-                                       num_epochs=1)
-
     def test_minimize_epochs_raises_when_impossible(self, line3):
         demand = collectives.Demand.from_triples([(0, 0, 2)])
         with pytest.raises(InfeasibleError):
@@ -163,13 +156,34 @@ class TestHorizonMachinery:
         cold ladder succeeds on its third rung, K=12 — and so must the
         hinted one: the rung below the bound is free."""
         monkeypatch.setattr(epochs_module, "path_based_epoch_bound",
-                            lambda topology, demand, plan: 3)
+                            lambda topology, demand, plan, copy=None: 3)
         ring8 = topology.ring(8, capacity=1.0)
         out = solve_lp(ring8, collectives.alltoall(ring8.gpus, 1), cfg(),
                        initial_epochs=hint)
         assert out.plan.num_epochs == 12
         assert out.result.stats["horizon_epochs"] == 12
         assert out.result.stats["horizon_attempts"] == attempts
+
+    def test_minimize_epochs_climbs_the_ladder_like_solve_lp(self,
+                                                             monkeypatch):
+        """An undershooting bound (6; ring8 AtoA needs K = 8) costs the
+        search an attempt, not the answer — it used to give up at the
+        estimate where ``solve_lp`` retried at 12. An explicit
+        ``max_epochs`` stays a hard cap on the rungs."""
+        monkeypatch.setattr(epochs_module, "path_based_epoch_bound",
+                            lambda topology, demand, plan, copy=None: 6)
+        ring8 = topology.ring(8, capacity=1.0)
+        demand = collectives.alltoall(ring8.gpus, 1)
+        plain = solve_lp(ring8, demand, cfg())
+        assert plain.plan.num_epochs == 12
+        assert plain.result.stats["horizon_attempts"] == 2
+        best = minimize_epochs_lp(ring8, demand, cfg())
+        assert best.plan.num_epochs == 8
+        assert best.result.stats["horizon_attempts"] == 2
+        assert minimize_epochs_lp(ring8, demand, cfg(),
+                                  max_epochs=9).plan.num_epochs == 8
+        with pytest.raises(InfeasibleError):
+            minimize_epochs_lp(ring8, demand, cfg(), max_epochs=7)
 
 
 class TestBufferLimitLp:

@@ -47,7 +47,7 @@ class TestBroadcastLine:
         cold ladder succeeds on its third rung, K=12 — and so must the
         hinted one: the rung below the bound is free."""
         monkeypatch.setattr(epochs_module, "path_based_epoch_bound",
-                            lambda topology, demand, plan: 3)
+                            lambda topology, demand, plan, copy=None: 3)
         line8 = topology.line(8, capacity=1.0)
         demand = collectives.broadcast(0, line8.gpus, 1)
         out = solve_milp(line8, demand, cfg(), initial_epochs=hint)

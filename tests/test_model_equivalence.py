@@ -10,6 +10,10 @@ bit-for-bit — over the randomized instance sweep
 aggregated-commodity variants, and the A* round models (injections, capacity
 carry, relaxed completion, overhang) captured from live ``solve_astar`` runs.
 The solve facades' objectives and finish times are pinned the same way.
+
+The digests pin the *builders*, not the horizon estimate: every builder
+entry names the ``num_epochs`` it was dumped at (the path bound of that
+commit, recorded at 791f48f) and the tests build at exactly that K.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import pytest
 from repro import collectives, topology
 from repro.baselines import taccl_like
 from repro.core import TecclConfig, astar, symmetry
-from repro.core.epochs import build_epoch_plan, path_based_epoch_bound
+from repro.core.epochs import build_epoch_plan
 from repro.core.lp import LpBuilder, solve_lp
 from repro.core.milp import MilpBuilder, solve_milp
 from repro.errors import InfeasibleError, ModelError, ScheduleError
@@ -45,10 +49,9 @@ SEEDS = list(range(24))
 SOLVE_SEEDS = list(range(8))
 
 
-def _plan_for(topo, demand, config):
-    probe = build_epoch_plan(topo, config, num_epochs=1)
-    horizon = path_based_epoch_bound(topo, demand, probe)
-    return build_epoch_plan(topo, config, num_epochs=horizon)
+def _plan_for(topo, config, pin):
+    """The plan at the horizon ``pin`` names."""
+    return build_epoch_plan(topo, config, num_epochs=pin["num_epochs"])
 
 
 def _plain(key):
@@ -98,16 +101,21 @@ def model_digest(problem) -> dict:
     }
 
 
-def quotient_digest(topo, demand) -> dict:
+def pinned_digest(problem) -> dict:
+    """:func:`model_digest` as the builder pins hold it: with its horizon."""
+    return {"num_epochs": problem.plan.num_epochs, **model_digest(problem)}
+
+
+def quotient_digest(topo, demand, num_epochs) -> dict:
     """Fingerprint of the *reduced* model ``reduce_lp`` hands to HiGHS."""
     config = TecclConfig(chunk_bytes=1.0)
-    problem = LpBuilder(topo, demand, config,
-                        _plan_for(topo, demand, config)).build()
+    plan = build_epoch_plan(topo, config, num_epochs=num_epochs)
+    problem = LpBuilder(topo, demand, config, plan).build()
     orbit_map = symmetry.reduce_lp(
         problem.model, symmetry.find_generators(topo, demand),
         problem.model.num_vars, problem.f_vars, problem.b_vars,
         problem.r_vars)
-    return compiled_digest(orbit_map.reduced)
+    return {"num_epochs": num_epochs, **compiled_digest(orbit_map.reduced)}
 
 
 def _scaled_capacity_config(topo, config, seed):
@@ -204,31 +212,35 @@ class TestCompileEquality:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_lp_paths_identical(self, seed, make_instance):
         topo, demand, config = make_instance(seed)
-        plan = _plan_for(topo, demand, config)
+        pin = GOLDEN["lp"][str(seed)]
+        plan = _plan_for(topo, config, pin)
         problem = LpBuilder(topo, demand, config, plan).build()
-        assert model_digest(problem) == GOLDEN["lp"][str(seed)]
+        assert pinned_digest(problem) == pin
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_milp_paths_identical(self, seed, make_instance):
         topo, demand, config = make_instance(seed)
-        plan = _plan_for(topo, demand, config)
+        pin = GOLDEN["milp"][str(seed)]
+        plan = _plan_for(topo, config, pin)
         problem = MilpBuilder(topo, demand, config, plan).build()
-        assert model_digest(problem) == GOLDEN["milp"][str(seed)]
+        assert pinned_digest(problem) == pin
 
     @pytest.mark.parametrize("seed", SEEDS[:4])
     def test_lp_pop_capacity_fn_identical(self, seed, make_instance):
         topo, demand, config = make_instance(seed)
         config = _scaled_capacity_config(topo, config, seed)
-        plan = _plan_for(topo, demand, config)
+        pin = GOLDEN["lp_capacity_fn"][str(seed)]
+        plan = _plan_for(topo, config, pin)
         problem = LpBuilder(topo, demand, config, plan).build()
-        assert model_digest(problem) == GOLDEN["lp_capacity_fn"][str(seed)]
+        assert pinned_digest(problem) == pin
 
     @pytest.mark.parametrize("seed", SEEDS[:6])
     def test_lp_aggregated_commodities_identical(self, seed, make_instance):
         topo, demand, config = _aggregated_instance(seed, make_instance)
-        plan = _plan_for(topo, demand, config)
+        pin = GOLDEN["lp_aggregated"][str(seed)]
+        plan = _plan_for(topo, config, pin)
         problem = LpBuilder(topo, demand, config, plan).build()
-        assert model_digest(problem) == GOLDEN["lp_aggregated"][str(seed)]
+        assert pinned_digest(problem) == pin
 
 
 @pytest.mark.symmetry
@@ -247,7 +259,8 @@ class TestQuotientPins:
     def test_reduced_model_matches_pin(self, name):
         topo = self.CASES[name]()
         demand = collectives.alltoall(topo.gpus, 1)
-        assert quotient_digest(topo, demand) == GOLDEN["quotient"][name]
+        pin = GOLDEN["quotient"][name]
+        assert quotient_digest(topo, demand, pin["num_epochs"]) == pin
 
 
 class TestSolveEquality:
@@ -268,12 +281,12 @@ class TestEdgeCases:
         (switches never buffer; regression for ``node_pos[-1]`` indexing)."""
         demand = collectives.allgather(star3.gpus, 1)
         config = TecclConfig(chunk_bytes=1.0, buffer_limit_chunks=2)
-        plan = _plan_for(star3, demand, config)
+        plan = _plan_for(star3, config, GOLDEN["switch_holders"])
         holders = {q: {q[0]} | set(star3.switches)
                    for q in demand.commodities()}
         problem = MilpBuilder(star3, demand, config, plan,
                               initial_holders=holders).build()
-        assert model_digest(problem) == GOLDEN["switch_holders"]
+        assert pinned_digest(problem) == GOLDEN["switch_holders"]
 
     def test_injections_must_land_in_gpu_buffers(self, star3):
         """The recurrence rows that carry injections exist for GPU buffers
@@ -281,7 +294,7 @@ class TestEdgeCases:
         instead of silently dropping the in-flight chunk."""
         demand = collectives.allgather(star3.gpus, 1)
         config = TecclConfig(chunk_bytes=1.0)
-        plan = _plan_for(star3, demand, config)
+        plan = _plan_for(star3, config, GOLDEN["switch_holders"])
         gpu, switch = star3.gpus[1], min(star3.switches)
         with pytest.raises(ModelError, match="injections"):
             MilpBuilder(star3, demand, config, plan,

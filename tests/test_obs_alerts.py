@@ -189,15 +189,56 @@ class TestAlertEngine:
         assert alert.rule.name == "only"
 
     def test_builtin_rules_are_the_roadmap_six(self):
+        """... and ``horizon_retry_rate``, the seventh."""
         assert sorted(rule.name for rule in builtin_rules()) == [
             "cache_hit_rate_floor",
             "conformance_failures",
             "fleet_rollbacks",
+            "horizon_retry_rate",
             "serve_latency_p99_ceiling",
             "symmetry_fallback_rate",
             "wal_append_latency_p99",
         ]
 
+
+    def test_horizon_retry_rate_counts_what_the_ladder_climbs(self,
+                                                              monkeypatch):
+        """An undershooting first rung is a decision with a counter: the
+        ladder books every solve and every re-solved rung in the process
+        registry, the rule fires past one retry in four over >= 8 solves,
+        and the explain record shows the slack that was built."""
+        from repro import collectives, topology
+        from repro.core import TecclConfig, epochs, synthesize
+        from repro.obs.metrics import get_registry
+
+        [rule] = [r for r in builtin_rules()
+                  if r.name == "horizon_retry_rate"]
+        assert rule.evaluate({"horizon_solves_total": 7.0,
+                              "horizon_retries_total": 7.0}) is None
+        assert rule.evaluate({"horizon_solves_total": 8.0,
+                              "horizon_retries_total": 2.0}) is None
+        assert rule.evaluate({"horizon_solves_total": 8.0,
+                              "horizon_retries_total": 3.0}) is not None
+
+        def counts():
+            flat = flatten_snapshot(get_registry().snapshot())
+            return (flat.get("horizon_solves_total", 0.0),
+                    flat.get("horizon_retries_total", 0.0))
+
+        ring8 = topology.ring(8, capacity=1.0)
+        demand = collectives.alltoall(ring8.gpus, 1)
+        config = TecclConfig(chunk_bytes=1.0)
+        solves, retries = counts()
+        result = synthesize(ring8, demand, config)
+        assert counts() == (solves + 1, retries)
+        solve = result.explain
+        assert solve["finish_epoch"] == result.schedule.finish_epoch \
+            < solve["horizon_epochs"] == 12
+        monkeypatch.setattr(epochs, "path_based_epoch_bound",
+                            lambda topology, demand, plan, copy=None: 3)
+        result = synthesize(ring8, demand, config)
+        assert result.explain["stats"]["horizon_attempts"] == 3
+        assert counts() == (solves + 2, retries + 2)
 
 # ----------------------------------------------------------------------
 # ExplainRecord

@@ -77,9 +77,34 @@ def topology_and_demand(draw):
     return topo, demand
 
 
-def horizon_for(topo, demand, cfg) -> int:
+def horizon_for(topo, demand, cfg, *, copy=None) -> int:
+    """The first auto-horizon rung, fed back as an explicit ``num_epochs``;
+    a no-copy LP on a multicast demand must ask for ``copy=False``."""
     probe = build_epoch_plan(topo, cfg, 1)
-    return path_based_epoch_bound(topo, demand, probe)
+    return path_based_epoch_bound(topo, demand, probe, copy=copy)
+
+
+def min_time_seconds(topo, chunk_bytes: float) -> dict[int, dict[int, float]]:
+    """All-pairs fastest single-chunk delivery time (α + β·S per hop): the
+    physics oracle no schedule may beat."""
+    import heapq
+
+    out_adj, _ = topo.adjacency()
+    dist: dict[int, dict[int, float]] = {}
+    for src in topo.nodes:
+        d = {src: 0.0}
+        heap = [(0.0, src)]
+        while heap:
+            cost, node = heapq.heappop(heap)
+            if cost > d.get(node, float("inf")):
+                continue
+            for link in out_adj[node]:
+                new = cost + link.transfer_time(chunk_bytes)
+                if new < d.get(link.dst, float("inf")):
+                    d[link.dst] = new
+                    heapq.heappush(heap, (new, link.dst))
+        dist[src] = d
+    return dist
 
 
 # ----------------------------------------------------------------------
@@ -121,8 +146,9 @@ class TestMilpProperties:
         time and may buy speed with longer detours.)"""
         topo, demand = case
         cfg = TecclConfig(chunk_bytes=1.0, solver=_LIMIT,
-                          num_epochs=horizon_for(topo, demand,
-                                                 TecclConfig(chunk_bytes=1.0)))
+                          num_epochs=horizon_for(
+                              topo, demand, TecclConfig(chunk_bytes=1.0),
+                              copy=False))
         lp = solve_lp(topo, demand, cfg, aggregate=False)
         assert lp.schedule.total_bytes() >= \
             demand.num_triples * cfg.chunk_bytes - 1e-6
@@ -169,8 +195,6 @@ class TestAstarProperties:
         not always minimise the makespan and A* can legitimately produce a
         shorter schedule.)
         """
-        from repro.core.epochs import min_time_seconds
-
         topo, demand = case
         seconds = min_time_seconds(topo, 1.0)
         bound = max(seconds[s][d] for s, c in demand.commodities()
@@ -196,8 +220,9 @@ class TestLpProperties:
     def test_lp_meets_all_demands(self, case):
         topo, demand = case
         cfg = TecclConfig(chunk_bytes=1.0, solver=_LIMIT,
-                          num_epochs=horizon_for(topo, demand,
-                                                 TecclConfig(chunk_bytes=1.0)))
+                          num_epochs=horizon_for(
+                              topo, demand, TecclConfig(chunk_bytes=1.0),
+                              copy=False))
         out = solve_lp(topo, demand, cfg, aggregate=False)
         for s, c in demand.commodities():
             for d in demand.destinations(s, c):
@@ -209,8 +234,9 @@ class TestLpProperties:
     def test_lp_capacity_never_violated(self, case):
         topo, demand = case
         cfg = TecclConfig(chunk_bytes=1.0, solver=_LIMIT,
-                          num_epochs=horizon_for(topo, demand,
-                                                 TecclConfig(chunk_bytes=1.0)))
+                          num_epochs=horizon_for(
+                              topo, demand, TecclConfig(chunk_bytes=1.0),
+                              copy=False))
         out = solve_lp(topo, demand, cfg, aggregate=False)
         for (i, j) in topo.links:
             for k in range(out.plan.num_epochs):

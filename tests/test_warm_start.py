@@ -15,11 +15,12 @@ import pytest
 
 from repro import collectives, topology
 from repro.core import TecclConfig
+from repro.core import epochs as epochs_module
 from repro.core import lp as lp_module
 from repro.core import pop as pop_module
 from repro.core.epochs import build_epoch_plan, path_based_epoch_bound
 from repro.core.lp import (IncrementalLp, LpBuilder, _minimize_epochs_cold,
-                           _minimize_epochs_incremental, minimize_epochs_lp)
+                           minimize_epochs_lp)
 from repro.core.pop import pop_auto_horizon, solve_lp_pop
 from repro.core.solve import synthesize
 from repro.errors import ModelError, ReproError
@@ -121,7 +122,7 @@ class TestMinimizeEpochsDifferential:
             probe = build_epoch_plan(topo, config, num_epochs=1)
             cold = _minimize_epochs_cold(
                 topo, demand, config,
-                path_based_epoch_bound(topo, demand, probe))
+                path_based_epoch_bound(topo, demand, probe, copy=False))
         except ReproError:
             pytest.skip("instance infeasible for the horizon search")
         assert warm.plan.num_epochs == cold.plan.num_epochs
@@ -138,8 +139,10 @@ class TestMinimizeEpochsDifferential:
     @pytest.mark.parametrize("seed", range(8))
     def test_undershot_estimate_rebuilds_and_equals_cold(self, seed,
                                                          monkeypatch):
-        """``estimate=2`` is infeasible on every one of these instances, so
-        the anchor loop must rebuild at 4, 8, … before it can descend."""
+        """A bound of 3 is infeasible on every one of these instances
+        (they need 4 to 12 epochs), so the anchor must climb the ladder —
+        rebuilding at 6, 12, capped at ``max_epochs`` — before it can
+        descend."""
         built = []
 
         class Recording(IncrementalLp):
@@ -150,12 +153,14 @@ class TestMinimizeEpochsDifferential:
         monkeypatch.setattr(lp_module, "IncrementalLp", Recording)
         topo, demand, config = random_instance(seed)
         probe = build_epoch_plan(topo, config, num_epochs=1)
-        bound = path_based_epoch_bound(topo, demand, probe)
-        warm = _minimize_epochs_incremental(topo, demand, config, bound,
-                                            estimate=2)
+        bound = path_based_epoch_bound(topo, demand, probe, copy=False)
+        monkeypatch.setattr(epochs_module, "path_based_epoch_bound",
+                            lambda topology, demand, plan, copy=None: 3)
+        warm = minimize_epochs_lp(topo, demand, config, max_epochs=bound)
         cold = _minimize_epochs_cold(topo, demand, config, bound)
-        assert len(built) >= 2 and built[0] == 2
+        assert len(built) >= 2 and built[0] == 3
         assert built[1:] == [min(bound, 2 * k) for k in built[:-1]]
+        assert warm.result.stats["horizon_attempts"] == len(built)
         assert warm.plan.num_epochs == cold.plan.num_epochs
         assert warm.result.objective == pytest.approx(
             cold.result.objective, rel=TOL)

@@ -28,6 +28,11 @@ adapter module, and the expression algebra of ``repro.solver``
 (``Variable``, ``LinExpr``, ``Constraint``, ``Relation``, ``quicksum``) —
 with it the ``Model`` methods that consumed it (``add_var``,
 ``add_constr``, ``set_objective``, ``var``): a model is stated as arrays.
+So are the paper's Algorithm 1 horizon sweep and its helpers
+(``algorithm1_num_epochs``, ``candidate_completion_times``,
+``lp_feasible_horizon``, ``min_time_seconds``): measured against the
+load-spread path bound it lost — its coarse grids are as large as the tight
+model itself — and the horizon ladder starts from one estimate.
 
 One retired *parameter* is checked by signature: ``sink`` on
 ``Planner.__init__`` and ``AdaptationController.__init__``. Tracing is
@@ -53,7 +58,12 @@ RETIRED = frozenset({"construction", "incremental", "track_rows",
 RETIRED_EXPORTS = (
     ("repro.obs", "rspan"), ("repro.simulate", "simulator"),
     *(("repro.solver", name) for name in (
-        "Variable", "LinExpr", "Constraint", "Relation", "quicksum")))
+        "Variable", "LinExpr", "Constraint", "Relation", "quicksum")),
+    ("repro.core", "algorithm1_num_epochs"),
+    ("repro.core.epochs", "algorithm1_num_epochs"),
+    ("repro.core.epochs", "candidate_completion_times"),
+    ("repro.core.epochs", "min_time_seconds"),
+    ("repro.core.lp", "lp_feasible_horizon"))
 
 #: (module, class, attribute) triples: the class must not have it
 RETIRED_METHODS = tuple(

@@ -53,7 +53,7 @@ def _controller(topo, planner, wal=None):
 def _append_cost_s(tmp_path) -> float:
     """Median cost of one durable append of a decision-sized record."""
     record = {"job": "job-0", "time": 3.0, "action": "replan",
-              "reason": "warm replan on the live fabric",
+              "reason": "replan on the live fabric",
               "predicted": 1.5, "active_finish": 1.0,
               "new_finish": 1.2, "solve_time": 0.004}
     wal = WriteAheadLog(tmp_path / "append.wal", fsync=False)

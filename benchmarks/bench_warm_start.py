@@ -1,8 +1,7 @@
-"""Warm vs cold re-solving: what model reuse and seeded horizons buy.
+"""Warm vs cold horizon search: what one built model, many horizons buys.
 
-Two production re-solve loops, cold (build + solve from scratch per
-attempt) against warm (one built model with bound-restricted probes;
-horizons seeded by a prior result):
+Cold (build + solve from scratch per attempt) against warm (one built
+model with bound-restricted probes):
 
 * **Horizon search** — the §6 ``minimize_epochs`` binary search at Table-4
   scale, run with a generous search bound (the paper's Algorithm-1-style
@@ -11,8 +10,6 @@ horizons seeded by a prior result):
   the cheap path estimate on one shared model and its cost is independent
   of the bound: at most three solves under a 4x-loose bound. The measured
   ratio (1.4-1.5x on a 2-core host) is published, not asserted.
-* **Replanning** — a perturbed fabric re-solved seeded by the prior
-  result (`replan`), against a from-scratch `synthesize`.
 
 Publishes ``benchmarks/results/BENCH_warm_start.json`` with the build/solve
 splits and asserts what repeats exactly: the warm==cold result agreement,
@@ -29,8 +26,6 @@ from repro.analysis import Table
 from repro.core import TecclConfig
 from repro.core.epochs import build_epoch_plan, path_based_epoch_bound
 from repro.core.lp import _minimize_epochs_cold, minimize_epochs_lp
-from repro.core.solve import synthesize
-from repro.failures import replan
 from repro.solver import SolverOptions
 
 
@@ -79,42 +74,14 @@ def test_warm_start_speedup(benchmark):
         "K cold": cold.plan.num_epochs, "K warm": warm.plan.num_epochs,
         "warm solves": warm.result.stats.get("horizon_solves")})
 
-    # -- replanning a perturbed fabric, seeded by the prior solution -----
-    ring = topology.ring(16, capacity=1.0)
-    ring_demand = collectives.alltoall(ring.gpus, 1)
-    ring_config = TecclConfig(chunk_bytes=1.0,
-                              solver=SolverOptions(time_limit=120))
-    prior = synthesize(ring, ring_demand, ring_config)
-    perturbed = topology.scale_capacity(ring, 0.8,
-                                        name="ring16-renegotiated")
-    seeded, seeded_s = _timed(replan, prior, perturbed, ring_demand,
-                              ring_config)
-    scratch, scratch_s = _timed(synthesize, perturbed, ring_demand,
-                                ring_config)
-    results["replan"] = {
-        "topology": perturbed.name,
-        "cold_s": scratch_s, "warm_s": seeded_s,
-        "speedup": scratch_s / seeded_s,
-        "k_seeded": seeded.plan.num_epochs,
-        "k_cold": scratch.plan.num_epochs,
-        "seeded_finish": seeded.finish_time,
-        "cold_finish": scratch.finish_time,
-    }
-    table.add("replan (perturbed fabric)", **{
-        "cold s": round(scratch_s, 2), "warm s": round(seeded_s, 2),
-        "speedup": round(scratch_s / seeded_s, 2),
-        "K cold": scratch.plan.num_epochs,
-        "K warm": seeded.plan.num_epochs, "warm solves": 1})
-
     write_result(
         "warm_start", table.render(),
         json_name="BENCH_warm_start",
         data={
             "scenarios": results,
             "note": "cold = fresh build+solve per attempt; warm = one "
-                    "built model with bound-restricted probes (horizon "
-                    "search) or a horizon seeded by the prior result "
-                    "(replan). Asserted: same K and objective as the "
+                    "built model with bound-restricted probes. "
+                    "Asserted: same K and objective as the "
                     "cold search, <= 3 warm solves, warm faster than "
                     "cold; the speedup itself is published as measured.",
         },

@@ -6,10 +6,9 @@ collectives such as topology design and adapting to failures").
 A DGX1 loses one NVLink pair mid-training. Ring-based schedules (NCCL-style)
 break outright — the ring through the dead link no longer exists — while
 TE-CCL just re-plans on the degraded fabric and routes around the failure at
-a modest bandwidth cost. The re-plan goes through ``replan``: the healthy
-schedule seeds the re-solve (its achieved finish time sizes the new model,
-far tighter than the cold horizon bound) and the result is replayed through
-the conformance oracle before it is trusted.
+a modest bandwidth cost. The re-plan is a plain ``synthesize`` on the
+degraded fabric, replayed through the conformance oracle before it is
+trusted.
 
 Run:  python examples/failure_adaptation.py
 """
@@ -20,7 +19,6 @@ from repro import collectives, topology
 from repro.baselines import find_ring
 from repro.core import TecclConfig, synthesize
 from repro.errors import TopologyError
-from repro.failures import replan
 from repro.simulate import check_schedule
 from repro.topology import without_links
 
@@ -47,16 +45,14 @@ except TopologyError:
     print(f"ring baseline  : ring {ring} is broken -> NCCL-style schedule "
           "unusable")
 
-# replan seeds the degraded-fabric solve from the healthy schedule and
-# gates the result on a conformance replay — warm, and vetted. The fixed
-# horizon is dropped so the warm hint sizes the new model.
-adapted = replan(baseline, degraded, demand,
-                 replace(config, num_epochs=None))
+# re-plan on the degraded fabric. The fixed horizon is dropped (it was
+# sized for the healthy fabric) so the path bound sizes the new model.
+adapted = synthesize(degraded, demand, replace(config, num_epochs=None))
 check_schedule(adapted.schedule, degraded, demand,
                adapted.plan).raise_on_violation()
 slowdown = 100 * (adapted.finish_time - baseline.finish_time) \
     / baseline.finish_time
 print(f"re-planned     : finish {adapted.finish_time * 1e6:6.2f} us "
       f"({adapted.schedule.num_sends} sends, {slowdown:+.1f}% vs healthy, "
-      f"K={adapted.plan.num_epochs} seeded from the healthy solve)")
+      f"K={adapted.plan.num_epochs})")
 print("schedule validated on the degraded fabric")

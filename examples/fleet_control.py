@@ -7,7 +7,7 @@ congestion drags one link to 40% of its declared bandwidth. Nobody calls
 EWMA estimator (with hysteresis, so one noisy probe cannot thrash the
 planner) reclassifies the link as degraded, the cost gate decides the
 predicted finish-time regression is worth a re-solve, and the controller
-warm-replans through the planner service. The adapted schedule is replayed
+replans through the planner service. The adapted schedule is replayed
 through the conformance oracle *before* it replaces the incumbent — the
 registry refuses to activate anything else.
 
@@ -52,6 +52,6 @@ print(f"adapted        : finish {active.result.finish_time:.2f} s on the "
       f"live fabric, conformance-vetted before activation")
 print(f"bookkeeping    : {stats['transitions']} transition(s), "
       f"{stats['replans']} replan(s), {stats['rollbacks']} rollback(s), "
-      f"{planner_stats['replans']} warm-seeded solve(s)")
+      f"{planner_stats['solves']} solve(s)")
 assert stats["rollbacks"] == 0 and active.conformance_ok is True
 print("zero non-conformant schedules activated: ok")

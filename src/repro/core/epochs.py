@@ -307,13 +307,11 @@ def horizon_bound(topology: Topology, demand: Demand, config: TecclConfig,
 
 
 def next_horizon(num_epochs: int, bound: int | None) -> int:
-    """One step up the retry ladder for infeasible auto horizons.
+    """One step up the retry ladder for infeasible auto horizons: double.
 
-    An undershot warm hint steps up to the sound path bound first (the
-    horizon a cold solve would have used), then doubles.
+    Every rung starts at ``bound`` or above, so it decides nothing; the
+    parameter stays for the ledger's staged replica, which passes it.
     """
-    if bound is not None and num_epochs < bound:
-        return bound
     return num_epochs * 2
 
 
@@ -322,8 +320,7 @@ HORIZON_ATTEMPTS = 3
 
 
 def horizon_ladder(topology: Topology, demand: Demand, config: TecclConfig,
-                   *, initial_epochs: int | None = None, stretch=None,
-                   copy: bool | None = None):
+                   *, stretch=None, copy: bool | None = None):
     """Yield ``(attempt, num_epochs)``: the horizons a solve tries in turn.
 
     The whole auto-horizon policy of the LP, MILP and POP facades: every
@@ -336,13 +333,8 @@ def horizon_ladder(topology: Topology, demand: Demand, config: TecclConfig,
       copies or not (``copy``, see :func:`path_based_epoch_bound`) —
       ``stretch(bound)`` for callers whose sub-problems need more room
       than the joint bound (POP's capacity split) — each next rung is
-      :func:`next_horizon`, and :data:`HORIZON_ATTEMPTS` rungs are tried
-      from the bound up: bound, 2·bound, 4·bound.
-    * ``initial_epochs`` is a warm hint. It may only *shrink* the model
-      (its estimates can overshoot the grid; the bound is what a cold
-      solve would build), and a hinted rung below the bound is free: a
-      hint can cost an attempt, never a feasible answer the cold ladder
-      would have reached.
+      :func:`next_horizon`, and :data:`HORIZON_ATTEMPTS` rungs are
+      tried: bound, 2·bound, 4·bound.
     """
     if config.num_epochs is not None:
         yield 1, config.num_epochs
@@ -350,14 +342,8 @@ def horizon_ladder(topology: Topology, demand: Demand, config: TecclConfig,
     bound = horizon_bound(topology, demand, config, copy=copy)
     if stretch is not None:
         bound = stretch(bound)
-    num_epochs = bound if initial_epochs is None \
-        else max(2, min(initial_epochs, bound))
-    attempt = 0
-    remaining = HORIZON_ATTEMPTS
-    while remaining:
-        attempt += 1
-        if num_epochs >= bound:
-            remaining -= 1
+    num_epochs = bound
+    for attempt in range(1, HORIZON_ATTEMPTS + 1):
         yield attempt, num_epochs
         num_epochs = next_horizon(num_epochs, bound)
 

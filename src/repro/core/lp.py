@@ -564,16 +564,13 @@ class IncrementalLp:
 # facades
 # ----------------------------------------------------------------------
 def solve_lp(topology: Topology, demand: Demand, config: TecclConfig,
-             *, aggregate: bool = True,
-             initial_epochs: int | None = None) -> LpOutcome:
+             *, aggregate: bool = True) -> LpOutcome:
     """Build and solve the LP; returns a pruned fractional schedule.
 
     Like :func:`repro.core.milp.solve_milp`, the horizon climbs
     :func:`~repro.core.epochs.horizon_ladder`: an automatically estimated
     K that proves infeasible is retried at the next rung (the bound is a
-    heuristic). ``initial_epochs`` is the warm-start hint a
-    :func:`repro.failures.repair.replan` derives from a prior solution's
-    achieved extent.
+    heuristic).
     """
     def solve_at(num_epochs: int) -> LpOutcome:
         plan = build_epoch_plan(topology, config, num_epochs=num_epochs)
@@ -581,8 +578,7 @@ def solve_lp(topology: Topology, demand: Demand, config: TecclConfig,
                             aggregate=aggregate)
 
     attempt, num_epochs, outcome = first_feasible_rung(
-        horizon_ladder(topology, demand, config, copy=False,
-                       initial_epochs=initial_epochs), solve_at)
+        horizon_ladder(topology, demand, config, copy=False), solve_at)
     outcome.result.stats["horizon_attempts"] = attempt
     outcome.result.stats["horizon_epochs"] = num_epochs
     return outcome

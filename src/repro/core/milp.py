@@ -659,8 +659,8 @@ class MilpBuilder:
 # solve facade
 # ----------------------------------------------------------------------
 def solve_milp(topology: Topology, demand: Demand, config: TecclConfig,
-               *, hyper_groups: list[HyperEdgeGroup] | None = None,
-               initial_epochs: int | None = None) -> MilpOutcome:
+               *, hyper_groups: list[HyperEdgeGroup] | None = None
+               ) -> MilpOutcome:
     """Build and solve the general formulation; returns a pruned schedule.
 
     With an explicit ``num_epochs`` an infeasible horizon raises
@@ -668,16 +668,13 @@ def solve_milp(topology: Topology, demand: Demand, config: TecclConfig,
     bound is a heuristic (side constraints such as hyper-edge usage limits
     can invalidate it), so the solve climbs
     :func:`~repro.core.epochs.horizon_ladder` before giving up.
-    ``initial_epochs`` is a warm hint — typically derived from a prior
-    solution's achieved extent by :func:`repro.failures.repair.replan`.
     """
     def solve_at(num_epochs: int) -> MilpOutcome:
         plan = build_epoch_plan(topology, config, num_epochs=num_epochs)
         return _solve_milp_at(topology, demand, config, plan, hyper_groups)
 
     attempt, num_epochs, outcome = first_feasible_rung(
-        horizon_ladder(topology, demand, config,
-                       initial_epochs=initial_epochs), solve_at)
+        horizon_ladder(topology, demand, config), solve_at)
     outcome.result.stats["horizon_attempts"] = attempt
     outcome.result.stats["horizon_epochs"] = num_epochs
     return outcome

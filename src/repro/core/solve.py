@@ -10,13 +10,12 @@ transformation and the multi-tenant merge of §5.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 
 from repro.collectives.demand import Demand, TenantDemand, merge_tenants
 from repro.core.astar import AStarOutcome, solve_astar
 from repro.core.config import AStarConfig, SwitchModel, TecclConfig
-from repro.core.epochs import EpochPlan, epoch_duration
+from repro.core.epochs import EpochPlan
 from repro.core.lp import LpOutcome, minimize_epochs_lp, solve_lp
 from repro.core.milp import MilpOutcome, solve_milp
 from repro.core.schedule import FlowSchedule, Schedule
@@ -168,7 +167,6 @@ def synthesize(topology: Topology, demand: Demand, config: TecclConfig, *,
                method: Method = Method.AUTO,
                astar_config: AStarConfig | None = None,
                minimize_epochs: bool = False,
-               warm_from: SynthesisResult | None = None,
                symmetry: str | None = None) -> SynthesisResult:
     """Synthesize routes and a schedule for one collective demand.
 
@@ -184,36 +182,24 @@ def synthesize(topology: Topology, demand: Demand, config: TecclConfig, *,
         minimize_epochs: for the LP, binary-search the smallest feasible
             horizon instead of solving one fixed horizon (§6's procedure for
             the numerically tricky large ALLTOALLs).
-        warm_from: a prior result for a near-identical instance (same or
-            perturbed fabric/demand). With the automatic horizon, its
-            achieved finish time seeds the horizon estimate — tighter
-            than the cold path bound wherever one slow or shared link
-            inflates it, so the re-solve builds a smaller model (the
-            horizon ladder makes a too-tight seed safe). Exactness is untouched: the seed
-            changes how many epochs are modelled, never the optimum within
-            them.
     """
     if symmetry is not None:
         config = replace(config,
                          solver=replace(config.solver, symmetry=symmetry))
     with _obs_span("synthesize", method=method.value,
                    gpus=len(topology.gpus),
-                   minimize_epochs=minimize_epochs,
-                   warm=warm_from is not None) as sp:
+                   minimize_epochs=minimize_epochs) as sp:
         with _flight.collect_phases() as phases:
             result = _synthesize(topology, demand, config, method=method,
                                  astar_config=astar_config,
-                                 minimize_epochs=minimize_epochs,
-                                 warm_from=warm_from)
+                                 minimize_epochs=minimize_epochs)
         sp.set_attr(resolved_method=result.method.value,
                     finish_time=result.finish_time)
-        result.explain = _build_explain(result, warm_from is not None,
-                                        phases)
+        result.explain = _build_explain(result, phases)
         return result
 
 
-def _build_explain(result: SynthesisResult, warm_seeded: bool,
-                   phases: dict) -> dict:
+def _build_explain(result: SynthesisResult, phases: dict) -> dict:
     """The solve-side provenance dict riding a fresh SynthesisResult.
 
     Everything here is lifted from data the solve already produced (the
@@ -237,7 +223,6 @@ def _build_explain(result: SynthesisResult, warm_seeded: bool,
         "solve_time": result.solve_time,
         "horizon_epochs": result.plan.num_epochs,
         "finish_epoch": result.schedule.finish_epoch,
-        "warm_seeded": warm_seeded,
         "hyper_transform": result.hyper is not None,
         "stats": stats,
         "phases": {name: round(dur, 6) for name, dur in phases.items()},
@@ -246,8 +231,7 @@ def _build_explain(result: SynthesisResult, warm_seeded: bool,
 
 def _synthesize(topology: Topology, demand: Demand, config: TecclConfig, *,
                 method: Method, astar_config: AStarConfig | None,
-                minimize_epochs: bool,
-                warm_from: SynthesisResult | None) -> SynthesisResult:
+                minimize_epochs: bool) -> SynthesisResult:
     work_topology = topology
     work_demand = demand
     hyper: HyperEdgeTopology | None = None
@@ -270,23 +254,18 @@ def _synthesize(topology: Topology, demand: Demand, config: TecclConfig, *,
     if method is Method.AUTO:
         method = Method.LP if not demand.benefits_from_copy() else Method.MILP
 
-    initial_epochs = _warm_horizon_hint(work_topology, config, warm_from)
-
     if method is Method.LP:
         if work_demand.benefits_from_copy():
             # Sound but deliberately weaker: LP == the no-copy ablation.
             outcome = solve_lp(work_topology, work_demand, config,
-                               aggregate=False,
-                               initial_epochs=initial_epochs)
+                               aggregate=False)
         elif minimize_epochs:
             outcome = minimize_epochs_lp(work_topology, work_demand, config)
         else:
-            outcome = solve_lp(work_topology, work_demand, config,
-                               initial_epochs=initial_epochs)
+            outcome = solve_lp(work_topology, work_demand, config)
     elif method is Method.MILP:
         outcome = solve_milp(work_topology, work_demand, config,
-                             hyper_groups=hyper_groups,
-                             initial_epochs=initial_epochs)
+                             hyper_groups=hyper_groups)
     elif method is Method.ASTAR:
         if hyper_groups:
             raise ModelError(
@@ -301,31 +280,6 @@ def _synthesize(topology: Topology, demand: Demand, config: TecclConfig, *,
         finish_time=outcome.finish_time, solve_time=outcome.solve_time,
         plan=outcome.plan, outcome=outcome, hyper=hyper,
         topology_used=work_topology, demand_used=work_demand, config=config)
-
-
-def _warm_horizon_hint(topology: Topology, config: TecclConfig,
-                       warm_from: SynthesisResult | None) -> int | None:
-    """Epochs the prior solution suggests the new instance needs.
-
-    Two estimates, take the larger (overshooting is safe — the solvers
-    clamp the hint to the sound path bound; undershooting burns an extra
-    infeasible attempt): the prior schedule's discrete epoch extent
-    (capacity-rescaled fabrics need the same *number* of epochs — the
-    per-epoch chunk capacity is scale-invariant), and its wall-clock
-    finish re-gridded onto the new instance's τ (covers τ changes from
-    chunk-size or α shifts).
-    """
-    if warm_from is None or config.num_epochs is not None:
-        return None
-    if warm_from.finish_time <= 0:
-        return None
-    tau = epoch_duration(topology, config.chunk_bytes, config.epoch_mode,
-                         config.epoch_multiplier)
-    hint = math.ceil(warm_from.finish_time / tau)
-    extent = getattr(warm_from.schedule, "finish_epoch", None)
-    if extent is not None and extent >= 0:
-        hint = max(hint, int(extent) + 1)
-    return max(2, hint + 1)
 
 
 def synthesize_multi_tenant(topology: Topology, tenants: list[TenantDemand],

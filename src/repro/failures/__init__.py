@@ -20,11 +20,11 @@ from repro.failures.inject import (FailureEvent, affected_sends,
                                    is_survivable)
 from repro.failures.repair import (ImpactRow, NetworkState, RepairOutcome,
                                    failure_impact, network_state_at,
-                                   rehome_demand, repair_schedule, replan)
+                                   rehome_demand, repair_schedule)
 
 __all__ = [
     "FailureEvent", "degraded_topology", "degraded_capacity_fn",
     "affected_sends", "is_survivable",
     "NetworkState", "network_state_at", "rehome_demand", "repair_schedule",
-    "replan", "RepairOutcome", "ImpactRow", "failure_impact",
+    "RepairOutcome", "ImpactRow", "failure_impact",
 ]

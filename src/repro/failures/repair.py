@@ -63,7 +63,14 @@ def network_state_at(schedule: Schedule, topology: Topology, demand: Demand,
     Sends that *start* before ``epoch`` execute (fail-stop lets in-flight
     transfers finish); a copy counts as held only once its arrival lands at
     a GPU by the start of ``epoch`` — switches never hold chunks (§3.1).
+    A fractional :class:`FlowSchedule` has no integral send prefix to
+    replay and is rejected.
     """
+    if isinstance(schedule, FlowSchedule):
+        raise ModelError(
+            "a fractional (LP) schedule has no integral send prefix to "
+            "replay; re-synthesize on degraded_topology(topology, "
+            "failures) instead")
     if epoch < 0:
         raise ModelError("epoch must be non-negative")
     state = NetworkState(epoch=epoch)
@@ -185,18 +192,14 @@ class RepairOutcome:
 def repair_schedule(topology: Topology, demand: Demand, config: TecclConfig,
                     schedule: Schedule, plan: EpochPlan,
                     failures: list[FailureEvent], *,
-                    method: Method = Method.AUTO,
-                    warm_from: SynthesisResult | None = None,
-                    ) -> RepairOutcome:
+                    method: Method = Method.AUTO) -> RepairOutcome:
     """Abandon the schedule at the first failure and re-synthesize.
 
     The residual synthesis runs with an automatically estimated horizon
     (the original ``config.num_epochs`` was sized for the full collective,
     not the residual) and without multi-tenant priorities (they are keyed
-    by original triples, which re-homing renames). ``warm_from`` seeds that
-    horizon from a prior solution's achieved finish — the residual needs no
-    more time than the whole collective did, so the seed replaces the
-    path bound with a smaller model.
+    by original triples, which re-homing renames). ``schedule`` must be
+    integral (:func:`network_state_at`).
     """
     if not failures:
         raise ModelError("no failures to repair")
@@ -216,85 +219,11 @@ def repair_schedule(topology: Topology, demand: Demand, config: TecclConfig,
                              restart_epoch=cutoff, tau=plan.tau)
     residual_config = replace(config, num_epochs=None, priorities=None)
     synthesis = synthesize(degraded, residual, residual_config,
-                           method=method, warm_from=warm_from)
+                           method=method)
     return RepairOutcome(state=state, residual_demand=residual,
                          mapping=mapping, degraded=degraded,
                          synthesis=synthesis, restart_epoch=cutoff,
                          tau=plan.tau)
-
-
-def replan(prior: SynthesisResult, topology: Topology, demand: Demand,
-           config: TecclConfig, *,
-           failures: list[FailureEvent] | None = None,
-           method: Method = Method.AUTO,
-           check_conformance: bool = True,
-           ) -> SynthesisResult | RepairOutcome:
-    """Re-solve a perturbed instance seeded by a prior result.
-
-    The production loop this serves is a sequence of near-identical
-    instances — rank reorderings, capacity renegotiations, link failures on
-    a changing cloud fabric — where throwing the previous solve away wastes
-    exactly the solver time the paper's §6 speedups bought. ``replan``
-    seeds the re-solve from ``prior``:
-
-    * without ``failures``, it re-synthesizes ``demand`` on ``topology``
-      (both possibly perturbed) with the horizon seeded from the prior
-      finish time, and returns a fresh :class:`SynthesisResult`;
-    * with ``failures``, it delegates to :func:`repair_schedule` — the
-      prior schedule's delivered prefix is kept, the unmet remainder is
-      re-homed and re-solved on the degraded fabric — and returns the
-      :class:`RepairOutcome`.
-
-    Every warm-started schedule is replayed through the PR 3 conformance
-    oracle before it is returned (``check_conformance=False`` opts out); a
-    replay violation triggers one cold re-solve, so warm seeding can never
-    trade correctness for speed.
-
-    A fractional (LP) prior has no integral send prefix to replay, so under
-    ``failures`` it is re-planned from scratch on the degraded fabric
-    (still horizon-seeded) and the fresh :class:`SynthesisResult` is
-    returned instead of a :class:`RepairOutcome`.
-    """
-    if failures and isinstance(prior.schedule, FlowSchedule):
-        degraded = degraded_topology(topology, failures)
-        try:
-            degraded.validate()
-        except TopologyError as err:
-            raise InfeasibleError(
-                f"fabric partitioned by failures: {err}") from err
-        return replan(prior, degraded, demand,
-                      replace(config, num_epochs=None), method=method,
-                      check_conformance=check_conformance)
-    if failures:
-        outcome = repair_schedule(topology, demand, config, prior.schedule,
-                                  prior.plan, failures, method=method,
-                                  warm_from=prior)
-        if check_conformance and outcome.synthesis is not None:
-            report = outcome.check_conformance(config)
-            if report is not None and not report.ok:
-                outcome = repair_schedule(topology, demand, config,
-                                          prior.schedule, prior.plan,
-                                          failures, method=method)
-                report = outcome.check_conformance(config)
-                if report is not None and not report.ok:
-                    raise ModelError(
-                        "repair replan failed conformance replay: "
-                        + "; ".join(str(v) for v in report.violations[:3]))
-        return outcome
-    result = synthesize(topology, demand, config, method=method,
-                        warm_from=prior)
-    if check_conformance:
-        from repro.simulate import check_result
-
-        report = check_result(result, config=config)
-        if not report.ok:
-            result = synthesize(topology, demand, config, method=method)
-            report = check_result(result, config=config)
-            if not report.ok:
-                raise ModelError(
-                    "replan failed conformance replay: "
-                    + "; ".join(str(v) for v in report.violations[:3]))
-    return result
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """The fleet control plane: telemetry → estimate → replan, online.
 
 Everything below the planner service is offline machinery — solvers,
-caches, warm starts, a conformance oracle. This package is the loop that
+caches, a conformance oracle. This package is the loop that
 *drives* them from observed fabric state, turning the repo from a solver
 library into a serving system:
 
@@ -9,7 +9,7 @@ library into a serving system:
   (synthetic seeded scenarios, recorded traces);
 * :mod:`~repro.fleet.estimate` — EWMA + hysteresis fabric estimation,
   producing a live :class:`~repro.topology.Topology` view;
-* :mod:`~repro.fleet.controller` — the adaptation daemon: cost-gated warm
+* :mod:`~repro.fleet.controller` — the adaptation daemon: cost-gated
   replans through the :class:`~repro.service.Planner`, every activation
   vetted by the conformance oracle, with an active/pending/rollback
   schedule registry;

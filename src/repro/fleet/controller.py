@@ -12,9 +12,9 @@ a re-solve pays. That something is the :class:`AdaptationController`:
 3. gate replan-vs-keep on cost: the predicted finish-time regression,
    amortised over the iterations a plan serves, must outweigh the
    predicted re-solve cost (the prior solve time is the estimate);
-4. route replans through the :class:`~repro.service.Planner` — warm-seeded
-   by each job's active schedule (``warm_from=``), batched so a fabric
-   event fans out across the solve pool;
+4. route replans through the :class:`~repro.service.Planner` — one
+   ``plan_batch`` per fabric event, so distinct jobs fan out across the
+   solve pool and replicas share one solve through the fingerprint cache;
 5. vet every adapted schedule through the conformance oracle *before*
    activation; a failed replay rolls back to the incumbent. The registry
    enforces the invariant: a non-conformant schedule can never activate.
@@ -828,7 +828,7 @@ class AdaptationController:
 
         Regressions (a link got worse) replan the jobs whose schedules the
         change actually hurts, gated on amortised cost. Recoveries (a link
-        got better) *speculatively* warm-replan every job — an improved
+        got better) *speculatively* replan every job — an improved
         fabric cannot be exploited by a schedule that was planned to avoid
         the sick link — but the fresh schedule only activates if it
         actually beats the incumbent, so recovery can never cause churn.
@@ -892,7 +892,7 @@ class AdaptationController:
 
     def _replan(self, batch: list[tuple],
                 live: Topology) -> list[AdaptationDecision]:
-        """Warm-replan a batch of ``(job, incumbent, predicted finish,
+        """Replan a batch of ``(job, incumbent, predicted finish,
         speculative)`` tuples through the planner's solve pool.
 
         A ``speculative`` replan (recovery probing) only activates when it
@@ -903,9 +903,7 @@ class AdaptationController:
             return []
         requests = [self._request(job, live) for job, _, _, _ in batch]
         with _obs.span("fleet.replan", jobs=len(batch)):
-            responses = self.planner.plan_batch(
-                requests,
-                warm_from=[prior.result for _, prior, _, _ in batch])
+            responses = self.planner.plan_batch(requests)
         decisions = []
         for (job, prior, pred, probe), response in zip(batch, responses):
             # every outcome below is one decision about this job against
@@ -946,7 +944,7 @@ class AdaptationController:
             decisions.append(decide(
                 action="replan",
                 reason=("recovery probe beat the incumbent" if probe
-                        else "warm replan on the live fabric")))
+                        else "replan on the live fabric")))
         return decisions
 
     def replan_all(self, reason: str,
@@ -955,8 +953,8 @@ class AdaptationController:
         """Re-plan jobs on the current live view (admission changes).
 
         ``names`` restricts the batch (default: every job with an active
-        schedule); the replans are warm-seeded and fanned out through the
-        solve pool exactly like degradation-driven ones.
+        schedule); the replans fan out through the solve pool exactly
+        like degradation-driven ones.
         """
         with self._op_lock:
             with self._txn("replan_all", reason=reason):

@@ -11,7 +11,7 @@ plan assumes bandwidth another job was promised, and a job's admission
 only re-fingerprints — never re-formulates — its neighbours.
 
 Degradation handling rides on the :class:`~repro.fleet.controller
-.AdaptationController`: one fabric event fans warm replans out across
+.AdaptationController`: one fabric event fans replans out across
 every affected job through the planner's solve pool in a single batch.
 """
 
@@ -92,7 +92,7 @@ class FleetOrchestrator:
         """Admit a job: plan it on its share, shrink the incumbents'.
 
         The new job is planned first (its share must be feasible before
-        anyone else is disturbed); then every incumbent is warm-replanned
+        anyone else is disturbed); then every incumbent is replanned
         onto its reduced share in one batch through the solve pool.
         """
         incumbents = self.controller.registry.active_jobs()

@@ -3,10 +3,10 @@
 Every planner response (and, underneath it, every synthesis result)
 carries an :class:`ExplainRecord` — a structured answer to the
 post-hoc questions a serving operator actually asks: was this a cache
-hit, a coalesced ride-along, a near-donor warm start, a
-symmetry-collapsed alias, or a cold solve?  How many horizon attempts
-did the solver burn, how far did the symmetry quotient shrink the
-model, did conformance pass, and which phase ate the latency?
+hit, a coalesced ride-along, a symmetry-collapsed alias, or a fresh
+solve?  How many horizon attempts did the solver burn, how far did the
+symmetry quotient shrink the model, did conformance pass, and which
+phase ate the latency?
 
 The record is assembled from data the pipeline already produces — the
 planner's serve path, ``SynthesisResult`` stats, and per-phase
@@ -51,8 +51,8 @@ class ExplainRecord:
 
     ``source`` is the headline: ``"cache"`` (exact fingerprint hit),
     ``"coalesced"`` (rode an identical in-flight solve), ``"solve"``
-    (fresh synthesis — possibly warm-started from ``warm_donor``), or
-    ``"error"``. The rest is the supporting evidence.
+    (fresh synthesis), or ``"error"``. The rest is the supporting
+    evidence.
     """
 
     source: str = "solve"
@@ -60,8 +60,6 @@ class ExplainRecord:
     tag: str | None = None
     cache_hit: bool = False
     coalesced: bool = False
-    warm_donor: str | None = None
-    replan_seed: bool = False
     symmetry_collapsed: bool = False
     conformance: str = "unchecked"   # "ok" | "failed" | "unchecked"
     serve_time: float = 0.0
@@ -96,12 +94,8 @@ class ExplainRecord:
             flags.append("coalesced")
         if self.symmetry_collapsed:
             flags.append("symmetry-collapsed")
-        if self.replan_seed:
-            flags.append("replan-seeded")
         if flags:
             lines.append(f"flags         : {', '.join(flags)}")
-        if self.warm_donor:
-            lines.append(f"warm donor    : {self.warm_donor}")
         lines.append(f"conformance   : {self.conformance}")
         lines.append(f"serve time    : {self.serve_time * 1e3:.2f} ms")
         if self.error:
@@ -110,7 +104,7 @@ class ExplainRecord:
         if solve:
             lines.append("solve:")
             for key in ("method", "finish_time", "solve_time",
-                        "horizon_epochs", "finish_epoch", "warm_seeded"):
+                        "horizon_epochs", "finish_epoch"):
                 if key in solve:
                     lines.append(f"  {key:<20}: {solve[key]}")
             stats = solve.get("stats") or {}

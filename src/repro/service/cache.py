@@ -110,8 +110,6 @@ class CacheStats:
     stores: int = 0
     evictions: int = 0
     invalidations: int = 0
-    near_hits: int = 0
-    near_misses: int = 0
 
     @property
     def hits(self) -> int:
@@ -126,8 +124,6 @@ class CacheStats:
             "stores": self.stores,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
-            "near_hits": self.near_hits,
-            "near_misses": self.near_misses,
         }
 
 
@@ -163,11 +159,6 @@ class ScheduleCache:
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
         self._memory: OrderedDict[str, CacheEntry] = OrderedDict()
-        # near-fingerprint -> fingerprints sharing it, in store order (the
-        # warm-start donor index; see fingerprint.canonical_near_request)
-        self._near_index: dict[str, OrderedDict[str, None]] = {}
-        # the disk tier's envelopes are folded into the index at most once
-        self._near_disk_loaded = self.directory is None
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -190,25 +181,10 @@ class ScheduleCache:
 
     def put(self, fingerprint: str, payload: dict,
             meta: dict | None = None) -> None:
-        """Store a payload in both tiers.
-
-        ``meta["near"]``, when present, must be the request's
-        near-fingerprint; the entry is then registered as a warm-start
-        donor for its equivalence class (:meth:`get_near`). The near key
-        also lands in the disk envelope, so donor lookups survive process
-        restarts.
-        """
+        """Store a payload in both tiers; ``meta`` is free-form and rides
+        the disk envelope (``teccl cache --action list`` shows it)."""
         self._check_fingerprint(fingerprint)
         self._insert_memory(fingerprint, payload)
-        near = (meta or {}).get("near")
-        if near:
-            self._check_fingerprint(near)
-            # fold pre-restart disk donors in first, so this store really
-            # is the most recent entry of its class
-            self._load_disk_near_index()
-            index = self._near_index.setdefault(near, OrderedDict())
-            index.pop(fingerprint, None)
-            index[fingerprint] = None  # most recent donor last
         if self.directory is not None:
             envelope = make_envelope(fingerprint, payload, meta)
             path = self._path(fingerprint)
@@ -217,63 +193,11 @@ class ScheduleCache:
             tmp.replace(path)  # atomic on POSIX: readers never see half a file
         self.stats.stores += 1
 
-    def get_near(self, near_fingerprint: str) -> dict | None:
-        """Fetch a warm-start donor payload for an equivalence class.
-
-        The planner calls this on a cache *miss*: a schedule solved for the
-        same fabric shape and demand under a different horizon or a
-        uniformly rescaled capacity is a sound seed for the fresh solve.
-        Prefers the most recently stored donor. The disk tier's envelopes
-        (their ``meta`` records the near key) are folded into the index
-        **once**, on the first lookup after a restart — never a per-miss
-        directory scan. Returns ``None`` when the class has no usable
-        member.
-        """
-        self._check_fingerprint(near_fingerprint)
-        self._load_disk_near_index()
-        index = self._near_index.get(near_fingerprint)
-        if index:
-            for fingerprint in reversed(index):
-                payload = self.peek(fingerprint)
-                if payload is not None:
-                    self.stats.near_hits += 1
-                    return payload
-        self.stats.near_misses += 1
-        return None
-
-    def _load_disk_near_index(self) -> None:
-        """Fold the disk tier's near keys into the index (at most once).
-
-        Envelopes are visited oldest-mtime first so the in-memory recency
-        order (most recent donor last) survives a restart.
-        """
-        if self._near_disk_loaded:
-            return
-        self._near_disk_loaded = True
-        infos = [(info, self._path(info.fingerprint))
-                 for info in self.entries()
-                 if not info.stale and info.meta.get("near")]
-        def mtime(item):
-            try:
-                return item[1].stat().st_mtime
-            except OSError:
-                return 0.0
-        for info, _path in sorted(infos, key=mtime):
-            near = info.meta["near"]
-            try:
-                self._check_fingerprint(info.fingerprint)
-                self._check_fingerprint(near)
-            except ServiceError:
-                continue  # a mangled envelope must not poison the index
-            index = self._near_index.setdefault(near, OrderedDict())
-            index.setdefault(info.fingerprint, None)
-
     def peek(self, fingerprint: str) -> dict | None:
         """Tier lookup that touches no hit/miss counters and no LRU order.
 
         For bookkeeping-sensitive re-probes (the planner's post-
-        canonicalisation double-check) and donor validation — ``get`` is
-        the serving path.
+        canonicalisation double-check) — ``get`` is the serving path.
         """
         if fingerprint in self._memory:
             return self._memory[fingerprint].payload
@@ -303,8 +227,6 @@ class ScheduleCache:
         """
         self._check_fingerprint(fingerprint)
         removed = self._memory.pop(fingerprint, None) is not None
-        for index in self._near_index.values():
-            index.pop(fingerprint, None)
         if self.directory is not None:
             path = self._path(fingerprint)
             if path.exists():
@@ -317,7 +239,6 @@ class ScheduleCache:
         removed (an entry resident in both tiers counts once)."""
         removed = set(self._memory)
         self._memory.clear()
-        self._near_index.clear()
         if self.directory is not None:
             for path in self.directory.glob("*.json"):
                 removed.add(path.stem)
@@ -389,11 +310,5 @@ class ScheduleCache:
         self._memory[fingerprint] = CacheEntry(payload)
         self._memory.move_to_end(fingerprint)
         while len(self._memory) > self.capacity:
-            evicted, _ = self._memory.popitem(last=False)
+            self._memory.popitem(last=False)
             self.stats.evictions += 1
-            if self.directory is None:
-                # memory-only cache: the payload is gone for good, so the
-                # fingerprint must stop donating (with a disk tier the
-                # envelope still backs the index entry)
-                for index in self._near_index.values():
-                    index.pop(evicted, None)

@@ -159,13 +159,12 @@ def canonical_near_request(topology: Topology, demand: Demand,
     """The canonical document with horizon/capacity *scalars* factored out.
 
     Two requests share a near-fingerprint when they describe the same
-    fabric shape, demand and model variant but differ in the knobs a warm
-    start tolerates: the horizon ``num_epochs`` (dropped from the document)
-    and a uniform rescaling of link capacities (normalised by the fastest
-    link — a renegotiated-bandwidth fabric keeps its class). A prior
-    schedule for one member of the class is a sound *seed* for any other —
-    it informs horizon estimates, never the optimum within them — which is
-    exactly what the planner's donor lookup needs on a cache miss.
+    fabric shape, demand and model variant but differ in the horizon
+    ``num_epochs`` (dropped from the document) and a uniform rescaling of
+    link capacities (normalised by the fastest link — a
+    renegotiated-bandwidth fabric keeps its class). Nothing under ``src/``
+    consumes the class any more; the perf ledger still times it
+    (``service.fingerprint.near_us``) and it goes with that layer.
     """
     return _request_document(
         _scale_free(canonical_topology(topology)), canonical_demand(demand),

@@ -49,17 +49,13 @@ class PlannerStats(CounterFields):
     set.
 
     Fields: ``requests``, ``timeouts``, ``conformance_checks``,
-    ``conformance_failures``, ``warm_donors`` (fresh solves seeded by a
-    near-fingerprint cache donor), ``replans`` (fresh solves seeded by
-    an explicit prior result — the fleet controller's replan path),
-    ``symmetry_collapses`` (requests rewritten onto a canonical demand
-    under a topology automorphism, so symmetric variants share one cache
-    entry).
+    ``conformance_failures``, ``symmetry_collapses`` (requests rewritten
+    onto a canonical demand under a topology automorphism, so symmetric
+    variants share one cache entry).
     """
 
     _FIELDS = ("requests", "timeouts", "conformance_checks",
-               "conformance_failures", "warm_donors", "replans",
-               "symmetry_collapses")
+               "conformance_failures", "symmetry_collapses")
     _PREFIX = "planner"
     _DESCRIPTION = "planner {words} (cumulative)"
     __slots__ = ("registry", "_counters")
@@ -92,8 +88,7 @@ class Planner:
         symmetry: ``"auto"``/``"on"`` rewrite each request onto the
             lexicographically minimal relabeling of its demand under the
             topology's automorphism group before fingerprinting, so
-            symmetric requests collapse to one cache entry (and their
-            near-donor lookups cross symmetric variants); results are
+            symmetric requests collapse to one cache entry; results are
             relabeled back before being returned. ``"off"`` disables the
             rewrite. Requests with priorities, a capacity hook, or the
             hyper-edge switch model are never rewritten.
@@ -139,39 +134,21 @@ class Planner:
     # serving
     # ------------------------------------------------------------------
     def plan(self, request: PlanRequest, *,
-             timeout: float | None = None,
-             warm_from: SynthesisResult | None = None) -> PlanResponse:
-        """Serve one request; raises :class:`ReproError` on failure.
-
-        ``warm_from`` seeds a fresh solve from an explicit prior result —
-        the fleet controller's replan path, where the caller *knows* the
-        best donor (the schedule currently active for this job) and should
-        not rely on the near-fingerprint index finding it. Cache hits still
-        win: a seed only matters when the request actually solves.
-        """
-        return self._finish(*self._start(request, warm_from),
+             timeout: float | None = None) -> PlanResponse:
+        """Serve one request; raises :class:`ReproError` on failure."""
+        return self._finish(*self._start(request),
                             timeout=self._budget(timeout), raise_errors=True)
 
     def plan_batch(self, requests: list[PlanRequest], *,
-                   timeout: float | None = None,
-                   warm_from: list[SynthesisResult | None] | None = None,
-                   ) -> list[PlanResponse]:
+                   timeout: float | None = None) -> list[PlanResponse]:
         """Serve many requests; errors land in ``response.error``.
 
         All misses are submitted before any result is awaited, so distinct
         instances overlap across the pool and identical ones coalesce.
-        ``warm_from``, when given, aligns with ``requests`` and seeds each
-        fresh solve from its prior result (the fleet fan-out path).
         """
-        if warm_from is not None and len(warm_from) != len(requests):
-            raise ServiceError(
-                f"warm_from has {len(warm_from)} entries for "
-                f"{len(requests)} requests")
         budget = self._budget(timeout)
         deadline = None if budget is None else time.perf_counter() + budget
-        started = [self._start(request,
-                               None if warm_from is None else warm_from[i])
-                   for i, request in enumerate(requests)]
+        started = [self._start(request) for request in requests]
         responses = []
         for start in started:
             remaining = None if deadline is None \
@@ -216,22 +193,14 @@ class Planner:
         return (replace(request, demand=demand),
                 tuple(_symmetry.invert_permutation(sigma)))
 
-    @staticmethod
-    def _key(facts: TopologyFacts, request: PlanRequest,
-             near: bool = False) -> str:
-        return fingerprint_facts(
-            facts, request.demand, request.config, request.method,
-            request.astar_config, request.minimize_epochs, near)
-
-    def _start(self, request: PlanRequest,
-               warm_from: SynthesisResult | None = None):
+    def _start(self, request: PlanRequest):
         """Facts lookup + canonicalize + fingerprint + cache probe + (on
         miss) pool submission — all on the serve clock and inside the
         phase collector.
 
         Returns ``(request, inverse, fingerprint, pending)``: the canonical
         request with its relabeling (:meth:`_canonical_request`), and
-        ``pending = (t0, explain, source, coalesced, seeded)`` whose
+        ``pending = (t0, explain, source, coalesced)`` whose
         ``source`` is the hit's :class:`CacheEntry` or the miss's future.
         """
         explain = ExplainRecord(tag=request.tag)
@@ -244,35 +213,24 @@ class Planner:
             explain.symmetry_collapsed = inverse is not None
             self._bump(requests=1)
             with _obs.span("planner.fingerprint"):
-                fingerprint = explain.fingerprint = self._key(facts, request)
+                fingerprint = explain.fingerprint = fingerprint_facts(
+                    facts, request.demand, request.config, request.method,
+                    request.astar_config, request.minimize_epochs)
             with _obs.span("planner.cache_lookup") as lookup_sp, self._lock:
                 entry = self.cache.entry(fingerprint) \
                     if self.cache.get(fingerprint) is not None else None
                 lookup_sp.set_attr(hit=entry is not None)
-            submitted = (entry, False, False) if entry is not None \
-                else self._submit(facts, request, fingerprint, explain,
-                                  warm_from)
+            submitted = (entry, False) if entry is not None \
+                else self._submit(request, fingerprint)
         explain.phases.update(phases)
         return request, inverse, fingerprint, (t0, explain, *submitted)
 
-    def _submit(self, facts: TopologyFacts, request: PlanRequest,
-                fingerprint: str, explain: ExplainRecord,
-                warm_from: SynthesisResult | None = None, *,
-                cold: bool = False):
+    def _submit(self, request: PlanRequest, fingerprint: str):
         """A miss: hand the request to the pool (or join its in-flight
-        twin). Returns ``(source, coalesced, seeded)``.
-
-        The cache's *near* index is probed first: a schedule solved for
-        the same fabric shape and demand under a different horizon or
-        capacity scale rides along as the solve's warm-start seed. An
-        explicit ``warm_from`` result outranks the near index — the caller
-        knows its donor is fresher than anything the cache can offer —
-        and ``cold`` skips seeding altogether.
-        """
+        twin). Returns ``(source, coalesced)``."""
         # Outside the lock: to_dict() serialises the whole request — pure
         # CPU work that must not stall concurrent requests on self._lock.
-        with _obs.span("planner.near_donor"):
-            near = self._key(facts, request, near=True)
+        with _obs.span("planner.serialize"):
             request_dict = request.to_dict()
         with _obs.span("planner.submit") as submit_sp, self._lock:
             # re-probe: the solve of an identical request may have been
@@ -281,15 +239,7 @@ class Planner:
             payload = self.cache.peek(fingerprint)
             if payload is not None:
                 return (self.cache.entry(fingerprint)
-                        or CacheEntry(payload)), False, False
-            explicit_seed = warm_from is not None
-            if explicit_seed:
-                request_dict["_warm_from"] = warm_from.to_dict()
-            elif not cold:
-                donor = self.cache.get_near(near)
-                if donor is not None:
-                    request_dict["_warm_from"] = donor
-                    explain.warm_donor = near
+                        or CacheEntry(payload)), False
             ctx = _obs.current_context()
             if ctx is not None:
                 request_dict["_obs"] = ctx
@@ -301,20 +251,9 @@ class Planner:
             # pool retires the fingerprint) also serialises on self._lock, so
             # no request can fall between "not cached" and "not in flight".
             future, coalesced = self.pool.submit(
-                fingerprint, request_dict,
-                on_complete=lambda fp, fut: self._archive(fp, fut, near))
-            # A coalesced join discarded request_dict — the in-flight solve
-            # was submitted by someone else and may not carry the seed.
-            seeded = "_warm_from" in request_dict and not coalesced
-            submit_sp.set_attr(coalesced=coalesced, seeded=seeded)
-        explain.replan_seed = seeded and explicit_seed
-        if seeded and not explicit_seed:
-            self._bump(warm_donors=1)
-        else:
-            explain.warm_donor = None
-        if explain.replan_seed:
-            self._bump(replans=1)
-        return future, coalesced, seeded
+                fingerprint, request_dict, on_complete=self._archive)
+            submit_sp.set_attr(coalesced=coalesced)
+        return future, coalesced
 
     def _observe(self, response: PlanResponse) -> PlanResponse:
         """Record the response's end-to-end latency in the histogram."""
@@ -322,12 +261,12 @@ class Planner:
             self._serve_latency.observe(response.serve_time)
         return response
 
-    def _archive(self, fingerprint: str, future, near: str) -> None:
+    def _archive(self, fingerprint: str, future) -> None:
         """Store a completed solve in the cache (runs on the pool's thread)."""
         if future.cancelled() or future.exception() is not None:
             return
         with self._lock:
-            self.cache.put(fingerprint, future.result(), meta={"near": near})
+            self.cache.put(fingerprint, future.result())
 
     def _post_check(self, request: PlanRequest, response: PlanResponse,
                     canonical: SynthesisResult, raise_errors: bool) -> None:
@@ -390,14 +329,14 @@ class Planner:
     def _finish_inner(self, request: PlanRequest, inverse, fingerprint: str,
                       pending, *, timeout: float | None,
                       raise_errors: bool) -> PlanResponse:
-        t0, explain, source, coalesced, seeded = pending
+        t0, explain, source, coalesced = pending
         hit = isinstance(source, CacheEntry)
         explain.source = "cache" if hit else \
             "coalesced" if coalesced else "solve"
         explain.cache_hit, explain.coalesced = hit, coalesced
         response = PlanResponse(
             fingerprint=fingerprint, cache_hit=hit, coalesced=coalesced,
-            tag=request.tag, warm_donor=seeded, explain=explain)
+            tag=request.tag, explain=explain)
         if not hit:
             try:
                 source = CacheEntry(self.pool.wait(source, timeout))
@@ -427,14 +366,11 @@ class Planner:
         # A *cached* schedule failed its replay: the entry is poisoned
         # (bit-rot, a stale format, a buggy producer of an earlier
         # version). Expel it and re-solve rather than failing this
-        # fingerprint forever (and solve cold: a poisoned class should
-        # not seed its own replacement).
+        # fingerprint forever.
         _obs.event("planner.cache_poisoned", fingerprint=fingerprint)
         with self._lock:
             self.cache.evict(fingerprint)
-        resubmitted = self._submit(
-            topology_facts(request.topology)[0], request, fingerprint,
-            explain, cold=True)
+        resubmitted = self._submit(request, fingerprint)
         return self._finish_inner(
             request, inverse, fingerprint, (t0, explain, *resubmitted),
             timeout=timeout, raise_errors=raise_errors)

@@ -38,13 +38,6 @@ _EXECUTOR_KINDS = ("process", "thread", "inline")
 def solve_request(request_dict: dict) -> dict:
     """Solve one serialised request; module-level so workers can pickle it.
 
-    ``request_dict["_warm_from"]`` (a serialised
-    :class:`~repro.core.solve.SynthesisResult`, attached by the planner's
-    near-fingerprint donor lookup) seeds the solve: the prior schedule's
-    achieved finish informs the horizon estimate, so the re-solve builds a
-    much smaller model than the cold path bound. The seed crosses the
-    process boundary as the same plain dict the cache stores.
-
     ``request_dict["_obs"]`` is the submitting request's trace carrier:
     activating it stitches this solve's spans (which may run in another
     process) back under the submitting trace, appending to the same
@@ -52,23 +45,18 @@ def solve_request(request_dict: dict) -> dict:
     flight-recorder records so a post-incident dump correlates them with
     the serving request.
     """
-    from repro.core.solve import SynthesisResult, synthesize
+    from repro.core.solve import synthesize
     from repro.service.schema import PlanRequest
 
-    warm_doc = request_dict.get("_warm_from")
-    warm_from = (SynthesisResult.from_dict(warm_doc)
-                 if warm_doc is not None else None)
     request = PlanRequest.from_dict(request_dict)
     with _obs.activate(request_dict.get("_obs")), \
             _flight.context(request_dict.get("_fingerprint")):
-        with _obs.span("pool.solve", method=request.method.value,
-                       warm=warm_from is not None):
+        with _obs.span("pool.solve", method=request.method.value):
             result = synthesize(request.topology, request.demand,
                                 request.config,
                                 method=request.method,
                                 astar_config=request.astar_config,
-                                minimize_epochs=request.minimize_epochs,
-                                warm_from=warm_from)
+                                minimize_epochs=request.minimize_epochs)
     return result.to_dict()
 
 

@@ -82,10 +82,6 @@ class PlanResponse:
     #: solver time lives in result.solve_time)
     serve_time: float = 0.0
     tag: str = ""
-    #: the fresh solve was seeded by a prior schedule — a near-fingerprint
-    #: cache donor (same fabric shape under different scalars) or an
-    #: explicit ``warm_from=`` prior (the fleet replan path)
-    warm_donor: bool = False
     #: post-solve conformance replay summary (a
     #: :meth:`repro.simulate.ConformanceReport.to_dict` document); only set
     #: when the planner runs with ``check_conformance=True``.
@@ -115,7 +111,6 @@ class PlanResponse:
             "coalesced": self.coalesced,
             "serve_time": self.serve_time,
             "tag": self.tag,
-            "warm_donor": self.warm_donor,
             "conformance": self.conformance,
             "explain": (None if self.explain is None
                         else self.explain.to_dict()),
@@ -134,7 +129,6 @@ class PlanResponse:
                 coalesced=bool(data.get("coalesced", False)),
                 serve_time=float(data.get("serve_time", 0.0)),
                 tag=str(data.get("tag", "")),
-                warm_donor=bool(data.get("warm_donor", False)),
                 conformance=data.get("conformance"),
                 explain=(None if data.get("explain") is None
                          else ExplainRecord.from_dict(data["explain"])))

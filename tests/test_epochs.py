@@ -258,18 +258,18 @@ class TestHorizonLadder:
     pinned in the one place it is stated (path bound patched to 5)."""
 
     @pytest.mark.parametrize("explicit, kwargs, rungs", [
-        # an explicit K is one attempt at that K, hint or not
+        # an explicit K is one attempt at that K, stretched or not
         (7, {}, [(1, 7)]),
-        (7, {"initial_epochs": 2}, [(1, 7)]),
-        # cold: three rungs from the bound, doubling
+        (7, {"stretch": lambda bound: bound + 2}, [(1, 7)]),
+        # auto: exactly three rungs from the bound, doubling — whichever
+        # formulation (copy or not) the bound was asked for
         (None, {}, [(1, 5), (2, 10), (3, 20)]),
-        # a hint below the bound is a free rung, then the cold ladder
-        (None, {"initial_epochs": 3}, [(1, 3), (2, 5), (3, 10), (4, 20)]),
-        (None, {"initial_epochs": 1}, [(1, 2), (2, 5), (3, 10), (4, 20)]),
-        # a hint at or above the bound is clamped to it
-        (None, {"initial_epochs": 5}, [(1, 5), (2, 10), (3, 20)]),
-        (None, {"initial_epochs": 40}, [(1, 5), (2, 10), (3, 20)]),
+        (None, {"copy": False}, [(1, 5), (2, 10), (3, 20)]),
+        (None, {"copy": True}, [(1, 5), (2, 10), (3, 20)]),
         # POP: the stretched bound is the first rung, then doublings
+        (None, {"stretch": lambda bound: bound}, [(1, 5), (2, 10), (3, 20)]),
+        (None, {"stretch": lambda bound: 2 * bound},
+         [(1, 10), (2, 20), (3, 40)]),
         (None, {"stretch": lambda bound: bound + 2},
          [(1, 7), (2, 14), (3, 28)]),
     ])

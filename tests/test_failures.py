@@ -3,7 +3,7 @@
 import pytest
 
 from repro import collectives, topology
-from repro.core import TecclConfig, solve_milp
+from repro.core import TecclConfig, solve_lp, solve_milp
 from repro.core.epochs import build_epoch_plan
 from repro.core.schedule import Schedule, Send
 from repro.errors import InfeasibleError, ModelError, TopologyError
@@ -198,6 +198,19 @@ class TestRepairSchedule:
         with pytest.raises(ModelError):
             repair_schedule(topo, demand, cfg(), outcome.schedule,
                             outcome.plan, [])
+
+    def test_fractional_schedule_is_a_typed_error(self):
+        """An LP result has no integral send prefix to replay: a
+        ``ModelError`` that names the way out, not an AttributeError."""
+        ring6 = topology.ring(6, capacity=1.0)
+        demand = collectives.alltoall(ring6.gpus, 1)
+        outcome = solve_lp(ring6, demand, cfg())
+        with pytest.raises(ModelError, match="degraded_topology"):
+            repair_schedule(ring6, demand, cfg(), outcome.schedule,
+                            outcome.plan, [FailureEvent(1, (0, 1))])
+        with pytest.raises(ModelError, match="degraded_topology"):
+            network_state_at(outcome.schedule, ring6, demand,
+                             outcome.plan, 1)
 
 
 class TestFailureImpact:

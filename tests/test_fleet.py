@@ -299,7 +299,30 @@ class TestController:
         assert stats["replans"] >= 1 and stats["rollbacks"] == 0
         active = daemon.registry.active("a2a")
         assert active is not initial and active.conformance_ok is True
-        assert planner.stats()["replans"] >= 1  # warm-seeded via the hook
+
+    def test_degradation_replan_climbs_no_rung_a_cold_solve_would_not(
+            self, planner):
+        """The incumbent is not a horizon estimate: a replan is a plain
+        ``plan_batch`` on the live fabric, answered on the rung — and at
+        the K — a cold ``synthesize`` of that fabric is."""
+        from repro.core.solve import synthesize
+
+        topo = tiny_ring(6)
+        job = a2a_job(topo, chunks=2)
+        source = SyntheticTelemetry(topo, events=[
+            LinkEvent(at=1.0, link=(0, 1), factor=0.5)])
+        daemon = AdaptationController(topo, source, planner)
+        initial = daemon.add_job(job)
+        for _ in range(4):
+            daemon.step()
+        assert daemon.stats()["replans"] == 1
+        active = daemon.registry.active("a2a")
+        assert active is not initial
+        cold = synthesize(daemon.estimator.live_topology(), job.demand,
+                          job.config)
+        assert active.result.explain["stats"]["horizon_attempts"] == 1
+        assert active.result.explain["horizon_epochs"] == \
+            cold.plan.num_epochs
 
     def test_flap_triggers_at_most_one_replan(self, planner):
         """Satellite: no two replans within the estimator's cool-down."""
@@ -325,9 +348,8 @@ class TestController:
         class CorruptingPlanner(Planner):
             corrupt = False
 
-            def plan_batch(self, requests, *, timeout=None, warm_from=None):
-                responses = super().plan_batch(requests, timeout=timeout,
-                                               warm_from=warm_from)
+            def plan_batch(self, requests, *, timeout=None):
+                responses = super().plan_batch(requests, timeout=timeout)
                 if self.corrupt:
                     for response in responses:
                         # claim a finish the replay cannot reproduce

@@ -305,9 +305,8 @@ class CorruptingPlanner(Planner):
 
     corrupt = False
 
-    def plan_batch(self, requests, *, timeout=None, warm_from=None):
-        responses = super().plan_batch(requests, timeout=timeout,
-                                       warm_from=warm_from)
+    def plan_batch(self, requests, *, timeout=None):
+        responses = super().plan_batch(requests, timeout=timeout)
         if self.corrupt:
             for response in responses:
                 response.result = dataclasses.replace(

@@ -27,19 +27,17 @@ class TestPlannerStats:
         stats = PlannerStats()
         assert stats.to_dict() == {
             "requests": 0, "timeouts": 0, "conformance_checks": 0,
-            "conformance_failures": 0, "warm_donors": 0, "replans": 0,
-            "symmetry_collapses": 0}
+            "conformance_failures": 0, "symmetry_collapses": 0}
         assert list(stats.to_dict()) == [
             "requests", "timeouts", "conformance_checks",
-            "conformance_failures", "warm_donors", "replans",
-            "symmetry_collapses"]
+            "conformance_failures", "symmetry_collapses"]
 
     def test_values_stay_ints(self):
         stats = PlannerStats()
         stats.inc("requests", 3)
-        stats.inc("warm_donors", 2)
+        stats.inc("symmetry_collapses", 2)
         assert stats.requests == 3
-        assert stats.to_dict()["warm_donors"] == 2
+        assert stats.to_dict()["symmetry_collapses"] == 2
         with pytest.raises(AttributeError):
             stats.requests = 5  # counters only move through inc()
         assert isinstance(stats.requests, int)
@@ -86,12 +84,11 @@ class TestPlannerFacade:
             stats = planner.stats()
         assert list(stats) == [
             "requests", "timeouts", "conformance_checks",
-            "conformance_failures", "warm_donors", "replans",
-            "symmetry_collapses",
+            "conformance_failures", "symmetry_collapses",
             "hits", "misses", "solves", "coalesced", "cache", "pool"]
         assert list(stats["cache"]) == [
             "hits", "memory_hits", "disk_hits", "misses", "stores",
-            "evictions", "invalidations", "near_hits", "near_misses"]
+            "evictions", "invalidations"]
         assert list(stats["pool"]) == ["solves", "coalesced", "completed",
                                        "errors"]
 

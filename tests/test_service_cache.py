@@ -143,56 +143,16 @@ class TestDiskTier:
         assert cache.stats.hits == 0
 
 
-NEAR_X = "d" * 64
-NEAR_Y = "e" * 64
+    def test_envelope_with_a_near_key_still_opens(self, tmp_path):
+        """Envelopes archived before result-level seeding was deleted carry
+        ``meta["near"]``: the key is inert metadata now, the entry serves."""
+        from repro import __version__
 
-
-class TestNearIndex:
-    """The warm-start donor lookup: same fabric shape, different scalars."""
-
-    def test_get_near_returns_most_recent_donor(self):
-        cache = ScheduleCache(capacity=4)
-        cache.put(FP_A, {"v": "a"}, meta={"near": NEAR_X})
-        cache.put(FP_B, {"v": "b"}, meta={"near": NEAR_X})
-        assert cache.get_near(NEAR_X) == {"v": "b"}
-        assert cache.stats.near_hits == 1
-
-    def test_get_near_miss_counted(self):
-        cache = ScheduleCache(capacity=4)
-        cache.put(FP_A, {"v": "a"}, meta={"near": NEAR_X})
-        assert cache.get_near(NEAR_Y) is None
-        assert cache.stats.near_misses == 1
-
-    def test_get_near_does_not_disturb_exact_stats(self):
-        cache = ScheduleCache(capacity=4)
-        cache.put(FP_A, {"v": "a"}, meta={"near": NEAR_X})
-        cache.get_near(NEAR_X)
-        assert cache.stats.memory_hits == 0
-        assert cache.stats.misses == 0
-
-    def test_evicted_entry_stops_donating(self):
-        cache = ScheduleCache(capacity=4)
-        cache.put(FP_A, {"v": "a"}, meta={"near": NEAR_X})
-        cache.evict(FP_A)
-        assert cache.get_near(NEAR_X) is None
-
-    def test_donor_survives_restart_via_disk_meta(self, tmp_path):
-        first = ScheduleCache(capacity=4, directory=tmp_path)
-        first.put(FP_A, {"v": "a"}, meta={"near": NEAR_X})
-        # a fresh process: empty memory index, donors found via envelopes
-        second = ScheduleCache(capacity=4, directory=tmp_path)
-        assert second.get_near(NEAR_X) == {"v": "a"}
-        assert second.stats.near_hits == 1
-
-    def test_purge_clears_donors(self):
-        cache = ScheduleCache(capacity=4)
-        cache.put(FP_A, {"v": "a"}, meta={"near": NEAR_X})
-        cache.purge()
-        assert cache.get_near(NEAR_X) is None
-
-    def test_non_hex_near_key_rejected(self):
-        cache = ScheduleCache(capacity=4)
-        with pytest.raises(ServiceError, match="hex"):
-            cache.put(FP_A, {"v": "a"}, meta={"near": "../evil"})
-        with pytest.raises(ServiceError, match="hex"):
-            cache.get_near("../evil")
+        (tmp_path / f"{FP_A}.json").write_text(json.dumps({
+            "version": CACHE_FORMAT_VERSION, "package": __version__,
+            "fingerprint": FP_A, "meta": {"near": "d" * 64},
+            "payload": {"v": "a"}}), encoding="utf-8")
+        cache = ScheduleCache(capacity=4, directory=tmp_path)
+        assert cache.get(FP_A) == {"v": "a"}
+        assert cache.stats.disk_hits == 1
+        assert cache.entries()[0].meta == {"near": "d" * 64}

@@ -308,24 +308,6 @@ class TestConformanceCheck:
         assert again.cache_hit and again.conformant is True
         assert planner.stats()["conformance_failures"] == 1
 
-    def test_poison_recovery_keeps_the_near_donor(self):
-        # evicting the poisoned entry drops it from the near index; the
-        # re-solve must register the fresh entry under the same near key
-        from repro.service.fingerprint import near_fingerprint_request
-
-        request = _request()
-        near = near_fingerprint_request(request.topology, request.demand,
-                                        request.config)
-        with Planner(executor="inline", check_conformance=True) as planner:
-            first = planner.plan(request)
-            assert planner.cache.get_near(near) is not None
-            poisoned = self._poison(planner, first.fingerprint)
-            assert not planner.plan(request).cache_hit
-            donor = planner.cache.get_near(near)
-            fresh = planner.cache.peek(first.fingerprint)
-        assert donor is not None and donor is fresh
-        assert donor != poisoned
-
     def test_disabled_by_default(self):
         with Planner(executor="inline") as planner:
             response = planner.plan(_request())
@@ -334,54 +316,58 @@ class TestConformanceCheck:
         assert planner.stats()["conformance_checks"] == 0
 
 
-class TestNearFingerprintDonors:
-    """Cache misses probe the near index for a warm-start donor (PR 4)."""
+class TestRequestDeterminism:
+    """A served schedule is a function of its request: what the cache
+    happens to hold — a near-fingerprint sibling, a restart — changes
+    whether a request solves, never what it is answered with."""
 
-    def _scaled_request(self, factor: float) -> PlanRequest:
-        topo = topology.scale_capacity(
-            topology.ring(4, capacity=1.0, alpha=0.0), factor)
+    @staticmethod
+    def _dgx1_allgather(capacity_factor: float = 1.0) -> PlanRequest:
+        topo = topology.dgx1()
+        if capacity_factor != 1.0:
+            topo = topology.scale_capacity(topo, capacity_factor)
         return PlanRequest(
-            topology=topo, demand=collectives.alltoall(topo.gpus, 1),
-            config=TecclConfig(chunk_bytes=1.0))
+            topology=topo, demand=collectives.allgather(topo.gpus, 1),
+            config=TecclConfig(chunk_bytes=25e3))
 
-    def test_rescaled_fabric_rides_a_donor(self):
+    @staticmethod
+    def _same_answer(a, b) -> None:
+        assert a.fingerprint == b.fingerprint
+        assert a.result.plan.num_epochs == b.result.plan.num_epochs
+        assert a.result.schedule.to_dict() == b.result.schedule.to_dict()
+
+    def test_cached_sibling_does_not_change_the_answer(self):
         with Planner(executor="inline") as planner:
-            first = planner.plan(self._scaled_request(1.0))
-            second = planner.plan(self._scaled_request(2.0))
-        assert not first.cache_hit and not first.warm_donor
-        assert not second.cache_hit   # a different exact fingerprint...
-        assert second.warm_donor      # ...but the same near class
-        stats = planner.stats()
-        assert stats["warm_donors"] == 1
-        assert stats["cache"]["near_hits"] == 1
-        assert stats["solves"] == 2
+            planner.plan(self._dgx1_allgather(0.5))  # half-capacity sibling
+            after_sibling = planner.plan(self._dgx1_allgather())
+        with Planner(executor="inline") as fresh_planner:
+            fresh = fresh_planner.plan(self._dgx1_allgather())
+        assert not after_sibling.cache_hit and not fresh.cache_hit
+        self._same_answer(after_sibling, fresh)
 
-    def test_donor_solve_matches_cold_solve(self):
-        request = self._scaled_request(2.0)
-        with Planner(executor="inline") as planner:
-            planner.plan(self._scaled_request(1.0))  # the donor
-            seeded = planner.plan(request)
-        with Planner(executor="inline") as cold_planner:
-            cold = cold_planner.plan(request)
-        assert seeded.result.finish_time == pytest.approx(
-            cold.result.finish_time, rel=1e-6) or \
-            seeded.result.finish_time <= cold.result.finish_time + 1e-9
+    def test_restarted_disk_tier_does_not_change_it(self, tmp_path):
+        with Planner(executor="inline", cache_dir=tmp_path) as planner:
+            planner.plan(self._dgx1_allgather(0.5))
+        with Planner(executor="inline", cache_dir=tmp_path) as restarted:
+            after_restart = restarted.plan(self._dgx1_allgather())
+            assert restarted.stats()["solves"] == 1
+        with Planner(executor="inline") as fresh_planner:
+            fresh = fresh_planner.plan(self._dgx1_allgather())
+        self._same_answer(after_restart, fresh)
 
-    def test_cache_hits_never_mark_donors(self):
-        with Planner(executor="inline") as planner:
-            planner.plan(_request())
-            hit = planner.plan(_request())
-        assert hit.cache_hit and not hit.warm_donor
-        assert planner.stats()["warm_donors"] == 0
-
-    def test_donor_flag_roundtrips_the_wire(self):
+    def test_parent_commit_response_still_parses(self):
         from repro.service import PlanResponse
 
         with Planner(executor="inline") as planner:
-            planner.plan(self._scaled_request(1.0))
-            response = planner.plan(self._scaled_request(0.5))
-        back = PlanResponse.from_dict(response.to_dict())
-        assert back.warm_donor == response.warm_donor is True
+            document = planner.plan(_request()).to_dict()
+        # the keys a parent-commit planner wrote
+        document["warm_donor"] = True
+        document["explain"].update(warm_donor="d" * 64, replan_seed=True)
+        document["explain"]["solve"]["warm_seeded"] = True
+        back = PlanResponse.from_dict(document)
+        assert back.ok and back.explain.source == "solve"
+        assert "warm_donor" not in back.to_dict()
+        assert "warm_donor" not in back.explain.to_dict()
 
 
 class TestStatsThreadSafety:
@@ -415,20 +401,3 @@ class TestStatsThreadSafety:
             stats = planner.stats()
             assert stats["requests"] == 1 + threads_n * per_thread
             assert stats["hits"] == threads_n * per_thread
-
-    def test_explicit_warm_from_counts_as_replan(self):
-        with Planner(executor="inline") as planner:
-            prior = planner.plan(_request()).result
-            # a different instance, seeded by the prior result
-            response = planner.plan(_request(chunk_bytes=0.5),
-                                    warm_from=prior)
-        assert response.ok and response.warm_donor
-        stats = planner.stats()
-        assert stats["replans"] == 1
-        # the near-donor counter is reserved for cache-index donors
-        assert stats["warm_donors"] == 0
-
-    def test_warm_from_batch_must_align(self):
-        with Planner(executor="inline") as planner:
-            with pytest.raises(ServiceError):
-                planner.plan_batch([_request()], warm_from=[])

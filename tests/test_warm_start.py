@@ -1,14 +1,11 @@
-"""Re-solving near-identical instances: horizon search, POP retries, replans.
+"""One built model, many horizons: the horizon search and POP retries.
 
 Differential suite: every shortcut (the shared-model ``minimize_epochs``
 search with its bound-restricted probes and rebuild-at-2K anchor loop, POP's
-infeasible-horizon retries, result-seeded ``replan``/repair re-solves) must
-reach the same objectives as a cold solve of the same model — float-tight —
-and every schedule it hands out must replay cleanly through the conformance
-oracle.
+infeasible-horizon retries) must reach the same objectives as a cold solve
+of the same model — float-tight — and every schedule it hands out must
+replay cleanly through the conformance oracle.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -22,20 +19,14 @@ from repro.core.epochs import build_epoch_plan, path_based_epoch_bound
 from repro.core.lp import (IncrementalLp, LpBuilder, _minimize_epochs_cold,
                            minimize_epochs_lp)
 from repro.core.pop import pop_auto_horizon, solve_lp_pop
-from repro.core.solve import synthesize
 from repro.errors import ModelError, ReproError
-from repro.failures import FailureEvent, replan
-from repro.simulate import check_flow, check_result
+from repro.simulate import check_flow
 from repro.simulate.harness import random_instance
 from repro.solver import Model, Sense
 
 TOL = 1e-6
 
 pytestmark = pytest.mark.warmstart
-
-
-# uniformly renegotiated bandwidth = the library's what-if transform
-_scaled_topology = topology.scale_capacity
 
 
 # ----------------------------------------------------------------------
@@ -213,65 +204,6 @@ class TestPopDifferential:
         for a, b in zip(retried.sub_outcomes, direct.sub_outcomes):
             assert a.result.objective == pytest.approx(b.result.objective,
                                                        rel=TOL)
-
-
-class TestReplanDifferential:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_seeded_resolve_equals_cold_at_same_horizon(self, seed):
-        topo, demand, config = random_instance(seed)
-        try:
-            prior = synthesize(topo, demand, config)
-        except ReproError:
-            pytest.skip("baseline synthesis infeasible")
-        # perturb: uniformly renegotiated bandwidth (the Cloud Collectives
-        # scenario); the near class is preserved, the instance is not.
-        perturbed = _scaled_topology(topo, 0.5)
-        result = replan(prior, perturbed, demand, config)
-        report = check_result(result, config=config)
-        assert report.ok, (seed, report.violations[:3])
-        # fair differential: a cold solve of the *same* model (horizon
-        # pinned to what the warm path chose) reaches the same objective
-        from dataclasses import replace
-
-        pinned = replace(config, num_epochs=result.plan.num_epochs)
-        cold = synthesize(perturbed, demand, pinned)
-        warm_obj = result.outcome.result.objective
-        cold_obj = cold.outcome.result.objective
-        assert warm_obj == pytest.approx(cold_obj, rel=TOL)
-
-    def test_repair_replan_is_conformant(self):
-        ring6 = topology.ring(6, capacity=1.0)
-        ag = collectives.allgather(ring6.gpus, 1)
-        config = TecclConfig(chunk_bytes=1.0)
-        prior = synthesize(ring6, ag, config)
-        outcome = replan(prior, ring6, ag, config,
-                         failures=[FailureEvent(epoch=1, link=(0, 1))])
-        assert outcome.synthesis is not None
-        report = outcome.check_conformance(config)
-        assert report.ok, report.violations[:3]
-        assert outcome.total_time > 0
-
-    def test_fractional_prior_replans_on_degraded_fabric(self):
-        ring6 = topology.ring(6, capacity=1.0)
-        atoa = collectives.alltoall(ring6.gpus, 1)
-        config = TecclConfig(chunk_bytes=1.0)
-        prior = synthesize(ring6, atoa, config)
-        result = replan(prior, ring6, atoa, config,
-                        failures=[FailureEvent(epoch=1, link=(0, 1))])
-        # LP priors have no integral prefix: a fresh degraded-fabric solve
-        assert result.finish_time > prior.finish_time
-        assert check_result(result).ok
-
-    def test_warm_hint_shrinks_the_model(self):
-        ring6 = topology.ring(6, capacity=1.0)
-        atoa = collectives.alltoall(ring6.gpus, 1)
-        config = TecclConfig(chunk_bytes=1.0)
-        prior = synthesize(ring6, atoa, config)
-        seeded = replan(prior, ring6, atoa, config)
-        cold = synthesize(ring6, atoa, config)
-        assert seeded.plan.num_epochs <= cold.plan.num_epochs
-        hint = math.ceil(prior.finish_time / prior.plan.tau) + 1
-        assert seeded.plan.num_epochs <= max(2, hint)
 
 
 class TestPopAutoHorizon:

@@ -16,6 +16,11 @@ if one grows back:
   consume one.
 * ``parallel`` — a second setting for the fan-out width ``jobs`` already
   states (``jobs=1`` is the sequential loop).
+* ``warm_from`` / ``initial_epochs`` — shipped a prior *result* through
+  planner, pool, ``synthesize`` and the solve facades to seed the horizon
+  estimate; measured a net loser once the cold bound was tight, and it made
+  a served schedule depend on what the cache held first. A request is
+  answered from its own content; the horizon ladder starts at the bound.
 
 Walks the AST and flags every function parameter and every class-level
 field carrying a retired name. Keyword arguments to *calls* (span
@@ -32,7 +37,10 @@ So are the paper's Algorithm 1 horizon sweep and its helpers
 (``algorithm1_num_epochs``, ``candidate_completion_times``,
 ``lp_feasible_horizon``, ``min_time_seconds``): measured against the
 load-spread path bound it lost — its coarse grids are as large as the tight
-model itself — and the horizon ladder starts from one estimate.
+model itself — and the horizon ladder starts from one estimate. With the
+result-level seed went ``repro.failures.replan`` (its one wrapper; re-plan
+with ``synthesize`` on the degraded fabric, or ``repair_schedule``) and
+``ScheduleCache.get_near`` (the donor index).
 
 One retired *parameter* is checked by signature: ``sink`` on
 ``Planner.__init__`` and ``AdaptationController.__init__``. Tracing is
@@ -52,7 +60,8 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
 RETIRED = frozenset({"construction", "incremental", "track_rows",
-                     "warm_start", "parallel"})
+                     "warm_start", "parallel", "warm_from",
+                     "initial_epochs"})
 
 #: (package, attribute) pairs that were deleted and must stay unexported
 RETIRED_EXPORTS = (
@@ -63,12 +72,14 @@ RETIRED_EXPORTS = (
     ("repro.core.epochs", "algorithm1_num_epochs"),
     ("repro.core.epochs", "candidate_completion_times"),
     ("repro.core.epochs", "min_time_seconds"),
-    ("repro.core.lp", "lp_feasible_horizon"))
+    ("repro.core.lp", "lp_feasible_horizon"),
+    ("repro.failures", "replan"), ("repro.failures.repair", "replan"))
 
 #: (module, class, attribute) triples: the class must not have it
-RETIRED_METHODS = tuple(
-    ("repro.solver.model", "Model", name)
-    for name in ("add_var", "add_constr", "set_objective", "var"))
+RETIRED_METHODS = (
+    *(("repro.solver.model", "Model", name)
+      for name in ("add_var", "add_constr", "set_objective", "var")),
+    ("repro.service.cache", "ScheduleCache", "get_near"))
 
 #: (module, class, parameter) triples: the constructor must not take it
 RETIRED_INIT_PARAMS = (

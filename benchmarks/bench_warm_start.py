@@ -9,7 +9,11 @@ model with bound-restricted probes):
   *feasible* solve per halving of the bound; the warm search anchors at
   the cheap path estimate on one shared model and its cost is independent
   of the bound: at most three solves under a 4x-loose bound. The measured
-  ratio (1.4-1.5x on a 2-core host) is published, not asserted.
+  ratio (1.3-1.45x over two runs on a 2-core host: warm 13.1-13.5 s = an
+  11 s anchor + a 2.4 s infeasible probe, cold 18.1-19.0 s) is published,
+  not asserted. At 74.6 k columns the LP is solved by IPM, so the warm
+  probe re-runs IPM on the anchor's loaded HiGHS session rather than dual
+  simplex from its basis (which measured 107 s on a feasible probe here).
 
 Publishes ``benchmarks/results/BENCH_warm_start.json`` with the build/solve
 splits and asserts what repeats exactly: the warm==cold result agreement,

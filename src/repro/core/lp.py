@@ -471,8 +471,11 @@ class IncrementalLp:
       horizon-K' model: every unit of supply must be read, so a feasible
       point can put no mass on the clamped variables. Bounds live outside
       the stacked matrix, so a probe re-stacks nothing.
-    * :meth:`solve_at` solves at one horizon (restricted or full) and
-      :meth:`extract` reads the result back over the horizon-K' view.
+    * :meth:`solve_at` solves at one horizon (restricted or full) on
+      :attr:`session`, the instance's live HiGHS session: the first solve
+      is cold, every later one a re-solve after the bound edits (closing
+      the session frees it); :meth:`extract` reads a result back over the
+      horizon-K' view.
 
     A horizon *above* K is a rebuild: construct a new instance at the
     larger K (the build is 20–50× cheaper than the solve that follows).
@@ -504,6 +507,7 @@ class IncrementalLp:
         self._lands = (self.f_vars.epoch
                        + offset[self.f_vars.node, self.f_vars.node2] + 1)
         self._restricted: np.ndarray | None = None
+        self.session = self.model.session(config.solver)
 
     # ------------------------------------------------------------------
     # bound-restricted probing
@@ -538,15 +542,14 @@ class IncrementalLp:
             self.model.set_var_bounds(self._restricted, ub=np.inf)
         self._restricted = None
 
-    def solve_at(self, num_epochs: int, *, options=None) -> SolveResult:
+    def solve_at(self, num_epochs: int) -> SolveResult:
         """Solve the instance at one horizon (restricted or full)."""
         with _obs_span("lp.incremental.solve_at", epochs=num_epochs):
             if num_epochs == self.num_epochs:
                 self.release()
             else:
                 self.restrict(num_epochs)
-            return self.model.solve(options if options is not None
-                                    else self.config.solver)
+            return self.session.solve()
 
     def extract(self, result: SolveResult, num_epochs: int) -> LpOutcome:
         """An :class:`LpOutcome` over the horizon-``num_epochs`` view."""
@@ -698,8 +701,9 @@ def minimize_epochs_lp(topology: Topology, demand: Demand,
     one costs nothing, the anchor still starts at the path bound), its
     full-horizon optimum brackets the search (the last read epoch is a
     feasibility witness; the earliest-arrival bound a floor), and the
-    remaining probes are bound restrictions on the same model — no
-    rebuilds below the anchor, and usually only one or two extra solves.
+    remaining probes are bound restrictions re-solved on the anchor's live
+    HiGHS session (:meth:`IncrementalLp.solve_at`) — no rebuilds or reloads
+    below the anchor, and usually only one or two extra solves.
     The result is replayed through the conformance oracle before it is
     returned; a violation falls back to :func:`_minimize_epochs_cold`,
     which builds and solves a fresh model per probe.
@@ -707,6 +711,8 @@ def minimize_epochs_lp(topology: Topology, demand: Demand,
     def anchor_at(num_epochs: int):
         inc = IncrementalLp(topology, demand, config, num_epochs)
         result = inc.solve_at(num_epochs)
+        if not result.status.has_solution:
+            inc.session.close()
         if result.status is SolveStatus.INFEASIBLE:
             raise InfeasibleError(
                 f"infeasible at horizon K={num_epochs}", status="horizon")
@@ -746,23 +752,25 @@ def minimize_epochs_lp(topology: Topology, demand: Demand,
     # so its witnessed horizon is usually already minimal — one adjacent
     # probe proves it. When it is not, back off exponentially, then binary
     # search the last bracket; same minimal K, O(log) probes worst case.
-    step = 1
-    while lo < best_k:
-        probe_k = max(lo, best_k - step)
-        result = probe(probe_k)
-        if result is not None:
-            best_k, best_result = probe_k, result
-            step *= 2
-        else:
-            lo = probe_k + 1
-            break
-    while lo < best_k:
-        mid = (lo + best_k) // 2
-        result = probe(mid)
-        if result is not None:
-            best_k, best_result = mid, result
-        else:
-            lo = mid + 1
+    # Every probe re-solves on the anchor's session, closed on the way out.
+    with inc.session:
+        step = 1
+        while lo < best_k:
+            probe_k = max(lo, best_k - step)
+            result = probe(probe_k)
+            if result is not None:
+                best_k, best_result = probe_k, result
+                step *= 2
+            else:
+                lo = probe_k + 1
+                break
+        while lo < best_k:
+            mid = (lo + best_k) // 2
+            result = probe(mid)
+            if result is not None:
+                best_k, best_result = mid, result
+            else:
+                lo = mid + 1
     best_result.stats["horizon_attempts"] = attempts
     best_result.stats["horizon_solves"] = solves
     best_result.stats["build_time"] = inc.build_time

@@ -335,6 +335,17 @@ class TestOneConstructionPath:
         assert [line for line, _ in self._lint().find_retired(source)] \
             == [2, 3, 3, 5, 5, 7]
 
+    def test_lint_flags_linprog(self, tmp_path):
+        source = tmp_path / "lp.py"
+        source.write_text(
+            "import scipy.optimize\n"
+            "from scipy.optimize import Bounds, linprog, milp\n"
+            "from scipy.optimize._linprog import linprog as solve\n"
+            "from scipy.optimize import milp\n"
+            "res = scipy.optimize.linprog([1.0])\n")
+        assert [line for line, _ in self._lint().find_retired(source)] \
+            == [2, 3, 5]
+
     def test_deleted_exports_stay_deleted(self):
         assert self._lint().find_retired_exports() == []
 

@@ -1,0 +1,403 @@
+"""The live HiGHS session behind every pure-LP solve.
+
+``linprog`` used to solve every LP; the session replaced it. The reference
+implementation below is that path (split two-sided rows into ``A_ub`` /
+``A_eq``, call ``linprog``, map scipy's status code), kept here as the
+oracle: a first solve on a session must return the same values bit for bit
+and the same status. A warm re-solve after bound edits must agree with a
+fresh one-shot solve of the same bounds.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import weakref
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy import sparse
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs_core
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+
+from repro import collectives, topology
+from repro.core import TecclConfig
+from repro.core import lp as lp_module
+from repro.core.epochs import build_epoch_plan
+from repro.core.lp import LpBuilder, minimize_epochs_lp
+from repro.errors import ModelError
+from repro.simulate.harness import random_instance
+from repro.solver import LpSession, Model, Sense, SolverOptions, SolveStatus
+from repro.solver.model import _LP_STATUS
+
+INF = float("inf")
+LP_METHODS = ("auto", "highs", "highs-ds", "highs-ipm")
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "model_digests.json").read_text())
+
+
+# ----------------------------------------------------------------------
+# the reference: the split-and-linprog path the session replaced
+# ----------------------------------------------------------------------
+def _reference_map_status(code: int, has_values: bool) -> SolveStatus:
+    """scipy status code → SolveStatus, as the LP path mapped it."""
+    if code == 0:
+        return SolveStatus.OPTIMAL
+    if code == 1:
+        return SolveStatus.TIME_LIMIT if has_values else SolveStatus.ERROR
+    return {2: SolveStatus.INFEASIBLE,
+            3: SolveStatus.UNBOUNDED}.get(code, SolveStatus.ERROR)
+
+
+def reference_solve(model: Model, options: SolverOptions):
+    """``(status, values)`` of ``model`` through ``linprog``."""
+    c = model._objective_vector()
+    if model.sense is Sense.MAXIMIZE:
+        c = -c
+    matrix, lower, upper = model._stacked_matrix()
+    finite_lo = lower > -INF
+    finite_up = upper < INF
+    eq_mask = finite_lo & finite_up & (lower == upper)
+    up_mask = finite_up & ~eq_mask
+    lo_mask = finite_lo & ~eq_mask
+    a_ub = b_ub = a_eq = b_eq = None
+    if np.any(up_mask) or np.any(lo_mask):
+        parts, rhs_parts = [], []
+        if np.any(up_mask):
+            parts.append(matrix[up_mask])
+            rhs_parts.append(upper[up_mask])
+        if np.any(lo_mask):
+            parts.append(-matrix[lo_mask])
+            rhs_parts.append(-lower[lo_mask])
+        a_ub = sparse.vstack(parts, format="csr") \
+            if len(parts) > 1 else parts[0]
+        b_ub = np.concatenate(rhs_parts)
+    if np.any(eq_mask):
+        a_eq = matrix[eq_mask]
+        b_eq = lower[eq_mask]
+    lp_options: dict = {"disp": options.verbose,
+                        "presolve": options.presolve}
+    if options.time_limit is not None:
+        lp_options["time_limit"] = float(options.time_limit)
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=np.column_stack([model._lb, model._ub]),
+                  method=options.resolve_lp_method(model.num_vars),
+                  options=lp_options)
+    values = None if res.x is None else np.asarray(res.x)
+    return _reference_map_status(res.status, values is not None), values
+
+
+def assert_first_solve_identical(model: Model, options: SolverOptions):
+    status, values = reference_solve(model, options)
+    got = model.solve(options)
+    assert got.status is status
+    if values is None:
+        assert got.values is None
+    else:
+        assert np.array_equal(got.values, values)
+    return got
+
+
+def random_lp(seed: int) -> Model:
+    """A small LP mixing every row and column shape the builders emit:
+    two-sided, equality, one-sided and free rows; boxed, ``-inf``-lower and
+    free columns; either sense. Rows are centred on a point inside the
+    column box, so most instances are optimal; every 7th is made
+    infeasible and every 11th unbounded."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(3, 14)), int(rng.integers(2, 11))
+    sense = Sense.MAXIMIZE if seed % 2 else Sense.MINIMIZE
+    model = Model(f"random{seed}", sense=sense)
+    kinds = rng.integers(0, 4, size=n)            # 0/1 boxed, 2 -inf, 3 free
+    lb = np.where(kinds < 2, rng.uniform(-2, 0, n), -INF)
+    ub = np.where(kinds < 3, rng.uniform(1, 5, n), INF)
+    point = np.where(kinds < 3, rng.uniform(0, 1, n), rng.uniform(-1, 1, n))
+    cols = model.add_var_array(n, lb=lb, ub=ub)
+    nnz = int(rng.integers(n, 3 * n + 1))
+    rows, where = rng.integers(0, m, size=nnz), rng.integers(0, n, size=nnz)
+    data = rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0], size=nnz)
+    centre = np.zeros(m)
+    np.add.at(centre, rows, data * point[where])
+    if seed % 7 == 0:
+        centre[0] += 1e3                          # out of reach: infeasible
+    row_kind = rng.integers(0, 5, size=m)  # two-sided, eq, ub, lb, free
+    slack = rng.uniform(0.5, 2, m)
+    row_lb = np.select([row_kind == 0, row_kind == 1, row_kind == 3],
+                       [centre - slack, centre, centre - slack], -INF)
+    row_ub = np.select([row_kind == 0, row_kind == 1, row_kind == 2],
+                       [centre + slack, centre, centre + slack], INF)
+    model.add_constr_coo(rows, cols[where], data, row_lb, row_ub,
+                         num_rows=m)
+    # push every -inf-lower column towards its finite upper bound, leave
+    # free columns costless — unless this instance is to be unbounded
+    towards_ub = 1.0 if sense is Sense.MAXIMIZE else -1.0
+    cost = np.where(kinds == 2, towards_ub * rng.uniform(0.5, 3, n),
+                    np.where(kinds == 3, 0.0, rng.uniform(-3, 3, n)))
+    if seed % 11 == 0:
+        model.add_var_array(1, lb=-INF, ub=INF)   # in no row
+        cols, cost = np.append(cols, n), np.append(cost, 1.0)
+    model.set_objective_array(cols, cost, const=float(rng.uniform(-1, 1)))
+    return model
+
+
+# ----------------------------------------------------------------------
+# first solves: bit-identical to linprog
+# ----------------------------------------------------------------------
+class TestFirstSolveIdentical:
+    @pytest.mark.parametrize("method", LP_METHODS)
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_lps(self, seed, method):
+        assert_first_solve_identical(random_lp(seed),
+                                     SolverOptions(lp_method=method))
+
+    def test_random_lps_reach_every_status(self):
+        statuses = {reference_solve(random_lp(seed), SolverOptions())[0]
+                    for seed in range(40)}
+        assert statuses == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE,
+                            SolveStatus.UNBOUNDED}
+
+    @pytest.mark.parametrize("presolve", [True, False])
+    def test_presolve_setting_is_passed_through(self, presolve):
+        options = SolverOptions(presolve=presolve)
+        for seed in range(10):
+            assert_first_solve_identical(random_lp(seed), options)
+
+    @pytest.mark.parametrize("family, seed", [
+        *(("lp", s) for s in sorted(GOLDEN["lp"], key=int)),
+        *(("lp_capacity_fn", s) for s in sorted(GOLDEN["lp_capacity_fn"],
+                                                key=int)),
+        *(("lp_aggregated", s) for s in sorted(GOLDEN["lp_aggregated"],
+                                               key=int))])
+    def test_golden_lp_instances(self, family, seed):
+        topo, demand, config = random_instance(int(seed))
+        if family == "lp_capacity_fn":
+            share = 0.5 + 0.1 * int(seed)
+            config = replace(config, capacity_fn=lambda i, j, k, _t=topo:
+                             _t.link(i, j).capacity * share)
+        elif family == "lp_aggregated":
+            topo = topology.ring(4 + int(seed) % 2, capacity=1.0, alpha=0.0)
+            demand = collectives.alltoall(topo.gpus, 1 + int(seed) % 2)
+        pin = GOLDEN[family][seed]
+        plan = build_epoch_plan(topo, config, num_epochs=pin["num_epochs"])
+        problem = LpBuilder(topo, demand, config, plan).build()
+        assert problem.model.num_vars == pin["cols"]
+        for method in LP_METHODS:
+            assert_first_solve_identical(
+                problem.model, replace(config.solver, lp_method=method))
+
+
+# ----------------------------------------------------------------------
+# warm re-solves: equal to fresh solves of the same bounds
+# ----------------------------------------------------------------------
+def _weighted_pick() -> tuple[Model, np.ndarray]:
+    """max Σ w·x  s.t.  Σ x <= 10,  x in [0, 4]: six items, distinct w."""
+    model = Model("pick", sense=Sense.MAXIMIZE)
+    x = model.add_var_array(6, ub=4.0)
+    model.add_constr_coo(np.zeros(6), x, np.ones(6), -INF, 10.0)
+    model.set_objective_array(x, [6.0, 5.0, 4.0, 3.0, 2.0, 1.0])
+    return model, x
+
+
+def _ring_lp() -> tuple[Model, np.ndarray]:
+    ring6 = topology.ring(6, capacity=1.0)
+    config = TecclConfig(chunk_bytes=1.0)
+    inc = lp_module.IncrementalLp(ring6, collectives.alltoall(ring6.gpus, 1),
+                                  config, 12)
+    return inc.model, inc.r_vars.column
+
+
+class TestWarmEqualsFresh:
+    @staticmethod
+    def _assert_fresh(session: LpSession, model: Model, options):
+        warm, fresh = session.solve(), model.solve(options)
+        assert warm.status is fresh.status
+        if fresh.objective is None:
+            assert warm.objective is None and warm.values is None
+        else:
+            assert warm.objective == pytest.approx(fresh.objective,
+                                                   rel=1e-9, abs=1e-12)
+        return warm
+
+    @pytest.mark.parametrize("method", LP_METHODS)
+    def test_edit_sequence_on_one_session(self, method):
+        options = SolverOptions(lp_method=method)
+        model, x = _weighted_pick()
+        with model.session(options) as session:
+            assert self._assert_fresh(session, model, options).objective \
+                == pytest.approx(6 * 4 + 5 * 4 + 4 * 2)
+            model.set_var_bounds(x[:2], ub=0.0)                  # clamp
+            assert self._assert_fresh(session, model, options).objective \
+                == pytest.approx(4 * 4 + 3 * 4 + 2 * 2)
+            model.set_var_bounds(x[:2], ub=4.0)                  # release
+            self._assert_fresh(session, model, options)
+            model.set_var_bounds(x[5:], lb=3.0)                  # raise lb
+            assert self._assert_fresh(session, model, options).objective \
+                == pytest.approx(6 * 4 + 5 * 3 + 1 * 3)
+            model.set_var_bounds(x, lb=2.0)                      # infeasible
+            assert self._assert_fresh(session, model, options).status \
+                is SolveStatus.INFEASIBLE
+            model.set_var_bounds(x, lb=0.0)                      # release
+            assert self._assert_fresh(session, model, options).objective \
+                == pytest.approx(6 * 4 + 5 * 4 + 4 * 2)
+
+    @pytest.mark.parametrize("method, ipm_resolve", [
+        ("highs", False), ("highs-ds", False), ("highs-ipm", True)])
+    def test_resolve_algorithm_follows_lp_method(self, method, ipm_resolve):
+        """Simplex LPs re-solve warm by dual simplex; an IPM LP runs IPM
+        afresh (a basis buys IPM nothing; warm simplex on the large
+        degenerate LPs that pick IPM is the slow path)."""
+        options = SolverOptions(lp_method=method)
+        model, reads = _ring_lp()
+        with model.session(options) as session:
+            session.solve()
+            model.set_var_bounds(reads[len(reads) // 2:], ub=0.0)
+            self._assert_fresh(session, model, options)
+            _, solver = session._highs.getOptionValue("solver")
+            _, presolve = session._highs.getOptionValue("presolve")
+            assert (solver, presolve) == (("ipm", "on") if ipm_resolve
+                                          else ("simplex", "off"))
+
+    def test_ipm_resolve_is_a_fresh_solve_on_the_loaded_matrix(self):
+        ring6 = topology.ring(6, capacity=1.0)
+        config = TecclConfig(chunk_bytes=1.0,
+                             solver=SolverOptions(lp_method="highs-ipm"))
+        inc = lp_module.IncrementalLp(
+            ring6, collectives.alltoall(ring6.gpus, 1), config, 12)
+        with inc.session:
+            for num_epochs in (12, 10, 8, 12):
+                warm = inc.solve_at(num_epochs)
+                fresh = inc.model.solve(config.solver)
+                assert warm.status is fresh.status is SolveStatus.OPTIMAL
+                assert np.array_equal(warm.values, fresh.values)
+
+    def test_rejected_edit_never_reaches_the_session(self):
+        model, x = _weighted_pick()
+        with model.session() as session:
+            session.solve()
+            with pytest.raises(ModelError):
+                model.set_var_bounds(x, lb=[0, 0, 0, 0, 0, 5.0])
+            with pytest.raises(ModelError):
+                model.set_var_bounds(x[:3], ub=[0.0, -1.0, 0.0])
+            warm = self._assert_fresh(session, model, SolverOptions())
+            assert warm.objective == pytest.approx(6 * 4 + 5 * 4 + 4 * 2)
+
+    def test_time_limited_session_gives_every_solve_its_own_budget(self):
+        # HiGHS's run clock keeps counting across runs of one instance
+        options = SolverOptions(time_limit=30.0)
+        model, _reads = _ring_lp()
+        with model.session(options) as session:
+            session.solve()
+            spent = session._highs.getRunTime()
+            session.solve()
+            _, limit = session._highs.getOptionValue("time_limit")
+            assert limit == pytest.approx(30.0 + spent)
+
+    def test_ring_lp_lower_bound_probes(self):
+        options = TecclConfig(chunk_bytes=1.0).solver
+        model, reads = _ring_lp()
+        late = reads[len(reads) // 2:]
+        with model.session(options) as session:
+            self._assert_fresh(session, model, options)
+            model.set_var_bounds(late, ub=0.0)
+            self._assert_fresh(session, model, options)
+            model.set_var_bounds(late, ub=INF)
+            model.set_var_bounds(late[:3], lb=0.25)
+            self._assert_fresh(session, model, options)
+            model.set_var_bounds(late[:3], lb=0.0)
+            self._assert_fresh(session, model, options)
+
+    def test_closed_or_reshaped_session_refuses_to_solve(self):
+        model, _x = _weighted_pick()
+        session = model.session()
+        model.add_var_array(1)
+        with pytest.raises(ModelError, match="shape"):
+            session.solve()
+        session.close()
+        with pytest.raises(ModelError, match="closed"):
+            session.solve()
+
+    def test_milp_has_no_session(self):
+        from repro.solver import VarType
+
+        model = Model()
+        model.add_var_array(2, vtype=VarType.BINARY)
+        with pytest.raises(ModelError):
+            model.session()
+
+
+# ----------------------------------------------------------------------
+# status mapping and limits
+# ----------------------------------------------------------------------
+class TestStatusMapping:
+    @pytest.mark.parametrize(
+        "code", list(highs_core.HighsModelStatus.__members__.values()),
+        ids=list(highs_core.HighsModelStatus.__members__))
+    def test_table_equals_the_linprog_composition(self, code):
+        # an LP carries values only when HiGHS reports it optimal
+        scipy_code, _ = _highs_to_scipy_status_message(code, "")
+        expected = _reference_map_status(
+            scipy_code, code == highs_core.HighsModelStatus.kOptimal)
+        assert _LP_STATUS.get(code, SolveStatus.ERROR) is expected
+
+    def test_time_limit_returns_no_values(self):
+        model, _reads = _ring_lp()
+        result = model.solve(SolverOptions(time_limit=1e-9))
+        assert result.status is SolveStatus.ERROR
+        assert result.values is None and result.objective is None
+        assert result.stats["backend_status"] \
+            == int(highs_core.HighsModelStatus.kTimeLimit)
+
+
+# ----------------------------------------------------------------------
+# lifetime: the HiGHS memory goes with the solve or the search
+# ----------------------------------------------------------------------
+@pytest.fixture
+def live_sessions(monkeypatch):
+    """Weak references to every session opened while the test runs, with
+    the cyclic collector off: only reference counting may free them."""
+    refs = []
+    init = LpSession.__init__
+
+    def recording(self, *args, **kwargs):
+        refs.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LpSession, "__init__", recording)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield refs
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestSessionLifetime:
+    def test_one_shot_solve_drops_its_session(self, live_sessions):
+        model, _x = _weighted_pick()
+        assert model.solve().status is SolveStatus.OPTIMAL
+        assert len(live_sessions) == 1
+        assert live_sessions[0]() is None
+
+    def test_no_session_outlives_the_horizon_search(self, live_sessions):
+        ring6 = topology.ring(6, capacity=1.0)
+        outcome = minimize_epochs_lp(ring6,
+                                     collectives.alltoall(ring6.gpus, 1),
+                                     TecclConfig(chunk_bytes=1.0))
+        assert outcome.result.stats["horizon_solves"] >= 2
+        assert live_sessions, "the search opened no session"
+        assert all(ref() is None for ref in live_sessions)
+
+    def test_search_holds_one_session_for_anchor_and_probes(
+            self, live_sessions):
+        ring6 = topology.ring(6, capacity=1.0)
+        outcome = minimize_epochs_lp(ring6,
+                                     collectives.alltoall(ring6.gpus, 1),
+                                     TecclConfig(chunk_bytes=1.0))
+        # one per anchor rung; every probe re-solves on the anchor's
+        assert outcome.result.stats["horizon_solves"] \
+            > outcome.result.stats["horizon_attempts"]
+        assert len(live_sessions) == outcome.result.stats["horizon_attempts"]

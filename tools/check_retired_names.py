@@ -27,6 +27,13 @@ field carrying a retired name. Keyword arguments to *calls* (span
 attributes such as ``span(..., construction="cold")``) are labels, not
 parameters, and are not flagged.
 
+The same walk flags any import or attribute use of
+``scipy.optimize.linprog``: every pure LP is solved on a live HiGHS
+session (``repro.solver.LpSession``), which loads exactly the LP
+``linprog`` built, so a second LP backend beside it would be a fallback
+path, not a choice. (Code outside ``src/`` — the ledger's host
+calibration loop — may still call it.)
+
 Deleted *exports* are checked by import: ``repro.obs.rspan`` (the second
 span API; ``span()`` is the only one), the ``repro.simulate.simulator``
 adapter module, and the expression algebra of ``repro.solver``
@@ -108,6 +115,12 @@ def find_retired(path: pathlib.Path) -> list[tuple[int, str]]:
                         findings.append(
                             (stmt.lineno,
                              f"`{target.id}` field of class {node.name}"))
+        elif isinstance(node, ast.ImportFrom) and (
+                node.module or "").startswith("scipy.optimize"):
+            findings += [(node.lineno, "`scipy.optimize.linprog` import")
+                         for alias in node.names if alias.name == "linprog"]
+        elif isinstance(node, ast.Attribute) and node.attr == "linprog":
+            findings.append((node.lineno, "`scipy.optimize.linprog` use"))
     return findings
 
 

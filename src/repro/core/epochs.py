@@ -252,6 +252,14 @@ def path_based_epoch_bound(topology: Topology, demand: Demand,
       edge-transitive fabric) — and the smaller queue is taken: the even
       split wins wherever there is path diversity, the single tree where
       link speeds differ and the fast links are the tree.
+
+    Each branch queues a link at the rate of the formulation it sizes.
+    Without copy that is the LP's capacity row, ``cap_chunks`` per epoch,
+    fractional as the LP is (a 0.75 link carries 0.75). With copy it is the
+    MILP's integral window, ``max(1, ⌊cap·κ⌋)`` chunks per κ epochs (the
+    same link carries one chunk per two epochs). A unicast MILP is sized by
+    the LP's rate, which is optimistic for it where ``cap·κ`` is not
+    integral; the ladder repairs an undershoot.
     """
     if copy is None:
         copy = demand.benefits_from_copy()
@@ -288,6 +296,8 @@ def path_based_epoch_bound(topology: Topology, demand: Demand,
             _load_links(spread_load, dict(wanted), dag, farthest_first)
 
     def rate(key: tuple[int, int]) -> float:
+        if not copy:
+            return plan.cap_chunks[key]
         window = max(
             1, math.floor(plan.cap_chunks[key] * plan.occupancy[key] + _EPS))
         return window / plan.occupancy[key]

@@ -667,7 +667,11 @@ def solve_milp(topology: Topology, demand: Demand, config: TecclConfig,
     :class:`InfeasibleError`. With the automatic horizon, the path-based
     bound is a heuristic (side constraints such as hyper-edge usage limits
     can invalidate it), so the solve climbs
-    :func:`~repro.core.epochs.horizon_ladder` before giving up.
+    :func:`~repro.core.epochs.horizon_ladder` before giving up. On a
+    unicast demand the first rung queues each link at the LP's capacity
+    row, not at this formulation's integral window, so it is optimistic
+    wherever ``cap·κ`` is not an integer; the measured cases still answer
+    on attempt 1 (``tests/test_epochs.py::TestUnicastMilpRung``).
     """
     def solve_at(num_epochs: int) -> MilpOutcome:
         plan = build_epoch_plan(topology, config, num_epochs=num_epochs)

@@ -1,13 +1,15 @@
 """Unit tests for epoch duration, discretisation and horizon estimation."""
 
 import json
+import math
+import random
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.collectives import allgather, alltoall, broadcast, scatter
-from repro.core import TecclConfig, synthesize
+from repro.collectives import allgather, alltoall, broadcast, gather, scatter
+from repro.core import TecclConfig, solve_lp, solve_milp, synthesize
 from repro.core.config import EpochMode
 from repro.core import epochs as epochs_module
 from repro.core.epochs import (build_epoch_plan, earliest_arrival_epochs,
@@ -15,10 +17,10 @@ from repro.core.epochs import (build_epoch_plan, earliest_arrival_epochs,
                                horizon_ladder, path_based_epoch_bound,
                                plan_with_tau)
 from repro.errors import ModelError
-from repro.simulate import check_result
-from repro.simulate.harness import random_instance
-from repro.topology import (Topology, dgx1, hypercube, line, ring, torus2d,
-                            with_capacity_overrides)
+from repro.simulate import check_flow, check_result, check_schedule
+from repro.simulate.harness import random_instance, run_producer
+from repro.topology import (Topology, dgx1, full_mesh, hypercube, line, ring,
+                            torus2d, with_capacity_overrides)
 
 #: first rungs at 791f48f (one shortest path per pair, one unit of load per
 #: destination): the 24 sweep seeds of ``random_instance`` and FABRICS
@@ -237,6 +239,31 @@ class TestFirstRung:
         assert result.plan.num_epochs > horizon_bound(topo, demand, config)
         check_result(result).raise_on_violation()
 
+    @pytest.mark.parametrize(
+        "n, link, factor, chunks, rung, copy_rung, finish", [
+            # fleet-replan's live view: ring12 with one link at 0.75 — the
+            # LP carries 0.75 chunks per epoch where the window counts 0.5
+            # (the first rung was 36 / 66 before)
+            (12, (9, 8), 0.75, 1, 27, 36, 22),
+            (12, (9, 8), 0.75, 2, 48, 66, 43),
+            # one fast link sets τ, so every other link runs at 2/3 (was 17)
+            (6, (0, 1), 1.5, 1, 15, 18, None),
+        ], ids=["ring12_fleet_coarse", "ring12_fleet_fine", "ring6_fast_link"])
+    def test_no_copy_queues_at_the_lp_capacity(self, n, link, factor, chunks,
+                                               rung, copy_rung, finish):
+        topo = with_capacity_overrides(ring(n, capacity=1.0), {link: factor})
+        demand = alltoall(topo.gpus, chunks)
+        config = TecclConfig(chunk_bytes=1.0 / chunks)
+        assert horizon_bound(topo, demand, config) == rung
+        assert horizon_bound(topo, demand, config, copy=True) == copy_rung
+        result = synthesize(topo, demand, config)
+        assert result.outcome.result.stats["horizon_attempts"] == 1
+        assert result.plan.num_epochs == rung
+        check_result(result).raise_on_violation()
+        if finish is not None:
+            # the fleet-replan ledger's golden finish epochs
+            assert result.schedule.finish_epoch == finish
+
     def test_torus6x6(self):
         topo = torus2d(6, 6, capacity=1.0, alpha=0.0)
         assert _solved_on_first_rung(
@@ -251,6 +278,107 @@ class TestFirstRung:
         topo = make_topology()
         assert _solved_on_first_rung(
             topo, alltoall(topo.gpus, 1), UNIT) <= ceiling
+
+
+#: link speeds; with τ set by the fastest link, most of them leave a window
+#: ⌊cap·κ⌋/κ below the LP's capacity row
+FRACTIONAL_SPEEDS = (0.5, 0.6, 0.75, 0.9, 1.0, 1.25, 1.5)
+
+
+def fractional_instance(seed: int):
+    """A seeded ``(topology, demand, config)`` with fractional link rates.
+
+    ``random_instance`` draws speeds from {1, 1, 2}, so every window there
+    is integral; these draw from :data:`FRACTIONAL_SPEEDS` on ring / line /
+    torus / mesh, with ALLTOALL, scatter or gather at 1–2 chunks.
+    """
+    rng = random.Random(seed)
+    kind = rng.choice(["ring", "line", "torus", "mesh"])
+    if kind == "torus":
+        topo = torus2d(3, 3, capacity=1.0, alpha=0.0)
+    elif kind == "mesh":
+        topo = full_mesh(rng.randint(3, 4), capacity=1.0)
+    else:
+        topo = (ring if kind == "ring" else line)(rng.randint(3, 6),
+                                                  capacity=1.0)
+    for a, b in list(topo.links):
+        topo.add_link(a, b, capacity=rng.choice(FRACTIONAL_SPEEDS))
+    gpus = topo.gpus
+    chunks = rng.randint(1, 2)
+    root = rng.choice(gpus)
+    others = [g for g in gpus if g != root]
+    demand = rng.choice([lambda: alltoall(gpus, chunks),
+                         lambda: scatter(root, others, chunks),
+                         lambda: gather(root, others, chunks)])()
+    return topo, demand, TecclConfig(chunk_bytes=1.0)
+
+
+def window_rung(topo, demand, config) -> int:
+    """The no-copy rung as it was before it read the LP's capacity row:
+    every link queued at the MILP's window, ``max(1, ⌊cap·κ⌋)`` chunks per
+    κ epochs."""
+    probe = build_epoch_plan(topo, config, num_epochs=1)
+    window = {key: max(1, math.floor(cap * probe.occupancy[key] + 1e-9))
+              / probe.occupancy[key]
+              for key, cap in probe.cap_chunks.items()}
+    return path_based_epoch_bound(
+        topo, demand, replace(probe, cap_chunks=window), copy=False)
+
+
+class TestFractionalWindowSweep:
+    """Where ``cap·κ`` is not an integer the no-copy rung reads the LP's
+    capacity row, so it tightens; the LP must still be answered on its
+    first rung and the baselines sized by it must still finish."""
+
+    def test_the_sweep_reaches_fractional_windows(self):
+        tightened = 0
+        for seed in range(24):
+            instance = fractional_instance(seed)
+            tightened += horizon_bound(*instance) < window_rung(*instance)
+        assert tightened >= 6  # 10 of these 24 seeds, 85 of 200
+
+    @pytest.mark.parametrize("seed", [
+        *range(24),
+        *(pytest.param(seed, marks=pytest.mark.slow)
+          for seed in range(24, 200))])
+    def test_first_rung_answers(self, seed):
+        topo, demand, config = fractional_instance(seed)
+        assert horizon_bound(topo, demand, config) <= window_rung(
+            topo, demand, config)
+        outcome = solve_lp(topo, demand, config)
+        assert outcome.result.stats["horizon_attempts"] == 1
+        assert check_flow(outcome.schedule, topo, demand, outcome.plan,
+                          config=config).ok
+        # the greedy baselines book integral windows inside an envelope of
+        # a multiple of the same rung
+        for producer in ("shortest_path", "trees", "taccl"):
+            for record in run_producer(producer, topo, demand, config, seed):
+                assert record.ok, (producer, record.error,
+                                   record.report and record.report.violations)
+
+
+class TestUnicastMilpRung:
+    """A unicast ``solve_milp`` is sized by the LP's rate although its own
+    capacity row is the window: optimistic for it, so the cases measured
+    are pinned at attempt 1."""
+
+    @pytest.mark.parametrize("n, factor, chunks, rung", [
+        (5, 0.75, 1, 7),
+        (6, 0.75, 1, 9),
+        (4, 0.6, 2, 8),
+        pytest.param(6, 1.5, 1, 15, marks=pytest.mark.slow),
+    ], ids=["ring5@0.75", "ring6@0.75", "ring4_2chunk@0.6", "ring6@1.5"])
+    def test_answered_on_the_first_rung(self, n, factor, chunks, rung):
+        topo = with_capacity_overrides(ring(n, capacity=1.0),
+                                       {(0, 1): factor})
+        demand = alltoall(topo.gpus, chunks)
+        config = TecclConfig(chunk_bytes=1.0 / chunks)
+        assert horizon_bound(topo, demand, config) == rung
+        outcome = solve_milp(topo, demand, config)
+        assert outcome.result.stats["horizon_attempts"] == 1
+        assert outcome.plan.num_epochs == rung
+        assert check_schedule(outcome.schedule, topo, demand, outcome.plan,
+                              config=config).ok
 
 
 class TestHorizonLadder:

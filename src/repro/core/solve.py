@@ -207,18 +207,19 @@ def _build_explain(result: SynthesisResult, phases: dict) -> dict:
     construction so it survives cache serialisation and the pool's
     process boundary.
     """
-    stats: dict = {}
     outcome = result.outcome
-    if outcome is not None:
-        inner = getattr(outcome, "result", None)
-        stats = solve_stats_subset(getattr(inner, "stats", None))
-        # POP decomposition outcomes carry fan-out on the outcome itself
-        partitions = getattr(outcome, "partitions", None)
-        if partitions is not None:
-            stats["pop_partitions"] = len(partitions)
-            stats["pop_attempts"] = getattr(outcome, "attempts", 1)
+    # the LP/MILP solve result; A* rounds and POP fan-outs carry none
+    inner = getattr(outcome, "result", None)
+    stats = solve_stats_subset(getattr(inner, "stats", None))
+    # POP decomposition outcomes carry fan-out on the outcome itself
+    partitions = getattr(outcome, "partitions", None)
+    if partitions is not None:
+        stats["pop_partitions"] = len(partitions)
+        stats["pop_attempts"] = getattr(outcome, "attempts", 1)
     return {
         "method": result.method.value,
+        "solver_status": None if inner is None else inner.status.value,
+        "mip_gap": None if inner is None else inner.mip_gap,
         "finish_time": result.finish_time,
         "solve_time": result.solve_time,
         "horizon_epochs": result.plan.num_epochs,

@@ -103,9 +103,9 @@ class ExplainRecord:
         solve = self.solve or {}
         if solve:
             lines.append("solve:")
-            for key in ("method", "finish_time", "solve_time",
-                        "horizon_epochs", "finish_epoch"):
-                if key in solve:
+            for key in ("method", "solver_status", "mip_gap", "finish_time",
+                        "solve_time", "horizon_epochs", "finish_epoch"):
+                if solve.get(key) is not None:
                     lines.append(f"  {key:<20}: {solve[key]}")
             stats = solve.get("stats") or {}
             if stats:

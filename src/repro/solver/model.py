@@ -13,9 +13,9 @@ substitute. A model is stated as arrays and nothing else:
 :meth:`Model.compile` stacks the row blocks once and caches the result, so
 repeated solves of an unchanged model do not re-stack constraints;
 :meth:`Model.set_var_bounds` mutates bounds without touching that cache.
-MILPs go to :func:`scipy.optimize.milp`; a pure LP is solved on an
-:class:`LpSession`, a live HiGHS instance that a bound-restricted re-solve
-(the horizon search's probes) edits instead of reloading the matrix.
+Every model, LP or MILP, is solved on a :class:`Session`: a live HiGHS
+instance (SciPy's bundled binding) that a bound-restricted re-solve (the
+horizon search's probes) edits instead of reloading the matrix.
 
 Example (maximise ``x + y`` subject to ``x + 2y <= 6``, ``x, y <= 4``):
     >>> import numpy as np
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize._highspy import _core as _highs
 
 from repro.errors import ModelError
@@ -366,50 +365,17 @@ class Model:
                 integrality=self._integrality, sense=self.sense)
 
     def solve(self, options: SolverOptions = DEFAULT_OPTIONS) -> SolveResult:
-        """Compile and solve; never raises on infeasibility (check status).
-        A pure LP is solved on a one-shot :meth:`session`."""
+        """Solve on a one-shot :meth:`session`; never raises on
+        infeasibility (check status)."""
         start = time.perf_counter()
-        if not self._integrality.any():
-            with self.session(options) as session:
-                result = session.solve()
-            result.solve_time = time.perf_counter() - start
-            return result
-        compiled = self.compile()
-        c = -compiled.c if self.sense is Sense.MAXIMIZE else compiled.c
-        constraints = None
-        if self._num_rows:
-            constraints = LinearConstraint(compiled.A, compiled.row_lower,
-                                           compiled.row_upper)
-        with _obs_span("solver.backend", backend="highs-milp",
-                       vars=self.num_vars, rows=self.num_constraints) as sp:
-            res = milp(c, constraints=constraints,
-                       integrality=compiled.integrality,
-                       bounds=Bounds(compiled.col_lower, compiled.col_upper),
-                       options=options.to_scipy())
-            sp.set_attr(status=int(res.status))
-        values = None if res.x is None else np.asarray(res.x)
-        gap = None if res.mip_gap is None else float(res.mip_gap)
-        return self._result(_map_milp_status(res.status, values, gap, options),
-                            values, start, mip_gap=gap, message=res.message,
-                            backend_status=int(res.status))
+        with self.session(options) as session:
+            result = session.solve()
+        result.solve_time = time.perf_counter() - start
+        return result
 
-    def session(self, options: SolverOptions = DEFAULT_OPTIONS) -> "LpSession":
-        """Open a live HiGHS session on this pure LP (a context manager)."""
-        return LpSession(self, options)
-
-    def _result(self, status: SolveStatus, values: np.ndarray | None,
-                start: float, *, mip_gap: float | None, message: str,
-                backend_status: int) -> SolveResult:
-        indices, coefs, const = self._objective
-        return SolveResult(
-            status=status, values=values, objective=None if values is None
-            else const + float(coefs @ values[indices]),
-            solve_time=time.perf_counter() - start, mip_gap=mip_gap,
-            message=message, stats={
-                "backend_status": backend_status,
-                "num_vars": self.num_vars,
-                "num_constraints": self.num_constraints,
-                "num_integer_vars": self.num_integer_vars})
+    def session(self, options: SolverOptions = DEFAULT_OPTIONS) -> "Session":
+        """Open a live HiGHS session on this model (a context manager)."""
+        return Session(self, options)
 
     def summary(self) -> str:
         """One-line description of the model size (useful in logs)."""
@@ -418,29 +384,32 @@ class Model:
                 f"{self.num_constraints} constraints, {self.sense.value}")
 
 
-class LpSession:
-    """A live HiGHS instance holding one pure LP and, once run, its basis.
+class Session:
+    """A live HiGHS instance holding one model and, once run, its state.
 
     A context manager (:meth:`Model.session`); closing it frees the HiGHS
-    memory. It references its model, never the reverse. Loaded with the LP
-    ``linprog`` built (row split and order, dual simplex strategy,
-    ``lp_method`` solver), its first :meth:`solve` returns ``linprog``'s
-    values bit for bit; a later one pushes the bounds changed since and
-    re-runs dual simplex, presolve off, from the held basis — or IPM afresh
-    when ``lp_method`` resolved to IPM (on internal1x4 ALLTOALL, 74.6 k
-    columns, warm dual simplex took 107 s, IPM 12 s). Matrix and objective
-    stay as they were at opening.
+    memory. It references its model, never the reverse. Loaded with the
+    rows ``linprog`` built (row split and order), plus the ``lp_method``
+    solver of an LP or the integrality and MIP limits ``milp`` set, its
+    first :meth:`solve` returns ``linprog``'s / ``milp``'s values bit for
+    bit. A later one pushes the bounds changed since and re-runs: an LP by
+    dual simplex, presolve off, from the held basis — or IPM afresh when
+    ``lp_method`` resolved to IPM (on internal1x4 ALLTOALL, 74.6 k columns,
+    warm dual simplex took 107 s, IPM 12 s); a MILP re-runs the MIP. Matrix
+    and objective stay as they were at opening.
     """
 
     def __init__(self, model: Model, options: SolverOptions):
         if not model.num_vars:
             raise ModelError("model has no variables")
-        if model.num_integer_vars:
-            raise ModelError("a session holds a pure LP, not a MILP")
         self._model, self._options, self._runs = model, options, 0
         self._shape = (model.num_vars, model.num_constraints)
         self._lb, self._ub = model._lb.copy(), model._ub.copy()
-        self._method = options.resolve_lp_method(model.num_vars)
+        self._mip = bool(model.num_integer_vars)
+        # a MILP leaves ``solver`` to HiGHS, as ``milp`` did: "auto" would
+        # otherwise force IPM onto a large MIP's relaxations
+        self._method = None if self._mip \
+            else options.resolve_lp_method(model.num_vars)
         with _obs_span("solver.prepare", vars=model.num_vars,
                        rows=model.num_constraints):
             matrix, lower, upper = model._stacked_matrix()
@@ -461,19 +430,24 @@ class LpSession:
                 [np.full(int(up.sum() + lo.sum()), -_INF), lower[eq]])
             lp.row_upper_ = np.concatenate([upper[up], -lower[lo], lower[eq]])
             self._highs = _highs._Highs()
-            for name, value in (  # simplex_strategy 1: dual, as linprog sets
+            for name, value in (
                     ("presolve", "on" if options.presolve else "off"),
-                    ("solver", _LP_SOLVER[self._method]),
+                    ("solver", _LP_SOLVER.get(self._method)),
                     ("time_limit", options.time_limit
                      and float(options.time_limit)),
+                    ("mip_rel_gap", options.mip_gap or None),
+                    ("mip_max_nodes", options.node_limit),
                     ("output_flag", options.verbose),
-                    ("log_to_console", options.verbose),
-                    ("highs_debug_level", 0), ("simplex_strategy", 1)):
+                    ("log_to_console", options.verbose)):
                 if value is not None:
                     self._highs.setOptionValue(name, value)
             self._highs.passModel(lp)
+            if self._mip:
+                ints = np.flatnonzero(model._integrality).astype(np.int32)
+                self._highs.changeColsIntegrality(
+                    len(ints), ints, np.ones(len(ints), dtype=np.uint8))
 
-    def __enter__(self) -> "LpSession":
+    def __enter__(self) -> "Session":
         return self
 
     def __exit__(self, *exc) -> None:
@@ -483,7 +457,7 @@ class LpSession:
         self._highs = None
 
     def solve(self) -> SolveResult:
-        """Run (or re-run, from the held basis) and read the result back."""
+        """Run (or re-run) and read the result back."""
         model, highs = self._model, self._highs
         if highs is None:
             raise ModelError("the session is closed")
@@ -501,57 +475,68 @@ class LpSession:
             # HiGHS's clock runs across runs: every solve gets its own limit
             highs.setOptionValue("time_limit", float(
                 self._options.time_limit) + highs.getRunTime())
-        warm = bool(self._runs) and self._method != "highs-ipm"
-        if warm:  # IPM ignores a basis: it presolves and runs afresh
+        # IPM ignores a basis: it presolves and runs afresh; so does a MIP
+        warm = bool(self._runs) and self._method in ("highs", "highs-ds")
+        if warm:
             highs.setOptionValue("presolve", "off")
             highs.setOptionValue("solver", "simplex")
-        backend = "highs-lp:warm-ds" if warm else f"highs-lp:{self._method}"
+        backend = "highs-milp" if self._mip else "highs-lp:warm-ds" if warm \
+            else f"highs-lp:{self._method}"
         with _obs_span("solver.backend", backend=backend, vars=model.num_vars,
                        rows=model.num_constraints) as sp:
             highs.run()
             code = highs.getModelStatus()
             sp.set_attr(status=int(code))
         self._runs += 1
-        status = _LP_STATUS.get(code, SolveStatus.ERROR)
+        info = highs.getInfo()
+        status = _map_status(code, self._mip and
+                             info.objective_function_value != _highs.kHighsInf)
+        gap = float(info.mip_gap) if self._mip and status.has_solution \
+            else None
+        # HiGHS reports optimal when it stops at the requested mip_rel_gap
+        # too; tell a proof from an early stop (the paper reports those apart)
+        if status is SolveStatus.OPTIMAL and gap is not None \
+                and self._options.mip_gap > 0 and gap > 1e-9:
+            status = SolveStatus.GAP_LIMIT
         values = np.array(highs.getSolution().col_value) \
-            if status is SolveStatus.OPTIMAL else None
-        return model._result(status, values, start, mip_gap=None,
-                             message=highs.modelStatusToString(code),
-                             backend_status=int(code))
+            if status.has_solution else None
+        indices, coefs, const = model._objective
+        return SolveResult(
+            status=status, values=values, objective=None if values is None
+            else const + float(coefs @ values[indices]),
+            solve_time=time.perf_counter() - start, mip_gap=gap,
+            message=highs.modelStatusToString(code), stats={
+                "backend_status": int(code),
+                "num_vars": model.num_vars,
+                "num_constraints": model.num_constraints,
+                "num_integer_vars": model.num_integer_vars})
 
 
-#: ``lp_method`` → the HiGHS ``solver`` option (``None``: HiGHS chooses)
-_LP_SOLVER = {"highs": None, "highs-ds": "simplex", "highs-ipm": "ipm"}
+#: ``lp_method`` → the HiGHS ``solver`` option (absent: HiGHS chooses)
+_LP_SOLVER = {"highs-ds": "simplex", "highs-ipm": "ipm"}
 
-#: HiGHS model status → :class:`SolveStatus` for a pure LP, as ``linprog``
-#: mapped it; every status not listed is ``ERROR``. A time or iteration
-#: limit carries no point: a stopped simplex is not a feasibility witness.
-_LP_STATUS = {
-    _highs.HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
-    _highs.HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
-    _highs.HighsModelStatus.kModelError: SolveStatus.INFEASIBLE,
-    _highs.HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED,
-}
+#: HiGHS model status → :class:`SolveStatus`, as ``linprog`` and ``milp``
+#: mapped it (every status not listed is ``ERROR``), bar the solution limit
+#: ``milp`` left out: a node-limited MILP holding an incumbent returns it
+_HMS = _highs.HighsModelStatus
+_STATUS = {
+    _HMS.kOptimal: SolveStatus.OPTIMAL,
+    _HMS.kInfeasible: SolveStatus.INFEASIBLE,
+    _HMS.kModelError: SolveStatus.INFEASIBLE,
+    _HMS.kUnbounded: SolveStatus.UNBOUNDED,
+    **dict.fromkeys((_HMS.kTimeLimit, _HMS.kIterationLimit,
+                     _HMS.kSolutionLimit), SolveStatus.TIME_LIMIT)}
 
 
-def _map_milp_status(code: int, values: np.ndarray | None,
-                     gap: float | None, options: SolverOptions) -> SolveStatus:
-    """Map :func:`scipy.optimize.milp` status codes onto :class:`SolveStatus`.
-
-    scipy code 0 = optimal, 1 = iteration/time/node limit, 2 = infeasible,
-    3 = unbounded, 4 = other.
-    """
-    # HiGHS reports code 0 when it stops at the requested mip_rel_gap too;
-    # distinguish a genuine proof from a gap-limited stop for callers that
-    # care (the paper reports "early stop" results separately).
-    if code == 0 and gap is not None and options.mip_gap > 0 and gap > 1e-9:
-        return SolveStatus.GAP_LIMIT
-    if code == 1 and values is None:
+def _map_status(code, incumbent: bool) -> SolveStatus:
+    """One HiGHS model status as a :class:`SolveStatus`. At a limit only a
+    MILP's ``incumbent`` is a point to return; a stopped simplex is not a
+    feasibility witness."""
+    status = _STATUS.get(code, SolveStatus.ERROR)
+    if status is SolveStatus.TIME_LIMIT and not incumbent:
         return SolveStatus.ERROR
-    return {0: SolveStatus.OPTIMAL, 1: SolveStatus.TIME_LIMIT,
-            2: SolveStatus.INFEASIBLE,
-            3: SolveStatus.UNBOUNDED}.get(code, SolveStatus.ERROR)
+    return status
 
 
-__all__ = ["Model", "LpSession", "CompiledModel", "compiled_equal", "Sense",
+__all__ = ["Model", "Session", "CompiledModel", "compiled_equal", "Sense",
            "VarType", "SolverOptions", "SolveResult", "SolveStatus"]

@@ -106,17 +106,6 @@ class SolverOptions:
             raise ModelError(
                 f"malformed solver options document: {exc}") from exc
 
-    def to_scipy(self) -> dict:
-        """Translate to the ``options`` dict of :func:`scipy.optimize.milp`."""
-        options: dict = {"disp": self.verbose, "presolve": self.presolve}
-        if self.time_limit is not None:
-            options["time_limit"] = float(self.time_limit)
-        if self.mip_gap > 0.0:
-            options["mip_rel_gap"] = float(self.mip_gap)
-        if self.node_limit is not None:
-            options["node_limit"] = int(self.node_limit)
-        return options
-
 
 #: Defaults used across the package when the caller does not care.
 DEFAULT_OPTIONS = SolverOptions()

@@ -11,7 +11,7 @@ from repro.errors import ModelError
 
 
 class SolveStatus(enum.Enum):
-    """Outcome of a solve, normalised across LP/MILP backends."""
+    """Outcome of a solve, normalised from HiGHS's model status."""
 
     OPTIMAL = "optimal"
     #: Feasible incumbent accepted under a relative-gap early stop.
@@ -38,8 +38,8 @@ class SolveResult:
             feasible point was found).
         values: primal values indexed by variable index.
         solve_time: wall-clock seconds spent inside the backend.
-        mip_gap: relative primal-dual gap reported by the backend
-            (0.0 for LPs and proven-optimal MILPs, ``None`` if unknown).
+        mip_gap: relative primal-dual gap HiGHS reports for a MILP that
+            returns a point (``None`` for LPs and point-less results).
         message: backend message, useful for diagnostics.
     """
 

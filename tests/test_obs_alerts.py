@@ -278,6 +278,25 @@ class TestExplainRecord:
         assert "symmetry_orbits" in text
         assert "planner.submit" in text
 
+    def test_gap_limited_milp_shows_its_status_and_gap(self):
+        """An early-stopped solve is told apart from a proven optimum (and
+        a limit-stopped incumbent from a failure) in the record itself."""
+        from repro import collectives, topology
+        from repro.core import TecclConfig, synthesize
+        from repro.solver import SolverOptions
+
+        line5 = topology.line(5)
+        config = TecclConfig(chunk_bytes=1.0,
+                             solver=SolverOptions(mip_gap=0.3))
+        solve = synthesize(line5, collectives.allgather(line5.gpus, 2),
+                           config).explain
+        assert solve["method"] == "milp"
+        assert solve["solver_status"] == "gap_limit"
+        assert 0.0 < solve["mip_gap"] <= 0.3
+        text = ExplainRecord(solve=solve).render()
+        assert "  solver_status       : gap_limit" in text
+        assert f"  mip_gap             : {solve['mip_gap']}" in text
+
     def test_error_record_renders_error_line(self):
         record = ExplainRecord(source="error", error="boom")
         assert "error         : boom" in record.render()

@@ -128,12 +128,18 @@ class TestModelHygiene:
         with pytest.raises(ModelError):
             SolverOptions(node_limit=0)
 
-    def test_options_to_scipy(self):
-        opts = SolverOptions(time_limit=10, mip_gap=0.3, node_limit=5)
-        payload = opts.to_scipy()
-        assert payload["time_limit"] == 10.0
-        assert payload["mip_rel_gap"] == 0.3
-        assert payload["node_limit"] == 5
+    def test_options_reach_highs(self):
+        m = Model()
+        m.add_var_array(2, vtype=VarType.BINARY)
+        opts = SolverOptions(time_limit=10, mip_gap=0.3, node_limit=5,
+                             presolve=False)
+        with m.session(opts) as session:
+            got = {name: session._highs.getOptionValue(name)[1] for name in (
+                "time_limit", "mip_rel_gap", "mip_max_nodes", "presolve",
+                "solver")}
+        assert got == {"time_limit": 10.0, "mip_rel_gap": 0.3,
+                       "mip_max_nodes": 5, "presolve": "off",
+                       "solver": "choose"}
 
     def test_lp_method_validation(self):
         with pytest.raises(ModelError):

@@ -1,11 +1,14 @@
-"""The live HiGHS session behind every pure-LP solve.
+"""The live HiGHS session behind every solve.
 
-``linprog`` used to solve every LP; the session replaced it. The reference
-implementation below is that path (split two-sided rows into ``A_ub`` /
-``A_eq``, call ``linprog``, map scipy's status code), kept here as the
-oracle: a first solve on a session must return the same values bit for bit
-and the same status. A warm re-solve after bound edits must agree with a
-fresh one-shot solve of the same bounds.
+``linprog`` used to solve every LP and ``milp`` every MILP; the session
+replaced both. The reference implementations below are those paths (for an
+LP: split two-sided rows into ``A_ub`` / ``A_eq``, call ``linprog``; for a
+MILP: call ``milp`` with the options ``SolverOptions`` translated to; then
+map scipy's status code), kept here as the oracle: a first solve on a
+session must return the same values bit for bit and the same status — bar
+the one deliberate fix, a MILP stopped at HiGHS's solution (node) limit
+holding an incumbent, which ``milp`` called an error. A warm re-solve after
+bound edits must agree with a fresh one-shot solve of the same bounds.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ import gc
 import json
 import weakref
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.optimize._highspy import _core as highs_core
 from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
@@ -28,22 +32,29 @@ from repro.core import TecclConfig
 from repro.core import lp as lp_module
 from repro.core.epochs import build_epoch_plan
 from repro.core.lp import LpBuilder, minimize_epochs_lp
-from repro.errors import ModelError
+from repro.core.milp import MilpBuilder, solve_milp
+from repro.errors import InfeasibleError, ModelError, ScheduleError
 from repro.simulate.harness import random_instance
-from repro.solver import LpSession, Model, Sense, SolverOptions, SolveStatus
-from repro.solver.model import _LP_STATUS
+from repro.solver import (DEFAULT_OPTIONS, Model, Sense, Session,
+                          SolverOptions, SolveStatus, VarType)
+from repro.solver.model import _map_status
 
 INF = float("inf")
 LP_METHODS = ("auto", "highs", "highs-ds", "highs-ipm")
+MILP_OPTIONS = {"default": SolverOptions(), "gap": SolverOptions(mip_gap=0.3),
+                "no-presolve": SolverOptions(presolve=False),
+                "node-limit": SolverOptions(node_limit=2)}
+HMS = highs_core.HighsModelStatus
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "model_digests.json").read_text())
 
 
 # ----------------------------------------------------------------------
-# the reference: the split-and-linprog path the session replaced
+# the reference: the linprog and milp paths the session replaced
 # ----------------------------------------------------------------------
 def _reference_map_status(code: int, has_values: bool) -> SolveStatus:
-    """scipy status code → SolveStatus, as the LP path mapped it."""
+    """scipy status code → SolveStatus, as the LP and MILP paths mapped
+    it (a MILP's early stop at its gap is told apart by the caller)."""
     if code == 0:
         return SolveStatus.OPTIMAL
     if code == 1:
@@ -52,8 +63,37 @@ def _reference_map_status(code: int, has_values: bool) -> SolveStatus:
             3: SolveStatus.UNBOUNDED}.get(code, SolveStatus.ERROR)
 
 
+def reference_milp(model: Model, options: SolverOptions):
+    """``(status, values)`` of a MILP through ``milp``, its options
+    translated as ``SolverOptions.to_scipy`` did."""
+    compiled = model.compile()
+    milp_options: dict = {"disp": options.verbose,
+                          "presolve": options.presolve}
+    if options.time_limit is not None:
+        milp_options["time_limit"] = float(options.time_limit)
+    if options.mip_gap > 0.0:
+        milp_options["mip_rel_gap"] = float(options.mip_gap)
+    if options.node_limit is not None:
+        milp_options["node_limit"] = int(options.node_limit)
+    res = milp(-compiled.c if model.sense is Sense.MAXIMIZE else compiled.c,
+               constraints=LinearConstraint(compiled.A, compiled.row_lower,
+                                            compiled.row_upper)
+               if model.num_constraints else None,
+               integrality=compiled.integrality,
+               bounds=Bounds(compiled.col_lower, compiled.col_upper),
+               options=milp_options)
+    values = None if res.x is None else np.asarray(res.x)
+    status = _reference_map_status(res.status, values is not None)
+    if status is SolveStatus.OPTIMAL and options.mip_gap > 0 \
+            and res.mip_gap > 1e-9:
+        status = SolveStatus.GAP_LIMIT
+    return status, values
+
+
 def reference_solve(model: Model, options: SolverOptions):
-    """``(status, values)`` of ``model`` through ``linprog``."""
+    """``(status, values)`` of ``model`` through ``linprog`` or ``milp``."""
+    if model.num_integer_vars:
+        return reference_milp(model, options)
     c = model._objective_vector()
     if model.sense is Sense.MAXIMIZE:
         c = -c
@@ -90,9 +130,13 @@ def reference_solve(model: Model, options: SolverOptions):
     return _reference_map_status(res.status, values is not None), values
 
 
-def assert_first_solve_identical(model: Model, options: SolverOptions):
+def assert_first_solve_identical(model: Model, options: SolverOptions,
+                                 solve=Model.solve):
     status, values = reference_solve(model, options)
-    got = model.solve(options)
+    got = solve(model, options)
+    if got.stats["backend_status"] == int(HMS.kSolutionLimit) \
+            and values is not None:
+        status = SolveStatus.TIME_LIMIT  # milp: ERROR, values attached
     assert got.status is status
     if values is None:
         assert got.values is None
@@ -101,12 +145,14 @@ def assert_first_solve_identical(model: Model, options: SolverOptions):
     return got
 
 
-def random_lp(seed: int) -> Model:
+def random_lp(seed: int, vtype: VarType = VarType.CONTINUOUS) -> Model:
     """A small LP mixing every row and column shape the builders emit:
     two-sided, equality, one-sided and free rows; boxed, ``-inf``-lower and
     free columns; either sense. Rows are centred on a point inside the
     column box, so most instances are optimal; every 7th is made
-    infeasible and every 11th unbounded."""
+    infeasible and every 11th unbounded. ``vtype=INTEGER`` makes every
+    column integral and boxes it in [-10, 10] (a MILP of the same rows; an
+    unboxed integer column can send branch-and-bound off to infinity)."""
     rng = np.random.default_rng(seed)
     n, m = int(rng.integers(3, 14)), int(rng.integers(2, 11))
     sense = Sense.MAXIMIZE if seed % 2 else Sense.MINIMIZE
@@ -115,7 +161,9 @@ def random_lp(seed: int) -> Model:
     lb = np.where(kinds < 2, rng.uniform(-2, 0, n), -INF)
     ub = np.where(kinds < 3, rng.uniform(1, 5, n), INF)
     point = np.where(kinds < 3, rng.uniform(0, 1, n), rng.uniform(-1, 1, n))
-    cols = model.add_var_array(n, lb=lb, ub=ub)
+    if vtype is not VarType.CONTINUOUS:
+        lb, ub = np.maximum(lb, -10.0), np.minimum(ub, 10.0)
+    cols = model.add_var_array(n, lb=lb, ub=ub, vtype=vtype)
     nnz = int(rng.integers(n, 3 * n + 1))
     rows, where = rng.integers(0, m, size=nnz), rng.integers(0, n, size=nnz)
     data = rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0], size=nnz)
@@ -143,8 +191,38 @@ def random_lp(seed: int) -> Model:
     return model
 
 
+def knapsack(seed: int, n: int = 80, m: int = 10) -> Model:
+    """A multi-row 0/1 knapsack: values 10–99, weights 5–99, capacities
+    900–1099. At 80 items a node limit of 2 stops HiGHS holding an
+    incumbent (model status ``kSolutionLimit``)."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(10, 100, n).astype(float)
+    weights = rng.integers(5, 100, (m, n)).astype(float)
+    capacity = rng.integers(900, 1100, m).astype(float)
+    model = Model(f"knapsack{seed}", sense=Sense.MAXIMIZE)
+    x = model.add_var_array(n, vtype=VarType.BINARY)
+    rows, cols = np.nonzero(weights)
+    model.add_constr_coo(rows, x[cols], weights[rows, cols], -INF, capacity)
+    model.set_objective_array(x, values)
+    return model
+
+
+#: the random MILP sweep: small knapsacks, some of which a node limit of 2
+#: stops holding an incumbent, and ``random_lp``'s shapes over integers
+RANDOM_MILPS = {
+    **{f"knapsack-{s}": partial(knapsack, s, 30, 5) for s in range(8)},
+    **{f"integer-lp-{s}": partial(random_lp, s, VarType.INTEGER)
+       for s in range(16)}}
+
+#: the one sweep case where the split rows change a status: without
+#: presolve, ``milp``'s HiGHS could not tell this unbounded MILP from an
+#: infeasible one (model status 9, ``ERROR``); the session's proves it
+#: unbounded. Neither returns a point.
+SPLIT_ROW_STATUS = {("integer-lp-11", "no-presolve"): SolveStatus.UNBOUNDED}
+
+
 # ----------------------------------------------------------------------
-# first solves: bit-identical to linprog
+# first solves: bit-identical to linprog / milp
 # ----------------------------------------------------------------------
 class TestFirstSolveIdentical:
     @pytest.mark.parametrize("method", LP_METHODS)
@@ -159,6 +237,26 @@ class TestFirstSolveIdentical:
         assert statuses == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE,
                             SolveStatus.UNBOUNDED}
 
+    @pytest.mark.parametrize("option", MILP_OPTIONS)
+    @pytest.mark.parametrize("name", RANDOM_MILPS)
+    def test_random_milps(self, name, option):
+        model, options = RANDOM_MILPS[name](), MILP_OPTIONS[option]
+        if (name, option) not in SPLIT_ROW_STATUS:
+            assert_first_solve_identical(model, options)
+            return
+        assert reference_solve(model, options) == (SolveStatus.ERROR, None)
+        got = model.solve(options)
+        assert (got.status, got.values) \
+            == (SPLIT_ROW_STATUS[name, option], None)
+
+    def test_random_milps_reach_every_status(self):
+        statuses = {make().solve(options).status
+                    for make in RANDOM_MILPS.values()
+                    for options in MILP_OPTIONS.values()}
+        assert statuses == {SolveStatus.OPTIMAL, SolveStatus.GAP_LIMIT,
+                            SolveStatus.TIME_LIMIT, SolveStatus.INFEASIBLE,
+                            SolveStatus.UNBOUNDED, SolveStatus.ERROR}
+
     @pytest.mark.parametrize("presolve", [True, False])
     def test_presolve_setting_is_passed_through(self, presolve):
         options = SolverOptions(presolve=presolve)
@@ -170,8 +268,11 @@ class TestFirstSolveIdentical:
         *(("lp_capacity_fn", s) for s in sorted(GOLDEN["lp_capacity_fn"],
                                                 key=int)),
         *(("lp_aggregated", s) for s in sorted(GOLDEN["lp_aggregated"],
-                                               key=int))])
+                                               key=int)),
+        *(("milp", s) for s in sorted(GOLDEN["milp"], key=int))])
     def test_golden_lp_instances(self, family, seed):
+        """Under every lp_method (a MILP ignores it, so its values never
+        move) and, for a MILP, every MILP option set too."""
         topo, demand, config = random_instance(int(seed))
         if family == "lp_capacity_fn":
             share = 0.5 + 0.1 * int(seed)
@@ -182,20 +283,39 @@ class TestFirstSolveIdentical:
             demand = collectives.alltoall(topo.gpus, 1 + int(seed) % 2)
         pin = GOLDEN[family][seed]
         plan = build_epoch_plan(topo, config, num_epochs=pin["num_epochs"])
-        problem = LpBuilder(topo, demand, config, plan).build()
+        builder = MilpBuilder if family == "milp" else LpBuilder
+        problem = builder(topo, demand, config, plan).build()
         assert problem.model.num_vars == pin["cols"]
-        for method in LP_METHODS:
-            assert_first_solve_identical(
-                problem.model, replace(config.solver, lp_method=method))
+        for options in (*(replace(config.solver, lp_method=method)
+                          for method in LP_METHODS),
+                        *(MILP_OPTIONS.values() if family == "milp" else ())):
+            assert_first_solve_identical(problem.model, options)
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN["solve_milp"], key=int))
+    def test_golden_solve_milp_instances(self, seed, monkeypatch):
+        """Every model the MILP facade solves, horizon rungs included."""
+        solved, solve = [], Model.solve
+
+        def checked(model, options=DEFAULT_OPTIONS):
+            solved.append(model.num_integer_vars)
+            return assert_first_solve_identical(model, options, solve)
+
+        monkeypatch.setattr(Model, "solve", checked)
+        try:
+            solve_milp(*random_instance(int(seed)))
+        except (InfeasibleError, ScheduleError):
+            pass
+        assert solved and all(solved)
 
 
 # ----------------------------------------------------------------------
 # warm re-solves: equal to fresh solves of the same bounds
 # ----------------------------------------------------------------------
-def _weighted_pick() -> tuple[Model, np.ndarray]:
+def _weighted_pick(vtype: VarType = VarType.CONTINUOUS,
+                   ) -> tuple[Model, np.ndarray]:
     """max Σ w·x  s.t.  Σ x <= 10,  x in [0, 4]: six items, distinct w."""
     model = Model("pick", sense=Sense.MAXIMIZE)
-    x = model.add_var_array(6, ub=4.0)
+    x = model.add_var_array(6, ub=4.0, vtype=vtype)
     model.add_constr_coo(np.zeros(6), x, np.ones(6), -INF, 10.0)
     model.set_objective_array(x, [6.0, 5.0, 4.0, 3.0, 2.0, 1.0])
     return model, x
@@ -211,7 +331,7 @@ def _ring_lp() -> tuple[Model, np.ndarray]:
 
 class TestWarmEqualsFresh:
     @staticmethod
-    def _assert_fresh(session: LpSession, model: Model, options):
+    def _assert_fresh(session: Session, model: Model, options):
         warm, fresh = session.solve(), model.solve(options)
         assert warm.status is fresh.status
         if fresh.objective is None:
@@ -221,10 +341,13 @@ class TestWarmEqualsFresh:
                                                    rel=1e-9, abs=1e-12)
         return warm
 
-    @pytest.mark.parametrize("method", LP_METHODS)
-    def test_edit_sequence_on_one_session(self, method):
+    @pytest.mark.parametrize("method, vtype", [
+        *((method, VarType.CONTINUOUS) for method in LP_METHODS),
+        *((method, VarType.INTEGER) for method in LP_METHODS)],
+        ids=[*LP_METHODS, *(f"{method}-integer" for method in LP_METHODS)])
+    def test_edit_sequence_on_one_session(self, method, vtype):
         options = SolverOptions(lp_method=method)
-        model, x = _weighted_pick()
+        model, x = _weighted_pick(vtype)
         with model.session(options) as session:
             assert self._assert_fresh(session, model, options).objective \
                 == pytest.approx(6 * 4 + 5 * 4 + 4 * 2)
@@ -242,6 +365,9 @@ class TestWarmEqualsFresh:
             model.set_var_bounds(x, lb=0.0)                      # release
             assert self._assert_fresh(session, model, options).objective \
                 == pytest.approx(6 * 4 + 5 * 4 + 4 * 2)
+            if vtype is VarType.INTEGER:  # re-runs the MIP, not the LP's
+                assert [session._highs.getOptionValue(name)[1]  # warm path
+                        for name in ("solver", "presolve")] == ["choose", "on"]
 
     @pytest.mark.parametrize("method, ipm_resolve", [
         ("highs", False), ("highs-ds", False), ("highs-ipm", True)])
@@ -319,36 +445,58 @@ class TestWarmEqualsFresh:
         with pytest.raises(ModelError, match="closed"):
             session.solve()
 
-    def test_milp_has_no_session(self):
-        from repro.solver import VarType
-
-        model = Model()
-        model.add_var_array(2, vtype=VarType.BINARY)
-        with pytest.raises(ModelError):
-            model.session()
+    def test_milp_has_a_session(self):
+        """The session refuses nothing that ``Model.solve`` accepts."""
+        model = Model(sense=Sense.MAXIMIZE)
+        x = model.add_var_array(2, vtype=VarType.BINARY)
+        model.set_objective_array(x, [1.0, 2.0])
+        with model.session() as session:
+            result = session.solve()
+        assert (result.status, result.objective) == (SolveStatus.OPTIMAL, 3.0)
 
 
 # ----------------------------------------------------------------------
 # status mapping and limits
 # ----------------------------------------------------------------------
 class TestStatusMapping:
-    @pytest.mark.parametrize(
-        "code", list(highs_core.HighsModelStatus.__members__.values()),
-        ids=list(highs_core.HighsModelStatus.__members__))
+    @pytest.mark.parametrize("code", list(HMS.__members__.values()),
+                             ids=list(HMS.__members__))
     def test_table_equals_the_linprog_composition(self, code):
         # an LP carries values only when HiGHS reports it optimal
         scipy_code, _ = _highs_to_scipy_status_message(code, "")
+        expected = _reference_map_status(scipy_code, code == HMS.kOptimal)
+        assert _map_status(code, incumbent=False) is expected
+
+    @pytest.mark.parametrize("incumbent", [True, False])
+    @pytest.mark.parametrize("code", list(HMS.__members__.values()),
+                             ids=list(HMS.__members__))
+    def test_table_equals_the_milp_composition(self, code, incumbent):
+        # milp returns a point when HiGHS is optimal, or stopped at a limit
+        # holding an incumbent — with scipy code 4 at the solution limit
+        scipy_code, _ = _highs_to_scipy_status_message(code, "")
+        limit = code in (HMS.kTimeLimit, HMS.kIterationLimit,
+                         HMS.kSolutionLimit)
         expected = _reference_map_status(
-            scipy_code, code == highs_core.HighsModelStatus.kOptimal)
-        assert _LP_STATUS.get(code, SolveStatus.ERROR) is expected
+            scipy_code, code == HMS.kOptimal or (limit and incumbent))
+        if code == HMS.kSolutionLimit and incumbent:
+            expected = SolveStatus.TIME_LIMIT  # the deliberate fix
+        assert _map_status(code, incumbent) is expected
 
     def test_time_limit_returns_no_values(self):
         model, _reads = _ring_lp()
         result = model.solve(SolverOptions(time_limit=1e-9))
         assert result.status is SolveStatus.ERROR
         assert result.values is None and result.objective is None
-        assert result.stats["backend_status"] \
-            == int(highs_core.HighsModelStatus.kTimeLimit)
+        assert result.stats["backend_status"] == int(HMS.kTimeLimit)
+
+    def test_node_limited_milp_returns_its_incumbent(self):
+        """``milp`` reported this ``ERROR``, values attached, so
+        ``require_solution()`` raised on a usable point."""
+        result = knapsack(5).solve(SolverOptions(node_limit=2))
+        assert result.stats["backend_status"] == int(HMS.kSolutionLimit)
+        assert result.status is SolveStatus.TIME_LIMIT
+        assert result.require_solution().objective == 1591.0
+        assert 0.0 < result.mip_gap < 0.05
 
 
 # ----------------------------------------------------------------------
@@ -359,13 +507,13 @@ def live_sessions(monkeypatch):
     """Weak references to every session opened while the test runs, with
     the cyclic collector off: only reference counting may free them."""
     refs = []
-    init = LpSession.__init__
+    init = Session.__init__
 
     def recording(self, *args, **kwargs):
         refs.append(weakref.ref(self))
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(LpSession, "__init__", recording)
+    monkeypatch.setattr(Session, "__init__", recording)
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -27,12 +27,14 @@ field carrying a retired name. Keyword arguments to *calls* (span
 attributes such as ``span(..., construction="cold")``) are labels, not
 parameters, and are not flagged.
 
-The same walk flags any import or attribute use of
-``scipy.optimize.linprog``: every pure LP is solved on a live HiGHS
-session (``repro.solver.LpSession``), which loads exactly the LP
-``linprog`` built, so a second LP backend beside it would be a fallback
-path, not a choice. (Code outside ``src/`` — the ledger's host
-calibration loop — may still call it.)
+The same walk flags every ``scipy.optimize`` import, and every
+``scipy.optimize`` attribute chain, except the bundled HiGHS binding
+``scipy.optimize._highspy``: every model, LP or MILP, is solved on a live
+HiGHS session (``repro.solver.Session``), whose first solve returns what
+``linprog`` / ``milp`` returned, so a second backend beside it would be a
+fallback path with its own option translation and status table, not a
+choice. (Code outside ``src/`` — the tests' oracles, the ledger's host
+calibration loop — may still call them.)
 
 Deleted *exports* are checked by import: ``repro.obs.rspan`` (the second
 span API; ``span()`` is the only one), the ``repro.simulate.simulator``
@@ -40,6 +42,8 @@ adapter module, and the expression algebra of ``repro.solver``
 (``Variable``, ``LinExpr``, ``Constraint``, ``Relation``, ``quicksum``) —
 with it the ``Model`` methods that consumed it (``add_var``,
 ``add_constr``, ``set_objective``, ``var``): a model is stated as arrays.
+``LpSession`` is ``Session`` now that it holds MILPs too, and
+``SolverOptions.to_scipy`` went with ``milp``.
 So are the paper's Algorithm 1 horizon sweep and its helpers
 (``algorithm1_num_epochs``, ``candidate_completion_times``,
 ``lp_feasible_horizon``, ``min_time_seconds``): measured against the
@@ -74,7 +78,8 @@ RETIRED = frozenset({"construction", "incremental", "track_rows",
 RETIRED_EXPORTS = (
     ("repro.obs", "rspan"), ("repro.simulate", "simulator"),
     *(("repro.solver", name) for name in (
-        "Variable", "LinExpr", "Constraint", "Relation", "quicksum")),
+        "Variable", "LinExpr", "Constraint", "Relation", "quicksum",
+        "LpSession")),
     ("repro.core", "algorithm1_num_epochs"),
     ("repro.core.epochs", "algorithm1_num_epochs"),
     ("repro.core.epochs", "candidate_completion_times"),
@@ -86,12 +91,22 @@ RETIRED_EXPORTS = (
 RETIRED_METHODS = (
     *(("repro.solver.model", "Model", name)
       for name in ("add_var", "add_constr", "set_objective", "var")),
+    ("repro.solver.options", "SolverOptions", "to_scipy"),
     ("repro.service.cache", "ScheduleCache", "get_near"))
 
 #: (module, class, parameter) triples: the constructor must not take it
 RETIRED_INIT_PARAMS = (
     ("repro.service.planner", "Planner", "sink"),
     ("repro.fleet.controller", "AdaptationController", "sink"))
+
+#: the one ``scipy.optimize`` module library code may import
+HIGHS_BINDING = "scipy.optimize._highspy"
+
+
+def _second_backend(module: str) -> bool:
+    """``module`` is ``scipy.optimize`` or below it, outside the binding."""
+    return (module + ".").startswith("scipy.optimize.") \
+        and not (module + ".").startswith(HIGHS_BINDING + ".")
 
 
 def find_retired(path: pathlib.Path) -> list[tuple[int, str]]:
@@ -115,12 +130,16 @@ def find_retired(path: pathlib.Path) -> list[tuple[int, str]]:
                         findings.append(
                             (stmt.lineno,
                              f"`{target.id}` field of class {node.name}"))
-        elif isinstance(node, ast.ImportFrom) and (
-                node.module or "").startswith("scipy.optimize"):
-            findings += [(node.lineno, "`scipy.optimize.linprog` import")
-                         for alias in node.names if alias.name == "linprog"]
-        elif isinstance(node, ast.Attribute) and node.attr == "linprog":
-            findings.append((node.lineno, "`scipy.optimize.linprog` use"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) \
+                and not node.level else ""
+            if any(_second_backend(prefix + alias.name)
+                   for alias in node.names):
+                findings.append((node.lineno, "`scipy.optimize` import"))
+        elif isinstance(node, ast.Attribute) and node.attr == "optimize" \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "scipy":
+            findings.append((node.lineno, "`scipy.optimize` use"))
     return findings
 
 

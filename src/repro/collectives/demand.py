@@ -161,10 +161,6 @@ class Demand:
                     f"node {node} is a switch; switches cannot source or "
                     "sink collective demands")
 
-    def restrict_to(self, keep: Iterable[Triple]) -> "Demand":
-        keep_set = set(keep)
-        return Demand.from_triples(t for t in self.triples() if t in keep_set)
-
     def without(self, satisfied: Iterable[Triple]) -> "Demand":
         """Demand minus already-satisfied triples (A* demand updating)."""
         drop = set(satisfied)

@@ -166,26 +166,16 @@ class SynthesisResult:
 def synthesize(topology: Topology, demand: Demand, config: TecclConfig, *,
                method: Method = Method.AUTO,
                astar_config: AStarConfig | None = None,
-               minimize_epochs: bool = False,
-               symmetry: str | None = None) -> SynthesisResult:
+               minimize_epochs: bool = False) -> SynthesisResult:
     """Synthesize routes and a schedule for one collective demand.
 
     Args:
         method: force a formulation, or AUTO for the paper's selection rule
             (LP when copy cannot help, MILP otherwise).
-        symmetry: override ``config.solver.symmetry`` for this call —
-            ``"auto"``, ``"on"`` or ``"off"`` (``None`` keeps the config's
-            setting). Controls whether the LP/MILP solves may quotient the
-            instance by verified fabric automorphisms
-            (``repro.core.symmetry``); results are always conformance-vetted
-            with cold fallback, so the knob affects speed only.
         minimize_epochs: for the LP, binary-search the smallest feasible
             horizon instead of solving one fixed horizon (§6's procedure for
             the numerically tricky large ALLTOALLs).
     """
-    if symmetry is not None:
-        config = replace(config,
-                         solver=replace(config.solver, symmetry=symmetry))
     with _obs_span("synthesize", method=method.value,
                    gpus=len(topology.gpus),
                    minimize_epochs=minimize_epochs) as sp:

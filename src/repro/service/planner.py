@@ -85,13 +85,13 @@ class Planner:
             (a stale or corrupted cache entry is exactly what the oracle
             exists to catch).
         cache / pool: inject pre-built components (tests, shared caches).
-        symmetry: ``"auto"``/``"on"`` rewrite each request onto the
-            lexicographically minimal relabeling of its demand under the
-            topology's automorphism group before fingerprinting, so
-            symmetric requests collapse to one cache entry; results are
-            relabeled back before being returned. ``"off"`` disables the
-            rewrite. Requests with priorities, a capacity hook, or the
-            hyper-edge switch model are never rewritten.
+
+    Each request is rewritten onto the lexicographically minimal
+    relabeling of its demand under the topology's automorphism group
+    before fingerprinting, so symmetric requests collapse to one cache
+    entry; results are relabeled back before being returned. A request
+    whose ``config.solver.symmetry`` is ``"off"`` is left alone, and so is
+    one with priorities, a capacity hook, or the hyper-edge switch model.
     """
 
     def __init__(self, *, executor: str = "process",
@@ -101,11 +101,7 @@ class Planner:
                  timeout: float | None = None,
                  check_conformance: bool = False,
                  cache: ScheduleCache | None = None,
-                 pool: SolvePool | None = None,
-                 symmetry: str = "auto") -> None:
-        if symmetry not in ("auto", "on", "off"):
-            raise ServiceError(f"unknown symmetry mode {symmetry!r}")
-        self.symmetry = symmetry
+                 pool: SolvePool | None = None) -> None:
         self.cache = cache if cache is not None else ScheduleCache(
             capacity=cache_capacity, directory=cache_dir)
         # An injected pool may be shared with other planners; only a
@@ -182,7 +178,7 @@ class Planner:
         never produce a wrong equivalence.
         """
         config = request.config
-        if (self.symmetry == "off" or config.priorities
+        if (config.solver.symmetry == "off" or config.priorities
                 or config.capacity_fn is not None
                 or config.switch_model is SwitchModel.HYPER_EDGE):
             return request, None

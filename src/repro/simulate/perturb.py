@@ -175,10 +175,6 @@ class RobustnessReport:
         """Mean finish under congestion relative to the clean fabric."""
         return self.mean / self.baseline
 
-    @property
-    def tail_slowdown(self) -> float:
-        return self.p95 / self.baseline
-
 
 def congestion_robustness(schedule: Schedule, topology: Topology,
                           demand: Demand, *, model: PerturbationModel,

@@ -5,10 +5,8 @@ Public surface::
     Model, Session, CompiledModel, compiled_equal, Sense, VarType
     SolverOptions, DEFAULT_OPTIONS, EARLY_STOP_30
     SolveResult, SolveStatus
-    write_lp, save_lp, lp_statistics
 """
 
-from repro.solver.io import lp_statistics, save_lp, write_lp
 from repro.solver.model import (CompiledModel, Model, Sense, Session,
                                 VarType, compiled_equal)
 from repro.solver.options import DEFAULT_OPTIONS, EARLY_STOP_30, SolverOptions
@@ -18,5 +16,4 @@ __all__ = [
     "Model", "Session", "CompiledModel", "compiled_equal", "Sense", "VarType",
     "SolverOptions", "DEFAULT_OPTIONS", "EARLY_STOP_30",
     "SolveResult", "SolveStatus",
-    "write_lp", "save_lp", "lp_statistics",
 ]

@@ -35,6 +35,7 @@ import enum
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -99,8 +100,8 @@ class _RowBlock:
 class CompiledModel:
     """The matrix form of a model: ``row_lower <= A x <= row_upper``.
 
-    ``c``/``obj_const`` describe the objective as written (sense **not**
-    applied — minimisation backends negate for MAXIMIZE themselves).
+    ``c``/``obj_const`` describe the objective as written; ``sense`` is
+    applied by the solver, never folded into ``c``.
     """
 
     A: sparse.csr_matrix
@@ -388,12 +389,12 @@ class Session:
     """A live HiGHS instance holding one model and, once run, its state.
 
     A context manager (:meth:`Model.session`); closing it frees the HiGHS
-    memory. It references its model, never the reverse. Loaded with the
-    rows ``linprog`` built (row split and order), plus the ``lp_method``
-    solver of an LP or the integrality and MIP limits ``milp`` set, its
-    first :meth:`solve` returns ``linprog``'s / ``milp``'s values bit for
-    bit. A later one pushes the bounds changed since and re-runs: an LP by
-    dual simplex, presolve off, from the held basis — or IPM afresh when
+    memory. It references its model, never the reverse. HiGHS holds the
+    model as stated: row *i* is model row *i*, ``row_lower <= A x <=
+    row_upper``, under the objective's own sense, costs and constant. The
+    first :meth:`solve` runs an LP's ``lp_method`` solver, or the MIP. A
+    later one pushes the bounds changed since and re-runs: an LP by dual
+    simplex, presolve off, from the held basis — or IPM afresh when
     ``lp_method`` resolved to IPM (on internal1x4 ALLTOALL, 74.6 k columns,
     warm dual simplex took 107 s, IPM 12 s); a MILP re-runs the MIP. Matrix
     and objective stay as they were at opening.
@@ -406,29 +407,26 @@ class Session:
         self._shape = (model.num_vars, model.num_constraints)
         self._lb, self._ub = model._lb.copy(), model._ub.copy()
         self._mip = bool(model.num_integer_vars)
-        # a MILP leaves ``solver`` to HiGHS, as ``milp`` did: "auto" would
-        # otherwise force IPM onto a large MIP's relaxations
+        # a MILP leaves ``solver`` to HiGHS: "auto" would otherwise force
+        # IPM onto a large MIP's relaxations
         self._method = None if self._mip \
             else options.resolve_lp_method(model.num_vars)
         with _obs_span("solver.prepare", vars=model.num_vars,
                        rows=model.num_constraints):
             matrix, lower, upper = model._stacked_matrix()
-            eq = (lower > -_INF) & (upper < _INF) & (lower == upper)
-            up, lo = (upper < _INF) & ~eq, (lower > -_INF) & ~eq
-            a = sparse.vstack([matrix[up], -matrix[lo], matrix[eq]],
-                              format="csc")
-            c = model._objective_vector()
+            a = matrix.tocsc()
             lp = _highs.HighsLp()
             lp.num_col_ = lp.a_matrix_.num_col_ = a.shape[1]
             lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
             lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
             lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = \
                 a.indptr, a.indices, a.data
-            lp.col_cost_ = -c if model.sense is Sense.MAXIMIZE else c
+            lp.sense_ = _highs.ObjSense.kMaximize \
+                if model.sense is Sense.MAXIMIZE else _highs.ObjSense.kMinimize
+            lp.col_cost_ = model._objective_vector()
+            lp.offset_ = model._objective[2]
             lp.col_lower_, lp.col_upper_ = self._lb, self._ub
-            lp.row_lower_ = np.concatenate(
-                [np.full(int(up.sum() + lo.sum()), -_INF), lower[eq]])
-            lp.row_upper_ = np.concatenate([upper[up], -lower[lo], lower[eq]])
+            lp.row_lower_, lp.row_upper_ = lower, upper
             self._highs = _highs._Highs()
             for name, value in (
                     ("presolve", "on" if options.presolve else "off"),
@@ -441,7 +439,9 @@ class Session:
                     ("log_to_console", options.verbose)):
                 if value is not None:
                     self._highs.setOptionValue(name, value)
-            self._highs.passModel(lp)
+            if self._highs.passModel(lp) == _highs.HighsStatus.kError:
+                raise ModelError(
+                    f"HiGHS refused {model.summary()}: {_refusal(lp)}")
             if self._mip:
                 ints = np.flatnonzero(model._integrality).astype(np.int32)
                 self._highs.changeColsIntegrality(
@@ -456,21 +456,39 @@ class Session:
     def close(self) -> None:
         self._highs = None
 
-    def solve(self) -> SolveResult:
-        """Run (or re-run) and read the result back."""
-        model, highs = self._model, self._highs
-        if highs is None:
+    def _push_bounds(self) -> None:
+        """Hand HiGHS the column bounds the model changed since."""
+        model = self._model
+        if self._highs is None:
             raise ModelError("the session is closed")
         if (model.num_vars, model.num_constraints) != self._shape:
             raise ModelError("the model changed shape since the session opened")
-        start = time.perf_counter()
         changed = np.flatnonzero((model._lb != self._lb)
                                  | (model._ub != self._ub))
         if len(changed):
             self._lb[changed] = model._lb[changed]
             self._ub[changed] = model._ub[changed]
-            highs.changeColsBounds(len(changed), changed.astype(np.int32),
-                                   self._lb[changed], self._ub[changed])
+            self._highs.changeColsBounds(
+                len(changed), changed.astype(np.int32),
+                self._lb[changed], self._ub[changed])
+
+    def write(self, path: str | Path) -> None:
+        """Export the model as HiGHS holds it, bound edits included:
+        MPS for a ``.mps`` path, CPLEX LP for ``.lp`` (whose format states
+        a two-sided row as two rows)."""
+        path = Path(path)
+        if path.suffix not in (".lp", ".mps"):
+            raise ModelError(f"cannot write {path}: not a .lp or .mps path")
+        self._push_bounds()
+        path.touch()  # HiGHS crashes on a path it cannot open; this raises
+        if self._highs.writeModel(str(path)) == _highs.HighsStatus.kError:
+            raise ModelError(f"HiGHS could not write {path}")
+
+    def solve(self) -> SolveResult:
+        """Run (or re-run) and read the result back."""
+        start = time.perf_counter()
+        self._push_bounds()
+        model, highs = self._model, self._highs
         if self._runs and self._options.time_limit is not None:
             # HiGHS's clock runs across runs: every solve gets its own limit
             highs.setOptionValue("time_limit", float(
@@ -515,9 +533,9 @@ class Session:
 #: ``lp_method`` → the HiGHS ``solver`` option (absent: HiGHS chooses)
 _LP_SOLVER = {"highs-ds": "simplex", "highs-ipm": "ipm"}
 
-#: HiGHS model status → :class:`SolveStatus`, as ``linprog`` and ``milp``
-#: mapped it (every status not listed is ``ERROR``), bar the solution limit
-#: ``milp`` left out: a node-limited MILP holding an incumbent returns it
+#: HiGHS model status → :class:`SolveStatus` (every status not listed is
+#: ``ERROR``); a MILP stopped at a time, iteration or node limit holding an
+#: incumbent returns it
 _HMS = _highs.HighsModelStatus
 _STATUS = {
     _HMS.kOptimal: SolveStatus.OPTIMAL,
@@ -536,6 +554,18 @@ def _map_status(code, incumbent: bool) -> SolveStatus:
     if status is SolveStatus.TIME_LIMIT and not incumbent:
         return SolveStatus.ERROR
     return status
+
+
+def _refusal(lp) -> str:
+    """Why HiGHS refuses ``lp``: the ERROR lines it logs when the model is
+    passed again to a throwaway instance that logs to a callback."""
+    lines: list[str] = []
+    highs = _highs._Highs()
+    highs.setCallback(lambda _kind, message, *_: lines.append(message), None)
+    highs.startCallback(_highs.cb.kCallbackLogging)
+    highs.passModel(lp)
+    return "; ".join(line.removeprefix("ERROR:").strip() for line in lines
+                     if line.startswith("ERROR")) or "no reason logged"
 
 
 __all__ = ["Model", "Session", "CompiledModel", "compiled_equal", "Sense",

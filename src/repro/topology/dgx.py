@@ -108,8 +108,3 @@ def dgx2(num_chassis: int = 1, name: str | None = None) -> Topology:
                 topo.add_link(src_base + i, dst_base + 8 + i,
                               DGX2_CROSS, DGX2_CROSS_ALPHA)
     return topo
-
-
-def gpus_of(topo: Topology) -> list[int]:
-    """Convenience: the demand endpoints of any topology in this module."""
-    return topo.gpus

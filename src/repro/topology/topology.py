@@ -139,9 +139,6 @@ class Topology:
     def in_edges(self, node: int) -> list[Link]:
         return [l for (_, d), l in self.links.items() if d == node]
 
-    def neighbors_out(self, node: int) -> list[int]:
-        return [l.dst for l in self.out_edges(node)]
-
     def link(self, src: int, dst: int) -> Link:
         try:
             return self.links[(src, dst)]
@@ -150,11 +147,6 @@ class Topology:
 
     def has_link(self, src: int, dst: int) -> bool:
         return (src, dst) in self.links
-
-    @property
-    def min_capacity(self) -> float:
-        self._require_links()
-        return min(l.capacity for l in self.links.values())
 
     @property
     def max_capacity(self) -> float:

@@ -314,10 +314,12 @@ class TestExplainRecord:
         a real symmetry-on solve reports how far the LP was compressed."""
         from repro import collectives, topology
         from repro.core import TecclConfig, synthesize
+        from repro.solver import SolverOptions
 
         ring8 = topology.ring(8, capacity=1.0)
         result = synthesize(ring8, collectives.alltoall(ring8.gpus, 1),
-                            TecclConfig(chunk_bytes=1.0), symmetry="on")
+                            TecclConfig(chunk_bytes=1.0,
+                                        solver=SolverOptions(symmetry="on")))
         stats = result.explain["stats"]
         assert stats["symmetry_conformant"] is True
         assert stats["symmetry_cols_reduced"] < stats["symmetry_cols_full"]

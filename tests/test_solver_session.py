@@ -4,11 +4,20 @@
 replaced both. The reference implementations below are those paths (for an
 LP: split two-sided rows into ``A_ub`` / ``A_eq``, call ``linprog``; for a
 MILP: call ``milp`` with the options ``SolverOptions`` translated to; then
-map scipy's status code), kept here as the oracle: a first solve on a
-session must return the same values bit for bit and the same status — bar
-the one deliberate fix, a MILP stopped at HiGHS's solution (node) limit
-holding an incumbent, which ``milp`` called an error. A warm re-solve after
-bound edits must agree with a fresh one-shot solve of the same bounds.
+map scipy's status code), kept here as the oracle. The session holds the
+model as stated — HiGHS row *i* is model row *i* — so a first solve is
+checked against the oracle as follows:
+
+* a MILP returns ``milp``'s status and values bit for bit (``milp`` hands
+  HiGHS two-sided rows as they are, too) — bar the one deliberate fix, a
+  MILP stopped at HiGHS's solution (node) limit holding an incumbent,
+  which ``milp`` called an error;
+* an LP returns ``linprog``'s status and objective (rel 1e-9) at a point
+  feasible for the model; ``linprog`` split two-sided rows, so the simplex
+  path, and with it the vertex, may differ.
+
+A warm re-solve after bound edits must agree with a fresh one-shot solve
+of the same bounds.
 """
 
 from __future__ import annotations
@@ -130,8 +139,23 @@ def reference_solve(model: Model, options: SolverOptions):
     return _reference_map_status(res.status, values is not None), values
 
 
-def assert_first_solve_identical(model: Model, options: SolverOptions,
-                                 solve=Model.solve):
+def assert_feasible(model: Model, values: np.ndarray,
+                    tol: float = 1e-7) -> None:
+    """``values`` satisfies every row and column bound of ``model``."""
+    compiled = model.compile()
+    activity = compiled.A @ values
+    for got, lower, upper in ((activity, compiled.row_lower,
+                               compiled.row_upper),
+                              (values, compiled.col_lower,
+                               compiled.col_upper)):
+        assert np.all(got >= lower - tol * (1 + np.abs(lower)))
+        assert np.all(got <= upper + tol * (1 + np.abs(upper)))
+
+
+def assert_first_solve_matches(model: Model, options: SolverOptions,
+                               solve=Model.solve):
+    """The oracle's status; for a MILP its values bit for bit, for an LP
+    its objective (rel 1e-9) at a feasible point."""
     status, values = reference_solve(model, options)
     got = solve(model, options)
     if got.stats["backend_status"] == int(HMS.kSolutionLimit) \
@@ -140,8 +164,14 @@ def assert_first_solve_identical(model: Model, options: SolverOptions,
     assert got.status is status
     if values is None:
         assert got.values is None
-    else:
+    elif model.num_integer_vars:
         assert np.array_equal(got.values, values)
+    else:
+        compiled = model.compile()
+        assert got.objective == pytest.approx(
+            compiled.obj_const + float(compiled.c @ values),
+            rel=1e-9, abs=1e-9)
+        assert_feasible(model, got.values)
     return got
 
 
@@ -207,29 +237,36 @@ def knapsack(seed: int, n: int = 80, m: int = 10) -> Model:
     return model
 
 
+def unbounded_milp() -> Model:
+    """max x + y over integers x, y >= 0 with x - y <= 1: unbounded along
+    x = y. HiGHS proves it unbounded without presolve; with presolve it
+    reports unbounded-or-infeasible (``ERROR``)."""
+    model = Model("unbounded", sense=Sense.MAXIMIZE)
+    x = model.add_var_array(2, vtype=VarType.INTEGER)
+    model.add_constr_coo([0, 0], x, [1.0, -1.0], -INF, 1.0)
+    model.set_objective_array(x, [1.0, 1.0])
+    return model
+
+
 #: the random MILP sweep: small knapsacks, some of which a node limit of 2
-#: stops holding an incumbent, and ``random_lp``'s shapes over integers
+#: stops holding an incumbent, ``random_lp``'s shapes over integers, and
+#: one MILP proved unbounded
 RANDOM_MILPS = {
     **{f"knapsack-{s}": partial(knapsack, s, 30, 5) for s in range(8)},
     **{f"integer-lp-{s}": partial(random_lp, s, VarType.INTEGER)
-       for s in range(16)}}
-
-#: the one sweep case where the split rows change a status: without
-#: presolve, ``milp``'s HiGHS could not tell this unbounded MILP from an
-#: infeasible one (model status 9, ``ERROR``); the session's proves it
-#: unbounded. Neither returns a point.
-SPLIT_ROW_STATUS = {("integer-lp-11", "no-presolve"): SolveStatus.UNBOUNDED}
+       for s in range(16)},
+    "unbounded": unbounded_milp}
 
 
 # ----------------------------------------------------------------------
-# first solves: bit-identical to linprog / milp
+# first solves: linprog's status and objective, milp's values
 # ----------------------------------------------------------------------
 class TestFirstSolveIdentical:
     @pytest.mark.parametrize("method", LP_METHODS)
     @pytest.mark.parametrize("seed", range(40))
     def test_random_lps(self, seed, method):
-        assert_first_solve_identical(random_lp(seed),
-                                     SolverOptions(lp_method=method))
+        assert_first_solve_matches(random_lp(seed),
+                                   SolverOptions(lp_method=method))
 
     def test_random_lps_reach_every_status(self):
         statuses = {reference_solve(random_lp(seed), SolverOptions())[0]
@@ -240,14 +277,7 @@ class TestFirstSolveIdentical:
     @pytest.mark.parametrize("option", MILP_OPTIONS)
     @pytest.mark.parametrize("name", RANDOM_MILPS)
     def test_random_milps(self, name, option):
-        model, options = RANDOM_MILPS[name](), MILP_OPTIONS[option]
-        if (name, option) not in SPLIT_ROW_STATUS:
-            assert_first_solve_identical(model, options)
-            return
-        assert reference_solve(model, options) == (SolveStatus.ERROR, None)
-        got = model.solve(options)
-        assert (got.status, got.values) \
-            == (SPLIT_ROW_STATUS[name, option], None)
+        assert_first_solve_matches(RANDOM_MILPS[name](), MILP_OPTIONS[option])
 
     def test_random_milps_reach_every_status(self):
         statuses = {make().solve(options).status
@@ -261,7 +291,7 @@ class TestFirstSolveIdentical:
     def test_presolve_setting_is_passed_through(self, presolve):
         options = SolverOptions(presolve=presolve)
         for seed in range(10):
-            assert_first_solve_identical(random_lp(seed), options)
+            assert_first_solve_matches(random_lp(seed), options)
 
     @pytest.mark.parametrize("family, seed", [
         *(("lp", s) for s in sorted(GOLDEN["lp"], key=int)),
@@ -289,7 +319,7 @@ class TestFirstSolveIdentical:
         for options in (*(replace(config.solver, lp_method=method)
                           for method in LP_METHODS),
                         *(MILP_OPTIONS.values() if family == "milp" else ())):
-            assert_first_solve_identical(problem.model, options)
+            assert_first_solve_matches(problem.model, options)
 
     @pytest.mark.parametrize("seed", sorted(GOLDEN["solve_milp"], key=int))
     def test_golden_solve_milp_instances(self, seed, monkeypatch):
@@ -298,7 +328,7 @@ class TestFirstSolveIdentical:
 
         def checked(model, options=DEFAULT_OPTIONS):
             solved.append(model.num_integer_vars)
-            return assert_first_solve_identical(model, options, solve)
+            return assert_first_solve_matches(model, options, solve)
 
         monkeypatch.setattr(Model, "solve", checked)
         try:
@@ -306,6 +336,133 @@ class TestFirstSolveIdentical:
         except (InfeasibleError, ScheduleError):
             pass
         assert solved and all(solved)
+
+
+# ----------------------------------------------------------------------
+# the session holds the model as stated: HiGHS row i is model row i
+# ----------------------------------------------------------------------
+def _toy_milp() -> Model:
+    """max x0 + 3 x1 + x2 + 0.5 over x0 <= 4, binary x1, integer
+    1 <= x2 <= 5: x0 + 2 x1 <= 6, -1 <= x0 - x2 <= 2, x1 + x2 == 3."""
+    model = Model("toy", sense=Sense.MAXIMIZE)
+    (x,) = model.add_var_array(1, ub=4.0)
+    (y,) = model.add_var_array(1, vtype=VarType.BINARY)
+    (z,) = model.add_var_array(1, lb=1.0, ub=5.0, vtype=VarType.INTEGER)
+    model.add_constr_coo([0, 0, 1, 1, 2, 2], [x, y, x, z, y, z],
+                         [1.0, 2.0, 1.0, -1.0, 1.0, 1.0],
+                         [-INF, -1.0, 3.0], [6.0, 2.0, 3.0])
+    model.set_objective_array([x, y, z], [1.0, 3.0, 1.0], const=0.5)
+    return model
+
+
+def _ring_milp() -> Model:
+    """The TE-CCL MILP of a ring4 ALLGATHER at K = 6."""
+    ring4 = topology.ring(4, capacity=1.0)
+    config = TecclConfig(chunk_bytes=1.0, num_epochs=6)
+    return MilpBuilder(ring4, collectives.allgather(ring4.gpus, 1), config,
+                       build_epoch_plan(ring4, config, 6)).build().model
+
+
+def _read_back(path: Path):
+    """A fresh HiGHS instance holding the model file at ``path``."""
+    highs = highs_core._Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.readModel(str(path)) == highs_core.HighsStatus.kOk
+    return highs
+
+
+class TestSessionHoldsTheModel:
+    @pytest.mark.parametrize("make", [
+        *(partial(random_lp, seed) for seed in range(12)),
+        *(partial(random_lp, seed, VarType.INTEGER) for seed in range(4)),
+        lambda: _ring_lp()[0], _toy_milp], ids=[
+        *(f"lp-{seed}" for seed in range(12)),
+        *(f"integer-lp-{seed}" for seed in range(4)), "ring-lp", "toy"])
+    def test_rows_columns_and_objective_are_the_compiled_model(self, make):
+        """HiGHS row i is model row i — same count, same bounds (a
+        two-sided row is one row), same matrix — and the objective keeps
+        its sense, costs (not negated under MAXIMIZE) and constant."""
+        model = make()
+        compiled = model.compile()
+        with model.session() as session:
+            highs = session._highs
+            lp = highs.getLp()
+        assert (highs.getNumRow(), highs.getNumCol()) \
+            == (model.num_constraints, model.num_vars)
+        assert np.array_equal(lp.row_lower_, compiled.row_lower)
+        assert np.array_equal(lp.row_upper_, compiled.row_upper)
+        matrix = sparse.csc_matrix(
+            (lp.a_matrix_.value_, lp.a_matrix_.index_, lp.a_matrix_.start_),
+            shape=compiled.A.shape)
+        assert (matrix != compiled.A).nnz == 0
+        assert np.array_equal(lp.col_cost_, compiled.c)
+        assert lp.offset_ == compiled.obj_const
+        assert lp.sense_ == (highs_core.ObjSense.kMaximize
+                             if model.sense is Sense.MAXIMIZE
+                             else highs_core.ObjSense.kMinimize)
+
+    def test_refused_model_raises_with_highs_reason(self):
+        model = Model("huge")
+        x = model.add_var_array(2, ub=1.0)
+        model.add_constr_coo([0, 0], x, [1e16, 1.0], -INF, 1.0)
+        model.set_objective_array(x, [1.0, 1.0])
+        with pytest.raises(ModelError, match=r"refused huge.*1e\+15"):
+            model.session()
+        with pytest.raises(ModelError, match=r"1e\+15"):
+            model.solve()
+
+    @pytest.mark.parametrize("make", [
+        _toy_milp, partial(knapsack, 1, 30, 5), partial(random_lp, 9),
+        lambda: _ring_lp()[0], _ring_milp],
+        ids=["toy", "knapsack", "lp", "ring-lp", "ring-milp"])
+    def test_write_then_read_keeps_the_model(self, make, tmp_path):
+        model, path = make(), tmp_path / "model.mps"
+        with model.session() as session:
+            session.write(path)
+            optimum = session.solve().objective
+        highs, matrix = _read_back(path), model.compile().A.copy()
+        matrix.eliminate_zeros()  # HiGHS keeps no zero entry
+        assert (highs.getNumRow(), highs.getNumCol(), highs.getNumNz()) \
+            == (model.num_constraints, model.num_vars, matrix.nnz)
+        highs.run()
+        assert highs.getInfo().objective_function_value \
+            == pytest.approx(optimum, rel=1e-9)
+
+    def test_lp_format_states_a_two_sided_row_as_two(self, tmp_path):
+        model, path = _toy_milp(), tmp_path / "model.lp"
+        with model.session() as session:
+            session.write(path)
+            optimum = session.solve().objective
+        highs = _read_back(path)
+        assert (highs.getNumRow(), highs.getNumCol()) \
+            == (model.num_constraints + 1, model.num_vars)
+        assert highs.getLp().sense_ == highs_core.ObjSense.kMaximize
+        highs.run()
+        assert highs.getInfo().objective_function_value \
+            == pytest.approx(optimum, rel=1e-9)
+
+    def test_write_includes_bound_edits(self, tmp_path):
+        model, x = _weighted_pick()
+        with model.session() as session:
+            model.set_var_bounds(x[:2], ub=0.0)
+            session.write(tmp_path / "model.mps")
+        highs = _read_back(tmp_path / "model.mps")
+        assert list(highs.getLp().col_upper_) == [0.0, 0.0] + [4.0] * 4
+
+    def test_write_refuses_what_it_cannot_write(self, tmp_path):
+        model, _x = _weighted_pick()
+        with model.session() as session:
+            with pytest.raises(ModelError, match=r"\.lp or \.mps"):
+                session.write(tmp_path / "model.txt")
+            with pytest.raises(OSError):
+                session.write(tmp_path / "missing" / "model.lp")
+            session.close()
+            with pytest.raises(ModelError, match="closed"):
+                session.write(tmp_path / "model.lp")
+
+    def test_empty_model_has_no_session(self):
+        with pytest.raises(ModelError, match="no variables"):
+            Model("empty").session()
 
 
 # ----------------------------------------------------------------------

@@ -744,13 +744,14 @@ class TestMilpCuts:
 # ----------------------------------------------------------------------
 class TestPlannerCollapse:
     @staticmethod
-    def _request(source):
+    def _request(source, symmetry="auto"):
         topo = ring(6)
         return PlanRequest(
             topology=topo,
             demand=collectives.broadcast(
                 source, [(source + 1) % 6, (source + 2) % 6], 1),
-            config=TecclConfig(chunk_bytes=1.0, num_epochs=8))
+            config=TecclConfig(chunk_bytes=1.0, num_epochs=8,
+                               solver=SolverOptions(symmetry=symmetry)))
 
     def test_symmetric_requests_share_one_entry(self):
         with Planner(executor="inline") as planner:
@@ -777,9 +778,9 @@ class TestPlannerCollapse:
         assert report.ok, [str(v) for v in report.violations[:3]]
 
     def test_symmetry_off_disables_collapse(self):
-        with Planner(executor="inline", symmetry="off") as planner:
-            planner.plan(self._request(0))
-            second = planner.plan(self._request(3))
+        with Planner(executor="inline") as planner:
+            planner.plan(self._request(0, "off"))
+            second = planner.plan(self._request(3, "off"))
             stats = planner.stats()
         assert not second.cache_hit
         assert stats["solves"] == 2

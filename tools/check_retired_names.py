@@ -30,11 +30,11 @@ parameters, and are not flagged.
 The same walk flags every ``scipy.optimize`` import, and every
 ``scipy.optimize`` attribute chain, except the bundled HiGHS binding
 ``scipy.optimize._highspy``: every model, LP or MILP, is solved on a live
-HiGHS session (``repro.solver.Session``), whose first solve returns what
-``linprog`` / ``milp`` returned, so a second backend beside it would be a
-fallback path with its own option translation and status table, not a
-choice. (Code outside ``src/`` — the tests' oracles, the ledger's host
-calibration loop — may still call them.)
+HiGHS session (``repro.solver.Session``) that holds the model as stated,
+so a second backend beside it would be a fallback path with its own
+option translation and status table, not a choice. (Code outside
+``src/`` — the tests' oracles, the ledger's host calibration loop — may
+still call them.)
 
 Deleted *exports* are checked by import: ``repro.obs.rspan`` (the second
 span API; ``span()`` is the only one), the ``repro.simulate.simulator``
@@ -43,9 +43,10 @@ adapter module, and the expression algebra of ``repro.solver``
 with it the ``Model`` methods that consumed it (``add_var``,
 ``add_constr``, ``set_objective``, ``var``): a model is stated as arrays.
 ``LpSession`` is ``Session`` now that it holds MILPs too, and
-``SolverOptions.to_scipy`` went with ``milp``.
-So are the paper's Algorithm 1 horizon sweep and its helpers
-(``algorithm1_num_epochs``, ``candidate_completion_times``,
+``SolverOptions.to_scipy`` went with ``milp``. So did ``repro.solver.io``
+(``write_lp``, ``save_lp``, ``lp_statistics``): a hand-written LP writer
+beside HiGHS's own, which ``Session.write`` calls. So are the paper's
+Algorithm 1 horizon sweep and its helpers (``algorithm1_num_epochs``, ``candidate_completion_times``,
 ``lp_feasible_horizon``, ``min_time_seconds``): measured against the
 load-spread path bound it lost — its coarse grids are as large as the tight
 model itself — and the horizon ladder starts from one estimate. With the
@@ -53,12 +54,15 @@ result-level seed went ``repro.failures.replan`` (its one wrapper; re-plan
 with ``synthesize`` on the degraded fabric, or ``repair_schedule``) and
 ``ScheduleCache.get_near`` (the donor index).
 
-One retired *parameter* is checked by signature: ``sink`` on
+Two retired *parameters* are checked by signature. One is ``sink`` on
 ``Planner.__init__`` and ``AdaptationController.__init__``. Tracing is
 process-global — it is turned on by ``obs.configure`` or a CLI verb's
 ``--trace``, never by a constructor that only wrapped that call. The name
 stays legitimate inside ``repro.obs.trace`` (a ``Tracer`` *has* a sink),
-so it cannot join the blanket ``RETIRED`` set.
+so it cannot join the blanket ``RETIRED`` set. The other is ``symmetry``
+on ``Planner.__init__``: a second symmetry knob beside
+``SolverOptions.symmetry``, which the planner reads off each request. The
+name is that field's own, so it cannot join ``RETIRED`` either.
 
 Exit status 0 when clean, 1 with a findings listing otherwise.
 """
@@ -79,7 +83,7 @@ RETIRED_EXPORTS = (
     ("repro.obs", "rspan"), ("repro.simulate", "simulator"),
     *(("repro.solver", name) for name in (
         "Variable", "LinExpr", "Constraint", "Relation", "quicksum",
-        "LpSession")),
+        "LpSession", "io", "write_lp", "save_lp", "lp_statistics")),
     ("repro.core", "algorithm1_num_epochs"),
     ("repro.core.epochs", "algorithm1_num_epochs"),
     ("repro.core.epochs", "candidate_completion_times"),
@@ -97,6 +101,7 @@ RETIRED_METHODS = (
 #: (module, class, parameter) triples: the constructor must not take it
 RETIRED_INIT_PARAMS = (
     ("repro.service.planner", "Planner", "sink"),
+    ("repro.service.planner", "Planner", "symmetry"),
     ("repro.fleet.controller", "AdaptationController", "sink"))
 
 #: the one ``scipy.optimize`` module library code may import

@@ -634,6 +634,7 @@ def _solve_maybe_reduced(problem: LpProblem, topology: Topology,
                 problem.model, generators, problem.model.num_vars,
                 problem.f_vars, problem.b_vars, problem.r_vars)
             if orbit_map is not None:
+                orbit_map.stats["symmetry_group_order"] = generators.order
                 result = _symmetry.solve_reduced(orbit_map, config.solver)
                 return result, True
     return problem.model.solve(config.solver), False

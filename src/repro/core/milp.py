@@ -698,11 +698,13 @@ def _solve_milp_at(topology: Topology, demand: Demand, config: TecclConfig,
     start = time.perf_counter()
     problem = builder.build()
     build_time = time.perf_counter() - start
-    cuts = _maybe_add_symmetry_cuts(problem, topology, demand, config)
+    cuts, group_order = _maybe_add_symmetry_cuts(problem, topology, demand,
+                                                 config)
     result = problem.model.solve(config.solver)
     result.stats["build_time"] = build_time
     if cuts:
         result.stats["symmetry_cuts"] = cuts
+        result.stats["symmetry_group_order"] = group_order
     if result.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError(
             f"infeasible at horizon K={plan.num_epochs}", status="horizon")
@@ -715,23 +717,24 @@ def _solve_milp_at(topology: Topology, demand: Demand, config: TecclConfig,
 
 
 def _maybe_add_symmetry_cuts(problem: MilpProblem, topology: Topology,
-                             demand: Demand, config: TecclConfig) -> int:
+                             demand: Demand,
+                             config: TecclConfig) -> tuple[int, int]:
     """Add lex-leader symmetry cuts to a built MILP when enabled.
 
     The quotient restriction used for LPs is invalid for integer programs,
     so the MILP path prunes symmetric branches with optimum-preserving
     cuts instead (``repro.core.symmetry.add_symmetry_cuts``). Returns the
     number of cut rows added (0 when symmetry is off, undetected, or
-    fails verification).
+    fails verification) and the order of the detected group.
     """
     from repro.core import symmetry as _symmetry
 
     if not _symmetry.symmetry_enabled(config.solver,
                                       problem.model.num_vars):
-        return 0
+        return 0, 1
     generators = _symmetry.find_generators(topology, demand)
     if not generators:
-        return 0
+        return 0, 1
     cuts = _symmetry.add_symmetry_cuts(
         problem.model, generators, problem.model.num_vars,
         problem.f_vars, problem.b_vars, problem.r_vars)
@@ -739,7 +742,7 @@ def _maybe_add_symmetry_cuts(problem: MilpProblem, topology: Topology,
         # a cut-constrained solve is a symmetry-assisted solve: count it
         # so the alert engine's fallback-rate denominator covers both paths
         _symmetry.note_reduction()
-    return cuts
+    return cuts, generators.order
 
 
 def _vet_cut_outcome(outcome: "MilpOutcome", topology: Topology,

@@ -8,11 +8,12 @@ flow/buffer/read variables are provably interchangeable, yet the LP/MILP
 builders emit every one of them. This module detects those automorphisms
 and collapses the instance:
 
-* **Detection** starts from cheap candidate families on the known builders
-  (ring/torus rotations and reflections, chassis/pod block permutations,
-  intra-block rotations, leaf exchanges within refinement color classes)
-  and *verifies* every candidate with :func:`is_automorphism` — a heuristic
-  miss only costs speedup, never correctness.
+* **Detection** (:func:`find_generators`) is an individualise-and-refine
+  search: equitable colour refinement of the fabric plus the demand, one
+  first path to a discrete partition, then orbit-pruned siblings level by
+  level. It returns a small generating set of the whole automorphism group
+  and its order, whatever the node numbering; every leaf is checked with
+  :func:`is_automorphism`, so refinement only steers the search.
 * **LP quotient** (:func:`reduce_lp`): every verified node permutation
   induces a column permutation of the built model; the model is averaged
   onto the fixed subspace — one variable per column orbit, constraints
@@ -34,9 +35,9 @@ and collapses the instance:
 Every reduced result is replay-vetted by the conformance oracle at the
 call sites in ``core/lp.py`` / ``core/milp.py``, with automatic cold
 fallback to the full model on any violation. Soundness therefore never
-rests on the detection heuristics: the layers are (1) exact verification
-of each generator, (2) exact verification of the induced column
-permutation against the compiled matrix, (3) conformance replay.
+rests on the search: the layers are (1) exact verification of each
+generator, (2) exact verification of the induced column permutation
+against the compiled matrix, (3) conformance replay.
 """
 
 from __future__ import annotations
@@ -61,13 +62,13 @@ from repro.topology.topology import Topology
 #: it the detection/quotient overhead rivals the solve itself.
 AUTO_SYMMETRY_MIN_VARS = 2000
 
-#: cap on verified generators kept (more generators refine orbits with
-#: rapidly diminishing returns and linearly growing verification cost)
-MAX_GENERATORS = 32
-
-#: node-count ceiling for candidate enumeration (the families below are
-#: O(n^2) candidates each verified in O(links + demand))
+#: node-count ceiling for the automorphism search: a refinement key is a
+#: colour id above a neighbourhood sum that stays exact in float64
 MAX_NODES = 256
+
+#: search-tree nodes (one colour refinement each) the automorphism search
+#: may visit before it gives up and reports no symmetry
+SEARCH_BUDGET = 2048
 
 #: BFS budget (group elements visited) for demand canonicalization
 CANONICAL_BFS_BUDGET = 512
@@ -162,115 +163,154 @@ def _verify(topology: Topology, demand: Demand | None,
 
 
 # ----------------------------------------------------------------------
-# candidate generator families
+# automorphism search: individualise and refine
 # ----------------------------------------------------------------------
-def _wl_colors(topology: Topology, demand: Demand | None) -> list[int]:
-    """1-WL refinement colors: a necessary invariant of any automorphism."""
-    n = topology.num_nodes
-    triples = list(demand.triples()) if demand is not None else []
-    # chunk ids are labels, not structure (automorphisms may relabel them
-    # per source) — signatures use destination-set sizes and sink counts
-    chunk_dests: dict[tuple[int, int], int] = {}
-    dst_sig = {v: 0 for v in range(n)}
-    for (s, c, d) in triples:
-        chunk_dests[(s, c)] = chunk_dests.get((s, c), 0) + 1
-        dst_sig[d] += 1
-    src_sig: dict[int, list[int]] = {v: [] for v in range(n)}
-    for (s, _c), size in chunk_dests.items():
-        src_sig[s].append(size)
-    colors = {}
-    seen: dict[tuple, int] = {}
-    for v in range(n):
-        key = (topology.is_switch(v), tuple(sorted(src_sig[v])),
-               dst_sig[v])
-        colors[v] = seen.setdefault(key, len(seen))
-    for _ in range(n):
-        seen = {}
-        nxt = {}
-        for v in range(n):
-            outs = sorted((l.capacity, l.alpha, colors[l.dst])
-                          for l in topology.out_edges(v))
-            ins = sorted((l.capacity, l.alpha, colors[l.src])
-                         for l in topology.in_edges(v))
-            key = (colors[v], tuple(outs), tuple(ins))
-            nxt[v] = seen.setdefault(key, len(seen))
-        if len(set(nxt.values())) == len(set(colors.values())):
-            colors = nxt
-            break
-        colors = nxt
-    return [colors[v] for v in range(n)]
+class GeneratorSet(list):
+    """Verified :class:`Automorphism` generators of a group of ``order``."""
+
+    order = 1
 
 
-def _candidate_perms(topology: Topology, demand: Demand | None):
-    """Yield candidate node permutations from the builder families.
-
-    Every yield is a *candidate* only — callers must run
-    :func:`is_automorphism` on each. Families: full rotations and
-    reflections (rings/tori), block rotations and adjacent block swaps for
-    every divisor block size (chassis/pod groups, node-numbered
-    block-major), simultaneous intra-block rotations (torus columns), and
-    transpositions within 1-WL color classes (leaf exchanges).
-    """
-    n = topology.num_nodes
-    ids = list(range(n))
-    for r in range(1, n):
-        yield [(i + r) % n for i in ids]
-    for a in range(n):
-        yield [(a - i) % n for i in ids]
-    for size in range(2, n // 2 + 1):
-        if n % size:
-            continue
-        blocks = n // size
-        # rotate blocks by one
-        yield [((i // size + 1) % blocks) * size + i % size for i in ids]
-        # swap the first two blocks
-        swap = list(ids)
-        for off in range(size):
-            swap[off], swap[size + off] = swap[size + off], swap[off]
-        yield swap
-        # rotate within every block simultaneously
-        yield [(i // size) * size + (i + 1) % size for i in ids]
-    classes: dict[int, list[int]] = {}
-    for v, color in enumerate(_wl_colors(topology, demand)):
-        classes.setdefault(color, []).append(v)
-    budget = 4 * n
-    for members in classes.values():
-        for a, b in zip(members, members[1:]):
-            if budget <= 0:
-                return
-            budget -= 1
-            t = list(ids)
-            t[a], t[b] = b, a
-            yield t
+class _BudgetExhausted(Exception):
+    pass
 
 
-def find_generators(topology: Topology, demand: Demand | None = None,
-                    max_generators: int = MAX_GENERATORS,
-                    ) -> list[Automorphism]:
-    """Verified, non-identity automorphism generators of (topology, demand).
+def _ranks(keys) -> np.ndarray:
+    """Dense ids in sorted key order, never in order of first sight."""
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return np.array([rank[key] for key in keys], dtype=np.int64)
 
-    Pass ``demand=None`` for automorphisms of the topology alone (the
-    group used for cache canonicalization, under which the demand is
-    *relabeled* rather than stabilized).
-    """
-    if topology.num_nodes > MAX_NODES:
-        return []
-    identity = list(range(topology.num_nodes))
-    out: list[Automorphism] = []
-    seen = {tuple(identity)}
-    with _obs_span("symmetry.detect", nodes=topology.num_nodes) as sp:
-        for cand in _candidate_perms(topology, demand):
-            key = tuple(cand)
-            if key in seen:
-                continue
-            seen.add(key)
-            auto = _verify(topology, demand, cand)
+
+def _target_cell(colors: np.ndarray):
+    """The lowest-coloured non-singleton cell; ``None`` when discrete."""
+    big = np.flatnonzero(np.bincount(colors) > 1)
+    return np.flatnonzero(colors == big[0]).tolist() if len(big) else None
+
+
+class _Search:
+    """Individualise-and-refine over one (topology, demand) instance: a
+    digraph of links coloured by (capacity, alpha) and demand edges s -> d
+    coloured by how many of s's chunks d wants, nodes coloured by (switch,
+    sorted destination-set sizes, chunks wanted). An automorphism keeps
+    all three, so leaves shaped like the first leaf are the candidates and
+    :func:`_verify` decides."""
+
+    def __init__(self, topology: Topology, demand: Demand | None) -> None:
+        self.topology, self.demand, self.nodes = topology, demand, 0
+        n = self.n = topology.num_nodes
+        edges = [(l.src, l.dst, (0, l.capacity, l.alpha))
+                 for l in topology.links.values()]
+        sizes, wanted, pairs = [[] for _ in range(n)], [0] * n, {}
+        for s, (chunks, _classes) in (
+                demand.chunk_classes.items() if demand else ()):
+            for _c, dests in chunks:
+                sizes[s].append(len(dests))
+                for d in dests:
+                    wanted[d] += 1
+                    pairs[(s, d)] = pairs.get((s, d), 0) + 1
+        edges += [(s, d, (1, m, 0.0)) for (s, d), m in pairs.items()]
+        ends = np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2)
+        kind = _ranks([e[2] for e in edges])
+        kinds = int(kind.max(initial=-1)) + 1
+        # an edge end sees (direction, edge colour, colour at the far end)
+        self._ends, self._far = ends.T.ravel(), ends[:, ::-1].T.ravel()
+        self._code = np.concatenate((kind, kind + kinds)) * n
+        # a neighbourhood's key: a sum of fixed random 40-bit weights per
+        # (direction, edge colour, far colour), exact in float64; a
+        # collision can only merge colours (costing search), never split
+        self._weights = np.random.default_rng(0).integers(
+            1, 1 << 40, size=2 * kinds * n).astype(float)
+        self._start = _ranks([(v in topology.switches, tuple(sorted(sizes[v])),
+                               wanted[v]) for v in range(n)])
+
+    def refine(self, colors: np.ndarray) -> np.ndarray:
+        """The coarsest equitable partition finer than ``colors``, coloured
+        by sorted (colour, neighbourhood key) pairs. One search node."""
+        self.nodes += 1
+        if self.nodes > SEARCH_BUDGET:
+            raise _BudgetExhausted
+        k = 0
+        while colors.max() + 1 > k:
+            k = colors.max() + 1
+            seen = np.bincount(self._ends, minlength=self.n, weights=(
+                self._weights[self._code + colors[self._far]]))
+            colors = np.unique((colors << 52) + seen.astype(np.int64),
+                               return_inverse=True)[1]
+        return colors
+
+    def individualise(self, colors: np.ndarray, v: int) -> np.ndarray:
+        c = colors[v]  # v keeps colour c, ahead of the rest of its cell
+        return self.refine(np.where(np.arange(self.n) == v, c,
+                                    colors + (colors >= c)))
+
+    def run(self) -> GeneratorSet:
+        """One path to a discrete partition, then bottom-up: each target-cell
+        vertex outside the orbits found so far. A generator moves its base
+        point out of the earlier ones' orbit, so each doubles the group."""
+        path, base = [self.refine(self._start)], []
+        while (cell := _target_cell(path[-1])) is not None:
+            base.append(cell[0])
+            path.append(self.individualise(path[-1], cell[0]))
+        self._leaf, self._shapes = path[-1], [np.bincount(p) for p in path]
+        found, orbit = GeneratorSet(), list(range(self.n))
+
+        def root(v):
+            while orbit[v] != v:
+                orbit[v] = v = orbit[orbit[v]]
+            return v
+
+        for level in reversed(range(len(base))):
+            b, failed = base[level], []
+            for w in _target_cell(path[level]):
+                if root(w) in {root(u) for u in [b] + failed}:
+                    continue
+                auto = self._leaf_under(
+                    self.individualise(path[level], w), level + 1)
+                if auto is None:
+                    failed.append(w)
+                    continue
+                found.append(auto)
+                for v, image in enumerate(auto.perm):
+                    orbit[root(v)] = root(image)
+            found.order *= sum(root(v) == root(b) for v in range(self.n))
+        return found
+
+    def _leaf_under(self, colors: np.ndarray, depth: int):
+        """A verified automorphism from the first leaf to a leaf below
+        ``colors``, depth first, backtracking past failed leaves."""
+        if not np.array_equal(np.bincount(colors), self._shapes[depth]):
+            return None
+        cell = _target_cell(colors)
+        if cell is None:
+            perm = np.argsort(colors)[self._leaf].tolist()
+            return _verify(self.topology, self.demand, perm)
+        for u in cell:
+            auto = self._leaf_under(self.individualise(colors, u), depth + 1)
             if auto is not None:
-                out.append(auto)
-                if len(out) >= max_generators:
-                    break
-        sp.set_attr(generators=len(out))
-    return out
+                return auto
+        return None
+
+
+def find_generators(topology: Topology,
+                    demand: Demand | None = None) -> GeneratorSet:
+    """A small verified generating set of (topology, demand)'s automorphism
+    group, and its order; ``demand=None`` for the topology's own group (the
+    one canonicalization relabels under). Above :data:`MAX_NODES` or past
+    :data:`SEARCH_BUDGET` it reports no symmetry."""
+    if topology.num_nodes > MAX_NODES:
+        return GeneratorSet()
+    with _obs_span("symmetry.detect", nodes=topology.num_nodes) as sp:
+        search = _Search(topology, demand)
+        try:
+            found = search.run()
+        except _BudgetExhausted:
+            _default_registry().counter(
+                "symmetry_search_exhausted_total",
+                "Automorphism searches that ran out of budget").inc()
+            found = GeneratorSet()
+        sp.set_attr(generators=len(found), group_order=found.order,
+                    search_nodes=search.nodes)
+    return found
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,8 @@ import dataclasses
 # explain record (JSON-safe scalars only; model matrices stay behind)
 _SOLVE_STAT_KEYS = (
     "build_time", "horizon_attempts", "horizon_solves",
-    "symmetry_generators", "symmetry_generators_skipped",
+    "symmetry_group_order", "symmetry_generators",
+    "symmetry_generators_skipped",
     "symmetry_orbits", "symmetry_cols_full",
     "symmetry_cols_reduced", "symmetry_rows_full", "symmetry_rows_reduced",
     "symmetry_conformant", "symmetry_fallback", "pop_partitions",

@@ -309,13 +309,17 @@ class TestExplainRecord:
                           "build_time": 0.5}
         assert solve_stats_subset(None) == {}
 
-    def test_symmetric_solve_explains_its_compression(self):
+    def test_symmetric_solve_explains_its_compression(self, monkeypatch):
         """The names the quotient stamps are the names the record lifts:
         a real symmetry-on solve reports how far the LP was compressed."""
         from repro import collectives, topology
-        from repro.core import TecclConfig, synthesize
+        from repro.core import TecclConfig, symmetry, synthesize
         from repro.solver import SolverOptions
+        from symmetry_oracle import oracle_generators
 
+        # the index-pattern oracle's redundant group elements, so the
+        # quotient has generators to skip
+        monkeypatch.setattr(symmetry, "find_generators", oracle_generators)
         ring8 = topology.ring(8, capacity=1.0)
         result = synthesize(ring8, collectives.alltoall(ring8.gpus, 1),
                             TecclConfig(chunk_bytes=1.0,
@@ -329,3 +333,18 @@ class TestExplainRecord:
         # a generating set of the same group is folded, the rest counted
         assert stats["symmetry_generators"] == 2
         assert stats["symmetry_generators_skipped"] == 13
+        assert stats["symmetry_group_order"] == 16  # the dihedral group
+
+    def test_searched_generators_leave_nothing_to_skip(self):
+        from repro import collectives, topology
+        from repro.core import TecclConfig, synthesize
+        from repro.solver import SolverOptions
+
+        ring8 = topology.ring(8, capacity=1.0)
+        result = synthesize(ring8, collectives.alltoall(ring8.gpus, 1),
+                            TecclConfig(chunk_bytes=1.0,
+                                        solver=SolverOptions(symmetry="on")))
+        stats = result.explain["stats"]
+        assert stats["symmetry_group_order"] == 16
+        assert stats["symmetry_generators"] == 2
+        assert stats["symmetry_generators_skipped"] == 0

@@ -244,12 +244,14 @@ class TestContentKeys:
         assert after.fingerprint != before.fingerprint
         # what a process that never saw the unedited fabric computes
         assert after.fingerprint == _expected_fingerprint(request)
-        # generators were searched and verified again, on the edited
-        # fabric: the rotations the slow link breaks are gone
-        assert calls["find_generators"] >= 1 and calls["_verify"] >= 1
+        # generators were searched again, on the edited fabric: the
+        # rotations the slow link breaks are gone (refinement alone proves
+        # the group trivial, so no leaf is left to verify)
+        assert calls["find_generators"] >= 1
         entry, known = facts.topology_facts(request.topology)
         assert known
         generators = entry.derive("generators", None)
+        assert generators.order == 1
         assert all(symmetry.is_automorphism(request.topology, None, g.perm)
                    for g in generators)
         assert [1, 2, 3, 4, 5, 0] not in [list(g.perm) for g in generators]

@@ -1,10 +1,11 @@
 """Symmetry reduction: detection, quotient/cut differentials, cache collapse.
 
-The engine (``repro.core.symmetry``) is layered so that heuristics can only
-cost compression, never correctness: candidate permutations are exactly
-verified against the topology and demand, their induced column permutations
-are exactly verified against the compiled matrix, and every reduced solution
-is replay-vetted by the conformance oracle with a cold fallback.  These
+The engine (``repro.core.symmetry``) is layered so that its search can only
+cost compression, never correctness: every leaf the automorphism search
+offers is exactly verified against the topology and demand (and the group
+it returns is pinned exactly), the induced column permutations are exactly
+verified against the compiled matrix, and every reduced solution is
+replay-vetted by the conformance oracle with a cold fallback.  These
 tests pin each layer and then the end-to-end contract: quotient and full
 builds agree on the objective, float-tight, and both replay clean.
 """
@@ -35,6 +36,9 @@ from repro.simulate.harness import PRODUCERS, sweep
 from repro.solver import SolverOptions
 from repro.topology import (line, ring, to_hyper_edges,
                             with_capacity_overrides)
+from repro.topology.io import from_edge_list
+from repro.topology.transforms import relabel
+from symmetry_oracle import oracle_generators
 
 pytestmark = pytest.mark.symmetry
 
@@ -118,6 +122,245 @@ class TestDetection:
 
 
 # ----------------------------------------------------------------------
+# the refinement search finds the whole group
+# ----------------------------------------------------------------------
+def _degraded(topo):
+    """``topo`` with its lexicographically first GPU-GPU link at half
+    capacity: the perf ledger's naturally asymmetric inputs."""
+    key = min(k for k in topo.links if not set(k) & topo.switches)
+    return with_capacity_overrides(topo, {key: 0.5})
+
+
+def _hyper_space(topo, demand):
+    """``(topology, demand, groups)`` after the hyper-edge rewrite, in the
+    rewritten node ids (what ``synthesize`` solves over)."""
+    hyper = to_hyper_edges(topo)
+    new_id = {old: new for new, old in hyper.node_map.items()}
+    return hyper.topology, Demand.from_triples(
+        (new_id[s], c, new_id[d]) for s, c, d in demand.triples()), \
+        hyper.groups
+
+
+def _a2a(topo):
+    return topo, collectives.alltoall(topo.gpus, 1)
+
+
+def _torus(rows, cols):
+    return topology.torus2d(rows, cols, capacity=1.0, alpha=0.0)
+
+
+#: (topology, demand) of the ledger's cold instances and |G| as a VF2
+#: count of the coloured fabric + demand graph measures it
+GROUP_ORDERS = {
+    "torus4x4-degraded-a2a": (lambda: _a2a(_degraded(_torus(4, 4))), 6),
+    "hypercube4-a2a": (lambda: _a2a(topology.hypercube(
+        4, capacity=1.0, alpha=0.0)), 384),
+    "torus4x4-a2a": (lambda: _a2a(_torus(4, 4)), 384),
+    "torus3x3-a2a": (lambda: _a2a(_torus(3, 3)), 72),
+    "internal1x2-a2a": (lambda: _a2a(topology.internal1(2)), 128),
+    "ndv2x2-degraded-a2a-hyper": (lambda: _hyper_space(
+        *_a2a(_degraded(topology.ndv2(2))))[:2], 8),
+    "dgx1-degraded-a2a": (lambda: _a2a(_degraded(topology.dgx1())), 2),
+    "ring12-degraded-a2a": (lambda: _a2a(_degraded(ring(12, capacity=1.0))),
+                            1),
+}
+
+
+def _closure(generators, n):
+    """Every element of the group the node permutations generate."""
+    group = [tuple(range(n))]
+    seen = set(group)
+    for sigma in group:
+        for gen in generators:
+            comp = tuple(gen.perm[i] for i in sigma)
+            if comp not in seen:
+                seen.add(comp)
+                group.append(comp)
+    return seen
+
+
+def oracle_refine(topo, demand, colors):
+    """Equitable refinement with exact keys: (colour, sorted multiset of
+    (direction, edge key, far colour)), one dict walk per node."""
+    edges = [(l.src, l.dst, (0, l.capacity, l.alpha))
+             for l in topo.links.values()]
+    if demand is not None:
+        pairs = {}
+        for s, _c, d in demand.triples():
+            pairs[(s, d)] = pairs.get((s, d), 0) + 1
+        edges += [(s, d, (1, m, 0.0)) for (s, d), m in pairs.items()]
+    colors = list(colors)
+    while True:
+        seen = {v: [] for v in range(topo.num_nodes)}
+        for s, d, key in edges:
+            seen[s].append((0, key, colors[d]))
+            seen[d].append((1, key, colors[s]))
+        keys = [(colors[v], tuple(sorted(seen[v])))
+                for v in range(topo.num_nodes)]
+        rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+        refined = [rank[key] for key in keys]
+        if len(set(refined)) == len(set(colors)):
+            return refined
+        colors = refined
+
+
+def _cells(colors):
+    cells = {}
+    for v, c in enumerate(list(colors)):
+        cells.setdefault(int(c), set()).add(v)
+    return {frozenset(cell) for cell in cells.values()}
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return from_edge_list(10, [e for a, b in outer + inner + spokes
+                               for e in ((a, b, 1.0, 0.0), (b, a, 1.0, 0.0))])
+
+
+class TestGroupSearch:
+    @pytest.mark.parametrize("name", sorted(GROUP_ORDERS))
+    def test_exact_group_order_on_the_ledger_instances(self, name):
+        build, order = GROUP_ORDERS[name]
+        topo, demand = build()
+        gens = find_generators(topo, demand)
+        assert gens.order == order
+        assert all(is_automorphism(topo, demand, g.perm) for g in gens)
+        # each generator at least doubles the group it joins
+        assert 2 ** len(gens) <= order
+        assert len(_closure(gens, topo.num_nodes)) == order
+
+    @pytest.mark.parametrize("name, build", [
+        ("ring6", lambda: (ring(6), None)),
+        ("ring6-a2a", lambda: _a2a(ring(6))),
+        ("ring7-degraded-a2a", lambda: _a2a(_degraded(ring(7)))),
+        ("ring6-two-slow-links", lambda: (with_capacity_overrides(
+            ring(6), {(0, 1): 0.5, (3, 4): 0.5}), None)),
+        ("line5-broadcast", lambda: (line(5),
+                                     collectives.broadcast(2, [0, 4], 1))),
+        ("fullmesh5-ag-2chunk", lambda: (topology.full_mesh(5), (
+            collectives.allgather(list(range(5)), 2)))),
+        ("fullmesh6-scatter", lambda: (topology.full_mesh(6), (
+            collectives.scatter(0, [1, 2, 3], 2)))),
+        ("star6-a2a", lambda: _a2a(topology.star(6))),
+        ("torus2x3", lambda: (_torus(2, 3), None)),
+        ("asymmetric-ring5", lambda: (with_capacity_overrides(ring(5), {
+            pair: 1.0 / (3 + i)
+            for i, pair in enumerate(sorted(ring(5).links))}), None)),
+    ])
+    def test_order_equals_a_brute_force_count(self, name, build):
+        import itertools
+
+        topo, demand = build()
+        assert topo.num_nodes <= 7
+        count = sum(is_automorphism(topo, demand, perm) for perm in
+                    itertools.permutations(range(topo.num_nodes)))
+        gens = find_generators(topo, demand)
+        assert gens.order == count, name
+        assert len(_closure(gens, topo.num_nodes)) == count
+
+    @pytest.mark.parametrize("name", ["ring16-a2a", "torus4x4-a2a",
+                                      "ring12-a2a", "ring8-a2a-2chunk",
+                                      "torus3x3-a2a", "hypercube4-a2a",
+                                      "fullmesh8-a2a-4chunk", "dgx1-ag",
+                                      "dgx1-degraded-a2a",
+                                      "internal1x2-a2a",
+                                      "torus4x4-degraded-a2a"])
+    def test_index_pattern_automorphisms_lie_in_the_group(self, name):
+        import math
+
+        fabrics = {
+            "ring16-a2a": lambda: _a2a(ring(16, capacity=1.0)),
+            "ring12-a2a": lambda: _a2a(ring(12, capacity=1.0)),
+            "ring8-a2a-2chunk": lambda: (ring(8, capacity=1.0),
+                                         collectives.alltoall(range(8), 2)),
+            "fullmesh8-a2a-4chunk": lambda: (
+                topology.full_mesh(8, capacity=1.0),
+                collectives.alltoall(list(range(8)), 4)),
+            "dgx1-ag": lambda: (topology.dgx1(), collectives.allgather(
+                topology.dgx1().gpus, 1)),
+        }
+        build = fabrics.get(name) or GROUP_ORDERS[name][0]
+        topo, demand = build()
+        gens = find_generators(topo, demand)
+        old = oracle_generators(topo, demand)
+        if gens.order == math.factorial(topo.num_nodes):
+            return  # the symmetric group holds every permutation
+        group = _closure(gens, topo.num_nodes)
+        assert len(group) == gens.order
+        assert {g.perm for g in old} <= group
+
+    @pytest.mark.parametrize("fabric", ["ring16", "torus4x4", "dgx1"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shuffled_labels_find_the_same_group(self, fabric, seed):
+        topo = {"ring16": lambda: ring(16, capacity=1.0),
+                "torus4x4": lambda: _torus(4, 4),
+                "dgx1": topology.dgx1}[fabric]()
+        perm = np.random.default_rng(seed).permutation(topo.num_nodes)
+        shuffled = relabel(topo, perm.tolist())
+        for demand_of in (lambda t: None,
+                          lambda t: collectives.alltoall(t.gpus, 1)):
+            natural = find_generators(topo, demand_of(topo))
+            gens = find_generators(shuffled, demand_of(shuffled))
+            assert gens.order == natural.order > 1
+            assert all(is_automorphism(shuffled, demand_of(shuffled), g.perm)
+                       for g in gens)
+
+    @pytest.mark.parametrize("name", ["torus4x4-degraded-a2a",
+                                      "ndv2x2-degraded-a2a-hyper",
+                                      "internal1x2-a2a"])
+    def test_refinement_equals_the_exact_loop_reference(self, name):
+        topo, demand = GROUP_ORDERS[name][0]()
+        search = symmetry._Search(topo, demand)
+        mine = search.refine(search._start)
+        assert _cells(mine) == _cells(oracle_refine(topo, demand,
+                                                    search._start))
+        for v in range(topo.num_nodes):
+            split = search.individualise(mine, v)
+            want = oracle_refine(topo, demand, [
+                2 * c + (u != v) for u, c in enumerate(mine.tolist())])
+            assert _cells(split) == _cells(want), v
+
+    def test_vertex_transitive_fabric_that_refinement_cannot_split(self):
+        from repro import obs
+
+        petersen = _petersen()
+        search = symmetry._Search(petersen, None)
+        assert len(set(search.refine(search._start).tolist())) == 1
+        sink = obs.MemorySink()
+        obs.configure(sink)
+        try:
+            gens = find_generators(petersen)
+        finally:
+            obs.disable()
+        assert gens and all(is_automorphism(petersen, None, g.perm)
+                            for g in gens)
+        assert gens.order == len(_closure(gens, 10)) == 120
+        attrs = next(r["attrs"] for r in sink.records
+                     if r["kind"] == "span" and r["name"] == "symmetry.detect")
+        assert attrs["group_order"] == 120
+        assert attrs["generators"] == len(gens)
+        assert 0 < attrs["search_nodes"] <= symmetry.SEARCH_BUDGET
+
+    def test_exhausted_budget_reports_no_symmetry(self, monkeypatch):
+        from repro import obs
+
+        def exhausted():
+            return obs.get_registry().snapshot().get(
+                "symmetry_search_exhausted_total", {"value": 0})["value"]
+
+        topo, demand = _a2a(_torus(4, 4))
+        before = exhausted()
+        assert find_generators(topo, demand).order == 384
+        assert exhausted() == before
+        monkeypatch.setattr(symmetry, "SEARCH_BUDGET", 3)
+        gens = find_generators(topo, demand)
+        assert gens == [] and gens.order == 1
+        assert exhausted() == before + 1
+
+
+# ----------------------------------------------------------------------
 # array kernels vs brute-force oracles
 # ----------------------------------------------------------------------
 def oracle_column_permutation(auto, num_cols, f_vars, b_vars, r_vars):
@@ -184,11 +427,7 @@ def _built(topo, demand, *, milp=False, aggregate=True, config=None):
     config = config or TecclConfig(chunk_bytes=1.0)
     groups = None
     if config.switch_model is SwitchModel.HYPER_EDGE:
-        hyper = to_hyper_edges(topo)
-        new_id = {old: new for new, old in hyper.node_map.items()}
-        demand = Demand.from_triples(
-            (new_id[s], c, new_id[d]) for s, c, d in demand.triples())
-        topo, groups = hyper.topology, hyper.groups
+        topo, demand, groups = _hyper_space(topo, demand)
     plan = build_epoch_plan(topo, config,
                             num_epochs=horizon_bound(topo, demand, config))
     builder = (MilpBuilder(topo, demand, config, plan, hyper_groups=groups)
@@ -455,19 +694,31 @@ def _reduce(problem, gens):
                               problem.f_vars, problem.b_vars, problem.r_vars)
 
 
+_FOLD_FABRICS = {
+    "ring8": lambda: ring(8, capacity=1.0),
+    "ring16": lambda: ring(16, capacity=1.0),
+    "torus3x3": lambda: topology.torus2d(3, 3, capacity=1.0, alpha=0.0),
+    "torus4x4": lambda: topology.torus2d(4, 4, capacity=1.0, alpha=0.0),
+    "hypercube4": lambda: topology.hypercube(4, capacity=1.0, alpha=0.0),
+}
+
+
 def _fold_case(name):
     if name == "fullmesh8-2chunk":
         topo = topology.full_mesh(8, capacity=1.0)
         return _built(topo, collectives.alltoall(topo.gpus, 2),
                       config=TecclConfig(chunk_bytes=0.5))
-    topo = {
-        "ring8": lambda: ring(8, capacity=1.0),
-        "ring16": lambda: ring(16, capacity=1.0),
-        "torus3x3": lambda: topology.torus2d(3, 3, capacity=1.0, alpha=0.0),
-        "torus4x4": lambda: topology.torus2d(4, 4, capacity=1.0, alpha=0.0),
-        "hypercube4": lambda: topology.hypercube(4, capacity=1.0, alpha=0.0),
-    }[name]()
+    topo = _FOLD_FABRICS[name]()
     return _built(topo, collectives.alltoall(topo.gpus, 1))
+
+
+def _redundant_fold_case(name):
+    """:func:`_fold_case` with the index-pattern oracle's generators: group
+    elements, most of them redundant — what the stem-orbit skip is for."""
+    problem, _gens = _fold_case(name)
+    topo = _FOLD_FABRICS[name]()
+    return problem, oracle_generators(topo,
+                                      collectives.alltoall(topo.gpus, 1))
 
 
 def _count_calls(monkeypatch, cls, method):
@@ -513,7 +764,7 @@ class TestGeneratorFolding:
                 + got.stats["symmetry_generators_skipped"] == len(variant)
 
     def test_ring16_pays_for_two_generators_not_thirty_one(self, monkeypatch):
-        problem, gens = _fold_case("ring16")
+        problem, gens = _redundant_fold_case("ring16")
         assert len(gens) == 31
         verified = _count_calls(monkeypatch, symmetry.PermutationVerifier,
                                 "__call__")
@@ -527,7 +778,7 @@ class TestGeneratorFolding:
     @pytest.mark.parametrize("name", ["ring8", "torus3x3"])
     def test_rejected_generator_cannot_shadow_a_later_one(self, name,
                                                           monkeypatch):
-        problem, gens = _fold_case(name)
+        problem, gens = _redundant_fold_case(name)
         honest = _reduce(problem, gens)
         without_first = _reduce(problem, gens[1:])
         verify = symmetry.PermutationVerifier.__call__
@@ -725,6 +976,7 @@ class TestMilpCuts:
         full = solve_milp(topo, demand, config_off)
 
         assert cut.result.stats.get("symmetry_cuts", 0) > 0
+        assert cut.result.stats["symmetry_group_order"] == 10  # dihedral
         assert "symmetry_fallback" not in cut.result.stats
         assert cut.result.objective == pytest.approx(
             full.result.objective, rel=1e-7, abs=1e-7)

@@ -14,17 +14,18 @@ and collapses the instance:
   level. It returns a small generating set of the whole automorphism group
   and its order, whatever the node numbering; every leaf is checked with
   :func:`is_automorphism`, so refinement only steers the search.
-* **LP quotient** (:func:`reduce_lp`): every verified node permutation
-  induces a column permutation of the built model; the model is averaged
-  onto the fixed subspace — one variable per column orbit, constraints
-  deduplicated — which preserves the exact optimum by convexity (the
-  orbit-average of any feasible point is feasible with equal objective).
-  The reduced solution lifts back by copying each orbit value to all
-  members.
+* **LP quotient** (:func:`reduce_lp`): the generators are folded into
+  orbits of the model's column *stems* (a column is a stem at an epoch),
+  and a column's orbit is its stem's orbit at its epoch. The model is
+  averaged onto that partition — one variable per column orbit,
+  constraints deduplicated — once :func:`_equitable` has proved the
+  partition equitable; the reduced solution lifts back by copying each
+  orbit value to all members.
 * **MILP cuts** (:func:`add_symmetry_cuts`): quotient restriction is *not*
   valid for integer programs, so instead optimum-preserving lex-leader
-  cuts are added per verified generator — at least one optimal solution
-  (the lexicographically largest in its orbit) always survives.
+  cuts are added per generator whose column permutation
+  :func:`_is_symmetry` proves — at least one optimal solution (the
+  lexicographically largest in its orbit) always survives.
 * **Cache canonicalization** (:func:`canonicalize_demand`): automorphisms
   of the topology alone relabel the demand; the lexicographically minimal
   relabeling is a canonical form, so symmetric requests collapse to one
@@ -32,12 +33,15 @@ and collapses the instance:
   The group is the fabric's: generators and closure are derived once per
   topology content (:mod:`repro.topology.facts`), not per request.
 
-Every reduced result is replay-vetted by the conformance oracle at the
-call sites in ``core/lp.py`` / ``core/milp.py``, with automatic cold
-fallback to the full model on any violation. Soundness therefore never
-rests on the search: the layers are (1) exact verification of each
-generator, (2) exact verification of the induced column permutation
-against the compiled matrix, (3) conformance replay.
+Soundness never rests on the search: the trust layers are (1) exact
+verification of each generator against topology and demand; (2) an exact
+proof against the compiled matrix — the quotient's partition is equitable
+(Grohe, Kersting, Mladenov and Selman, "Dimension Reduction via Colour
+Refinement", ESA 2014), so its optimum is the full optimum however it was
+proposed, and a cut's generator maps the rows onto themselves as a
+multiset — both by one exact row-matching kernel (:func:`_same_rows`);
+(3) conformance replay at the call sites in ``core/lp.py`` /
+``core/milp.py``, with cold fallback to the full model on any violation.
 """
 
 from __future__ import annotations
@@ -314,7 +318,7 @@ def find_generators(topology: Topology,
 
 
 # ----------------------------------------------------------------------
-# induced column permutations
+# column stems and orbits
 # ----------------------------------------------------------------------
 def _map_key(key, auto: Automorphism):
     if isinstance(key, tuple):
@@ -330,11 +334,12 @@ class ColumnKeys:
     The three :class:`ColumnTable` families (a plain dict is adapted by
     ``ColumnTable.from_mapping``) are concatenated, never walked. A column
     is a *stem* — (family, head index, node, second-node slot) — at an
-    epoch, and every induced permutation fixes the epoch, so a generator
-    acts on the few hundred–thousand stems (:meth:`stem_permutation`: node
-    arrays gathered through ``perm``, heads through a per-generator head
-    table, one ``searchsorted``) and only a generator worth folding pays
-    for the per-column image (:meth:`permutation`).
+    epoch, and a generator fixes the epoch, so it acts on the few
+    hundred–thousand stems (:meth:`stem_permutation`: node arrays gathered
+    through ``perm``, heads through a per-generator head table, one
+    ``searchsorted``). The quotient reads column orbits off stem orbits
+    (:meth:`orbits`); only a lex-leader cut needs a generator's image of
+    every column (:meth:`permutation`).
     """
 
     def __init__(self, num_cols: int, f_vars, b_vars, r_vars) -> None:
@@ -361,10 +366,6 @@ class ColumnKeys:
             self._stem_code(family, head, node, slot),
             return_index=True, return_inverse=True)
         self._stem_keys = np.stack([family, head, node, slot])[:, first]
-        codes = self._stem * self._num_epochs + self._epoch
-        order = np.argsort(codes)
-        self._sorted_codes = codes[order]
-        self._sorted_cols = self._cols[order]
 
     @property
     def num_stems(self) -> int:
@@ -392,140 +393,50 @@ class ColumnKeys:
         n = self._num_nodes
         if node.max(initial=0) >= n or slot.max(initial=0) > n:
             return None  # an image node no key of this model mentions
-        return _positions(self._stem_codes, self._stem_code(
-            family, head_image[head], node, slot))
+        wanted = self._stem_code(family, head_image[head], node, slot)
+        pos = np.minimum(np.searchsorted(self._stem_codes, wanted),
+                         self.num_stems - 1)
+        return pos if np.array_equal(self._stem_codes[pos], wanted) else None
+
+    def _codes(self, stems: np.ndarray) -> np.ndarray:
+        """``(stems[stem], epoch)`` of every keyed column, as one code."""
+        return stems[self._stem] * self._num_epochs + self._epoch
+
+    def orbits(self, stem_orbit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(orbit, reps)`` of the columns when the stems fall into
+        ``stem_orbit``: a column's orbit is (its stem's orbit, its epoch),
+        ids ordered by smallest member; a column no table names is alone."""
+        code = np.arange(self.num_cols) + self.num_stems * self._num_epochs
+        code[self._cols] = self._codes(stem_orbit)
+        _unique, first, inverse = np.unique(code, return_index=True,
+                                            return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        return rank[inverse], np.sort(first)
 
     def permutation(self, auto: Automorphism):
         """The column permutation ``auto`` induces, or ``None``."""
         stems = self.stem_permutation(auto)
         if stems is None:
             return None
-        pos = _positions(self._sorted_codes,
-                         stems[self._stem] * self._num_epochs + self._epoch)
-        if pos is None:
+        column = np.full(self.num_stems * self._num_epochs, -1)
+        column[self._codes(np.arange(self.num_stems))] = self._cols
+        image = column[self._codes(stems)]
+        if (image < 0).any() or len(np.unique(image)) < len(image):
             return None
         pi = np.arange(self.num_cols, dtype=np.int64)
-        pi[self._cols] = self._sorted_cols[pos]
-        hit = np.zeros(self.num_cols, dtype=bool)
-        hit[pi] = True
-        if not hit.all():
-            return None
+        pi[self._cols] = image
         return pi
-
-
-def _positions(sorted_codes: np.ndarray, wanted: np.ndarray):
-    """Index of every ``wanted`` code in ``sorted_codes``; ``None`` when
-    one is absent."""
-    pos = np.searchsorted(sorted_codes, wanted)
-    pos[pos == len(sorted_codes)] = 0
-    if not np.array_equal(sorted_codes[pos], wanted):
-        return None
-    return pos
-
-
-def induced_column_permutation(auto: Automorphism, num_cols: int,
-                               f_vars: dict, b_vars: dict, r_vars: dict):
-    """The column permutation a node automorphism induces on a built model.
-
-    Formulation keys map as ``f(q, i, j, k) -> (auto·q, perm[i], perm[j],
-    k)``, ``b(q, n, k) -> (auto·q, perm[n], k)`` and ``r(q, d, k) ->
-    (auto·q, perm[d], k)`` where ``auto·q`` relabels an aggregated int key
-    through the node permutation and an (s, c) commodity key through the
-    automorphism's chunk map. Returns ``None`` when any image key is
-    absent (the permutation does not act on this model) or the induced
-    map is not a bijection; columns in none of the dicts stay fixed —
-    :func:`verify_column_permutation` is the backstop for any auxiliary
-    structure. One-generator form of :class:`ColumnKeys`, which callers
-    with many generators build once.
-    """
-    return ColumnKeys(num_cols, f_vars, b_vars, r_vars).permutation(auto)
-
-
-class PermutationVerifier:
-    """Checks column permutations against one compiled model.
-
-    A feasible ``x`` must map to a feasible ``x'`` with ``x'[pi[i]] =
-    x[i]`` and equal objective. Exact checks: ``c[pi] == c``, column
-    bounds and integrality invariant. The constraint set is checked as a
-    row multiset: for random ``w``, the multisets of ``(A w, lb, ub)`` and
-    ``(A w[pi], lb, ub)`` rows must agree — sound up to hash collision
-    odds, and the conformance replay at the call sites is the hard gate.
-    A spurious rejection only costs the reduction, never correctness.
-
-    Everything that depends on the model alone (``A w``, the bound keys,
-    the sorted ``A w`` side of the comparison) is computed here, once;
-    a call pays one ``A @ w[pi]`` product and one sort.
-    """
-
-    def __init__(self, compiled: CompiledModel, seed: int = 0) -> None:
-        self._compiled = compiled
-        rng = np.random.default_rng(seed)
-        self._w = rng.uniform(1.0, 2.0, size=(compiled.A.shape[1], 2))
-        u = compiled.A @ self._w
-        self._quantum = 1e7 / max(1.0, float(np.abs(u).max(initial=0.0)))
-        # rows can only match rows with identical bounds: one group id
-        # per distinct (lb, ub) pair stands in for both keys in the sorts
-        lower = np.unique(compiled.row_lower, return_inverse=True)[1]
-        uppers, upper = np.unique(compiled.row_upper, return_inverse=True)
-        self._group = lower * len(uppers) + upper
-        self._u_sorted = self._sorted_rows(u)
-
-    def _sorted_rows(self, product: np.ndarray) -> np.ndarray:
-        q = np.round(product * self._quantum).astype(np.int64)
-        order = np.lexsort((q[:, 1], q[:, 0], self._group))
-        return np.column_stack([self._group[order], q[order]])
-
-    def __call__(self, pi) -> bool:
-        compiled = self._compiled
-        pi = np.asarray(pi, dtype=np.int64)
-        if not (np.array_equal(compiled.c[pi], compiled.c)
-                and np.array_equal(compiled.col_lower[pi],
-                                   compiled.col_lower)
-                and np.array_equal(compiled.col_upper[pi],
-                                   compiled.col_upper)
-                and np.array_equal(compiled.integrality[pi],
-                                   compiled.integrality)):
-            return False
-        return np.array_equal(self._sorted_rows(compiled.A @ self._w[pi]),
-                              self._u_sorted)
-
-
-def verify_column_permutation(compiled: CompiledModel, pi,
-                              seed: int = 0) -> bool:
-    """Verify ``pi`` leaves the compiled model invariant (one-permutation
-    form of :class:`PermutationVerifier`)."""
-    return PermutationVerifier(compiled, seed)(pi)
-
-
-def _bound_key(bounds: np.ndarray) -> np.ndarray:
-    return np.nan_to_num(bounds, posinf=1e300, neginf=-1e300)
-
-
-# ----------------------------------------------------------------------
-# orbits
-# ----------------------------------------------------------------------
-def column_orbits(num_cols: int, perms) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit partition of the columns under the given permutations.
-
-    Returns ``(orbit, reps)``: ``orbit[i]`` is the dense orbit id of
-    column ``i`` (ids ``0..k-1`` ordered by smallest member) and
-    ``reps[o]`` the smallest column in orbit ``o``.
-    """
-    orbit = reps = np.arange(num_cols, dtype=np.int64)
-    for p in perms:
-        orbit, reps = _merge_orbits(orbit, reps, p)
-    return orbit, reps
 
 
 def _merge_orbits(orbit: np.ndarray, reps: np.ndarray,
                   perm) -> tuple[np.ndarray, np.ndarray]:
     """Fold one more permutation into an orbit partition.
 
+    Returns ``(orbit, reps)`` as :meth:`ColumnKeys.orbits` numbers them.
     The permutation merges the *current* orbits it connects (connected
     components over orbit ids), so folding permutations in one at a time
-    keeps the working set at a few arrays of ``num_cols`` however many
-    there are — all their edges in one graph cost +47 % peak RSS on the
-    ledger's ``cold-symmetric``.
+    keeps the working set at a few arrays however many there are.
     """
     image = orbit[np.asarray(perm, dtype=np.int64)]
     moved = orbit != image
@@ -545,44 +456,147 @@ def _merge_orbits(orbit: np.ndarray, reps: np.ndarray,
     return rank[comp][orbit], reps[np.sort(first)]
 
 
+def _fold_stems(num_stems: int, images, accept=lambda stem_orbit: True):
+    """``(stem_orbit, used, skipped)`` after folding the stem ``images`` in
+    order: one that merges no two current stem orbits is skipped, one
+    whose merged partition ``accept`` refuses is left out."""
+    orbit = reps = np.arange(num_stems, dtype=np.int64)
+    used = skipped = 0
+    for image in images:
+        merged = _merge_orbits(orbit, reps, image)
+        if len(merged[1]) == len(reps):
+            skipped += 1
+        elif accept(merged[0]):
+            (orbit, reps), used = merged, used + 1
+    return orbit, used, skipped
+
+
+# ----------------------------------------------------------------------
+# exact row matching
+# ----------------------------------------------------------------------
+def _same_rows(a: sparse.csr_matrix, first: np.ndarray,
+               second: np.ndarray) -> np.ndarray:
+    """Whether row ``first[i]`` of ``a`` equals row ``second[i]``, for
+    every ``i``: their difference holds no nonzero (``x - y == 0`` iff
+    ``x == y`` for finite floats)."""
+    diff = a[first] - a[second]
+    diff.eliminate_zeros()
+    return np.diff(diff.indptr) == 0
+
+
+def _row_blocks(a: sparse.csr_matrix, lb: np.ndarray,
+                ub: np.ndarray) -> np.ndarray:
+    """A block id per row of ``a``: rows share a block only when pattern,
+    data and both bounds are identical. A fixed-seed hash only
+    *orders* the rows; each is then compared exactly with its predecessor
+    (:func:`_same_rows`), so a collision — or unsorted indices — can split
+    a block, never merge two different rows."""
+    h = a @ np.random.default_rng(1).integers(
+        1, 1 << 30, size=a.shape[1]).astype(float)
+    order = np.lexsort((h, ub, lb))
+    prev, row = order[:-1], order[1:]
+    same = (h[prev] == h[row]) & (lb[prev] == lb[row]) & (ub[prev] == ub[row])
+    same[same] = _same_rows(a, prev[same], row[same])
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = ~same
+    block = np.empty(len(order), dtype=np.int64)
+    block[order] = np.cumsum(starts) - 1
+    return block
+
+
+def _equitable(compiled: CompiledModel, orbit: np.ndarray,
+               reps: np.ndarray):
+    """``(A·S, row block per row)`` when (row blocks, column ``orbit``)
+    is an equitable partition of ``compiled``, else ``None``.
+
+    ``S`` is the 0/1 column-orbit selector; a row block is a set of
+    identical rows of ``A·S``, bounds included (the rows the quotient
+    dedups), ``T`` the 0/1 block selector. Equitable: costs and column bounds are
+    constant on each orbit and each column of ``T·A`` is constant on each
+    orbit. Then a row of ``A x̄`` (``x`` averaged over the orbits) is its
+    block's average of ``A x``, so averaging keeps every feasible point
+    feasible at equal objective (Grohe et al., ESA 2014): the quotient's
+    optimum is the full one, and it is infeasible iff the full LP is.
+    """
+    num_cols = len(orbit)
+    selector = sparse.csr_matrix(
+        (np.ones(num_cols), (np.arange(num_cols), orbit)),
+        shape=(num_cols, len(reps)))
+    a_red = (compiled.A @ selector).tocsr()
+    a_red.sort_indices()
+    block = _row_blocks(a_red, compiled.row_lower, compiled.row_upper)
+    rows = len(block)
+    blocks = sparse.csr_matrix(
+        (np.ones(rows), (block, np.arange(rows))),
+        shape=(int(block.max(initial=-1)) + 1, rows))
+    sums = (blocks @ compiled.A).T.tocsr()
+    rep = reps[orbit]
+    if not (all(np.array_equal(v, v[rep]) for v in (
+            compiled.c, compiled.col_lower, compiled.col_upper))
+            and _same_rows(sums, np.arange(num_cols), rep).all()):
+        return None
+    return a_red, block
+
+
+def _is_symmetry(compiled: CompiledModel, pi: np.ndarray) -> bool:
+    """Whether ``x'[pi[i]] = x[i]`` maps every feasible ``x`` of
+    ``compiled`` to a feasible ``x'`` with equal objective: costs, column
+    bounds and integrality are invariant, and the rows of ``A`` renamed
+    through ``pi`` are the rows of ``A`` as a multiset, bounds included
+    (:func:`_row_blocks` over both stacked: equal counts in every block).
+    """
+    if not all(np.array_equal(v[pi], v) for v in (
+            compiled.c, compiled.col_lower, compiled.col_upper,
+            compiled.integrality)):
+        return False
+    a = compiled.A
+    # copies: sort_indices() reorders in place, and compiled.A shares them
+    renamed = sparse.csr_matrix((a.data.copy(), pi[a.indices],
+                                 a.indptr.copy()), shape=a.shape)
+    renamed.sort_indices()
+    block = _row_blocks(sparse.vstack([a, renamed], format="csr"),
+                        np.tile(compiled.row_lower, 2),
+                        np.tile(compiled.row_upper, 2))
+    rows, count = a.shape[0], int(block.max(initial=-1)) + 1
+    return np.array_equal(np.bincount(block[:rows], minlength=count),
+                          np.bincount(block[rows:], minlength=count))
+
+
 # ----------------------------------------------------------------------
 # LP quotient
 # ----------------------------------------------------------------------
 @dataclass
 class OrbitMap:
-    """A verified reduction of a built model onto its symmetric subspace.
+    """A proved reduction of a built model onto an equitable partition.
 
     Attributes:
-        generators: the verified node permutations used.
         orbit: dense orbit id per original column.
         reps: representative (smallest) original column per orbit.
         stats: reduction bookkeeping merged into the solve stats.
     """
 
-    generators: list[Automorphism]
     orbit: np.ndarray
     reps: np.ndarray
     reduced: Model | None = None
     stats: dict = field(default_factory=dict)
 
-    @property
-    def num_orbits(self) -> int:
-        return len(self.reps)
-
 
 def reduce_lp(model: Model, generators, num_cols: int, f_vars: dict,
               b_vars: dict, r_vars: dict) -> OrbitMap | None:
-    """Build the quotient LP of ``model`` under verified generators.
+    """Build the quotient LP of ``model`` under the generators' orbits.
 
-    Restricting a symmetric LP to the fixed subspace (all orbit members
-    equal) preserves the exact optimum: the orbit-average of any feasible
-    point is feasible by convexity, has equal objective by ``c[pi] == c``,
-    and lies in the subspace. The quotient substitutes ``x = S y`` (S the
-    0/1 column-orbit selector), deduplicates the rows that become
-    identical, and keeps representative bounds (constant on orbits by
-    generator verification). Returns ``None`` for a model with integer
-    columns (the restriction is only valid for LPs), when nothing
-    collapses, or when no generator survives verification.
+    Every generator is folded into stem orbits (one that merges no two
+    stem orbits of those folded before it is skipped), and a column's
+    orbit is its stem's orbit at its epoch. One :func:`_equitable` check
+    proves the partition; the quotient substitutes ``x = S y`` (S the 0/1
+    column-orbit selector), keeps the first row of each block of rows
+    that became identical, and keeps representative bounds. When the
+    combined partition is not equitable — an input detection does not
+    see, such as per-triple priorities or a capacity hook, broke a
+    generator — the generators are folded again one at a time, each kept
+    only if the partition stays equitable (``symmetry_refold``). Returns
+    ``None`` for a model with integer columns (the restriction is only
+    valid for LPs) or when nothing collapses.
     """
     with _obs_span("symmetry.reduce", cols=num_cols,
                    generators=len(generators)) as sp:
@@ -590,39 +604,30 @@ def reduce_lp(model: Model, generators, num_cols: int, f_vars: dict,
         if np.any(compiled.integrality != 0):
             return None
         keys = ColumnKeys(num_cols, f_vars, b_vars, r_vars)
-        verify = PermutationVerifier(compiled)
-        orbit = reps = np.arange(num_cols, dtype=np.int64)
-        stem_orbit = stem_reps = np.arange(keys.num_stems, dtype=np.int64)
-        used = skipped = 0
-        for gen in generators:
-            # column orbits are stem orbits x epoch: a generator that
-            # merges no stem orbits of the verified generators folded so
-            # far cannot merge columns either, and is not paid for
-            image = keys.stem_permutation(gen)
-            if image is None:
-                continue
-            merged = _merge_orbits(stem_orbit, stem_reps, image)
-            if len(merged[1]) == len(stem_reps):
-                skipped += 1
-                continue
-            pi = keys.permutation(gen)
-            if pi is None or not verify(pi):
-                continue
-            used += 1
-            stem_orbit, stem_reps = merged
-            orbit, reps = _merge_orbits(orbit, reps, pi)
-        sp.set_attr(used=used, skipped=skipped)
-        k = len(reps)
-        if k >= num_cols:
+        images = [image for image in map(keys.stem_permutation, generators)
+                  if image is not None]
+        checks, proved = 0, None
+
+        def equitable(stem_orbit) -> bool:
+            nonlocal checks, proved
+            checks += 1
+            partition = keys.orbits(stem_orbit)
+            quotient = _equitable(compiled, *partition)
+            if quotient is not None:
+                proved = partition, quotient
+            return quotient is not None
+
+        stem_orbit, used, skipped = _fold_stems(keys.num_stems, images)
+        refold = used > 0 and not equitable(stem_orbit)
+        if refold:
+            _, used, skipped = _fold_stems(keys.num_stems, images, equitable)
+        sp.set_attr(used=used, skipped=skipped, checks=checks)
+        if proved is None or len(proved[0][1]) >= num_cols:
             return None
+        (orbit, reps), (a_red, block) = proved
+        k = len(reps)
         with _obs_span("symmetry.quotient", cols=num_cols, orbits=k):
-            selector = sparse.csr_matrix(
-                (np.ones(num_cols), (np.arange(num_cols), orbit)),
-                shape=(num_cols, k))
-            a_red = (compiled.A @ selector).tocsr()
-            a_red.sort_indices()
-            keep = _dedup_rows(a_red, compiled.row_lower,
-                               compiled.row_upper)
+            keep = np.sort(np.unique(block, return_index=True)[1])
             a_red = a_red[keep]
             reduced = Model(name="quotient", sense=compiled.sense)
             reduced.add_var_array(k, lb=compiled.col_lower[reps],
@@ -645,44 +650,10 @@ def reduce_lp(model: Model, generators, num_cols: int, f_vars: dict,
                 "symmetry_rows_full": int(compiled.A.shape[0]),
                 "symmetry_rows_reduced": int(a_red.shape[0]),
             }
-            return OrbitMap(generators=list(generators), orbit=orbit,
-                            reps=reps, reduced=reduced, stats=stats)
-
-
-def _dedup_rows(a: sparse.csr_matrix, lb: np.ndarray,
-                ub: np.ndarray) -> np.ndarray:
-    """Indices of rows to keep after dropping exact duplicates.
-
-    Rows are sorted by (bounds, randomized hash) and each is compared
-    *exactly* (sparsity pattern, data, both bounds) with its predecessor
-    in that order; a row equal to it is dropped. ``a`` must have sorted
-    indices. A float-association mismatch merely keeps the row, which
-    loses compression but never correctness.
-    """
-    rng = np.random.default_rng(1)
-    w = rng.integers(1, 1 << 30, size=(a.shape[1], 2)).astype(float)
-    h = a @ w
-    order = np.lexsort((h[:, 1], h[:, 0], _bound_key(ub), _bound_key(lb)))
-    prev, row = order[:-1], order[1:]
-    length = np.diff(a.indptr)
-    pairs = np.nonzero((h[prev, 0] == h[row, 0]) & (h[prev, 1] == h[row, 1])
-                       & (lb[prev] == lb[row]) & (ub[prev] == ub[row])
-                       & (length[prev] == length[row]))[0]
-    # entry-by-entry comparison of every candidate pair at once: ``pair``
-    # names the candidate each compared entry belongs to, ``within`` its
-    # offset inside the row
-    size = length[row[pairs]]
-    pair = np.repeat(np.arange(len(pairs)), size)
-    within = np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size,
-                                                    size)
-    at_prev = a.indptr[prev[pairs]][pair] + within
-    at_row = a.indptr[row[pairs]][pair] + within
-    differs = ((a.indices[at_prev] != a.indices[at_row])
-               | (a.data[at_prev] != a.data[at_row]))
-    same = np.bincount(pair[differs], minlength=len(pairs)) == 0
-    duplicate = np.zeros(a.shape[0], dtype=bool)
-    duplicate[row[pairs[same]]] = True
-    return np.nonzero(~duplicate)[0]
+            if refold:
+                stats["symmetry_refold"] = True
+            return OrbitMap(orbit=orbit, reps=reps, reduced=reduced,
+                            stats=stats)
 
 
 def note_reduction() -> None:
@@ -714,7 +685,7 @@ def solve_reduced(orbit_map: OrbitMap,
     is infeasible iff the full LP is).
     """
     note_reduction()
-    with _obs_span("symmetry.solve", orbits=orbit_map.num_orbits,
+    with _obs_span("symmetry.solve", orbits=len(orbit_map.reps),
                    cols_full=orbit_map.stats["symmetry_cols_full"],
                    cols_reduced=orbit_map.stats["symmetry_cols_reduced"]):
         result = orbit_map.reduced.solve(options)
@@ -734,7 +705,7 @@ def solve_reduced(orbit_map: OrbitMap,
 # ----------------------------------------------------------------------
 def add_symmetry_cuts(model: Model, generators, num_cols: int,
                       f_vars: dict, b_vars: dict, r_vars: dict) -> int:
-    """Add optimum-preserving lex-leader cuts per verified generator.
+    """Add optimum-preserving lex-leader cuts per proved generator.
 
     For an integer program the quotient restriction is invalid (forcing an
     orbit equal can lose every optimum), so instead each solution orbit is
@@ -743,18 +714,19 @@ def add_symmetry_cuts(model: Model, generators, num_cols: int,
     both ``pi`` and its inverse fix all columns below ``p``, so the
     lex-max element satisfies ``x[p] >= x[pi(p)]`` and ``x[p] >=
     x[pi^-1(p)]`` — every orbit keeps at least one optimum and the optimal
-    value is unchanged. Returns the number of cut rows added.
+    value is unchanged. A generator is used only when :func:`_is_symmetry`
+    proves its column permutation. Returns the number of cut rows added.
     """
     with _obs_span("symmetry.reduce", cols=num_cols,
                    generators=len(generators)):
         added = 0
         keys = ColumnKeys(num_cols, f_vars, b_vars, r_vars)
-        verify = PermutationVerifier(model.compile())
+        compiled = model.compile()
         # one cut pair per generator that acts on the model (trust layer
         # 2: none is taken on faith, none skipped)
         for gen in generators:
             pi = keys.permutation(gen)
-            if pi is None or not verify(pi):
+            if pi is None or not _is_symmetry(compiled, pi):
                 continue
             moved = np.nonzero(pi != np.arange(num_cols))[0]
             if not len(moved):

@@ -26,7 +26,7 @@ import dataclasses
 _SOLVE_STAT_KEYS = (
     "build_time", "horizon_attempts", "horizon_solves",
     "symmetry_group_order", "symmetry_generators",
-    "symmetry_generators_skipped",
+    "symmetry_generators_skipped", "symmetry_refold",
     "symmetry_orbits", "symmetry_cols_full",
     "symmetry_cols_reduced", "symmetry_rows_full", "symmetry_rows_reduced",
     "symmetry_conformant", "symmetry_fallback", "pop_partitions",

@@ -3,11 +3,15 @@
 The engine (``repro.core.symmetry``) is layered so that its search can only
 cost compression, never correctness: every leaf the automorphism search
 offers is exactly verified against the topology and demand (and the group
-it returns is pinned exactly), the induced column permutations are exactly
-verified against the compiled matrix, and every reduced solution is
-replay-vetted by the conformance oracle with a cold fallback.  These
-tests pin each layer and then the end-to-end contract: quotient and full
-builds agree on the objective, float-tight, and both replay clean.
+it returns is pinned exactly); the LP quotient's column partition is proved
+an equitable partition of the compiled model, and each generator a cut uses
+is proved a symmetry of it by an exact row-multiset match, both through one
+exact row-matching kernel; and every reduced solution is replay-vetted by
+the conformance oracle with a cold fallback. These tests pin each layer
+against brute-force oracles — including partitions no group proposed and
+generators an input the search does not see has broken — and then the
+end-to-end contract: quotient and full builds agree on the objective,
+float-tight, and both replay clean.
 """
 
 import tracemalloc
@@ -26,10 +30,8 @@ from repro.core.lp import LpBuilder, solve_lp
 from repro.core.milp import MilpBuilder, solve_milp
 from repro.core.symmetry import (Automorphism, ColumnKeys,
                                  canonicalize_demand, chunk_relabeling,
-                                 column_orbits, find_generators,
-                                 induced_column_permutation,
-                                 invert_permutation, is_automorphism,
-                                 verify_column_permutation)
+                                 find_generators, invert_permutation,
+                                 is_automorphism)
 from repro.service import Planner, PlanRequest
 from repro.simulate import check_flow, check_schedule
 from repro.simulate.harness import PRODUCERS, sweep
@@ -404,21 +406,102 @@ def oracle_column_orbits(num_cols, perms):
     return orbit.astype(np.int64), reps
 
 
+def column_orbits(num_cols, perms):
+    """``(orbit, reps)`` of the columns under ``perms``, folded one at a
+    time by ``_merge_orbits``: dense ids by smallest member, and those."""
+    orbit = reps = np.arange(num_cols, dtype=np.int64)
+    for p in perms:
+        orbit, reps = symmetry._merge_orbits(orbit, reps, p)
+    return orbit, reps
+
+
 def oracle_dedup_rows(a, lb, ub):
-    """Row-by-row exact comparison against the last kept row."""
-    h = a @ np.random.default_rng(1).integers(
-        1, 1 << 30, size=(a.shape[1], 2)).astype(float)
-    order = np.lexsort((h[:, 1], h[:, 0], symmetry._bound_key(ub),
-                        symmetry._bound_key(lb)))
-    dense = a.toarray()
-    keep, rep = [], None
-    for r in order.tolist():
-        if rep is not None and lb[r] == lb[rep] and ub[r] == ub[rep] \
-                and np.array_equal(dense[r], dense[rep]):
-            continue
-        rep = r
-        keep.append(r)
-    return np.sort(np.asarray(keep, dtype=np.int64))
+    """The smallest row of each class of identical rows, bounds included:
+    a dict over exact row tuples (``a`` has sorted indices)."""
+    first = {}
+    for r in range(a.shape[0]):
+        span = slice(a.indptr[r], a.indptr[r + 1])
+        first.setdefault((lb[r], ub[r], tuple(a.indices[span].tolist()),
+                          tuple(a.data[span].tolist())), r)
+    return np.sort(np.fromiter(first.values(), dtype=np.int64))
+
+
+def _swap(num_cols, a, b):
+    swap = np.arange(num_cols)
+    swap[[a, b]] = [b, a]
+    return swap
+
+
+def _foreign_flows(problem):
+    """Two flow columns of one commodity on different links: equal costs
+    and bounds, different constraint rows."""
+    return problem.f_vars[(0, 0, 1, 0)], problem.f_vars[(0, 1, 2, 1)]
+
+
+def _first_rows(block):
+    """The rows the quotient keeps: the first of each block."""
+    return np.sort(np.unique(block, return_index=True)[1])
+
+
+def oracle_is_symmetry(compiled, pi):
+    """Exact by construction: costs, column bounds and integrality
+    invariant, and a Counter of renamed row tuples equal to the rows'."""
+    from collections import Counter
+
+    if not all(np.array_equal(v[pi], v) for v in (
+            compiled.c, compiled.col_lower, compiled.col_upper,
+            compiled.integrality)):
+        return False
+    a = compiled.A.tocsr()
+
+    def rows(rename):
+        return Counter(
+            (compiled.row_lower[r], compiled.row_upper[r], tuple(sorted(zip(
+                rename[a.indices[a.indptr[r]:a.indptr[r + 1]]].tolist(),
+                a.data[a.indptr[r]:a.indptr[r + 1]].tolist()))))
+            for r in range(a.shape[0]))
+
+    return rows(np.asarray(pi)) == rows(np.arange(len(pi)))
+
+
+def _dense_ids(keys):
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return [rank[key] for key in keys]
+
+
+def oracle_coarsest_equitable(compiled):
+    """Colour refinement of an LP (Grohe et al.): columns start coloured by
+    (cost, bounds), rows by bounds, and each round recolours a row by the
+    multiset of (column colour, coefficient) it holds and a column by the
+    multiset of (row colour, coefficient), until no class splits. Returns
+    ``(orbit, reps)`` numbered like ``ColumnKeys.orbits``."""
+    a = compiled.A.tocsr()
+    at = a.T.tocsr()
+
+    def seen(m, colors, i):
+        span = slice(m.indptr[i], m.indptr[i + 1])
+        return tuple(sorted(zip((colors[j] for j in m.indices[span]),
+                                m.data[span].tolist())))
+
+    col = _dense_ids(list(zip(compiled.c.tolist(),
+                              compiled.col_lower.tolist(),
+                              compiled.col_upper.tolist())))
+    row = _dense_ids(list(zip(compiled.row_lower.tolist(),
+                              compiled.row_upper.tolist())))
+    while True:
+        new_row = _dense_ids([(row[r], seen(a, col, r))
+                              for r in range(a.shape[0])])
+        new_col = _dense_ids([(col[j], seen(at, new_row, j))
+                              for j in range(a.shape[1])])
+        if len(set(new_row)) == len(set(row)) \
+                and len(set(new_col)) == len(set(col)):
+            break
+        row, col = new_row, new_col
+    _ids, first, inverse = np.unique(col, return_index=True,
+                                     return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse], np.sort(first)
 
 
 def _built(topo, demand, *, milp=False, aggregate=True, config=None):
@@ -482,14 +565,18 @@ class TestArrayKernels:
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
             perms.append(got)
-        assert np.array_equal(
-            induced_column_permutation(gens[0], num_cols, *maps), perms[0])
 
         orbit, reps = column_orbits(num_cols, perms)
         want_orbit, want_reps = oracle_column_orbits(num_cols, perms)
         assert np.array_equal(orbit, want_orbit)
         assert np.array_equal(reps, want_reps)
         assert orbit.dtype == reps.dtype == np.int64
+        # the quotient's partition: stem orbits at each epoch
+        stem_orbit, _ = column_orbits(
+            keys.num_stems, [keys.stem_permutation(g) for g in gens])
+        got_orbit, got_reps = keys.orbits(stem_orbit)
+        assert np.array_equal(got_orbit, want_orbit)
+        assert np.array_equal(got_reps, want_reps)
 
         # the quotient's row dedup, on the substituted matrix
         compiled = problem.model.compile()
@@ -498,33 +585,50 @@ class TestArrayKernels:
             shape=(num_cols, len(reps)))
         a_red = (compiled.A @ selector).tocsr()
         a_red.sort_indices()
-        keep = symmetry._dedup_rows(a_red, compiled.row_lower,
-                                    compiled.row_upper)
+        keep = _first_rows(symmetry._row_blocks(a_red, compiled.row_lower,
+                                                compiled.row_upper))
         assert len(keep) < a_red.shape[0]
         assert np.array_equal(keep, oracle_dedup_rows(
             a_red, compiled.row_lower, compiled.row_upper))
+        # ... and the group's orbit partition is equitable
+        assert symmetry._equitable(compiled, orbit, reps) is not None
 
-    def test_verifier_accepts_induced_and_rejects_foreign_permutations(self):
+    def test_is_symmetry_accepts_induced_and_rejects_foreign_permutations(
+            self):
         problem, gens = _kernel_case("ring8-a2a")
         num_cols = problem.model.num_vars
         compiled = problem.model.compile()
-        pi = induced_column_permutation(
-            gens[0], num_cols, problem.f_vars, problem.b_vars,
-            problem.r_vars)
-        assert verify_column_permutation(compiled, pi)
+        keys = ColumnKeys(num_cols, problem.f_vars, problem.b_vars,
+                          problem.r_vars)
+        for gen in gens:
+            pi = keys.permutation(gen)
+            assert symmetry._is_symmetry(compiled, pi)
+            assert oracle_is_symmetry(compiled, pi)
         # swapping two flow columns of one commodity on different links
-        # keeps costs and bounds but breaks the constraint rows
-        a, b = problem.f_vars[(0, 0, 1, 0)], problem.f_vars[(0, 1, 2, 1)]
-        swap = np.arange(num_cols)
-        swap[[a, b]] = [b, a]
-        assert not verify_column_permutation(compiled, swap)
+        # keeps costs and bounds but breaks the constraint rows ...
+        a, b = _foreign_flows(problem)
+        swap = _swap(num_cols, a, b)
+        assert not symmetry._is_symmetry(compiled, swap)
+        assert not oracle_is_symmetry(compiled, swap)
         # ... and a cost-changing swap is caught by the exact checks
         r = next(iter(problem.r_vars.values()))
-        swap = np.arange(num_cols)
-        swap[[a, r]] = [r, a]
-        assert not verify_column_permutation(compiled, swap)
+        assert not symmetry._is_symmetry(compiled, _swap(num_cols, a, r))
 
-    def test_dedup_keeps_rows_that_differ_anywhere(self):
+    def test_is_symmetry_leaves_the_model_untouched(self):
+        # the renamed matrix is sorted in place: built over compiled.A's
+        # own buffers, that sort would scramble the model it checks
+        problem, gens = _kernel_case("dgx1-ag-milp")
+        compiled = problem.model.compile()
+        keys = ColumnKeys(problem.model.num_vars, problem.f_vars,
+                          problem.b_vars, problem.r_vars)
+        a = compiled.A
+        before = [x.tobytes() for x in (a.data, a.indices, a.indptr)]
+        for gen in gens:
+            assert symmetry._is_symmetry(compiled, keys.permutation(gen))
+        assert [x.tobytes() for x in (a.data, a.indices, a.indptr)] \
+            == before
+
+    def test_row_blocks_split_rows_that_differ_anywhere(self):
         rows = np.array([[1.0, 2.0, 0.0],
                          [1.0, 2.0, 0.0],   # duplicate of row 0
                          [1.0, 2.0, 0.0],   # same entries, other bound
@@ -535,7 +639,10 @@ class TestArrayKernels:
         lb = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -np.inf, -np.inf])
         ub = np.array([1.0, 1.0, 2.0, 1.0, 1.0, np.inf, np.inf])
         a = sparse.csr_matrix(rows)
-        keep = symmetry._dedup_rows(a, lb, ub)
+        block = symmetry._row_blocks(a, lb, ub)
+        assert block[0] == block[1] and block[5] == block[6]
+        assert len(set(block.tolist())) == 5
+        keep = _first_rows(block)
         assert keep.tolist() == [0, 2, 3, 4, 5]
         assert np.array_equal(keep, oracle_dedup_rows(a, lb, ub))
 
@@ -549,12 +656,12 @@ class TestArrayKernels:
         rotation = Automorphism(perm=tuple(_rotation(6, 1)))
         num_cols = problem.model.num_vars
         assert oracle_column_permutation(rotation, num_cols, *maps) is None
-        assert induced_column_permutation(rotation, num_cols, *maps) is None
+        assert ColumnKeys(num_cols, *maps).permutation(rotation) is None
         # ... and an image *node* the model never mentions
         wide = Automorphism(perm=(0, 7, 2, 3, 4, 5, 6, 1))
         b_vars = {(0, 0, 0): 0, (0, 1, 0): 1}
         assert oracle_column_permutation(wide, 2, {}, b_vars, {}) is None
-        assert induced_column_permutation(wide, 2, {}, b_vars, {}) is None
+        assert ColumnKeys(2, {}, b_vars, {}).permutation(wide) is None
 
     def test_non_bijection_returns_none(self):
         # every image key exists, but two columns share an image
@@ -564,13 +671,13 @@ class TestArrayKernels:
             perm=(0, 1), chunk_map={(0, 0): (0, 0), (1, 0): (0, 0)})
         collapse_nodes = Automorphism(
             perm=(0, 0), chunk_map={(0, 0): (0, 0), (1, 0): (1, 0)})
+        keys = ColumnKeys(8, {}, b_vars, {})
         for auto in (collapse_heads, collapse_nodes):
             assert oracle_column_permutation(auto, 8, {}, b_vars, {}) is None
-            assert induced_column_permutation(auto, 8, {}, b_vars, {}) \
-                is None
+            assert keys.permutation(auto) is None
         swap = Automorphism(
             perm=(1, 0), chunk_map={(0, 0): (1, 0), (1, 0): (0, 0)})
-        assert induced_column_permutation(swap, 8, {}, b_vars, {}).tolist() \
+        assert keys.permutation(swap).tolist() \
             == oracle_column_permutation(swap, 8, {}, b_vars, {}).tolist() \
             == [6, 7, 4, 5, 2, 3, 0, 1]
 
@@ -624,7 +731,7 @@ class TestArrayKernels:
 
     def test_integer_model_returns_before_any_bookkeeping(self, monkeypatch):
         # the quotient is invalid for integer programs: reduce_lp must say
-        # so without inducing or verifying a single permutation
+        # so without mapping a stem or checking a partition
         topo = ring(5, capacity=1.0)
         problem, gens = _built(topo, collectives.allgather(topo.gpus, 1),
                                milp=True)
@@ -634,7 +741,7 @@ class TestArrayKernels:
             raise AssertionError("bookkeeping ran on an integer model")
 
         monkeypatch.setattr(symmetry, "ColumnKeys", unreachable)
-        monkeypatch.setattr(symmetry, "PermutationVerifier", unreachable)
+        monkeypatch.setattr(symmetry, "_equitable", unreachable)
         assert symmetry.reduce_lp(
             problem.model, gens, problem.model.num_vars, problem.f_vars,
             problem.b_vars, problem.r_vars) is None
@@ -678,14 +785,14 @@ def oracle_chunk_relabeling(demand, perm):
 
 
 def oracle_fold_everything(problem, gens):
-    """The parent's ``reduce_lp`` loop: every generator's column
-    permutation built and verified, every verified one folded."""
+    """The reference loop ``reduce_lp`` once ran: every generator's column
+    permutation built and checked exactly, every symmetry folded."""
     num_cols = problem.model.num_vars
     keys = ColumnKeys(num_cols, problem.f_vars, problem.b_vars,
                       problem.r_vars)
-    verify = symmetry.PermutationVerifier(problem.model.compile())
+    compiled = problem.model.compile()
     perms = [pi for pi in map(keys.permutation, gens)
-             if pi is not None and verify(pi)]
+             if pi is not None and oracle_is_symmetry(compiled, pi)]
     return column_orbits(num_cols, perms), len(perms)
 
 
@@ -721,15 +828,16 @@ def _redundant_fold_case(name):
                                       collectives.alltoall(topo.gpus, 1))
 
 
-def _count_calls(monkeypatch, cls, method):
+def _count_calls(monkeypatch, owner, name):
+    """Record every call of ``owner.name`` (a method or a function)."""
     calls = []
-    original = getattr(cls, method)
+    original = getattr(owner, name)
 
-    def counted(self, *args):
+    def counted(*args):
         calls.append(args)
-        return original(self, *args)
+        return original(*args)
 
-    monkeypatch.setattr(cls, method, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -763,47 +871,64 @@ class TestGeneratorFolding:
             assert got.stats["symmetry_generators"] \
                 + got.stats["symmetry_generators_skipped"] == len(variant)
 
-    def test_ring16_pays_for_two_generators_not_thirty_one(self, monkeypatch):
+    def test_ring16_folds_thirty_one_generators_with_one_check(
+            self, monkeypatch):
         problem, gens = _redundant_fold_case("ring16")
         assert len(gens) == 31
-        verified = _count_calls(monkeypatch, symmetry.PermutationVerifier,
-                                "__call__")
         built = _count_calls(monkeypatch, ColumnKeys, "permutation")
+        checked = _count_calls(monkeypatch, symmetry, "_equitable")
         orbit_map = _reduce(problem, gens)
-        # the 32-element dihedral group has a 2-element generating set
-        assert len(verified) == len(built) == 2
+        # the 32-element dihedral group has a 2-element generating set;
+        # the stem orbits say which, and one check proves the partition
+        assert not built
+        assert len(checked) == 1
         assert orbit_map.stats["symmetry_generators"] == 2
         assert orbit_map.stats["symmetry_generators_skipped"] == 29
+        assert "symmetry_refold" not in orbit_map.stats
 
-    @pytest.mark.parametrize("name", ["ring8", "torus3x3"])
-    def test_rejected_generator_cannot_shadow_a_later_one(self, name,
-                                                          monkeypatch):
-        problem, gens = _redundant_fold_case(name)
-        honest = _reduce(problem, gens)
-        without_first = _reduce(problem, gens[1:])
-        verify = symmetry.PermutationVerifier.__call__
-        seen = []
+    @pytest.mark.parametrize("n", [8, pytest.param(12, marks=pytest.mark.slow)])
+    def test_priorities_break_a_generator_and_the_refold_keeps_the_rest(
+            self, n):
+        from repro import obs
+        from repro.obs.explain import solve_stats_subset
 
-        def reject_first(self, pi):
-            seen.append(pi)
-            return len(seen) > 1 and verify(self, pi)
+        # source 0's triples weigh double: detection sees only the fabric
+        # and the demand, so it offers generators that move source 0
+        topo = ring(n, capacity=1.0)
+        demand = collectives.alltoall(topo.gpus, 1)
+        weights = {t: 2.0 for t in demand.triples() if t[0] == 0}
+        problem, gens = _built(topo, demand, config=TecclConfig(
+            chunk_bytes=1.0, priorities=weights))
+        (orbit, reps), proved = oracle_fold_everything(problem, gens)
+        assert 0 < proved < len(gens)
+        got = _reduce(problem, gens)
+        assert np.array_equal(got.orbit, orbit)
+        assert np.array_equal(got.reps, reps)
+        assert got.stats["symmetry_refold"] is True
 
-        monkeypatch.setattr(symmetry.PermutationVerifier, "__call__",
-                            reject_first)
-        faulted = _reduce(problem, gens)
-        # the first generator merges stems (nothing is folded yet), so it
-        # is the one built, offered to the verifier and rejected ...
-        keys = ColumnKeys(problem.model.num_vars, problem.f_vars,
-                          problem.b_vars, problem.r_vars)
-        assert np.array_equal(seen[0], keys.permutation(gens[0]))
-        # ... and it leaves no trace: the rest fold as if it was never
-        # offered, the generators carrying its merges included
-        assert np.array_equal(faulted.orbit, without_first.orbit)
-        assert np.array_equal(faulted.reps, without_first.reps)
-        assert faulted.stats == without_first.stats
-        # (the remaining generators still generate the whole group here)
-        assert np.array_equal(faulted.orbit, honest.orbit)
-        assert len(seen) > honest.stats["symmetry_generators"]
+        sink = obs.MemorySink()
+        obs.configure(sink)
+        try:
+            reduced = solve_lp(topo, demand,
+                               _cfg(symmetry="on", priorities=weights))
+        finally:
+            obs.disable()
+        full = solve_lp(topo, demand, _cfg(symmetry="off",
+                                           priorities=weights))
+        stats = solve_stats_subset(reduced.result.stats)
+        assert stats["symmetry_refold"] is True
+        assert stats["symmetry_conformant"] is True
+        assert stats["symmetry_cols_reduced"] == len(reps)
+        # one check of the combined partition, then one per merging fold
+        attrs = next(r["attrs"] for r in sink.records
+                     if r["kind"] == "span"
+                     and r["name"] == "symmetry.reduce")
+        assert attrs["checks"] == 1 + len(gens) - attrs["skipped"]
+        assert reduced.result.objective == pytest.approx(
+            full.result.objective, rel=1e-9)
+        report = check_flow(reduced.schedule, topo, demand, reduced.plan,
+                            config=_cfg(symmetry="on", priorities=weights))
+        assert report.ok, [str(v) for v in report.violations[:3]]
 
     def test_generator_without_a_stem_image_is_passed_over(self):
         problem, gens = _fold_case("ring8")
@@ -840,20 +965,19 @@ class TestGeneratorFolding:
                                milp=True, config=TecclConfig(chunk_bytes=25e3))
         maps = (problem.f_vars, problem.b_vars, problem.r_vars)
         num_cols = problem.model.num_vars
-        expected = []  # the parent's loop, over the dict-walk oracle
+        expected = []  # the reference loop, over the dict-walk oracle
         compiled = problem.model.compile()
         for gen in gens:
             pi = oracle_column_permutation(gen, num_cols, *maps)
-            assert pi is not None and verify_column_permutation(compiled, pi)
+            assert pi is not None and oracle_is_symmetry(compiled, pi)
             p = int(np.nonzero(pi != np.arange(num_cols))[0][0])
             inv = np.argsort(pi)
             expected.extend((p, q) for q in {int(pi[p]), int(inv[p])})
         rows_before = compiled.A.shape[0]
-        verified = _count_calls(monkeypatch, symmetry.PermutationVerifier,
-                                "__call__")
+        checked = _count_calls(monkeypatch, symmetry, "_is_symmetry")
         added = symmetry.add_symmetry_cuts(problem.model, gens, num_cols,
                                            *maps)
-        assert len(verified) == len(gens) > 1
+        assert len(checked) == len(gens) > 1
         assert added == len(expected)
         cuts = problem.model.compile().A[rows_before:].tocoo()
         got = [(int(cuts.col[(cuts.row == r) & (cuts.data > 0)][0]),
@@ -891,6 +1015,70 @@ class TestGeneratorFolding:
                     hits += 1
                     assert list(got.items()) == list(want.items())
         assert hits  # some candidates do stabilize the demand
+
+
+# ----------------------------------------------------------------------
+# the quotient's certificate: an equitable partition
+# ----------------------------------------------------------------------
+class TestEquitablePartition:
+    def test_accepts_the_orbit_partition_and_rejects_foreign_merges(self):
+        problem, gens = _kernel_case("ring8-a2a")
+        compiled = problem.model.compile()
+        num_cols = problem.model.num_vars
+        keys = ColumnKeys(num_cols, problem.f_vars, problem.b_vars,
+                          problem.r_vars)
+        orbits = column_orbits(num_cols, map(keys.permutation, gens))
+        assert symmetry._equitable(compiled, *orbits) is not None
+        # two columns with different costs in one class ...
+        a, b = _foreign_flows(problem)
+        r = next(iter(problem.r_vars.values()))
+        assert compiled.c[a] != compiled.c[r]
+        assert symmetry._equitable(
+            compiled, *column_orbits(num_cols, [_swap(num_cols, a, r)])) \
+            is None
+        # ... or two flow columns with equal costs and bounds whose rows
+        # differ: the class's column sums over a row block disagree
+        assert compiled.c[a] == compiled.c[b]
+        assert compiled.col_upper[a] == compiled.col_upper[b]
+        assert symmetry._equitable(
+            compiled, *column_orbits(num_cols, [_swap(num_cols, a, b)])) \
+            is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_accepted_partition_keeps_the_optimum(self, seed,
+                                                        monkeypatch):
+        # partitions proposed by anything — the group, one generator, LP
+        # colour refinement, random merges — either fail the check or
+        # give the full optimum: the proof does not trust the proposer
+        topo, demand, config = symmetric_instance(seed)
+        problem, gens = _built(topo, demand, config=config)
+        compiled = problem.model.compile()
+        num_cols = problem.model.num_vars
+        keys = ColumnKeys(num_cols, problem.f_vars, problem.b_vars,
+                          problem.r_vars)
+        perms = [keys.permutation(g) for g in gens]
+        group = column_orbits(num_cols, perms)
+        rng = np.random.default_rng(seed)
+        candidates = {"group": group, "refinement":
+                      oracle_coarsest_equitable(compiled)}
+        candidates.update((f"generator{i}", column_orbits(num_cols, [p]))
+                          for i, p in enumerate(perms))
+        candidates.update((f"merge{i}", column_orbits(num_cols, perms + [
+            _swap(num_cols, *rng.choice(group[1], 2, replace=False))]))
+            for i in range(3))
+        full = problem.model.solve(config.solver).objective
+        accepted = []
+        for name, (orbit, reps) in candidates.items():
+            monkeypatch.setattr(ColumnKeys, "orbits",
+                                lambda _self, _stems: (orbit, reps))
+            orbit_map = _reduce(problem, gens)
+            if orbit_map is None:
+                continue
+            accepted.append(name)
+            assert np.array_equal(orbit_map.orbit, orbit), name
+            got = symmetry.solve_reduced(orbit_map, config.solver)
+            assert got.objective == pytest.approx(full, rel=1e-9), name
+        assert {"group", "refinement"} <= set(accepted)
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,12 @@ load-spread path bound it lost — its coarse grids are as large as the tight
 model itself — and the horizon ladder starts from one estimate. With the
 result-level seed went ``repro.failures.replan`` (its one wrapper; re-plan
 with ``synthesize`` on the degraded fabric, or ``repair_schedule``) and
-``ScheduleCache.get_near`` (the donor index).
+``ScheduleCache.get_near`` (the donor index). ``repro.core.symmetry`` no
+longer has ``PermutationVerifier``, a randomised row-multiset hash run once
+per generator, nor its one-shot wrappers ``verify_column_permutation`` and
+``induced_column_permutation``, nor ``column_orbits``: the LP quotient is
+proved by one exact equitable-partition check and a lex-leader cut's
+generator by an exact row match.
 
 Two retired *parameters* are checked by signature. One is ``sink`` on
 ``Planner.__init__`` and ``AdaptationController.__init__``. Tracing is
@@ -89,7 +94,10 @@ RETIRED_EXPORTS = (
     ("repro.core.epochs", "candidate_completion_times"),
     ("repro.core.epochs", "min_time_seconds"),
     ("repro.core.lp", "lp_feasible_horizon"),
-    ("repro.failures", "replan"), ("repro.failures.repair", "replan"))
+    ("repro.failures", "replan"), ("repro.failures.repair", "replan"),
+    *(("repro.core.symmetry", name) for name in (
+        "PermutationVerifier", "verify_column_permutation",
+        "induced_column_permutation", "column_orbits")))
 
 #: (module, class, attribute) triples: the class must not have it
 RETIRED_METHODS = (

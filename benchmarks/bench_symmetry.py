@@ -9,7 +9,21 @@ the ≥8× end-to-end win on *every* instance and objective parity, and
 publishes per-orbit variable/constraint counts to
 ``benchmarks/results/BENCH_symmetry.json`` so future PRs can track
 compression regressions.
+
+The torus8x8 row (``test_torus8x8_footprint``, marked slow: the weekly
+lane) times one cold ``synthesize`` of torus8x8 ALLTOALL in a fresh
+process and reads that process's peak RSS: the 1.67 M-column LP is solved
+as its 4 717-column quotient, emitted without the full model, and must
+stay within 400 MB (``BENCH_symmetry_footprint.json``).
 """
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
 
 from _common import timed, write_result
 from repro import collectives, topology
@@ -99,3 +113,59 @@ def test_symmetry_speedup(benchmark):
     demand = collectives.alltoall(topo.gpus, 1)
     benchmark.pedantic(lambda: solve_lp(topo, demand, _config("on")),
                        rounds=1, iterations=1)
+
+
+#: one cold torus8x8 ALLTOALL synthesize, run in a fresh process so its
+#: peak RSS is the solve's own
+_FOOTPRINT_CHILD = """
+import json, time
+from repro import collectives, topology
+from repro.core import TecclConfig, synthesize
+topo = topology.torus2d(8, 8, capacity=1.0, alpha=0.0)
+start = time.perf_counter()
+result = synthesize(topo, collectives.alltoall(topo.gpus, 1),
+                    TecclConfig(chunk_bytes=1.0))
+stats = result.outcome.result.stats
+print(json.dumps({"wall_s": time.perf_counter() - start,
+                  "finish_time": result.finish_time,
+                  "cols_full": stats["symmetry_cols_full"],
+                  "cols_reduced": stats["symmetry_cols_reduced"]}))
+"""
+
+#: peak RSS ceiling of that process (measured 272 MB; 832 MB when the
+#: full model was built and then reduced)
+FOOTPRINT_MAX_MB = 400
+
+
+def footprint() -> dict:
+    """Wall, peak RSS (MB) and model sizes of the child solve."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen([sys.executable, "-c", _FOOTPRINT_CHILD],
+                             stdout=subprocess.PIPE, env=env, text=True)
+    out = child.stdout.read()
+    child.stdout.close()
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0, out
+    return {**json.loads(out), "peak_rss_mb": usage.ru_maxrss / 1024}
+
+
+@pytest.mark.slow
+def test_torus8x8_footprint():
+    row = footprint()
+    table = Table("Quotient-first footprint — torus8x8 ALLTOALL, one cold "
+                  "synthesize in a fresh process",
+                  columns=["cols", "cols/orbit", "wall s", "peak RSS MB"])
+    table.add("Torus8x8 AtoA LP", **{
+        "cols": row["cols_full"], "cols/orbit": row["cols_reduced"],
+        "wall s": row["wall_s"], "peak RSS MB": row["peak_rss_mb"]})
+    write_result("symmetry_footprint", table.render(),
+                 json_name="BENCH_symmetry_footprint",
+                 data={"instances": [{"instance": "Torus8x8 AtoA LP", **row}],
+                       "note": "peak RSS of a fresh process solving the "
+                               "quotient without the full model"},
+                 phases={"synthesize": row["wall_s"]})
+    assert row["cols_reduced"] < row["cols_full"]
+    assert row["peak_rss_mb"] <= FOOTPRINT_MAX_MB, row

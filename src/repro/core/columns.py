@@ -46,6 +46,19 @@ class ColumnTable(Mapping):
         self._arrays = self._dict = None
 
     @classmethod
+    def from_arrays(cls, heads, head, node, epoch, column,
+                    node2=-1) -> "ColumnTable":
+        """A table over every key of ``heads`` (in that order), its entries
+        given as parallel arrays; ``head`` indexes ``heads``."""
+        table = cls()
+        table._head_ids = {h: i for i, h in enumerate(heads)}
+        column = np.asarray(column, dtype=np.int64)
+        table._parts = [tuple(
+            np.broadcast_to(np.asarray(part, dtype=np.int64), column.shape)
+            for part in (head, node, node2, epoch, column))]
+        return table
+
+    @classmethod
     def from_mapping(cls, mapping) -> "ColumnTable":
         """``mapping`` itself when it is a table, else its table form."""
         if isinstance(mapping, cls):

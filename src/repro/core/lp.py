@@ -95,10 +95,12 @@ class LpProblem:
 
     The ``*_vars`` tables map formulation keys to raw ``int`` solver column
     indices (what :meth:`repro.solver.SolveResult.value` takes); they read
-    as dicts and are held as arrays (:class:`ColumnTable`).
+    as dicts and are held as arrays (:class:`ColumnTable`). ``model`` is
+    ``None`` when only the quotient was built: the columns are the full
+    model's, the solution a lifted one.
     """
 
-    model: Model
+    model: Model | None
     plan: EpochPlan
     topology: Topology
     commodities: list[LpCommodity]
@@ -122,12 +124,161 @@ class LpOutcome:
         return self.result.solve_time
 
 
+#: the shift of a template entry that sums every epoch of its column stem
+#: into the one row of its row stem (demand met)
+EVERY_EPOCH = 1 << 40
+
+#: row-stem families, in model row order
+_INIT, _CONS, _SWITCH, _CAP, _DEMAND, _BUFFER = range(6)
+#: column-stem families, in column order within a commodity
+_FLOW, _HOLD, _READ = range(3)
+
+
+def _steps(count: np.ndarray) -> np.ndarray:
+    """``0 .. count[i] - 1`` for every ``i``, concatenated."""
+    return np.arange(int(count.sum())) \
+        - np.repeat(np.cumsum(count) - count, count)
+
+
+@dataclass
+class LpTemplate:
+    """The §4.1 LP written once, at stem level: every constraint family
+    as template entries, before any row or column exists.
+
+    A column *stem* is (family, commodity, node, slot): flow ``(0, q, i,
+    j + 1)`` per link, buffer ``(1, q, n, 0)`` per GPU, read ``(2, q, d,
+    0)`` per sink; slot 0 means "no second node". A stem exists over the
+    epochs ``lo..hi`` (its existence mask) and owns the consecutive
+    columns from ``start``; stems with no epoch are left out. A *row stem*
+    is (family, commodity or -1, node, slot): a commodity's initialization,
+    a (commodity, GPU) conservation, a (commodity, switch) switch
+    conservation, a link's capacity, a (commodity, sink) demand met, a
+    GPU's buffer limit — over the row epochs ``row_lo..row_hi``. An entry
+    (row stem ``r``, column stem ``s``, shift, coef) puts ``coef`` at row
+    ``(r, k)``, column ``(s, k + shift)`` wherever both exist
+    (:data:`EVERY_EPOCH`: column ``(s, k')`` for every ``k'``, row ``(r,
+    row_lo)``); a row exists where an entry reaches it. Every column lies
+    in ``[0, inf)``; a read column ``(s, k)`` earns ``weight[s] / (k +
+    1)``.
+
+    :meth:`LpBuilder.build` expands every row stem into the full model;
+    :func:`repro.core.symmetry.quotient_lp` proves generators on the
+    template and expands one row stem per orbit.
+    """
+
+    heads: list             # commodity keys, in commodity order
+    num_nodes: int
+    stems: np.ndarray       # (4, S) family, commodity, node, slot
+    lo: np.ndarray
+    hi: np.ndarray
+    weight: np.ndarray
+    row_stems: np.ndarray   # (4, R) family, commodity or -1, node, slot
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray   # a capacity row's is ``capacity``'s
+    capacity: np.ndarray    # (links, K): capacity row stem ``cap_rows[l]``
+    cap_rows: slice
+    entry_row: np.ndarray
+    entry_col: np.ndarray
+    entry_shift: np.ndarray
+    entry_coef: np.ndarray
+    sense: Sense = Sense.MAXIMIZE
+
+    def __post_init__(self) -> None:
+        length = self.hi - self.lo + 1
+        self.start = np.cumsum(length) - length
+        self.num_cols = int(length.sum())
+        rows = self.row_hi - self.row_lo + 1
+        self.row_off = np.cumsum(rows) - rows  # row slot of (r, row_lo)
+        self.num_row_slots = int(rows.sum())
+
+    # -- columns
+    def stem_columns(self, which: np.ndarray):
+        """``(stem, epoch, column)`` of every column of the stems
+        ``which``, in their order."""
+        count = self.hi[which] - self.lo[which] + 1
+        stem, step = np.repeat(which, count), _steps(count)
+        return stem, self.lo[stem] + step, self.start[stem] + step
+
+    def objective(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(columns, costs)`` of the read columns, in column order."""
+        stem, epoch, column = self.stem_columns(
+            np.flatnonzero(self.stems[0] == _READ))
+        return column, self.weight[stem] / (epoch + 1)
+
+    def tables(self) -> tuple[ColumnTable, ColumnTable, ColumnTable]:
+        """The ``f_vars`` / ``b_vars`` / ``r_vars`` key tables."""
+        tables = []
+        for family in (_FLOW, _HOLD, _READ):
+            stem, epoch, column = self.stem_columns(
+                np.flatnonzero(self.stems[0] == family))
+            _, head, node, slot = self.stems[:, stem]
+            tables.append(ColumnTable.from_arrays(
+                self.heads, head, node, epoch, column, node2=slot - 1))
+        return tuple(tables)
+
+    # -- rows
+    def _spans(self, rs, cs, shift):
+        """First and last column epoch each entry reaches."""
+        every = shift == EVERY_EPOCH
+        first = np.maximum(self.lo[cs], np.where(
+            every, self.lo[cs], self.row_lo[rs] + shift))
+        last = np.minimum(self.hi[cs], np.where(
+            every, self.hi[cs], self.row_hi[rs] + shift))
+        return first, last, every
+
+    def row_present(self) -> np.ndarray:
+        """Whether some entry reaches each row slot (``row_off[r] + k -
+        row_lo[r]``), by counting the entries' row-epoch runs."""
+        rs, shift = self.entry_row, self.entry_shift
+        first, last, every = self._spans(rs, self.entry_col, shift)
+        base = self.row_off[rs] - self.row_lo[rs]
+        begin = base + np.where(every, self.row_lo[rs], first - shift)
+        end = base + np.where(every, self.row_lo[rs], last - shift) + 1
+        size = self.num_row_slots + 1
+        runs = np.bincount(begin, minlength=size) \
+            - np.bincount(end, minlength=size)
+        return np.cumsum(runs[:-1]) > 0
+
+    def expand(self, rows: np.ndarray | None = None):
+        """``(row slot, column, coef)`` of every nonzero of the row stems
+        ``rows`` selects (a mask; all when ``None``)."""
+        pick = slice(None) if rows is None else rows[self.entry_row]
+        rs, cs, shift, coef = (self.entry_row[pick], self.entry_col[pick],
+                               self.entry_shift[pick], self.entry_coef[pick])
+        first, last, every = self._spans(rs, cs, shift)
+        count = last - first + 1
+        step = _steps(count)
+        column = np.repeat(self.start[cs] - self.lo[cs] + first, count) + step
+        row_first = np.where(every, self.row_lo[rs], first - shift)
+        slot = np.repeat(self.row_off[rs] - self.row_lo[rs] + row_first,
+                         count) + np.repeat(~every, count) * step
+        return slot, column, np.repeat(coef, count)
+
+    def row_bounds(self, slots: np.ndarray):
+        """``(lower, upper)`` of the rows at ``slots``."""
+        rs = np.searchsorted(self.row_off, slots, side="right") - 1
+        upper = self.row_upper[rs]
+        cap = (rs >= self.cap_rows.start) & (rs < self.cap_rows.stop)
+        epoch = self.row_lo[rs[cap]] + slots[cap] - self.row_off[rs[cap]]
+        upper[cap] = self.capacity[rs[cap] - self.cap_rows.start, epoch]
+        return self.row_lower[rs], upper
+
+
+def _put(keys: np.ndarray, at, *values) -> None:
+    """Write one (family, head, node, slot) key per index of ``at``."""
+    for row, value in zip(keys, values):
+        row[at] = value
+
+
 class LpBuilder:
     """Builds the §4.1 linear program over one horizon.
 
-    Variable existence masks are computed with NumPy index arithmetic and
-    every constraint family is appended as a COO block straight into the
-    compiled-matrix buffers — no per-term Python objects.
+    :meth:`template` writes every constraint family once, at stem level,
+    with NumPy index arithmetic (variable existence masks are epoch
+    intervals per stem); :meth:`build` expands it into the full model as
+    one COO block — no per-term Python objects.
     ``tests/test_model_equivalence.py`` pins the compiled matrices.
     """
 
@@ -146,16 +297,30 @@ class LpBuilder:
         self._earliest = earliest_arrival_epochs(topology, plan)
 
     # ------------------------------------------------------------------
-    def build(self) -> LpProblem:
-        with _obs_span("lp.build", epochs=self.plan.num_epochs,
-                       commodities=len(self.commodities)):
-            model = Model("teccl-lp", sense=Sense.MAXIMIZE)
-            problem = LpProblem(model=model, plan=self.plan,
-                                topology=self.topology,
-                                commodities=self.commodities)
-            self._check_horizon()
-            self._build_coo(problem)
-            return problem
+    def build(self, template: LpTemplate | None = None) -> LpProblem:
+        """The full model: ``template`` (built when not given) expanded
+        over every row stem."""
+        if template is None:
+            template = self.template()
+        with _obs_span("lp.expand", cols=template.num_cols):
+            model = Model("teccl-lp", sense=template.sense)
+            model.add_var_array(template.num_cols, name="lpvar")
+            slot, column, coef = template.expand()
+            present = template.row_present()
+            row_of = np.cumsum(present) - 1
+            lower, upper = template.row_bounds(np.flatnonzero(present))
+            model.add_constr_coo(row_of[slot], column, coef, lower, upper,
+                                 num_rows=len(lower))
+            model.set_objective_array(*template.objective())
+        return self.problem(template, model)
+
+    def problem(self, template: LpTemplate,
+                model: Model | None = None) -> LpProblem:
+        """An :class:`LpProblem` keyed by ``template``'s columns."""
+        f_vars, b_vars, r_vars = template.tables()
+        return LpProblem(model=model, plan=self.plan, topology=self.topology,
+                         commodities=self.commodities, f_vars=f_vars,
+                         b_vars=b_vars, r_vars=r_vars)
 
     def _check_horizon(self) -> None:
         K = self.plan.num_epochs
@@ -171,287 +336,189 @@ class LpBuilder:
                         f"for commodity {q.key}->{d}", status="horizon")
 
     # ------------------------------------------------------------------
-    # vectorized (COO) construction — no per-term Python objects
-    # ------------------------------------------------------------------
-    def _capacity_value(self, i: int, j: int, k: int) -> float:
-        if self.config.capacity_fn is not None:
-            return (self.config.capacity_fn(i, j, k) * self.plan.tau
-                    / self.config.chunk_bytes)
-        return self.plan.cap_chunks[(i, j)]
+    def template(self) -> LpTemplate:
+        """Write the LP as stems, row stems and template entries.
 
-    def _build_coo(self, problem: LpProblem) -> None:
-        """Emit the whole LP as COO blocks via NumPy index arithmetic.
-
-        Per commodity the columns run ``F`` (link, epoch), ``B`` (GPU,
-        epoch), ``R`` (sink, epoch); a variable exists only where the
-        commodity can have reached the node and the send still lands
-        within the horizon.
+        Per commodity the column stems run flow (link), buffer (GPU),
+        read (sink); a variable exists only where the commodity can have
+        reached the node and the send still lands within the horizon.
         """
-        model = problem.model
         plan, topo, K = self.plan, self.topology, self.plan.num_epochs
+        with _obs_span("lp.build", epochs=K,
+                       commodities=len(self.commodities)):
+            self._check_horizon()
+            return self._template(plan, topo, K)
+
+    def _template(self, plan: EpochPlan, topo: Topology,
+                  K: int) -> LpTemplate:
         links = list(topo.links)
         E = len(links)
         src = np.fromiter((i for i, _ in links), dtype=np.int64, count=E)
         dst = np.fromiter((j for _, j in links), dtype=np.int64, count=E)
         offs = np.fromiter((plan.arrival_offset(i, j) for i, j in links),
                            dtype=np.int64, count=E)
-        gpus = list(topo.gpus)
-        G = len(gpus)
-        gpu_ids = np.asarray(gpus, dtype=np.int64)
-        switches = list(topo.switches)
+        gpu_ids = np.asarray(list(topo.gpus), dtype=np.int64)
+        G = len(gpu_ids)
+        switches = np.asarray(list(topo.switches), dtype=np.int64)
         SW = len(switches)
-        num_nodes = len(topo.nodes)
-        node_pos = np.full(num_nodes, -1, dtype=np.int64)
+        n = len(topo.nodes)
+        node_pos = np.full(n, -1, dtype=np.int64)
         node_pos[gpu_ids] = np.arange(G)
-        sw_pos = np.full(num_nodes, -1, dtype=np.int64)
-        if SW:
-            sw_pos[np.asarray(switches, dtype=np.int64)] = np.arange(SW)
-        sf = self.config.store_and_forward
-        k_send = np.arange(K, dtype=np.int64)
+        sw_pos = np.full(n, -1, dtype=np.int64)
+        sw_pos[switches] = np.arange(SW)
 
-        # -- variable index grids, commodity by commodity
-        with _obs_span("lp.family.vars"):
-            per_q = []
-            base = 0
-            for q in self.commodities:
-                earliest = np.full(num_nodes, _FAR, dtype=np.int64)
-                for node, epoch in self._earliest[q.origin].items():
-                    earliest[node] = epoch
-                f_mask = ((earliest[src][:, None] <= k_send[None, :])
-                          & (k_send[None, :] + offs[:, None] + 1 <= K))
-                f_idx = np.full((E, K), -1, dtype=np.int64)
-                nf = int(np.count_nonzero(f_mask))
-                f_idx[f_mask] = base + np.arange(nf)
-                base += nf
+        qs = self.commodities
+        Q = len(qs)
+        origin = np.fromiter((q.origin for q in qs), dtype=np.int64, count=Q)
+        reach = np.full((n, n), _FAR, dtype=np.int64)
+        for o in set(origin.tolist()):
+            for node, epoch in self._earliest[o].items():
+                reach[o, node] = epoch
+        earliest = reach[origin]  # (commodity, node)
+        # sinks, commodity by commodity
+        sink_q = np.repeat(np.arange(Q), [len(q.sinks) for q in qs])
+        sink = np.fromiter((d for q in qs for d in q.sinks), dtype=np.int64,
+                           count=len(sink_q))
+        amount = np.fromiter((a for q in qs for a in q.sinks.values()),
+                             dtype=float, count=len(sink_q))
+        weight = np.ones(len(sink_q))
+        if self.config.priorities is not None:
+            weight = np.fromiter(
+                (self.config.weight(q.key[0], q.key[1], d) if
+                 isinstance(q.key, tuple) else 1.0
+                 for q in qs for d in q.sinks), dtype=float,
+                count=len(sink_q))
+        D = len(sink_q)
 
-                origin_row = int(node_pos[q.origin])
-                b_mask = earliest[gpu_ids][:, None] \
-                    <= np.arange(K + 1)[None, :]
-                b_mask[origin_row, :] = True
-                if not sf:
-                    only_origin = np.zeros(G, dtype=bool)
-                    only_origin[origin_row] = True
-                    b_mask &= only_origin[:, None]
-                b_idx = np.full((G, K + 1), -1, dtype=np.int64)
-                nb = int(np.count_nonzero(b_mask))
-                b_idx[b_mask] = base + np.arange(nb)
-                base += nb
+        # -- column stems: per commodity E flow, G buffer, its read stems
+        per_q = E + G + np.bincount(sink_q, minlength=Q)
+        q_first = np.cumsum(per_q) - per_q
+        f_stem = q_first[:, None] + np.arange(E)[None, :]
+        b_stem = q_first[:, None] + E + np.arange(G)[None, :]
+        r_stem = q_first[sink_q] + E + G + (
+            np.arange(D) - (np.cumsum(per_q - E - G) - (per_q - E - G))[
+                sink_q])
+        S = int(per_q.sum())
+        keys = np.zeros((4, S), dtype=np.int64)
+        lo = np.zeros(S, dtype=np.int64)
+        hi = np.zeros(S, dtype=np.int64)
+        stem_weight = np.zeros(S)
+        commodity = np.arange(Q)[:, None]
+        _put(keys, f_stem, _FLOW, commodity, src, dst + 1)
+        lo[f_stem] = earliest[:, src]
+        hi[f_stem] = (K - offs - 1)[None, :]
+        _put(keys, b_stem, _HOLD, commodity, gpu_ids, 0)
+        is_origin = gpu_ids[None, :] == origin[:, None]
+        lo[b_stem] = np.where(is_origin, 0, earliest[:, gpu_ids])
+        hi[b_stem] = K if self.config.store_and_forward \
+            else np.where(is_origin, K, -1)
+        _put(keys, r_stem, _READ, sink_q, sink, 0)
+        lo[r_stem] = np.maximum(earliest[sink_q, sink] - 1, 0)
+        hi[r_stem] = K - 1
+        stem_weight[r_stem] = weight
+        empty_read = lo[r_stem] > hi[r_stem]
+        if empty_read.any():
+            raise InfeasibleError(
+                f"sink {sink[np.argmax(empty_read)]} cannot be reached "
+                "within the horizon", status="horizon")
 
-                sinks = list(q.sinks)
-                S = len(sinks)
-                sink_ids = np.asarray(sinks, dtype=np.int64)
-                r_mask = (earliest[sink_ids][:, None] <= k_send[None, :] + 1) \
-                    if S else np.zeros((0, K), dtype=bool)
-                r_idx = np.full((S, K), -1, dtype=np.int64)
-                nr = int(np.count_nonzero(r_mask))
-                r_idx[r_mask] = base + np.arange(nr)
-                base += nr
-                per_q.append((q, f_mask, f_idx, b_mask, b_idx, sinks, r_mask,
-                              r_idx))
-
-                # -- key tables for symmetry and extraction
-                ls, ks = np.nonzero(f_mask)
-                problem.f_vars.append(q.key, src[ls], ks, f_idx[f_mask],
-                                      node2=dst[ls])
-                ns, ks = np.nonzero(b_mask)
-                problem.b_vars.append(q.key, gpu_ids[ns], ks, b_idx[b_mask])
-                ss, ks = np.nonzero(r_mask)
-                problem.r_vars.append(q.key, sink_ids[ss], ks, r_idx[r_mask])
-            model.add_var_array(base, name="lpvar")
-
-        with _obs_span("lp.family.initialization"):
-            self._coo_initialization(model, per_q, src, node_pos)
-        with _obs_span("lp.family.conservation"):
-            self._coo_conservation(model, per_q, src, dst, offs, node_pos,
-                                   G, K)
-        if SW:
-            with _obs_span("lp.family.switch_conservation"):
-                self._coo_switch_conservation(model, per_q, src, dst, offs,
-                                              sw_pos, SW, K)
-        with _obs_span("lp.family.capacity"):
-            self._coo_capacity(model, per_q, links, E, K)
-        with _obs_span("lp.family.demand_met"):
-            self._coo_demand_met(model, per_q, K)
-        with _obs_span("lp.family.buffer_limit"):
-            self._coo_buffer_limit(model, per_q, gpus, G, K)
-        with _obs_span("lp.family.objective"):
-            self._coo_objective(model, per_q)
-
-    def _coo_initialization(self, model: Model, per_q, src, node_pos) -> None:
-        """``B[origin,0] + out(origin,0) == supply``, one row per commodity."""
-        rows, cols = [], []
-        lower = []
-        for r, (q, _f_mask, f_idx, _b_mask, b_idx, *_rest) in enumerate(per_q):
-            cols.append(int(b_idx[int(node_pos[q.origin]), 0]))
-            rows.append(r)
-            out0 = f_idx[(src == q.origin), 0]
-            out0 = out0[out0 >= 0]
-            cols.extend(out0.tolist())
-            rows.extend([r] * len(out0))
-            lower.append(q.supply)
-        bounds = np.asarray(lower, dtype=float)
-        model.add_constr_coo(rows, cols, np.ones(len(cols)), bounds, bounds,
-                             num_rows=len(per_q))
-
-    def _coo_conservation(self, model: Model, per_q, src, dst, offs,
-                          node_pos, G: int, K: int) -> None:
-        """arrivals(k) + B[k] − B[k+1] − R[k] − sends(k+1) == 0 per GPU."""
-        for q, f_mask, f_idx, b_mask, b_idx, sinks, r_mask, r_idx in per_q:
-            origin_flat = int(node_pos[q.origin]) * K  # (origin, k=0)
-            row_parts, col_parts, dat_parts = [], [], []
-
-            ls, ks = np.nonzero(f_mask)
-            vs = f_idx[f_mask]
-            # arrivals: a send on (i, j) at k' lands in row (j, k' + Δ)
-            at_gpu = node_pos[dst[ls]] >= 0
-            row_parts.append(node_pos[dst[ls[at_gpu]]] * K
-                             + ks[at_gpu] + offs[ls[at_gpu]])
-            col_parts.append(vs[at_gpu])
-            dat_parts.append(np.ones(int(at_gpu.sum())))
-            # sends(k+1): a send at k' ≥ 1 leaves through row (i, k' − 1)
-            out = (ks >= 1) & (node_pos[src[ls]] >= 0)
-            row_parts.append(node_pos[src[ls[out]]] * K + ks[out] - 1)
-            col_parts.append(vs[out])
-            dat_parts.append(-np.ones(int(out.sum())))
-
-            ns, ks = np.nonzero(b_mask)
-            vs = b_idx[b_mask]
-            held = ks <= K - 1  # B[k] on the left of row (n, k)
-            row_parts.append(ns[held] * K + ks[held])
-            col_parts.append(vs[held])
-            dat_parts.append(np.ones(int(held.sum())))
-            nxt = ks >= 1  # B[k+1] on the right of row (n, k)
-            row_parts.append(ns[nxt] * K + ks[nxt] - 1)
-            col_parts.append(vs[nxt])
-            dat_parts.append(-np.ones(int(nxt.sum())))
-
-            ss, ks = np.nonzero(r_mask)
-            sink_rows = np.fromiter((int(node_pos[d]) for d in sinks),
-                                    dtype=np.int64, count=len(sinks))
-            row_parts.append(sink_rows[ss] * K + ks)
-            col_parts.append(r_idx[r_mask])
-            dat_parts.append(-np.ones(int(r_mask.sum())))
-
-            flat = np.concatenate(row_parts)
-            cols = np.concatenate(col_parts)
-            data = np.concatenate(dat_parts)
-            # epoch 0 at the origin is the initialization row, not this one
-            keep = flat != origin_flat
-            flat, cols, data = flat[keep], cols[keep], data[keep]
-            present = np.zeros(G * K, dtype=bool)
-            present[flat] = True  # trivial 0 == 0 rows never materialise
-            row_of = np.cumsum(present) - 1
-            model.add_constr_coo(row_of[flat], cols, data, 0.0, 0.0,
-                                 num_rows=int(present.sum()))
-
-    def _coo_switch_conservation(self, model: Model, per_q, src, dst, offs,
-                                 sw_pos, SW: int, K: int) -> None:
-        """Switches neither buffer nor consume: in(k) == out(k+1)."""
-        for _q, f_mask, f_idx, *_rest in per_q:
-            ls, ks = np.nonzero(f_mask)
-            vs = f_idx[f_mask]
-            into = sw_pos[dst[ls]] >= 0
-            rows_in = sw_pos[dst[ls[into]]] * K + ks[into] + offs[ls[into]]
-            out = (ks >= 1) & (sw_pos[src[ls]] >= 0)
-            rows_out = sw_pos[src[ls[out]]] * K + ks[out] - 1
-            flat = np.concatenate([rows_in, rows_out])
-            cols = np.concatenate([vs[into], vs[out]])
-            data = np.concatenate([np.ones(len(rows_in)),
-                                   -np.ones(len(rows_out))])
-            present = np.zeros(SW * K, dtype=bool)
-            present[flat] = True
-            row_of = np.cumsum(present) - 1
-            model.add_constr_coo(row_of[flat], cols, data, 0.0, 0.0,
-                                 num_rows=int(present.sum()))
-
-    def _coo_capacity(self, model: Model, per_q, links, E: int, K: int,
-                      ) -> None:
-        """Per (link, epoch): total flow across commodities ≤ capacity."""
-        present = np.zeros((E, K), dtype=bool)
-        for _q, f_mask, *_rest in per_q:
-            present |= f_mask
-        flat_present = present.ravel()
-        row_of = np.cumsum(flat_present) - 1
-        row_parts, col_parts = [], []
-        for _q, f_mask, f_idx, *_rest in per_q:
-            ls, ks = np.nonzero(f_mask)
-            row_parts.append(row_of[ls * K + ks])
-            col_parts.append(f_idx[f_mask])
-        rows = np.concatenate(row_parts)
-        cols = np.concatenate(col_parts)
-        caps = np.empty(int(flat_present.sum()))
-        if self.config.capacity_fn is None:
-            per_link = np.fromiter((self.plan.cap_chunks[link]
-                                    for link in links),
-                                   dtype=float, count=E)
-            caps[:] = np.repeat(per_link, K)[flat_present]
-        else:
-            ls, ks = np.nonzero(present)
-            for out, (l, k) in enumerate(zip(ls.tolist(), ks.tolist())):
-                i, j = links[l]
-                caps[out] = self._capacity_value(i, j, k)
-        model.add_constr_coo(rows, cols, np.ones(len(rows)), -np.inf, caps,
-                             num_rows=len(caps))
-
-    def _coo_demand_met(self, model: Model, per_q, K: int) -> None:
-        """Each sink reads exactly its demanded amount over the horizon."""
-        rows, cols, amounts = [], [], []
-        r = 0
-        for q, _f_mask, _f_idx, _b_mask, _b_idx, sinks, r_mask, r_idx \
-                in per_q:
-            for s, d in enumerate(sinks):
-                reads = r_idx[s][r_mask[s]]
-                if not len(reads):
-                    raise InfeasibleError(
-                        f"sink {d} cannot be reached within the horizon",
-                        status="horizon")
-                cols.extend(reads.tolist())
-                rows.extend([r] * len(reads))
-                amounts.append(q.sinks[d])
-                r += 1
-        bounds = np.asarray(amounts, dtype=float)
-        model.add_constr_coo(rows, cols, np.ones(len(cols)), bounds, bounds,
-                             num_rows=r)
-
-    def _coo_buffer_limit(self, model: Model, per_q, gpus, G: int, K: int,
-                          ) -> None:
+        # -- row stems, in model row order
+        init = np.arange(Q)
+        cons = Q + np.arange(Q * G).reshape(Q, G)
+        swc = Q + Q * G + np.arange(Q * SW).reshape(Q, SW)
+        base = Q + Q * (G + SW)
+        cap = base + np.arange(E)
+        demand = base + E + np.arange(D)
         limit = self.config.buffer_limit_chunks
-        if limit is None:
-            return
-        row_parts, col_parts = [], []
-        present = np.zeros(G * (K + 1), dtype=bool)
-        for q, _f_mask, _f_idx, b_mask, b_idx, *_rest in per_q:
-            relay = b_mask.copy()
-            relay[gpus.index(q.origin), :] = False  # sources are exempt
-            ns, ks = np.nonzero(relay)
-            flat = ns * (K + 1) + ks
-            present[flat] = True
-            row_parts.append(flat)
-            col_parts.append(b_idx[relay])
-        row_of = np.cumsum(present) - 1
-        rows = np.concatenate([row_of[flat] for flat in row_parts])
-        cols = np.concatenate(col_parts)
-        model.add_constr_coo(rows, cols, np.ones(len(rows)), -np.inf,
-                             float(limit), num_rows=int(present.sum()))
+        B = G if limit is not None else 0
+        buffer = base + E + D + np.arange(B)
+        R = base + E + D + B
+        row_keys = np.zeros((4, R), dtype=np.int64)
+        row_lo = np.zeros(R, dtype=np.int64)
+        row_hi = np.full(R, K - 1, dtype=np.int64)
+        lower = np.zeros(R)
+        upper = np.zeros(R)
+        _put(row_keys, init, _INIT, init, origin, 0)
+        row_hi[init] = 0
+        lower[init] = upper[init] = [q.supply for q in qs]
+        _put(row_keys, cons, _CONS, commodity, gpu_ids, 0)
+        row_lo[cons[is_origin]] = 1  # epoch 0 there is the initialization
+        _put(row_keys, swc, _SWITCH, commodity, switches, 0)
+        _put(row_keys, cap, _CAP, -1, src, dst + 1)
+        lower[cap], upper[cap] = -np.inf, np.inf
+        _put(row_keys, demand, _DEMAND, sink_q, sink, 0)
+        row_hi[demand] = 0
+        lower[demand] = upper[demand] = amount
+        _put(row_keys, buffer, _BUFFER, -1, gpu_ids[:B], 0)
+        row_hi[buffer] = K
+        lower[buffer], upper[buffer] = -np.inf, limit or 0.0
+        capacity = self._capacity(links, K)
 
-    def _coo_objective(self, model: Model, per_q) -> None:
-        """Maximise weighted reads, earlier epochs worth more (1/(k+1))."""
-        idx_parts, coef_parts = [], []
-        priorities = self.config.priorities is not None
-        for q, _f_mask, _f_idx, _b_mask, _b_idx, sinks, r_mask, r_idx \
-                in per_q:
-            ss, ks = np.nonzero(r_mask)
-            if priorities and isinstance(q.key, tuple):
-                s_id, chunk = q.key
-                weights = np.fromiter(
-                    (self.config.weight(s_id, chunk, d) for d in sinks),
-                    dtype=float, count=len(sinks))
-                coef_parts.append(weights[ss] / (ks + 1))
-            else:
-                coef_parts.append(1.0 / (ks + 1))
-            idx_parts.append(r_idx[r_mask])
-        model.set_objective_array(np.concatenate(idx_parts),
-                                  np.concatenate(coef_parts))
+        # -- template entries (row stem, column stem, shift, coef)
+        parts = []
+
+        def add(rows, cols, shift, coef):
+            rows, cols = np.broadcast_arrays(rows, cols)
+            parts.append((rows.ravel(), cols.ravel(),
+                          np.broadcast_to(shift, rows.shape).ravel(),
+                          np.full(rows.size, coef)))
+
+        out0 = src[None, :] == origin[:, None]
+        origin_pos = node_pos[origin]
+        # initialization: B[origin, 0] + out(origin, 0) == supply
+        add(init, b_stem[init, origin_pos], 0, 1.0)
+        add(np.broadcast_to(init[:, None], out0.shape)[out0], f_stem[out0],
+            0, 1.0)
+        # conservation: arrivals(k) + B[k] − B[k+1] − R[k] − sends(k+1)
+        into, out = node_pos[dst] >= 0, node_pos[src] >= 0
+        add(cons[:, node_pos[dst[into]]], f_stem[:, into], -offs[into], 1.0)
+        add(cons[:, node_pos[src[out]]], f_stem[:, out], 1, -1.0)
+        add(cons, b_stem, 0, 1.0)
+        add(cons, b_stem, 1, -1.0)
+        add(cons[sink_q, node_pos[sink]], r_stem, 0, -1.0)
+        # switches neither buffer nor consume: in(k) == out(k+1)
+        into, out = sw_pos[dst] >= 0, sw_pos[src] >= 0
+        add(swc[:, sw_pos[dst[into]]], f_stem[:, into], -offs[into], 1.0)
+        add(swc[:, sw_pos[src[out]]], f_stem[:, out], 1, -1.0)
+        # capacity: per (link, epoch), total flow over commodities
+        add(cap[None, :], f_stem, 0, 1.0)
+        # demand met: each sink reads its amount over the horizon
+        add(demand, r_stem, EVERY_EPOCH, 1.0)
+        # buffer limit: relays only, sources are exempt
+        relay = ~is_origin[:, :B]
+        add(np.broadcast_to(buffer[None, :], relay.shape)[relay],
+            b_stem[:, :B][relay], 0, 1.0)
+        rs, cs, shift, coef = (np.concatenate(p) for p in zip(*parts))
+
+        # stems with no epoch, and entries that reach no row, are dropped
+        live = lo <= hi
+        renumber = np.cumsum(live) - 1
+        template = LpTemplate(
+            heads=[q.key for q in qs], num_nodes=n, stems=keys[:, live],
+            lo=lo[live], hi=hi[live], weight=stem_weight[live],
+            row_stems=row_keys, row_lo=row_lo, row_hi=row_hi,
+            row_lower=lower, row_upper=upper, capacity=capacity,
+            cap_rows=slice(base, base + E),
+            entry_row=rs[live[cs]], entry_col=renumber[cs[live[cs]]],
+            entry_shift=shift[live[cs]], entry_coef=coef[live[cs]])
+        first, last, _ = template._spans(template.entry_row,
+                                         template.entry_col,
+                                         template.entry_shift)
+        reach = first <= last
+        for name in ("entry_row", "entry_col", "entry_shift", "entry_coef"):
+            setattr(template, name, getattr(template, name)[reach])
+        return template
+
+    def _capacity(self, links, K: int) -> np.ndarray:
+        """Capacity in chunks per (link, epoch)."""
+        fn, plan = self.config.capacity_fn, self.plan
+        if fn is None:
+            per_link = np.fromiter((plan.cap_chunks[link] for link in links),
+                                   dtype=float, count=len(links))
+            return np.repeat(per_link[:, None], K, axis=1)
+        return np.array([[fn(i, j, k) * plan.tau / self.config.chunk_bytes
+                          for k in range(K)] for i, j in links],
+                        dtype=float).reshape(len(links), K)
 
 
 # ----------------------------------------------------------------------
@@ -589,67 +656,82 @@ def solve_lp(topology: Topology, demand: Demand, config: TecclConfig,
 
 def _solve_lp_at(topology: Topology, demand: Demand, config: TecclConfig,
                  plan: EpochPlan, *, aggregate: bool = True) -> LpOutcome:
-    """One LP at one horizon: build → quotient → solve → extract → vet.
+    """One LP at one horizon: template → detect → quotient-first or full
+    build → solve → extract → vet.
 
-    The only place a built :class:`LpProblem` becomes a solved, vetted
-    :class:`LpOutcome`; :func:`solve_lp`, the cold horizon search and POP's
-    partitions all land here. A horizon too short for the demand — caught
-    by the builder's earliest-arrival pre-check or proved by the solver —
-    raises :class:`InfeasibleError` with ``status="horizon"``; any other
-    solver failure raises with the backend's status.
+    The only place an LP becomes a solved, vetted :class:`LpOutcome`;
+    :func:`solve_lp`, the cold horizon search and POP's partitions all
+    land here. The builder writes the stem-level template first, then
+    symmetry detection runs (:func:`_proved_quotient`). With a group whose
+    generators the template proves, only the quotient is emitted and
+    solved — the full constraint matrix is never assembled — and the
+    lifted solution is replay-vetted. With no group, or every generator
+    refused (``symmetry_fallback: "proof"``), the full model is expanded
+    once and solved. A horizon too short for the demand — caught by the
+    builder's earliest-arrival pre-check or proved by the solver — raises
+    :class:`InfeasibleError` with ``status="horizon"``; any other solver
+    failure raises with the backend's status.
     """
     builder = LpBuilder(topology, demand, config, plan, aggregate=aggregate)
     start = time.perf_counter()
-    problem = builder.build()
+    template = builder.template()
     build_time = time.perf_counter() - start
-    result, reduced = _solve_maybe_reduced(problem, topology, demand, config)
+    orbit_map, refused = _proved_quotient(template, topology, demand, config)
+    if orbit_map is not None:
+        from repro.core import symmetry as _symmetry
+
+        problem = builder.problem(template)
+        result = _symmetry.solve_reduced(orbit_map, config.solver)
+    else:
+        start = time.perf_counter()
+        problem = builder.build(template)
+        build_time += time.perf_counter() - start
+        result = problem.model.solve(config.solver)
+        if refused:
+            result.stats["symmetry_fallback"] = "proof"
     if result.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError(
             f"infeasible at horizon K={plan.num_epochs}", status="horizon")
     result.require_solution()
     outcome = extract_lp_outcome(problem, result)
-    if reduced:
-        outcome = _vet_reduced_outcome(outcome, problem, topology, demand,
-                                       config)
+    if orbit_map is not None:
+        outcome = _vet_reduced_outcome(outcome, builder, template, topology,
+                                       demand, config)
     outcome.result.stats["build_time"] = build_time
     return outcome
 
 
-def _solve_maybe_reduced(problem: LpProblem, topology: Topology,
-                         demand: Demand,
-                         config: TecclConfig) -> tuple[SolveResult, bool]:
-    """Solve the LP, through the symmetry quotient when one applies.
-
-    Returns ``(result, reduced)``; ``reduced`` flags a lifted quotient
-    solution that still needs the conformance vetting in
-    :func:`_vet_reduced_outcome`. Any failure to find or verify symmetry
-    falls through to the ordinary full-model solve.
-    """
+def _proved_quotient(template: LpTemplate, topology: Topology,
+                     demand: Demand, config: TecclConfig):
+    """``(orbit_map, refused)``: the quotient of ``template`` under the
+    instance's symmetry when one applies and is proved, else ``None``;
+    ``refused`` counts generators the template proof turned down. The
+    ``auto`` threshold reads the column count off the template."""
     from repro.core import symmetry as _symmetry
 
-    if _symmetry.symmetry_enabled(config.solver, problem.model.num_vars):
-        generators = _symmetry.find_generators(topology, demand)
-        if generators:
-            orbit_map = _symmetry.reduce_lp(
-                problem.model, generators, problem.model.num_vars,
-                problem.f_vars, problem.b_vars, problem.r_vars)
-            if orbit_map is not None:
-                orbit_map.stats["symmetry_group_order"] = generators.order
-                result = _symmetry.solve_reduced(orbit_map, config.solver)
-                return result, True
-    return problem.model.solve(config.solver), False
+    if not _symmetry.symmetry_enabled(config.solver, template.num_cols):
+        return None, 0
+    generators = _symmetry.find_generators(topology, demand)
+    if not generators:
+        return None, 0
+    orbit_map, refused = _symmetry.quotient_lp(template, generators)
+    if orbit_map is not None:
+        orbit_map.stats["symmetry_group_order"] = generators.order
+    elif refused:
+        _obs_event("symmetry.fallback", reason="proof", refused=refused)
+    return orbit_map, refused
 
 
-def _vet_reduced_outcome(outcome: LpOutcome, problem: LpProblem,
-                         topology: Topology, demand: Demand,
-                         config: TecclConfig) -> LpOutcome:
+def _vet_reduced_outcome(outcome: LpOutcome, builder: LpBuilder,
+                         template: LpTemplate, topology: Topology,
+                         demand: Demand, config: TecclConfig) -> LpOutcome:
     """Replay-vet a lifted quotient solution; cold fallback on violation.
 
     The quotient is exact for a symmetric LP, so a violation here means a
     verification layer was fooled (or the instance was not actually
-    symmetric) — the full model is re-solved from scratch and *that*
-    result returned, so symmetry can degrade performance but never
-    correctness.
+    symmetric) — the full model is built from ``template`` and solved from
+    scratch, and *that* result returned, so symmetry can degrade
+    performance but never correctness.
     """
     from repro.core import symmetry as _symmetry
     from repro.simulate import check_flow
@@ -662,6 +744,7 @@ def _vet_reduced_outcome(outcome: LpOutcome, problem: LpProblem,
     _symmetry.note_fallback()
     _obs_event("symmetry.fallback", reason="conformance",
                violations=len(report.violations))
+    problem = builder.build(template)
     result = problem.model.solve(config.solver)
     result.stats["symmetry_fallback"] = "conformance"
     result.require_solution()

@@ -219,8 +219,8 @@ def _solve_partition(topology: Topology, config: TecclConfig,
     """Solve one partition on its capacity share of the fabric.
 
     The quotient path applies per partition: the uniform capacity scaling
-    keeps the fabric's automorphisms, and the compiled-matrix verification
-    rejects anything a partition's demand slice breaks.
+    keeps the fabric's automorphisms, and the template proof refuses any
+    generator a partition's demand slice or capacities break.
     """
     sub_config = replace(
         config, num_epochs=plan.num_epochs,

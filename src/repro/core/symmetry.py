@@ -14,13 +14,17 @@ and collapses the instance:
   level. It returns a small generating set of the whole automorphism group
   and its order, whatever the node numbering; every leaf is checked with
   :func:`is_automorphism`, so refinement only steers the search.
-* **LP quotient** (:func:`reduce_lp`): the generators are folded into
-  orbits of the model's column *stems* (a column is a stem at an epoch),
-  and a column's orbit is its stem's orbit at its epoch. The model is
-  averaged onto that partition — one variable per column orbit,
-  constraints deduplicated — once :func:`_equitable` has proved the
-  partition equitable; the reduced solution lifts back by copying each
-  orbit value to all members.
+* **LP quotient, emitted first** (:func:`quotient_lp`): the LP builder
+  writes each constraint family once as a stem-level template
+  (:class:`repro.core.lp.LpTemplate`; a column is a stem at an epoch).
+  Each generator acts on its column stems and row stems and is folded
+  into stem orbits only if it maps the template onto itself; a column's
+  orbit is its stem's orbit at its epoch. Only the quotient is emitted —
+  one variable per column orbit, the rows of one row stem per row-stem
+  orbit, deduplicated — and the full constraint matrix never exists; the
+  reduced solution lifts back by copying each orbit value to all members.
+  :func:`reduce_lp` builds the same quotient from a built model, proved by
+  :func:`_equitable`; it is the tests' reference.
 * **MILP cuts** (:func:`add_symmetry_cuts`): quotient restriction is *not*
   valid for integer programs, so instead optimum-preserving lex-leader
   cuts are added per generator whose column permutation
@@ -35,12 +39,18 @@ and collapses the instance:
 
 Soundness never rests on the search: the trust layers are (1) exact
 verification of each generator against topology and demand; (2) an exact
-proof against the compiled matrix — the quotient's partition is equitable
-(Grohe, Kersting, Mladenov and Selman, "Dimension Reduction via Colour
-Refinement", ESA 2014), so its optimum is the full optimum however it was
-proposed, and a cut's generator maps the rows onto themselves as a
-multiset — both by one exact row-matching kernel (:func:`_same_rows`);
-(3) conformance replay at the call sites in ``core/lp.py`` /
+proof per generator, no hash and no tolerance — on the LP, that it maps
+the builder's template onto itself: equal existence masks, costs
+(priority weights included), supply, demand, (link, epoch) capacity,
+buffer and column bounds, and equal sorted entry codes. Such a generator
+is an automorphism of ``(A, bounds, c)``, so the orbit partition of the
+group the kept generators generate is equitable (Grohe, Kersting, Mladenov
+and Selman, "Dimension Reduction via Colour Refinement", ESA 2014) and the
+quotient optimum is the full optimum; a generator that fails is refused
+(``symmetry_refold``), and when all fail the full model is built
+(``symmetry_fallback: "proof"``). On a MILP, a cut's generator maps the
+compiled rows onto themselves as a multiset (:func:`_row_blocks`); (3)
+conformance replay at the call sites in ``core/lp.py`` /
 ``core/milp.py``, with cold fallback to the full model on any violation.
 """
 
@@ -50,7 +60,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from repro.collectives.demand import Demand
 from repro.core.columns import ColumnTable
@@ -328,6 +337,60 @@ def _map_key(key, auto: Automorphism):
     return auto.perm[key]
 
 
+def _head_image(heads: list, auto: Automorphism):
+    """Where ``auto`` sends each commodity key of ``heads``, as indices
+    into ``heads``; ``None`` when an image is not among them or two keys
+    share one."""
+    index = {head: i for i, head in enumerate(heads)}
+    image = [index.get(_map_key(head, auto)) for head in heads]
+    if None in image or len(set(image)) < len(image):
+        return None
+    return np.asarray(image, dtype=np.int64)
+
+
+def _stem_codes(size: tuple[int, int], family, head, node,
+                slot) -> np.ndarray:
+    """One integer per (family, head, node, slot) key, in that order, for
+    ``size = (heads, nodes)``; below 6 * (heads + 1) * (nodes + 1)^2:
+    nowhere near int64."""
+    heads, n = size
+    return ((family * (heads + 1) + head + 1) * n + node) * (n + 1) + slot
+
+
+class _StemIndex:
+    """Keys (family, head, node, slot) — ``head`` an index into the
+    commodity keys or -1 for none, ``slot`` 0 for no second node, else
+    that node + 1 — found again by one ``searchsorted`` over their codes.
+    A generator acts on them through its head image and node ``perm``
+    (:meth:`image`)."""
+
+    def __init__(self, keys: np.ndarray, num_heads: int,
+                 num_nodes: int) -> None:
+        self.keys, self._size = keys, (num_heads, num_nodes)
+        codes = _stem_codes(self._size, *keys)
+        self._order = np.argsort(codes, kind="stable")
+        self._sorted = codes[self._order]
+
+    def image(self, head_image: np.ndarray, perm):
+        """Where every key goes (indices into the keys), or ``None`` when
+        some image is not a key. With ``head_image`` injective and
+        ``perm`` a bijection the images are distinct: a permutation."""
+        family, head, node, slot = self.keys
+        perm = np.asarray(perm, dtype=np.int64)
+        node = perm[node]
+        slot = np.concatenate(([0], perm + 1))[slot]
+        n = self._size[1]
+        if node.max(initial=0) >= n or slot.max(initial=0) > n:
+            return None  # an image node no key mentions
+        wanted = _stem_codes(self._size, family,
+                             np.append(head_image, -1)[head], node, slot)
+        pos = np.minimum(np.searchsorted(self._sorted, wanted),
+                         max(len(wanted) - 1, 0))
+        if not np.array_equal(self._sorted[pos], wanted):
+            return None
+        return self._order[pos]
+
+
 class ColumnKeys:
     """The formulation keys of one built model as sorted integer codes.
 
@@ -335,11 +398,10 @@ class ColumnKeys:
     ``ColumnTable.from_mapping``) are concatenated, never walked. A column
     is a *stem* — (family, head index, node, second-node slot) — at an
     epoch, and a generator fixes the epoch, so it acts on the few
-    hundred–thousand stems (:meth:`stem_permutation`: node arrays gathered
-    through ``perm``, heads through a per-generator head table, one
-    ``searchsorted``). The quotient reads column orbits off stem orbits
-    (:meth:`orbits`); only a lex-leader cut needs a generator's image of
-    every column (:meth:`permutation`).
+    hundred–thousand stems (:meth:`stem_permutation`, one
+    :class:`_StemIndex` lookup). The quotient reads column orbits off stem
+    orbits (:meth:`orbits`); only a lex-leader cut needs a generator's
+    image of every column (:meth:`permutation`).
     """
 
     def __init__(self, num_cols: int, f_vars, b_vars, r_vars) -> None:
@@ -357,46 +419,26 @@ class ColumnKeys:
                 table.node2 + 1, table.epoch, table.column]))
         family, head, node, slot, self._epoch, self._cols = np.concatenate(
             blocks, axis=1)
-        self._num_nodes = int(max(node.max(initial=-1) + 1,
-                                  slot.max(initial=0)))
+        num_nodes = int(max(node.max(initial=-1) + 1, slot.max(initial=0)))
         self._num_epochs = int(self._epoch.max(initial=-1)) + 1
-        # codes < 3 * heads * (nodes + 1)^2 * epochs: nowhere near int64
-        # for a model that fits in memory
-        self._stem_codes, first, self._stem = np.unique(
-            self._stem_code(family, head, node, slot),
+        keys = np.stack([family, head, node, slot])
+        _codes, first, self._stem = np.unique(
+            _stem_codes((len(self._heads), num_nodes), *keys),
             return_index=True, return_inverse=True)
-        self._stem_keys = np.stack([family, head, node, slot])[:, first]
+        self._index = _StemIndex(keys[:, first], len(self._heads),
+                                 num_nodes)
 
     @property
     def num_stems(self) -> int:
-        return len(self._stem_codes)
-
-    def _stem_code(self, family, head, node, slot) -> np.ndarray:
-        n = self._num_nodes
-        return ((family * len(self._heads) + head) * n + node) * (n + 1) \
-            + slot
+        return self._index.keys.shape[1]
 
     def stem_permutation(self, auto: Automorphism):
         """Where ``auto`` sends every stem (an index array over the
         stems), or ``None`` when some image is not a stem of this model."""
-        heads = self._heads
-        head_image = np.empty(len(heads), dtype=np.int64)
-        for h, index in heads.items():
-            image = heads.get(_map_key(h, auto))
-            if image is None:
-                return None
-            head_image[index] = image
-        family, head, node, slot = self._stem_keys
-        perm = np.asarray(auto.perm, dtype=np.int64)
-        node = perm[node]
-        slot = np.concatenate(([0], perm + 1))[slot]
-        n = self._num_nodes
-        if node.max(initial=0) >= n or slot.max(initial=0) > n:
-            return None  # an image node no key of this model mentions
-        wanted = self._stem_code(family, head_image[head], node, slot)
-        pos = np.minimum(np.searchsorted(self._stem_codes, wanted),
-                         self.num_stems - 1)
-        return pos if np.array_equal(self._stem_codes[pos], wanted) else None
+        head_image = _head_image(list(self._heads), auto)
+        if head_image is None:
+            return None
+        return self._index.image(head_image, auto.perm)
 
     def _codes(self, stems: np.ndarray) -> np.ndarray:
         """``(stems[stem], epoch)`` of every keyed column, as one code."""
@@ -442,33 +484,43 @@ def _merge_orbits(orbit: np.ndarray, reps: np.ndarray,
     moved = orbit != image
     if not moved.any():
         return orbit, reps
-    k = len(reps)
-    edges = sparse.coo_matrix(
-        (np.ones(int(moved.sum()), dtype=np.int8),
-         (orbit[moved], image[moved])), shape=(k, k))
-    count, comp = connected_components(edges, directed=False)
-    # orbit ids are ordered by smallest member, so a merged orbit's
-    # smallest member belongs to its first old id: renumbering the
-    # components in first-occurrence order keeps that invariant
-    first = np.unique(comp, return_index=True)[1]
-    rank = np.empty(count, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(count)
-    return rank[comp][orbit], reps[np.sort(first)]
+    ends = orbit[moved], image[moved]
+    # components by min-label union-find: hook each edge's two roots to
+    # the smaller, then jump every label to its root, until no edge spans
+    # two roots; a component's root is then its smallest old id
+    root = np.arange(len(reps))
+    while True:
+        first, second = root[ends[0]], root[ends[1]]
+        if np.array_equal(first, second):
+            break
+        low = np.minimum(first, second)
+        np.minimum.at(root, first, low)
+        np.minimum.at(root, second, low)
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+    # orbit ids are ordered by smallest member, and a merged orbit's
+    # smallest member belongs to its smallest old id: numbering the roots
+    # in order keeps that invariant
+    is_root = root == np.arange(len(reps))
+    rank = np.cumsum(is_root) - 1
+    return rank[root][orbit], reps[is_root]
 
 
-def _fold_stems(num_stems: int, images, accept=lambda stem_orbit: True):
-    """``(stem_orbit, used, skipped)`` after folding the stem ``images`` in
-    order: one that merges no two current stem orbits is skipped, one
-    whose merged partition ``accept`` refuses is left out."""
+def _fold_stems(num_stems: int, images,
+                accept=lambda index, stem_orbit: True):
+    """``(stem_orbit, reps, kept, skipped)`` after folding the stem
+    ``images`` in order: one that merges no two current stem orbits is
+    skipped, one that ``accept`` (its index, the merged partition) refuses
+    is left out; ``kept`` lists the indices folded."""
     orbit = reps = np.arange(num_stems, dtype=np.int64)
-    used = skipped = 0
-    for image in images:
+    kept, skipped = [], 0
+    for index, image in enumerate(images):
         merged = _merge_orbits(orbit, reps, image)
         if len(merged[1]) == len(reps):
             skipped += 1
-        elif accept(merged[0]):
-            (orbit, reps), used = merged, used + 1
-    return orbit, used, skipped
+        elif accept(index, merged[0]):
+            (orbit, reps), kept = merged, kept + [index]
+    return orbit, reps, kept, skipped
 
 
 # ----------------------------------------------------------------------
@@ -617,10 +669,14 @@ def reduce_lp(model: Model, generators, num_cols: int, f_vars: dict,
                 proved = partition, quotient
             return quotient is not None
 
-        stem_orbit, used, skipped = _fold_stems(keys.num_stems, images)
-        refold = used > 0 and not equitable(stem_orbit)
+        stem_orbit, _reps, kept, skipped = _fold_stems(keys.num_stems,
+                                                       images)
+        refold = bool(kept) and not equitable(stem_orbit)
         if refold:
-            _, used, skipped = _fold_stems(keys.num_stems, images, equitable)
+            _, _reps, kept, skipped = _fold_stems(
+                keys.num_stems, images,
+                lambda _index, stem_orbit: equitable(stem_orbit))
+        used = len(kept)
         sp.set_attr(used=used, skipped=skipped, checks=checks)
         if proved is None or len(proved[0][1]) >= num_cols:
             return None
@@ -654,6 +710,153 @@ def reduce_lp(model: Model, generators, num_cols: int, f_vars: dict,
                 stats["symmetry_refold"] = True
             return OrbitMap(orbit=orbit, reps=reps, reduced=reduced,
                             stats=stats)
+
+
+def quotient_lp(template, generators) -> tuple[OrbitMap | None, int]:
+    """The quotient of the LP ``template`` (a :class:`repro.core.lp.
+    LpTemplate`), emitted without the full model.
+
+    Each generator acts on the template's column stems and row stems; one
+    that merges no two current stem orbits is skipped, any other is folded
+    only if it maps the template onto itself (:func:`_template_proof`).
+    Such a generator is an automorphism of ``(A, bounds, c)``, so the
+    orbit partition of the group the kept ones generate is equitable and
+    the quotient optimum is the full optimum (Grohe et al., ESA 2014). A
+    column's orbit is its stem's orbit at its epoch; the quotient's rows
+    are the rows of ``A·S`` of the smallest row stem of each row-stem
+    orbit (rows of one orbit at one epoch are identical), the first of
+    each set of identical ones kept, bounds included — the model
+    :func:`reduce_lp` makes of the full model, byte for byte.
+
+    Returns ``(orbit_map, refused)``: ``orbit_map`` is ``None`` when no
+    generator was kept, ``refused`` counts the generators whose proof
+    failed (``symmetry_refold``).
+    """
+    t = template
+    with _obs_span("symmetry.reduce", cols=t.num_cols,
+                   generators=len(generators)) as sp:
+        size = (len(t.heads), t.num_nodes)
+        stems = _StemIndex(t.stems, *size)
+        rows = _StemIndex(t.row_stems, *size)
+        actions = []
+        for auto in generators:
+            head_image = _head_image(t.heads, auto)
+            if head_image is None:
+                continue
+            action = (stems.image(head_image, auto.perm),
+                      rows.image(head_image, auto.perm))
+            if action[0] is not None and action[1] is not None:
+                actions.append(action)
+        proof, checks = _template_proof(t), 0
+
+        def proved(index, _stem_orbit) -> bool:
+            nonlocal checks
+            checks += 1
+            return proof(*actions[index])
+
+        stem_orbit, stem_reps, kept, skipped = _fold_stems(
+            len(t.lo), [stem_image for stem_image, _ in actions], proved)
+        refused = len(actions) - len(kept) - skipped
+        sp.set_attr(used=len(kept), skipped=skipped, checks=checks)
+        if not kept:
+            return None, refused
+        row_orbit = row_reps = np.arange(len(t.row_lo), dtype=np.int64)
+        for index in kept:
+            row_orbit, row_reps = _merge_orbits(row_orbit, row_reps,
+                                                actions[index][1])
+        with _obs_span("symmetry.quotient", cols=t.num_cols) as sq:
+            orbit_map = _emit_quotient(t, stem_orbit, stem_reps, row_reps)
+            sq.set_attr(orbits=len(orbit_map.reps))
+        orbit_map.stats = {"symmetry_generators": len(kept),
+                           "symmetry_generators_skipped": skipped,
+                           **orbit_map.stats}
+        if refused:
+            orbit_map.stats["symmetry_refold"] = True
+        return orbit_map, refused
+
+
+def _template_proof(t):
+    """A test of one generator's ``(stem image, row-stem image)``: does it
+    map the template onto itself? Masks, costs (priority weights
+    included), row domains and bounds — supply, demand, buffer, the
+    (link, epoch) capacities — must be equal at each image, and the
+    sorted codes of the renamed entries must equal the entries' own. Every
+    column is in ``[0, inf)``, so column bounds agree already. Exact: no
+    hash, no tolerance."""
+    num_stems = len(t.lo)
+    _, shift = np.unique(t.entry_shift, return_inverse=True)
+    _, coef = np.unique(t.entry_coef, return_inverse=True)
+    coefs = int(coef.max(initial=0)) + 1
+    kind = shift * coefs + coef
+    kinds = (int(shift.max(initial=0)) + 1) * coefs
+
+    def codes(stem_image, row_image) -> np.ndarray:
+        return np.sort((row_image[t.entry_row] * num_stems
+                        + stem_image[t.entry_col]) * kinds + kind)
+
+    entries = codes(np.arange(num_stems), np.arange(len(t.row_lo)))
+    cap = t.cap_rows
+
+    def proof(stem_image, row_image) -> bool:
+        return (all(np.array_equal(v[stem_image], v)
+                    for v in (t.lo, t.hi, t.weight))
+                and all(np.array_equal(v[row_image], v) for v in (
+                    t.row_lo, t.row_hi, t.row_lower, t.row_upper))
+                and np.array_equal(
+                    t.capacity[row_image[cap] - cap.start], t.capacity)
+                and np.array_equal(codes(stem_image, row_image), entries))
+    return proof
+
+
+def _emit_quotient(t, stem_orbit: np.ndarray, stem_reps: np.ndarray,
+                   row_reps: np.ndarray) -> OrbitMap:
+    """The quotient model of ``t`` under proved stem and row-stem orbits.
+
+    Column orbit ids are ordered by smallest member column, costs summed
+    over each orbit in member column order (as ``np.add.at`` does), rows
+    kept in full-model row order — so it equals :func:`reduce_lp`'s."""
+    _, _, reps = t.stem_columns(stem_reps)
+    k = len(reps)
+    ident = np.full(t.num_cols, -1, dtype=np.int64)
+    ident[reps] = np.arange(k)
+    # a column's orbit: the column of its stem's representative, same epoch
+    to_rep = np.repeat(t.start[stem_reps[stem_orbit]] - t.start,
+                       t.hi - t.lo + 1)
+    orbit = ident[np.arange(t.num_cols) + to_rep]
+    del ident, to_rep
+    column, cost = t.objective()
+    c_red = np.zeros(k)
+    np.add.at(c_red, orbit[column], cost)
+
+    present = t.row_present()
+    pick = np.zeros(len(t.row_lo), dtype=bool)
+    pick[row_reps] = True
+    slots = np.flatnonzero(
+        present & np.repeat(pick, t.row_hi - t.row_lo + 1))
+    local = np.full(t.num_row_slots, -1, dtype=np.int64)
+    local[slots] = np.arange(len(slots))
+    slot, column, coef = t.expand(pick)
+    a_red = sparse.csr_matrix((coef, (local[slot], orbit[column])),
+                              shape=(len(slots), k))
+    a_red.eliminate_zeros()  # as A @ S drops what cancels
+    a_red.sort_indices()
+    lower, upper = t.row_bounds(slots)
+    keep = np.sort(np.unique(_row_blocks(a_red, lower, upper),
+                             return_index=True)[1])
+    a_red = a_red[keep].tocoo()
+    reduced = Model(name="quotient", sense=t.sense)
+    reduced.add_var_array(k)
+    reduced.add_constr_coo(a_red.row, a_red.col, a_red.data,
+                           lb=lower[keep], ub=upper[keep],
+                           num_rows=len(keep))
+    reduced.set_objective_array(np.arange(k), c_red)
+    return OrbitMap(orbit=orbit, reps=reps, reduced=reduced, stats={
+        "symmetry_orbits": k,
+        "symmetry_cols_full": t.num_cols,
+        "symmetry_cols_reduced": k,
+        "symmetry_rows_full": int(present.sum()),
+        "symmetry_rows_reduced": len(keep),
+    })
 
 
 def note_reduction() -> None:

@@ -113,14 +113,15 @@ class TestSpan:
 # 4-5 of these were ``rspan`` sites): what was traced then is traced now.
 # Since MILPs solve on a session, their backend is loaded under
 # ``solver.prepare`` (as an LP's is), no longer through a second compile.
+# The symmetric LP is emitted quotient-first: ``lp.build`` writes the
+# stem-level template, and neither the full model's constraint families
+# nor its compile exist any more (``lp.expand`` builds them when no
+# quotient is proved).
 _PARENT_LP_SPANS = {
     "conformance.check": 1, "lp.build": 1, "lp.extract": 1,
-    "lp.family.buffer_limit": 1, "lp.family.capacity": 1,
-    "lp.family.conservation": 1, "lp.family.demand_met": 1,
-    "lp.family.initialization": 1, "lp.family.objective": 1,
-    "lp.family.vars": 1, "solver.backend": 1, "solver.compile": 1,
-    "solver.prepare": 1, "symmetry.detect": 1, "symmetry.quotient": 1,
-    "symmetry.reduce": 1, "symmetry.solve": 1, "synthesize": 1,
+    "solver.backend": 1, "solver.prepare": 1, "symmetry.detect": 1,
+    "symmetry.quotient": 1, "symmetry.reduce": 1, "symmetry.solve": 1,
+    "synthesize": 1,
 }
 _PARENT_MILP_SPANS = {
     "conformance.check": 1, "milp.build": 1, "milp.extract": 1,
@@ -166,16 +167,18 @@ class TestSpanSinks:
         spans = [r for r in ring.snapshot() if r["kind"] == "span"]
         assert 0 < len(spans) <= 40
 
-    @pytest.mark.parametrize("collective, build", [
-        (collectives.alltoall, "lp.build"),
-        (collectives.allgather, "milp.build"),
+    @pytest.mark.parametrize("collective, build, model", [
+        (collectives.alltoall, "lp.build", "symmetry.reduce"),
+        (collectives.allgather, "milp.build", "solver.compile"),
     ], ids=["lp", "milp"])
     def test_explain_phases_cover_build_compile_backend(self, collective,
-                                                        build):
+                                                        build, model):
+        # the LP's solved model is its quotient, emitted under
+        # symmetry.reduce; the MILP's is compiled for its cuts
         ring = obs.configure_recorder()
         result = synthesize(*_dgx1_instance(collective))
         phases = result.explain["phases"]
-        assert {build, "solver.compile", "solver.backend"} <= set(phases)
+        assert {build, model, "solver.backend"} <= set(phases)
         [total] = [r["dur"] for r in ring.snapshot()
                    if r["name"] == "synthesize"]
         # phases are rounded to the microsecond

@@ -905,6 +905,12 @@ class TestGeneratorFolding:
         assert np.array_equal(got.orbit, orbit)
         assert np.array_equal(got.reps, reps)
         assert got.stats["symmetry_refold"] is True
+        # the template proof keeps exactly the generators fixing source 0
+        template = LpBuilder(topo, demand, TecclConfig(
+            chunk_bytes=1.0, priorities=weights), problem.plan).template()
+        for gen in gens:
+            kept, refused = symmetry.quotient_lp(template, [gen])
+            assert (kept is not None) == (gen.perm[0] == 0) == (not refused)
 
         sink = obs.MemorySink()
         obs.configure(sink)
@@ -919,11 +925,11 @@ class TestGeneratorFolding:
         assert stats["symmetry_refold"] is True
         assert stats["symmetry_conformant"] is True
         assert stats["symmetry_cols_reduced"] == len(reps)
-        # one check of the combined partition, then one per merging fold
+        # the solve proves each merging generator on the LP template once
         attrs = next(r["attrs"] for r in sink.records
                      if r["kind"] == "span"
                      and r["name"] == "symmetry.reduce")
-        assert attrs["checks"] == 1 + len(gens) - attrs["skipped"]
+        assert attrs["checks"] == len(gens) - attrs["skipped"]
         assert reduced.result.objective == pytest.approx(
             full.result.objective, rel=1e-9)
         report = check_flow(reduced.schedule, topo, demand, reduced.plan,

@@ -29,7 +29,8 @@ import pytest
 from repro import collectives, topology
 from repro.baselines import taccl_like
 from repro.core import TecclConfig, astar, symmetry
-from repro.core.epochs import build_epoch_plan
+from repro.core.config import SwitchModel
+from repro.core.epochs import build_epoch_plan, horizon_bound
 from repro.core.lp import LpBuilder, solve_lp
 from repro.core.milp import MilpBuilder, solve_milp
 from repro.errors import InfeasibleError, ModelError, ScheduleError
@@ -373,6 +374,67 @@ class TestAstarRoundModels:
         assert len(rounds) >= 6
         for feature in ("injections", "carry", "overhang_vars"):
             assert any(r[feature] for r in rounds), feature
+
+
+def _no_copy_case(make_topology, store_and_forward):
+    def case():
+        topo = make_topology()
+        config = TecclConfig(chunk_bytes=1e6,
+                             switch_model=SwitchModel.NO_COPY,
+                             store_and_forward=store_and_forward)
+        return topo, collectives.allgather(topo.gpus, 1), config, None
+    return case
+
+
+def _hyper_edge_case(make_topology):
+    def case():
+        hyper = topology.to_hyper_edges(make_topology())
+        topo = hyper.topology
+        config = TecclConfig(chunk_bytes=1e6,
+                             switch_model=SwitchModel.HYPER_EDGE)
+        return (topo, collectives.allgather(topo.gpus, 1), config,
+                hyper.groups)
+    return case
+
+
+def _star3():
+    return topology.star(3, capacity=1.0, alpha=0.0, hub_is_switch=True)
+
+
+#: MILP switch rows no random instance reaches: ``random_instance`` always
+#: uses copy switches and never passes hyper-edge groups
+SWITCH_CASES = {
+    "star3_nocopy_sf": _no_copy_case(_star3, True),
+    "star3_nocopy_relay": _no_copy_case(_star3, False),
+    "internal1x2_nocopy_sf": _no_copy_case(
+        lambda: topology.internal1(2), True),
+    "internal1x2_nocopy_relay": _no_copy_case(
+        lambda: topology.internal1(2), False),
+    "internal1x2_hyper": _hyper_edge_case(lambda: topology.internal1(2)),
+    "ndv2x2_hyper": _hyper_edge_case(lambda: topology.ndv2(2)),
+}
+
+
+def switch_case_digest(name, num_epochs=None) -> dict:
+    """The pinned fingerprint of one :data:`SWITCH_CASES` MILP."""
+    topo, demand, config, groups = SWITCH_CASES[name]()
+    if num_epochs is None:
+        num_epochs = horizon_bound(topo, demand, config)
+    plan = build_epoch_plan(topo, config, num_epochs=num_epochs)
+    problem = MilpBuilder(topo, demand, config, plan,
+                          hyper_groups=groups).build()
+    return pinned_digest(problem)
+
+
+class TestMilpSwitchModels:
+    """No-copy switch rows (with and without store-and-forward) and
+    Appendix C hyper-edge usage limits, pinned at the last commit that
+    emitted them through per-family COO code."""
+
+    @pytest.mark.parametrize("name", sorted(SWITCH_CASES))
+    def test_switch_model_matches_pin(self, name):
+        pin = GOLDEN["milp_switches"][name]
+        assert switch_case_digest(name, pin["num_epochs"]) == pin
 
 
 class TestTacclRoutingModel:

@@ -1,14 +1,15 @@
 """Observability overhead guard: ``span()`` must cost ≤ 2% in both states.
 
-There is one ``span()`` and it rides every phase (model build families,
+There is one ``span()`` and it rides every phase (model build phases,
 solver calls, the planner's serve steps), so its cost is a standing tax
 on everything.  It has two states worth a number, and this bench measures
 the same function in both:
 
 * **all sinks off** (no tracer, recorder disabled, no phase collector) —
   ``span()`` hands back the shared no-op.  Asserted on the Internal2-4ch
-  ALLGATHER MILP build (a span per constraint family): spans the build
-  emits × the measured all-off round-trip, over the build's wall time,
+  ALLGATHER MILP build (``milp.build`` writes the template,
+  ``milp.expand`` the model): spans the build emits × the measured
+  all-off round-trip, over the build's wall time,
   must stay under ``OVERHEAD_BUDGET``.
 * **recorder on, tracer off** (the default) — every span is two clock
   reads and a ring append.  Asserted on an end-to-end solve: ring records
@@ -109,7 +110,7 @@ def _measure_recorder() -> dict:
     solve_on_s = _median_s(solve)
     # ring growth across the timed repeats → ring records per solve
     events_per_solve = len(recorder.snapshot()) // REPEATS
-    assert events_per_solve >= 9, recorder.snapshot()  # build + families
+    assert events_per_solve >= 9, recorder.snapshot()  # the solve's phases
     with _recorder_off():
         solve_off_s = _median_s(solve)
     return {
@@ -139,15 +140,17 @@ def test_span_overhead(benchmark):
         enabled_s = _median_s(build)
     finally:
         disable()
-    spans_per_build = sum(1 for r in sink.records
-                          if r.get("kind") == "span") // REPEATS
-    assert spans_per_build >= 9, sink.records  # milp.build + families
+    spans = [r["name"] for r in sink.records if r.get("kind") == "span"]
+    spans_per_build = len(spans) // REPEATS
+    # the template, then its expansion
+    assert sorted(set(spans)) == ["milp.build", "milp.expand"] \
+        and spans_per_build == 2, sink.records
 
     analytic_overhead = spans_per_build * span_off_s / disabled_s
     ab_overhead = enabled_s / disabled_s - 1.0
     rec = _measure_recorder()
 
-    table = Table("span() overhead: all-off MILP COO build (Internal2 "
+    table = Table("span() overhead: all-off MILP build (Internal2 "
                   "4ch), recorder-on solve (dgx1 AG)", columns=["value"])
     table.add("all-off build s", value=disabled_s)
     table.add("traced (memory) build s", value=enabled_s)
@@ -166,7 +169,7 @@ def test_span_overhead(benchmark):
         "obs_overhead", table.render(),
         json_name="BENCH_obs_overhead",
         data={
-            "workload": "internal2(4)/allgather MILP coo build",
+            "workload": "internal2(4)/allgather MILP build",
             "disabled_build_s": disabled_s,
             "enabled_memory_build_s": enabled_s,
             "spans_per_build": spans_per_build,

@@ -113,7 +113,9 @@ def sccl_least_steps(topology: Topology, demand: Demand,
     """SCCL's ``least-steps``: smallest synchronous step count that works.
 
     Searches upward from the hop-distance lower bound, accumulating solver
-    time across feasibility checks (the cost the paper measures).
+    time across feasibility checks (the cost the paper measures). Only a
+    step count proved unsatisfiable moves the search on; any other failed
+    solve (a time limit or backend error without a point) propagates.
     """
     demand.validate(topology)
     topology.validate()
@@ -132,7 +134,9 @@ def sccl_least_steps(topology: Topology, demand: Demand,
         try:
             outcome = sccl_instance(topology, demand, config, steps,
                                     solver=solver)
-        except InfeasibleError:
+        except InfeasibleError as err:
+            if err.status not in ("infeasible", "horizon"):
+                raise  # a time limit or backend error is not unsatisfiable
             total_time += time.perf_counter() - attempt_start
             continue
         return ScclOutcome(schedule=outcome.schedule, steps=outcome.steps,

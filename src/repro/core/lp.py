@@ -17,7 +17,6 @@ half-chunk confusion cannot arise (see DESIGN.md).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -32,10 +31,13 @@ from repro.core.epochs import (EpochPlan, build_epoch_plan,
 from repro.core.postprocess import _TOL as _PRUNE_TOL
 from repro.core.postprocess import prune_fractional
 from repro.core.schedule import FlowSchedule
+from repro.core.template import (EVERY_EPOCH, FLOW, HOLD, READ, Draft,
+                                 ModelTemplate, capacity_chunks, fabric,
+                                 put)
 from repro.errors import InfeasibleError, ModelError
 from repro.obs.trace import event as _obs_event
 from repro.obs.trace import span as _obs_span
-from repro.solver import Model, Sense, SolveResult, SolveStatus
+from repro.solver import Model, SolveResult, SolveStatus
 from repro.topology.topology import Topology
 
 _EPS = 1e-9
@@ -124,152 +126,8 @@ class LpOutcome:
         return self.result.solve_time
 
 
-#: the shift of a template entry that sums every epoch of its column stem
-#: into the one row of its row stem (demand met)
-EVERY_EPOCH = 1 << 40
-
 #: row-stem families, in model row order
 _INIT, _CONS, _SWITCH, _CAP, _DEMAND, _BUFFER = range(6)
-#: column-stem families, in column order within a commodity
-_FLOW, _HOLD, _READ = range(3)
-
-
-def _steps(count: np.ndarray) -> np.ndarray:
-    """``0 .. count[i] - 1`` for every ``i``, concatenated."""
-    return np.arange(int(count.sum())) \
-        - np.repeat(np.cumsum(count) - count, count)
-
-
-@dataclass
-class LpTemplate:
-    """The §4.1 LP written once, at stem level: every constraint family
-    as template entries, before any row or column exists.
-
-    A column *stem* is (family, commodity, node, slot): flow ``(0, q, i,
-    j + 1)`` per link, buffer ``(1, q, n, 0)`` per GPU, read ``(2, q, d,
-    0)`` per sink; slot 0 means "no second node". A stem exists over the
-    epochs ``lo..hi`` (its existence mask) and owns the consecutive
-    columns from ``start``; stems with no epoch are left out. A *row stem*
-    is (family, commodity or -1, node, slot): a commodity's initialization,
-    a (commodity, GPU) conservation, a (commodity, switch) switch
-    conservation, a link's capacity, a (commodity, sink) demand met, a
-    GPU's buffer limit — over the row epochs ``row_lo..row_hi``. An entry
-    (row stem ``r``, column stem ``s``, shift, coef) puts ``coef`` at row
-    ``(r, k)``, column ``(s, k + shift)`` wherever both exist
-    (:data:`EVERY_EPOCH`: column ``(s, k')`` for every ``k'``, row ``(r,
-    row_lo)``); a row exists where an entry reaches it. Every column lies
-    in ``[0, inf)``; a read column ``(s, k)`` earns ``weight[s] / (k +
-    1)``.
-
-    :meth:`LpBuilder.build` expands every row stem into the full model;
-    :func:`repro.core.symmetry.quotient_lp` proves generators on the
-    template and expands one row stem per orbit.
-    """
-
-    heads: list             # commodity keys, in commodity order
-    num_nodes: int
-    stems: np.ndarray       # (4, S) family, commodity, node, slot
-    lo: np.ndarray
-    hi: np.ndarray
-    weight: np.ndarray
-    row_stems: np.ndarray   # (4, R) family, commodity or -1, node, slot
-    row_lo: np.ndarray
-    row_hi: np.ndarray
-    row_lower: np.ndarray
-    row_upper: np.ndarray   # a capacity row's is ``capacity``'s
-    capacity: np.ndarray    # (links, K): capacity row stem ``cap_rows[l]``
-    cap_rows: slice
-    entry_row: np.ndarray
-    entry_col: np.ndarray
-    entry_shift: np.ndarray
-    entry_coef: np.ndarray
-    sense: Sense = Sense.MAXIMIZE
-
-    def __post_init__(self) -> None:
-        length = self.hi - self.lo + 1
-        self.start = np.cumsum(length) - length
-        self.num_cols = int(length.sum())
-        rows = self.row_hi - self.row_lo + 1
-        self.row_off = np.cumsum(rows) - rows  # row slot of (r, row_lo)
-        self.num_row_slots = int(rows.sum())
-
-    # -- columns
-    def stem_columns(self, which: np.ndarray):
-        """``(stem, epoch, column)`` of every column of the stems
-        ``which``, in their order."""
-        count = self.hi[which] - self.lo[which] + 1
-        stem, step = np.repeat(which, count), _steps(count)
-        return stem, self.lo[stem] + step, self.start[stem] + step
-
-    def objective(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(columns, costs)`` of the read columns, in column order."""
-        stem, epoch, column = self.stem_columns(
-            np.flatnonzero(self.stems[0] == _READ))
-        return column, self.weight[stem] / (epoch + 1)
-
-    def tables(self) -> tuple[ColumnTable, ColumnTable, ColumnTable]:
-        """The ``f_vars`` / ``b_vars`` / ``r_vars`` key tables."""
-        tables = []
-        for family in (_FLOW, _HOLD, _READ):
-            stem, epoch, column = self.stem_columns(
-                np.flatnonzero(self.stems[0] == family))
-            _, head, node, slot = self.stems[:, stem]
-            tables.append(ColumnTable.from_arrays(
-                self.heads, head, node, epoch, column, node2=slot - 1))
-        return tuple(tables)
-
-    # -- rows
-    def _spans(self, rs, cs, shift):
-        """First and last column epoch each entry reaches."""
-        every = shift == EVERY_EPOCH
-        first = np.maximum(self.lo[cs], np.where(
-            every, self.lo[cs], self.row_lo[rs] + shift))
-        last = np.minimum(self.hi[cs], np.where(
-            every, self.hi[cs], self.row_hi[rs] + shift))
-        return first, last, every
-
-    def row_present(self) -> np.ndarray:
-        """Whether some entry reaches each row slot (``row_off[r] + k -
-        row_lo[r]``), by counting the entries' row-epoch runs."""
-        rs, shift = self.entry_row, self.entry_shift
-        first, last, every = self._spans(rs, self.entry_col, shift)
-        base = self.row_off[rs] - self.row_lo[rs]
-        begin = base + np.where(every, self.row_lo[rs], first - shift)
-        end = base + np.where(every, self.row_lo[rs], last - shift) + 1
-        size = self.num_row_slots + 1
-        runs = np.bincount(begin, minlength=size) \
-            - np.bincount(end, minlength=size)
-        return np.cumsum(runs[:-1]) > 0
-
-    def expand(self, rows: np.ndarray | None = None):
-        """``(row slot, column, coef)`` of every nonzero of the row stems
-        ``rows`` selects (a mask; all when ``None``)."""
-        pick = slice(None) if rows is None else rows[self.entry_row]
-        rs, cs, shift, coef = (self.entry_row[pick], self.entry_col[pick],
-                               self.entry_shift[pick], self.entry_coef[pick])
-        first, last, every = self._spans(rs, cs, shift)
-        count = last - first + 1
-        step = _steps(count)
-        column = np.repeat(self.start[cs] - self.lo[cs] + first, count) + step
-        row_first = np.where(every, self.row_lo[rs], first - shift)
-        slot = np.repeat(self.row_off[rs] - self.row_lo[rs] + row_first,
-                         count) + np.repeat(~every, count) * step
-        return slot, column, np.repeat(coef, count)
-
-    def row_bounds(self, slots: np.ndarray):
-        """``(lower, upper)`` of the rows at ``slots``."""
-        rs = np.searchsorted(self.row_off, slots, side="right") - 1
-        upper = self.row_upper[rs]
-        cap = (rs >= self.cap_rows.start) & (rs < self.cap_rows.stop)
-        epoch = self.row_lo[rs[cap]] + slots[cap] - self.row_off[rs[cap]]
-        upper[cap] = self.capacity[rs[cap] - self.cap_rows.start, epoch]
-        return self.row_lower[rs], upper
-
-
-def _put(keys: np.ndarray, at, *values) -> None:
-    """Write one (family, head, node, slot) key per index of ``at``."""
-    for row, value in zip(keys, values):
-        row[at] = value
 
 
 class LpBuilder:
@@ -297,24 +155,16 @@ class LpBuilder:
         self._earliest = earliest_arrival_epochs(topology, plan)
 
     # ------------------------------------------------------------------
-    def build(self, template: LpTemplate | None = None) -> LpProblem:
+    def build(self, template: ModelTemplate | None = None) -> LpProblem:
         """The full model: ``template`` (built when not given) expanded
         over every row stem."""
         if template is None:
             template = self.template()
         with _obs_span("lp.expand", cols=template.num_cols):
-            model = Model("teccl-lp", sense=template.sense)
-            model.add_var_array(template.num_cols, name="lpvar")
-            slot, column, coef = template.expand()
-            present = template.row_present()
-            row_of = np.cumsum(present) - 1
-            lower, upper = template.row_bounds(np.flatnonzero(present))
-            model.add_constr_coo(row_of[slot], column, coef, lower, upper,
-                                 num_rows=len(lower))
-            model.set_objective_array(*template.objective())
+            model = template.model("teccl-lp")
         return self.problem(template, model)
 
-    def problem(self, template: LpTemplate,
+    def problem(self, template: ModelTemplate,
                 model: Model | None = None) -> LpProblem:
         """An :class:`LpProblem` keyed by ``template``'s columns."""
         f_vars, b_vars, r_vars = template.tables()
@@ -336,7 +186,7 @@ class LpBuilder:
                         f"for commodity {q.key}->{d}", status="horizon")
 
     # ------------------------------------------------------------------
-    def template(self) -> LpTemplate:
+    def template(self) -> ModelTemplate:
         """Write the LP as stems, row stems and template entries.
 
         Per commodity the column stems run flow (link), buffer (GPU),
@@ -350,22 +200,10 @@ class LpBuilder:
             return self._template(plan, topo, K)
 
     def _template(self, plan: EpochPlan, topo: Topology,
-                  K: int) -> LpTemplate:
-        links = list(topo.links)
-        E = len(links)
-        src = np.fromiter((i for i, _ in links), dtype=np.int64, count=E)
-        dst = np.fromiter((j for _, j in links), dtype=np.int64, count=E)
-        offs = np.fromiter((plan.arrival_offset(i, j) for i, j in links),
-                           dtype=np.int64, count=E)
-        gpu_ids = np.asarray(list(topo.gpus), dtype=np.int64)
-        G = len(gpu_ids)
-        switches = np.asarray(list(topo.switches), dtype=np.int64)
-        SW = len(switches)
-        n = len(topo.nodes)
-        node_pos = np.full(n, -1, dtype=np.int64)
-        node_pos[gpu_ids] = np.arange(G)
-        sw_pos = np.full(n, -1, dtype=np.int64)
-        sw_pos[switches] = np.arange(SW)
+                  K: int) -> ModelTemplate:
+        links, src, dst, offs, gpu_ids, switches, node_pos, sw_pos = \
+            fabric(topo, plan)
+        E, G, n = len(links), len(gpu_ids), len(node_pos)
 
         qs = self.commodities
         Q = len(qs)
@@ -404,15 +242,15 @@ class LpBuilder:
         hi = np.zeros(S, dtype=np.int64)
         stem_weight = np.zeros(S)
         commodity = np.arange(Q)[:, None]
-        _put(keys, f_stem, _FLOW, commodity, src, dst + 1)
+        put(keys, f_stem, FLOW, commodity, src, dst + 1)
         lo[f_stem] = earliest[:, src]
         hi[f_stem] = (K - offs - 1)[None, :]
-        _put(keys, b_stem, _HOLD, commodity, gpu_ids, 0)
+        put(keys, b_stem, HOLD, commodity, gpu_ids, 0)
         is_origin = gpu_ids[None, :] == origin[:, None]
         lo[b_stem] = np.where(is_origin, 0, earliest[:, gpu_ids])
         hi[b_stem] = K if self.config.store_and_forward \
             else np.where(is_origin, K, -1)
-        _put(keys, r_stem, _READ, sink_q, sink, 0)
+        put(keys, r_stem, READ, sink_q, sink, 0)
         lo[r_stem] = np.maximum(earliest[sink_q, sink] - 1, 0)
         hi[r_stem] = K - 1
         stem_weight[r_stem] = weight
@@ -423,46 +261,22 @@ class LpBuilder:
                 "within the horizon", status="horizon")
 
         # -- row stems, in model row order
-        init = np.arange(Q)
-        cons = Q + np.arange(Q * G).reshape(Q, G)
-        swc = Q + Q * G + np.arange(Q * SW).reshape(Q, SW)
-        base = Q + Q * (G + SW)
-        cap = base + np.arange(E)
-        demand = base + E + np.arange(D)
+        draft = Draft()
+        rows, add = draft.rows, draft.add
+        supply = np.fromiter((q.supply for q in qs), dtype=float, count=Q)
+        init = rows(_INIT, np.arange(Q), origin, 0, 0, 0, supply, supply)
+        # epoch 0 of an origin's conservation is its initialization
+        cons = rows(_CONS, commodity, gpu_ids, 0, is_origin * 1, K - 1, 0.0)
+        swc = rows(_SWITCH, commodity, switches, 0, 0, K - 1, 0.0)
+        cap = rows(_CAP, -1, src, dst + 1, 0, K - 1, upper=np.inf,
+                   table=draft.table(capacity_chunks(self.config, plan,
+                                                     links)))
+        demand = rows(_DEMAND, sink_q, sink, 0, 0, 0, amount, amount)
         limit = self.config.buffer_limit_chunks
-        B = G if limit is not None else 0
-        buffer = base + E + D + np.arange(B)
-        R = base + E + D + B
-        row_keys = np.zeros((4, R), dtype=np.int64)
-        row_lo = np.zeros(R, dtype=np.int64)
-        row_hi = np.full(R, K - 1, dtype=np.int64)
-        lower = np.zeros(R)
-        upper = np.zeros(R)
-        _put(row_keys, init, _INIT, init, origin, 0)
-        row_hi[init] = 0
-        lower[init] = upper[init] = [q.supply for q in qs]
-        _put(row_keys, cons, _CONS, commodity, gpu_ids, 0)
-        row_lo[cons[is_origin]] = 1  # epoch 0 there is the initialization
-        _put(row_keys, swc, _SWITCH, commodity, switches, 0)
-        _put(row_keys, cap, _CAP, -1, src, dst + 1)
-        lower[cap], upper[cap] = -np.inf, np.inf
-        _put(row_keys, demand, _DEMAND, sink_q, sink, 0)
-        row_hi[demand] = 0
-        lower[demand] = upper[demand] = amount
-        _put(row_keys, buffer, _BUFFER, -1, gpu_ids[:B], 0)
-        row_hi[buffer] = K
-        lower[buffer], upper[buffer] = -np.inf, limit or 0.0
-        capacity = self._capacity(links, K)
+        if limit is not None:
+            buffer = rows(_BUFFER, -1, gpu_ids, 0, 0, K, upper=limit)
 
         # -- template entries (row stem, column stem, shift, coef)
-        parts = []
-
-        def add(rows, cols, shift, coef):
-            rows, cols = np.broadcast_arrays(rows, cols)
-            parts.append((rows.ravel(), cols.ravel(),
-                          np.broadcast_to(shift, rows.shape).ravel(),
-                          np.full(rows.size, coef)))
-
         out0 = src[None, :] == origin[:, None]
         origin_pos = node_pos[origin]
         # initialization: B[origin, 0] + out(origin, 0) == supply
@@ -485,40 +299,11 @@ class LpBuilder:
         # demand met: each sink reads its amount over the horizon
         add(demand, r_stem, EVERY_EPOCH, 1.0)
         # buffer limit: relays only, sources are exempt
-        relay = ~is_origin[:, :B]
-        add(np.broadcast_to(buffer[None, :], relay.shape)[relay],
-            b_stem[:, :B][relay], 0, 1.0)
-        rs, cs, shift, coef = (np.concatenate(p) for p in zip(*parts))
-
-        # stems with no epoch, and entries that reach no row, are dropped
-        live = lo <= hi
-        renumber = np.cumsum(live) - 1
-        template = LpTemplate(
-            heads=[q.key for q in qs], num_nodes=n, stems=keys[:, live],
-            lo=lo[live], hi=hi[live], weight=stem_weight[live],
-            row_stems=row_keys, row_lo=row_lo, row_hi=row_hi,
-            row_lower=lower, row_upper=upper, capacity=capacity,
-            cap_rows=slice(base, base + E),
-            entry_row=rs[live[cs]], entry_col=renumber[cs[live[cs]]],
-            entry_shift=shift[live[cs]], entry_coef=coef[live[cs]])
-        first, last, _ = template._spans(template.entry_row,
-                                         template.entry_col,
-                                         template.entry_shift)
-        reach = first <= last
-        for name in ("entry_row", "entry_col", "entry_shift", "entry_coef"):
-            setattr(template, name, getattr(template, name)[reach])
-        return template
-
-    def _capacity(self, links, K: int) -> np.ndarray:
-        """Capacity in chunks per (link, epoch)."""
-        fn, plan = self.config.capacity_fn, self.plan
-        if fn is None:
-            per_link = np.fromiter((plan.cap_chunks[link] for link in links),
-                                   dtype=float, count=len(links))
-            return np.repeat(per_link[:, None], K, axis=1)
-        return np.array([[fn(i, j, k) * plan.tau / self.config.chunk_bytes
-                          for k in range(K)] for i, j in links],
-                        dtype=float).reshape(len(links), K)
+        if limit is not None:
+            add(np.broadcast_to(buffer, is_origin.shape)[~is_origin],
+                b_stem[~is_origin], 0, 1.0)
+        return draft.finish(heads=[q.key for q in qs], num_nodes=n,
+                            stems=keys, lo=lo, hi=hi, weight=stem_weight)
 
 
 # ----------------------------------------------------------------------
@@ -701,7 +486,7 @@ def _solve_lp_at(topology: Topology, demand: Demand, config: TecclConfig,
     return outcome
 
 
-def _proved_quotient(template: LpTemplate, topology: Topology,
+def _proved_quotient(template: ModelTemplate, topology: Topology,
                      demand: Demand, config: TecclConfig):
     """``(orbit_map, refused)``: the quotient of ``template`` under the
     instance's symmetry when one applies and is proved, else ``None``;
@@ -723,7 +508,7 @@ def _proved_quotient(template: LpTemplate, topology: Topology,
 
 
 def _vet_reduced_outcome(outcome: LpOutcome, builder: LpBuilder,
-                         template: LpTemplate, topology: Topology,
+                         template: ModelTemplate, topology: Topology,
                          demand: Demand, config: TecclConfig) -> LpOutcome:
     """Replay-vet a lifted quotient solution; cold fallback on violation.
 
@@ -894,7 +679,9 @@ def _minimize_epochs_cold(topology: Topology, demand: Demand,
         try:
             best = _solve_lp_at(topology, demand, config, plan)
             hi = mid - 1
-        except InfeasibleError:
+        except InfeasibleError as err:
+            if err.status != "horizon":
+                raise  # a backend error proves nothing about the horizon
             lo = mid + 1
     if best is None:
         raise InfeasibleError(

@@ -17,12 +17,15 @@ switches with or without copy (§3.1), hyper-edge switches (Appendix C),
 limited buffers (Appendix B), fastest-link epochs with windowed capacity
 (Appendix F), time-varying capacity and per-triple priorities (§5), and a
 reachability-based variable elimination that preserves optimality.
+
+Like the §4.1 LP, the model is written once as a stem-level
+:class:`~repro.core.template.ModelTemplate` and expanded by the same
+:meth:`~repro.core.template.ModelTemplate.model`; the MILP's template
+adds binary ``F``/``B`` columns, column bounds and per-epoch row uppers.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -36,10 +39,12 @@ from repro.core.epochs import (EpochPlan, build_epoch_plan,
                                first_feasible_rung, horizon_ladder)
 from repro.core.postprocess import prune_sends
 from repro.core.schedule import Schedule, Send
+from repro.core.template import (FLOW, HOLD, READ, Draft, ModelTemplate,
+                                 capacity_chunks, fabric, put, steps)
 from repro.errors import InfeasibleError, ModelError
 from repro.obs.trace import event as _obs_event
 from repro.obs.trace import span as _obs_span
-from repro.solver import Model, Sense, SolveResult, SolveStatus, VarType
+from repro.solver import Model, SolveResult, SolveStatus
 from repro.topology.topology import Topology
 from repro.topology.transforms import HyperEdgeGroup
 
@@ -48,22 +53,10 @@ _EPS = 1e-9
 #: sentinel "unreachable" epoch, far beyond any horizon
 _FAR = 1 << 30
 
+#: row-stem families, in model row order
+_RECUR, _AVAIL, _SWITCH, _CAP, _DEST, _BUFFER, _HYPER = range(7)
+
 Commodity = tuple[int, int]
-
-
-def _ranges_take(left: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Indices covering ``[left[i], left[i] + counts[i])`` for every i.
-
-    The standard vectorized expansion of per-row ranges — used to join flow
-    variables onto the constraint rows they arrive in without Python loops.
-    """
-    total = int(counts.sum())
-    if not total:
-        return np.empty(0, dtype=np.int64)
-    stops = np.cumsum(counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(stops - counts,
-                                                           counts)
-    return np.repeat(left, counts) + offsets
 
 
 @dataclass
@@ -128,6 +121,12 @@ def _commodity_earliest(topology: Topology, plan: EpochPlan,
 class MilpBuilder:
     """Builds the §3.1 MILP for one (topology, demand, horizon) instance.
 
+    :meth:`template` writes every constraint family once, over all
+    commodities, with NumPy index arithmetic (a variable exists over one
+    epoch interval per stem); :meth:`build` expands it into the model
+    with the LP's code. ``tests/test_model_equivalence.py`` pins the
+    compiled matrices.
+
     A* drives the same builder with per-round state: ``initial_holders``
     overrides where each commodity starts, ``injections`` models chunks that
     arrive mid-horizon from the previous round, and
@@ -187,15 +186,15 @@ class MilpBuilder:
 
     # ------------------------------------------------------------------
     def build(self) -> MilpProblem:
-        with _obs_span("milp.build", epochs=self.plan.num_epochs,
-                       commodities=len(self.commodities)):
-            self._precheck_horizon()
-            model = Model("teccl-milp", sense=Sense.MAXIMIZE)
-            problem = MilpProblem(model=model, plan=self.plan,
-                                  topology=self.topology, demand=self.demand,
-                                  config=self.config, earliest=self.earliest)
-            self._build_coo(problem)
-            return problem
+        """The full model: :meth:`template` expanded over every row stem."""
+        template = self.template()
+        with _obs_span("milp.expand", cols=template.num_cols):
+            model = template.model("teccl-milp")
+        f_vars, b_vars, r_vars = template.tables()
+        return MilpProblem(model=model, plan=self.plan,
+                           topology=self.topology, demand=self.demand,
+                           config=self.config, f_vars=f_vars, b_vars=b_vars,
+                           r_vars=r_vars, earliest=self.earliest)
 
     def _precheck_horizon(self) -> None:
         if not self.require_completion:
@@ -214,445 +213,207 @@ class MilpBuilder:
                         status="horizon")
 
     # ------------------------------------------------------------------
-    # vectorized (COO) construction — no per-term Python objects
-    # ------------------------------------------------------------------
-    def _capacity_value(self, i: int, j: int, k: int) -> float:
-        if self.config.capacity_fn is not None:
-            return (self.config.capacity_fn(i, j, k) * self.plan.tau
-                    / self.config.chunk_bytes)
-        return self.plan.cap_chunks[(i, j)]
+    def template(self) -> ModelTemplate:
+        """Write the MILP as stems, row stems and template entries.
 
-    def _build_coo(self, problem: MilpProblem) -> None:
-        """Emit the §3.1 MILP as COO blocks via NumPy index arithmetic.
-
-        Column order is all ``F`` (commodity, link, epoch), then all ``B``
-        (commodity, GPU, epoch), then all ``R`` (commodity, destination,
-        epoch); constraint families append in the order of the spans below.
-        ``tests/test_model_equivalence.py`` pins the compiled matrices.
+        Column stems run all flow ``(commodity, link)``, then all buffer
+        ``(commodity, GPU)``, then all read ``(commodity, sink)``; row
+        stems follow the constraint families in model row order.
         """
-        model = problem.model
-        topo, plan, K = self.topology, self.plan, self.plan.num_epochs
-        links = list(topo.links)
-        E = len(links)
-        src = np.fromiter((i for i, _ in links), dtype=np.int64, count=E)
-        dst = np.fromiter((j for _, j in links), dtype=np.int64, count=E)
-        offs = np.fromiter((plan.arrival_offset(i, j) for i, j in links),
-                           dtype=np.int64, count=E)
-        switch_dst = np.fromiter((topo.is_switch(j) for _, j in links),
-                                 dtype=bool, count=E)
-        gpus = list(topo.gpus)
-        G = len(gpus)
-        gpu_ids = np.asarray(gpus, dtype=np.int64)
-        num_nodes = len(topo.nodes)
-        node_pos = np.full(num_nodes, -1, dtype=np.int64)
-        node_pos[gpu_ids] = np.arange(G)
-        k_send = np.arange(K, dtype=np.int64)
-        sf = self.config.store_and_forward
+        K = self.plan.num_epochs
+        with _obs_span("milp.build", epochs=K,
+                       commodities=len(self.commodities)):
+            self._precheck_horizon()
+            return self._template(K)
+
+    def _template(self, K: int) -> ModelTemplate:
+        topo, plan, config = self.topology, self.plan, self.config
+        links, src, dst, offs, gpu_ids, switches, node_pos, sw_pos = \
+            fabric(topo, plan)
+        E, G, n = len(links), len(gpu_ids), len(node_pos)
+        link_pos = {link: l for l, link in enumerate(links)}
+        kappa = np.array([plan.occupancy[link] for link in links],
+                         dtype=np.int64)
+
+        qs = self.commodities
+        Q = len(qs)
+        q_pos = {q: i for i, q in enumerate(qs)}
+        earliest = np.full((Q, n), _FAR, dtype=np.int64)
+        for (q, node), epoch in self.earliest.items():
+            earliest[q_pos[q], node] = epoch
+        holder = np.zeros((Q, n), dtype=bool)
+        for q, nodes in self.initial_holders.items():
+            if q in q_pos:
+                holder[q_pos[q], list(nodes)] = True
+        sink_q = np.fromiter((q_pos[q] for q in qs
+                              for _ in self.demand.destinations(*q)),
+                             dtype=np.int64)
+        sink = np.fromiter((d for q in qs
+                            for d in self.demand.destinations(*q)),
+                           dtype=np.int64, count=len(sink_q))
+        D = len(sink_q)
+        commodity = np.arange(Q)[:, None]
+
+        # -- column stems: all flow, then all buffer, then all read
+        f_stem = np.arange(Q * E).reshape(Q, E)
+        b_stem = Q * E + np.arange(Q * G).reshape(Q, G)
+        r_stem = Q * (E + G) + np.arange(D)
+        S = Q * (E + G) + D
+        keys = np.zeros((4, S), dtype=np.int64)
+        lo = np.zeros(S, dtype=np.int64)
+        hi = np.zeros(S, dtype=np.int64)
+        weight = np.zeros(S)
         # a send into a switch must be forwardable at its arrival epoch; a
         # send to a GPU must land within the horizon, unless the next A*
         # round takes the overhang (then any send epoch k <= K - 1 is open)
-        arrival_cap = np.where(switch_dst, K - 1,
-                               K + offs if self.allow_overhang else K)
+        put(keys, f_stem, FLOW, commodity, src, dst + 1)
+        lo[f_stem] = earliest[:, src]
+        f_last = np.where(sw_pos[dst] >= 0, K - offs - 2,
+                          K - 1 if self.allow_overhang else K - offs - 1)
+        hi[f_stem] = f_last
+        put(keys, b_stem, HOLD, commodity, gpu_ids, 0)
+        lo[b_stem] = earliest[:, gpu_ids]
+        hi[b_stem] = K
+        put(keys, r_stem, READ, sink_q, sink, 0)
+        lo[r_stem] = np.maximum(earliest[sink_q, sink] - 1, 0)
+        hi[r_stem] = K - 1
+        weight[r_stem] = [config.weight(*q, d) for q in qs
+                          for d in self.demand.destinations(*q)]
 
-        # -- flow variables, all commodities first
-        f_grids = []
-        base = 0
-        for q in self.commodities:
-            earliest = np.full(num_nodes, _FAR, dtype=np.int64)
-            for node in topo.nodes:
-                found = self.earliest.get((q, node))
-                if found is not None:
-                    earliest[node] = found
-            f_mask = ((earliest[src][:, None] <= k_send[None, :])
-                      & (k_send[None, :] + offs[:, None] + 1
-                         <= arrival_cap[:, None]))
-            f_idx = np.full((E, K), -1, dtype=np.int64)
-            nf = int(np.count_nonzero(f_mask))
-            f_idx[f_mask] = base + np.arange(nf)
-            base += nf
-            f_grids.append((earliest, f_mask, f_idx))
-        model.add_var_array(base, vtype=VarType.BINARY, name="F")
+        # -- row stems, family by family in model row order, with their
+        # template entries; every row is ``<= upper``
+        draft = Draft()
+        rows, add = draft.rows, draft.add
 
-        # -- buffer variables: B[q,n,0] is fixed to 1 for initial holders
-        #    and 0 otherwise
-        b_grids = []
-        b_lb_parts, b_ub_parts = [], []
-        b_base = base
-        for q, (earliest, _f_mask, _f_idx) in zip(self.commodities, f_grids):
-            start = np.maximum(earliest[gpu_ids], 0)
-            b_mask = np.arange(K + 1)[None, :] >= start[:, None]
-            b_idx = np.full((G, K + 1), -1, dtype=np.int64)
-            nb = int(np.count_nonzero(b_mask))
-            b_idx[b_mask] = base + np.arange(nb)
-            base += nb
-            holder = np.zeros(G, dtype=bool)
-            for n in self.initial_holders.get(q, set()):
-                if node_pos[n] >= 0:  # switch holders never buffer
-                    holder[int(node_pos[n])] = True
-            lb = np.zeros((G, K + 1))
-            ub = np.ones((G, K + 1))
-            lb[:, 0] = np.where(holder, 1.0, 0.0)
-            ub[:, 0] = np.where(holder, 1.0, 0.0)
-            b_lb_parts.append(lb[b_mask])
-            b_ub_parts.append(ub[b_mask])
-            b_grids.append((b_mask, b_idx))
-        model.add_var_array(
-            base - b_base,
-            lb=(np.concatenate(b_lb_parts) if b_lb_parts
-                else np.empty(0)),
-            ub=(np.concatenate(b_ub_parts) if b_ub_parts
-                else np.empty(0)),
-            vtype=VarType.BINARY, name="B")
+        # buffer recurrence: B[k] <= arrivals(k) + B[k-1] for k >= 1, a
+        # send on (i, j) at k' reaching j's buffer at k' + Δ + 1; chunks in
+        # flight since the previous A* round arrive as constants
+        injected = {}
+        for (s, c, node, k), count in self.injections.items():
+            if (s, c) in q_pos and 0 <= k <= K:
+                injected.setdefault((q_pos[(s, c)], node_pos[node]),
+                                    np.zeros((1, K + 1)))[0, k] = count
+        at = np.full((Q, G), -1, dtype=np.int64)
+        if injected:
+            at[tuple(np.array(list(injected)).T)] = draft.table(
+                np.concatenate(list(injected.values())))
+        recur = rows(_RECUR, commodity, gpu_ids, 0,
+                     np.maximum(lo[b_stem], 1), K, table=at)
+        into = node_pos[dst] >= 0
+        add(recur, b_stem, 0, 1.0)
+        add(recur, b_stem, -1, -1.0)
+        add(recur[:, node_pos[dst[into]]], f_stem[:, into],
+            -offs[into] - 1, -1.0)
 
-        # -- read variables, contiguous in (q, d, k) order; the last epoch
-        #    must read 1 unless an A* round may end with demand outstanding
-        r_meta = []  # (q, d, first_k, index array)
-        r_lb_parts = []
-        r_base = base
-        for q in self.commodities:
-            for d in self.demand.destinations(*q):
-                first_k = max(0, self.earliest.get((q, d), _FAR) - 1)
-                count = max(0, K - first_k)
-                idx = base + np.arange(count)
-                base += count
-                lb = np.zeros(count)
-                if count and self.require_completion:
-                    lb[-1] = 1.0
-                r_lb_parts.append(lb)
-                r_meta.append((q, d, first_k, idx))
-        model.add_var_array(
-            base - r_base,
-            lb=(np.concatenate(r_lb_parts) if r_lb_parts
-                else np.empty(0)),
-            ub=1.0, name="R")
+        # availability: a GPU's send needs the chunk buffered — or,
+        # without store-and-forward, arriving this epoch (Figure 9)
+        out = node_pos[src] >= 0
+        avail = rows(_AVAIL, commodity, src[out], dst[out] + 1,
+                     lo[f_stem[:, out]], hi[f_stem[:, out]])
+        add(avail, f_stem[:, out], 0, 1.0)
+        buffered = config.store_and_forward | holder[:, src[out]]
+        add(avail[buffered], b_stem[:, node_pos[src[out]]][buffered], 0,
+            -1.0)
+        which, link = np.nonzero(src[out][:, None] == dst)  # links in
+        relay = ~buffered[:, which]
+        add(avail[:, which][relay], f_stem[:, link][relay],
+            np.broadcast_to(-offs[link] - 1, relay.shape)[relay], -1.0)
 
-        # -- key tables for symmetry and extraction
-        for q, (_e, f_mask, f_idx), (b_mask, b_idx) in zip(
-                self.commodities, f_grids, b_grids):
-            ls, ks = np.nonzero(f_mask)
-            problem.f_vars.append(q, src[ls], ks, f_idx[f_mask],
-                                  node2=dst[ls])
-            ns, ks = np.nonzero(b_mask)
-            problem.b_vars.append(q, gpu_ids[ns], ks, b_idx[b_mask])
-        for q, d, first_k, idx in r_meta:
-            problem.r_vars.append(q, d, np.arange(first_k, K), idx)
+        # zero-buffer switches: out(k) bounded by in(k - Δ - 1), per
+        # out-link with copy (rows by switch, commodity, epoch, out-link
+        # rank: one single-epoch row stem each), in total without
+        out = np.flatnonzero(sw_pos[src] >= 0)
+        if config.switch_model is SwitchModel.COPY:
+            f_out = f_stem[:, out]
+            count = np.maximum(hi[f_out] - lo[f_out] + 1, 0).ravel()
+            cell = np.repeat(np.arange(count.size), count)
+            epoch = lo[f_out].ravel()[cell] + steps(count)
+            q, link = np.divmod(cell, len(out))
+            link = out[link]
+            # a switch's out-links rank in link order (``out_edges``)
+            order = np.lexsort((link, epoch, q, sw_pos[src[link]]))
+            q, link, epoch = q[order], link[order], epoch[order]
+            switch = rows(_SWITCH, q, src[link], dst[link] + 1, epoch,
+                          epoch)
+            add(switch, f_stem[q, link], 0, 1.0)
+            which, into = np.nonzero(src[link][:, None] == dst)
+            add(switch[which], f_stem[q[which], into], -offs[into] - 1,
+                -1.0)
+        else:
+            # a switch's out-flows share their first epoch
+            last = np.full(len(switches), -1, dtype=np.int64)
+            np.maximum.at(last, sw_pos[src[out]], f_last[out])
+            switch = rows(_SWITCH, commodity.T, switches[:, None], 0,
+                          earliest[:, switches].T, last[:, None]).T
+            add(switch[:, sw_pos[src[out]]], f_stem[:, out], 0, 1.0)
+            into = np.flatnonzero(sw_pos[dst] >= 0)
+            add(switch[:, sw_pos[dst[into]]], f_stem[:, into],
+                -offs[into] - 1, -1.0)
 
-        with _obs_span("milp.family.buffer_recurrence"):
-            self._coo_buffer_recurrence(model, f_grids, b_grids, src, dst,
-                                        offs, node_pos, G, K)
-        with _obs_span("milp.family.availability"):
-            self._coo_availability(model, f_grids, b_grids, src, dst, offs,
-                                   node_pos, num_nodes, K, sf)
-        with _obs_span("milp.family.switch_constraints"):
-            self._coo_switch_constraints(model, f_grids, links, src, dst,
-                                         offs, K)
-        with _obs_span("milp.family.capacity"):
-            self._coo_capacity(model, f_grids, links, E, K)
-        with _obs_span("milp.family.destination"):
-            self._coo_destination(model, r_meta, b_grids, node_pos, K)
-        with _obs_span("milp.family.buffer_limit"):
-            self._coo_buffer_limit(model, b_grids, node_pos, G, K)
-        with _obs_span("milp.family.hyper_edge_limits"):
-            self._coo_hyper_edge_limits(model, f_grids, links, K)
-        with _obs_span("milp.family.objective"):
-            self._coo_objective(model, r_meta, K)
+        # capacity: per (link, epoch) in chunks, over the κ-epoch window a
+        # send occupies; a window reaching back before epoch 0 loses what
+        # the previous A* round's sends still occupy (capacity_carry)
+        upper = np.floor(kappa[:, None] * capacity_chunks(config, plan, links)
+                         + _EPS)
+        upper = np.where(kappa[:, None] > 1, np.maximum(upper, 1.0), upper)
+        for (i, j, k), count in self.capacity_carry.items():
+            link = link_pos.get((i, j))
+            if link is not None and k < 0:
+                upper[link, :max(0, k + kappa[link])] -= count
+        cap = rows(_CAP, -1, src, dst + 1, 0, K - 1,
+                   table=draft.table(np.pad(upper, ((0, 0), (0, 1)))))
+        for shift in range(int(kappa.max(initial=1))):
+            wide = kappa > shift
+            add(cap[wide], f_stem[:, wide], -shift, 1.0)
 
-    def _coo_buffer_recurrence(self, model, f_grids, b_grids, src, dst, offs,
-                               node_pos, G: int, K: int) -> None:
-        """``B[k] ≤ arrivals(k) + B[k−1]`` for every buffer var with k ≥ 1;
-        chunks injected mid-horizon (in flight since the previous A* round)
-        count as arrivals — constants on the right-hand side."""
-        for (q, (_e, f_mask, f_idx)), (b_mask, b_idx) in zip(
-                zip(self.commodities, f_grids), b_grids):
-            rec_mask = b_mask.copy()
-            rec_mask[:, 0] = False
-            n_rows = int(np.count_nonzero(rec_mask))
-            row_grid = np.full((G, K + 1), -1, dtype=np.int64)
-            row_grid[rec_mask] = np.arange(n_rows)
-            rows = [row_grid[rec_mask]]
-            cols = [b_idx[rec_mask]]
-            data = [np.ones(n_rows)]
-            # B[k-1], where it exists
-            prev = rec_mask[:, 1:] & b_mask[:, :-1]
-            ns, ks = np.nonzero(prev)
-            rows.append(row_grid[ns, ks + 1])
-            cols.append(b_idx[ns, ks])
-            data.append(-np.ones(len(ns)))
-            # arrivals: a send on (i, j) at k' reaches j's buffer at k'+Δ+1
-            ls, ks = np.nonzero(f_mask)
-            vs = f_idx[f_mask]
-            # (overhanging sends land past K: in no row of this horizon)
-            lands = (node_pos[dst[ls]] >= 0) & (ks + offs[ls] + 1 <= K)
-            ls, ks, vs = ls[lands], ks[lands], vs[lands]
-            target = row_grid[node_pos[dst[ls]], ks + offs[ls] + 1]
-            landed = target >= 0
-            rows.append(target[landed])
-            cols.append(vs[landed])
-            data.append(-np.ones(int(landed.sum())))
-            injected = np.zeros((G, K + 1))
-            for (s, c, n, k), count in self.injections.items():
-                if (s, c) == q and 0 <= k <= K:
-                    injected[int(node_pos[n]), k] = count
-            model.add_constr_coo(np.concatenate(rows), np.concatenate(cols),
-                                 np.concatenate(data), -np.inf,
-                                 injected[rec_mask], num_rows=n_rows)
+        # destination: R[q,d,k] <= B[q,d,k+1], read only once it is there
+        dest = rows(_DEST, sink_q, sink, 0, lo[r_stem], K - 1)
+        add(dest, r_stem, 0, 1.0)
+        add(dest, b_stem[sink_q, node_pos[sink]], 1, -1.0)
 
-    def _coo_availability(self, model, f_grids, b_grids, src, dst, offs,
-                          node_pos, num_nodes: int, K: int, sf: bool) -> None:
-        """GPU sends need the chunk buffered (or, without store-and-forward,
-        arriving) — one row per flow variable leaving a GPU."""
-        for (q, (_e, f_mask, f_idx)), (b_mask, b_idx) in zip(
-                zip(self.commodities, f_grids), b_grids):
-            ls, ks = np.nonzero(f_mask)
-            vs = f_idx[f_mask]
-            from_gpu = node_pos[src[ls]] >= 0
-            lo, ko, vo = ls[from_gpu], ks[from_gpu], vs[from_gpu]
-            n_rows = len(vo)
-            row_ids = np.arange(n_rows)
-            rows = [row_ids]
-            cols = [vo]
-            data = [np.ones(n_rows)]
-            held = np.zeros(num_nodes, dtype=bool)
-            for n in self.initial_holders.get(q, set()):
-                held[n] = True
-            avail = np.full(n_rows, True) if sf else held[src[lo]]
-            if avail.any():
-                bb = b_idx[node_pos[src[lo[avail]]], ko[avail]]
-                okb = bb >= 0
-                rows.append(row_ids[avail][okb])
-                cols.append(bb[okb])
-                data.append(-np.ones(int(okb.sum())))
-            relay = ~avail
-            if relay.any():
-                # Figure 9 ablation: forward only what arrives this epoch
-                land_gpu = (node_pos[dst[ls]] >= 0) \
-                    & (ks + offs[ls] + 1 <= K)
-                key_in = (node_pos[dst[ls[land_gpu]]] * (K + 1)
-                          + ks[land_gpu] + offs[ls[land_gpu]] + 1)
-                order = np.argsort(key_in, kind="stable")
-                sorted_key = key_in[order]
-                sorted_col = vs[land_gpu][order]
-                key_out = node_pos[src[lo[relay]]] * (K + 1) + ko[relay]
-                left = np.searchsorted(sorted_key, key_out, "left")
-                counts = np.searchsorted(sorted_key, key_out, "right") - left
-                take = _ranges_take(left, counts)
-                rows.append(np.repeat(row_ids[relay], counts))
-                cols.append(sorted_col[take])
-                data.append(-np.ones(len(take)))
-            model.add_constr_coo(np.concatenate(rows), np.concatenate(cols),
-                                 np.concatenate(data), -np.inf, 0.0,
-                                 num_rows=n_rows)
+        # buffer limit: sources hold their data and destinations must keep
+        # theirs; the limit governs the relay buffer only
+        limit = config.buffer_limit_chunks
+        if limit is not None:
+            exempt = holder.copy()
+            exempt[sink_q, sink] = True
+            relay = ~exempt[:, gpu_ids]
+            buffer = rows(_BUFFER, -1, gpu_ids, 0, 0, K, upper=float(limit))
+            add(np.broadcast_to(buffer, relay.shape)[relay], b_stem[relay],
+                0, 1.0)
 
-    def _coo_switch_constraints(self, model, f_grids, links, src, dst, offs,
-                                K: int) -> None:
-        """Zero-buffer switches: out(k+1) bounded by in(k), with or without
-        copy; rows are ordered by (switch, commodity, epoch)."""
-        switches = list(self.topology.switches)
-        if not switches:
-            return
-        copy_ok = self.config.switch_model is SwitchModel.COPY
-        link_pos = {link: l for l, link in enumerate(links)}
-        for sw in switches:
-            out_rank = np.full(len(links), 1 << 20, dtype=np.int64)
-            for rank, link in enumerate(self.topology.out_edges(sw)):
-                out_rank[link_pos[(sw, link.dst)]] = rank
-            for q, (_e, f_mask, f_idx) in zip(self.commodities, f_grids):
-                ls, ks = np.nonzero(f_mask)
-                vs = f_idx[f_mask]
-                souts = src[ls] == sw
-                lo, ko, vo = ls[souts], ks[souts], vs[souts]
-                if not len(vo):
-                    continue
-                order = np.lexsort((out_rank[lo], ko))
-                lo, ko, vo = lo[order], ko[order], vo[order]
-                ins = dst[ls] == sw
-                key_in = ks[ins] + offs[ls[ins]] + 1
-                order_in = np.argsort(key_in, kind="stable")
-                sorted_key = key_in[order_in]
-                sorted_col = vs[ins][order_in]
-                if copy_ok:
-                    n_rows = len(vo)
-                    row_of_out = np.arange(n_rows)
-                    row_key = ko
-                else:
-                    epochs = np.unique(ko)
-                    n_rows = len(epochs)
-                    row_map = np.full(K, -1, dtype=np.int64)
-                    row_map[epochs] = np.arange(n_rows)
-                    row_of_out = row_map[ko]
-                    row_key = epochs
-                left = np.searchsorted(sorted_key, row_key, "left")
-                counts = np.searchsorted(sorted_key, row_key, "right") - left
-                take = _ranges_take(left, counts)
-                rows = np.concatenate([row_of_out,
-                                       np.repeat(np.arange(n_rows), counts)])
-                cols = np.concatenate([vo, sorted_col[take]])
-                data = np.concatenate([np.ones(len(vo)),
-                                       -np.ones(len(take))])
-                model.add_constr_coo(rows, cols, data, -np.inf, 0.0,
-                                     num_rows=n_rows)
-
-    def _coo_capacity(self, model, f_grids, links, E: int, K: int) -> None:
-        """Per-link capacity, windowed over κ epochs where occupancy > 1;
-        a window reaching back before epoch 0 loses what the previous A*
-        round's transmissions still occupy (``capacity_carry``)."""
-        f_idx_all = np.stack([grid[2] for grid in f_grids])  # (Q, E, K)
-        any_f = (f_idx_all >= 0).any(axis=0)
-        row_parts, col_parts, uppers = [], [], []
-        row_counter = 0
-        for l, (i, j) in enumerate(links):
-            kappa = self.plan.occupancy[(i, j)]
-            sel = f_idx_all[:, l, :] >= 0  # (Q, K)
-            if not sel.any():
-                continue
-            qs, ks = np.nonzero(sel)
-            vs = f_idx_all[:, l, :][sel]
-            if kappa == 1:
-                k_idx = np.nonzero(any_f[l])[0]
-                row_map = np.full(K, -1, dtype=np.int64)
-                row_map[k_idx] = row_counter + np.arange(len(k_idx))
-                row_parts.append(row_map[ks])
-                col_parts.append(vs)
-                uppers.extend(
-                    float(math.floor(self._capacity_value(i, j, int(k))
-                                     + _EPS))
-                    for k in k_idx)
-            else:
-                # a send at k' occupies the wire through k' + κ − 1
-                present = np.zeros(K, dtype=bool)
-                for shift in range(kappa):
-                    present[shift:] |= any_f[l][:K - shift]
-                k_idx = np.nonzero(present)[0]
-                row_map = np.full(K, -1, dtype=np.int64)
-                row_map[k_idx] = row_counter + np.arange(len(k_idx))
-                span = (ks[:, None] + np.arange(kappa)[None, :]).ravel()
-                span_v = np.repeat(vs, kappa)
-                inside = span <= K - 1
-                row_parts.append(row_map[span[inside]])
-                col_parts.append(span_v[inside])
-                uppers.extend(
-                    float(max(1, math.floor(
-                        kappa * self._capacity_value(i, j, int(k)) + _EPS))
-                          - sum(self.capacity_carry.get((i, j, kk), 0)
-                                for kk in range(int(k) - kappa + 1, 0)))
-                    for k in k_idx)
-            row_counter += len(k_idx)
-        if row_counter:
-            model.add_constr_coo(np.concatenate(row_parts),
-                                 np.concatenate(col_parts),
-                                 np.ones(sum(len(p) for p in col_parts)),
-                                 -np.inf, np.asarray(uppers),
-                                 num_rows=row_counter)
-
-    def _coo_destination(self, model, r_meta, b_grids, node_pos, K: int,
-                         ) -> None:
-        """``R[q,d,k] ≤ B[q,d,k+1]`` — read only once the chunk is there."""
-        grid_of = {q: grid for q, grid in zip(self.commodities, b_grids)}
-        rows, cols, data = [], [], []
-        row = 0
-        for q, d, first_k, idx in r_meta:
-            count = len(idx)
-            row_ids = row + np.arange(count)
-            rows.append(row_ids)
-            cols.append(idx)
-            data.append(np.ones(count))
-            _b_mask, b_idx = grid_of[q]
-            bb = b_idx[int(node_pos[d]), first_k + 1:K + 1]
-            okb = bb >= 0
-            rows.append(row_ids[okb])
-            cols.append(bb[okb])
-            data.append(-np.ones(int(okb.sum())))
-            row += count
-        model.add_constr_coo(np.concatenate(rows), np.concatenate(cols),
-                             np.concatenate(data), -np.inf, 0.0,
-                             num_rows=row)
-
-    def _coo_buffer_limit(self, model, b_grids, node_pos, G: int, K: int,
-                          ) -> None:
-        limit = self.config.buffer_limit_chunks
-        if limit is None:
-            return
-        present = np.zeros(G * (K + 1), dtype=bool)
-        flat_parts, col_parts = [], []
-        for q, (b_mask, b_idx) in zip(self.commodities, b_grids):
-            keep = b_mask.copy()
-            # sources hold their data and destinations must keep theirs;
-            # the limit governs the relay buffer only
-            for n in self.initial_holders.get(q, set()):
-                if node_pos[n] >= 0:
-                    keep[int(node_pos[n]), :] = False
-            for n in self.demand.destinations(*q):
-                if node_pos[n] >= 0:
-                    keep[int(node_pos[n]), :] = False
-            ns, ks = np.nonzero(keep)
-            flat = ns * (K + 1) + ks
-            present[flat] = True
-            flat_parts.append(flat)
-            col_parts.append(b_idx[keep])
-        row_of = np.cumsum(present) - 1
-        rows = np.concatenate([row_of[flat] for flat in flat_parts])
-        cols = np.concatenate(col_parts)
-        model.add_constr_coo(rows, cols, np.ones(len(rows)), -np.inf,
-                             float(limit), num_rows=int(present.sum()))
-
-    def _coo_hyper_edge_limits(self, model, f_grids, links, K: int) -> None:
-        if not self.hyper_groups:
-            return
-        f_idx_all = np.stack([grid[2] for grid in f_grids])  # (Q, E, K)
-        link_pos = {link: l for l, link in enumerate(links)}
-
-        def cols_at(edge: tuple[int, int], k: int) -> np.ndarray:
-            column = f_idx_all[:, link_pos[edge], k]
-            return column[column >= 0]
-
-        rows, cols, uppers = [], [], []
-        row = 0
+        # hyper-edge usage (Appendix C): per group and epoch, the active
+        # edges in total, then per out-node and per in-node at most one
         for group in self.hyper_groups:
-            edges = group.edges
-            out_by_node: dict[int, list[tuple[int, int]]] = {}
-            in_by_node: dict[int, list[tuple[int, int]]] = {}
-            for (i, j) in edges:
-                out_by_node.setdefault(i, []).append((i, j))
-                in_by_node.setdefault(j, []).append((i, j))
-            for k in range(K):
-                total = [cols_at(edge, k) for edge in edges]
-                flat = np.concatenate(total) if total else np.empty(0, int)
-                if len(flat):
-                    cols.append(flat)
-                    rows.append(np.full(len(flat), row))
-                    uppers.append(float(group.usage_limit))
-                    row += 1
-                for node_edges in out_by_node.values():
-                    flat = np.concatenate(
-                        [cols_at(edge, k) for edge in node_edges])
-                    if len(flat):
-                        cols.append(flat)
-                        rows.append(np.full(len(flat), row))
-                        uppers.append(1.0)
-                        row += 1
-                for node_edges in in_by_node.values():
-                    flat = np.concatenate(
-                        [cols_at(edge, k) for edge in node_edges])
-                    if len(flat):
-                        cols.append(flat)
-                        rows.append(np.full(len(flat), row))
-                        uppers.append(1.0)
-                        row += 1
-        if row:
-            all_cols = np.concatenate(cols)
-            model.add_constr_coo(np.concatenate(rows), all_cols,
-                                 np.ones(len(all_cols)), -np.inf,
-                                 np.asarray(uppers), num_rows=row)
+            edges = [link_pos[edge] for edge in group.edges]
+            subsets = [edges] + [
+                [e for e in edges if end[e] == node] for end in (src, dst)
+                for node in dict.fromkeys(end[edges].tolist())]
+            limits = np.ones(len(subsets))
+            limits[0] = group.usage_limit
+            epoch = np.arange(K)[:, None]
+            usage = rows(_HYPER, -1, group.switch, np.arange(len(subsets)),
+                         epoch, epoch, upper=limits)
+            member = np.repeat(np.arange(len(subsets)),
+                               list(map(len, subsets)))
+            link = np.concatenate(subsets)
+            add(usage[None, :, member], f_stem[:, None, link], 0, 1.0)
 
-    def _coo_objective(self, model, r_meta, K: int) -> None:
-        idx_parts, coef_parts = [], []
-        for (s, c), d, first_k, idx in r_meta:
-            weight = self.config.weight(s, c, d)
-            idx_parts.append(idx)
-            coef_parts.append(weight / (np.arange(first_k, K) + 1))
-        model.set_objective_array(
-            np.concatenate(idx_parts) if idx_parts else np.empty(0, int),
-            np.concatenate(coef_parts) if coef_parts else np.empty(0))
+        template = draft.finish(heads=list(qs), num_nodes=n, stems=keys,
+                                lo=lo, hi=hi, weight=weight)
+        # F and B are binary, B at epoch 0 fixed by the initial holders;
+        # the last read must be 1 unless an A* round may end with demand
+        # outstanding
+        stem, epoch, _ = template.stem_columns(np.arange(len(template.lo)))
+        family, head, node, _ = template.stems[:, stem]
+        lower, upper = np.zeros(template.num_cols), np.ones(template.num_cols)
+        first = (family == HOLD) & (epoch == 0)
+        lower[first] = upper[first] = holder[head[first], node[first]]
+        if self.require_completion:
+            lower[(family == READ) & (epoch == K - 1)] = 1.0
+        template.binary = template.stems[0] != READ
+        template.col_lower, template.col_upper = lower, upper
+        return template
 
 
 # ----------------------------------------------------------------------

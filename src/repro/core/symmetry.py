@@ -16,8 +16,8 @@ and collapses the instance:
   :func:`is_automorphism`, so refinement only steers the search.
 * **LP quotient, emitted first** (:func:`quotient_lp`): the LP builder
   writes each constraint family once as a stem-level template
-  (:class:`repro.core.lp.LpTemplate`; a column is a stem at an epoch).
-  Each generator acts on its column stems and row stems and is folded
+  (:class:`repro.core.template.ModelTemplate`; a column is a stem at an
+  epoch). Each generator acts on its column stems and row stems and is folded
   into stem orbits only if it maps the template onto itself; a column's
   orbit is its stem's orbit at its epoch. Only the quotient is emitted —
   one variable per column orbit, the rows of one row stem per row-stem
@@ -713,8 +713,8 @@ def reduce_lp(model: Model, generators, num_cols: int, f_vars: dict,
 
 
 def quotient_lp(template, generators) -> tuple[OrbitMap | None, int]:
-    """The quotient of the LP ``template`` (a :class:`repro.core.lp.
-    LpTemplate`), emitted without the full model.
+    """The quotient of the LP ``template`` (a :class:`repro.core.
+    template.ModelTemplate`), emitted without the full model.
 
     Each generator acts on the template's column stems and row stems; one
     that merges no two current stem orbits is skipped, any other is folded
@@ -779,10 +779,10 @@ def _template_proof(t):
     """A test of one generator's ``(stem image, row-stem image)``: does it
     map the template onto itself? Masks, costs (priority weights
     included), row domains and bounds — supply, demand, buffer, the
-    (link, epoch) capacities — must be equal at each image, and the
-    sorted codes of the renamed entries must equal the entries' own. Every
-    column is in ``[0, inf)``, so column bounds agree already. Exact: no
-    hash, no tolerance."""
+    per-epoch uppers such as (link, epoch) capacities — must be equal at
+    each image, column bounds and integrality too where the template
+    carries them, and the sorted codes of the renamed entries must equal
+    the entries' own. Exact: no hash, no tolerance."""
     num_stems = len(t.lo)
     _, shift = np.unique(t.entry_shift, return_inverse=True)
     _, coef = np.unique(t.entry_coef, return_inverse=True)
@@ -795,16 +795,27 @@ def _template_proof(t):
                         + stem_image[t.entry_col]) * kinds + kind)
 
     entries = codes(np.arange(num_stems), np.arange(len(t.row_lo)))
-    cap = t.cap_rows
+    per_epoch = t.upper_at >= 0
+    uppers = t.epoch_upper[t.upper_at[per_epoch]]
+    bounds = [v for v in (t.col_lower, t.col_upper) if v is not None]
+
+    def column_image(stem_image) -> np.ndarray:
+        """A column's image: its stem's image, same epoch."""
+        return np.repeat(t.start[stem_image] - t.start, t.hi - t.lo + 1) \
+            + np.arange(t.num_cols)
 
     def proof(stem_image, row_image) -> bool:
         return (all(np.array_equal(v[stem_image], v)
                     for v in (t.lo, t.hi, t.weight))
                 and all(np.array_equal(v[row_image], v) for v in (
-                    t.row_lo, t.row_hi, t.row_lower, t.row_upper))
+                    t.row_lo, t.row_hi, t.row_lower, t.row_upper, per_epoch))
                 and np.array_equal(
-                    t.capacity[row_image[cap] - cap.start], t.capacity)
-                and np.array_equal(codes(stem_image, row_image), entries))
+                    t.epoch_upper[t.upper_at[row_image[per_epoch]]], uppers)
+                and (t.binary is None
+                     or np.array_equal(t.binary[stem_image], t.binary))
+                and np.array_equal(codes(stem_image, row_image), entries)
+                and all(np.array_equal(v[column_image(stem_image)], v)
+                        for v in bounds))
     return proof
 
 

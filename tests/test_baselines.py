@@ -159,6 +159,35 @@ class TestScclLike:
         with pytest.raises(InfeasibleError):
             sccl_instance(topo, demand, cfg(), steps=1)
 
+    @pytest.mark.parametrize("status, moves_on", [
+        ("infeasible", True), ("horizon", True), ("error", False),
+        ("time_limit", False)])
+    def test_least_steps_moves_on_only_when_unsatisfiable(
+            self, status, moves_on, monkeypatch):
+        """A step count whose solve errs or times out without a point is
+        not unsatisfiable: reporting a larger least-steps would inflate
+        the baseline, so the error propagates instead."""
+        from repro.baselines import sccl_like
+
+        real, tried = sccl_like.sccl_instance, []
+
+        def first_fails(topology, demand, config, steps, **kwargs):
+            tried.append(steps)
+            if len(tried) == 1:
+                raise InfeasibleError("first probe", status=status)
+            return real(topology, demand, config, steps, **kwargs)
+
+        monkeypatch.setattr(sccl_like, "sccl_instance", first_fails)
+        topo = topology.line(3, capacity=1.0)
+        demand = collectives.broadcast(0, [1, 2], 1)
+        if moves_on:
+            assert sccl_least_steps(topo, demand, cfg()).steps == 3
+            assert tried == [2, 3]
+        else:
+            with pytest.raises(InfeasibleError) as info:
+                sccl_least_steps(topo, demand, cfg())
+            assert info.value.status == status and tried == [2]
+
     def test_barrier_time_sums_worst_links(self):
         topo = topology.Topology("h", num_nodes=3)
         topo.add_bidirectional(0, 1, 4.0, alpha=0.0)

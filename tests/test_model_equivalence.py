@@ -30,7 +30,7 @@ from repro import collectives, topology
 from repro.baselines import taccl_like
 from repro.core import TecclConfig, astar, symmetry
 from repro.core.config import SwitchModel
-from repro.core.epochs import build_epoch_plan, horizon_bound
+from repro.core.epochs import build_epoch_plan
 from repro.core.lp import LpBuilder, solve_lp
 from repro.core.milp import MilpBuilder, solve_milp
 from repro.errors import InfeasibleError, ModelError, ScheduleError
@@ -353,6 +353,19 @@ class TestOneConstructionPath:
         assert sorted(line for line, _ in self._lint().find_retired(source)) \
             == [1, 2, 3, 4, 5, 7, 11]
 
+    def test_lint_flags_per_family_coo_emitters(self, tmp_path):
+        source = tmp_path / "milp.py"
+        source.write_text(
+            "class MilpBuilder:\n"
+            "    def _build_coo(self, problem):\n"
+            "        with span('milp.family.capacity'):\n"
+            "            self._coo_capacity(problem)\n"
+            "def _ranges_take(left, counts):\n"
+            "    return span(f'milp.family.{left}')\n"
+            "build_coo = coo_rows = span('milp.build')\n")
+        assert sorted(line for line, _ in self._lint().find_retired(source)) \
+            == [2, 3, 4, 5, 6]
+
     def test_deleted_exports_stay_deleted(self):
         assert self._lint().find_retired_exports() == []
 
@@ -415,11 +428,9 @@ SWITCH_CASES = {
 }
 
 
-def switch_case_digest(name, num_epochs=None) -> dict:
+def switch_case_digest(name, num_epochs) -> dict:
     """The pinned fingerprint of one :data:`SWITCH_CASES` MILP."""
     topo, demand, config, groups = SWITCH_CASES[name]()
-    if num_epochs is None:
-        num_epochs = horizon_bound(topo, demand, config)
     plan = build_epoch_plan(topo, config, num_epochs=num_epochs)
     problem = MilpBuilder(topo, demand, config, plan,
                           hyper_groups=groups).build()

@@ -8,7 +8,8 @@ byte, on every reducing instance the perf ledger solves, and to the
 schedules the full-model path produced
 (``tests/golden/quotient_schedules.json``, dumped before the change). Then
 the proof's negatives (an epoch-dependent capacity, a corrupted template
-entry; per-triple priorities are in ``tests/test_symmetry.py``), a deterministic count guard that no model
+entry, a MILP template's column bounds and binaries; per-triple
+priorities are in ``tests/test_symmetry.py``), a deterministic count guard that no model
 wider than the quotient is made, and the stats and explain record the
 path reports without the full model.
 """
@@ -26,6 +27,7 @@ from repro.core import TecclConfig, synthesize, symmetry
 from repro.core.config import SwitchModel
 from repro.core.epochs import build_epoch_plan, horizon_bound
 from repro.core.lp import LpBuilder, solve_lp
+from repro.core.milp import MilpBuilder
 from repro.core.pop import _scaled_capacity_fn, partition_demand, solve_lp_pop
 from repro.obs.metrics import get_registry
 from repro.solver import Model, SolverOptions
@@ -249,6 +251,23 @@ class TestProofNegatives:
         template = builder.template()
         for gen in gens:
             assert symmetry.quotient_lp(template, [gen]) == (None, 1)
+
+    @pytest.mark.parametrize("name", ["binary", "col_lower", "col_upper"])
+    def test_column_bounds_and_integrality_are_part_of_the_proof(self, name):
+        """A MILP template carries binaries and column bounds: a generator
+        that moves a column whose bound or integrality its image does not
+        share is refused."""
+        topo = _ring(4)
+        demand = collectives.allgather(topo.gpus, 1)
+        plan = build_epoch_plan(topo, UNIT, num_epochs=horizon_bound(
+            topo, demand, UNIT))
+        gens = symmetry.find_generators(topo, demand)
+        template = MilpBuilder(topo, demand, UNIT, plan).template()
+        assert symmetry.quotient_lp(template, gens)[1] == 0
+        values = getattr(template, name).copy()
+        values[0] = 0.5 if name == "col_upper" else not values[0]
+        setattr(template, name, values)
+        assert symmetry.quotient_lp(template, gens) == (None, len(gens))
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from repro.core.epochs import build_epoch_plan, path_based_epoch_bound
 from repro.core.lp import (IncrementalLp, LpBuilder, _minimize_epochs_cold,
                            minimize_epochs_lp)
 from repro.core.pop import pop_auto_horizon, solve_lp_pop
-from repro.errors import ModelError, ReproError
+from repro.errors import InfeasibleError, ModelError, ReproError
 from repro.simulate import check_flow
 from repro.simulate.harness import random_instance
 from repro.solver import Model, Sense
@@ -126,6 +126,32 @@ class TestMinimizeEpochsDifferential:
         # the warm search really ran on the shared model (no silent
         # fallback to the cold path)
         assert "horizon_solves" in warm.result.stats
+
+    @pytest.mark.parametrize("status", ["horizon", "error"])
+    def test_cold_search_moves_on_only_past_short_horizons(self, status,
+                                                          monkeypatch):
+        """A probe that fails for another reason than a short horizon (a
+        backend error, a time limit without a point) proves nothing about
+        K: the cold search re-raises it instead of searching higher."""
+        topo = topology.ring(4, capacity=1.0, alpha=0.0)
+        demand = collectives.alltoall(topo.gpus, 1)
+        config = TecclConfig(chunk_bytes=1.0)
+        real, tried = lp_module._solve_lp_at, []
+
+        def first_fails(topology, demand, config, plan, **kwargs):
+            tried.append(plan.num_epochs)
+            if len(tried) == 1:
+                raise InfeasibleError("first probe", status=status)
+            return real(topology, demand, config, plan, **kwargs)
+
+        monkeypatch.setattr(lp_module, "_solve_lp_at", first_fails)
+        if status == "horizon":
+            _minimize_epochs_cold(topo, demand, config, 8)
+            assert tried[:2] == [4, 6]
+        else:
+            with pytest.raises(InfeasibleError) as info:
+                _minimize_epochs_cold(topo, demand, config, 8)
+            assert info.value.status == "error" and tried == [4]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_undershot_estimate_rebuilds_and_equals_cold(self, seed,

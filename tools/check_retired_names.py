@@ -36,6 +36,13 @@ option translation and status table, not a choice. (Code outside
 ``src/`` — the tests' oracles, the ledger's host calibration loop — may
 still call them.)
 
+The walk also flags the MILP's per-family COO emitters — any function
+named ``_build_coo``, ``_ranges_take`` or ``_coo_*``, defined or referred
+to — and every string starting ``milp.family.`` (the spans they ran
+under): the §3.1 MILP is written as the same stem-level template as the
+LP (``repro.core.template.ModelTemplate``) and expanded by the same code,
+so a hand-written emitter beside it would be a second model path.
+
 Deleted *exports* are checked by import: ``repro.obs.rspan`` (the second
 span API; ``span()`` is the only one), the ``repro.simulate.simulator``
 adapter module, and the expression algebra of ``repro.solver``
@@ -57,7 +64,9 @@ longer has ``PermutationVerifier``, a randomised row-multiset hash run once
 per generator, nor its one-shot wrappers ``verify_column_permutation`` and
 ``induced_column_permutation``, nor ``column_orbits``: the LP quotient is
 proved by one exact equitable-partition check and a lex-leader cut's
-generator by an exact row match.
+generator by an exact row match. ``repro.core.lp.LpTemplate`` is
+``repro.core.template.ModelTemplate``, shared by both builders, with no
+alias left at the old name.
 
 Two retired *parameters* are checked by signature. One is ``sink`` on
 ``Planner.__init__`` and ``AdaptationController.__init__``. Tracing is
@@ -93,7 +102,7 @@ RETIRED_EXPORTS = (
     ("repro.core.epochs", "algorithm1_num_epochs"),
     ("repro.core.epochs", "candidate_completion_times"),
     ("repro.core.epochs", "min_time_seconds"),
-    ("repro.core.lp", "lp_feasible_horizon"),
+    ("repro.core.lp", "lp_feasible_horizon"), ("repro.core.lp", "LpTemplate"),
     ("repro.failures", "replan"), ("repro.failures.repair", "replan"),
     *(("repro.core.symmetry", name) for name in (
         "PermutationVerifier", "verify_column_permutation",
@@ -112,6 +121,10 @@ RETIRED_INIT_PARAMS = (
     ("repro.service.planner", "Planner", "symmetry"),
     ("repro.fleet.controller", "AdaptationController", "sink"))
 
+#: the MILP's per-family COO emitters (and ``_coo_*``), and their spans
+RETIRED_EMITTERS = frozenset({"_build_coo", "_ranges_take"})
+RETIRED_SPAN_PREFIX = "milp.family."
+
 #: the one ``scipy.optimize`` module library code may import
 HIGHS_BINDING = "scipy.optimize._highspy"
 
@@ -120,6 +133,10 @@ def _second_backend(module: str) -> bool:
     """``module`` is ``scipy.optimize`` or below it, outside the binding."""
     return (module + ".").startswith("scipy.optimize.") \
         and not (module + ".").startswith(HIGHS_BINDING + ".")
+
+
+def _emitter(name: str) -> bool:
+    return name in RETIRED_EMITTERS or name.startswith("_coo_")
 
 
 def find_retired(path: pathlib.Path) -> list[tuple[int, str]]:
@@ -153,6 +170,14 @@ def find_retired(path: pathlib.Path) -> list[tuple[int, str]]:
                 and isinstance(node.value, ast.Name) \
                 and node.value.id == "scipy":
             findings.append((node.lineno, "`scipy.optimize` use"))
+        name = (node.name if isinstance(node, ast.FunctionDef)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name) else "")
+        if _emitter(name):
+            findings.append((node.lineno, f"`{name}` COO emitter"))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.startswith(RETIRED_SPAN_PREFIX):
+            findings.append((node.lineno, f"`{node.value}` span"))
     return findings
 
 

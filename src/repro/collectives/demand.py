@@ -67,7 +67,10 @@ class Demand:
         return sorted({s for s, _ in self._wants})
 
     def chunks_of(self, source: int) -> list[int]:
-        return sorted(c for s, c in self._wants if s == source)
+        """The source's chunk ids, ascending (read off
+        :attr:`chunk_classes`, not a scan of every want)."""
+        chunks = self.chunk_classes.get(source)
+        return [c for c, _ in chunks[0]] if chunks else []
 
     def num_chunks(self, source: int) -> int:
         return len(self.chunks_of(source))

@@ -13,6 +13,7 @@ module implements that pass for both solution flavors:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Callable
 
 from repro.collectives.demand import Demand
@@ -147,47 +148,50 @@ def prune_fractional(flow_schedule: FlowSchedule, topology: Topology,
             only for integral copy-free solutions.
     """
     switches = topology.switches
-    flows = dict(flow_schedule.flows)
+    flows = flow_schedule.flows
     reads = flow_schedule.reads
     res_hold: dict[tuple, float] | None = (
         dict(buffers) if buffers is not None else None)
 
-    # needed mass per pool (q, node, p)
-    needed: dict[tuple, float] = {}
+    # needed mass per pool index p, then per (q, node), in the order first
+    # needed
+    needed: defaultdict[int, dict[tuple, float]] = defaultdict(dict)
     for (q, d, k), amount in reads.items():
         # R at epoch k draws the pool at index k + 1.
-        key = (q, d, k + 1)
-        needed[key] = needed.get(key, 0.0) + amount
+        pool = needed[k + 1]
+        pool[(q, d)] = pool.get((q, d), 0.0) + amount
     kept: dict[tuple, float] = {}
 
-    # Arrivals indexed by destination pool index.
+    # Arrivals indexed by destination pool index, Δ + 1 read once per link.
+    landing = {link: plan.arrival_offset(*link) + 1
+               for link in {(i, j) for (_, i, j, _) in flows}}
     arrivals: dict[tuple, list[tuple]] = {}
-    for (q, i, j, k), amount in flows.items():
-        pool = k + plan.arrival_offset(i, j) + 1
-        arrivals.setdefault((q, j, pool), []).append((q, i, j, k))
+    for flow_key in flows:
+        q, i, j, k = flow_key
+        arrivals.setdefault((q, j, k + landing[(i, j)]), []).append(flow_key)
 
     max_k = flow_schedule.num_epochs
     # Walk pools from the latest index to the earliest; by then every
     # downstream requirement on a pool is known (hold pushes to p−1, arrivals
     # push to the sender's pool at the send epoch, strictly earlier).
     for p in range(max_k + 1, -1, -1):
-        pool_keys = [key for key in needed if key[2] == p and needed[key] > _TOL]
-        for q, node, _ in pool_keys:
-            remaining = needed.pop((q, node, p))
+        for (q, node), remaining in needed.pop(p, {}).items():
+            if remaining <= _TOL:
+                continue
             origin = q[0] if isinstance(q, tuple) else q
             if node == origin:
                 continue  # satisfied by the source's initial supply
-            for flow_key in arrivals.get((q, node, p), []):
+            # each pool is walked once, so no flow has been drawn on yet
+            for flow_key in arrivals.get((q, node, p), ()):
                 if remaining <= _TOL:
                     break
-                available = flows.get(flow_key, 0.0) - kept.get(flow_key, 0.0)
-                take = min(remaining, available)
+                take = min(remaining, flows[flow_key])
                 if take > _TOL:
-                    kept[flow_key] = kept.get(flow_key, 0.0) + take
+                    kept[flow_key] = take
                     remaining -= take
                     _, i, _, send_k = flow_key
-                    key = (q, i, send_k)
-                    needed[key] = needed.get(key, 0.0) + take
+                    sender = needed[send_k]
+                    sender[(q, i)] = sender.get((q, i), 0.0) + take
             if remaining > _TOL and node not in switches and p > 0:
                 if res_hold is None:
                     capacity = remaining
@@ -197,8 +201,8 @@ def prune_fractional(flow_schedule: FlowSchedule, topology: Topology,
                 if take > _TOL:
                     if res_hold is not None:
                         res_hold[(q, node, p - 1)] = capacity - take
-                    key = (q, node, p - 1)
-                    needed[key] = needed.get(key, 0.0) + take
+                    held = needed[p - 1]
+                    held[(q, node)] = held.get((q, node), 0.0) + take
                     remaining -= take
             if remaining > 1e-5:
                 raise ScheduleError(

@@ -12,9 +12,13 @@ Two flavors exist, mirroring the paper's two solution classes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from operator import attrgetter
 
-from repro.errors import ScheduleError
+import numpy as np
+
+from repro.errors import ModelError, ScheduleError
 from repro.topology.topology import Topology
 
 
@@ -227,15 +231,14 @@ class FlowSchedule:
 
     def finish_time(self, topology: Topology) -> float:
         """Continuous completion estimate (last α + serialized-β arrival)."""
-        finish = 0.0
-        loads: dict[tuple[int, int, int], float] = {}
-        for (_, i, j, k), amount in self.flows.items():
-            loads[(i, j, k)] = loads.get((i, j, k), 0.0) + amount
-        for (i, j, k), amount in loads.items():
-            link = topology.link(i, j)
-            finish = max(finish, k * self.tau
-                         + link.transfer_time(amount * self.chunk_bytes))
-        return finish
+        _, src, dst, epoch, amount = entry_columns(self.flows, 4)
+        table = LinkTable(topology)
+        link = table.ids(src, dst)
+        for n in (link < 0).nonzero()[0][:1].tolist():
+            topology.link(int(src[n]), int(dst[n]))
+        link, epoch, load, _ = link_epoch_loads(link, epoch, amount,
+                                                epoch_span(epoch))
+        return table.finish(link, epoch, load, self.tau, self.chunk_bytes)
 
     def delivered(self, commodity, dst: int) -> float:
         return sum(v for (q, d, _), v in self.reads.items()
@@ -267,15 +270,37 @@ class FlowSchedule:
 
     @staticmethod
     def from_dict(data: dict) -> "FlowSchedule":
-        """Parse the :meth:`to_dict` representation."""
+        """Parse the :meth:`to_dict` representation, rejecting duplicate
+        ``(commodity, src, dst, epoch)`` flows rows and ``(commodity, dst,
+        epoch)`` reads rows and non-finite amounts with :class:`ModelError`
+        (last-wins or a silently dropped ``NaN`` would parse a corrupted
+        cache entry into a different schedule than the one stored)."""
         def q_in(q):
             return tuple(int(x) for x in q) if isinstance(q, list) else int(q)
 
+        def checked(name: str, rows: dict[tuple, float]) -> dict:
+            if len(rows) != len(data[name]):
+                seen: set[tuple] = set()
+                for row in data[name]:
+                    key = (q_in(row[0]), *(int(x) for x in row[1:-1]))
+                    if key in seen:
+                        raise ModelError(f"duplicate {name} row for {key}")
+                    seen.add(key)
+            if not all(map(math.isfinite, rows.values())):
+                key, amount = next((key, amount)
+                                   for key, amount in rows.items()
+                                   if not math.isfinite(amount))
+                raise ModelError(f"{name} row for {key}: amount "
+                                 f"{amount!r} is not finite")
+            return rows
+
         try:
-            flows = {(q_in(q), int(i), int(j), int(k)): float(v)
-                     for q, i, j, k, v in data["flows"]}
-            reads = {(q_in(q), int(d), int(k)): float(v)
-                     for q, d, k, v in data["reads"]}
+            flows = checked("flows", {
+                (q_in(q), int(i), int(j), int(k)): float(v)
+                for q, i, j, k, v in data["flows"]})
+            reads = checked("reads", {
+                (q_in(q), int(d), int(k)): float(v)
+                for q, d, k, v in data["reads"]})
             return FlowSchedule(
                 flows=flows, reads=reads, tau=float(data["tau"]),
                 chunk_bytes=float(data["chunk_bytes"]),
@@ -287,3 +312,148 @@ class FlowSchedule:
     def __repr__(self) -> str:
         return (f"FlowSchedule(flows={len(self.flows)}, "
                 f"epochs<={self.num_epochs}, tau={self.tau:g}s)")
+
+
+@dataclass(frozen=True)
+class FlowArrays:
+    """A :class:`FlowSchedule` as columns: one row per ``flows`` entry and
+    one per ``reads`` entry, in the dicts' order, so a sum taken along the
+    rows by a sequential kernel (``np.bincount``, ``np.cumsum``) adds in
+    the same order as a loop over the dict.
+
+    ``commodities`` lists the distinct commodity keys, flows first, then
+    reads, first seen first; ``flow_q`` / ``read_q`` index into it.
+    ``epochs`` spans every flow and read epoch (empty when both are).
+    """
+
+    commodities: list
+    epochs: range
+    flow_q: np.ndarray
+    flow_src: np.ndarray
+    flow_dst: np.ndarray
+    flow_epoch: np.ndarray
+    flow_amount: np.ndarray
+    read_q: np.ndarray
+    read_dst: np.ndarray
+    read_epoch: np.ndarray
+    read_amount: np.ndarray
+
+    @staticmethod
+    def of(flow: FlowSchedule) -> "FlowArrays":
+        fq, src, dst, epoch, amount = entry_columns(flow.flows, 4)
+        rq, read_dst, read_epoch, read_amount = entry_columns(flow.reads, 3)
+        commodities = list(dict.fromkeys(fq + rq))
+        index = {q: n for n, q in enumerate(commodities)}
+        return FlowArrays(
+            commodities=commodities,
+            epochs=epoch_span(np.concatenate((epoch, read_epoch))),
+            flow_q=np.fromiter(map(index.__getitem__, fq), np.int64,
+                               len(fq)),
+            flow_src=src, flow_dst=dst, flow_epoch=epoch,
+            flow_amount=amount,
+            read_q=np.fromiter(map(index.__getitem__, rq), np.int64,
+                               len(rq)),
+            read_dst=read_dst, read_epoch=read_epoch,
+            read_amount=read_amount)
+
+
+def entry_columns(entries: dict, width: int) -> tuple:
+    """A ``flows`` (``width`` 4) or ``reads`` (3) dict as columns, in its
+    order: the commodity keys as a tuple, then one int64 array per other
+    key field, then the amounts."""
+    size = len(entries)
+    keys, *fields = zip(*entries) if entries else ((),) * width
+    return (keys, *(np.fromiter(field, np.int64, size) for field in fields),
+            np.fromiter(entries.values(), np.float64, size))
+
+
+def epoch_span(epochs: np.ndarray) -> range:
+    """The range from the least to the greatest of ``epochs``."""
+    if not len(epochs):
+        return range(0)
+    return range(int(epochs.min()), int(epochs.max()) + 1)
+
+
+class LinkTable:
+    """A topology's links as columns, one row per link in ``(src, dst)``
+    order: ``alpha``, ``capacity`` and ``beta`` (``1 / capacity``, as
+    :attr:`~repro.topology.topology.Link.beta` computes it)."""
+
+    def __init__(self, topology: Topology) -> None:
+        self.links = sorted(topology.links)
+        size = len(self.links)
+        rows = list(map(topology.links.__getitem__, self.links))
+        src, dst = zip(*self.links) if self.links else ((), ())
+        self.code = pair_code(np.fromiter(src, np.int64, size),
+                              np.fromiter(dst, np.int64, size))
+        self.alpha = np.fromiter(map(attrgetter("alpha"), rows), float, size)
+        self.capacity = np.fromiter(map(attrgetter("capacity"), rows), float,
+                                    size)
+        self.beta = 1.0 / self.capacity
+
+    def ids(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """The row of each ``(src, dst)`` link, −1 where there is none."""
+        return positions(self.code, pair_code(src, dst))
+
+    def finish(self, link: np.ndarray, epoch: np.ndarray, load: np.ndarray,
+               tau: float, chunk_bytes: float) -> float:
+        """The latest ``k·τ + α + β·(load·S)`` over per-(link, epoch)
+        loads — the α–β arrival of everything a link carries in one epoch
+        sent back to back."""
+        if not len(load):
+            return 0.0
+        arrive = epoch * tau + (self.alpha[link]
+                                + load * chunk_bytes * self.beta[link])
+        return max(0.0, float(arrive.max()))
+
+
+def distinct(code: np.ndarray):
+    """``(values, inverse)``: the sorted distinct values of ``code`` and
+    each row's index among them — ``np.unique`` without its wrapper's
+    per-call overhead."""
+    ordered = np.sort(code)
+    values = ordered[run_starts(ordered)]
+    return values, values.searchsorted(code)
+
+
+def run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in ``ordered`` begins."""
+    head = np.empty(len(ordered), dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    return head.nonzero()[0]
+
+
+def run_lengths(starts: np.ndarray, size: int) -> np.ndarray:
+    """The length of each run of a ``size``-long array, given where each
+    one begins."""
+    return np.concatenate((starts[1:], [size])) - starts
+
+
+def positions(values: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """The index of each ``code`` in the sorted ``values``, −1 where it is
+    not there."""
+    if not len(values):
+        return np.full(len(code), -1, dtype=np.int64)
+    at = values.searchsorted(code)
+    return np.where(values.take(at, mode="clip") == code, at, -1)
+
+
+def pair_code(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """One int64 per ``(first, second)`` pair of node ids, distinct for
+    distinct pairs of ids in [−2**31, 2**31)."""
+    return (first << 32) + second
+
+
+def link_epoch_loads(link: np.ndarray, epoch: np.ndarray,
+                     amount: np.ndarray, epochs: range):
+    """Per distinct ``(link, epoch)`` pair, in sorted order: its link row,
+    epoch, summed amount (rows added in order) and first row; ``epochs``
+    spans every epoch."""
+    span = max(1, len(epochs))
+    pairs, inverse = distinct(link * span + (epoch - epochs.start))
+    load = np.bincount(inverse, amount, len(pairs))
+    first = np.full(len(pairs), len(link))
+    np.minimum.at(first, inverse, np.arange(len(link)))
+    link, epoch = np.divmod(pairs, span)
+    return link, epoch + epochs.start, load, first

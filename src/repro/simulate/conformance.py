@@ -26,17 +26,34 @@ Three entry points:
 The cross-producer randomized harness (:mod:`repro.simulate.harness`) sweeps
 every producer in the repo through this oracle; ``teccl verify`` and the
 planner service expose the same engine to operators.
+
+:func:`check_flow` is one array replay: the schedule is read once into
+columns (:class:`~repro.core.schedule.FlowArrays`), every per-link fact —
+Δ, per-epoch capacity, α, β — comes from one link table, and each
+invariant family is a NumPy kernel over them. Its per-entry predecessor is
+kept in ``tests/flow_oracle.py`` as the differential reference, and the
+replay must return a report equal to it, float bits included. That holds
+because every sum the walk took in order is taken in the same order:
+``np.bincount`` and a row-wise ``cumsum`` add sequentially (``np.sum`` is
+pairwise and is not used); violations are emitted in the walk's order with
+its messages.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.collectives.demand import Demand
 from repro.core.config import SwitchModel, TecclConfig
 from repro.core.epochs import EpochPlan
-from repro.core.schedule import FlowSchedule, Schedule
+from repro.core.schedule import (FlowArrays, FlowSchedule, LinkTable,
+                                 Schedule, distinct, link_epoch_loads,
+                                 positions, run_lengths, run_starts)
 from repro.errors import ScheduleError
 from repro.obs.trace import span as _obs_span
 from repro.topology.topology import Topology
@@ -496,192 +513,387 @@ def check_flow(flow: FlowSchedule, topology: Topology, demand: Demand,
     """
     with _obs_span("conformance.check", kind="flow",
                    flows=len(flow.flows)) as sp:
-        report = _check_flow_impl(
-            flow, topology, demand, plan, config=config,
-            claimed_finish_time=claimed_finish_time, atol=atol,
-            finish_rtol=finish_rtol)
+        report = _FlowReplay(flow, topology, demand, plan, config,
+                             atol).report(claimed_finish_time, finish_rtol)
         sp.set_attr(ok=report.ok, violations=len(report.violations))
         return report
 
 
-def _check_flow_impl(flow: FlowSchedule, topology: Topology, demand: Demand,
-                     plan: EpochPlan, *, config: TecclConfig | None,
-                     claimed_finish_time: float | None,
-                     atol: float, finish_rtol: float) -> ConformanceReport:
-    report = ConformanceReport(claimed_finish_time=claimed_finish_time,
-                               total_flow=sum(flow.flows.values()),
-                               total_bytes=flow.total_bytes(),
-                               finish_epoch=flow.finish_epoch)
-    violations = report.violations
-    buffer_limit = None if config is None else config.buffer_limit_chunks
-    K = plan.num_epochs
+class _FlowReplay:
+    """One :func:`check_flow` replay over the schedule's array view.
 
-    keys = {q for (q, _, _, _) in flow.flows} \
-        | {q for (q, _, _) in flow.reads}
-    amounts = _demand_amounts(demand, keys)
+    Every event is normalised to a *pool index* p of one (commodity, node)
+    *group*: a send at epoch e arrives at pool e + Δ + 1 of its receiver
+    and consumes pool e of its sender; a read at epoch r consumes pool
+    r + 1 (R[k] ≤ B[k+1] in the LP). A *slot* is one (group, pool) pair
+    with an event; ``inflow`` / ``outflow`` hold each slot's arriving and
+    consumed mass, added in the dicts' order (flows, then reads).
+    """
 
-    link_load: dict[tuple[int, int, int], float] = {}
-    for (q, i, j, k), amount in flow.flows.items():
-        if amount < -atol:
-            violations.append(Violation(
-                kind="conservation", epoch=k, link=(i, j), commodity=q,
-                message=f"negative flow {amount:.3g} on ({i},{j}) at "
-                        f"epoch {k}"))
-        if not topology.has_link(i, j):
-            violations.append(Violation(
-                kind="link", epoch=k, link=(i, j), commodity=q,
-                message=f"flow on nonexistent link ({i},{j})"))
-            continue
-        if k >= K or k + plan.arrival_offset(i, j) + 1 > K:
-            violations.append(Violation(
-                kind="horizon", epoch=k, link=(i, j), commodity=q,
-                message=(f"flow sent at epoch {k} on ({i},{j}) cannot land "
-                         f"within the horizon K={K}")))
-        link_load[(i, j, k)] = link_load.get((i, j, k), 0.0) + amount
+    def __init__(self, flow: FlowSchedule, topology: Topology,
+                 demand: Demand, plan: EpochPlan,
+                 config: TecclConfig | None, atol: float) -> None:
+        self.flow, self.topology, self.demand = flow, topology, demand
+        self.plan, self.config, self.atol = plan, config, atol
+        self.view = FlowArrays.of(flow)
+        self.keys = keys = self.view.commodities
+        self.amounts = amounts = _demand_amounts(demand, keys)
+        self.origin = np.fromiter(map(_commodity_origin, keys), np.int64,
+                                  len(keys))
+        self.supply = np.fromiter((amounts[key][0] for key in keys),
+                                  np.float64, len(keys))
+        self.table = LinkTable(topology)
+        self.violations: list[Violation] = []
 
-    for (i, j, k), used in sorted(link_load.items()):
-        if (i, j) not in topology.links:
-            continue
-        cap = _epoch_capacity(plan, config, i, j, k)
-        if used > cap + atol:
-            violations.append(Violation(
+    def report(self, claimed_finish_time: float | None,
+               finish_rtol: float) -> ConformanceReport:
+        flow, view = self.flow, self.view
+        total = sum(flow.flows.values())
+        report = ConformanceReport(
+            violations=self.violations,
+            claimed_finish_time=claimed_finish_time, total_flow=total,
+            total_bytes=total * flow.chunk_bytes,
+            finish_epoch=view.epochs[-1] if view.epochs else -1)
+        sent = self._entries()
+        loads = link_epoch_loads(sent.link, sent.epoch, sent.amount,
+                                 view.epochs)
+        self._capacity(*loads[:3])
+        report.delivered = self._pools(sent)
+        self._never_moved()
+        report.finish_time, report.utilization = self._finish(*loads)
+        _finish_compare(report, finish_rtol)
+        return report
+
+    # -- per flow: sign, link, horizon ----------------------------------
+    def _entries(self) -> "_Sent":
+        """Flag negative, off-fabric and late flows, in flow order, and
+        return the flows on real links."""
+        view, plan, atol = self.view, self.plan, self.atol
+        link = self.table.ids(view.flow_src, view.flow_dst)
+        real = link >= 0
+        epoch = view.flow_epoch
+        offset = self._offsets(link)
+        landing = epoch + offset[link] + 1
+        # every pool index lies in [pools.start, pools.stop)
+        reach = offset.tolist()
+        self.pools = range(view.epochs.start + min(0, min(reach, default=0)
+                                                   + 1),
+                           view.epochs.stop + max(0, max(reach, default=0)
+                                                  + 1))
+        K = plan.num_epochs
+        late = real & ((epoch >= K) | (landing > K))
+        flagged = ((view.flow_amount < -atol) | ~real | late).nonzero()[0]
+        items = list(self.flow.flows.items()) if len(flagged) else []
+        for n in flagged.tolist():
+            (q, i, j, k), amount = items[n]
+            if amount < -atol:
+                self.violations.append(Violation(
+                    kind="conservation", epoch=k, link=(i, j), commodity=q,
+                    message=f"negative flow {amount:.3g} on ({i},{j}) at "
+                            f"epoch {k}"))
+            if not real[n]:
+                self.violations.append(Violation(
+                    kind="link", epoch=k, link=(i, j), commodity=q,
+                    message=f"flow on nonexistent link ({i},{j})"))
+            elif late[n]:
+                self.violations.append(Violation(
+                    kind="horizon", epoch=k, link=(i, j), commodity=q,
+                    message=(f"flow sent at epoch {k} on ({i},{j}) cannot "
+                             f"land within the horizon K={K}")))
+        sent = _Sent(view.flow_q, view.flow_src, view.flow_dst, epoch,
+                     landing, view.flow_amount, link)
+        return sent if len(flagged) == 0 or real.all() \
+            else _Sent(*(column[real] for column in sent))
+
+    def _offsets(self, link: np.ndarray) -> np.ndarray:
+        """Δ per link row (and the plan's per-epoch chunk budget in
+        ``cap_chunks``); a link the plan does not price is an error only
+        if a flow takes it."""
+        plan, links = self.plan, self.table.links
+
+        def column(table: dict, dtype):
+            return np.fromiter(map(table.get, links, repeat(0)), dtype,
+                               len(links))
+
+        occupancy = column(plan.occupancy, np.int64)
+        if not occupancy.all():
+            for row in np.intersect1d(link, (occupancy == 0).nonzero()[0]):
+                plan.arrival_offset(*links[row])  # raises KeyError
+        self.cap_chunks = column(plan.cap_chunks, np.float64)
+        return occupancy - 1 + column(plan.delay, np.int64)
+
+    # -- per (link, epoch): capacity ------------------------------------
+    def _capacity(self, link, epoch, load) -> None:
+        config, plan, links = self.config, self.plan, self.table.links
+        if config is not None and config.capacity_fn is not None:
+            cap = np.array([config.capacity_fn(*links[row], k) * plan.tau
+                            / plan.chunk_bytes
+                            for row, k in zip(link.tolist(), epoch.tolist())])
+        else:
+            cap = self.cap_chunks[link]
+        for n in (load > cap + self.atol).nonzero()[0].tolist():
+            (i, j), k = links[link[n]], int(epoch[n])
+            self.violations.append(Violation(
                 kind="capacity", epoch=k, link=(i, j),
-                message=(f"link ({i},{j}) carries {used:.6g} chunks at "
-                         f"epoch {k}, capacity {cap:.6g}")))
+                message=(f"link ({i},{j}) carries {load[n]:.6g} chunks at "
+                         f"epoch {k}, capacity {cap[n]:.6g}")))
 
-    # --- causality & conservation per commodity -------------------------
-    # Normalise every event to a pool index p: a send at epoch e arrives at
-    # pool e + Δ + 1; a send consumes its node's pool at index e; a read at
-    # epoch r consumes pool r + 1 (R[k] ≤ B[k+1] in the LP). The invariant
-    # is prefix-wise: consumption through p never exceeds arrivals through p
-    # plus the origin's supply.
-    arrives: dict[tuple, dict[int, float]] = {}   # (q, node) -> pool -> mass
-    consumes: dict[tuple, dict[int, float]] = {}
-    for (q, i, j, k), amount in flow.flows.items():
-        if not topology.has_link(i, j):
-            continue
-        pool = k + plan.arrival_offset(i, j) + 1
-        arrives.setdefault((q, j), {})
-        arrives[(q, j)][pool] = arrives[(q, j)].get(pool, 0.0) + amount
-        consumes.setdefault((q, i), {})
-        consumes[(q, i)][k] = consumes[(q, i)].get(k, 0.0) + amount
-    for (q, d, k), amount in flow.reads.items():
-        supply, sinks = amounts[q]
-        if d not in sinks:
-            violations.append(Violation(
-                kind="delivery", epoch=k, commodity=q, node=d,
-                message=(f"read of commodity {q} at node {d} which never "
-                         "demanded it")))
-        consumes.setdefault((q, d), {})
-        consumes[(q, d)][k + 1] = consumes[(q, d)].get(k + 1, 0.0) + amount
+    # -- per (commodity, node) group -------------------------------------
+    def _pools(self, sent: "_Sent") -> dict:
+        """Group every event by (commodity, node) and pool, then check, in
+        this order: reads nobody demanded, prefix conservation, switch
+        forwarding, the relay buffer; returns ``delivered``."""
+        view, keys, amounts = self.view, self.keys, self.amounts
+        # every demanded (commodity, sink), commodities in ``str`` order
+        # and sinks ascending: the report's order
+        pair_q: list[int] = []
+        pair_d: list[int] = []
+        for n in sorted(range(len(keys)), key=lambda n: str(keys[n])):
+            sinks = sorted(amounts[keys[n]][1])
+            pair_q += [n] * len(sinks)
+            pair_d += sinks
+        stride = 1 + max(self.topology.num_nodes - 1,
+                         max(pair_d, default=-1),
+                         int(view.read_dst.max(initial=-1)))
+        pair_code = np.array([n * stride + d for n, d in zip(pair_q, pair_d)],
+                             dtype=np.int64)
+        q = sent.q * stride
+        group = np.concatenate((q + sent.dst, q + sent.src,
+                                view.read_q * stride + view.read_dst))
+        pool = np.concatenate((sent.landing, sent.epoch,
+                               view.read_epoch + 1))
+        low, span = self.pools.start, max(1, len(self.pools))
+        slots, inverse = distinct(group * span + (pool - low))
+        flows = len(sent.amount)
+        self.inflow = np.bincount(inverse[:flows], sent.amount, len(slots))
+        self.outflow = np.bincount(
+            inverse[flows:],
+            np.concatenate((sent.amount, view.read_amount)), len(slots))
+        slot_group, self.slot_pool = np.divmod(slots, span)
+        self.slot_pool += low
+        self.starts = run_starts(slot_group)
+        self.counts = run_lengths(self.starts, len(slots))
+        self.slot_of = np.repeat(np.arange(len(self.starts)), self.counts)
+        groups = slot_group[self.starts]
+        self.group_q, self.group_node = np.divmod(groups, stride)
+        event_group = self.slot_of[inverse]
 
-    # node -> pool -> implied relay-buffer mass held at that pool index
-    implied_buffers: dict[int, dict[int, float]] = {}
-    for (q, node) in sorted(consumes, key=str):
-        if topology.is_switch(node):
-            continue
-        supply = amounts[q][0] if _commodity_origin(q) == node else 0.0
-        inflow = arrives.get((q, node), {})
-        pools = sorted(set(inflow) | set(consumes[(q, node)]))
-        running = supply
-        for idx, p in enumerate(pools):
-            running += inflow.get(p, 0.0)
-            running -= consumes[(q, node)].get(p, 0.0)
-            if running < -atol:
-                violations.append(Violation(
-                    kind="conservation", epoch=p, commodity=q, node=node,
-                    message=(f"node {node} consumes {-running:.6g} more of "
-                             f"commodity {q} than has arrived by pool "
-                             f"index {p}")))
-                running = 0.0  # report each deficit once, then re-anchor
-            elif supply == 0.0 and running > atol:
-                # Held-over mass at a relay: the implied LP buffer. It
-                # persists until the next event, so spread it over the gap.
-                until = pools[idx + 1] if idx + 1 < len(pools) else p + 1
-                per_node = implied_buffers.setdefault(node, {})
-                for k in range(p, min(until, K + 2)):
-                    per_node[k] = per_node.get(k, 0.0) + running
+        # reads of a commodity at a node that never demanded it
+        pair_group = positions(groups, pair_code)
+        is_pair = np.zeros(len(groups) + 1, dtype=bool)
+        is_pair[pair_group] = True     # −1 (never read) marks the spare
+        read_group = event_group[2 * flows:]
+        undemanded = (~is_pair[read_group]).nonzero()[0]
+        if len(undemanded):
+            reads = list(self.flow.reads)
+            for n in undemanded.tolist():
+                rq, d, k = reads[n]
+                self.violations.append(Violation(
+                    kind="delivery", epoch=k, commodity=rq, node=d,
+                    message=(f"read of commodity {rq} at node {d} which "
+                             "never demanded it")))
 
-    # --- zero-buffer switches: the LP's in(k) == out(k+1) equality -------
-    # (in pool-index terms both sides land on the same index p). Forwarding
-    # more than arrived is a causality break; forwarding less strands mass
-    # at a bufferless node — the fractional analogue of "stranded".
-    switch_keys = {key for key in consumes if topology.is_switch(key[1])} \
-        | {key for key in arrives if topology.is_switch(key[1])}
-    for (q, node) in sorted(switch_keys, key=str):
-        inflow = arrives.get((q, node), {})
-        outflow = consumes.get((q, node), {})
-        for p in sorted(set(inflow) | set(outflow)):
-            landed = inflow.get(p, 0.0)
-            forwarded = outflow.get(p, 0.0)
-            if forwarded > landed + atol:
-                violations.append(Violation(
-                    kind="switch", epoch=p, commodity=q, node=node,
-                    message=(f"switch {node} forwards {forwarded:.6g} of "
-                             f"commodity {q} at epoch {p} but only "
-                             f"{landed:.6g} arrived for that epoch")))
-            elif landed > forwarded + atol:
-                violations.append(Violation(
-                    kind="stranded", epoch=p, commodity=q, node=node,
-                    message=(f"{landed - forwarded:.6g} of commodity {q} "
-                             f"stranded at switch {node} (arrived for "
-                             f"epoch {p}, never forwarded)")))
+        switches = sorted(self.topology.switches)
+        self.group_switch = (positions(np.array(switches, dtype=np.int64),
+                                       self.group_node) >= 0
+                             if switches else np.zeros(len(groups), bool))
+        consumers = np.bincount(event_group[flows:], minlength=len(groups))
+        buffered = self._conservation((consumers > 0) & ~self.group_switch)
+        if switches:
+            self._switches()
+        if buffered is not None:
+            self._buffers(*buffered)
+        read = np.bincount(read_group, view.read_amount, len(groups))
+        return self._delivery(pair_q, pair_d, pair_group, read)
 
-    if buffer_limit is not None:
-        for node in sorted(implied_buffers):
-            for p, mass in sorted(implied_buffers[node].items()):
-                if mass > buffer_limit + atol:
-                    violations.append(Violation(
-                        kind="buffer", epoch=p, node=node,
-                        message=(f"node {node} buffers {mass:.6g} chunks "
-                                 f"at pool index {p}, budget "
-                                 f"{buffer_limit:g}")))
+    def _group_label(self, g) -> str:
+        return str((self.keys[self.group_q[g]], int(self.group_node[g])))
 
-    # --- demand delivery -------------------------------------------------
-    read_totals: dict[tuple, float] = {}
-    for (q, d, _), amount in flow.reads.items():
-        read_totals[(q, d)] = read_totals.get((q, d), 0.0) + amount
-    for q in sorted(keys, key=str):
-        _, sinks = amounts[q]
-        for d, amount in sorted(sinks.items()):
-            got = read_totals.get((q, d), 0.0)
-            report.delivered[(q, d)] = got
-            if got < amount - atol:
-                violations.append(Violation(
+    def _conservation(self, relay: np.ndarray):
+        """Prefix conservation at every consuming non-switch group
+        (``relay``): the running balance — origin supply, plus arrivals,
+        minus consumption, pool by pool — may never go below −atol. Under
+        a relay-buffer budget, returns the implied buffer as ``(group,
+        node, pool, mass, budget)`` for :meth:`_buffers`: the balance a
+        non-origin group holds past a pool, until its next event."""
+        keys, atol = self.keys, self.atol
+        gq, gnode, slot_of = self.group_q, self.group_node, self.slot_of
+        group_supply = np.where(self.origin[gq] == gnode, self.supply[gq],
+                                0.0)
+        column = 2 * (np.arange(len(slot_of)) - self.starts[slot_of])
+        # one row per group: supply, then +arrived / −consumed per pool;
+        # a row-wise cumsum adds in exactly the loop's order
+        steps = np.zeros((len(gq), 2 * int(self.counts.max(initial=0)) + 1))
+        steps[:, 0] = group_supply
+        steps[slot_of, column + 1] = self.inflow
+        steps[slot_of, column + 2] = -self.outflow
+        balance = steps.cumsum(axis=1)[slot_of, column + 2]
+        deficit = np.zeros(len(gq), dtype=bool)
+        deficit[slot_of[balance < -atol]] = True
+        deficit &= relay
+        limit = (None if self.config is None
+                 else self.config.buffer_limit_chunks)
+
+        # a group that goes into deficit re-anchors at zero after each
+        # report: replay those (already failing) groups one event at a time
+        K = self.plan.num_epochs
+        held: list[tuple[int, int, int, float]] = []
+        for g in sorted(deficit.nonzero()[0].tolist(),
+                        key=self._group_label):
+            node, commodity = int(gnode[g]), keys[gq[g]]
+            held_from = float(group_supply[g])
+            lo, hi = self.starts[g], self.starts[g] + self.counts[g]
+            pools = self.slot_pool[lo:hi].tolist()
+            running = held_from
+            for idx, (p, landed, used) in enumerate(zip(
+                    pools, self.inflow[lo:hi].tolist(),
+                    self.outflow[lo:hi].tolist())):
+                running += landed
+                running -= used
+                if running < -atol:
+                    self.violations.append(Violation(
+                        kind="conservation", epoch=p, commodity=commodity,
+                        node=node,
+                        message=(f"node {node} consumes {-running:.6g} more "
+                                 f"of commodity {commodity} than has "
+                                 f"arrived by pool index {p}")))
+                    running = 0.0
+                elif held_from == 0.0 and running > atol:
+                    until = pools[idx + 1] if idx + 1 < len(pools) else p + 1
+                    held.extend((g, node, k, running)
+                                for k in range(p, min(until, K + 2)))
+        if limit is None:
+            return None
+
+        # every other relay group: its balance at each pool, held until
+        # its next event
+        keep = ((relay & ~deficit & (group_supply == 0.0))[slot_of]
+                & (balance > atol))
+        pool = self.slot_pool
+        last = np.append(slot_of[1:] != slot_of[:-1], True)
+        until = np.where(last, pool + 1, np.append(pool[1:], 0))
+        length = np.where(keep, np.maximum(np.minimum(until, K + 2) - pool,
+                                           0), 0)
+        each = np.repeat(np.arange(len(pool)), length)
+        step = np.arange(len(each)) - np.repeat(length.cumsum() - length,
+                                                length)
+        columns = (slot_of[each], gnode[slot_of[each]], pool[each] + step,
+                   balance[each])
+        if held:
+            columns = tuple(np.concatenate((values, np.array(added)))
+                            for values, added in zip(columns, zip(*held)))
+        return (*columns, limit)
+
+    def _switches(self) -> None:
+        """Zero-buffer switches: the LP's in(k) == out(k+1) equality (in
+        pool-index terms both sides land on the same index p). Forwarding
+        more than arrived is a causality break; forwarding less strands
+        mass at a bufferless node — the fractional analogue of
+        "stranded"."""
+        atol, inflow, outflow = self.atol, self.inflow, self.outflow
+        at_switch = self.group_switch[self.slot_of]
+        over = at_switch & (outflow > inflow + atol)
+        under = at_switch & ~over & (inflow > outflow + atol)
+        bad = (over | under).nonzero()[0]
+        for g in sorted(set(self.slot_of[bad].tolist()),
+                        key=self._group_label):
+            commodity = self.keys[self.group_q[g]]
+            node = int(self.group_node[g])
+            for s in bad[self.slot_of[bad] == g].tolist():
+                p = int(self.slot_pool[s])
+                landed, forwarded = inflow[s], outflow[s]
+                if over[s]:
+                    self.violations.append(Violation(
+                        kind="switch", epoch=p, commodity=commodity,
+                        node=node,
+                        message=(f"switch {node} forwards {forwarded:.6g} "
+                                 f"of commodity {commodity} at epoch {p} "
+                                 f"but only {landed:.6g} arrived for that "
+                                 "epoch")))
+                else:
+                    self.violations.append(Violation(
+                        kind="stranded", epoch=p, commodity=commodity,
+                        node=node,
+                        message=(f"{landed - forwarded:.6g} of commodity "
+                                 f"{commodity} stranded at switch {node} "
+                                 f"(arrived for epoch {p}, never "
+                                 "forwarded)")))
+
+    def _buffers(self, group, node, pool, mass, limit: float) -> None:
+        """Implied relay-buffer mass per (node, pool) against the budget;
+        groups add into a (node, pool) in ``str`` order of the group."""
+        groups = sorted(set(group.tolist()), key=self._group_label)
+        rank = np.zeros(len(self.counts), dtype=np.int64)
+        rank[groups] = np.arange(len(groups))
+        order = np.argsort(rank[group], kind="stable")
+        low = int(pool.min(initial=0))
+        span = int(pool.max(initial=0)) - low + 1
+        bins, inverse = distinct((node * span + pool - low)[order])
+        total = np.bincount(inverse, mass[order], len(bins))
+        for n in (total > limit + self.atol).nonzero()[0].tolist():
+            at, p = divmod(int(bins[n]), span)
+            self.violations.append(Violation(
+                kind="buffer", epoch=p + low, node=at,
+                message=(f"node {at} buffers {total[n]:.6g} chunks at pool "
+                         f"index {p + low}, budget {limit:g}")))
+
+    # -- delivery and commodities that never move -----------------------
+    def _delivery(self, pair_q: list, pair_d: list, pair_group: np.ndarray,
+                  read: np.ndarray) -> dict:
+        """Per demanded (commodity, sink), the amount read, in order."""
+        got = np.where(pair_group >= 0, read[pair_group], 0.0).tolist()
+        keys, amounts, atol = self.keys, self.amounts, self.atol
+        delivered = {}
+        for n, d, amount in zip(pair_q, pair_d, got):
+            q = keys[n]
+            delivered[(q, d)] = amount
+            want = amounts[q][1][d]
+            if amount < want - atol:
+                self.violations.append(Violation(
                     kind="delivery", commodity=q, node=d,
-                    message=(f"demand unmet: sink {d} read {got:.6g} of "
-                             f"{amount:g} demanded of commodity {q}")))
-    # commodities with no flow and no reads at all (entirely undelivered)
-    demanded_keys = set()
-    if demand.benefits_from_copy() or any(
-            isinstance(k, tuple) for k in keys) or not keys:
-        demanded_keys = set(demand.commodities())
-    else:
-        demanded_keys = set(demand.sources)
-    for q in sorted(demanded_keys - keys, key=str):
-        violations.append(Violation(
-            kind="delivery", commodity=q,
-            message=f"demand unmet: commodity {q} never moves"))
+                    message=(f"demand unmet: sink {d} read {amount:.6g} of "
+                             f"{want:g} demanded of commodity {q}")))
+        return delivered
 
-    # --- replayed finish: serialized per-link α–β arrival ----------------
-    finish = 0.0
-    busy: dict[tuple[int, int], float] = {}
-    for (i, j, k), amount in link_load.items():
-        if (i, j) not in topology.links:
-            continue
-        link = topology.link(i, j)
-        finish = max(finish, k * plan.tau
-                     + link.transfer_time(amount * plan.chunk_bytes))
-        busy[(i, j)] = busy.get((i, j), 0.0) \
-            + amount * plan.chunk_bytes / link.capacity
-    report.finish_time = finish
-    if finish > 0:
-        report.utilization = {key: b / finish for key, b in busy.items()}
-    else:
-        report.utilization = {key: 0.0 for key in busy}
+    def _never_moved(self) -> None:
+        demand, keys = self.demand, self.keys
+        if demand.benefits_from_copy() or any(
+                isinstance(k, tuple) for k in keys) or not keys:
+            demanded_keys = set(demand.commodities())
+        else:
+            demanded_keys = set(demand.sources)
+        for q in sorted(demanded_keys - set(keys), key=str):
+            self.violations.append(Violation(
+                kind="delivery", commodity=q,
+                message=f"demand unmet: commodity {q} never moves"))
 
-    _finish_compare(report, finish_rtol)
-    return report
+    # -- replayed finish: serialized per-link α–β arrival ---------------
+    def _finish(self, link, epoch, load, first):
+        table, plan = self.table, self.plan
+        finish = table.finish(link, epoch, load, plan.tau, plan.chunk_bytes)
+        # busy time per link, added in the order each (link, epoch) load
+        # first appears among the flows
+        order = first.argsort()
+        link = link[order]
+        busy = np.bincount(link, load[order] * plan.chunk_bytes
+                           / table.capacity[link], len(table.links)).tolist()
+        seen = dict.fromkeys(link.tolist())
+        if finish > 0:
+            return finish, {table.links[row]: busy[row] / finish
+                            for row in seen}
+        return finish, {table.links[row]: 0.0 for row in seen}
+
+
+class _Sent(NamedTuple):
+    """The flows on real links, as columns."""
+
+    q: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    epoch: np.ndarray
+    landing: np.ndarray
+    amount: np.ndarray
+    link: np.ndarray
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for demand matrices, collective patterns, multi-tenant merge."""
 
+import random
+
 import pytest
 
 from repro.collectives import (Demand, TenantDemand, allgather,
@@ -42,6 +44,18 @@ class TestDemand:
         d = Demand.from_triples([(0, 0, 1), (0, 2, 1), (0, 1, 2)])
         assert d.chunks_of(0) == [0, 1, 2]
         assert d.num_chunks(0) == 3
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_chunks_of_reads_the_index_like_a_scan(self, seed):
+        rng = random.Random(seed)
+        triples = [(s, rng.randrange(12), d)
+                   for s in range(6) for d in range(6)
+                   if s != d and rng.random() < 0.6]
+        d = Demand.from_triples(triples)
+        for source in range(8):   # 6 and 7 source nothing
+            scan = sorted(c for s, c in d._wants if s == source)
+            assert d.chunks_of(source) == scan
+            assert d.num_chunks(source) == len(scan)
 
     def test_validate_against_topology(self):
         topo = star(3)  # hub id 3 is a switch

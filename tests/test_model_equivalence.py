@@ -366,6 +366,18 @@ class TestOneConstructionPath:
         assert sorted(line for line, _ in self._lint().find_retired(source)) \
             == [2, 3, 4, 5, 6]
 
+    def test_lint_flags_the_scalar_flow_replay(self, tmp_path):
+        source = tmp_path / "conformance.py"
+        source.write_text(
+            "def check_flow(flow):\n"
+            "    return _check_flow_impl(flow)\n"
+            "def _check_flow_impl(flow):\n"
+            "    pass\n"
+            "replay = conformance._check_flow_impl\n"
+            "check_flow_impl = _replay_flow = None\n")
+        assert sorted(line for line, _ in self._lint().find_retired(source)) \
+            == [2, 3, 5]
+
     def test_deleted_exports_stay_deleted(self):
         assert self._lint().find_retired_exports() == []
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.schedule import FlowSchedule, Schedule, Send
-from repro.errors import ScheduleError
+from repro.errors import ModelError, ScheduleError
 from repro.topology import line
 
 
@@ -117,3 +117,55 @@ class TestFlowSchedule:
         fs = FlowSchedule(flows={(0, 0, 1, 0): 1.5}, reads={}, tau=1.0,
                           chunk_bytes=2.0, num_epochs=1)
         assert fs.total_bytes() == pytest.approx(3.0)
+
+
+class TestFlowScheduleFromDict:
+    """A corrupted document must not parse into a different schedule than
+    the one stored: duplicate rows (last-wins) and non-finite amounts (a
+    ``NaN`` the tolerance filter would silently drop) are rejected."""
+
+    @staticmethod
+    def _doc(**rows):
+        fs = FlowSchedule(flows={((0, 1), 0, 1, 0): 1.0,
+                                 ((1, 0), 1, 2, 1): 0.5},
+                          reads={((0, 1), 1, 0): 1.0, ((1, 0), 2, 2): 0.5},
+                          tau=1.0, chunk_bytes=1.0, num_epochs=4)
+        doc = fs.to_dict()
+        doc.update(rows)
+        return doc
+
+    def test_round_trip(self):
+        doc = self._doc()
+        assert FlowSchedule.from_dict(doc).to_dict() == doc
+
+    def test_duplicate_flows_row_rejected(self):
+        doc = self._doc()
+        doc["flows"].append([[0, 1], 0, 1, 0, 0.25])
+        with pytest.raises(ModelError, match="duplicate flows row"):
+            FlowSchedule.from_dict(doc)
+
+    def test_duplicate_reads_row_rejected(self):
+        doc = self._doc()
+        doc["reads"].append([[1, 0], 2, 2, 0.25])
+        with pytest.raises(ModelError, match="duplicate reads row"):
+            FlowSchedule.from_dict(doc)
+
+    @pytest.mark.parametrize("amount", [float("nan"), float("inf"),
+                                        float("-inf")])
+    def test_non_finite_flow_rejected(self, amount):
+        doc = self._doc()
+        doc["flows"][0][-1] = amount
+        with pytest.raises(ModelError, match="not finite"):
+            FlowSchedule.from_dict(doc)
+
+    def test_non_finite_read_rejected(self):
+        doc = self._doc()
+        doc["reads"][1][-1] = float("nan")
+        with pytest.raises(ModelError, match="not finite"):
+            FlowSchedule.from_dict(doc)
+
+    def test_malformed_row_still_a_schedule_error(self):
+        doc = self._doc()
+        doc["flows"].append([0, 1, 2])
+        with pytest.raises(ScheduleError, match="malformed"):
+            FlowSchedule.from_dict(doc)

@@ -43,6 +43,11 @@ under): the §3.1 MILP is written as the same stem-level template as the
 LP (``repro.core.template.ModelTemplate``) and expanded by the same code,
 so a hand-written emitter beside it would be a second model path.
 
+It flags ``_check_flow_impl`` too, defined or referred to: the scalar
+per-entry replay of fractional schedules that ``check_flow`` ran before it
+was written as array kernels. It lives on as the tests' differential
+reference (``tests/flow_oracle.py``); one flow replay in library code.
+
 Deleted *exports* are checked by import: ``repro.obs.rspan`` (the second
 span API; ``span()`` is the only one), the ``repro.simulate.simulator``
 adapter module, and the expression algebra of ``repro.solver``
@@ -125,6 +130,9 @@ RETIRED_INIT_PARAMS = (
 RETIRED_EMITTERS = frozenset({"_build_coo", "_ranges_take"})
 RETIRED_SPAN_PREFIX = "milp.family."
 
+#: the scalar fractional replay, now only the tests' reference
+RETIRED_REPLAYS = frozenset({"_check_flow_impl"})
+
 #: the one ``scipy.optimize`` module library code may import
 HIGHS_BINDING = "scipy.optimize._highspy"
 
@@ -175,6 +183,8 @@ def find_retired(path: pathlib.Path) -> list[tuple[int, str]]:
                 else node.id if isinstance(node, ast.Name) else "")
         if _emitter(name):
             findings.append((node.lineno, f"`{name}` COO emitter"))
+        if name in RETIRED_REPLAYS:
+            findings.append((node.lineno, f"`{name}` second flow replay"))
         if isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.startswith(RETIRED_SPAN_PREFIX):
             findings.append((node.lineno, f"`{node.value}` span"))

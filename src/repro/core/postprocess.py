@@ -164,7 +164,7 @@ def prune_fractional(flow_schedule: FlowSchedule, topology: Topology,
 
     # Arrivals indexed by destination pool index, Δ + 1 read once per link.
     landing = {link: plan.arrival_offset(*link) + 1
-               for link in {(i, j) for (_, i, j, _) in flows}}
+               for link in plan.occupancy}
     arrivals: dict[tuple, list[tuple]] = {}
     for flow_key in flows:
         q, i, j, k = flow_key
@@ -185,7 +185,9 @@ def prune_fractional(flow_schedule: FlowSchedule, topology: Topology,
             for flow_key in arrivals.get((q, node, p), ()):
                 if remaining <= _TOL:
                     break
-                take = min(remaining, flows[flow_key])
+                amount = flows[flow_key]
+                # min(remaining, amount), without the call in the hot loop
+                take = amount if amount < remaining else remaining
                 if take > _TOL:
                     kept[flow_key] = take
                     remaining -= take

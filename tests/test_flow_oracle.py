@@ -16,24 +16,19 @@ torus3x3 and dgx1 ALLTOALL under both commodity keyings:
 """
 
 import random
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
+from flow_oracle import (reference_check_flow, reference_finish_time,
+                         reference_prune_fractional)
 
-sys.path.insert(0, str(Path(__file__).parent))
-
-from flow_oracle import (reference_check_flow,  # noqa: E402
-                         reference_finish_time, reference_prune_fractional)
-
-from repro import collectives, topology  # noqa: E402
-from repro.core import TecclConfig  # noqa: E402
-from repro.core.lp import solve_lp  # noqa: E402
-from repro.core.postprocess import prune_fractional  # noqa: E402
-from repro.core.schedule import FlowSchedule  # noqa: E402
-from repro.simulate import PRODUCERS, check_flow  # noqa: E402
-from repro.simulate.harness import random_instance  # noqa: E402
+from repro import collectives, topology
+from repro.core import TecclConfig
+from repro.core.lp import solve_lp
+from repro.core.postprocess import prune_fractional
+from repro.core.schedule import FlowSchedule
+from repro.simulate import PRODUCERS, check_flow
+from repro.simulate.harness import random_instance
 
 pytestmark = pytest.mark.conformance
 

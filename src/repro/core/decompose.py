@@ -100,7 +100,7 @@ def decompose(flow_schedule: FlowSchedule, topology: Topology,
                 raise ScheduleError("decomposition did not converge")
             strip_amount, hops = _trace_one(residual, q, d,
                                             read_epoch + 1, remaining,
-                                            topology)
+                                            topology, plan)
             strips.append(PathStrip(commodity=q, destination=d,
                                     amount=strip_amount,
                                     hops=tuple(hops),
@@ -110,7 +110,8 @@ def decompose(flow_schedule: FlowSchedule, topology: Topology,
 
 
 def _trace_one(residual: _Residuals, q, node: int, pool: int,
-               want: float, topology: Topology) -> tuple[float, list[TimedHop]]:
+               want: float, topology: Topology,
+               plan: EpochPlan) -> tuple[float, list[TimedHop]]:
     """Peel one strip of up to ``want`` ending at (node, pool).
 
     Walks backwards preferring arrivals (so hops are recovered), falling
@@ -150,7 +151,7 @@ def _trace_one(residual: _Residuals, q, node: int, pool: int,
     node_cursor = node
     for hop in hops_reversed:
         # account holds between this arrival and where we came from
-        arrival_pool = hop.epoch + _offset(residual, q, hop)
+        arrival_pool = hop.epoch + plan.arrival_offset(hop.src, hop.dst) + 1
         for held_pool in range(arrival_pool, pool_cursor):
             residual.take_hold(q, node_cursor, held_pool, amount)
         key = (q, hop.src, hop.dst, hop.epoch)
@@ -160,15 +161,6 @@ def _trace_one(residual: _Residuals, q, node: int, pool: int,
         node_cursor = hop.src
         pool_cursor = hop.epoch
     return amount, list(reversed(hops_reversed))
-
-
-def _offset(residual: _Residuals, q, hop: TimedHop) -> int:
-    # arrival pools were indexed when building residual.arrivals; recompute
-    for (qq, j, pool), keys in residual.arrivals.items():
-        if qq == q and j == hop.dst:
-            if (q, hop.src, hop.dst, hop.epoch) in keys:
-                return pool - hop.epoch
-    raise ScheduleError("hop not found in arrival index")
 
 
 def _pick_arrival(residual: _Residuals, q, node: int, pool: int):

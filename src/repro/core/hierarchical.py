@@ -26,8 +26,9 @@ fingerprint machinery and solves each distinct instance once — a symmetric
 G-chassis fabric pays for 1 chassis solve instead of G per phase, with the
 shared result remapped through each chassis's own :class:`_SubFabric` id
 maps. Every dedup hit is vetted by replaying the shared schedule against
-the hitting chassis's own fabric and demand (the PR 3 conformance oracle);
-a replay violation falls back to a private cold solve for that chassis.
+the hitting chassis's own fabric and demand through the trust gate
+(:func:`~repro.simulate.conformance.vetted`); a replay violation falls
+back to a private cold solve for that chassis.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.core.solve import Method, SynthesisResult, synthesize
 from repro.core.subsolve import SubSolveCache, run_subsolves
 from repro.errors import DemandError, ServiceError, TopologyError
 from repro.obs.trace import span as _obs_span
+from repro.simulate.conformance import vetted
 from repro.topology.topology import Topology
 
 
@@ -275,7 +277,7 @@ def hierarchical_allgather(topology: Topology, config: TecclConfig, *,
     dedup_on = dedup and config.capacity_fn is None
     cache = SubSolveCache()
     stats = {"solves": 0, "hits": 0}
-    vetted: dict[str, bool] = {}
+    verdicts: dict = {}
     stats_lock = threading.Lock()
 
     def solve_one(label: str, fabric: _SubFabric,
@@ -293,25 +295,27 @@ def hierarchical_allgather(topology: Topology, config: TecclConfig, *,
         if key is None:
             return cold(), False
         synthesis, hit = cache.solve(key, cold)
-        if hit:
-            # Vet the first hit per fingerprint by replaying the shared
-            # schedule through the conformance oracle against the hitting
-            # chassis's own fabric and demand; later hits for the same
-            # (canonically identical) instance reuse that verdict instead
-            # of paying for a replay each.
+        if not hit:
+            return synthesis, False
+
+        def replay(synthesis, simulate):
+            # one replay per fingerprint, later hits reuse the verdict; a
+            # hyper-transformed schedule replays in its own space
             with stats_lock:
-                verdict = vetted.get(key)
-            if verdict is None:
-                verdict = _replays_clean(synthesis, fabric, demand)
+                report = verdicts.get(key)
+            if report is None:
+                own = {} if synthesis.hyper is not None else {
+                    "topology": fabric.topology, "demand": demand}
+                report = simulate.check_result(synthesis, **own)
                 with stats_lock:
-                    vetted[key] = verdict
-            if not verdict:
-                # a fingerprint said "identical" but the replay disagrees
-                # — trust the oracle and pay for a private solve
-                return cold(), False
+                    verdicts[key] = report
+            return report
+
+        served = vetted("hier_dedup", synthesis, replay, cold)
+        if served is synthesis:
             with stats_lock:
                 stats["hits"] += 1
-        return synthesis, hit
+        return served, served is synthesis
 
     with _obs_span("hier.solve", chassis=len(chassis), instances=len(specs),
                    jobs=jobs, dedup=dedup_on) as span:
@@ -343,25 +347,6 @@ def _phase_fingerprint(topology: Topology, demand: Demand,
         return fingerprint_request(topology, demand, config, method=method)
     except ServiceError:
         return None
-
-
-def _replays_clean(synthesis: SynthesisResult, fabric: _SubFabric,
-                   demand: Demand) -> bool:
-    """Vet a dedup hit: replay the shared schedule on *this* chassis.
-
-    When the Appendix C transform rewrote the topology the schedule lives
-    in the transformed space the result itself carries; replaying there
-    still checks internal consistency, just not against the hitting
-    fabric's raw ids.
-    """
-    from repro.simulate import check_result
-
-    if synthesis.hyper is None:
-        report = check_result(synthesis, topology=fabric.topology,
-                              demand=demand)
-    else:
-        report = check_result(synthesis)
-    return report.ok
 
 
 def _check_chassis(topology: Topology, chassis: list[ChassisPlan]) -> None:

@@ -37,6 +37,7 @@ from repro.core.template import (EVERY_EPOCH, FLOW, HOLD, READ, Draft,
 from repro.errors import InfeasibleError, ModelError
 from repro.obs.trace import event as _obs_event
 from repro.obs.trace import span as _obs_span
+from repro.simulate.conformance import replay_of, vetted
 from repro.solver import Model, SolveResult, SolveStatus
 from repro.topology.topology import Topology
 
@@ -450,10 +451,12 @@ def _solve_lp_at(topology: Topology, demand: Demand, config: TecclConfig,
     symmetry detection runs (:func:`_proved_quotient`). With a group whose
     generators the template proves, only the quotient is emitted and
     solved — the full constraint matrix is never assembled — and the
-    lifted solution is replay-vetted. With no group, or every generator
-    refused (``symmetry_fallback: "proof"``), the full model is expanded
-    once and solved. A horizon too short for the demand — caught by the
-    builder's earliest-arrival pre-check or proved by the solver — raises
+    lifted solution passes the trust gate (:func:`vetted`): the quotient
+    is exact, so a refusal means a proof was fooled, and the full model
+    answers. With no group, or every generator refused
+    (``symmetry_fallback: "proof"``), the full model is expanded once and
+    solved. A horizon too short for the demand — caught by the builder's
+    earliest-arrival pre-check or proved by the solver — raises
     :class:`InfeasibleError` with ``status="horizon"``; any other solver
     failure raises with the backend's status.
     """
@@ -480,8 +483,14 @@ def _solve_lp_at(topology: Topology, demand: Demand, config: TecclConfig,
     result.require_solution()
     outcome = extract_lp_outcome(problem, result)
     if orbit_map is not None:
-        outcome = _vet_reduced_outcome(outcome, builder, template, topology,
-                                       demand, config)
+        def full() -> LpOutcome:
+            problem = builder.build(template)
+            return extract_lp_outcome(problem,
+                                      problem.model.solve(config.solver))
+
+        outcome = vetted("symmetry", outcome,
+                         replay_of("check_flow", topology, demand, config),
+                         full)
     outcome.result.stats["build_time"] = build_time
     return outcome
 
@@ -505,35 +514,6 @@ def _proved_quotient(template: ModelTemplate, topology: Topology,
     elif refused:
         _obs_event("symmetry.fallback", reason="proof", refused=refused)
     return orbit_map, refused
-
-
-def _vet_reduced_outcome(outcome: LpOutcome, builder: LpBuilder,
-                         template: ModelTemplate, topology: Topology,
-                         demand: Demand, config: TecclConfig) -> LpOutcome:
-    """Replay-vet a lifted quotient solution; cold fallback on violation.
-
-    The quotient is exact for a symmetric LP, so a violation here means a
-    verification layer was fooled (or the instance was not actually
-    symmetric) — the full model is built from ``template`` and solved from
-    scratch, and *that* result returned, so symmetry can degrade
-    performance but never correctness.
-    """
-    from repro.core import symmetry as _symmetry
-    from repro.simulate import check_flow
-
-    report = check_flow(outcome.schedule, topology, demand, outcome.plan,
-                        config=config)
-    if report.ok:
-        outcome.result.stats["symmetry_conformant"] = True
-        return outcome
-    _symmetry.note_fallback()
-    _obs_event("symmetry.fallback", reason="conformance",
-               violations=len(report.violations))
-    problem = builder.build(template)
-    result = problem.model.solve(config.solver)
-    result.stats["symmetry_fallback"] = "conformance"
-    result.require_solution()
-    return extract_lp_outcome(problem, result)
 
 
 def extract_lp_outcome(problem: LpProblem, result: SolveResult) -> LpOutcome:
@@ -573,9 +553,9 @@ def minimize_epochs_lp(topology: Topology, demand: Demand,
     remaining probes are bound restrictions re-solved on the anchor's live
     HiGHS session (:meth:`IncrementalLp.solve_at`) — no rebuilds or reloads
     below the anchor, and usually only one or two extra solves.
-    The result is replayed through the conformance oracle before it is
-    returned; a violation falls back to :func:`_minimize_epochs_cold`,
-    which builds and solves a fresh model per probe.
+    The result passes the trust gate (:func:`vetted`): a violation — a
+    bug in the restriction machinery, not in the solver — falls back to
+    :func:`_minimize_epochs_cold`, a fresh build and solve per probe.
     """
     def anchor_at(num_epochs: int):
         inc = IncrementalLp(topology, demand, config, num_epochs)
@@ -644,18 +624,10 @@ def minimize_epochs_lp(topology: Topology, demand: Demand,
     best_result.stats["horizon_solves"] = solves
     best_result.stats["build_time"] = inc.build_time
     outcome = inc.extract(best_result, best_k)
-
-    # PR 3 conformance gate: a bound-restricted result never reaches a
-    # caller unchecked. A replay violation (a bug in the restriction
-    # machinery, not in the solver) falls back to the cold search.
-    from repro.simulate import check_flow
-
-    report = check_flow(outcome.schedule, topology, demand, outcome.plan,
-                        config=config)
-    if not report.ok:
-        return _minimize_epochs_cold(topology, demand, config,
-                                     inc.num_epochs)
-    return outcome
+    return vetted("horizon_search", outcome,
+                  replay_of("check_flow", topology, demand, config),
+                  lambda: _minimize_epochs_cold(topology, demand, config,
+                                                inc.num_epochs))
 
 
 def _capped(ladder, max_epochs: int):

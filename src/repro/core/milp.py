@@ -42,8 +42,8 @@ from repro.core.schedule import Schedule, Send
 from repro.core.template import (FLOW, HOLD, READ, Draft, ModelTemplate,
                                  capacity_chunks, fabric, put, steps)
 from repro.errors import InfeasibleError, ModelError
-from repro.obs.trace import event as _obs_event
 from repro.obs.trace import span as _obs_span
+from repro.simulate.conformance import replay_of, vetted
 from repro.solver import Model, SolveResult, SolveStatus
 from repro.topology.topology import Topology
 from repro.topology.transforms import HyperEdgeGroup
@@ -449,6 +449,10 @@ def _solve_milp_at(topology: Topology, demand: Demand, config: TecclConfig,
                    plan: EpochPlan, hyper_groups) -> MilpOutcome:
     """One MILP at one horizon: build → lex cuts → solve → extract → vet.
 
+    The cuts keep an optimum, so a cut answer the trust gate
+    (:func:`vetted`) refuses means a proof was fooled: the model rebuilt
+    without cuts answers instead.
+
     A horizon too short for the demand — caught by the builder's
     earliest-arrival pre-check or proved by the solver — raises
     :class:`InfeasibleError` with ``status="horizon"``; any other solver
@@ -472,8 +476,13 @@ def _solve_milp_at(topology: Topology, demand: Demand, config: TecclConfig,
     result.require_solution()
     outcome = extract_outcome(problem, result)
     if cuts:
-        outcome = _vet_cut_outcome(outcome, topology, demand, config, plan,
-                                   hyper_groups)
+        def uncut() -> MilpOutcome:
+            problem = builder.build()
+            return extract_outcome(problem,
+                                   problem.model.solve(config.solver))
+
+        outcome = vetted("symmetry", outcome, replay_of(
+            "check_schedule", topology, demand, config), uncut)
     return outcome
 
 
@@ -504,36 +513,6 @@ def _maybe_add_symmetry_cuts(problem: MilpProblem, topology: Topology,
         # so the alert engine's fallback-rate denominator covers both paths
         _symmetry.note_reduction()
     return cuts, generators.order
-
-
-def _vet_cut_outcome(outcome: "MilpOutcome", topology: Topology,
-                     demand: Demand, config: TecclConfig, plan: EpochPlan,
-                     hyper_groups) -> "MilpOutcome":
-    """Replay-vet a schedule solved under symmetry cuts.
-
-    The cuts are optimum-preserving for any verified automorphism, so a
-    violation means a verification layer was fooled — rebuild the model
-    from scratch without cuts and return that solve instead. Symmetry can
-    cost a redundant solve here but never a wrong schedule.
-    """
-    from repro.core import symmetry as _symmetry
-    from repro.simulate import check_schedule
-
-    report = check_schedule(outcome.schedule, topology, demand,
-                            outcome.plan, config=config)
-    if report.ok:
-        outcome.result.stats["symmetry_conformant"] = True
-        return outcome
-    _symmetry.note_fallback()
-    _obs_event("symmetry.fallback", reason="conformance",
-               violations=len(report.violations))
-    builder = MilpBuilder(topology, demand, config, plan,
-                          hyper_groups=hyper_groups)
-    problem = builder.build()
-    result = problem.model.solve(config.solver)
-    result.stats["symmetry_fallback"] = "conformance"
-    result.require_solution()
-    return extract_outcome(problem, result)
 
 
 def extract_outcome(problem: MilpProblem, result: SolveResult) -> MilpOutcome:

@@ -32,6 +32,7 @@ from repro.core.subsolve import run_subsolves
 from repro.errors import ModelError
 from repro.obs.trace import event as _obs_event
 from repro.obs.trace import span as _obs_span
+from repro.simulate.conformance import replay_of, vetted
 from repro.topology.topology import Topology
 
 
@@ -162,8 +163,9 @@ def solve_lp_pop(topology: Topology, demand: Demand, config: TecclConfig, *,
     (:func:`~repro.core.subsolve.run_subsolves`: ``1`` is sequential,
     ``None`` the CPU count).
 
-    Every merged schedule is replayed through the conformance oracle
-    before it is returned: a violation on a fanned-out run is re-solved
+    Every merged schedule passes the trust gate (:func:`vetted`) before
+    it is returned. A violation on a fanned-out run means the fan-out,
+    not the solver, mis-built or mis-merged a partition: it is re-solved
     sequentially, and a violation on the sequential run raises
     :class:`~repro.errors.ScheduleError`.
     """
@@ -185,14 +187,10 @@ def solve_lp_pop(topology: Topology, demand: Demand, config: TecclConfig, *,
             topology, demand, config, copy=False,
             stretch=lambda bound: pop_auto_horizon(bound, num_partitions)),
         solve_at)
-    report = _pop_conformance(outcome, topology, demand, config)
-    if not report.ok and jobs != 1:
-        # A violation means the fan-out (not the solver) mis-built or
-        # mis-merged a partition; serve the sequential run instead.
-        outcome = _solve_at_horizon(topology, config, partitions,
-                                    num_epochs)
-        report = _pop_conformance(outcome, topology, demand, config)
-    report.raise_on_violation()
+    replay = replay_of("check_flow", topology, demand, config)
+    outcome = vetted("pop", outcome, replay, None if jobs == 1 else (
+        lambda: vetted("pop", _solve_at_horizon(
+            topology, config, partitions, num_epochs), replay)))
     outcome.attempts = attempt
     # the fan-out record the explain/flight layer surfaces: how many
     # sub-solves this schedule came from and how hard the horizon fought
@@ -203,15 +201,6 @@ def solve_lp_pop(topology: Topology, demand: Demand, config: TecclConfig, *,
         stats["pop_partitions"] = len(partitions)
         stats["pop_attempts"] = attempt
     return outcome
-
-
-def _pop_conformance(outcome: PopOutcome, topology: Topology, demand: Demand,
-                     config: TecclConfig):
-    """PR 3 gate: replay the merged schedule before handing it out."""
-    from repro.simulate import check_flow
-
-    return check_flow(outcome.schedule, topology, demand, outcome.plan,
-                      config=config)
 
 
 def _solve_partition(topology: Topology, config: TecclConfig,

@@ -249,10 +249,18 @@ class FlowSchedule:
 
         Commodity keys are ``(source, chunk)`` tuples or bare source ids
         (the aggregated LP); both survive the round-trip — tuples become
-        two-element lists, ints stay ints.
+        two-element lists, ints stay ints and their rows sort first.
         """
         def q_out(q):
             return list(q) if isinstance(q, tuple) else q
+
+        def ordered(rows):
+            rows = list(rows)
+            try:
+                rows.sort()
+            except TypeError:  # an int key beside a list key: ints first
+                rows.sort(key=lambda row: (isinstance(row[0], list), row))
+            return rows
 
         return {
             "kind": "flow",
@@ -260,12 +268,10 @@ class FlowSchedule:
             "chunk_bytes": self.chunk_bytes,
             "num_epochs": self.num_epochs,
             "tolerance": self.tolerance,
-            "flows": sorted(
-                [q_out(q), i, j, k, v]
-                for (q, i, j, k), v in self.flows.items()),
-            "reads": sorted(
-                [q_out(q), d, k, v]
-                for (q, d, k), v in self.reads.items()),
+            "flows": ordered([q_out(q), i, j, k, v]
+                             for (q, i, j, k), v in self.flows.items()),
+            "reads": ordered([q_out(q), d, k, v]
+                             for (q, d, k), v in self.reads.items()),
         }
 
     @staticmethod

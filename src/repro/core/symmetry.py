@@ -50,8 +50,9 @@ quotient optimum is the full optimum; a generator that fails is refused
 (``symmetry_refold``), and when all fail the full model is built
 (``symmetry_fallback: "proof"``). On a MILP, a cut's generator maps the
 compiled rows onto themselves as a multiset (:func:`_row_blocks`); (3)
-conformance replay at the call sites in ``core/lp.py`` /
-``core/milp.py``, with cold fallback to the full model on any violation.
+conformance replay of every lifted or cut answer in the trust gate,
+:func:`repro.simulate.conformance.vetted`, where the full model answers a
+refused one.
 """
 
 from __future__ import annotations
@@ -873,20 +874,14 @@ def _emit_quotient(t, stem_orbit: np.ndarray, stem_reps: np.ndarray,
 def note_reduction() -> None:
     """Count one attempted quotient solve in the process registry.
 
-    Together with :func:`note_fallback` this feeds the SLO alert engine's
-    symmetry-fallback-rate rule (:mod:`repro.obs.alerts`): a fabric where
-    a quarter of reduced solves fail vetting is burning the speedup twice.
+    Together with the trust gate's ``symmetry_fallbacks_total`` this
+    feeds the SLO alert engine's symmetry-fallback-rate rule
+    (:mod:`repro.obs.alerts`): a fabric where a quarter of reduced solves
+    fail vetting is burning the speedup twice.
     """
     _default_registry().counter(
         "symmetry_reductions_total",
         "Quotient (symmetry-reduced) solves attempted").inc()
-
-
-def note_fallback() -> None:
-    """Count one conformance-triggered fallback to the full model."""
-    _default_registry().counter(
-        "symmetry_fallbacks_total",
-        "Symmetry-reduced solves that fell back to the full model").inc()
 
 
 def solve_reduced(orbit_map: OrbitMap,

@@ -30,7 +30,7 @@ _SOLVE_STAT_KEYS = (
     "symmetry_orbits", "symmetry_cols_full",
     "symmetry_cols_reduced", "symmetry_rows_full", "symmetry_rows_reduced",
     "symmetry_conformant", "symmetry_fallback", "pop_partitions",
-    "pop_attempts",
+    "pop_attempts", "horizon_search_fallback",
 )
 
 

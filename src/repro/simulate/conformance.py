@@ -25,7 +25,8 @@ Three entry points:
 
 The cross-producer randomized harness (:mod:`repro.simulate.harness`) sweeps
 every producer in the repo through this oracle; ``teccl verify`` and the
-planner service expose the same engine to operators.
+planner service expose the same engine to operators, and :func:`vetted`
+is the one trust gate every solver shortcut's answer passes.
 
 :func:`check_flow` is one array replay: the schedule is read once into
 columns (:class:`~repro.core.schedule.FlowArrays`), every per-link fact —
@@ -55,6 +56,8 @@ from repro.core.schedule import (FlowArrays, FlowSchedule, LinkTable,
                                  Schedule, distinct, link_epoch_loads,
                                  positions, run_lengths, run_starts)
 from repro.errors import ScheduleError
+from repro.obs.metrics import get_registry as _default_registry
+from repro.obs.trace import event as _obs_event
 from repro.obs.trace import span as _obs_span
 from repro.topology.topology import Topology
 
@@ -897,7 +900,7 @@ class _Sent(NamedTuple):
 
 
 # ----------------------------------------------------------------------
-# synthesis results
+# synthesis results, and the trust gate every solver shortcut answers by
 # ----------------------------------------------------------------------
 def check_result(result, *, topology: Topology | None = None,
                  demand: Demand | None = None,
@@ -930,3 +933,42 @@ def check_result(result, *, topology: Topology | None = None,
                           config=config, strict_switches=strict_switches,
                           claimed_finish_time=claimed,
                           finish_rtol=finish_rtol)
+
+
+def vetted(shortcut: str, outcome, replay, fallback=None):
+    """``outcome`` if its replay is clean, else the slow path's answer.
+
+    ``replay(outcome, simulate)`` checks ``outcome`` with a check of the
+    :mod:`repro.simulate` package, handed over at call time so that a
+    patched check is the one that runs. A refused answer bumps
+    ``<shortcut>_fallbacks_total`` in the default registry, emits one
+    ``<shortcut>.fallback`` event and is answered by ``fallback()`` — or,
+    with no slower path, raised as :class:`ScheduleError`. An answer with
+    a solver ``result`` says in its stats which way it went:
+    ``<shortcut>_conformant`` or ``<shortcut>_fallback: "conformance"``.
+    """
+    import repro.simulate as simulate
+
+    report = replay(outcome, simulate)
+    if report.ok:
+        answer, key, value = outcome, "conformant", True
+    else:
+        _default_registry().counter(f"{shortcut}_fallbacks_total",
+                                    "Answers the trust gate refused").inc()
+        _obs_event(f"{shortcut}.fallback", reason="conformance",
+                   violations=len(report.violations))
+        if fallback is None:
+            report.raise_on_violation()
+        answer, key, value = fallback(), "fallback", "conformance"
+    result = getattr(answer, "result", None)
+    if result is not None:
+        result.stats[f"{shortcut}_{key}"] = value
+    return answer
+
+
+def replay_of(check: str, topology: Topology, demand: Demand,
+              config: TecclConfig | None):
+    """The gate's ``replay`` for an outcome with a ``schedule`` and a
+    ``plan``: ``repro.simulate.<check>`` against the instance it answers."""
+    return lambda outcome, simulate: getattr(simulate, check)(
+        outcome.schedule, topology, demand, outcome.plan, config=config)

@@ -476,6 +476,33 @@ class TestShortcutGateFallbacks:
             return calls
         return install
 
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """``fallbacks(shortcut)``: ``(counter moves, events)`` since the
+        test began — how far ``<shortcut>_fallbacks_total`` moved in the
+        default registry, and how many ``<shortcut>.fallback`` events a
+        fresh flight recorder holds."""
+        from repro.obs import recorder
+        from repro.obs.metrics import get_registry
+
+        def counted():
+            return {name: doc["value"]
+                    for name, doc in get_registry().snapshot().items()
+                    if name.endswith("_fallbacks_total")}
+
+        ring = recorder.FlightRecorder(1 << 16)
+        monkeypatch.setattr(recorder, "_recorder", ring)
+        before = counted()
+
+        def moved(shortcut):
+            name = f"{shortcut}_fallbacks_total"
+            events = [rec for rec in ring.snapshot()
+                      if rec["kind"] == "event"
+                      and rec["name"] == f"{shortcut}.fallback"]
+            return (counted().get(name, 0.0) - before.get(name, 0.0),
+                    len(events))
+        return moved
+
     @staticmethod
     def _ring8_atoa(symmetry):
         from repro.solver import SolverOptions
@@ -485,7 +512,8 @@ class TestShortcutGateFallbacks:
                              solver=SolverOptions(symmetry=symmetry))
         return ring8, collectives.alltoall(ring8.gpus, 1), config
 
-    def test_quotient_lp_falls_back_to_the_full_model(self, fail_replays):
+    def test_quotient_lp_falls_back_to_the_full_model(self, fail_replays,
+                                                      fallbacks):
         from repro.core.lp import solve_lp
 
         topo, demand, config = self._ring8_atoa("off")
@@ -500,8 +528,10 @@ class TestShortcutGateFallbacks:
         assert out.result.objective == pytest.approx(full.result.objective)
         assert check_flow(out.schedule, topo, demand, out.plan,
                           config=config).ok
+        assert fallbacks("symmetry") == (1, 1)
 
-    def test_cut_milp_falls_back_to_the_uncut_model(self, fail_replays):
+    def test_cut_milp_falls_back_to_the_uncut_model(self, fail_replays,
+                                                    fallbacks):
         from repro.core.milp import solve_milp
         from repro.solver import SolverOptions
 
@@ -515,9 +545,10 @@ class TestShortcutGateFallbacks:
         assert out.result.stats["symmetry_fallback"] == "conformance"
         assert check_schedule(out.schedule, ring6, demand, out.plan,
                               config=config).ok
+        assert fallbacks("symmetry") == (1, 1)
 
     def test_horizon_search_falls_back_to_the_cold_bisection(
-            self, fail_replays, monkeypatch):
+            self, fail_replays, fallbacks, monkeypatch):
         from repro.core import lp as lp_module
 
         topo, demand, config = self._ring8_atoa("off")
@@ -537,9 +568,21 @@ class TestShortcutGateFallbacks:
         assert out.plan.num_epochs == reference.plan.num_epochs
         assert out.result.objective == pytest.approx(
             reference.result.objective)
+        assert out.result.stats["horizon_search_fallback"] == "conformance"
+        assert fallbacks("horizon_search") == (1, 1)
+
+    def test_horizon_search_fallback_is_named_in_the_explain_record(
+            self, fail_replays, fallbacks):
+        topo, demand, config = self._ring8_atoa("off")
+        fail_replays("check_flow")
+        result = synthesize(topo, demand, config, minimize_epochs=True)
+        assert result.explain["stats"]["horizon_search_fallback"] \
+            == "conformance"
+        assert check_result(result).ok
+        assert fallbacks("horizon_search") == (1, 1)
 
     def test_pop_parallel_violation_is_resolved_sequentially(
-            self, fail_replays):
+            self, fail_replays, fallbacks):
         from repro.core.pop import solve_lp_pop
 
         topo, demand, config = self._ring8_atoa("off")
@@ -549,11 +592,39 @@ class TestShortcutGateFallbacks:
                            jobs=2)
         assert calls == [True, False]  # parallel merge, then sequential
         assert out.schedule.flows == reference.schedule.flows
+        assert fallbacks("pop") == (1, 1)
 
-    def test_pop_sequential_violation_raises(self, fail_replays):
+    def test_pop_sequential_violation_raises(self, fail_replays, fallbacks):
         from repro.core.pop import solve_lp_pop
 
         topo, demand, config = self._ring8_atoa("off")
         fail_replays("check_flow")
         with pytest.raises(ScheduleError, match="injected"):
             solve_lp_pop(topo, demand, config, num_partitions=2)
+        assert fallbacks("pop") == (1, 1)
+
+    def test_hierarchical_dedup_hit_falls_back_to_a_private_solve(
+            self, fail_replays, fallbacks):
+        from repro.core.hierarchical import (chassis_groups,
+                                             hierarchical_allgather)
+        from repro.solver import SolverOptions
+
+        topo = topology.internal2(2)
+        config = TecclConfig(chunk_bytes=1e6, solver=SolverOptions(
+            mip_gap=0.2, time_limit=30))
+        calls = fail_replays("check_result")
+        out = hierarchical_allgather(topo, config,
+                                     chassis=chassis_groups(topo, 2))
+        # gather@1 hits and is refused; broadcast@1 hits and is served
+        assert calls == [True, False]
+        assert out.sub_solves == 4 and out.dedup_hits == 1
+        first, second = out.local_gather
+        assert not second.deduped
+        assert second.synthesis is not first.synthesis
+        assert [p.deduped for p in out.phases()] == \
+            [False, False, False, False, True]
+        for phase in out.phases():
+            assert check_result(phase.synthesis,
+                                topology=phase.fabric.topology,
+                                demand=phase.demand).ok, phase.label
+        assert fallbacks("hier_dedup") == (1, 1)

@@ -378,6 +378,20 @@ class TestOneConstructionPath:
         assert sorted(line for line, _ in self._lint().find_retired(source)) \
             == [2, 3, 5]
 
+    def test_lint_flags_hand_written_shortcut_gates(self, tmp_path):
+        source = tmp_path / "lp.py"
+        source.write_text(
+            "def _vet_reduced_outcome(outcome):\n"
+            "    _symmetry.note_fallback()\n"
+            "outcome = _vet_cut_outcome(outcome)\n"
+            "report = pop._pop_conformance(outcome)\n"
+            "def _replays_clean(synthesis):\n"
+            "    pass\n"
+            "outcome = vetted('symmetry', outcome, replay, full)\n"
+            "vet_cut_outcome = note_fallbacks = None\n")
+        assert sorted(line for line, _ in self._lint().find_retired(source)) \
+            == [1, 2, 3, 4, 5]
+
     def test_deleted_exports_stay_deleted(self):
         assert self._lint().find_retired_exports() == []
 

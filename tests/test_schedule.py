@@ -1,5 +1,7 @@
 """Unit tests for Schedule / FlowSchedule invariants and cost math."""
 
+import json
+
 import pytest
 
 from repro.core.schedule import FlowSchedule, Schedule, Send
@@ -163,6 +165,42 @@ class TestFlowScheduleFromDict:
         doc["reads"][1][-1] = float("nan")
         with pytest.raises(ModelError, match="not finite"):
             FlowSchedule.from_dict(doc)
+
+    def test_mixed_commodity_keys_round_trip(self):
+        # aggregated source ids beside (source, chunk) pairs: int-keyed
+        # rows sort first, and the document parses back to the schedule
+        fs = FlowSchedule(flows={((1, 0), 1, 2, 1): 0.5, (0, 0, 1, 0): 1.0,
+                                 ((0, 1), 0, 1, 2): 0.25, (2, 2, 0, 1): 0.75},
+                          reads={((1, 0), 2, 2): 0.5, (0, 1, 1): 1.0,
+                                 (2, 0, 2): 0.75},
+                          tau=1.0, chunk_bytes=1.0, num_epochs=4)
+        doc = fs.to_dict()
+        assert [row[0] for row in doc["flows"]] == [0, 2, [0, 1], [1, 0]]
+        assert [row[0] for row in doc["reads"]] == [0, 2, [1, 0]]
+        back = FlowSchedule.from_dict(json.loads(json.dumps(doc)))
+        assert back.flows == fs.flows and back.reads == fs.reads
+        assert back.to_dict() == doc
+
+    @pytest.mark.parametrize("keyed", [lambda s: s, lambda s: (s, 0)])
+    def test_one_keying_serializes_as_plain_sorted_rows(self, keyed):
+        # cache payloads and fleet fingerprints hash these bytes
+        flows = {(keyed(s), i, j, k): 0.5 + s
+                 for s, i, j, k in [(2, 1, 0, 3), (0, 0, 1, 0), (1, 2, 1, 1),
+                                    (0, 1, 2, 1)]}
+        reads = {(keyed(s), d, k): 1.0 for s, d, k in [(2, 0, 4), (0, 2, 2)]}
+        fs = FlowSchedule(flows=flows, reads=reads, tau=1.0,
+                          chunk_bytes=1.0, num_epochs=6)
+
+        def row(q, *rest):
+            return [list(q) if isinstance(q, tuple) else q, *rest]
+
+        plain = {"flows": sorted(row(q, i, j, k, v)
+                                 for (q, i, j, k), v in flows.items()),
+                 "reads": sorted(row(q, d, k, v)
+                                 for (q, d, k), v in reads.items())}
+        doc = fs.to_dict()
+        assert json.dumps(doc["flows"]) == json.dumps(plain["flows"])
+        assert json.dumps(doc["reads"]) == json.dumps(plain["reads"])
 
     def test_malformed_row_still_a_schedule_error(self):
         doc = self._doc()

@@ -48,6 +48,15 @@ per-entry replay of fractional schedules that ``check_flow`` ran before it
 was written as array kernels. It lives on as the tests' differential
 reference (``tests/flow_oracle.py``); one flow replay in library code.
 
+And it flags the hand-written shortcut gates, defined or referred to:
+``_vet_reduced_outcome`` (the symmetry quotient LP), ``_vet_cut_outcome``
+(the lex-leader cut MILP), ``_pop_conformance`` (the POP fan-out),
+``_replays_clean`` (the hierarchical dedup hit) and
+``symmetry.note_fallback`` (their counter). Every shortcut's replay verdict
+becomes an answer in one trust gate,
+``repro.simulate.conformance.vetted``, which counts and records each
+fallback; a second gate beside it would be a fallback that is not counted.
+
 Deleted *exports* are checked by import: ``repro.obs.rspan`` (the second
 span API; ``span()`` is the only one), the ``repro.simulate.simulator``
 adapter module, and the expression algebra of ``repro.solver``
@@ -133,6 +142,11 @@ RETIRED_SPAN_PREFIX = "milp.family."
 #: the scalar fractional replay, now only the tests' reference
 RETIRED_REPLAYS = frozenset({"_check_flow_impl"})
 
+#: the hand-written shortcut gates, now the one ``vetted``
+RETIRED_GATES = frozenset({"_vet_reduced_outcome", "_vet_cut_outcome",
+                           "_pop_conformance", "_replays_clean",
+                           "note_fallback"})
+
 #: the one ``scipy.optimize`` module library code may import
 HIGHS_BINDING = "scipy.optimize._highspy"
 
@@ -185,6 +199,8 @@ def find_retired(path: pathlib.Path) -> list[tuple[int, str]]:
             findings.append((node.lineno, f"`{name}` COO emitter"))
         if name in RETIRED_REPLAYS:
             findings.append((node.lineno, f"`{name}` second flow replay"))
+        if name in RETIRED_GATES:
+            findings.append((node.lineno, f"`{name}` second shortcut gate"))
         if isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.startswith(RETIRED_SPAN_PREFIX):
             findings.append((node.lineno, f"`{node.value}` span"))

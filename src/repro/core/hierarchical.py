@@ -43,7 +43,7 @@ from repro.core.solve import Method, SynthesisResult, synthesize
 from repro.core.subsolve import SubSolveCache, run_subsolves
 from repro.errors import DemandError, ServiceError, TopologyError
 from repro.obs.trace import span as _obs_span
-from repro.simulate.conformance import vetted
+from repro.simulate import conformance
 from repro.topology.topology import Topology
 
 
@@ -311,7 +311,7 @@ def hierarchical_allgather(topology: Topology, config: TecclConfig, *,
                     verdicts[key] = report
             return report
 
-        served = vetted("hier_dedup", synthesis, replay, cold)
+        served = conformance.vetted("hier_dedup", synthesis, replay, cold)
         if served is synthesis:
             with stats_lock:
                 stats["hits"] += 1

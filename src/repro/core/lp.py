@@ -35,9 +35,8 @@ from repro.core.template import (EVERY_EPOCH, FLOW, HOLD, READ, Draft,
                                  ModelTemplate, capacity_chunks, fabric,
                                  put)
 from repro.errors import InfeasibleError, ModelError
-from repro.obs.trace import event as _obs_event
 from repro.obs.trace import span as _obs_span
-from repro.simulate.conformance import replay_of, vetted
+from repro.simulate import conformance
 from repro.solver import Model, SolveResult, SolveStatus
 from repro.topology.topology import Topology
 
@@ -451,9 +450,9 @@ def _solve_lp_at(topology: Topology, demand: Demand, config: TecclConfig,
     symmetry detection runs (:func:`_proved_quotient`). With a group whose
     generators the template proves, only the quotient is emitted and
     solved — the full constraint matrix is never assembled — and the
-    lifted solution passes the trust gate (:func:`vetted`): the quotient
-    is exact, so a refusal means a proof was fooled, and the full model
-    answers. With no group, or every generator refused
+    lifted solution passes the trust gate (:func:`conformance.vetted`):
+    the quotient is exact, so a refusal means a proof was fooled, and the
+    full model answers. With no group, or every generator refused
     (``symmetry_fallback: "proof"``), the full model is expanded once and
     solved. A horizon too short for the demand — caught by the builder's
     earliest-arrival pre-check or proved by the solver — raises
@@ -488,9 +487,8 @@ def _solve_lp_at(topology: Topology, demand: Demand, config: TecclConfig,
             return extract_lp_outcome(problem,
                                       problem.model.solve(config.solver))
 
-        outcome = vetted("symmetry", outcome,
-                         replay_of("check_flow", topology, demand, config),
-                         full)
+        replay = conformance.replay_of("check_flow", topology, demand, config)
+        outcome = conformance.vetted("symmetry", outcome, replay, full)
     outcome.result.stats["build_time"] = build_time
     return outcome
 
@@ -512,7 +510,7 @@ def _proved_quotient(template: ModelTemplate, topology: Topology,
     if orbit_map is not None:
         orbit_map.stats["symmetry_group_order"] = generators.order
     elif refused:
-        _obs_event("symmetry.fallback", reason="proof", refused=refused)
+        conformance.count_fallback("symmetry", "proof", refused=refused)
     return orbit_map, refused
 
 
@@ -553,9 +551,10 @@ def minimize_epochs_lp(topology: Topology, demand: Demand,
     remaining probes are bound restrictions re-solved on the anchor's live
     HiGHS session (:meth:`IncrementalLp.solve_at`) — no rebuilds or reloads
     below the anchor, and usually only one or two extra solves.
-    The result passes the trust gate (:func:`vetted`): a violation — a
-    bug in the restriction machinery, not in the solver — falls back to
-    :func:`_minimize_epochs_cold`, a fresh build and solve per probe.
+    The result passes the trust gate (:func:`conformance.vetted`): a
+    violation — a bug in the restriction machinery, not in the solver —
+    falls back to :func:`_minimize_epochs_cold`, a fresh build and solve
+    per probe.
     """
     def anchor_at(num_epochs: int):
         inc = IncrementalLp(topology, demand, config, num_epochs)
@@ -624,10 +623,9 @@ def minimize_epochs_lp(topology: Topology, demand: Demand,
     best_result.stats["horizon_solves"] = solves
     best_result.stats["build_time"] = inc.build_time
     outcome = inc.extract(best_result, best_k)
-    return vetted("horizon_search", outcome,
-                  replay_of("check_flow", topology, demand, config),
-                  lambda: _minimize_epochs_cold(topology, demand, config,
-                                                inc.num_epochs))
+    replay = conformance.replay_of("check_flow", topology, demand, config)
+    return conformance.vetted("horizon_search", outcome, replay, lambda: (
+        _minimize_epochs_cold(topology, demand, config, inc.num_epochs)))
 
 
 def _capped(ladder, max_epochs: int):

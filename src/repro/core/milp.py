@@ -43,7 +43,7 @@ from repro.core.template import (FLOW, HOLD, READ, Draft, ModelTemplate,
                                  capacity_chunks, fabric, put, steps)
 from repro.errors import InfeasibleError, ModelError
 from repro.obs.trace import span as _obs_span
-from repro.simulate.conformance import replay_of, vetted
+from repro.simulate import conformance
 from repro.solver import Model, SolveResult, SolveStatus
 from repro.topology.topology import Topology
 from repro.topology.transforms import HyperEdgeGroup
@@ -450,8 +450,8 @@ def _solve_milp_at(topology: Topology, demand: Demand, config: TecclConfig,
     """One MILP at one horizon: build → lex cuts → solve → extract → vet.
 
     The cuts keep an optimum, so a cut answer the trust gate
-    (:func:`vetted`) refuses means a proof was fooled: the model rebuilt
-    without cuts answers instead.
+    (:func:`conformance.vetted`) refuses means a proof was fooled: the
+    model rebuilt without cuts answers instead.
 
     A horizon too short for the demand — caught by the builder's
     earliest-arrival pre-check or proved by the solver — raises
@@ -481,8 +481,9 @@ def _solve_milp_at(topology: Topology, demand: Demand, config: TecclConfig,
             return extract_outcome(problem,
                                    problem.model.solve(config.solver))
 
-        outcome = vetted("symmetry", outcome, replay_of(
-            "check_schedule", topology, demand, config), uncut)
+        replay = conformance.replay_of("check_schedule", topology, demand,
+                                       config)
+        outcome = conformance.vetted("symmetry", outcome, replay, uncut)
     return outcome
 
 

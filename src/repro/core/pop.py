@@ -32,7 +32,7 @@ from repro.core.subsolve import run_subsolves
 from repro.errors import ModelError
 from repro.obs.trace import event as _obs_event
 from repro.obs.trace import span as _obs_span
-from repro.simulate.conformance import replay_of, vetted
+from repro.simulate import conformance
 from repro.topology.topology import Topology
 
 
@@ -163,11 +163,11 @@ def solve_lp_pop(topology: Topology, demand: Demand, config: TecclConfig, *,
     (:func:`~repro.core.subsolve.run_subsolves`: ``1`` is sequential,
     ``None`` the CPU count).
 
-    Every merged schedule passes the trust gate (:func:`vetted`) before
-    it is returned. A violation on a fanned-out run means the fan-out,
-    not the solver, mis-built or mis-merged a partition: it is re-solved
-    sequentially, and a violation on the sequential run raises
-    :class:`~repro.errors.ScheduleError`.
+    Every merged schedule passes the trust gate
+    (:func:`conformance.vetted`) before it is returned. A violation on a
+    fanned-out run means the fan-out, not the solver, mis-built or
+    mis-merged a partition: it is re-solved sequentially, and a violation
+    on the sequential run raises :class:`~repro.errors.ScheduleError`.
     """
     demand.validate(topology)
     topology.validate()
@@ -187,10 +187,11 @@ def solve_lp_pop(topology: Topology, demand: Demand, config: TecclConfig, *,
             topology, demand, config, copy=False,
             stretch=lambda bound: pop_auto_horizon(bound, num_partitions)),
         solve_at)
-    replay = replay_of("check_flow", topology, demand, config)
-    outcome = vetted("pop", outcome, replay, None if jobs == 1 else (
-        lambda: vetted("pop", _solve_at_horizon(
-            topology, config, partitions, num_epochs), replay)))
+    replay = conformance.replay_of("check_flow", topology, demand, config)
+    outcome = conformance.vetted(
+        "pop", outcome, replay, None if jobs == 1 else (
+            lambda: conformance.vetted("pop", _solve_at_horizon(
+                topology, config, partitions, num_epochs), replay)))
     outcome.attempts = attempt
     # the fan-out record the explain/flight layer surfaces: how many
     # sub-solves this schedule came from and how hard the horizon fought

@@ -255,12 +255,7 @@ class FlowSchedule:
             return list(q) if isinstance(q, tuple) else q
 
         def ordered(rows):
-            rows = list(rows)
-            try:
-                rows.sort()
-            except TypeError:  # an int key beside a list key: ints first
-                rows.sort(key=lambda row: (isinstance(row[0], list), row))
-            return rows
+            return sorted(rows, key=lambda r: (isinstance(r[0], list), r))
 
         return {
             "kind": "flow",

@@ -940,11 +940,10 @@ def vetted(shortcut: str, outcome, replay, fallback=None):
 
     ``replay(outcome, simulate)`` checks ``outcome`` with a check of the
     :mod:`repro.simulate` package, handed over at call time so that a
-    patched check is the one that runs. A refused answer bumps
-    ``<shortcut>_fallbacks_total`` in the default registry, emits one
-    ``<shortcut>.fallback`` event and is answered by ``fallback()`` — or,
-    with no slower path, raised as :class:`ScheduleError`. An answer with
-    a solver ``result`` says in its stats which way it went:
+    patched check is the one that runs. A refused answer is counted
+    (:func:`count_fallback`) and answered by ``fallback()`` — or, with no
+    slower path, raised as :class:`ScheduleError`. An answer with a
+    solver ``result`` says in its stats which way it went:
     ``<shortcut>_conformant`` or ``<shortcut>_fallback: "conformance"``.
     """
     import repro.simulate as simulate
@@ -953,10 +952,8 @@ def vetted(shortcut: str, outcome, replay, fallback=None):
     if report.ok:
         answer, key, value = outcome, "conformant", True
     else:
-        _default_registry().counter(f"{shortcut}_fallbacks_total",
-                                    "Answers the trust gate refused").inc()
-        _obs_event(f"{shortcut}.fallback", reason="conformance",
-                   violations=len(report.violations))
+        count_fallback(shortcut, "conformance",
+                       violations=len(report.violations))
         if fallback is None:
             report.raise_on_violation()
         answer, key, value = fallback(), "fallback", "conformance"
@@ -964,6 +961,14 @@ def vetted(shortcut: str, outcome, replay, fallback=None):
     if result is not None:
         result.stats[f"{shortcut}_{key}"] = value
     return answer
+
+
+def count_fallback(shortcut: str, reason: str, **fields) -> None:
+    """Count and emit one ``<shortcut>.fallback``: the only writer of
+    ``<shortcut>_fallbacks_total``, so the counter and the events agree."""
+    _default_registry().counter(f"{shortcut}_fallbacks_total",
+                                "Shortcut answers taken the slow way").inc()
+    _obs_event(f"{shortcut}.fallback", reason=reason, **fields)
 
 
 def replay_of(check: str, topology: Topology, demand: Demand,

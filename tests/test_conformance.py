@@ -628,3 +628,21 @@ class TestShortcutGateFallbacks:
                                 topology=phase.fabric.topology,
                                 demand=phase.demand).ok, phase.label
         assert fallbacks("hier_dedup") == (1, 1)
+
+    def test_simulate_loads_before_the_solvers(self):
+        # the solver modules bind the gate's module at load; a process
+        # whose first repro import is repro.simulate must load it too
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).parent)
+        code = ("import importlib, sys, types\n"
+                "pkg = types.ModuleType('repro')\n"
+                f"pkg.__path__ = [{src!r}]\n"
+                "sys.modules['repro'] = pkg  # skip repro/__init__'s order\n"
+                "importlib.import_module('repro.simulate')\n"
+                "assert sys.modules['repro.core.lp'].conformance.vetted\n")
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

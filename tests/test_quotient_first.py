@@ -324,10 +324,22 @@ class TestCountGuard:
 
         monkeypatch.setattr(LpBuilder, "build", counted)
         made = _record_models(monkeypatch)
-        outcome = solve_lp(topo, demand, config)
+        fallbacks = get_registry().counter("symmetry_fallbacks_total")
+        before = fallbacks.value
+        sink = obs.MemorySink()
+        obs.configure(sink)
+        try:
+            outcome = solve_lp(topo, demand, config)
+        finally:
+            obs.disable()
         assert len(builds) == 1
         assert made["cols"] == [outcome.result.stats["num_vars"]]
         assert outcome.result.stats["symmetry_fallback"] == "proof"
+        # counted and evented once, like every refusal the gate answers
+        events = [r["attrs"] for r in sink.records if r["kind"] == "event"
+                  and r["name"] == "symmetry.fallback"]
+        assert events == [{"reason": "proof", "refused": 2}]
+        assert fallbacks.value == before + len(events)
 
 
 # ----------------------------------------------------------------------

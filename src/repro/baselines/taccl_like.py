@@ -23,7 +23,6 @@ import random
 import time
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.baselines.common import GreedyScheduler
@@ -101,6 +100,9 @@ def _route(topology: Topology, demand: Demand, config: TecclConfig,
     model α, which is exactly why it mis-routes small transfers (§2.2).
     A small random perturbation per run reproduces its nondeterminism.
     """
+    # imported here: this baseline is networkx's only user in the library
+    import networkx as nx
+
     graph = nx.DiGraph()
     for (i, j), link in topology.links.items():
         jitter = 1.0 + 0.01 * rng.random()

@@ -13,7 +13,10 @@ import enum
 from dataclasses import dataclass, replace
 
 from repro.collectives.demand import Demand, TenantDemand, merge_tenants
-from repro.core.astar import AStarOutcome, solve_astar
+# the module, not its names: loading repro.core runs astar, which loads
+# repro.collectives, whose allreduce imports this module while astar is
+# still half-built
+from repro.core import astar as _astar
 from repro.core.config import AStarConfig, SwitchModel, TecclConfig
 from repro.core.epochs import EpochPlan
 from repro.core.lp import LpOutcome, minimize_epochs_lp, solve_lp
@@ -47,7 +50,7 @@ class SynthesisResult:
     plan: EpochPlan
     #: the raw formulation outcome; ``None`` on results deserialised from a
     #: cache entry (the solver internals do not survive serialisation).
-    outcome: MilpOutcome | LpOutcome | AStarOutcome | None = None
+    outcome: MilpOutcome | LpOutcome | _astar.AStarOutcome | None = None
     #: set when the Appendix C transform rewrote the topology; schedules are
     #: expressed in this transformed space. Not serialised (``topology_used``
     #: carries the transformed fabric itself).
@@ -262,8 +265,8 @@ def _synthesize(topology: Topology, demand: Demand, config: TecclConfig, *,
             raise ModelError(
                 "the A* decomposition does not support hyper-edge switches; "
                 "use the COPY or NO_COPY switch model")
-        outcome = solve_astar(work_topology, work_demand, config,
-                              astar_config)
+        outcome = _astar.solve_astar(work_topology, work_demand, config,
+                                     astar_config)
     else:
         raise ModelError(f"unknown method {method!r}")
     return SynthesisResult(

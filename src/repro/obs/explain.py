@@ -69,11 +69,17 @@ class ExplainRecord:
     solve: dict | None = None
 
     def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["phases"] = dict(self.phases)
-        if self.solve is not None:
-            doc["solve"] = dict(self.solve)
-        return doc
+        """The JSON document, in field order. ``phases`` and ``solve`` are
+        shallow copies: ``solve``'s nested dicts are the record's own."""
+        return {
+            "source": self.source, "fingerprint": self.fingerprint,
+            "tag": self.tag, "cache_hit": self.cache_hit,
+            "coalesced": self.coalesced,
+            "symmetry_collapsed": self.symmetry_collapsed,
+            "conformance": self.conformance, "serve_time": self.serve_time,
+            "error": self.error, "phases": dict(self.phases),
+            "solve": None if self.solve is None else dict(self.solve),
+        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExplainRecord":

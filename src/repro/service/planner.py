@@ -68,7 +68,9 @@ class Planner:
     (:mod:`repro.topology.facts`), fingerprint fragments and the parsed
     result are all remembered. The result a hit returns is therefore
     **shared** with every other hit on its entry — treat
-    ``response.result`` as read-only.
+    ``response.result`` as read-only. A hit's explain record is
+    serialized only for a flight directory's ``last_explain.json``;
+    without one configured it builds no document.
 
     Args:
         executor: solve-pool kind — ``"process"`` (default), ``"thread"``,
@@ -312,10 +314,14 @@ class Planner:
     @staticmethod
     def _close_explain(explain: ExplainRecord, phases: dict,
                        error: str | None) -> None:
-        """Fold the finish phases in and flight-record the outcome."""
+        """Fold the finish phases in and flight-record the outcome.
+
+        A success's document is built only for a flight directory's
+        ``last_explain.json``; without one nothing reads it."""
         explain.phases.update(phases)
         if error is None:
-            _flight.save_last_explain(explain.to_dict())
+            if _flight.dump_dir() is not None:
+                _flight.save_last_explain(explain.to_dict())
             return
         explain.source = "error"
         explain.error = error

@@ -629,9 +629,10 @@ class TestShortcutGateFallbacks:
                                 demand=phase.demand).ok, phase.label
         assert fallbacks("hier_dedup") == (1, 1)
 
-    def test_simulate_loads_before_the_solvers(self):
-        # the solver modules bind the gate's module at load; a process
-        # whose first repro import is repro.simulate must load it too
+    @staticmethod
+    def _load_first(*lines):
+        """Run ``lines`` in a fresh interpreter whose ``repro`` package is
+        a bare module, so no ``repro/__init__`` import order applies."""
         import subprocess
         import sys
         from pathlib import Path
@@ -639,10 +640,26 @@ class TestShortcutGateFallbacks:
         import repro
 
         src = str(Path(repro.__file__).parent)
-        code = ("import importlib, sys, types\n"
-                "pkg = types.ModuleType('repro')\n"
-                f"pkg.__path__ = [{src!r}]\n"
-                "sys.modules['repro'] = pkg  # skip repro/__init__'s order\n"
-                "importlib.import_module('repro.simulate')\n"
-                "assert sys.modules['repro.core.lp'].conformance.vetted\n")
+        code = "\n".join([
+            "import importlib, sys, types",
+            "pkg = types.ModuleType('repro')",
+            f"pkg.__path__ = [{src!r}]",
+            # the one name a subpackage reads off the package itself
+            f"pkg.__version__ = {repro.__version__!r}",
+            "sys.modules['repro'] = pkg", *lines])
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+    def test_simulate_loads_before_the_solvers(self):
+        # the solver modules bind the gate's module at load; a process
+        # whose first repro import is repro.simulate must load it too
+        self._load_first(
+            "importlib.import_module('repro.simulate')",
+            "assert sys.modules['repro.core.lp'].conformance.vetted")
+
+    @pytest.mark.parametrize("module", ["repro.core", "repro.core.lp",
+                                        "repro.core.schedule",
+                                        "repro.simulate", "repro.service"])
+    def test_each_package_loads_first(self, module):
+        # repro.core runs astar, which loads repro.collectives, whose
+        # allreduce imports repro.core.solve while astar is half-built
+        self._load_first(f"importlib.import_module({module!r})")

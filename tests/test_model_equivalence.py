@@ -353,6 +353,26 @@ class TestOneConstructionPath:
         assert sorted(line for line, _ in self._lint().find_retired(source)) \
             == [1, 2, 3, 4, 5, 7, 11]
 
+    def test_lint_flags_a_load_time_networkx_import(self, tmp_path):
+        source = tmp_path / "routes.py"
+        source.write_text(
+            "import networkx as nx\n"
+            "from networkx.algorithms import shortest_paths\n"
+            "import networkxlike\n"
+            "try:\n"
+            "    import numpy, networkx\n"
+            "except ImportError:\n"
+            "    pass\n"
+            "def route(graph):\n"
+            "    import networkx as nx\n"
+            "    from networkx import DiGraph\n"
+            "    return nx.DiGraph(graph)\n"
+            "class Router:\n"
+            "    from networkx import DiGraph\n"
+            "from .networkx import DiGraph\n")
+        assert sorted(line for line, _ in self._lint().find_retired(source)) \
+            == [1, 2, 5, 13]
+
     def test_lint_flags_per_family_coo_emitters(self, tmp_path):
         source = tmp_path / "milp.py"
         source.write_text(

@@ -13,8 +13,10 @@ The tentpole contract this file holds:
 """
 
 import dataclasses
+import json
 import os
 import signal
+import time
 
 import pytest
 
@@ -25,7 +27,7 @@ from repro.fleet import AdaptationController, LinkEvent, SyntheticTelemetry
 from repro.obs import recorder as flight
 from repro.obs.explain import ExplainRecord
 from repro.service import Planner
-from repro.service.pool import SolvePool
+from repro.service.pool import SolvePool, solve_request
 from repro.service.schema import PlanRequest
 
 pytestmark = pytest.mark.obs
@@ -295,6 +297,92 @@ class TestPlannerFailureDump:
         assert record.fingerprint == response.fingerprint
         assert record.source == "solve"
         assert not list(tmp_path.glob("flight-planner-failure-*"))
+
+
+# ----------------------------------------------------------------------
+# the explain document: built from the fields, as asdict built it
+# ----------------------------------------------------------------------
+def _asdict_document(record):
+    """``ExplainRecord.to_dict`` as written over ``dataclasses.asdict``:
+    a deep copy, then ``phases`` and ``solve`` replaced by shallow ones."""
+    doc = dataclasses.asdict(record)
+    doc["phases"] = dict(record.phases)
+    if record.solve is not None:
+        doc["solve"] = dict(record.solve)
+    return doc
+
+
+def _served_records():
+    """One planner explain record per source, and a bare one."""
+    records = {"bare": ExplainRecord(tag="bare")}
+    with Planner(executor="inline") as planner:
+        records["solve"] = planner.plan(tiny_request()).explain
+        records["cache"] = planner.plan(tiny_request()).explain
+
+    def solve_after_its_twin(request_dict):
+        deadline = time.monotonic() + 30
+        while pool.stats.coalesced < 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return solve_request(request_dict)
+
+    pool = SolvePool(max_workers=1, executor="thread",
+                     solve_fn=solve_after_its_twin)
+    try:
+        with Planner(pool=pool) as planner:
+            _, twin = planner.plan_batch([tiny_request(), tiny_request()])
+    finally:
+        pool.shutdown()
+    records["coalesced"] = twin.explain
+    with Planner(pool=SolvePool(executor="inline", solve_fn=_boom)) \
+            as planner:
+        [failed] = planner.plan_batch([tiny_request("doomed")])
+    records["error"] = failed.explain
+    return records
+
+
+class TestExplainDocument:
+    def test_document_is_the_asdict_document(self):
+        records = _served_records()
+        assert {source: record.source for source, record in records.items()
+                if source != "bare"} == {"solve": "solve", "cache": "cache",
+                                         "coalesced": "coalesced",
+                                         "error": "error"}
+        for source, record in records.items():
+            doc, oracle = record.to_dict(), _asdict_document(record)
+            assert doc == oracle, source
+            assert json.dumps(doc) == json.dumps(oracle), source  # order
+            assert doc["phases"] is not record.phases
+            if record.solve is None:
+                assert source in ("bare", "error") and doc["solve"] is None
+                continue
+            # a shallow copy: the nested dicts are the record's own
+            assert doc["solve"] is not record.solve
+            assert {key: id(value) for key, value in doc["solve"].items()} \
+                == {key: id(value) for key, value in record.solve.items()} \
+                == {key: id(value) for key, value in oracle["solve"].items()}
+            assert isinstance(doc["solve"]["stats"], dict), source
+
+    def test_last_explain_bytes_are_the_asdict_bytes(self, tmp_path):
+        flight.set_dump_dir(tmp_path)
+        with Planner(executor="inline") as planner:
+            for _ in range(2):  # a fresh solve, then a hit
+                response = planner.plan(tiny_request("fine"))
+                written = (tmp_path / flight.LAST_EXPLAIN_FILE).read_text(
+                    encoding="utf-8")
+                assert written == json.dumps(
+                    _asdict_document(response.explain), indent=2,
+                    default=str)
+        assert response.cache_hit
+
+    def test_error_event_carries_the_full_record(self, fresh_recorder):
+        with Planner(pool=SolvePool(executor="inline", solve_fn=_boom)) \
+                as planner:
+            [response] = planner.plan_batch([tiny_request("doomed")])
+        [failed] = [rec for rec in fresh_recorder.snapshot()
+                    if rec["name"] == "planner.serve_failed"]
+        assert failed["attrs"]["explain"] \
+            == _asdict_document(response.explain)
+        assert failed["attrs"]["explain"]["source"] == "error"
 
 
 # ----------------------------------------------------------------------

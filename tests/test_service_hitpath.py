@@ -9,6 +9,9 @@ fingerprints are recomputed through the public ``canonical_*_request`` →
 """
 
 import collections
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,8 @@ from repro import collectives, obs, topology
 from repro.collectives.demand import Demand
 from repro.core import TecclConfig, symmetry
 from repro.core.solve import SynthesisResult
+from repro.obs import recorder as flight
+from repro.obs.explain import ExplainRecord
 from repro.service import Planner, PlanRequest
 from repro.service import fingerprint as fingerprinting
 from repro.service.fingerprint import (canonical_near_request,
@@ -312,6 +317,45 @@ class TestHitDoesNoDerivation:
         assert all(h.cache_hit for h in hits)
         assert dict(calls) == {}
         assert all(h.result is first_hit.result for h in hits)
+
+    def test_hit_builds_no_explain_document_without_a_flight_dir(
+            self, monkeypatch, tmp_path):
+        monkeypatch.delenv(flight.FLIGHT_DIR_ENV, raising=False)
+        calls = _Calls().watch(monkeypatch, ExplainRecord, "to_dict")
+        request = _ring6_request(2)
+        with Planner(executor="inline") as planner:
+            planner.plan(request)
+            calls.clear()
+            assert all(planner.plan(request).cache_hit for _ in range(3))
+            assert calls["to_dict"] == 0
+            flight.set_dump_dir(tmp_path)
+            try:
+                assert planner.plan(request).cache_hit
+            finally:
+                flight.set_dump_dir(None)
+        assert calls["to_dict"] == 1  # for last_explain.json
+        assert (tmp_path / flight.LAST_EXPLAIN_FILE).exists()
+
+    def test_serving_a_hit_leaves_networkx_unloaded(self):
+        # the TACCL-like baseline is its only user and imports it on use
+        import repro
+
+        src = str(Path(repro.__file__).parents[1])
+        code = ("import sys\n"
+                f"sys.path.insert(0, {src!r})\n"
+                "import repro\n"
+                "from repro import collectives, topology\n"
+                "from repro.core import TecclConfig\n"
+                "from repro.service import Planner, PlanRequest\n"
+                "topo = topology.ring(4, capacity=1.0)\n"
+                "request = PlanRequest(topology=topo,\n"
+                "    demand=collectives.alltoall(topo.gpus, 1),\n"
+                "    config=TecclConfig(chunk_bytes=1.0))\n"
+                "with Planner(executor='inline') as planner:\n"
+                "    planner.plan(request)\n"
+                "    assert planner.plan(request).cache_hit\n"
+                "assert 'networkx' not in sys.modules\n")
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
     def test_put_evict_and_lru_eviction_drop_the_parsed_result(
             self, calls, tmp_path):

@@ -57,6 +57,13 @@ becomes an answer in one trust gate,
 ``repro.simulate.conformance.vetted``, which counts and records each
 fallback; a second gate beside it would be a fallback that is not counted.
 
+It flags a module-level ``networkx`` import, ``import networkx`` or
+``from networkx …`` anywhere that runs when the module loads (a class body
+or an ``if``/``try`` included). Its one user is the TACCL-like baseline's
+router, which imports it on first use. Loaded eagerly it costs every
+process that imports ``repro``, a serving process included, ≈ 11 MB
+and 0.15–0.2 s. A function-local import is allowed.
+
 Deleted *exports* are checked by import: ``repro.obs.rspan`` (the second
 span API; ``span()`` is the only one), the ``repro.simulate.simulator``
 adapter module, and the expression algebra of ``repro.solver``
@@ -150,6 +157,9 @@ RETIRED_GATES = frozenset({"_vet_reduced_outcome", "_vet_cut_outcome",
 #: the one ``scipy.optimize`` module library code may import
 HIGHS_BINDING = "scipy.optimize._highspy"
 
+#: packages library code imports only inside the function that uses them
+LAZY_PACKAGES = ("networkx",)
+
 
 def _second_backend(module: str) -> bool:
     """``module`` is ``scipy.optimize`` or below it, outside the binding."""
@@ -159,6 +169,23 @@ def _second_backend(module: str) -> bool:
 
 def _emitter(name: str) -> bool:
     return name in RETIRED_EMITTERS or name.startswith("_coo_")
+
+
+def _lazy(module: str) -> bool:
+    return any((module + ".").startswith(package + ".")
+               for package in LAZY_PACKAGES)
+
+
+def _load_time_nodes(tree: ast.Module):
+    """Every node that runs when the module loads: all but function
+    bodies."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
 
 
 def find_retired(path: pathlib.Path) -> list[tuple[int, str]]:
@@ -204,6 +231,13 @@ def find_retired(path: pathlib.Path) -> list[tuple[int, str]]:
         if isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.startswith(RETIRED_SPAN_PREFIX):
             findings.append((node.lineno, f"`{node.value}` span"))
+    for node in _load_time_nodes(tree):
+        modules = ([alias.name for alias in node.names]
+                   if isinstance(node, ast.Import)
+                   else [node.module] if isinstance(node, ast.ImportFrom)
+                   and not node.level else [])
+        if any(_lazy(module) for module in modules):
+            findings.append((node.lineno, "module-level `networkx` import"))
     return findings
 
 

@@ -976,35 +976,25 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
             else:
                 print("recovered    : nothing durable on disk; "
                       "starting fresh")
-        recovered_jobs = set(fleet.controller.registry.active_jobs())
-        admitted_jobs = set(fleet.controller.jobs)
         for index, name in enumerate(job_names):
             job_name = f"{name}#{index}"
-            if job_name in recovered_jobs:
-                entry = fleet.controller.registry.active(job_name)
-                print(f"resumed      : {job_name} "
-                      f"(finish {entry.result.finish_time * 1e6:.3f} us, "
-                      "recovered from WAL)")
-                continue
-            if job_name in admitted_jobs:
-                # recovered, but the incumbent was dropped at conformance
-                # re-vetting: the job is already admitted (re-admission
-                # would refuse), so plan it fresh instead
-                entry = fleet.plan_missing([job_name])[job_name]
-                print(f"replanned    : {job_name} "
-                      f"(finish {entry.result.finish_time * 1e6:.3f} us, "
-                      "recovered incumbent dropped)")
+            if job_name in fleet.jobs:
+                entry = fleet.registry.active(job_name)
+                if entry is not None:
+                    print(f"resumed      : {job_name} (finish "
+                          f"{entry.result.finish_time * 1e6:.3f} us, "
+                          "recovered from WAL)")
                 continue
             job = FleetJob(name=job_name,
                            demand=_COLLECTIVES[name](topo.gpus, args.chunks),
                            config=config)
-            entry = fleet.admit(job)
+            entry = fleet.add_job(job)
             print(f"admitted     : {job.name} "
                   f"(finish {entry.result.finish_time * 1e6:.3f} us, "
                   f"method {entry.result.method.value})")
-        # recovered jobs outside --jobs whose incumbent was dropped would
-        # otherwise stay scheduleless forever (the adaptation loop only
-        # replans incumbents)
+        # a recovered job whose incumbent was dropped at conformance
+        # re-vetting is admitted but scheduleless (the adaptation loop only
+        # replans incumbents): plan it fresh, on its final share
         for job_name, entry in sorted(fleet.plan_missing().items()):
             print(f"replanned    : {job_name} "
                   f"(finish {entry.result.finish_time * 1e6:.3f} us, "

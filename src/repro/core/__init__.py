@@ -2,7 +2,7 @@
 
 from repro.core.astar import AStarOutcome, solve_astar
 from repro.core.config import AStarConfig, EpochMode, SwitchModel, TecclConfig
-from repro.core.decompose import PathStrip, decompose, strips_to_schedule
+from repro.core.decompose import PathStrip, decompose
 from repro.core.epochs import (EpochPlan, build_epoch_plan, epoch_duration,
                                path_based_epoch_bound, plan_with_tau)
 from repro.core.hierarchical import (ChassisPlan, HierarchicalOutcome,
@@ -31,7 +31,7 @@ __all__ = [
     "solve_lp_pop", "partition_demand", "merge_flow_schedules",
     "Partition", "PopOutcome", "pop_auto_horizon",
     "run_subsolves", "SubSolveCache", "default_jobs",
-    "decompose", "strips_to_schedule", "PathStrip",
+    "decompose", "PathStrip",
     "hierarchical_allgather", "chassis_groups", "ChassisPlan",
     "HierarchicalOutcome", "PhaseResult",
 ]

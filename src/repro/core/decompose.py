@@ -5,8 +5,8 @@ a schedule that we then execute in hardware (we translate these rates to
 paths for each chunk through the same DFS-like solution)". This module is
 that translation. It decomposes a (pruned) :class:`FlowSchedule` over the
 time-expanded graph into *strips* — (amount, timed path) pairs — and
-optionally quantises strips into unit-chunk :class:`Schedule` sends for the
-MSCCL exporter.
+quantises strips into unit-chunk :class:`Schedule` sends, one fresh chunk id
+per unit, for the event simulator (:func:`strips_to_events`).
 
 The decomposition walks each read backwards through the pools (the same
 structure the pruner uses), peeling off the bottleneck amount along one
@@ -216,29 +216,3 @@ def strips_to_events(strips: list[PathStrip], plan: EpochPlan):
                         chunk_bytes=plan.chunk_bytes, num_epochs=num_epochs)
     return schedule, Demand.from_triples(triples)
 
-
-def strips_to_schedule(strips: list[PathStrip], plan: EpochPlan,
-                       chunk_quantum: float = 1.0) -> Schedule:
-    """Quantise strips into unit-chunk sends (for export/visualisation).
-
-    Strips whose amount is below the quantum are merged per (commodity,
-    destination, path) before rounding; sub-chunk ids are appended after the
-    original chunk id so exported offsets stay unique.
-    """
-    sends: list[Send] = []
-    counters: dict[tuple, int] = {}
-    for strip in strips:
-        units = max(1, round(strip.amount / chunk_quantum))
-        q = strip.commodity
-        source = q[0] if isinstance(q, tuple) else q
-        base_chunk = q[1] if isinstance(q, tuple) else 0
-        for _ in range(units):
-            sub = counters.get((q, strip.destination), 0)
-            counters[(q, strip.destination)] = sub + 1
-            for hop in strip.hops:
-                sends.append(Send(epoch=hop.epoch, source=source,
-                                  chunk=base_chunk, src=hop.src,
-                                  dst=hop.dst))
-    num_epochs = max((s.epoch for s in sends), default=0) + 1
-    return Schedule(sends=sorted(set(sends)), tau=plan.tau,
-                    chunk_bytes=plan.chunk_bytes, num_epochs=num_epochs)

@@ -197,10 +197,6 @@ def solve_lp_pop(topology: Topology, demand: Demand, config: TecclConfig, *,
     # sub-solves this schedule came from and how hard the horizon fought
     _obs_event("pop.fanout", partitions=len(partitions),
                attempts=attempt, jobs=jobs, epochs=num_epochs)
-    if outcome.sub_outcomes:
-        stats = outcome.sub_outcomes[0].result.stats
-        stats["pop_partitions"] = len(partitions)
-        stats["pop_attempts"] = attempt
     return outcome
 
 

@@ -201,14 +201,9 @@ def _build_explain(result: SynthesisResult, phases: dict) -> dict:
     process boundary.
     """
     outcome = result.outcome
-    # the LP/MILP solve result; A* rounds and POP fan-outs carry none
+    # the LP/MILP solve result; A* rounds carry none
     inner = getattr(outcome, "result", None)
     stats = solve_stats_subset(getattr(inner, "stats", None))
-    # POP decomposition outcomes carry fan-out on the outcome itself
-    partitions = getattr(outcome, "partitions", None)
-    if partitions is not None:
-        stats["pop_partitions"] = len(partitions)
-        stats["pop_attempts"] = getattr(outcome, "attempts", 1)
     return {
         "method": result.method.value,
         "solver_status": None if inner is None else inner.status.value,

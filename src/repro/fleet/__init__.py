@@ -13,8 +13,9 @@ library into a serving system:
   replans through the :class:`~repro.service.Planner`, every activation
   vetted by the conformance oracle, with an active/pending/rollback
   schedule registry;
-* :mod:`~repro.fleet.orchestrator` — multi-job admission with priority
-  capacity shares and batched replan fan-out;
+* :mod:`~repro.fleet.orchestrator` — the controller as a share policy:
+  each job plans on its priority share of the live fabric, and admitting
+  or retiring a job replans the others onto their new shares in one batch;
 * :mod:`~repro.fleet.wal` — write-ahead persistence: a checksummed,
   fsync'd JSONL log of every lifecycle transition, snapshot compaction,
   crash recovery (:meth:`AdaptationController.recover`), and

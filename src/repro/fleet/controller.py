@@ -269,12 +269,11 @@ class ScheduleRegistry:
     here, in one place, rather than by every caller remembering to check.
     """
 
-    def __init__(self, history_limit: int = 1000,
-                 journal=None) -> None:
+    def __init__(self, journal=None) -> None:
         self._active: dict[str, RegistryEntry] = {}
         # bounded: a long-running daemon proposes schedules indefinitely;
         # active entries stay reachable through _active regardless
-        self.history: deque[RegistryEntry] = deque(maxlen=history_limit)
+        self.history: deque[RegistryEntry] = deque(maxlen=1000)
         self._lock = threading.Lock()
         self._seq = 0
         # write-ahead hook: called as journal(kind, data) *before* the
@@ -457,9 +456,6 @@ class AdaptationController:
         estimator: a pre-configured estimator (default: fresh, default
             thresholds).
         gate: the replan-vs-keep cost gate.
-        fabric_view: optional per-job view of the live fabric — the
-            orchestrator injects priority capacity shares here. Called as
-            ``fabric_view(job, live_topology) -> Topology``.
         wal: a :class:`~repro.fleet.wal.WriteAheadLog`. Every registry
             lifecycle transition, decision, and estimator cool-down clock
             is durably appended *before* it is applied; :meth:`recover`
@@ -479,7 +475,6 @@ class AdaptationController:
                  planner: Planner, *,
                  estimator: FabricEstimator | None = None,
                  gate: CostGate | None = None,
-                 fabric_view=None,
                  wal: WriteAheadLog | None = None,
                  compact_every: int = 256,
                  alert_rules: list[AlertRule] | None = None) -> None:
@@ -492,7 +487,6 @@ class AdaptationController:
             raise FleetError(
                 "estimator and controller must share one declared fabric")
         self.gate = gate if gate is not None else CostGate()
-        self.fabric_view = fabric_view
         if compact_every < 1:
             raise FleetError("compact_every must be at least 1")
         self.wal = wal
@@ -510,15 +504,15 @@ class AdaptationController:
         self.decisions: deque[AdaptationDecision] = deque(maxlen=500)
         self.now = 0.0
         # Stats live on a per-controller metrics registry (``metrics`` —
-        # ``registry`` is the schedule registry); stats() keeps the
-        # legacy flat-dict shape (regression-pinned) on top of it.
+        # ``registry`` is the schedule registry); stats() flattens it to
+        # the keys ``teccl fleet status`` and the ledger's fleet-replan read
         self._stats = FleetStats()
         self.metrics = self._stats.registry
         self._solve_seconds = self.metrics.counter(
             "fleet_adaptation_solve_seconds_total",
             "wall-clock spent in adaptation replans (cumulative)")
-        # durability counters live on the metrics registry only — the
-        # legacy stats() dict shape is regression-pinned and stays as-is
+        # durability counters live on the metrics registry only, outside
+        # the stats() key set
         self._wal_records = self.metrics.counter(
             "fleet_wal_records_total",
             "records durably appended to the write-ahead log")
@@ -641,9 +635,9 @@ class AdaptationController:
     # jobs
     # ------------------------------------------------------------------
     def _view(self, job: FleetJob, live: Topology) -> Topology:
-        if self.fabric_view is None:
-            return live
-        return self.fabric_view(job, live)
+        """The fabric ``job`` plans on (the orchestrator's share policy
+        overrides this)."""
+        return live
 
     def _request(self, job: FleetJob, live: Topology) -> PlanRequest:
         return PlanRequest(topology=self._view(job, live),

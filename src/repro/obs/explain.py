@@ -29,8 +29,7 @@ _SOLVE_STAT_KEYS = (
     "symmetry_generators_skipped", "symmetry_refold",
     "symmetry_orbits", "symmetry_cols_full",
     "symmetry_cols_reduced", "symmetry_rows_full", "symmetry_rows_reduced",
-    "symmetry_conformant", "symmetry_fallback", "pop_partitions",
-    "pop_attempts", "horizon_search_fallback",
+    "symmetry_conformant", "symmetry_fallback", "horizon_search_fallback",
 )
 
 

@@ -4,8 +4,7 @@ import pytest
 
 from repro import collectives, topology
 from repro.core import TecclConfig, solve_lp
-from repro.core.decompose import (decompose, strips_to_events,
-                                  strips_to_schedule)
+from repro.core.decompose import decompose, strips_to_events
 from repro.core.epochs import plan_with_tau
 from repro.core.schedule import FlowSchedule
 from repro.errors import ScheduleError
@@ -91,12 +90,12 @@ class TestDecompose:
             decompose(broken, topo, plan, buffers={})
 
 
-class TestStripsToSchedule:
+class TestStripsToEvents:
     def test_roundtrip_to_sends(self, ring4):
         demand = collectives.alltoall(ring4.gpus, 1)
         out = solved(ring4, demand, epochs=6)
         strips = decompose(out.schedule, ring4, out.plan)
-        schedule = strips_to_schedule(strips, out.plan)
+        schedule, _ = strips_to_events(strips, out.plan)
         assert schedule.num_sends > 0
         # every send's link exists
         for send in schedule.sends:
@@ -107,11 +106,25 @@ class TestStripsToSchedule:
         demand = collectives.Demand.from_triples([(0, 0, 2)])
         out = solved(topo, demand, epochs=6)
         strips = decompose(out.schedule, topo, out.plan)
-        schedule = strips_to_schedule(strips, out.plan)
+        schedule, _ = strips_to_events(strips, out.plan)
         assert schedule.num_sends == 2  # two hops, one unit chunk
 
+    def test_aggregated_commodity_units_get_distinct_chunks(self):
+        """One LP commodity carrying two chunks to two sinks quantises to
+        two chunk ids, and the schedule replays clean against the
+        synthetic demand."""
+        from repro.simulate import check_schedule
 
-class TestStripsToEvents:
+        topo = topology.line(3, capacity=2.0)
+        demand = collectives.Demand.from_triples([(0, 0, 1), (0, 1, 2)])
+        out = solved(topo, demand, epochs=4)
+        strips = decompose(out.schedule, topo, out.plan)
+        assert {strip.commodity for strip in strips} == {0}  # aggregated
+        schedule, synth = strips_to_events(strips, out.plan)
+        assert sorted(synth.triples()) == [(0, 0, 1), (0, 1, 2)]
+        report = check_schedule(schedule, topo, synth, out.plan)
+        assert report.violations == []
+
     def test_synthetic_demand_covers_all_units(self, ring4):
         demand = collectives.alltoall(ring4.gpus, 1)
         out = solved(ring4, demand, epochs=6)

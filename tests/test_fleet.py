@@ -530,8 +530,8 @@ class TestOrchestrator:
     def test_priority_shares(self, planner):
         topo = tiny_ring()
         fleet = FleetOrchestrator(topo, SyntheticTelemetry(topo), planner)
-        fleet.admit(a2a_job(topo, name="gold", priority=3.0))
-        fleet.admit(a2a_job(topo, name="scavenger", chunks=2, priority=1.0))
+        fleet.add_job(a2a_job(topo, name="gold", priority=3.0))
+        fleet.add_job(a2a_job(topo, name="scavenger", chunks=2, priority=1.0))
         assert fleet.share("gold") == pytest.approx(0.75)
         assert fleet.share("scavenger") == pytest.approx(0.25)
         with pytest.raises(FleetError):
@@ -540,15 +540,15 @@ class TestOrchestrator:
     def test_admission_rescales_incumbents(self, planner):
         topo = tiny_ring()
         fleet = FleetOrchestrator(topo, SyntheticTelemetry(topo), planner)
-        solo = fleet.admit(a2a_job(topo, name="first"))
+        solo = fleet.add_job(a2a_job(topo, name="first"))
         solo_finish = solo.result.finish_time
-        fleet.admit(a2a_job(topo, name="second", chunks=2))
+        fleet.add_job(a2a_job(topo, name="second", chunks=2))
         rescaled = fleet.registry.active("first")
         # half the capacity share: the same collective takes ~2x as long
         assert rescaled.result.finish_time == pytest.approx(2 * solo_finish)
         assert rescaled.conformance_ok is True
 
-        fleet.retire("second")
+        fleet.remove_job("second")
         regrown = fleet.registry.active("first")
         assert regrown.result.finish_time == pytest.approx(solo_finish)
 
@@ -557,8 +557,8 @@ class TestOrchestrator:
         source = SyntheticTelemetry(topo, events=[
             LinkEvent(at=1.0, link=(0, 1), factor=0.3)])
         fleet = FleetOrchestrator(topo, source, planner)
-        fleet.admit(a2a_job(topo, name="one"))
-        fleet.admit(a2a_job(topo, name="two", chunks=2))
+        fleet.add_job(a2a_job(topo, name="one"))
+        fleet.add_job(a2a_job(topo, name="two", chunks=2))
         admission_replans = fleet.stats()["replans"]
         for _ in range(4):
             fleet.step()

@@ -20,8 +20,8 @@ from repro import collectives, topology
 from repro.core import TecclConfig
 from repro.core.solve import Method, synthesize
 from repro.errors import FleetError, ServiceError
-from repro.fleet import (AdaptationController, FleetJob, GenerationLease,
-                         LinkEvent, LinkHealth, LinkSample,
+from repro.fleet import (AdaptationController, FleetJob, FleetOrchestrator,
+                         GenerationLease, LinkEvent, LinkHealth, LinkSample,
                          SyntheticTelemetry, WriteAheadLog,
                          atomic_write_json)
 from repro.fleet.controller import AdaptationDecision, RegistryEntry, \
@@ -386,6 +386,62 @@ class TestRecovery:
         assert entry is not None and entry.conformance_ok is True
         assert fresh.plan_missing() == {}  # idempotent: nothing missing
         fresh.wal.close()
+
+    def test_share_policy_survives_recovery(self, tmp_path, planner):
+        # the successor orchestrator recovers as a controller and plans
+        # the dropped job on its priority share, not the whole fabric
+        topo = tiny_ring()
+        walpath = tmp_path / "w.wal"
+
+        def orchestrator(wal=None):
+            return FleetOrchestrator(topo, SyntheticTelemetry(topo),
+                                     planner, wal=wal)
+
+        wal = WriteAheadLog(walpath)
+        wal.attach_lease()
+        fleet = orchestrator(wal)
+        assert isinstance(fleet, AdaptationController)
+        fleet.add_job(a2a_job(topo, name="gold", priority=3.0))
+        fleet.add_job(a2a_job(topo, name="scavenger", chunks=2,
+                              priority=1.0))
+        wal.close()
+
+        # forge scavenger's durable schedule: claim a finish time the
+        # conformance replay cannot reproduce, so recovery drops it
+        records = WriteAheadLog(walpath).load().records
+        walpath.unlink()
+        forged = WriteAheadLog(walpath)
+        for record in records:
+            if record["kind"] == "propose" \
+                    and record["data"]["job"] == "scavenger":
+                entry = RegistryEntry.from_wire(record["data"])
+                entry.result = dataclasses.replace(
+                    entry.result,
+                    finish_time=entry.result.finish_time / 2)
+                forged.append("propose", entry.to_wire())
+            else:
+                forged.append(record["kind"], record["data"])
+        forged.close()
+
+        wal = WriteAheadLog(walpath)
+        wal.attach_lease(takeover=True)
+        successor = orchestrator(wal)
+        provenance = successor.recover()
+        assert provenance["entries_recovered"] == 1
+        assert [drop["job"] for drop in provenance["entries_dropped"]] \
+            == ["scavenger"]
+        assert successor.share("scavenger") == pytest.approx(0.25)
+        planned = successor.plan_missing()
+        assert set(planned) == {"scavenger"}
+        assert planned["scavenger"].conformance_ok is True
+        wal.close()
+
+        reference = orchestrator()
+        reference.add_job(a2a_job(topo, name="gold", priority=3.0))
+        reference.add_job(a2a_job(topo, name="scavenger", chunks=2,
+                                  priority=1.0))
+        assert planned["scavenger"].result.finish_time == pytest.approx(
+            reference.registry.active("scavenger").result.finish_time)
 
     def test_nonconformant_recovery_dropped_never_activated(
             self, tmp_path, planner):

@@ -353,6 +353,22 @@ class TestOneConstructionPath:
         assert sorted(line for line, _ in self._lint().find_retired(source)) \
             == [1, 2, 3, 4, 5, 7, 11]
 
+    def test_lint_flags_the_orchestrator_wrapper(self, tmp_path):
+        source = tmp_path / "orchestrator.py"
+        source.write_text(
+            "class Controller:\n"
+            "    def __init__(self, topology, *, fabric_view=None):\n"
+            "        self.view = fabric_view\n"
+            "class Fleet:\n"
+            "    def _job_view(self, job, live):\n"
+            "        return live\n"
+            "    def admit(self, job):\n"
+            "        self._replan_incumbents([job.name], 'admission')\n"
+            "daemon = Controller(topo, fabric_view=fleet._job_view)\n"
+            "job_view = replan_incumbents = None\n")
+        assert sorted(line for line, _ in self._lint().find_retired(source)) \
+            == [2, 5, 8, 9]
+
     def test_lint_flags_a_load_time_networkx_import(self, tmp_path):
         source = tmp_path / "routes.py"
         source.write_text(

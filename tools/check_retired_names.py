@@ -21,6 +21,9 @@ if one grows back:
   estimate; measured a net loser once the cold bound was tight, and it made
   a served schedule depend on what the cache held first. A request is
   answered from its own content; the horizon ladder starts at the bound.
+* ``fabric_view`` — a hook through which ``FleetOrchestrator`` reached
+  back into the ``AdaptationController`` it wrapped. The orchestrator is
+  a controller subclass now, and its share policy overrides ``_view``.
 
 Walks the AST and flags every function parameter and every class-level
 field carrying a retired name. Keyword arguments to *calls* (span
@@ -57,6 +60,12 @@ becomes an answer in one trust gate,
 ``repro.simulate.conformance.vetted``, which counts and records each
 fallback; a second gate beside it would be a fallback that is not counted.
 
+It flags ``_job_view`` and ``_replan_incumbents``, defined or referred to:
+the wrapper ``FleetOrchestrator`` routed its share view and its
+admission/retirement replans through them. As a controller subclass it
+overrides ``_view``, ``add_job`` and ``remove_job`` and calls
+``replan_all`` itself.
+
 It flags a module-level ``networkx`` import, ``import networkx`` or
 ``from networkx …`` anywhere that runs when the module loads (a class body
 or an ``if``/``try`` included). Its one user is the TACCL-like baseline's
@@ -87,7 +96,10 @@ per generator, nor its one-shot wrappers ``verify_column_permutation`` and
 proved by one exact equitable-partition check and a lex-leader cut's
 generator by an exact row match. ``repro.core.lp.LpTemplate`` is
 ``repro.core.template.ModelTemplate``, shared by both builders, with no
-alias left at the old name.
+alias left at the old name. ``strips_to_schedule`` (in ``repro.core`` and
+``repro.core.decompose``) labelled every unit of an aggregated LP commodity
+with one chunk id, so its schedules failed delivery; ``strips_to_events``
+quantises strips with a fresh chunk id per unit.
 
 Two retired *parameters* are checked by signature. One is ``sink`` on
 ``Planner.__init__`` and ``AdaptationController.__init__``. Tracing is
@@ -111,7 +123,7 @@ SRC = REPO / "src"
 
 RETIRED = frozenset({"construction", "incremental", "track_rows",
                      "warm_start", "parallel", "warm_from",
-                     "initial_epochs"})
+                     "initial_epochs", "fabric_view"})
 
 #: (package, attribute) pairs that were deleted and must stay unexported
 RETIRED_EXPORTS = (
@@ -127,7 +139,9 @@ RETIRED_EXPORTS = (
     ("repro.failures", "replan"), ("repro.failures.repair", "replan"),
     *(("repro.core.symmetry", name) for name in (
         "PermutationVerifier", "verify_column_permutation",
-        "induced_column_permutation", "column_orbits")))
+        "induced_column_permutation", "column_orbits")),
+    ("repro.core", "strips_to_schedule"),
+    ("repro.core.decompose", "strips_to_schedule"))
 
 #: (module, class, attribute) triples: the class must not have it
 RETIRED_METHODS = (
@@ -153,6 +167,9 @@ RETIRED_REPLAYS = frozenset({"_check_flow_impl"})
 RETIRED_GATES = frozenset({"_vet_reduced_outcome", "_vet_cut_outcome",
                            "_pop_conformance", "_replays_clean",
                            "note_fallback"})
+
+#: the wrapper orchestrator's share view and incumbent replan
+RETIRED_WRAPPERS = frozenset({"_job_view", "_replan_incumbents"})
 
 #: the one ``scipy.optimize`` module library code may import
 HIGHS_BINDING = "scipy.optimize._highspy"
@@ -228,6 +245,8 @@ def find_retired(path: pathlib.Path) -> list[tuple[int, str]]:
             findings.append((node.lineno, f"`{name}` second flow replay"))
         if name in RETIRED_GATES:
             findings.append((node.lineno, f"`{name}` second shortcut gate"))
+        if name in RETIRED_WRAPPERS:
+            findings.append((node.lineno, f"`{name}` orchestrator wrapper"))
         if isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.startswith(RETIRED_SPAN_PREFIX):
             findings.append((node.lineno, f"`{node.value}` span"))

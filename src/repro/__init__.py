@@ -17,12 +17,13 @@ from repro import (analysis, baselines, collectives, core, failures, msccl,
                    obs, service, simulate, solver, toposearch, topology)
 from repro.errors import (DemandError, ExportError, InfeasibleError,
                           ModelError, ObservabilityError, ReproError,
-                          ScheduleError, ServiceError, TopologyError)
+                          ScheduleError, ServiceError, SolveTimeoutError,
+                          TopologyError)
 
 __all__ = [
     "collectives", "core", "obs", "service", "simulate", "solver",
     "topology", "analysis", "baselines", "failures", "msccl", "toposearch",
     "ReproError", "TopologyError", "DemandError", "ModelError",
-    "InfeasibleError", "ScheduleError", "ExportError", "ServiceError",
-    "ObservabilityError", "__version__",
+    "InfeasibleError", "SolveTimeoutError", "ScheduleError", "ExportError",
+    "ServiceError", "ObservabilityError", "__version__",
 ]

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 from repro.collectives.demand import Demand
 from repro.core.config import TecclConfig
-from repro.core.epochs import EpochPlan, earliest_arrival_epochs
+from repro.core.epochs import (UNREACHABLE, EpochPlan,
+                               earliest_arrival_epochs)
 from repro.core.milp import MilpBuilder, extract_outcome
 from repro.core.schedule import Schedule
 from repro.errors import InfeasibleError
-from repro.solver import SolverOptions
+from repro.solver import SolverOptions, SolveStatus
 from repro.topology.topology import Topology
 
 
@@ -95,10 +96,10 @@ def sccl_instance(topology: Topology, demand: Demand, config: TecclConfig,
     problem = builder.build()
     options = solver or SolverOptions(mip_gap=0.5)
     result = problem.model.solve(options)
-    if not result.status.has_solution:
+    if result.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError(
             f"not satisfiable in {steps} steps", status=result.status.value)
-    outcome = extract_outcome(problem, result)
+    outcome = extract_outcome(problem, result.require_solution())
     schedule = outcome.schedule
     return ScclOutcome(
         schedule=schedule, steps=steps,
@@ -124,8 +125,8 @@ def sccl_least_steps(topology: Topology, demand: Demand,
     lower = 1
     for s, c in demand.commodities():
         for d in demand.destinations(s, c):
-            hops = dist[s].get(d)
-            if hops is None:
+            hops = int(dist[s, d])
+            if hops >= UNREACHABLE:
                 raise InfeasibleError(f"{d} unreachable from {s}")
             lower = max(lower, hops)
     total_time = 0.0

@@ -31,7 +31,7 @@ from repro.core.config import TecclConfig
 from repro.core.epochs import build_epoch_plan, path_based_epoch_bound
 from repro.core.schedule import Schedule
 from repro.errors import InfeasibleError
-from repro.solver import Model, Sense, SolverOptions, VarType
+from repro.solver import Model, Sense, SolverOptions, SolveStatus, VarType
 from repro.topology.topology import Topology
 from repro.topology.transforms import HyperEdgeTopology, to_hyper_edges
 
@@ -159,9 +159,10 @@ def _route(topology: Topology, demand: Demand, config: TecclConfig,
         -np.inf, 0.0)
     model.set_objective_array(z, [1.0])
     result = model.solve(SolverOptions(time_limit=time_limit, mip_gap=0.05))
-    if not result.status.has_solution:
+    if result.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError("TACCL-like routing found no solution",
                               status=result.status.value)
+    result.require_solution()
     routes = {}
     for triple, paths in candidates.items():
         for p in range(len(paths)):

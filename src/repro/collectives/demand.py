@@ -13,6 +13,8 @@ import functools
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import DemandError
 from repro.topology.topology import Topology
 
@@ -115,6 +117,30 @@ class Demand:
         return index
 
     @functools.cached_property
+    def chunk_rows(self) -> tuple[list, np.ndarray, np.ndarray]:
+        """Every chunk as an array row, in ``(source, chunk)`` order:
+        ``(keys, source, dests)`` — the ``(source, chunk)`` keys, each
+        row's source, and its destinations ascending, right-aligned and
+        padded on the left with -1 to the widest set. What the array
+        passes over the demand (horizon bound, symmetry verification)
+        read. Computed once per (frozen) instance; read-only."""
+        keys = sorted(self._wants)
+        sizes = np.fromiter(map(len, map(self._wants.__getitem__, keys)),
+                            dtype=np.int64, count=len(keys))
+        width = int(sizes.max(initial=0))
+        dests = np.full((len(keys), width), -1, dtype=np.int64)
+        rows = np.repeat(np.arange(len(keys)), sizes)
+        cols = width - np.repeat(sizes, sizes) + (
+            np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes))
+        dests[rows, cols] = [d for key in keys
+                             for d in sorted(self._wants[key])]
+        source = np.fromiter((s for s, _ in keys), dtype=np.int64,
+                             count=len(keys))
+        for array in (source, dests):
+            array.setflags(write=False)
+        return keys, source, dests
+
+    @functools.cached_property
     def _hash(self) -> int:
         return hash(frozenset(self._wants.items()))
 
@@ -130,7 +156,7 @@ class Demand:
         This is the paper's criterion for needing the MILP: ALLGATHER-like
         demands benefit from copy, ALLTOALL-like demands do not (§4.1).
         """
-        return any(len(dsts) > 1 for dsts in self._wants.values())
+        return self.chunk_rows[2].shape[1] > 1
 
     # ------------------------------------------------------------------
     # serialisation

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.collectives.demand import Demand, Triple
 from repro.core.config import AStarConfig, TecclConfig
-from repro.core.epochs import (EpochPlan, build_epoch_plan,
+from repro.core.epochs import (UNREACHABLE, EpochPlan, build_epoch_plan,
                                earliest_arrival_epochs)
 from repro.core.milp import Commodity, MilpBuilder, MilpProblem
 from repro.core.postprocess import prune_sends
@@ -77,9 +77,8 @@ def _potential_weights(topology: Topology, plan: EpochPlan,
     ``Σ_{far} 2^-d`` of all farther copies stays below one copy a hop closer
     on any of the paper's fabrics.
     """
-    dist = earliest_arrival_epochs(topology, plan)
-    return {n: {d: 2.0 ** (-float(min(dist[n].get(d, 60), 60)))
-                for d in topology.nodes}
+    dist = np.minimum(earliest_arrival_epochs(topology, plan), 60).tolist()
+    return {n: {d: 2.0 ** (-float(dist[n][d])) for d in topology.nodes}
             for n in topology.nodes}
 
 
@@ -109,7 +108,7 @@ def solve_astar(topology: Topology, demand: Demand, config: TecclConfig,
         # inside one round. Shorter rounds are legal (pass epochs_per_round)
         # but rely purely on the distance potential for progress.
         dist = earliest_arrival_epochs(topology, probe)
-        longest = max(dist[s].get(d, 0)
+        longest = max(int(dist[s, d]) if dist[s, d] < UNREACHABLE else 0
                       for s, c in demand.commodities()
                       for d in demand.destinations(s, c))
         epochs_per_round = max(4, max_offset + 2, longest + 2)

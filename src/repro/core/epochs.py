@@ -14,13 +14,15 @@ fastest-link mechanics of Appendix F. All formulations consume an
 
 from __future__ import annotations
 
-import heapq
+import functools
 import math
-import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.collectives.demand import Demand
 from repro.core.config import EpochMode, TecclConfig
+from repro.core.schedule import LinkTable
 from repro.errors import InfeasibleError, ModelError
 from repro.obs.metrics import get_registry as _default_registry
 from repro.topology.topology import Topology
@@ -176,56 +178,131 @@ def plan_with_tau(topology: Topology, chunk_bytes: float, tau: float,
 # ----------------------------------------------------------------------
 # reachability (used for variable tightening and for horizon estimation)
 # ----------------------------------------------------------------------
-def _shortest_paths(out_adj, plan: EpochPlan, src: int):
-    """Dijkstra from ``src`` over the discretised graph: ``(dist, prev)``.
+#: earliest arrival of a node its source cannot reach, far beyond any horizon
+UNREACHABLE = 1 << 30
 
-    Edge cost is Δ + 1 (send one epoch, appear in the buffer Δ epochs
-    later); ``prev`` is one shortest-path tree — the first predecessor that
-    reached each node at its final distance.
+
+@dataclass(frozen=True)
+class Reachability:
+    """Earliest arrivals from every node over the discretised graph.
+
+    ``dist[s, n]`` is the first buffer epoch at which a chunk of source
+    ``s`` can sit at ``n`` (:data:`UNREACHABLE` where it never can), with
+    edge cost Δ + 1: send one epoch, appear in the buffer Δ epochs later.
+    ``prev[s, n]`` is ``n``'s parent in ``s``'s shortest-path tree (-1 at
+    ``s`` and where unreachable): of the predecessors on a shortest path,
+    the one least in (distance, node id) — the one a Dijkstra that settles
+    nodes in that order reaches ``n`` from first. ``src`` / ``dst`` /
+    ``step`` are the links and their Δ + 1, in :class:`LinkTable` order.
+    Every array is read-only: one instance serves every caller.
     """
-    dist = {src: 0}
-    prev: dict[int, int] = {}
-    heap = [(0, src)]
-    while heap:
-        cost, node = heapq.heappop(heap)
-        if cost > dist.get(node, 1 << 30):
-            continue
-        for link in out_adj[node]:
-            new = cost + plan.arrival_offset(link.src, link.dst) + 1
-            if new < dist.get(link.dst, 1 << 30):
-                dist[link.dst] = new
-                prev[link.dst] = node
-                heapq.heappush(heap, (new, link.dst))
-    return dist, prev
+
+    dist: np.ndarray
+    prev: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    step: np.ndarray
+
+
+def reachability(topology: Topology, plan: EpochPlan) -> Reachability:
+    """The :class:`Reachability` of ``topology`` on ``plan``'s τ grid.
+
+    Computed once per fabric content and per-link Δ (the horizon bound
+    and the model builders of one solve share it), and keyed by that
+    content, so a topology edited in place is simply a new key.
+    """
+    table = LinkTable(topology)
+    occupancy, offset, _cap = table.plan_columns(plan)
+    for row in np.flatnonzero(occupancy == 0)[:1].tolist():
+        plan.arrival_offset(*table.links[row])  # raises KeyError
+    ends = np.stack([table.src, table.dst, offset + 1], axis=1)
+    return _reachability(topology.num_nodes, ends.tobytes())
+
+
+@functools.lru_cache(maxsize=32)
+def _reachability(n: int, ends: bytes) -> Reachability:
+    src, dst, step = np.frombuffer(ends, dtype=np.int64).reshape(-1, 3).T
+    dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
+    np.fill_diagonal(dist, 0)
+    prev = np.full((n, n), -1, dtype=np.int64)
+    if len(src):
+        # links grouped by head: a relaxation is one gather, one min per head
+        order = np.argsort(dst, kind="stable")
+        tail, cost = src[order], step[order]
+        heads, starts = np.unique(dst[order], return_index=True)
+        # Bellman-Ford from every source at once: all-pairs distances
+        # settle after (longest shortest path in links) + 1 sweeps
+        while True:
+            best = np.minimum(dist[:, heads], np.minimum.reduceat(
+                dist[:, tail] + cost, starts, axis=1))
+            if np.array_equal(best, dist[:, heads]):
+                break
+            dist[:, heads] = best
+        # the tree parent: the tight predecessor least in (dist, id)
+        none = np.iinfo(np.int64).max
+        rank = np.where(dist[:, tail] + cost == dist[:, dst[order]],
+                        dist[:, tail] * n + tail, none)
+        parent = np.minimum.reduceat(rank, starts, axis=1)
+        prev[:, heads] = np.where(parent < none, parent % n, -1)
+    for array in (dist, prev, src, dst, step):
+        array.setflags(write=False)
+    return Reachability(dist=dist, prev=prev, src=src, dst=dst, step=step)
 
 
 def earliest_arrival_epochs(topology: Topology,
-                            plan: EpochPlan) -> dict[int, dict[int, int]]:
-    """All-pairs earliest arrival, in epochs, over the discretised graph.
+                            plan: EpochPlan) -> np.ndarray:
+    """All-pairs earliest arrival, in epochs, over the discretised graph:
+    :attr:`Reachability.dist` (source by node, :data:`UNREACHABLE` where
+    a node cannot be reached).
 
     Used to eliminate variables that cannot be non-zero (a chunk cannot
     reach node n before this bound) and to lower-bound the horizon.
     """
-    out_adj, _ = topology.adjacency()
-    return {src: _shortest_paths(out_adj, plan, src)[0]
-            for src in topology.nodes}
+    return reachability(topology, plan).dist
 
 
-def _load_links(load: dict, weight: dict, preds: dict, farthest_first: list,
-                merge=operator.add) -> None:
-    """Route ``weight`` (node → units wanted there) back to the source.
+def _subtree_totals(weight: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """Per row, what each node's subtree holds of ``weight``, the node
+    included, over that row's tree ``prev``: the mass is lifted one level
+    per sweep until it sits at the roots."""
+    rows, n = weight.shape
+    parent = prev >= 0
+    flat = (np.arange(rows)[:, None] * n + prev)[parent]
+    total, moving = weight.copy(), weight
+    while True:
+        lifted = moving[parent]
+        if not lifted.any():
+            return total
+        moving = np.bincount(flat, lifted, rows * n).reshape(rows, n)
+        total += moving
 
-    ``preds`` maps a node to the predecessors it draws on, in equal shares;
-    walking the nodes farthest first, what crosses each link is added to
-    ``load`` and handed to the predecessor, where ``merge`` combines it with
-    what that node already carries.
-    """
-    for node in farthest_first:
-        if node in weight:
-            share = weight[node] / len(preds[node])
-            for pred in preds[node]:
-                load[(pred, node)] = load.get((pred, node), 0.0) + share
-                weight[pred] = merge(weight.get(pred, 0.0), share)
+
+def _spread_load(reach: Reachability, wanted: np.ndarray) -> np.ndarray:
+    """Per link, the no-copy load of ``wanted`` (source by destination
+    units) split evenly over *every* shortest-path predecessor, a node's
+    share handed on once all its successors have reported, farthest
+    first; summed over sources in source order."""
+    dist, src, dst, step = reach.dist, reach.src, reach.dst, reach.step
+    n, num_links = dist.shape[0], len(src)
+    tight = (dist[:, src] + step == dist[:, dst]) & (dist[:, dst]
+                                                     < UNREACHABLE)
+    source, link = np.nonzero(tight)
+    head, tail = dst[link], src[link]
+    preds = np.bincount(source * n + head, minlength=n * n).reshape(n, n)
+    level = dist[source, head]
+    # farthest first; within a level by source, head, then link order
+    order = np.lexsort((link, head, source, -level))
+    source, link, head, tail, level = (
+        source[order], link[order], head[order], tail[order], level[order])
+    weight = wanted.copy()
+    spread = np.zeros((n, num_links))
+    bounds = np.flatnonzero(np.diff(level)) + 1
+    for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, len(level)]):
+        s, h = source[lo:hi], head[lo:hi]
+        share = weight[s, h] / preds[s, h]
+        spread[s, link[lo:hi]] = share
+        np.add.at(weight, (s, tail[lo:hi]), share)
+    return spread.sum(axis=0)
 
 
 def path_based_epoch_bound(topology: Topology, demand: Demand,
@@ -238,11 +315,11 @@ def path_based_epoch_bound(topology: Topology, demand: Demand,
     optimal schedule may detour or hit a side constraint, and the ladder
     repairs an undershoot by re-solving at the next rung.
 
-    Each source's demand is routed over shortest paths (in epoch units)
-    and the per-link load becomes a queueing delay at the link's rate.
-    ``copy`` says whether the formulation it sizes may duplicate chunks
-    (``None``: whenever the demand is multicast, what ``Method.AUTO``
-    solves; the LP never copies):
+    Each source's demand is routed over shortest paths (in epoch units,
+    :func:`reachability`) and the per-link load becomes a queueing delay
+    at the link's rate. ``copy`` says whether the formulation it sizes may
+    duplicate chunks (``None``: whenever the demand is multicast, what
+    ``Method.AUTO`` solves; the LP never copies):
 
     * with copy, a commodity loads each link of its shortest-path tree
       once, however many destinations sit below it;
@@ -263,50 +340,51 @@ def path_based_epoch_bound(topology: Topology, demand: Demand,
     """
     if copy is None:
         copy = demand.benefits_from_copy()
-    out_adj, in_adj = topology.adjacency()
-    max_path = 0
-    tree_load: dict[tuple[int, int], float] = {}
-    spread_load: dict[tuple[int, int], float] = {}
-    for s, (_chunks, classes) in demand.chunk_classes.items():
-        dist, prev = _shortest_paths(out_adj, plan, s)
-        # chunks of one class share a destination set, hence their routes
-        wanted: dict[int, int] = {}
-        for dsts, same in classes.items():
-            for d in dsts:
-                if d not in dist:
-                    raise ModelError(
-                        f"destination {d} unreachable from source {s}")
-                wanted[d] = wanted.get(d, 0) + len(same)
-        max_path = max(max_path, max(dist[d] for d in wanted))
-        farthest_first = sorted(prev, key=dist.get, reverse=True)
-        tree = {node: (pred,) for node, pred in prev.items()}
-        if copy:
-            # a link with any of a class's destinations below it carries
-            # each of its chunks once
-            for dsts, same in classes.items():
-                _load_links(tree_load, dict.fromkeys(dsts, len(same)), tree,
-                            farthest_first, merge=max)
-        else:
-            dag = {node: [link.src for link in in_adj[node]
-                          if dist.get(link.src, 1 << 30)
-                          + plan.arrival_offset(link.src, node) + 1
-                          == dist[node]]
-                   for node in prev}
-            _load_links(tree_load, dict(wanted), tree, farthest_first)
-            _load_links(spread_load, dict(wanted), dag, farthest_first)
+    reach = reachability(topology, plan)
+    dist, prev = reach.dist, reach.prev
+    n = topology.num_nodes
+    link_of = np.full((n, n), -1, dtype=np.int64)
+    link_of[reach.src, reach.dst] = np.arange(len(reach.src))
+    # one row per chunk (chunks of one destination set share routes)
+    _keys, chunk_src, dests = demand.chunk_rows
+    row, col = np.nonzero(dests >= 0)
+    member = dests[row, col]
+    wanted = np.zeros((n, n))
+    np.add.at(wanted, (chunk_src[row], member), 1.0)
+    lost = (wanted > 0) & (dist >= UNREACHABLE)
+    if lost.any():
+        s, d = np.argwhere(lost)[0].tolist()
+        raise ModelError(f"destination {d} unreachable from source {s}")
+    max_path = int(dist[wanted > 0].max(initial=0))
 
-    def rate(key: tuple[int, int]) -> float:
-        if not copy:
-            return plan.cap_chunks[key]
-        window = max(
-            1, math.floor(plan.cap_chunks[key] * plan.occupancy[key] + _EPS))
-        return window / plan.occupancy[key]
+    def tree_load(weight, tree, once=False):
+        total = _subtree_totals(weight, tree)
+        row, node = np.nonzero((tree >= 0) & (total > 0))
+        return np.bincount(link_of[tree[row, node], node],
+                           None if once else total[row, node],
+                           len(reach.src)).astype(np.float64)
 
-    queueing = min(
-        max((math.ceil(count / rate(key) - _EPS)
-             for key, count in load.items()), default=1)
-        for load in ((tree_load,) if copy else (tree_load, spread_load)))
-    return max(2, max_path + queueing)
+    if copy:
+        # a link with any of a chunk's destinations below it carries the
+        # chunk once
+        mark = np.zeros((len(chunk_src), n))
+        mark[row, member] = 1.0
+        loads = (tree_load(mark, prev[chunk_src], True),)
+    else:
+        loads = (tree_load(wanted, prev), _spread_load(reach, wanted))
+    occupancy, _offset, cap = LinkTable(topology).plan_columns(plan)
+    if copy:
+        rate = np.maximum(1, np.floor(cap * occupancy + _EPS)) / occupancy
+    else:
+        rate = cap
+
+    def queue(load):
+        used = load > 0
+        if not used.any():
+            return 1
+        return int(np.ceil(load[used] / rate[used] - _EPS).max())
+
+    return max(2, max_path + min(map(queue, loads)))
 
 
 def horizon_bound(topology: Topology, demand: Demand, config: TecclConfig,

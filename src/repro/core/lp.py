@@ -25,7 +25,7 @@ import numpy as np
 from repro.collectives.demand import Demand
 from repro.core.columns import ColumnTable
 from repro.core.config import TecclConfig
-from repro.core.epochs import (EpochPlan, build_epoch_plan,
+from repro.core.epochs import (UNREACHABLE, EpochPlan, build_epoch_plan,
                                earliest_arrival_epochs,
                                first_feasible_rung, horizon_ladder)
 from repro.core.postprocess import _TOL as _PRUNE_TOL
@@ -41,9 +41,6 @@ from repro.solver import Model, SolveResult, SolveStatus
 from repro.topology.topology import Topology
 
 _EPS = 1e-9
-
-#: sentinel "unreachable" epoch, far beyond any horizon
-_FAR = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -172,18 +169,28 @@ class LpBuilder:
                          commodities=self.commodities, f_vars=f_vars,
                          b_vars=b_vars, r_vars=r_vars)
 
+    def _sink_arrivals(self):
+        """``(commodity, origin, sink, earliest)``: one entry per sink of
+        each commodity, in order."""
+        qs = self.commodities
+        count = [len(q.sinks) for q in qs]
+        commodity = np.repeat(np.arange(len(qs)), count)
+        origin = np.repeat([q.origin for q in qs], count).astype(np.int64)
+        sink = np.fromiter((d for q in qs for d in q.sinks), dtype=np.int64,
+                           count=len(commodity))
+        return commodity, origin, sink, self._earliest[origin, sink]
+
     def _check_horizon(self) -> None:
         K = self.plan.num_epochs
-        for q in self.commodities:
-            for d in q.sinks:
-                earliest = self._earliest[q.origin].get(d)
-                if earliest is None:
-                    raise ModelError(
-                        f"sink {d} unreachable from origin {q.origin}")
-                if earliest > K:
-                    raise InfeasibleError(
-                        f"horizon K={K} below earliest arrival ({earliest}) "
-                        f"for commodity {q.key}->{d}", status="horizon")
+        commodity, origin, sink, earliest = self._sink_arrivals()
+        for n in np.flatnonzero(earliest > K)[:1].tolist():
+            if earliest[n] >= UNREACHABLE:
+                raise ModelError(
+                    f"sink {sink[n]} unreachable from origin {origin[n]}")
+            raise InfeasibleError(
+                f"horizon K={K} below earliest arrival ({earliest[n]}) for "
+                f"commodity {self.commodities[commodity[n]].key}->{sink[n]}",
+                status="horizon")
 
     # ------------------------------------------------------------------
     def template(self) -> ModelTemplate:
@@ -208,11 +215,7 @@ class LpBuilder:
         qs = self.commodities
         Q = len(qs)
         origin = np.fromiter((q.origin for q in qs), dtype=np.int64, count=Q)
-        reach = np.full((n, n), _FAR, dtype=np.int64)
-        for o in set(origin.tolist()):
-            for node, epoch in self._earliest[o].items():
-                reach[o, node] = epoch
-        earliest = reach[origin]  # (commodity, node)
+        earliest = self._earliest[origin]  # (commodity, node)
         # sinks, commodity by commodity
         sink_q = np.repeat(np.arange(Q), [len(q.sinks) for q in qs])
         sink = np.fromiter((d for q in qs for d in q.sinks), dtype=np.int64,
@@ -366,14 +369,8 @@ class IncrementalLp:
     # ------------------------------------------------------------------
     def horizon_lower_bound(self) -> int:
         """No horizon below this can be feasible (earliest arrivals)."""
-        lo = 1
-        for q in self.commodities:
-            earliest = self.builder._earliest[q.origin]
-            for d in q.sinks:
-                e = earliest.get(d)
-                if e is not None:
-                    lo = max(lo, e)
-        return lo
+        earliest = self.builder._sink_arrivals()[3]
+        return int(earliest[earliest < UNREACHABLE].max(initial=1))
 
     def restrict(self, num_epochs: int) -> None:
         """Clamp the model to the horizon-``num_epochs`` subspace."""
@@ -559,7 +556,7 @@ def minimize_epochs_lp(topology: Topology, demand: Demand,
     def anchor_at(num_epochs: int):
         inc = IncrementalLp(topology, demand, config, num_epochs)
         result = inc.solve_at(num_epochs)
-        if not result.status.has_solution:
+        if result.values is None:
             inc.session.close()
         if result.status is SolveStatus.INFEASIBLE:
             raise InfeasibleError(
@@ -590,7 +587,7 @@ def minimize_epochs_lp(topology: Topology, demand: Demand,
         nonlocal solves
         result = inc.solve_at(k)
         solves += 1
-        if result.status.has_solution:
+        if result.values is not None:
             return result
         if result.status is not SolveStatus.INFEASIBLE:
             result.require_solution()

@@ -34,7 +34,7 @@ import numpy as np
 from repro.collectives.demand import Demand
 from repro.core.columns import ColumnTable
 from repro.core.config import SwitchModel, TecclConfig
-from repro.core.epochs import (EpochPlan, build_epoch_plan,
+from repro.core.epochs import (UNREACHABLE, EpochPlan, build_epoch_plan,
                                earliest_arrival_epochs,
                                first_feasible_rung, horizon_ladder)
 from repro.core.postprocess import prune_sends
@@ -43,15 +43,11 @@ from repro.core.template import (FLOW, HOLD, READ, Draft, ModelTemplate,
                                  capacity_chunks, fabric, put, steps)
 from repro.errors import InfeasibleError, ModelError
 from repro.obs.trace import span as _obs_span
-from repro.simulate import conformance
 from repro.solver import Model, SolveResult, SolveStatus
 from repro.topology.topology import Topology
 from repro.topology.transforms import HyperEdgeGroup
 
 _EPS = 1e-9
-
-#: sentinel "unreachable" epoch, far beyond any horizon
-_FAR = 1 << 30
 
 #: row-stem families, in model row order
 _RECUR, _AVAIL, _SWITCH, _CAP, _DEST, _BUFFER, _HYPER = range(7)
@@ -77,8 +73,9 @@ class MilpProblem:
     f_vars: ColumnTable = field(default_factory=ColumnTable)
     b_vars: ColumnTable = field(default_factory=ColumnTable)
     r_vars: ColumnTable = field(default_factory=ColumnTable)
-    #: earliest buffer epoch per (commodity, node)
-    earliest: dict[tuple[Commodity, int], int] = field(default_factory=dict)
+    #: earliest buffer epoch, commodity (in ``demand.commodities()``
+    #: order) by node
+    earliest: np.ndarray | None = None
 
 
 @dataclass
@@ -98,23 +95,26 @@ class MilpOutcome:
 
 
 def _commodity_earliest(topology: Topology, plan: EpochPlan,
-                        holders: dict[Commodity, list[tuple[int, int]]],
-                        tighten: bool = True,
-                        ) -> dict[tuple[Commodity, int], int]:
-    """Multi-source earliest-arrival (in buffer epochs) per commodity.
+                        holders: list[list[tuple[int, int]]],
+                        tighten: bool = True) -> np.ndarray:
+    """Multi-source earliest arrival (in buffer epochs), commodity by node:
+    per commodity, the least ``offset + earliest arrival`` over its
+    ``(holder, offset)`` starts (:data:`UNREACHABLE` where none reaches).
 
     With ``tighten=False`` only reachability is kept (every reachable node
     gets bound 0) — the dense model of a naive implementation, used by the
     variable-elimination ablation bench.
     """
-    per_node = earliest_arrival_epochs(topology, plan)
-    earliest: dict[tuple[Commodity, int], int] = {}
-    for q, starts in holders.items():
-        for node in topology.nodes:
-            best = min((offset + per_node[h].get(node, 1 << 30)
-                        for h, offset in starts), default=1 << 30)
-            if best < (1 << 30):
-                earliest[(q, node)] = best if tighten else 0
+    dist = earliest_arrival_epochs(topology, plan)
+    earliest = np.full((len(holders), topology.num_nodes), UNREACHABLE,
+                       dtype=np.int64)
+    starts = np.array([(q, h, offset) for q, pairs in enumerate(holders)
+                       for h, offset in pairs], dtype=np.int64).reshape(-1, 3)
+    np.minimum.at(earliest, starts[:, 0], dist[starts[:, 1]]
+                  + starts[:, 2:3])
+    earliest = np.minimum(earliest, UNREACHABLE)
+    if not tighten:
+        earliest[earliest < UNREACHABLE] = 0
     return earliest
 
 
@@ -176,11 +176,12 @@ class MilpBuilder:
             self.initial_holders = {q: {q[0]} for q in self.commodities}
         else:
             self.initial_holders = initial_holders
-        holders = {
-            q: ([(h, 0) for h in self.initial_holders.get(q, set())]
-                + [(n, k) for (s, c, n, k) in self.injections
-                   if (s, c) == q])
-            for q in self.commodities}
+        holders = [
+            [(h, 0) for h in self.initial_holders.get(q, set())]
+            + [(n, k) for (s, c, n, k) in self.injections if (s, c) == q]
+            for q in self.commodities]
+        #: earliest buffer epoch, commodity (in ``commodities`` order) by
+        #: node
         self.earliest = _commodity_earliest(topology, plan, holders,
                                             tighten=config.tighten)
 
@@ -200,10 +201,10 @@ class MilpBuilder:
         if not self.require_completion:
             return
         K = self.plan.num_epochs
-        for s, c in self.commodities:
+        for q, (s, c) in enumerate(self.commodities):
             for d in self.demand.destinations(s, c):
-                earliest = self.earliest.get(((s, c), d))
-                if earliest is None:
+                earliest = int(self.earliest[q, d])
+                if earliest >= UNREACHABLE:
                     raise ModelError(
                         f"destination {d} unreachable for commodity ({s},{c})")
                 if earliest > K:
@@ -238,9 +239,7 @@ class MilpBuilder:
         qs = self.commodities
         Q = len(qs)
         q_pos = {q: i for i, q in enumerate(qs)}
-        earliest = np.full((Q, n), _FAR, dtype=np.int64)
-        for (q, node), epoch in self.earliest.items():
-            earliest[q_pos[q], node] = epoch
+        earliest = self.earliest
         holder = np.zeros((Q, n), dtype=bool)
         for q, nodes in self.initial_holders.items():
             if q in q_pos:
@@ -447,11 +446,12 @@ def solve_milp(topology: Topology, demand: Demand, config: TecclConfig,
 
 def _solve_milp_at(topology: Topology, demand: Demand, config: TecclConfig,
                    plan: EpochPlan, hyper_groups) -> MilpOutcome:
-    """One MILP at one horizon: build → lex cuts → solve → extract → vet.
+    """One MILP at one horizon: build → solve → extract.
 
-    The cuts keep an optimum, so a cut answer the trust gate
-    (:func:`conformance.vetted`) refuses means a proof was fooled: the
-    model rebuilt without cuts answers instead.
+    The MILP takes no symmetry shortcut: the quotient restriction the LP
+    uses is invalid for integer programs, and lex-leader cuts were slower
+    than none on every symmetric MILP measured, so the full model is
+    solved as built.
 
     A horizon too short for the demand — caught by the builder's
     earliest-arrival pre-check or proved by the solver — raises
@@ -463,57 +463,13 @@ def _solve_milp_at(topology: Topology, demand: Demand, config: TecclConfig,
     start = time.perf_counter()
     problem = builder.build()
     build_time = time.perf_counter() - start
-    cuts, group_order = _maybe_add_symmetry_cuts(problem, topology, demand,
-                                                 config)
     result = problem.model.solve(config.solver)
     result.stats["build_time"] = build_time
-    if cuts:
-        result.stats["symmetry_cuts"] = cuts
-        result.stats["symmetry_group_order"] = group_order
     if result.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError(
             f"infeasible at horizon K={plan.num_epochs}", status="horizon")
     result.require_solution()
-    outcome = extract_outcome(problem, result)
-    if cuts:
-        def uncut() -> MilpOutcome:
-            problem = builder.build()
-            return extract_outcome(problem,
-                                   problem.model.solve(config.solver))
-
-        replay = conformance.replay_of("check_schedule", topology, demand,
-                                       config)
-        outcome = conformance.vetted("symmetry", outcome, replay, uncut)
-    return outcome
-
-
-def _maybe_add_symmetry_cuts(problem: MilpProblem, topology: Topology,
-                             demand: Demand,
-                             config: TecclConfig) -> tuple[int, int]:
-    """Add lex-leader symmetry cuts to a built MILP when enabled.
-
-    The quotient restriction used for LPs is invalid for integer programs,
-    so the MILP path prunes symmetric branches with optimum-preserving
-    cuts instead (``repro.core.symmetry.add_symmetry_cuts``). Returns the
-    number of cut rows added (0 when symmetry is off, undetected, or
-    fails verification) and the order of the detected group.
-    """
-    from repro.core import symmetry as _symmetry
-
-    if not _symmetry.symmetry_enabled(config.solver,
-                                      problem.model.num_vars):
-        return 0, 1
-    generators = _symmetry.find_generators(topology, demand)
-    if not generators:
-        return 0, 1
-    cuts = _symmetry.add_symmetry_cuts(
-        problem.model, generators, problem.model.num_vars,
-        problem.f_vars, problem.b_vars, problem.r_vars)
-    if cuts:
-        # a cut-constrained solve is a symmetry-assisted solve: count it
-        # so the alert engine's fallback-rate denominator covers both paths
-        _symmetry.note_reduction()
-    return cuts, generators.order
+    return extract_outcome(problem, result)
 
 
 def extract_outcome(problem: MilpProblem, result: SolveResult) -> MilpOutcome:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
@@ -377,20 +378,35 @@ def epoch_span(epochs: np.ndarray) -> range:
 
 class LinkTable:
     """A topology's links as columns, one row per link in ``(src, dst)``
-    order: ``alpha``, ``capacity`` and ``beta`` (``1 / capacity``, as
-    :attr:`~repro.topology.topology.Link.beta` computes it)."""
+    order: ``src``, ``dst``, ``alpha``, ``capacity`` and ``beta``
+    (``1 / capacity``, as :attr:`~repro.topology.topology.Link.beta`
+    computes it)."""
 
     def __init__(self, topology: Topology) -> None:
         self.links = sorted(topology.links)
         size = len(self.links)
         rows = list(map(topology.links.__getitem__, self.links))
         src, dst = zip(*self.links) if self.links else ((), ())
-        self.code = pair_code(np.fromiter(src, np.int64, size),
-                              np.fromiter(dst, np.int64, size))
+        self.src = np.fromiter(src, np.int64, size)
+        self.dst = np.fromiter(dst, np.int64, size)
+        self.code = pair_code(self.src, self.dst)
         self.alpha = np.fromiter(map(attrgetter("alpha"), rows), float, size)
         self.capacity = np.fromiter(map(attrgetter("capacity"), rows), float,
                                     size)
         self.beta = 1.0 / self.capacity
+
+    def plan_columns(self, plan) -> tuple[np.ndarray, np.ndarray,
+                                          np.ndarray]:
+        """``(occupancy, offset, cap_chunks)`` per link row under ``plan``:
+        κ, Δ and the per-epoch chunk budget, all 0 where the plan does not
+        price the link."""
+        occupancy, delay, cap = (
+            np.fromiter(map(table.get, self.links, repeat(0)), dtype,
+                        len(self.links))
+            for table, dtype in ((plan.occupancy, np.int64),
+                                 (plan.delay, np.int64),
+                                 (plan.cap_chunks, np.float64)))
+        return occupancy, occupancy - 1 + delay, cap
 
     def ids(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """The row of each ``(src, dst)`` link, −1 where there is none."""

@@ -26,10 +26,14 @@ and collapses the instance:
   :func:`reduce_lp` builds the same quotient from a built model, proved by
   :func:`_equitable`; it is the tests' reference.
 * **MILP cuts** (:func:`add_symmetry_cuts`): quotient restriction is *not*
-  valid for integer programs, so instead optimum-preserving lex-leader
-  cuts are added per generator whose column permutation
-  :func:`_is_symmetry` proves — at least one optimal solution (the
-  lexicographically largest in its orbit) always survives.
+  valid for integer programs; optimum-preserving lex-leader cuts can be
+  added per generator whose column permutation :func:`_is_symmetry`
+  proves — at least one optimal solution (the lexicographically largest
+  in its orbit) always survives. No solve path adds them: they were
+  slower than no cuts on every symmetric MILP measured, so ``solve_milp``
+  solves the model as built. The function stays for the perf ledger's
+  staged replica, with :meth:`ColumnKeys.permutation` and
+  :func:`_is_symmetry`, which only it uses.
 * **Cache canonicalization** (:func:`canonicalize_demand`): automorphisms
   of the topology alone relabel the demand; the lexicographically minimal
   relabeling is a canonical form, so symmetric requests collapse to one
@@ -50,13 +54,14 @@ quotient optimum is the full optimum; a generator that fails is refused
 (``symmetry_refold``), and when all fail the full model is built
 (``symmetry_fallback: "proof"``). On a MILP, a cut's generator maps the
 compiled rows onto themselves as a multiset (:func:`_row_blocks`); (3)
-conformance replay of every lifted or cut answer in the trust gate,
+conformance replay of every lifted answer in the trust gate,
 :func:`repro.simulate.conformance.vetted`, where the full model answers a
 refused one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +69,7 @@ from scipy import sparse
 
 from repro.collectives.demand import Demand
 from repro.core.columns import ColumnTable
+from repro.core.schedule import distinct
 from repro.obs.metrics import get_registry as _default_registry
 from repro.obs.trace import span as _obs_span
 from repro.solver.model import CompiledModel, Model
@@ -112,33 +118,84 @@ class Automorphism:
     chunk_map: dict | None = None
 
 
+def _rank_in_runs(key: np.ndarray) -> np.ndarray:
+    """Per entry, how many earlier entries share its ``key``."""
+    order = key.argsort(kind="stable")
+    ordered = key[order]
+    fresh = np.ones(len(key), dtype=bool)
+    fresh[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(fresh)
+    rank = np.empty(len(key), dtype=np.int64)
+    rank[order] = np.arange(len(key)) - np.repeat(
+        starts, np.diff(np.append(starts, len(key))))
+    return rank
+
+
+@functools.lru_cache(maxsize=None)
+def _position_weights(width: int) -> np.ndarray:
+    """Fixed random 64-bit multipliers, one per row position."""
+    return np.random.default_rng(0).integers(
+        1, np.iinfo(np.int64).max, size=width, dtype=np.int64).view(np.uint64)
+
+
+def _row_codes(source: np.ndarray, dests: np.ndarray) -> np.ndarray:
+    """One 64-bit code per ``(source, sorted destinations)`` row, a
+    weighted sum that wraps: equal rows get equal codes, and a match on
+    codes is confirmed row by row."""
+    rows = np.column_stack((source, dests)).astype(np.uint64) + np.uint64(2)
+    return (rows * _position_weights(rows.shape[1])).sum(axis=1)
+
+
+@functools.lru_cache(maxsize=64)
+def _chunk_index(demand: Demand):
+    """``(order, codes)``: ``demand``'s chunk rows in :func:`_row_codes`
+    order (chunk order within one code), and their codes in that order."""
+    _keys, source, dests = demand.chunk_rows
+    codes = _row_codes(source, dests)
+    order = codes.argsort(kind="stable")
+    return order, codes[order]
+
+
 def chunk_relabeling(demand: Demand, perm) -> dict | None:
     """The per-source chunk bijection under which ``perm`` stabilizes
     ``demand``, or ``None`` when no such bijection exists.
 
     Chunks are matched by the image of their destination set — two chunks
     of one source with identical destination sets are interchangeable, so
-    a greedy exact matching is complete.
+    a greedy exact matching is complete: the k-th chunk of ``s`` (in chunk
+    order) whose set maps onto a set of ``perm[s]`` takes the k-th chunk
+    of ``perm[s]`` with that set. Over :attr:`Demand.chunk_rows`, as
+    arrays: each ``(perm[s], sorted image)`` row is looked up by its code
+    among the demand's sorted row codes (computed once per demand), at
+    its rank among the images of ``s`` with that code, and every match is
+    then confirmed row by row.
     """
-    index = demand.chunk_classes
-    mapping: dict = {}
-    for s, (chunks, _classes) in index.items():
-        t = perm[s]
-        if t not in index:
-            return None
-        target_chunks, classes = index[t]
-        if len(target_chunks) != len(chunks):
-            return None
-        taken: dict[frozenset, int] = {}
-        for c, dests in chunks:
-            image = frozenset(perm[d] for d in dests)
-            # smallest unmatched chunk of the image class first
-            bucket, rank = classes.get(image, ()), taken.get(image, 0)
-            if rank == len(bucket):
-                return None
-            mapping[(s, c)] = (t, bucket[rank])
-            taken[image] = rank + 1
-    return mapping
+    keys, source, dests = demand.chunk_rows
+    if not keys:
+        return {}
+    perm = np.asarray(perm, dtype=np.int64)
+    target = perm[source]
+    count = np.bincount(source, minlength=len(perm))
+    if not np.array_equal(count[target], count[source]):
+        return None
+    image = np.append(perm, -1)[dests]  # the -1 padding stays put
+    image.sort(axis=1)
+    repeated = (image[:, 1:] == image[:, :-1]) & (image[:, 1:] >= 0)
+    if repeated.any():  # a non-injective perm: compare sets, as frozensets
+        image[:, 1:][repeated] = -1
+        image.sort(axis=1)
+    order, ordered = _chunk_index(demand)
+    want = _row_codes(target, image)
+    # the k-th image of one source with a code takes the code's k-th row
+    at = ordered.searchsorted(want) + _rank_in_runs(
+        want ^ source.astype(np.uint64))
+    if at.max() >= len(keys):
+        return None
+    at = order[at]
+    if not (np.array_equal(source[at], target)
+            and np.array_equal(dests[at], image)):
+        return None
+    return dict(zip(keys, map(keys.__getitem__, at.tolist())))
 
 
 def is_automorphism(topology: Topology, demand: Demand | None,
@@ -248,8 +305,7 @@ class _Search:
             k = colors.max() + 1
             seen = np.bincount(self._ends, minlength=self.n, weights=(
                 self._weights[self._code + colors[self._far]]))
-            colors = np.unique((colors << 52) + seen.astype(np.int64),
-                               return_inverse=True)[1]
+            colors = distinct((colors << 52) + seen.astype(np.int64))[1]
         return colors
 
     def individualise(self, colors: np.ndarray, v: int) -> np.ndarray:

@@ -32,6 +32,13 @@ class InfeasibleError(ReproError):
         self.status = status
 
 
+class SolveTimeoutError(ReproError):
+    """A solve stopped at its time, iteration or node limit with no point
+    to return. It ran out of budget; that says nothing about whether the
+    instance is feasible, so it is deliberately not an
+    :class:`InfeasibleError`."""
+
+
 class ScheduleError(ReproError):
     """A schedule is invalid (capacity violated, chunk sent before arrival...)."""
 

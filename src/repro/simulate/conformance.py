@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -613,17 +612,11 @@ class _FlowReplay:
         ``cap_chunks``); a link the plan does not price is an error only
         if a flow takes it."""
         plan, links = self.plan, self.table.links
-
-        def column(table: dict, dtype):
-            return np.fromiter(map(table.get, links, repeat(0)), dtype,
-                               len(links))
-
-        occupancy = column(plan.occupancy, np.int64)
+        occupancy, offset, self.cap_chunks = self.table.plan_columns(plan)
         if not occupancy.all():
             for row in np.intersect1d(link, (occupancy == 0).nonzero()[0]):
                 plan.arrival_offset(*links[row])  # raises KeyError
-        self.cap_chunks = column(plan.cap_chunks, np.float64)
-        return occupancy - 1 + column(plan.delay, np.int64)
+        return offset
 
     # -- per (link, epoch): capacity ------------------------------------
     def _capacity(self, link, epoch, load) -> None:

@@ -507,17 +507,19 @@ class Session:
             sp.set_attr(status=int(code))
         self._runs += 1
         info = highs.getInfo()
-        status = _map_status(code, self._mip and
-                             info.objective_function_value != _highs.kHighsInf)
-        gap = float(info.mip_gap) if self._mip and status.has_solution \
-            else None
+        status = _map_status(code)
+        # at a limit only a MILP's incumbent is a point to return; a
+        # stopped simplex is not a feasibility witness
+        point = status is SolveStatus.OPTIMAL or (
+            status is SolveStatus.TIME_LIMIT and self._mip
+            and info.objective_function_value != _highs.kHighsInf)
+        gap = float(info.mip_gap) if self._mip and point else None
         # HiGHS reports optimal when it stops at the requested mip_rel_gap
         # too; tell a proof from an early stop (the paper reports those apart)
         if status is SolveStatus.OPTIMAL and gap is not None \
                 and self._options.mip_gap > 0 and gap > 1e-9:
             status = SolveStatus.GAP_LIMIT
-        values = np.array(highs.getSolution().col_value) \
-            if status.has_solution else None
+        values = np.array(highs.getSolution().col_value) if point else None
         indices, coefs, const = model._objective
         return SolveResult(
             status=status, values=values, objective=None if values is None
@@ -534,8 +536,8 @@ class Session:
 _LP_SOLVER = {"highs-ds": "simplex", "highs-ipm": "ipm"}
 
 #: HiGHS model status → :class:`SolveStatus` (every status not listed is
-#: ``ERROR``); a MILP stopped at a time, iteration or node limit holding an
-#: incumbent returns it
+#: ``ERROR``); a solve stopped at a time, iteration or node limit is
+#: ``TIME_LIMIT`` whether or not it holds a point
 _HMS = _highs.HighsModelStatus
 _STATUS = {
     _HMS.kOptimal: SolveStatus.OPTIMAL,
@@ -546,14 +548,9 @@ _STATUS = {
                      _HMS.kSolutionLimit), SolveStatus.TIME_LIMIT)}
 
 
-def _map_status(code, incumbent: bool) -> SolveStatus:
-    """One HiGHS model status as a :class:`SolveStatus`. At a limit only a
-    MILP's ``incumbent`` is a point to return; a stopped simplex is not a
-    feasibility witness."""
-    status = _STATUS.get(code, SolveStatus.ERROR)
-    if status is SolveStatus.TIME_LIMIT and not incumbent:
-        return SolveStatus.ERROR
-    return status
+def _map_status(code) -> SolveStatus:
+    """One HiGHS model status as a :class:`SolveStatus`."""
+    return _STATUS.get(code, SolveStatus.ERROR)
 
 
 def _refusal(lp) -> str:

@@ -31,13 +31,13 @@ class SolverOptions:
             paper's ``method = 2`` Gurobi setting for large ALLTOALLs) and
             the default simplex otherwise; or force ``"highs"``,
             ``"highs-ds"``, ``"highs-ipm"``.
-        symmetry: whether the LP/MILP solves may exploit fabric
-            automorphisms (``repro.core.symmetry``). ``"auto"`` (default)
-            attempts a reduction on large models only; ``"on"`` always
-            attempts it; ``"off"`` disables it. Reductions are always
-            replay-vetted by the conformance oracle with cold fallback, so
-            the knob trades detection overhead against solve time — it
-            never changes what a correct result looks like.
+        symmetry: whether an LP solve may exploit fabric automorphisms
+            (``repro.core.symmetry``); MILPs are solved as built.
+            ``"auto"`` (default) attempts a reduction on large models only;
+            ``"on"`` always attempts it; ``"off"`` disables it. Reductions
+            are always replay-vetted by the conformance oracle with cold
+            fallback, so the knob trades detection overhead against solve
+            time — it never changes what a correct result looks like.
     """
 
     time_limit: float | None = None

@@ -16,7 +16,8 @@ class SolveStatus(enum.Enum):
     OPTIMAL = "optimal"
     #: Feasible incumbent accepted under a relative-gap early stop.
     GAP_LIMIT = "gap_limit"
-    #: Feasible incumbent returned at the time/node limit.
+    #: Stopped at the time, iteration or node limit: a MILP returns its
+    #: incumbent when it has one, an LP never has a point to return.
     TIME_LIMIT = "time_limit"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
@@ -24,6 +25,8 @@ class SolveStatus(enum.Enum):
 
     @property
     def has_solution(self) -> bool:
+        """Whether a solve ending here may return a point; at a limit only
+        an incumbent is one, so read ``SolveResult.values``."""
         return self in (SolveStatus.OPTIMAL, SolveStatus.GAP_LIMIT,
                         SolveStatus.TIME_LIMIT)
 
@@ -59,9 +62,15 @@ class SolveResult:
         return float(self.values[index])
 
     def require_solution(self) -> "SolveResult":
-        """Return self, raising if the solve produced no usable point."""
-        from repro.errors import InfeasibleError
+        """Return self, raising if the solve produced no usable point:
+        :class:`~repro.errors.SolveTimeoutError` when it stopped at a limit
+        without one, :class:`~repro.errors.InfeasibleError` otherwise."""
+        from repro.errors import InfeasibleError, SolveTimeoutError
 
+        if self.values is None and self.status is SolveStatus.TIME_LIMIT:
+            raise SolveTimeoutError(
+                f"solver stopped at its limit without a solution: "
+                f"{self.message}")
         if not self.status.has_solution or self.values is None:
             raise InfeasibleError(
                 f"solver returned {self.status.value}: {self.message}",

@@ -530,8 +530,10 @@ class TestShortcutGateFallbacks:
                           config=config).ok
         assert fallbacks("symmetry") == (1, 1)
 
-    def test_cut_milp_falls_back_to_the_uncut_model(self, fail_replays,
-                                                    fallbacks):
+    def test_milp_takes_no_symmetry_shortcut(self, fail_replays,
+                                             fallbacks):
+        """The MILP solves its model as built: no cuts, so no gate — a
+        failing replay is never consulted and nothing falls back."""
         from repro.core.milp import solve_milp
         from repro.solver import SolverOptions
 
@@ -541,11 +543,11 @@ class TestShortcutGateFallbacks:
                              solver=SolverOptions(symmetry="on"))
         calls = fail_replays("check_schedule")
         out = solve_milp(ring6, demand, config)
-        assert calls == [True]
-        assert out.result.stats["symmetry_fallback"] == "conformance"
+        assert calls == []
+        assert "symmetry_fallback" not in out.result.stats
         assert check_schedule(out.schedule, ring6, demand, out.plan,
                               config=config).ok
-        assert fallbacks("symmetry") == (1, 1)
+        assert fallbacks("symmetry") == (0, 0)
 
     def test_horizon_search_falls_back_to_the_cold_bisection(
             self, fail_replays, fallbacks, monkeypatch):

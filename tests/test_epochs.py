@@ -1,5 +1,6 @@
 """Unit tests for epoch duration, discretisation and horizon estimation."""
 
+import heapq
 import json
 import math
 import random
@@ -12,10 +13,12 @@ from repro.collectives import allgather, alltoall, broadcast, gather, scatter
 from repro.core import TecclConfig, solve_lp, solve_milp, synthesize
 from repro.core.config import EpochMode
 from repro.core import epochs as epochs_module
-from repro.core.epochs import (build_epoch_plan, earliest_arrival_epochs,
-                               epoch_duration, horizon_bound,
-                               horizon_ladder, path_based_epoch_bound,
-                               plan_with_tau)
+from repro.collectives.demand import Demand
+from repro.core.epochs import (UNREACHABLE, build_epoch_plan,
+                               earliest_arrival_epochs, epoch_duration,
+                               horizon_bound, horizon_ladder,
+                               path_based_epoch_bound, plan_with_tau,
+                               reachability)
 from repro.errors import ModelError
 from repro.simulate import check_flow, check_result, check_schedule
 from repro.simulate.harness import random_instance, run_producer
@@ -120,6 +123,89 @@ class TestReachability:
         dist = earliest_arrival_epochs(topo, plan)
         assert dist[0][1] == 3  # Delta = 2, +1
         assert dist[0][2] == 4
+
+
+#: every first-rung call the perf ledger makes, dumped before the
+#: reachability pass became one array pass (see its ``_provenance``)
+LEDGER_RUNGS = json.loads(
+    (Path(__file__).parent / "golden" / "ledger_first_rungs.json")
+    .read_text())
+
+
+def _ledger_case(case):
+    """``(topology, demand, probe plan)`` of one golden ledger case."""
+    doc = LEDGER_RUNGS["plans"][case["plan"]]
+    topo = Topology.from_dict(LEDGER_RUNGS["topologies"][doc["topology"]])
+    flat = LEDGER_RUNGS["demands"][case["demand"]]
+    demand = Demand.from_triples(zip(flat[0::3], flat[1::3], flat[2::3]))
+    return topo, demand, plan_with_tau(topo, doc["chunk_bytes"], doc["tau"],
+                                       1)
+
+
+def heap_dijkstra(topo, plan, src):
+    """``(dist, prev)`` from ``src`` by a binary-heap Dijkstra that settles
+    nodes in (distance, id) order; ``prev`` keeps the predecessor that first
+    reached each node at its final distance (the scalar pass
+    :func:`reachability` replaced)."""
+    out_adj, _ = topo.adjacency()
+    dist, prev, heap = {src: 0}, {}, [(0, src)]
+    while heap:
+        cost, node = heapq.heappop(heap)
+        if cost > dist[node]:
+            continue
+        for link in out_adj[node]:
+            new = cost + plan.arrival_offset(link.src, link.dst) + 1
+            if new < dist.get(link.dst, UNREACHABLE):
+                dist[link.dst], prev[link.dst] = new, node
+                heapq.heappush(heap, (new, link.dst))
+    return dist, prev
+
+
+class TestLedgerFirstRungs:
+    @pytest.mark.parametrize("index", range(len(LEDGER_RUNGS["cases"])),
+                             ids=[case["label"] for case in
+                                  LEDGER_RUNGS["cases"]])
+    def test_rung_and_earliest_arrivals_are_the_parents(self, index):
+        case = LEDGER_RUNGS["cases"][index]
+        topo, demand, plan = _ledger_case(case)
+        assert path_based_epoch_bound(topo, demand, plan,
+                                      copy=case["copy"]) == case["rung"]
+        dist = earliest_arrival_epochs(topo, plan)
+        table = LEDGER_RUNGS["plans"][case["plan"]]["earliest"]
+        assert (dist == UNREACHABLE).tolist() == [
+            [epoch < 0 for epoch in row] for row in table]
+        assert [[epoch if epoch >= 0 else -1 for epoch in row]
+                for row in dist.tolist()] == [
+            [epoch if epoch >= 0 else -1 for epoch in row] for row in table]
+
+    def test_tree_parents_are_the_heap_dijkstras(self):
+        plans = {case["plan"]: case for case in LEDGER_RUNGS["cases"]}
+        instances = [_ledger_case(case) for case in plans.values()]
+        instances += [(topo, demand, build_epoch_plan(topo, config, 1))
+                      for topo, demand, config in map(random_instance,
+                                                      range(24))]
+        for topo, _demand, plan in instances:
+            reach = reachability(topo, plan)
+            for src in topo.nodes:
+                dist, prev = heap_dijkstra(topo, plan, src)
+                assert reach.dist[src].tolist() == [
+                    dist.get(v, UNREACHABLE) for v in topo.nodes]
+                assert reach.prev[src].tolist() == [
+                    prev.get(v, -1) for v in topo.nodes]
+
+    def test_one_pass_per_fabric_and_grid(self):
+        topo = ring(8, capacity=1.0)
+        probe = build_epoch_plan(topo, UNIT, num_epochs=1)
+        reach = reachability(topo, probe)
+        assert reachability(topo, probe.with_num_epochs(30)) is reach
+        assert reachability(topo.copy(), build_epoch_plan(
+            topo, UNIT, num_epochs=12)) is reach
+        assert not reach.dist.flags.writeable
+        # an edited fabric is another key
+        assert reach.dist[0, 4] == 4
+        topo.add_link(0, 4, 1.0)
+        assert reachability(topo, build_epoch_plan(
+            topo, UNIT, num_epochs=1)).dist[0, 4] == 1
 
 
 class TestHorizonBounds:

@@ -26,8 +26,11 @@ from repro import collectives, topology
 from repro.core import TecclConfig
 from repro.core.lp import solve_lp
 from repro.core.postprocess import prune_fractional
+from repro.collectives.demand import Demand
+from repro.core.epochs import build_epoch_plan
 from repro.core.schedule import FlowSchedule
 from repro.simulate import PRODUCERS, check_flow
+from repro.topology.topology import Link
 from repro.simulate.harness import random_instance
 
 pytestmark = pytest.mark.conformance
@@ -442,6 +445,37 @@ class TestDifferential:
             ref = reference_prune_fractional(*args, buffers=case.buffers)
             assert list(new.flows.items()) == list(ref.flows.items())
             assert list(new.reads.items()) == list(ref.reads.items())
+
+
+class TestEditedFabric:
+    """``check_flow`` and ``finish_time`` read the fabric's links as they
+    are at the call, after an ``add_link`` or an in-place replacement."""
+
+    def test_a_link_added_after_first_use_is_seen(self):
+        topo = topology.line(3, capacity=1.0)
+        demand = Demand.from_triples([(0, 0, 2)])
+        unit = TecclConfig(chunk_bytes=1.0)
+        flow = FlowSchedule(flows={(0, 0, 2, 0): 1.0}, reads={(0, 2, 0): 1.0},
+                            tau=1.0, chunk_bytes=1.0, num_epochs=4)
+        plan = build_epoch_plan(topo, unit, 4)
+        assert check_flow(flow, topo, demand, plan).counts_by_kind()[
+            "link"] == 1
+        topo.add_link(0, 2, 1.0)
+        plan = build_epoch_plan(topo, unit, 4)
+        report = check_flow(flow, topo, demand, plan)
+        assert report.ok, [str(v) for v in report.violations]
+        assert _bits(flow.finish_time(topo)) == \
+            _bits(reference_finish_time(flow, topo))
+
+    def test_a_link_replaced_in_place_is_seen(self):
+        topo = topology.line(2, capacity=1.0)
+        flow = FlowSchedule(flows={(0, 0, 1, 0): 1.0}, reads={(0, 1, 0): 1.0},
+                            tau=1.0, chunk_bytes=1.0, num_epochs=2)
+        slow = flow.finish_time(topo)
+        topo.links[(0, 1)] = Link(0, 1, capacity=4.0)
+        fast = flow.finish_time(topo)
+        assert fast < slow
+        assert _bits(fast) == _bits(reference_finish_time(flow, topo))
 
 
 class TestMutationCorpus:

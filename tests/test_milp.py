@@ -7,7 +7,7 @@ checks both the solver's answer and the simulator's independent validation.
 import pytest
 
 from repro import collectives, topology
-from repro.core import TecclConfig, solve_milp
+from repro.core import TecclConfig, solve_milp, synthesize
 from repro.core import epochs as epochs_module
 from repro.core.config import EpochMode, SwitchModel
 from repro.core.epochs import build_epoch_plan
@@ -318,3 +318,35 @@ class TestBuilderInternals:
         builder = MilpBuilder(topo, demand, cfg(4), plan)
         problem = builder.build()
         assert problem.model.num_vars > 0
+
+
+class TestLedgerMilps:
+    """The perf ledger's MILPs solve on the full model: no lex-leader cuts,
+    the same finish and objective the cut MILPs reached (within 1e-9)."""
+
+    @pytest.mark.parametrize("name, chunks, num_epochs, degrade, finish, "
+                             "objective", [
+                                 ("dgx1-ag-milp", 1, None, False, 3.2e-06,
+                                  76.35415695415696),
+                                 ("dgx1-degraded-ag-2chunk-K14", 2, 14, True,
+                                  4.2000000000000004e-06,
+                                  127.28688533688535)],
+                             ids=["dgx1-ag-milp",
+                                  "dgx1-degraded-ag-2chunk-K14"])
+    def test_same_answer_without_cuts(self, name, chunks, num_epochs,
+                                      degrade, finish, objective):
+        topo = topology.dgx1()
+        if degrade:
+            key = min(k for k in topo.links if not set(k) & topo.switches)
+            topo = topology.with_capacity_overrides(topo, {key: 0.5})
+        demand = collectives.allgather(topo.gpus, chunks)
+        result = synthesize(topo, demand, TecclConfig(
+            chunk_bytes=25e3, num_epochs=num_epochs))
+        stats = result.outcome.result.stats
+        assert result.finish_time == pytest.approx(finish, rel=1e-9)
+        assert result.outcome.result.objective == pytest.approx(
+            objective, rel=1e-9)
+        assert not {"symmetry_cuts", "symmetry_group_order",
+                    "symmetry_fallback"} & set(stats)
+        report = check_schedule(result.schedule, topo, demand, result.plan)
+        assert report.ok, [str(v) for v in report.violations[:3]]

@@ -428,6 +428,21 @@ class TestOneConstructionPath:
         assert sorted(line for line, _ in self._lint().find_retired(source)) \
             == [1, 2, 3, 4, 5]
 
+    def test_lint_flags_the_cut_hook_and_the_heap_dijkstra(self, tmp_path):
+        source = tmp_path / "milp.py"
+        source.write_text(
+            "def _maybe_add_symmetry_cuts(problem, topology):\n"
+            "    return _symmetry.add_symmetry_cuts(problem.model, gens)\n"
+            "def add_symmetry_cuts(model, generators):\n"
+            "    pass\n"
+            "dist, prev = epochs._shortest_paths(out_adj, plan, 0)\n"
+            "cuts = add_symmetry_cuts\n"
+            "added = add_symmetry_cuts(model, generators)\n"
+            "reach = reachability(topology, plan)\n"
+            "shortest_paths = maybe_add_symmetry_cuts = None\n")
+        assert sorted(line for line, _ in self._lint().find_retired(source)) \
+            == [1, 2, 5, 7]
+
     def test_deleted_exports_stay_deleted(self):
         assert self._lint().find_retired_exports() == []
 

@@ -191,6 +191,43 @@ class TestEmittedQuotient:
 
 
 # ----------------------------------------------------------------------
+# the ledger's lifted and full LPs keep their pruned schedules
+# ----------------------------------------------------------------------
+PRUNED = json.loads((Path(__file__).parent / "golden"
+                     / "pruned_schedules.json").read_text())
+
+#: name -> (topology, demand): the perf ledger's cold LPs the pins cover
+PRUNED_CASES = {
+    "ring16-a2a": lambda: _a2a(_ring(16)),
+    "torus4x4-a2a": lambda: _a2a(_torus(4, 4)),
+    "hypercube4-a2a": lambda: _a2a(topology.hypercube(4, capacity=1.0,
+                                                      alpha=0.0)),
+    "ring12-degraded-a2a": lambda: _a2a(_degraded(_ring(12))),
+    "torus4x4-degraded-a2a": lambda: _a2a(_degraded(_torus(4, 4))),
+}
+
+
+class TestPrunedSchedulePins:
+    @pytest.mark.parametrize("name", [k for k in PRUNED if k[0] != "_"])
+    def test_to_dict_is_the_parents_byte_for_byte(self, name):
+        pin = PRUNED[name]
+        case, _, mode = name.partition("/symmetry-")
+        topo, demand = PRUNED_CASES[case]()
+        config = UNIT if not mode else replace(
+            UNIT, solver=SolverOptions(symmetry=mode))
+        out = solve_lp(topo, demand, config)
+        assert ("symmetry_cols_reduced" in out.result.stats) is pin["lifted"]
+        assert (out.result.objective, out.finish_time,
+                out.plan.num_epochs) == (pin["objective"],
+                                         pin["finish_time"],
+                                         pin["num_epochs"])
+        for key, schedule in (("schedule", out.schedule),
+                              ("raw_schedule", out.raw_schedule)):
+            assert hashlib.sha256(json.dumps(
+                schedule.to_dict()).encode()).hexdigest() == pin[key]
+
+
+# ----------------------------------------------------------------------
 # what the proof refuses
 # ----------------------------------------------------------------------
 def _moves_link(auto, link):

@@ -42,7 +42,8 @@ from repro.core import lp as lp_module
 from repro.core.epochs import build_epoch_plan
 from repro.core.lp import LpBuilder, minimize_epochs_lp
 from repro.core.milp import MilpBuilder, solve_milp
-from repro.errors import InfeasibleError, ModelError, ScheduleError
+from repro.errors import (InfeasibleError, ModelError, ScheduleError,
+                          SolveTimeoutError)
 from repro.simulate.harness import random_instance
 from repro.solver import (DEFAULT_OPTIONS, Model, Sense, Session,
                           SolverOptions, SolveStatus, VarType)
@@ -63,11 +64,14 @@ GOLDEN = json.loads(
 # ----------------------------------------------------------------------
 def _reference_map_status(code: int, has_values: bool) -> SolveStatus:
     """scipy status code → SolveStatus, as the LP and MILP paths mapped
-    it (a MILP's early stop at its gap is told apart by the caller)."""
+    it (a MILP's early stop at its gap is told apart by the caller), with
+    one deliberate fix: a limit stop is ``TIME_LIMIT`` whether or not it
+    holds a point (those paths said ``ERROR`` without one, so a slow
+    solve read as a failed one); ``has_values`` says which."""
     if code == 0:
         return SolveStatus.OPTIMAL
     if code == 1:
-        return SolveStatus.TIME_LIMIT if has_values else SolveStatus.ERROR
+        return SolveStatus.TIME_LIMIT
     return {2: SolveStatus.INFEASIBLE,
             3: SolveStatus.UNBOUNDED}.get(code, SolveStatus.ERROR)
 
@@ -622,7 +626,9 @@ class TestStatusMapping:
         # an LP carries values only when HiGHS reports it optimal
         scipy_code, _ = _highs_to_scipy_status_message(code, "")
         expected = _reference_map_status(scipy_code, code == HMS.kOptimal)
-        assert _map_status(code, incumbent=False) is expected
+        if code == HMS.kSolutionLimit:
+            expected = SolveStatus.TIME_LIMIT  # a limit stop, as above
+        assert _map_status(code) is expected
 
     @pytest.mark.parametrize("incumbent", [True, False])
     @pytest.mark.parametrize("code", list(HMS.__members__.values()),
@@ -635,16 +641,18 @@ class TestStatusMapping:
                          HMS.kSolutionLimit)
         expected = _reference_map_status(
             scipy_code, code == HMS.kOptimal or (limit and incumbent))
-        if code == HMS.kSolutionLimit and incumbent:
+        if code == HMS.kSolutionLimit:
             expected = SolveStatus.TIME_LIMIT  # the deliberate fix
-        assert _map_status(code, incumbent) is expected
+        assert _map_status(code) is expected
 
     def test_time_limit_returns_no_values(self):
         model, _reads = _ring_lp()
         result = model.solve(SolverOptions(time_limit=1e-9))
-        assert result.status is SolveStatus.ERROR
+        assert result.status is SolveStatus.TIME_LIMIT
         assert result.values is None and result.objective is None
         assert result.stats["backend_status"] == int(HMS.kTimeLimit)
+        with pytest.raises(SolveTimeoutError, match="Time limit reached"):
+            result.require_solution()
 
     def test_node_limited_milp_returns_its_incumbent(self):
         """``milp`` reported this ``ERROR``, values attached, so

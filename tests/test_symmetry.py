@@ -27,7 +27,7 @@ from repro.core import symmetry
 from repro.core.config import SwitchModel
 from repro.core.epochs import build_epoch_plan, horizon_bound
 from repro.core.lp import LpBuilder, solve_lp
-from repro.core.milp import MilpBuilder, solve_milp
+from repro.core.milp import MilpBuilder, extract_outcome, solve_milp
 from repro.core.symmetry import (Automorphism, ColumnKeys,
                                  canonicalize_demand, chunk_relabeling,
                                  find_generators, invert_permutation,
@@ -1160,23 +1160,37 @@ class TestLpQuotient:
 # MILP lex-leader cuts differential
 # ----------------------------------------------------------------------
 class TestMilpCuts:
+    """``add_symmetry_cuts`` stays as a library call (the ledger's staged
+    replica adds cuts to its MILPs); ``solve_milp`` adds none."""
+
     def test_cuts_preserve_optimum_and_replay_clean(self):
         topo = ring(5)
         demand = collectives.allgather(topo.gpus, 1)
-        config_on = _cfg(symmetry="on", num_epochs=8)
-        config_off = _cfg(symmetry="off", num_epochs=8)
-
-        cut = solve_milp(topo, demand, config_on)
-        full = solve_milp(topo, demand, config_off)
-
-        assert cut.result.stats.get("symmetry_cuts", 0) > 0
-        assert cut.result.stats["symmetry_group_order"] == 10  # dihedral
-        assert "symmetry_fallback" not in cut.result.stats
+        config = _cfg(symmetry="on", num_epochs=8)
+        plan = build_epoch_plan(topo, config, num_epochs=8)
+        problem = MilpBuilder(topo, demand, config, plan).build()
+        gens = symmetry.find_generators(topo, demand)
+        assert gens.order == 10  # dihedral
+        added = symmetry.add_symmetry_cuts(
+            problem.model, gens, problem.model.num_vars, problem.f_vars,
+            problem.b_vars, problem.r_vars)
+        assert added > 0
+        cut = extract_outcome(problem, problem.model.solve(config.solver))
+        full = solve_milp(topo, demand, config)
         assert cut.result.objective == pytest.approx(
             full.result.objective, rel=1e-7, abs=1e-7)
         report = check_schedule(cut.schedule, topo, demand, cut.plan,
-                                config=config_on)
+                                config=config)
         assert report.ok, [str(v) for v in report.violations[:3]]
+
+    def test_on_adds_no_cuts(self, monkeypatch):
+        calls = _count_calls(monkeypatch, symmetry, "add_symmetry_cuts")
+        topo = ring(5)
+        demand = collectives.allgather(topo.gpus, 1)
+        out = solve_milp(topo, demand, _cfg(symmetry="on", num_epochs=8))
+        assert calls == []
+        assert not {"symmetry_cuts", "symmetry_group_order",
+                    "symmetry_fallback"} & set(out.result.stats)
 
     def test_off_adds_no_cuts(self):
         topo = ring(5)

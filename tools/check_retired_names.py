@@ -66,6 +66,17 @@ admission/retirement replans through them. As a controller subclass it
 overrides ``_view``, ``add_job`` and ``remove_job`` and calls
 ``replan_all`` itself.
 
+It flags ``_maybe_add_symmetry_cuts`` and ``_shortest_paths``, defined
+or referred to, and every *call* of ``add_symmetry_cuts``. The first hung
+lex-leader cuts on every symmetric MILP; they were slower than no cuts on
+every MILP measured, so the MILP path takes no symmetry shortcut.
+``add_symmetry_cuts`` itself stays defined (the ledger's staged replica
+still calls it), but no library path may add cuts again. The second was
+a per-source heap Dijkstra run twice per solve, from every source;
+earliest arrivals and shortest-path trees are one array pass over all
+sources (``repro.core.epochs.reachability``), shared by the horizon
+bound and the model builders.
+
 It flags a module-level ``networkx`` import, ``import networkx`` or
 ``from networkx …`` anywhere that runs when the module loads (a class body
 or an ``if``/``try`` included). Its one user is the TACCL-like baseline's
@@ -171,6 +182,12 @@ RETIRED_GATES = frozenset({"_vet_reduced_outcome", "_vet_cut_outcome",
 #: the wrapper orchestrator's share view and incumbent replan
 RETIRED_WRAPPERS = frozenset({"_job_view", "_replan_incumbents"})
 
+#: the MILP's lex-cut hook and the per-source heap Dijkstra
+RETIRED_PASSES = frozenset({"_maybe_add_symmetry_cuts", "_shortest_paths"})
+
+#: defined for the ledger's staged replica, called by no library path
+UNCALLED = frozenset({"add_symmetry_cuts"})
+
 #: the one ``scipy.optimize`` module library code may import
 HIGHS_BINDING = "scipy.optimize._highspy"
 
@@ -247,6 +264,14 @@ def find_retired(path: pathlib.Path) -> list[tuple[int, str]]:
             findings.append((node.lineno, f"`{name}` second shortcut gate"))
         if name in RETIRED_WRAPPERS:
             findings.append((node.lineno, f"`{name}` orchestrator wrapper"))
+        if name in RETIRED_PASSES:
+            findings.append((node.lineno, f"`{name}` retired solve pass"))
+        if isinstance(node, ast.Call):
+            callee = node.func
+            called = (callee.attr if isinstance(callee, ast.Attribute)
+                      else callee.id if isinstance(callee, ast.Name) else "")
+            if called in UNCALLED:
+                findings.append((node.lineno, f"call of `{called}`"))
         if isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.startswith(RETIRED_SPAN_PREFIX):
             findings.append((node.lineno, f"`{node.value}` span"))

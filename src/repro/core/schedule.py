@@ -13,9 +13,12 @@ Two flavors exist, mirroring the paper's two solution classes:
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import attrgetter
+from types import MappingProxyType
 
 import numpy as np
 
@@ -175,7 +178,7 @@ class Schedule:
                 f"epochs<={self.num_epochs}, tau={self.tau:g}s)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowSchedule:
     """A fractional (rate-based) schedule from the LP form.
 
@@ -184,10 +187,16 @@ class FlowSchedule:
     epoch)]`` is the amount the destination consumes at the end of the epoch.
     Commodity keys are whatever the LP used — ``(source, chunk)`` pairs or
     aggregated ``source`` ids.
+
+    Read-only: ``flows`` and ``reads`` are read-only mappings over private
+    copies of the dicts passed in (amounts at or below ``tolerance``
+    dropped), and no field can be reassigned. So the schedule holds its
+    column view (:attr:`arrays`), built on first use, and every reader —
+    :meth:`finish_time`, ``check_flow`` — shares one conversion.
     """
 
-    flows: dict[tuple, float]
-    reads: dict[tuple, float]
+    flows: Mapping[tuple, float]
+    reads: Mapping[tuple, float]
     tau: float
     chunk_bytes: float
     num_epochs: int
@@ -196,10 +205,21 @@ class FlowSchedule:
     def __post_init__(self) -> None:
         if self.tau <= 0:
             raise ScheduleError("tau must be positive")
-        self.flows = {k: v for k, v in self.flows.items()
-                      if v > self.tolerance}
-        self.reads = {k: v for k, v in self.reads.items()
-                      if v > self.tolerance}
+        tolerance = self.tolerance
+        for name in ("flows", "reads"):
+            kept = {k: v for k, v in getattr(self, name).items()
+                    if v > tolerance}
+            object.__setattr__(self, name, MappingProxyType(kept))
+
+    def __reduce__(self):
+        return (FlowSchedule, (dict(self.flows), dict(self.reads), self.tau,
+                               self.chunk_bytes, self.num_epochs,
+                               self.tolerance))
+
+    @cached_property
+    def arrays(self) -> "FlowArrays":
+        """The schedule as read-only columns (see :class:`FlowArrays`)."""
+        return FlowArrays.of(self)
 
     @property
     def finish_epoch(self) -> int:
@@ -232,14 +252,14 @@ class FlowSchedule:
 
     def finish_time(self, topology: Topology) -> float:
         """Continuous completion estimate (last α + serialized-β arrival)."""
-        _, src, dst, epoch, amount = entry_columns(self.flows, 4)
+        view = self.arrays
         table = LinkTable(topology)
-        link = table.ids(src, dst)
-        for n in (link < 0).nonzero()[0][:1].tolist():
-            topology.link(int(src[n]), int(dst[n]))
-        link, epoch, load, _ = link_epoch_loads(link, epoch, amount,
-                                                epoch_span(epoch))
-        return table.finish(link, epoch, load, self.tau, self.chunk_bytes)
+        row = table.rows(view.links)
+        if (row < 0).any():
+            n = (row[view.flow_link] < 0).argmax()
+            topology.link(int(view.flow_src[n]), int(view.flow_dst[n]))
+        return table.finish(row[view.load_link], view.load_epoch,
+                            view.load_amount, self.tau, self.chunk_bytes)
 
     def delivered(self, commodity, dst: int) -> float:
         return sum(v for (q, d, _), v in self.reads.items()
@@ -326,6 +346,16 @@ class FlowArrays:
     ``commodities`` lists the distinct commodity keys, flows first, then
     reads, first seen first; ``flow_q`` / ``read_q`` index into it.
     ``epochs`` spans every flow and read epoch (empty when both are).
+
+    ``links`` lists the distinct ``(src, dst)`` pairs the flows take as
+    :func:`pair_code` values, ascending, and ``flow_link`` indexes into it.
+    ``load_link``, ``load_epoch`` and ``load_amount`` are
+    :func:`link_epoch_loads` over those indices: the per-(link, epoch)
+    sums the capacity check and every finish time read, whatever fabric
+    the links are then looked up on.
+
+    Every column is read-only: a schedule shares its view with each
+    reader (:attr:`FlowSchedule.arrays`).
     """
 
     commodities: list
@@ -339,6 +369,11 @@ class FlowArrays:
     read_dst: np.ndarray
     read_epoch: np.ndarray
     read_amount: np.ndarray
+    links: np.ndarray
+    flow_link: np.ndarray
+    load_link: np.ndarray
+    load_epoch: np.ndarray
+    load_amount: np.ndarray
 
     @staticmethod
     def of(flow: FlowSchedule) -> "FlowArrays":
@@ -346,17 +381,18 @@ class FlowArrays:
         rq, read_dst, read_epoch, read_amount = entry_columns(flow.reads, 3)
         commodities = list(dict.fromkeys(fq + rq))
         index = {q: n for n, q in enumerate(commodities)}
+        flow_q = np.fromiter(map(index.__getitem__, fq), np.int64, len(fq))
+        read_q = np.fromiter(map(index.__getitem__, rq), np.int64, len(rq))
+        links, flow_link = distinct(pair_code(src, dst))
+        columns = (flow_q, src, dst, epoch, amount,
+                   read_q, read_dst, read_epoch, read_amount, links,
+                   flow_link, *link_epoch_loads(flow_link, epoch, amount,
+                                                epoch_span(epoch)))
+        for column in columns:
+            column.setflags(write=False)
         return FlowArrays(
-            commodities=commodities,
-            epochs=epoch_span(np.concatenate((epoch, read_epoch))),
-            flow_q=np.fromiter(map(index.__getitem__, fq), np.int64,
-                               len(fq)),
-            flow_src=src, flow_dst=dst, flow_epoch=epoch,
-            flow_amount=amount,
-            read_q=np.fromiter(map(index.__getitem__, rq), np.int64,
-                               len(rq)),
-            read_dst=read_dst, read_epoch=read_epoch,
-            read_amount=read_amount)
+            commodities, epoch_span(np.concatenate((epoch, read_epoch))),
+            *columns)
 
 
 def entry_columns(entries: dict, width: int) -> tuple:
@@ -399,18 +435,22 @@ class LinkTable:
                                           np.ndarray]:
         """``(occupancy, offset, cap_chunks)`` per link row under ``plan``:
         κ, Δ and the per-epoch chunk budget, all 0 where the plan does not
-        price the link."""
+        price the link. A plan keyed in row order (as a plan built over
+        this fabric is) is read without a lookup per link."""
+        links = self.links
         occupancy, delay, cap = (
-            np.fromiter(map(table.get, self.links, repeat(0)), dtype,
-                        len(self.links))
+            np.fromiter(table.values() if list(table) == links
+                        else map(table.get, links, repeat(0)), dtype,
+                        len(links))
             for table, dtype in ((plan.occupancy, np.int64),
                                  (plan.delay, np.int64),
                                  (plan.cap_chunks, np.float64)))
         return occupancy, occupancy - 1 + delay, cap
 
-    def ids(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """The row of each ``(src, dst)`` link, −1 where there is none."""
-        return positions(self.code, pair_code(src, dst))
+    def rows(self, code: np.ndarray) -> np.ndarray:
+        """The row of each link given as a :func:`pair_code`, −1 where
+        there is none."""
+        return positions(self.code, code)
 
     def finish(self, link: np.ndarray, epoch: np.ndarray, load: np.ndarray,
                tau: float, chunk_bytes: float) -> float:
@@ -464,13 +504,14 @@ def pair_code(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 
 def link_epoch_loads(link: np.ndarray, epoch: np.ndarray,
                      amount: np.ndarray, epochs: range):
-    """Per distinct ``(link, epoch)`` pair, in sorted order: its link row,
-    epoch, summed amount (rows added in order) and first row; ``epochs``
-    spans every epoch."""
+    """Per distinct ``(link, epoch)`` pair, in the order each first
+    appears among the rows: its link, epoch and summed amount (rows added
+    in order); ``epochs`` spans every epoch."""
     span = max(1, len(epochs))
     pairs, inverse = distinct(link * span + (epoch - epochs.start))
     load = np.bincount(inverse, amount, len(pairs))
     first = np.full(len(pairs), len(link))
     np.minimum.at(first, inverse, np.arange(len(link)))
-    link, epoch = np.divmod(pairs, span)
-    return link, epoch + epochs.start, load, first
+    order = first.argsort()
+    link, epoch = np.divmod(pairs[order], span)
+    return link, epoch + epochs.start, load[order]

@@ -68,7 +68,11 @@ class Planner:
     (:mod:`repro.topology.facts`), fingerprint fragments and the parsed
     result are all remembered. The result a hit returns is therefore
     **shared** with every other hit on its entry — treat
-    ``response.result`` as read-only. A hit's explain record is
+    ``response.result`` as read-only. A served fractional schedule is
+    read-only by type: :class:`~repro.core.schedule.FlowSchedule` is
+    frozen, its ``flows`` and ``reads`` are read-only mappings, and it
+    holds the column view every replay of it reads, so a replay on each
+    hit converts no dicts. A hit's explain record is
     serialized only for a flight directory's ``last_explain.json``;
     without one configured it builds no document.
 

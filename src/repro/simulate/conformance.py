@@ -28,22 +28,28 @@ every producer in the repo through this oracle; ``teccl verify`` and the
 planner service expose the same engine to operators, and :func:`vetted`
 is the one trust gate every solver shortcut's answer passes.
 
-:func:`check_flow` is one array replay: the schedule is read once into
-columns (:class:`~repro.core.schedule.FlowArrays`), every per-link fact —
-Δ, per-epoch capacity, α, β — comes from one link table, and each
+:func:`check_schedule` is one pass over the sorted sends, then one over
+each link's loads and each demanded triple; its multi-pass predecessor is
+``tests/schedule_oracle.py``. :func:`check_flow` is one array replay over
+the columns the schedule holds (:attr:`FlowSchedule.arrays
+<repro.core.schedule.FlowSchedule.arrays>`, its per-(link, epoch) loads
+included): every per-link fact — Δ, per-epoch capacity, α, β — comes from
+one link table, supply and sinks from ``Demand.chunk_rows``, and each
 invariant family is a NumPy kernel over them. Its per-entry predecessor is
-kept in ``tests/flow_oracle.py`` as the differential reference, and the
-replay must return a report equal to it, float bits included. That holds
-because every sum the walk took in order is taken in the same order:
-``np.bincount`` and a row-wise ``cumsum`` add sequentially (``np.sum`` is
-pairwise and is not used); violations are emitted in the walk's order with
-its messages.
+``tests/flow_oracle.py``. Both replays must return reports equal to their
+references, float bits included. For flows that holds because every sum
+the walk took in order is taken in the same order: ``np.bincount`` and a
+row-wise ``cumsum`` add sequentially (``np.sum`` is pairwise and is not
+used); violations are emitted in the walk's order with its messages.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -51,8 +57,8 @@ import numpy as np
 from repro.collectives.demand import Demand
 from repro.core.config import SwitchModel, TecclConfig
 from repro.core.epochs import EpochPlan
-from repro.core.schedule import (FlowArrays, FlowSchedule, LinkTable,
-                                 Schedule, distinct, link_epoch_loads,
+from repro.core.schedule import (FlowSchedule, LinkTable,
+                                 Schedule, distinct,
                                  positions, run_lengths, run_starts)
 from repro.errors import ScheduleError
 from repro.obs.metrics import get_registry as _default_registry
@@ -188,14 +194,6 @@ class ConformanceReport:
 # ----------------------------------------------------------------------
 # shared helpers
 # ----------------------------------------------------------------------
-def _epoch_capacity(plan: EpochPlan, config: TecclConfig | None,
-                    i: int, j: int, k: int) -> float:
-    """Per-epoch chunk budget, honouring a time-varying capacity hook."""
-    if config is not None and config.capacity_fn is not None:
-        return config.capacity_fn(i, j, k) * plan.tau / plan.chunk_bytes
-    return plan.cap_chunks[(i, j)]
-
-
 def _finish_compare(report: ConformanceReport, rtol: float) -> None:
     claimed = report.claimed_finish_time
     if claimed is None:
@@ -234,124 +232,148 @@ def check_schedule(schedule: Schedule, topology: Topology, demand: Demand,
     """
     with _obs_span("conformance.check", kind="schedule",
                    sends=schedule.num_sends) as sp:
-        report = _check_schedule_impl(
-            schedule, topology, demand, plan, config=config,
-            strict_switches=strict_switches,
-            claimed_finish_time=claimed_finish_time,
-            finish_rtol=finish_rtol)
+        report = _replay_schedule(schedule, topology, demand, plan, config,
+                                  strict_switches)
+        report.claimed_finish_time = claimed_finish_time
+        _finish_compare(report, finish_rtol)
         sp.set_attr(ok=report.ok, violations=len(report.violations))
         return report
 
 
-def _check_schedule_impl(schedule: Schedule, topology: Topology,
-                         demand: Demand, plan: EpochPlan, *,
-                         config: TecclConfig | None,
-                         strict_switches: bool,
-                         claimed_finish_time: float | None,
-                         finish_rtol: float) -> ConformanceReport:
-    report = ConformanceReport(claimed_finish_time=claimed_finish_time,
-                               num_sends=schedule.num_sends,
-                               total_bytes=schedule.total_bytes(),
-                               finish_epoch=schedule.finish_epoch)
-    violations = report.violations
+_SEND_ROW = attrgetter("epoch", "source", "chunk", "src", "dst")
+
+
+def _replay_schedule(schedule: Schedule, topology: Topology,
+                     demand: Demand, plan: EpochPlan,
+                     config: TecclConfig | None,
+                     strict_switches: bool) -> ConformanceReport:
+    """One pass over the sends in sorted order, then one over each link's
+    loads and each demanded triple. Arrivals land strictly after their
+    send epoch, so every provider is replayed before its consumers.
+    Violations are reported by family — link and horizon, then
+    availability / relay / switch, stranded, capacity, buffer, delivery —
+    and within a family in the order the pass meets them."""
     copy_switches = (config is None
                      or config.switch_model is not SwitchModel.NO_COPY)
     store_and_forward = config is None or config.store_and_forward
     buffer_limit = None if config is None else config.buffer_limit_chunks
+    links, switches = topology.links, topology.switches
+    horizon, tau = plan.num_epochs, plan.tau
+    rows = sorted(map(_SEND_ROW, schedule.sends))
+    report = ConformanceReport(num_sends=len(rows),
+                               total_bytes=schedule.total_bytes(),
+                               finish_epoch=rows[-1][0] if rows else -1)
+    placed: list[Violation] = []   # link and horizon
+    held: list[Violation] = []     # availability, relay, switch
 
-    sends_sorted = sorted(schedule.sends)
-    valid = []
-    for send in sends_sorted:
-        if not topology.has_link(send.src, send.dst):
-            violations.append(Violation(
-                kind="link", epoch=send.epoch, link=send.link,
-                commodity=send.commodity,
-                message=f"send on nonexistent link ({send.src},{send.dst})"))
-            continue
-        if send.epoch >= plan.num_epochs:
-            violations.append(Violation(
-                kind="horizon", epoch=send.epoch, link=send.link,
-                commodity=send.commodity,
-                message=(f"send at epoch {send.epoch} beyond the plan "
-                         f"horizon K={plan.num_epochs}")))
-        valid.append(send)
-
-    # --- availability, relay and switch semantics ----------------------
-    # One ordered pass suffices: arrivals land strictly after their send
-    # epoch, so every provider is seen before its consumers.
+    keys = demand.chunk_rows[0]
     # (source, chunk, gpu) -> earliest buffer epoch the chunk is held
-    available: dict[tuple[int, int, int], int] = {}
-    for s, c in demand.commodities():
-        available[(s, c, s)] = 0
+    available = {(s, c, s): 0 for s, c in keys}
     # (source, chunk, node) -> {buffer epoch: arrival count}
     arrivals: dict[tuple[int, int, int], dict[int, int]] = {}
     # (source, chunk, switch, epoch) -> outgoing send count (no-copy check)
     switch_out: dict[tuple[int, int, int, int], int] = {}
+    # (source, chunk, switch) -> epochs it forwards at
+    forwarded: dict[tuple[int, int, int], set[int]] = {}
+    # (source, chunk, relay) -> send epochs, for the buffer budget
+    relayed: dict[tuple[int, int, int], list[int]] = {}
+    # link -> {epoch: sends}, links in the order they are first used
+    loads: dict[tuple[int, int], dict[int, int]] = {}
+    # (source, chunk, node) -> earliest α–β arrival
+    first_arrival: dict[tuple[int, int, int], float] = {}
+    # link -> (Δ + 1, α + β·S, whether the receiver is a switch)
+    hops: dict[tuple[int, int], tuple[int, float, bool]] = {}
 
-    for send in valid:
-        key = (send.source, send.chunk, send.src)
-        arrived_here = arrivals.get(key, {})
-        if topology.is_switch(send.src):
-            if send.epoch not in arrived_here:
-                violations.append(Violation(
-                    kind="switch", epoch=send.epoch, link=send.link,
-                    commodity=send.commodity, node=send.src,
-                    message=(f"switch {send.src} forwards chunk "
-                             f"({send.source},{send.chunk}) at epoch "
-                             f"{send.epoch} without an arrival in the "
+    for k, s, c, i, j in rows:
+        link = (i, j)
+        hop = hops.get(link)
+        if hop is None:
+            if link not in links:
+                placed.append(Violation(
+                    kind="link", epoch=k, link=link, commodity=(s, c),
+                    message=f"send on nonexistent link ({i},{j})"))
+                continue
+            hop = hops[link] = (plan.arrival_offset(i, j) + 1,
+                                links[link].transfer_time(plan.chunk_bytes),
+                                j in switches)
+        if k >= horizon:
+            placed.append(Violation(
+                kind="horizon", epoch=k, link=link, commodity=(s, c),
+                message=(f"send at epoch {k} beyond the plan horizon "
+                         f"K={horizon}")))
+        key = (s, c, i)
+        if i in switches:
+            arrived_here = arrivals.get(key, {})
+            if k not in arrived_here:
+                held.append(Violation(
+                    kind="switch", epoch=k, link=link, commodity=(s, c),
+                    node=i,
+                    message=(f"switch {i} forwards chunk ({s},{c}) at "
+                             f"epoch {k} without an arrival in the "
                              "previous epoch")))
             elif not copy_switches:
-                out_key = (send.source, send.chunk, send.src, send.epoch)
-                switch_out[out_key] = switch_out.get(out_key, 0) + 1
-                if switch_out[out_key] > arrived_here[send.epoch]:
-                    violations.append(Violation(
-                        kind="switch", epoch=send.epoch, link=send.link,
-                        commodity=send.commodity, node=send.src,
-                        message=(f"no-copy switch {send.src} duplicates "
-                                 f"chunk ({send.source},{send.chunk}) at "
-                                 f"epoch {send.epoch} "
-                                 f"({switch_out[out_key]} sends for "
-                                 f"{arrived_here[send.epoch]} arrivals)")))
-        elif not store_and_forward and send.src != send.source:
-            # Figure 9 ablation: non-source GPUs relay on arrival, like a
-            # switch — holding a chunk across epochs is the disabled feature.
-            if send.epoch not in arrived_here:
-                violations.append(Violation(
-                    kind="relay", epoch=send.epoch, link=send.link,
-                    commodity=send.commodity, node=send.src,
-                    message=(f"store-and-forward is disabled but node "
-                             f"{send.src} sends chunk ({send.source},"
-                             f"{send.chunk}) at epoch {send.epoch} without "
-                             "an arrival in the previous epoch")))
+                out_key = (s, c, i, k)
+                sent = switch_out[out_key] = switch_out.get(out_key, 0) + 1
+                if sent > arrived_here[k]:
+                    held.append(Violation(
+                        kind="switch", epoch=k, link=link, commodity=(s, c),
+                        node=i,
+                        message=(f"no-copy switch {i} duplicates chunk "
+                                 f"({s},{c}) at epoch {k} ({sent} sends "
+                                 f"for {arrived_here[k]} arrivals)")))
+            if strict_switches:
+                forwarded.setdefault(key, set()).add(k)
         else:
-            have = available.get(key)
-            if have is None or have > send.epoch:
-                violations.append(Violation(
-                    kind="availability", epoch=send.epoch, link=send.link,
-                    commodity=send.commodity, node=send.src,
-                    message=(f"node {send.src} sends chunk ({send.source},"
-                             f"{send.chunk}) at epoch {send.epoch} before "
-                             f"holding it (available at {have})")))
-        buffer_epoch = send.epoch + plan.arrival_offset(send.src, send.dst) + 1
-        dst_key = (send.source, send.chunk, send.dst)
-        arrivals.setdefault(dst_key, {})
-        arrivals[dst_key][buffer_epoch] = \
-            arrivals[dst_key].get(buffer_epoch, 0) + 1
-        if not topology.is_switch(send.dst):
+            if not store_and_forward and i != s:
+                # Figure 9 ablation: non-source GPUs relay on arrival, like
+                # a switch — holding a chunk across epochs is disabled.
+                if k not in arrivals.get(key, {}):
+                    held.append(Violation(
+                        kind="relay", epoch=k, link=link, commodity=(s, c),
+                        node=i,
+                        message=(f"store-and-forward is disabled but node "
+                                 f"{i} sends chunk ({s},{c}) at epoch {k} "
+                                 "without an arrival in the previous "
+                                 "epoch")))
+            else:
+                have = available.get(key)
+                if have is None or have > k:
+                    held.append(Violation(
+                        kind="availability", epoch=k, link=link,
+                        commodity=(s, c), node=i,
+                        message=(f"node {i} sends chunk ({s},{c}) at epoch "
+                                 f"{k} before holding it (available at "
+                                 f"{have})")))
+            if buffer_limit is not None:
+                relayed.setdefault(key, []).append(k)
+        landing, transfer, to_switch = hop
+        landing += k
+        dst_key = (s, c, j)
+        pools = arrivals.get(dst_key)
+        if pools is None:
+            pools = arrivals[dst_key] = {}
+        pools[landing] = pools.get(landing, 0) + 1
+        if not to_switch:
             current = available.get(dst_key)
-            if current is None or buffer_epoch < current:
-                available[dst_key] = buffer_epoch
+            if current is None or landing < current:
+                available[dst_key] = landing
+        per_epoch = loads.get(link)
+        if per_epoch is None:
+            per_epoch = loads[link] = {}
+        per_epoch[k] = per_epoch.get(k, 0) + 1
+        t = k * tau + transfer
+        current = first_arrival.get(dst_key)
+        if current is None or t < current:
+            first_arrival[dst_key] = t
 
-    if strict_switches:
-        out_epochs: dict[tuple[int, int, int], set[int]] = {}
-        for send in valid:
-            if topology.is_switch(send.src):
-                out_epochs.setdefault(
-                    (send.source, send.chunk, send.src), set()).add(send.epoch)
+    violations = report.violations
+    violations += placed
+    violations += held
+    if strict_switches and switches:
         for (s, c, node), pools in arrivals.items():
-            if not topology.is_switch(node):
+            if node not in switches:
                 continue
-            left = out_epochs.get((s, c, node), set())
+            left = forwarded.get((s, c, node), ())
             for epoch in sorted(pools):
                 if epoch not in left:
                     violations.append(Violation(
@@ -360,76 +382,73 @@ def _check_schedule_impl(schedule: Schedule, topology: Topology,
                         message=(f"chunk ({s},{c}) stranded at switch "
                                  f"{node} (arrived for epoch {epoch}, "
                                  "never left)")))
-
-    # --- per-epoch link capacity (Appendix F windows) -------------------
-    load: dict[tuple[int, int, int], int] = {}
-    for send in valid:
-        load[(send.src, send.dst, send.epoch)] = load.get(
-            (send.src, send.dst, send.epoch), 0) + 1
-    for (i, j) in sorted({(a, b) for (a, b, _) in load}):
-        kappa = plan.occupancy[(i, j)]
-        epochs = [k for (a, b, k) in load if (a, b) == (i, j)]
-        for k in range(min(epochs), max(epochs) + 1):
-            cap = _epoch_capacity(plan, config, i, j, k)
-            if kappa == 1:
-                used = load.get((i, j, k), 0)
-                limit = math.floor(cap + _EPS)
-            else:
-                used = sum(load.get((i, j, kk), 0)
-                           for kk in range(max(0, k - kappa + 1), k + 1))
-                limit = max(1, math.floor(kappa * cap + _EPS))
-            if used > limit:
-                violations.append(Violation(
-                    kind="capacity", epoch=k, link=(i, j),
-                    message=(f"link ({i},{j}) carries {used} chunks in the "
-                             f"window ending at epoch {k}, capacity "
-                             f"{limit}")))
-
-    # --- relay-buffer occupancy (Appendix B) ----------------------------
+    _capacity_windows(violations, loads, plan, config)
     if buffer_limit is not None:
-        _check_buffer_occupancy(report, valid, topology, demand, plan,
-                                arrivals, buffer_limit)
+        _buffer_occupancy(violations, relayed, arrivals, demand,
+                          buffer_limit)
 
     # --- demand delivery and the replayed α–β finish --------------------
     finish = 0.0
-    last_hop: dict[tuple[int, int, int], float] = {}
-    for send in valid:
-        t = send.epoch * plan.tau + topology.link(
-            send.src, send.dst).transfer_time(plan.chunk_bytes)
-        key = (send.source, send.chunk, send.dst)
-        if key not in last_hop or t < last_hop[key]:
-            last_hop[key] = t
-    for s, c in demand.commodities():
+    delivered = report.delivered
+    for s, c in keys:
         for d in demand.destinations(s, c):
-            if (s, c, d) not in available:
+            key = (s, c, d)
+            if key not in available:
                 violations.append(Violation(
                     kind="delivery", commodity=(s, c), node=d,
                     message=f"demand unmet: chunk ({s},{c}) never "
                             f"reaches {d}"))
                 continue
-            t = last_hop.get((s, c, d), 0.0)
-            report.delivered[(s, c, d)] = t
-            finish = max(finish, t)
+            t = delivered[key] = first_arrival.get(key, 0.0)
+            if t > finish:
+                finish = t
     report.finish_time = finish
 
-    # --- utilization ----------------------------------------------------
-    busy: dict[tuple[int, int], float] = {}
-    for send in valid:
-        link = topology.link(send.src, send.dst)
-        busy[send.link] = busy.get(send.link, 0.0) \
-            + plan.chunk_bytes / link.capacity
-    if finish > 0:
-        report.utilization = {key: b / finish for key, b in busy.items()}
-    else:
-        report.utilization = {key: 0.0 for key in busy}
-
-    _finish_compare(report, finish_rtol)
+    # --- utilization: busy time added one send at a time ----------------
+    utilization = report.utilization
+    for link, per_epoch in loads.items():
+        step, busy = plan.chunk_bytes / links[link].capacity, 0.0
+        for _ in range(sum(per_epoch.values())):
+            busy += step
+        utilization[link] = busy / finish if finish > 0 else 0.0
     return report
 
 
-def _check_buffer_occupancy(report: ConformanceReport, sends, topology,
-                            demand: Demand, plan: EpochPlan,
-                            arrivals: dict, limit: float) -> None:
+def _capacity_windows(violations: list, loads: dict, plan: EpochPlan,
+                      config: TecclConfig | None) -> None:
+    """Per link, ascending: every κ-epoch window (Appendix F) from the
+    link's first busy epoch to its last against its chunk budget. With
+    κ = 1 and no capacity hook only busy epochs can overflow."""
+    hook = None if config is None else config.capacity_fn
+    for link in sorted(loads):
+        per_epoch = loads[link]
+        kappa = plan.occupancy[link]
+        cap = plan.cap_chunks[link]
+        if kappa == 1 and hook is None:
+            epochs = per_epoch
+        else:
+            busy = list(per_epoch)
+            epochs = range(busy[0], busy[-1] + 1)
+        used = 0
+        for k in epochs:
+            if hook is not None:
+                cap = hook(*link, k) * plan.tau / plan.chunk_bytes
+            if kappa == 1:
+                used = per_epoch.get(k, 0)
+                limit = math.floor(cap + _EPS)
+            else:
+                used += per_epoch.get(k, 0) - per_epoch.get(k - kappa, 0)
+                limit = max(1, math.floor(kappa * cap + _EPS))
+            if used > limit:
+                violations.append(Violation(
+                    kind="capacity", epoch=k, link=link,
+                    message=(f"link ({link[0]},{link[1]}) carries {used} "
+                             f"chunks in the window ending at epoch {k}, "
+                             f"capacity {limit}")))
+
+
+def _buffer_occupancy(violations: list, relayed: dict, arrivals: dict,
+                      demand: Demand, limit: float) -> None:
     """Least-commitment relay-buffer replay against the Appendix B budget.
 
     A relay chunk must sit in the buffer from some arrival until each send
@@ -437,38 +456,29 @@ def _check_buffer_occupancy(report: ConformanceReport, sends, topology,
     pair is the union over its sends of ``[latest arrival ≤ send epoch,
     send epoch]``. A schedule violates the budget only if even this minimal
     assignment exceeds it. Sources and demand destinations are exempt (the
-    input/output buffers of §3.1 hold that data regardless).
+    input/output buffers of §3.1 hold that data regardless). A send with
+    no earlier arrival is an availability violation already reported.
     """
-    sends_from: dict[tuple[int, int, int], list[int]] = {}
-    for send in sends:
-        if topology.is_switch(send.src):
-            continue
-        sends_from.setdefault(
-            (send.source, send.chunk, send.src), []).append(send.epoch)
     occupancy: dict[int, dict[int, int]] = {}  # node -> epoch -> count
-    for (s, c, node), epochs in sends_from.items():
+    for (s, c, node), epochs in relayed.items():
         if node == s or node in demand.destinations(s, c):
             continue
-        pools = sorted(arrivals.get((s, c, node), {}))
+        pools = sorted(arrivals.get((s, c, node), ()))
         if not pools:
-            continue  # availability violation already recorded
-        intervals: list[tuple[int, int]] = []
-        for t in sorted(epochs):
-            candidates = [p for p in pools if p <= t]
-            if not candidates:
-                continue  # availability violation already recorded
-            intervals.append((candidates[-1], t))
-        per_node = occupancy.setdefault(node, {})
+            continue
         covered: set[int] = set()
-        for lo, hi in intervals:
-            covered.update(range(lo, hi + 1))
+        for t in epochs:
+            at = bisect_right(pools, t)
+            if at:
+                covered.update(range(pools[at - 1], t + 1))
+        per_node = occupancy.setdefault(node, {})
         for k in covered:
             per_node[k] = per_node.get(k, 0) + 1
     budget = math.floor(limit + _EPS)
     for node in sorted(occupancy):
         for k in sorted(occupancy[node]):
             if occupancy[node][k] > budget:
-                report.violations.append(Violation(
+                violations.append(Violation(
                     kind="buffer", epoch=k, node=node,
                     message=(f"node {node} needs {occupancy[node][k]} relay "
                              f"buffer slots at epoch {k}, budget "
@@ -478,28 +488,6 @@ def _check_buffer_occupancy(report: ConformanceReport, sends, topology,
 # ----------------------------------------------------------------------
 # fractional (LP) schedules
 # ----------------------------------------------------------------------
-def _commodity_origin(key) -> int:
-    return key[0] if isinstance(key, tuple) else key
-
-
-def _demand_amounts(demand: Demand, keys) -> dict:
-    """Per commodity key, the (supply, {sink: amount}) the LP was fed."""
-    out = {}
-    for key in keys:
-        if isinstance(key, tuple):
-            dests = demand.destinations(*key)
-            out[key] = (float(len(dests)), {d: 1.0 for d in dests})
-        else:
-            sinks: dict[int, float] = {}
-            supply = 0.0
-            for c in demand.chunks_of(key):
-                for d in demand.destinations(key, c):
-                    sinks[d] = sinks.get(d, 0.0) + 1.0
-                    supply += 1.0
-            out[key] = (supply, sinks)
-    return out
-
-
 def check_flow(flow: FlowSchedule, topology: Topology, demand: Demand,
                plan: EpochPlan, *, config: TecclConfig | None = None,
                claimed_finish_time: float | None = None,
@@ -537,13 +525,8 @@ class _FlowReplay:
                  config: TecclConfig | None, atol: float) -> None:
         self.flow, self.topology, self.demand = flow, topology, demand
         self.plan, self.config, self.atol = plan, config, atol
-        self.view = FlowArrays.of(flow)
-        self.keys = keys = self.view.commodities
-        self.amounts = amounts = _demand_amounts(demand, keys)
-        self.origin = np.fromiter(map(_commodity_origin, keys), np.int64,
-                                  len(keys))
-        self.supply = np.fromiter((amounts[key][0] for key in keys),
-                                  np.float64, len(keys))
+        self.view = flow.arrays
+        self.keys = self.view.commodities
         self.table = LinkTable(topology)
         self.violations: list[Violation] = []
 
@@ -556,10 +539,13 @@ class _FlowReplay:
             claimed_finish_time=claimed_finish_time, total_flow=total,
             total_bytes=total * flow.chunk_bytes,
             finish_epoch=view.epochs[-1] if view.epochs else -1)
-        sent = self._entries()
-        loads = link_epoch_loads(sent.link, sent.epoch, sent.amount,
-                                 view.epochs)
-        self._capacity(*loads[:3])
+        link = self.table.rows(view.links)
+        sent = self._entries(link[view.flow_link])
+        # the schedule's per-(link, epoch) loads, on the links that exist
+        loads = (link[view.load_link], view.load_epoch, view.load_amount)
+        if (loads[0] < 0).any():
+            loads = tuple(column[loads[0] >= 0] for column in loads)
+        self._capacity(*loads)
         report.delivered = self._pools(sent)
         self._never_moved()
         report.finish_time, report.utilization = self._finish(*loads)
@@ -567,12 +553,10 @@ class _FlowReplay:
         return report
 
     # -- per flow: sign, link, horizon ----------------------------------
-    def _entries(self) -> "_Sent":
+    def _entries(self, link: np.ndarray) -> "_Sent":
         """Flag negative, off-fabric and late flows, in flow order, and
-        return the flows on real links."""
+        return the flows on real links; ``link`` is each flow's row."""
         view, plan, atol = self.view, self.plan, self.atol
-        link = self.table.ids(view.flow_src, view.flow_dst)
-        real = link >= 0
         epoch = view.flow_epoch
         offset = self._offsets(link)
         landing = epoch + offset[link] + 1
@@ -583,9 +567,14 @@ class _FlowReplay:
                            view.epochs.stop + max(0, max(reach, default=0)
                                                   + 1))
         K = plan.num_epochs
-        late = real & ((epoch >= K) | (landing > K))
-        flagged = ((view.flow_amount < -atol) | ~real | late).nonzero()[0]
-        items = list(self.flow.flows.items()) if len(flagged) else []
+        sent = _Sent(view.flow_q, view.flow_src, view.flow_dst, epoch,
+                     landing, view.flow_amount, link)
+        late = (epoch >= K) | (landing > K)
+        flagged = ((view.flow_amount < -atol) | (link < 0) | late
+                   ).nonzero()[0]
+        if not len(flagged):
+            return sent
+        items = list(self.flow.flows.items())
         for n in flagged.tolist():
             (q, i, j, k), amount = items[n]
             if amount < -atol:
@@ -593,7 +582,7 @@ class _FlowReplay:
                     kind="conservation", epoch=k, link=(i, j), commodity=q,
                     message=f"negative flow {amount:.3g} on ({i},{j}) at "
                             f"epoch {k}"))
-            if not real[n]:
+            if link[n] < 0:
                 self.violations.append(Violation(
                     kind="link", epoch=k, link=(i, j), commodity=q,
                     message=f"flow on nonexistent link ({i},{j})"))
@@ -602,10 +591,9 @@ class _FlowReplay:
                     kind="horizon", epoch=k, link=(i, j), commodity=q,
                     message=(f"flow sent at epoch {k} on ({i},{j}) cannot "
                              f"land within the horizon K={K}")))
-        sent = _Sent(view.flow_q, view.flow_src, view.flow_dst, epoch,
-                     landing, view.flow_amount, link)
-        return sent if len(flagged) == 0 or real.all() \
-            else _Sent(*(column[real] for column in sent))
+        real = link >= 0
+        return sent if real.all() else _Sent(*(column[real]
+                                               for column in sent))
 
     def _offsets(self, link: np.ndarray) -> np.ndarray:
         """Δ per link row (and the plan's per-epoch chunk budget in
@@ -620,6 +608,8 @@ class _FlowReplay:
 
     # -- per (link, epoch): capacity ------------------------------------
     def _capacity(self, link, epoch, load) -> None:
+        """Per-(link, epoch) load against the budget, reported in link and
+        epoch order."""
         config, plan, links = self.config, self.plan, self.table.links
         if config is not None and config.capacity_fn is not None:
             cap = np.array([config.capacity_fn(*links[row], k) * plan.tau
@@ -627,7 +617,8 @@ class _FlowReplay:
                             for row, k in zip(link.tolist(), epoch.tolist())])
         else:
             cap = self.cap_chunks[link]
-        for n in (load > cap + self.atol).nonzero()[0].tolist():
+        over = (load > cap + self.atol).nonzero()[0]
+        for n in over[np.lexsort((epoch[over], link[over]))].tolist():
             (i, j), k = links[link[n]], int(epoch[n])
             self.violations.append(Violation(
                 kind="capacity", epoch=k, link=(i, j),
@@ -639,20 +630,11 @@ class _FlowReplay:
         """Group every event by (commodity, node) and pool, then check, in
         this order: reads nobody demanded, prefix conservation, switch
         forwarding, the relay buffer; returns ``delivered``."""
-        view, keys, amounts = self.view, self.keys, self.amounts
-        # every demanded (commodity, sink), commodities in ``str`` order
-        # and sinks ascending: the report's order
-        pair_q: list[int] = []
-        pair_d: list[int] = []
-        for n in sorted(range(len(keys)), key=lambda n: str(keys[n])):
-            sinks = sorted(amounts[keys[n]][1])
-            pair_q += [n] * len(sinks)
-            pair_d += sinks
+        view = self.view
         stride = 1 + max(self.topology.num_nodes - 1,
-                         max(pair_d, default=-1),
+                         int(self.demand.chunk_rows[2].max(initial=-1)),
                          int(view.read_dst.max(initial=-1)))
-        pair_code = np.array([n * stride + d for n, d in zip(pair_q, pair_d)],
-                             dtype=np.int64)
+        pairs = self._demanded(stride)
         q = sent.q * stride
         group = np.concatenate((q + sent.dst, q + sent.src,
                                 view.read_q * stride + view.read_dst))
@@ -675,7 +657,7 @@ class _FlowReplay:
         event_group = self.slot_of[inverse]
 
         # reads of a commodity at a node that never demanded it
-        pair_group = positions(groups, pair_code)
+        pair_group = positions(groups, pairs.code)
         is_pair = np.zeros(len(groups) + 1, dtype=bool)
         is_pair[pair_group] = True     # −1 (never read) marks the spare
         read_group = event_group[2 * flows:]
@@ -690,22 +672,58 @@ class _FlowReplay:
                              "never demanded it")))
 
         switches = sorted(self.topology.switches)
-        self.group_switch = (positions(np.array(switches, dtype=np.int64),
-                                       self.group_node) >= 0
-                             if switches else np.zeros(len(groups), bool))
-        consumers = np.bincount(event_group[flows:], minlength=len(groups))
-        buffered = self._conservation((consumers > 0) & ~self.group_switch)
+        relay = np.bincount(event_group[flows:], minlength=len(groups)) > 0
+        if switches:
+            self.group_switch = positions(np.array(switches, dtype=np.int64),
+                                          self.group_node) >= 0
+            relay &= ~self.group_switch
+        buffered = self._conservation(relay, pairs.supply)
         if switches:
             self._switches()
         if buffered is not None:
             self._buffers(*buffered)
         read = np.bincount(read_group, view.read_amount, len(groups))
-        return self._delivery(pair_q, pair_d, pair_group, read)
+        return self._delivery(pairs, pair_group, read)
+
+    def _demanded(self, stride: int) -> "_Pairs":
+        """What the LP was fed, read off ``Demand.chunk_rows``: an
+        aggregated key carries every chunk of its source, a ``(source,
+        chunk)`` key its own chunk. Supply per key, and every demanded
+        ``(key, sink)`` with the amount wanted — keys in ``str`` order,
+        sinks ascending: the report's order."""
+        keys = self.keys
+        chunk_keys, source, dests = self.demand.chunk_rows
+        aggregated, per_chunk = {}, {}
+        for n, q in enumerate(keys):
+            (per_chunk if isinstance(q, tuple) else aggregated)[q] = n
+        row, column = (dests >= 0).nonzero()
+        sink = dests[row, column]
+        # (key, sink) code of every demanded sink of every chunk a key
+        # carries, one block per keying; -1 marks a chunk no key carries
+        code = np.concatenate([
+            np.fromiter(map(table.get, labels, repeat(-1)), np.int64,
+                        len(labels))[row] * stride + sink
+            for table, labels in ((aggregated, source.tolist()),
+                                  (per_chunk, chunk_keys)) if table]
+            or [sink[:0]])
+        wanted = np.bincount(code[code >= 0], minlength=len(keys) * stride
+                             ).reshape(len(keys), stride)
+        supply = wanted.sum(axis=1).astype(float)
+        order = sorted(range(len(keys)), key=lambda n: str(keys[n]))
+        ranked = order != list(range(len(keys)))
+        if ranked:
+            wanted = wanted[order]
+        pair_q, pair_d = wanted.nonzero()
+        want = wanted[pair_q, pair_d].astype(float)
+        if ranked:
+            pair_q = np.array(order, dtype=np.int64)[pair_q]
+        return _Pairs(q=pair_q, d=pair_d, code=pair_q * stride + pair_d,
+                      want=want, supply=supply)
 
     def _group_label(self, g) -> str:
         return str((self.keys[self.group_q[g]], int(self.group_node[g])))
 
-    def _conservation(self, relay: np.ndarray):
+    def _conservation(self, relay: np.ndarray, supply: np.ndarray):
         """Prefix conservation at every consuming non-switch group
         (``relay``): the running balance — origin supply, plus arrivals,
         minus consumption, pool by pool — may never go below −atol. Under
@@ -714,19 +732,22 @@ class _FlowReplay:
         non-origin group holds past a pool, until its next event."""
         keys, atol = self.keys, self.atol
         gq, gnode, slot_of = self.group_q, self.group_node, self.slot_of
-        group_supply = np.where(self.origin[gq] == gnode, self.supply[gq],
-                                0.0)
-        column = 2 * (np.arange(len(slot_of)) - self.starts[slot_of])
+        origin = np.fromiter((q[0] if isinstance(q, tuple) else q
+                              for q in keys), np.int64, len(keys))
+        group_supply = np.where(origin[gq] == gnode, supply[gq], 0.0)
+        arrived = 2 * (np.arange(len(slot_of)) - self.starts[slot_of]) + 1
+        consumed = arrived + 1
         # one row per group: supply, then +arrived / −consumed per pool;
         # a row-wise cumsum adds in exactly the loop's order
         steps = np.zeros((len(gq), 2 * int(self.counts.max(initial=0)) + 1))
         steps[:, 0] = group_supply
-        steps[slot_of, column + 1] = self.inflow
-        steps[slot_of, column + 2] = -self.outflow
-        balance = steps.cumsum(axis=1)[slot_of, column + 2]
+        steps[slot_of, arrived] = self.inflow
+        steps[slot_of, consumed] = -self.outflow
+        balance = steps.cumsum(axis=1)[slot_of, consumed]
         deficit = np.zeros(len(gq), dtype=bool)
-        deficit[slot_of[balance < -atol]] = True
-        deficit &= relay
+        short = slot_of[balance < -atol]
+        if len(short):
+            deficit[short] = relay[short]
         limit = (None if self.config is None
                  else self.config.buffer_limit_chunks)
 
@@ -834,50 +855,59 @@ class _FlowReplay:
                          f"index {p + low}, budget {limit:g}")))
 
     # -- delivery and commodities that never move -----------------------
-    def _delivery(self, pair_q: list, pair_d: list, pair_group: np.ndarray,
+    def _delivery(self, pairs: "_Pairs", pair_group: np.ndarray,
                   read: np.ndarray) -> dict:
         """Per demanded (commodity, sink), the amount read, in order."""
-        got = np.where(pair_group >= 0, read[pair_group], 0.0).tolist()
-        keys, amounts, atol = self.keys, self.amounts, self.atol
-        delivered = {}
-        for n, d, amount in zip(pair_q, pair_d, got):
-            q = keys[n]
-            delivered[(q, d)] = amount
-            want = amounts[q][1][d]
-            if amount < want - atol:
-                self.violations.append(Violation(
-                    kind="delivery", commodity=q, node=d,
-                    message=(f"demand unmet: sink {d} read {amount:.6g} of "
-                             f"{want:g} demanded of commodity {q}")))
-        return delivered
+        got = np.where(pair_group >= 0, read[pair_group], 0.0)
+        keys = self.keys
+        commodity = list(map(keys.__getitem__, pairs.q.tolist()))
+        sink = pairs.d.tolist()
+        amount = got.tolist()
+        for n in (got < pairs.want - self.atol).nonzero()[0].tolist():
+            q, d = commodity[n], sink[n]
+            self.violations.append(Violation(
+                kind="delivery", commodity=q, node=d,
+                message=(f"demand unmet: sink {d} read {amount[n]:.6g} of "
+                         f"{pairs.want[n]:g} demanded of commodity {q}")))
+        return dict(zip(zip(commodity, sink), amount))
 
     def _never_moved(self) -> None:
         demand, keys = self.demand, self.keys
+        chunk_keys, source, _ = demand.chunk_rows
         if demand.benefits_from_copy() or any(
                 isinstance(k, tuple) for k in keys) or not keys:
-            demanded_keys = set(demand.commodities())
+            demanded_keys = set(chunk_keys)
         else:
-            demanded_keys = set(demand.sources)
+            demanded_keys = set(source.tolist())
         for q in sorted(demanded_keys - set(keys), key=str):
             self.violations.append(Violation(
                 kind="delivery", commodity=q,
                 message=f"demand unmet: commodity {q} never moves"))
 
     # -- replayed finish: serialized per-link α–β arrival ---------------
-    def _finish(self, link, epoch, load, first):
+    def _finish(self, link, epoch, load):
         table, plan = self.table, self.plan
         finish = table.finish(link, epoch, load, plan.tau, plan.chunk_bytes)
         # busy time per link, added in the order each (link, epoch) load
         # first appears among the flows
-        order = first.argsort()
-        link = link[order]
-        busy = np.bincount(link, load[order] * plan.chunk_bytes
+        busy = np.bincount(link, load * plan.chunk_bytes
                            / table.capacity[link], len(table.links)).tolist()
         seen = dict.fromkeys(link.tolist())
         if finish > 0:
             return finish, {table.links[row]: busy[row] / finish
                             for row in seen}
         return finish, {table.links[row]: 0.0 for row in seen}
+
+
+class _Pairs(NamedTuple):
+    """Every demanded ``(commodity, sink)`` in report order, as columns,
+    and the supply per commodity key."""
+
+    q: np.ndarray
+    d: np.ndarray
+    code: np.ndarray
+    want: np.ndarray
+    supply: np.ndarray
 
 
 class _Sent(NamedTuple):

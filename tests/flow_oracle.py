@@ -4,8 +4,8 @@
 over the schedule's dict entries (≈ 6 µs a flow). It now replays the same
 invariants as NumPy kernels over one array view, and must return an equal
 report — the same violations in the same order with the same messages, and
-bit-identical floats — on every input; ``tests/test_flow_oracle.py`` holds
-it to that. The per-flow ``FlowSchedule.finish_time`` loop and
+bit-identical floats (:func:`assert_same_report`) — on every input;
+``tests/test_flow_oracle.py`` holds it to that. The per-flow ``FlowSchedule.finish_time`` loop and
 ``prune_fractional`` as it rescanned every pool (with ``plan.arrival_offset``
 called once per flow) are kept beside it for the same differential.
 """
@@ -21,6 +21,32 @@ from repro.simulate.conformance import (FINISH_RTOL, FLOW_ATOL,
 from repro.topology.topology import Topology
 
 _TOL = 1e-7
+
+
+def bits(value):
+    """A float (or anything) as its type and exact repr."""
+    return (type(value), repr(value))
+
+
+def assert_same_report(new, ref):
+    """``new`` equals the reference report ``ref``: the same violations in
+    the same order with the same messages, equal ``delivered`` and
+    ``utilization`` in the same order, bit-identical floats."""
+    assert new.violations == ref.violations
+    assert [v.message for v in new.violations] == \
+        [v.message for v in ref.violations]
+    assert new.to_dict() == ref.to_dict()
+    assert new.delivered == ref.delivered
+    assert list(new.delivered) == list(ref.delivered)
+    assert new.utilization == ref.utilization
+    assert list(new.utilization) == list(ref.utilization)
+    for name in ("finish_time", "total_flow", "total_bytes",
+                 "claimed_finish_time", "finish_epoch", "num_sends"):
+        assert bits(getattr(new, name)) == bits(getattr(ref, name)), name
+    for key, value in ref.utilization.items():
+        assert bits(new.utilization[key]) == bits(value)
+    for key, value in ref.delivered.items():
+        assert bits(new.delivered[key]) == bits(value)
 
 
 def _epoch_capacity(plan: EpochPlan, config: TecclConfig | None,

@@ -15,12 +15,13 @@ torus3x3 and dgx1 ALLTOALL under both commodity keyings:
   tests/test_flow_oracle.py`` prints the kill rate per mutation kind.
 """
 
+import math
 import random
 from dataclasses import replace
 
 import pytest
-from flow_oracle import (reference_check_flow, reference_finish_time,
-                         reference_prune_fractional)
+from flow_oracle import (assert_same_report, bits, reference_check_flow,
+                         reference_finish_time, reference_prune_fractional)
 
 from repro import collectives, topology
 from repro.core import TecclConfig
@@ -100,30 +101,6 @@ def corpus():
     return build_corpus()
 
 
-# ----------------------------------------------------------------------
-# report equality
-# ----------------------------------------------------------------------
-def _bits(value):
-    return (type(value), repr(value))
-
-
-def assert_same_report(new, ref):
-    assert new.violations == ref.violations
-    assert [v.message for v in new.violations] == \
-        [v.message for v in ref.violations]
-    assert new.to_dict() == ref.to_dict()
-    assert new.delivered == ref.delivered
-    assert list(new.delivered) == list(ref.delivered)
-    assert new.utilization == ref.utilization
-    for name in ("finish_time", "total_flow", "total_bytes",
-                 "claimed_finish_time", "finish_epoch", "num_sends"):
-        assert _bits(getattr(new, name)) == _bits(getattr(ref, name)), name
-    for key, value in ref.utilization.items():
-        assert _bits(new.utilization[key]) == _bits(value)
-    for key, value in ref.delivered.items():
-        assert _bits(new.delivered[key]) == _bits(value)
-
-
 def replay_both(case, schedule=None, config="case", claimed=None):
     schedule = case.schedule if schedule is None else schedule
     config = case.config if config == "case" else config
@@ -140,14 +117,11 @@ def replay_both(case, schedule=None, config="case", claimed=None):
 # None when the schedule offers no site for it
 # ----------------------------------------------------------------------
 def _copy(schedule, flows=None, reads=None):
-    out = FlowSchedule(flows={}, reads={}, tau=schedule.tau,
-                       chunk_bytes=schedule.chunk_bytes,
-                       num_epochs=schedule.num_epochs,
-                       tolerance=schedule.tolerance)
-    # bypass the constructor's filter: negative amounts must survive
-    out.flows = dict(schedule.flows if flows is None else flows)
-    out.reads = dict(schedule.reads if reads is None else reads)
-    return out
+    # no tolerance filter: negative amounts must survive
+    return FlowSchedule(flows=schedule.flows if flows is None else flows,
+                        reads=schedule.reads if reads is None else reads,
+                        tau=schedule.tau, chunk_bytes=schedule.chunk_bytes,
+                        num_epochs=schedule.num_epochs, tolerance=-math.inf)
 
 
 def _origin(q):
@@ -436,8 +410,8 @@ class TestDifferential:
 
     def test_finish_time_and_prune_match_their_references(self, corpus):
         for case in corpus:
-            assert _bits(case.schedule.finish_time(case.topology)) == \
-                _bits(reference_finish_time(case.schedule, case.topology))
+            assert bits(case.schedule.finish_time(case.topology)) == \
+                bits(reference_finish_time(case.schedule, case.topology))
             if case.raw is None:
                 continue
             args = (case.raw, case.topology, case.plan)
@@ -464,8 +438,8 @@ class TestEditedFabric:
         plan = build_epoch_plan(topo, unit, 4)
         report = check_flow(flow, topo, demand, plan)
         assert report.ok, [str(v) for v in report.violations]
-        assert _bits(flow.finish_time(topo)) == \
-            _bits(reference_finish_time(flow, topo))
+        assert bits(flow.finish_time(topo)) == \
+            bits(reference_finish_time(flow, topo))
 
     def test_a_link_replaced_in_place_is_seen(self):
         topo = topology.line(2, capacity=1.0)
@@ -475,7 +449,7 @@ class TestEditedFabric:
         topo.links[(0, 1)] = Link(0, 1, capacity=4.0)
         fast = flow.finish_time(topo)
         assert fast < slow
-        assert _bits(fast) == _bits(reference_finish_time(flow, topo))
+        assert bits(fast) == bits(reference_finish_time(flow, topo))
 
 
 class TestMutationCorpus:

@@ -414,6 +414,18 @@ class TestOneConstructionPath:
         assert sorted(line for line, _ in self._lint().find_retired(source)) \
             == [2, 3, 5]
 
+    def test_lint_flags_the_multi_pass_schedule_replay(self, tmp_path):
+        source = tmp_path / "conformance.py"
+        source.write_text(
+            "def check_schedule(schedule):\n"
+            "    return _check_schedule_impl(schedule)\n"
+            "def _check_schedule_impl(schedule):\n"
+            "    pass\n"
+            "replay = conformance._check_schedule_impl\n"
+            "check_schedule_impl = _replay_schedule = None\n")
+        assert sorted(line for line, _ in self._lint().find_retired(source)) \
+            == [2, 3, 5]
+
     def test_lint_flags_hand_written_shortcut_gates(self, tmp_path):
         source = tmp_path / "lp.py"
         source.write_text(

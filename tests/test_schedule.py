@@ -1,10 +1,19 @@
 """Unit tests for Schedule / FlowSchedule invariants and cost math."""
 
+import copy
+import dataclasses
 import json
+import pickle
 
+import numpy as np
 import pytest
 
-from repro.core.schedule import FlowSchedule, Schedule, Send
+from repro import collectives, topology
+from repro.core import TecclConfig
+from repro.core.epochs import build_epoch_plan
+from repro.core.lp import solve_lp
+from repro.core.postprocess import prune_fractional
+from repro.core.schedule import FlowArrays, FlowSchedule, Schedule, Send
 from repro.errors import ModelError, ScheduleError
 from repro.topology import line
 
@@ -119,6 +128,89 @@ class TestFlowSchedule:
         fs = FlowSchedule(flows={(0, 0, 1, 0): 1.5}, reads={}, tau=1.0,
                           chunk_bytes=2.0, num_epochs=1)
         assert fs.total_bytes() == pytest.approx(3.0)
+
+
+def assert_same_view(view, fresh):
+    """Two :class:`FlowArrays` hold the same columns, dtypes included."""
+    assert view.commodities == fresh.commodities
+    assert view.epochs == fresh.epochs
+    for field in dataclasses.fields(FlowArrays)[2:]:
+        held, built = getattr(view, field.name), getattr(fresh, field.name)
+        assert held.dtype == built.dtype, field.name
+        assert np.array_equal(held, built), field.name
+
+
+class TestReadOnlyFlowSchedule:
+    """A served flow schedule is shared by every cache hit and holds its
+    column view, so nothing may change it after construction."""
+
+    @staticmethod
+    def _flow():
+        return FlowSchedule(flows={(0, 0, 1, 0): 1.0, (2, 1, 2, 1): 0.5},
+                            reads={(0, 1, 0): 1.0, (2, 2, 1): 0.5},
+                            tau=1.0, chunk_bytes=1.0, num_epochs=3)
+
+    @pytest.mark.parametrize("name", ["flows", "reads"])
+    def test_writing_an_entry_raises(self, name):
+        fs = self._flow()
+        entries = getattr(fs, name)
+        key = next(iter(entries))
+        with pytest.raises(TypeError):
+            entries[key] = 2.0
+        with pytest.raises(TypeError):
+            del entries[key]
+        assert not hasattr(entries, "update") and not hasattr(entries, "pop")
+
+    @pytest.mark.parametrize("name", ["flows", "reads", "tau",
+                                      "num_epochs"])
+    def test_reassigning_a_field_raises(self, name):
+        fs = self._flow()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fs, name, getattr(fs, name))
+
+    def test_the_callers_dict_is_copied(self):
+        flows = {(0, 0, 1, 0): 1.0}
+        fs = FlowSchedule(flows=flows, reads={}, tau=1.0, chunk_bytes=1.0,
+                          num_epochs=2)
+        flows[(0, 0, 1, 1)] = 1.0
+        assert list(fs.flows) == [(0, 0, 1, 0)]
+
+    def test_view_is_held_and_read_only(self):
+        fs = self._flow()
+        assert fs.arrays is fs.arrays
+        assert_same_view(fs.arrays, FlowArrays.of(fs))
+        with pytest.raises(ValueError):
+            fs.arrays.flow_amount[0] = 0.0
+
+    def test_pickle_and_copy_round_trip(self):
+        fs = self._flow()
+        fs.arrays  # a held view does not travel; the copy builds its own
+        for back in (pickle.loads(pickle.dumps(fs)), copy.deepcopy(fs),
+                     dataclasses.replace(fs)):
+            assert back == fs
+            assert list(back.flows.items()) == list(fs.flows.items())
+            assert_same_view(back.arrays, fs.arrays)
+
+    def test_relabel_and_round_trip_carry_fresh_views(self):
+        fs = self._flow()
+        fs.arrays
+        for out in (fs.relabel((2, 0, 1)),
+                    FlowSchedule.from_dict(json.loads(json.dumps(
+                        fs.to_dict())))):
+            assert_same_view(out.arrays, FlowArrays.of(out))
+
+    def test_prune_output_carries_a_fresh_view(self):
+        topo = topology.ring(4, capacity=1.0)
+        config = TecclConfig(chunk_bytes=1.0)
+        out = solve_lp(topo, collectives.alltoall(topo.gpus, 1), config)
+        raw = FlowSchedule(flows=dict(out.schedule.flows),
+                           reads=dict(out.schedule.reads), tau=1.0,
+                           chunk_bytes=1.0, num_epochs=out.plan.num_epochs)
+        raw.arrays
+        pruned = prune_fractional(raw, topo, build_epoch_plan(
+            topo, config, out.plan.num_epochs))
+        assert_same_view(pruned.arrays, FlowArrays.of(pruned))
+        assert_same_view(out.schedule.arrays, FlowArrays.of(out.schedule))
 
 
 class TestFlowScheduleFromDict:

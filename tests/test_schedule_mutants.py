@@ -1,12 +1,21 @@
-"""A mutation corpus for ``check_schedule``, the integral replay oracle.
+"""``check_schedule`` against its multi-pass reference, and a mutation
+corpus.
 
 The corpus is every integral schedule the harness producers emit over the
 tier-1 seeds — the MILP, A*, the integral hierarchical phases, the
 heuristic baselines, the MSCCL round-trip and failure repair — plus MILP
 ALLGATHER and ALLTOALL through a no-copy switch, the one model variant the
-seeds never draw. Each seeded single mutation of a conformant schedule
-must be flagged with the violation kind it breaks. ``python
-tests/test_schedule_mutants.py`` prints the kill rate per mutation kind.
+seeds never draw. Two layers over it:
+
+* **differential**: the one-pass replay returns a report equal to
+  ``tests/schedule_oracle.py``'s multi-pass walk (same violations in the
+  same order with the same messages, equal ``delivered`` and
+  ``utilization``, bit-identical floats) on every schedule, every mutant,
+  a capacity-hook and a relay-buffer-budget variant, and the empty
+  schedule;
+* **mutation**: each seeded single mutation of a conformant schedule must
+  be flagged with the violation kind it breaks. ``python
+  tests/test_schedule_mutants.py`` prints the kill rate per mutation kind.
 """
 
 import math
@@ -14,6 +23,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from flow_oracle import assert_same_report
+from schedule_oracle import reference_check_schedule
 
 from repro import collectives, topology
 from repro.core import TecclConfig
@@ -55,6 +66,17 @@ class Case:
         return check_schedule(schedule, self.topology, self.demand,
                               self.plan, config=config,
                               strict_switches=self.strict)
+
+    def check_both(self, schedule=None, config="case", claimed=None):
+        """The replay, after asserting it equals the reference's."""
+        schedule = self.schedule if schedule is None else schedule
+        config = self.config if config == "case" else config
+        args = (schedule, self.topology, self.demand, self.plan)
+        kwargs = dict(config=config, strict_switches=self.strict,
+                      claimed_finish_time=claimed)
+        new = check_schedule(*args, **kwargs)
+        assert_same_report(new, reference_check_schedule(*args, **kwargs))
+        return new
 
 
 def build_corpus() -> list[Case]:
@@ -371,6 +393,53 @@ class TestCorpus:
         assert any(not case.store_and_forward for case in corpus)
         assert any(case.no_copy for case in corpus)
         assert any(case.topology.switches for case in corpus)
+
+
+class TestDifferential:
+    def test_corpus_schedules_replay_clean_and_equal(self, corpus):
+        for case in corpus:
+            replay = case.replay
+            report = case.check_both(claimed=replay.claimed_finish
+                                     if replay.compare_finish else None)
+            assert report.ok, (case.name, report.violations[:3])
+
+    def test_mutants_equal(self, corpus):
+        for case, _, schedule, config, _ in mutants(corpus):
+            case.check_both(schedule, config)
+
+    def test_relay_buffer_budget(self, corpus):
+        flagged = 0
+        for case in corpus:
+            config = replace(case.config or TecclConfig(
+                chunk_bytes=case.plan.chunk_bytes), buffer_limit_chunks=0)
+            flagged += "buffer" in case.check_both(config=config) \
+                .counts_by_kind()
+        assert flagged >= 10
+
+    def test_capacity_hook(self, corpus):
+        def thinned_on_odd_epochs(i, j, k):
+            return case.topology.link(i, j).capacity * (0.25 if k % 2
+                                                        else 1.0)
+
+        flagged = 0
+        for case in corpus:
+            config = replace(case.config or TecclConfig(
+                chunk_bytes=case.plan.chunk_bytes),
+                capacity_fn=thinned_on_odd_epochs)
+            flagged += "capacity" in case.check_both(config=config) \
+                .counts_by_kind()
+        assert flagged >= 5
+
+    def test_claimed_finish_disagreement(self, corpus):
+        case = corpus[0]
+        finish = case.check(case.schedule, case.config).finish_time
+        report = case.check_both(claimed=finish * 2)
+        assert report.counts_by_kind() == {"finish": 1}
+
+    def test_empty_schedule(self, corpus):
+        for case in corpus[:4]:
+            report = case.check_both(_copy(case, []))
+            assert report.counts_by_kind()["delivery"] >= 1
 
 
 class TestMutationCorpus:

@@ -50,6 +50,10 @@ It flags ``_check_flow_impl`` too, defined or referred to: the scalar
 per-entry replay of fractional schedules that ``check_flow`` ran before it
 was written as array kernels. It lives on as the tests' differential
 reference (``tests/flow_oracle.py``); one flow replay in library code.
+So is ``_check_schedule_impl``, the multi-pass replay of integral
+schedules (a per-link rescan of every load, a scan of every arrival pool
+per send) that ``check_schedule`` ran before it was one linear pass: it
+lives on as ``tests/schedule_oracle.py``.
 
 And it flags the hand-written shortcut gates, defined or referred to:
 ``_vet_reduced_outcome`` (the symmetry quotient LP), ``_vet_cut_outcome``
@@ -171,8 +175,9 @@ RETIRED_INIT_PARAMS = (
 RETIRED_EMITTERS = frozenset({"_build_coo", "_ranges_take"})
 RETIRED_SPAN_PREFIX = "milp.family."
 
-#: the scalar fractional replay, now only the tests' reference
-RETIRED_REPLAYS = frozenset({"_check_flow_impl"})
+#: the scalar fractional and multi-pass integral replays, now only the
+#: tests' references
+RETIRED_REPLAYS = frozenset({"_check_flow_impl", "_check_schedule_impl"})
 
 #: the hand-written shortcut gates, now the one ``vetted``
 RETIRED_GATES = frozenset({"_vet_reduced_outcome", "_vet_cut_outcome",
@@ -259,7 +264,7 @@ def find_retired(path: pathlib.Path) -> list[tuple[int, str]]:
         if _emitter(name):
             findings.append((node.lineno, f"`{name}` COO emitter"))
         if name in RETIRED_REPLAYS:
-            findings.append((node.lineno, f"`{name}` second flow replay"))
+            findings.append((node.lineno, f"`{name}` second replay"))
         if name in RETIRED_GATES:
             findings.append((node.lineno, f"`{name}` second shortcut gate"))
         if name in RETIRED_WRAPPERS:

@@ -92,10 +92,13 @@ def _span_cost_s(calls: int) -> float:
 
 
 def _solve_workload():
-    """A fast end-to-end solve crossing every solve-side ``span()`` site."""
-    topo = topology.dgx1()
-    demand = collectives.allgather(topo.gpus, 1)
-    config = TecclConfig(chunk_bytes=1e6)
+    """A fast end-to-end solve crossing every solve-side ``span()`` site:
+    ring8 ALLTOALL solves through its symmetry quotient, so one solve runs
+    detect, reduce, ``symmetry.solve``, prepare, backend, extract and the
+    conformance vet."""
+    topo = topology.ring(8, capacity=1.0)
+    demand = collectives.alltoall(topo.gpus, 1)
+    config = TecclConfig(chunk_bytes=1.0)
     return lambda: synthesize(topo, demand, config)
 
 
@@ -151,7 +154,7 @@ def test_span_overhead(benchmark):
     rec = _measure_recorder()
 
     table = Table("span() overhead: all-off MILP build (Internal2 "
-                  "4ch), recorder-on solve (dgx1 AG)", columns=["value"])
+                  "4ch), recorder-on solve (ring8 A2A)", columns=["value"])
     table.add("all-off build s", value=disabled_s)
     table.add("traced (memory) build s", value=enabled_s)
     table.add("spans per build", value=spans_per_build)
@@ -177,7 +180,7 @@ def test_span_overhead(benchmark):
             "analytic_overhead": analytic_overhead,
             "ab_overhead": ab_overhead,
             "budget": OVERHEAD_BUDGET,
-            "recorder_workload": "dgx1/allgather end-to-end synthesize",
+            "recorder_workload": "ring8/alltoall end-to-end synthesize",
             **rec,
             "note": "analytic = spans/build x all-off span cost / build "
                     "time; recorder analytic = ring records/solve x "

@@ -243,6 +243,14 @@ class FlowSchedule:
             tau=self.tau, chunk_bytes=self.chunk_bytes,
             num_epochs=self.num_epochs, tolerance=self.tolerance)
 
+    def links_used(self) -> set[tuple[int, int]]:
+        """The ``(src, dst)`` links the flows take, read off the column
+        view's distinct :func:`pair_code` values (node ids are
+        non-negative)."""
+        codes = self.arrays.links
+        return set(zip((codes >> 32).tolist(),
+                       (codes & 0xFFFFFFFF).tolist()))
+
     def link_load(self, src: int, dst: int, epoch: int) -> float:
         return sum(v for (_, i, j, k), v in self.flows.items()
                    if i == src and j == dst and k == epoch)

@@ -10,7 +10,7 @@ transformation and the multi-tenant merge of §5.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.collectives.demand import Demand, TenantDemand, merge_tenants
 # the module, not its names: loading repro.core runs astar, which loads
@@ -70,6 +70,13 @@ class SynthesisResult:
     #: :func:`synthesize`, carried through serialisation so the planner's
     #: explain report survives cache round-trips and process boundaries.
     explain: dict | None = None
+    #: the fleet WAL's encoding of :meth:`to_dict` (a
+    #: :class:`repro.fleet.wal.Encoded`), built the first time the result
+    #: is journaled and kept as long as the result lives. Nothing mutates
+    #: a result once :func:`synthesize` returns it; a result made by
+    #: ``dataclasses.replace`` starts without one.
+    encoded: object | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def relabeled(self, perm) -> "SynthesisResult":
         """The same result with every node id mapped through ``perm``.

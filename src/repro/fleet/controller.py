@@ -27,6 +27,8 @@ iteration in flight is :func:`repro.failures.repair_schedule`'s business.
 from __future__ import annotations
 
 import enum
+import hashlib
+import json
 import threading
 import time as _time
 from collections import deque
@@ -36,19 +38,18 @@ from functools import partial
 
 from repro.collectives.demand import Demand
 from repro.core.config import TecclConfig
-from repro.core.schedule import Schedule
 from repro.core.solve import Method, SynthesisResult
 from repro.errors import FleetError
 from repro.fleet.estimate import (FabricEstimator, LinkHealth,
                                   LinkTransition)
-from repro.fleet.wal import WriteAheadLog
+from repro.fleet.wal import Encoded, WriteAheadLog
 from repro.obs import recorder as _flight
 from repro.obs import trace as _obs
 from repro.obs.alerts import Alert, AlertEngine, AlertRule
 from repro.obs.metrics import CounterFields
 from repro.fleet.telemetry import TelemetrySource
 from repro.service.cache import make_envelope, open_envelope
-from repro.service.fingerprint import fingerprint_canonical
+from repro.service.fingerprint import canonical_json
 from repro.service.planner import Planner
 from repro.service.schema import (REGISTRY_STATE_VERSION, PlanRequest,
                                   check_registry_state)
@@ -138,11 +139,7 @@ def links_used_by(result: SynthesisResult,
     space or references links outside the declared fabric — callers must
     then assume the whole fabric is in play.
     """
-    schedule = result.schedule
-    if isinstance(schedule, Schedule):
-        used = set(schedule.links_used())
-    else:
-        used = {(i, j) for (_, i, j, _) in schedule.flows}
+    used = result.schedule.links_used()
     if result.hyper is not None \
             or any(link not in declared.links for link in used):
         return None
@@ -218,9 +215,16 @@ class RegistryEntry:
 
         The schedule payload rides inside the disk cache's versioned
         envelope, so a WAL snapshot written by an older package version
-        is invalidated by the same rule as a stale cache entry.
+        is invalidated by the same rule as a stale cache entry. The
+        payload is ``result.to_dict()``, decoded from the result's
+        canonical text (:func:`_encoded`) rather than rebuilt.
         """
-        payload = self.result.to_dict()
+        return self._wire(json.loads(_encoded(self.result).text))
+
+    def _wire(self, payload: dict | Encoded) -> dict:
+        """:meth:`to_wire` around ``payload``: the schedule document, or
+        its :class:`~repro.fleet.wal.Encoded` text for the WAL to
+        splice."""
         return {
             "seq": self.seq,
             "job": self.job,
@@ -228,7 +232,7 @@ class RegistryEntry:
             "time": self.time,
             "conformance_ok": self.conformance_ok,
             "note": self.note,
-            "result": make_envelope(fingerprint_canonical(payload), payload,
+            "result": make_envelope(_encoded(self.result).digest, payload,
                                     {"kind": "fleet-registry-entry"}),
             "fabric": (None if self.fabric is None
                        else self.fabric.to_dict()),
@@ -257,6 +261,23 @@ class RegistryEntry:
         except (KeyError, TypeError, ValueError) as exc:
             raise FleetError(
                 f"malformed registry entry document: {exc}") from exc
+
+
+def _encoded(result: SynthesisResult) -> Encoded:
+    """``result``'s canonical text and its SHA-256, built on first use and
+    kept on the result (:attr:`SynthesisResult.encoded`).
+
+    One result is often proposed many times: replicas of a job share one
+    solve, and heal or recovery probes hit the cache on results proposed
+    at admission. Each of those records carries the same text, and the
+    envelope fingerprint is its digest — ``fingerprint_canonical`` of the
+    payload.
+    """
+    if result.encoded is None:
+        text = canonical_json(result.to_dict())
+        result.encoded = Encoded(
+            text, hashlib.sha256(text.encode("utf-8")).hexdigest())
+    return result.encoded
 
 
 class ScheduleRegistry:
@@ -292,7 +313,8 @@ class ScheduleRegistry:
             entry = RegistryEntry(job=job, result=result,
                                   status=ScheduleStatus.PENDING, time=time,
                                   fabric=fabric, seq=self._seq)
-            self._log("propose", entry.to_wire())
+            if self._journal is not None:
+                self._journal("propose", entry._wire(_encoded(result)))
             self.history.append(entry)
         return entry
 

@@ -153,6 +153,51 @@ def _frame(body: bytes) -> bytes:
             .encode("ascii") + body + b"\n")
 
 
+@dataclass(frozen=True)
+class Encoded:
+    """A JSON value already encoded the way :meth:`WriteAheadLog.append`
+    encodes a record (sorted keys, compact separators), with the SHA-256
+    hex digest of that text.
+
+    Placed anywhere in a record, it is written as ``text`` verbatim: the
+    frame is byte-identical to encoding the decoded value, but a value
+    that is journaled more than once is encoded only once.
+    """
+
+    text: str
+    digest: str
+
+
+def _encode(record: dict) -> bytes:
+    """``json.dumps(record, separators=(",", ":"), sort_keys=True)``, with
+    every :class:`Encoded` value spliced in as its text.
+
+    Each one is first encoded as a slot string, ``"\\0<digest>"``, then
+    the slot is replaced by the text. A record in which some other string
+    reads exactly like a slot is encoded the plain way instead.
+    """
+    spliced: list[Encoded] = []
+
+    def slot(value) -> str:
+        if not isinstance(value, Encoded):
+            raise TypeError(f"Object of type {type(value).__name__} "
+                            "is not JSON serializable")
+        spliced.append(value)
+        return "\0" + value.digest
+
+    text = json.dumps(record, separators=(",", ":"), sort_keys=True,
+                      default=slot)
+    for value in spliced:
+        quoted = json.dumps("\0" + value.digest)
+        if text.count(quoted) != 1:
+            text = json.dumps(record, separators=(",", ":"), sort_keys=True,
+                              default=lambda encoded: json.loads(
+                                  encoded.text))
+            break
+        text = text.replace(quoted, value.text)
+    return text.encode("utf-8")
+
+
 class WriteAheadLog:
     """Append-only, checksum-framed, fsync'd JSONL log with snapshots.
 
@@ -295,6 +340,12 @@ class WriteAheadLog:
         caller's state transition must then not happen, which is exactly
         the write-ahead contract: no durable record, no transition.
 
+        The frame's body is ``json.dumps(record, separators=(",", ":"),
+        sort_keys=True)``. An :class:`Encoded` value inside ``data`` is
+        spliced in as its text rather than encoded again, so a schedule
+        is encoded once however many records carry it, and the frame's
+        bytes do not change.
+
         Fencing is checked twice, both times under the lock: once before
         the write, and again after the fsync. A takeover that lands
         inside that window is detected by the re-check, and the record —
@@ -315,9 +366,7 @@ class WriteAheadLog:
             handle = self._open()
             self._seq += 1
             record["seq"] = self._seq
-            frame = _frame(json.dumps(record,
-                                      separators=(",", ":"),
-                                      sort_keys=True).encode("utf-8"))
+            frame = _frame(_encode(record))
             start = os.fstat(handle.fileno()).st_size
             handle.write(frame)
             handle.flush()

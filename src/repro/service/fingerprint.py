@@ -171,14 +171,17 @@ def canonical_near_request(topology: Topology, demand: Demand,
         config, method, astar_config, minimize_epochs, near=True)
 
 
-def _dumps(document) -> str:
+def canonical_json(document) -> str:
+    """The canonical text of a JSON document: sorted keys, compact
+    separators, NaN and infinities refused."""
     return json.dumps(document, sort_keys=True,
                       separators=(",", ":"), allow_nan=False)
 
 
 def fingerprint_canonical(document: dict) -> str:
     """SHA-256 hex digest of a canonical document."""
-    return hashlib.sha256(_dumps(document).encode("utf-8")).hexdigest()
+    return hashlib.sha256(
+        canonical_json(document).encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -188,19 +191,19 @@ def fingerprint_canonical(document: dict) -> str:
 #: remainder is serialised (no canonical string starts with NUL), and how
 #: they read once serialised
 _SLOTS = ("\0topology", "\0demand")
-_QUOTED_SLOTS = tuple(_dumps(slot) for slot in _SLOTS)
+_QUOTED_SLOTS = tuple(canonical_json(slot) for slot in _SLOTS)
 
 
 @functools.lru_cache(maxsize=256)
 def _demand_fragment(demand: Demand) -> str:
     """Canonical JSON of a demand, remembered by content."""
-    return _dumps(canonical_demand(demand))
+    return canonical_json(canonical_demand(demand))
 
 
 def _topology_fragments(facts: TopologyFacts) -> tuple[str, str]:
     """Canonical JSON of a fabric: ``(exact, scale-free)``."""
     document = canonical_topology(facts.topology)
-    return _dumps(document), _dumps(_scale_free(document))
+    return canonical_json(document), canonical_json(_scale_free(document))
 
 
 @functools.lru_cache(maxsize=256)
@@ -209,7 +212,7 @@ def _remainder(config: TecclConfig, method: Method,
                near: bool) -> str:
     """Canonical JSON of everything but the fabric and the demand, around
     their two slots; remembered by content."""
-    return _dumps(_request_document(
+    return canonical_json(_request_document(
         *_SLOTS, config, method, astar_config, minimize_epochs, near))
 
 

@@ -415,18 +415,20 @@ class Session:
                        rows=model.num_constraints):
             matrix, lower, upper = model._stacked_matrix()
             a = matrix.tocsc()
-            lp = _highs.HighsLp()
-            lp.num_col_ = lp.a_matrix_.num_col_ = a.shape[1]
-            lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
-            lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-            lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = \
-                a.indptr, a.indices, a.data
-            lp.sense_ = _highs.ObjSense.kMaximize \
+            sense = _highs.ObjSense.kMaximize \
                 if model.sense is Sense.MAXIMIZE else _highs.ObjSense.kMinimize
-            lp.col_cost_ = model._objective_vector()
-            lp.offset_ = model._objective[2]
-            lp.col_lower_, lp.col_upper_ = self._lb, self._ub
-            lp.row_lower_, lp.row_upper_ = lower, upper
+            # the column-wise arrays as they are, integrality included:
+            # passModel's pointer overload reads them in place, where
+            # HighsLp fields copy element by element
+            model_args = (
+                a.shape[1], a.shape[0], a.nnz,
+                int(_highs.MatrixFormat.kColwise), int(sense),
+                float(model._objective[2]), model._objective_vector(),
+                self._lb, self._ub, lower, upper,
+                a.indptr.astype(np.int32, copy=False),
+                a.indices.astype(np.int32, copy=False), a.data,
+                # full length even for an LP: HiGHS reads num_col entries
+                model._integrality.astype(np.int32))
             self._highs = _highs._Highs()
             for name, value in (
                     ("presolve", "on" if options.presolve else "off"),
@@ -439,13 +441,11 @@ class Session:
                     ("log_to_console", options.verbose)):
                 if value is not None:
                     self._highs.setOptionValue(name, value)
-            if self._highs.passModel(lp) == _highs.HighsStatus.kError:
+            if self._highs.passModel(*model_args) \
+                    == _highs.HighsStatus.kError:
                 raise ModelError(
-                    f"HiGHS refused {model.summary()}: {_refusal(lp)}")
-            if self._mip:
-                ints = np.flatnonzero(model._integrality).astype(np.int32)
-                self._highs.changeColsIntegrality(
-                    len(ints), ints, np.ones(len(ints), dtype=np.uint8))
+                    f"HiGHS refused {model.summary()}: "
+                    f"{_refusal(model_args)}")
 
     def __enter__(self) -> "Session":
         return self
@@ -553,14 +553,15 @@ def _map_status(code) -> SolveStatus:
     return _STATUS.get(code, SolveStatus.ERROR)
 
 
-def _refusal(lp) -> str:
-    """Why HiGHS refuses ``lp``: the ERROR lines it logs when the model is
-    passed again to a throwaway instance that logs to a callback."""
+def _refusal(model_args: tuple) -> str:
+    """Why HiGHS refuses the model ``passModel(*model_args)`` passes: the
+    ERROR lines it logs when passed again to a throwaway instance that
+    logs to a callback."""
     lines: list[str] = []
     highs = _highs._Highs()
     highs.setCallback(lambda _kind, message, *_: lines.append(message), None)
     highs.startCallback(_highs.cb.kCallbackLogging)
-    highs.passModel(lp)
+    highs.passModel(*model_args)
     return "; ".join(line.removeprefix("ERROR:").strip() for line in lines
                      if line.startswith("ERROR")) or "no reason logged"
 

@@ -13,7 +13,8 @@ from repro.core import TecclConfig
 from repro.core.epochs import build_epoch_plan
 from repro.core.lp import solve_lp
 from repro.core.postprocess import prune_fractional
-from repro.core.schedule import FlowArrays, FlowSchedule, Schedule, Send
+from repro.core.schedule import (FlowArrays, FlowSchedule, Schedule, Send,
+                                 distinct)
 from repro.errors import ModelError, ScheduleError
 from repro.topology import line
 
@@ -111,6 +112,16 @@ class TestFlowSchedule:
         fs = FlowSchedule(flows={(0, 0, 1, 0): 0.5, (1, 0, 1, 0): 0.25},
                           reads={}, tau=1.0, chunk_bytes=1.0, num_epochs=2)
         assert fs.link_load(0, 1, 0) == pytest.approx(0.75)
+
+    def test_links_used_are_the_flow_links(self):
+        flows = {(0, 0, 1, 0): 0.5, (1, 0, 1, 1): 0.25, ((2, 0), 7, 3, 0): 1.0,
+                 (0, 2**31 - 1, 0, 1): 1.0, (1, 1, 2, 0): 1e-12}
+        fs = FlowSchedule(flows=flows, reads={}, tau=1.0, chunk_bytes=1.0,
+                          num_epochs=2)
+        assert fs.links_used() == {(0, 1), (7, 3), (2**31 - 1, 0)}
+        empty = FlowSchedule(flows={}, reads={}, tau=1.0, chunk_bytes=1.0,
+                             num_epochs=1)
+        assert empty.links_used() == set()
 
     def test_finish_time_serialises_link_load(self):
         topo = line(3, capacity=2.0, alpha=0.0)
@@ -299,3 +310,23 @@ class TestFlowScheduleFromDict:
         doc["flows"].append([0, 1, 2])
         with pytest.raises(ScheduleError, match="malformed"):
             FlowSchedule.from_dict(doc)
+
+
+class TestDistinct:
+    """``distinct`` is ``np.unique(code, return_inverse=True)``."""
+
+    @pytest.mark.parametrize("code", [
+        np.array([], dtype=np.int64),
+        np.array([7], dtype=np.int64),
+        np.full(50, -3, dtype=np.int64),
+        np.array([5, 1, 5, 2, 1, 9], dtype=np.int64),
+        np.random.default_rng(0).integers(-2**40, 2**40, 500),
+        np.random.default_rng(1).integers(0, 30, 4000),
+    ], ids=["empty", "single", "all-equal", "small", "wide-random",
+            "dense-random"])
+    def test_matches_np_unique(self, code):
+        values, inverse = distinct(code)
+        want_values, want_inverse = np.unique(code, return_inverse=True)
+        np.testing.assert_array_equal(values, want_values)
+        np.testing.assert_array_equal(inverse, want_inverse)
+        np.testing.assert_array_equal(values[inverse], code)

@@ -22,8 +22,12 @@ from repro.solver import SolverOptions
 WAVE = 6
 
 
-def _request(tag: str = "") -> PlanRequest:
+def _request(tag: str = "", unit: float = 1.0) -> PlanRequest:
     topo = topology.dgx1()
+    if unit != 1.0:  # the same fabric in another capacity unit
+        topo = topology.scale_capacity(topo, 1 / unit)
+        for key, link in topo.links.items():
+            topo.links[key] = link.with_alpha(link.alpha * unit)
     return PlanRequest(
         topology=topo,
         demand=collectives.allgather(topo.gpus, 2),
@@ -46,6 +50,11 @@ def test_service_cache_latency(benchmark, tmp_path):
         cold, cold_s = _timed_plan(planner, "cold")
         hit, hit_s = _timed_plan(planner, "hit")
         assert not cold.cache_hit and hit.cache_hit
+        assert planner.stats()["solves"] == 1
+        # a scale_capacity twin (α scaled with it): the first entry serves it
+        twin = planner.plan(_request("twin", unit=2.0))
+        assert twin.cache_hit and twin.fingerprint == cold.fingerprint
+        assert twin.result.plan.tau == 2 * cold.result.plan.tau
         assert planner.stats()["solves"] == 1
     with Planner(executor="thread", cache_dir=cache_dir) as planner:
         disk, disk_s = _timed_plan(planner, "disk")

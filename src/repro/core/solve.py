@@ -18,7 +18,7 @@ from repro.collectives.demand import Demand, TenantDemand, merge_tenants
 # still half-built
 from repro.core import astar as _astar
 from repro.core.config import AStarConfig, SwitchModel, TecclConfig
-from repro.core.epochs import EpochPlan
+from repro.core.epochs import EpochPlan, build_epoch_plan
 from repro.core.lp import LpOutcome, minimize_epochs_lp, solve_lp
 from repro.core.milp import MilpOutcome, solve_milp
 from repro.core.schedule import FlowSchedule, Schedule
@@ -77,6 +77,10 @@ class SynthesisResult:
     #: ``dataclasses.replace`` starts without one.
     encoded: object | None = field(default=None, init=False, repr=False,
                                    compare=False)
+    #: the :meth:`to_dict` document the planner archived it as, which the
+    #: fleet WAL then encodes; kept like ``encoded``
+    payload: dict | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def relabeled(self, perm) -> "SynthesisResult":
         """The same result with every node id mapped through ``perm``.
@@ -104,6 +108,23 @@ class SynthesisResult:
                          else Demand.from_triples(
                              (perm[s], c, perm[d])
                              for (s, c, d) in self.demand_used.triples())))
+
+    def rescaled(self, topology: Topology) -> "SynthesisResult":
+        """The same result on ``topology``: the fabric it was solved on,
+        in another capacity unit (hyper-edge-transformed for a hyper-edge
+        result). Only τ is in the unit, so the schedule keeps its sends or
+        amounts, while plan, τ and ``finish_time`` are set as a direct
+        solve there sets them. The caller proves the plan's κ and delays
+        unchanged (:func:`repro.service.fingerprint.rescale_of`);
+        ``outcome``/``hyper`` drop as in :meth:`relabeled`, and ``explain``
+        stays the solve's, in its units."""
+        plan = build_epoch_plan(topology, self.config, self.plan.num_epochs)
+        schedule = replace(self.schedule, tau=plan.tau)
+        if "arrays" in vars(self.schedule):  # a FlowSchedule's τ-free view
+            vars(schedule)["arrays"] = self.schedule.arrays
+        return replace(self, schedule=schedule, plan=plan,
+                       finish_time=schedule.finish_time(topology),
+                       outcome=None, hyper=None, topology_used=topology)
 
     def algorithmic_bandwidth(self, output_buffer_bytes: float) -> float:
         """TACCL's metric: output buffer size / collective finish time."""

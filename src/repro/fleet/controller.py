@@ -271,10 +271,12 @@ def _encoded(result: SynthesisResult) -> Encoded:
     solve, and heal or recovery probes hit the cache on results proposed
     at admission. Each of those records carries the same text, and the
     envelope fingerprint is its digest — ``fingerprint_canonical`` of the
-    payload.
+    payload. A result the planner archived encodes the document it was
+    archived as (:attr:`SynthesisResult.payload`).
     """
     if result.encoded is None:
-        text = canonical_json(result.to_dict())
+        text = canonical_json(result.payload if result.payload is not None
+                              else result.to_dict())
         result.encoded = Encoded(
             text, hashlib.sha256(text.encode("utf-8")).hexdigest())
     return result.encoded

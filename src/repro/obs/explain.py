@@ -61,6 +61,10 @@ class ExplainRecord:
     cache_hit: bool = False
     coalesced: bool = False
     symmetry_collapsed: bool = False
+    #: the capacity unit the answer was rescaled from: the caller's fastest
+    #: link when it was served from the unit-scaled fabric's entry (the
+    #: ``solve`` section is then in that fabric's units), else 1.0
+    scale: float = 1.0
     conformance: str = "unchecked"   # "ok" | "failed" | "unchecked"
     serve_time: float = 0.0
     error: str | None = None
@@ -75,6 +79,7 @@ class ExplainRecord:
             "tag": self.tag, "cache_hit": self.cache_hit,
             "coalesced": self.coalesced,
             "symmetry_collapsed": self.symmetry_collapsed,
+            "scale": self.scale,
             "conformance": self.conformance, "serve_time": self.serve_time,
             "error": self.error, "phases": dict(self.phases),
             "solve": None if self.solve is None else dict(self.solve),
@@ -100,6 +105,8 @@ class ExplainRecord:
             flags.append("coalesced")
         if self.symmetry_collapsed:
             flags.append("symmetry-collapsed")
+        if self.scale != 1.0:
+            flags.append(f"rescaled x{self.scale:g}")
         if flags:
             lines.append(f"flags         : {', '.join(flags)}")
         lines.append(f"conformance   : {self.conformance}")

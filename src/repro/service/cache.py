@@ -35,7 +35,7 @@ CACHE_FORMAT_VERSION = 1
 _FINGERPRINT_CHARS = set("0123456789abcdef")
 
 #: parsed forms kept per entry: the deserialised result plus one relabelled
-#: copy per symmetric variant served from it (cleared when full)
+#: or rescaled copy per variant served from it (cleared when full)
 PARSED_PER_ENTRY = 32
 
 
@@ -78,25 +78,41 @@ class CacheEntry:
     ``purge`` or LRU eviction replaces or drops the whole object, so a
     changed payload is always parsed again. They are **shared**: every hit
     is handed the same object, which callers must treat as read-only.
+    ``result`` is the parsed form when the caller already holds it (a
+    solve in this process); it is then never parsed at all.
     """
 
     __slots__ = ("payload", "_parsed")
 
-    def __init__(self, payload: dict) -> None:
+    def __init__(self, payload: dict,
+                 result: SynthesisResult | None = None) -> None:
         self.payload = payload
-        self._parsed: dict = {}
+        self._parsed: dict = {} if result is None else {(None, None): result}
 
-    def result(self, inverse: tuple | None = None) -> SynthesisResult:
+    def holds(self, value) -> bool:
+        """Whether ``value`` (a pool's payload or solved result) is the
+        one this entry was made from."""
+        return value is self.payload \
+            or value is self._parsed.get((None, None))
+
+    def result(self, inverse: tuple | None = None,
+               rescale=None) -> SynthesisResult:
         """The deserialised result — mapped through the node permutation
-        ``inverse`` when given — built on first request, shared after."""
-        found = self._parsed.get(inverse)
+        ``inverse`` and then onto the caller's fabric of ``rescale`` (a
+        :class:`~repro.service.fingerprint.Rescale`) when given — built
+        on first request, shared after."""
+        key = (inverse, rescale)
+        found = self._parsed.get(key)
         if found is None:
-            found = (SynthesisResult.from_dict(self.payload)
-                     if inverse is None
-                     else self.result().relabeled(inverse))
+            if rescale is not None:
+                found = self.result(inverse).rescaled(rescale.topology)
+            elif inverse is not None:
+                found = self.result().relabeled(inverse)
+            else:
+                found = SynthesisResult.from_dict(self.payload)
             if len(self._parsed) >= PARSED_PER_ENTRY:
                 self._parsed.clear()
-            self._parsed[inverse] = found
+            self._parsed[key] = found
         return found
 
 
@@ -174,17 +190,21 @@ class ScheduleCache:
         payload = self._read_disk(fingerprint)
         if payload is not None:
             self.stats.disk_hits += 1
-            self._insert_memory(fingerprint, payload)
+            self._insert_memory(fingerprint, CacheEntry(payload))
             return payload
         self.stats.misses += 1
         return None
 
-    def put(self, fingerprint: str, payload: dict,
+    def put(self, fingerprint: str, payload: dict | CacheEntry,
             meta: dict | None = None) -> None:
         """Store a payload in both tiers; ``meta`` is free-form and rides
-        the disk envelope (``teccl cache --action list`` shows it)."""
+        the disk envelope (``teccl cache --action list`` shows it). A
+        :class:`CacheEntry` is stored as it is, parsed forms included."""
         self._check_fingerprint(fingerprint)
-        self._insert_memory(fingerprint, payload)
+        entry = payload if isinstance(payload, CacheEntry) \
+            else CacheEntry(payload)
+        payload = entry.payload
+        self._insert_memory(fingerprint, entry)
         if self.directory is not None:
             envelope = make_envelope(fingerprint, payload, meta)
             path = self._path(fingerprint)
@@ -306,8 +326,8 @@ class ScheduleCache:
     # ------------------------------------------------------------------
     # memory tier
     # ------------------------------------------------------------------
-    def _insert_memory(self, fingerprint: str, payload: dict) -> None:
-        self._memory[fingerprint] = CacheEntry(payload)
+    def _insert_memory(self, fingerprint: str, entry: CacheEntry) -> None:
+        self._memory[fingerprint] = entry
         self._memory.move_to_end(fingerprint)
         while len(self._memory) > self.capacity:
             self._memory.popitem(last=False)

@@ -20,7 +20,12 @@ This module defines the canonical form: a pure-JSON document with
   form cannot see) invalidates every old fingerprint at once.
 
 Topology *names* are deliberately excluded: a fabric renamed is the same
-fabric, and cache keys must not fragment on labels.
+fabric, and cache keys must not fragment on labels. Nor is the capacity
+*unit*: the model sees a link only through ``cap·τ/S``, κ and ``⌈α/τ⌉``
+(§5), so a fabric with every capacity scaled by c and α by 1/c is the same
+model with τ divided by c. The fabric is hashed in units of its fastest
+link (:meth:`~repro.topology.facts.TopologyFacts.unit`) wherever
+:func:`rescale_of` proves the plans alike, else as given.
 """
 
 from __future__ import annotations
@@ -29,13 +34,17 @@ import functools
 import hashlib
 import json
 import math
+from dataclasses import dataclass
 
 from repro.collectives.demand import Demand
-from repro.core.config import AStarConfig, TecclConfig
+from repro.core.config import (AStarConfig, EpochMode, SwitchModel,
+                               TecclConfig)
+from repro.core.epochs import build_epoch_plan
 from repro.core.solve import Method
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.topology.facts import TopologyFacts, topology_facts
 from repro.topology.topology import Topology
+from repro.topology.transforms import to_hyper_edges
 
 #: Bump when the canonical form changes or when solver semantics change in a
 #: way that makes previously cached schedules stale. Hashed into every
@@ -45,7 +54,107 @@ from repro.topology.topology import Topology
 #: topology automorphism, collapsing symmetric requests to one entry.
 #: v3: the solver ``construction`` knob was deleted (one construction path);
 #: ``config.solver`` now holds solution-affecting keys only.
-FINGERPRINT_VERSION = 3
+#: v4: a fabric is hashed in units of its fastest link wherever
+#: :func:`rescale_of` proves the collapse, so uniformly rescaled fabrics
+#: share one entry.
+FINGERPRINT_VERSION = 4
+
+
+@dataclass(frozen=True, eq=False)
+class Rescale:
+    """A request proved to be its unit-scaled twin: ``unit``, the facts of
+    the fabric in units of its fastest link (what is hashed and solved),
+    ``scale``, that link's capacity, and ``topology``, the caller's fabric
+    its answer is served on (hyper-edge-transformed where that runs). One
+    object per proof, so it can key the cache entry's parsed forms."""
+
+    scale: float
+    unit: TopologyFacts
+    topology: Topology
+
+
+#: proofs kept per fabric (one per chunk size, epoch settings and switch
+#: model), cleared when full
+RESCALE_MEMO_SIZE = 64
+_SLOWEST, _HYPER = EpochMode.SLOWEST_LINK, SwitchModel.HYPER_EDGE
+#: the integrality tolerance the MILP and the replay floor budgets with
+_EPS = 1e-9
+
+
+def rescale_of(facts: TopologyFacts, config: TecclConfig) -> Rescale | None:
+    """The proved unit collapse of a request on ``facts``' fabric; ``None``
+    where it keeps its own entry: the fabric is in those units already,
+    the request has a ``capacity_fn`` (a callable of absolute
+    capacities), or the proof failed.
+
+    The proof is paid once per fabric and (chunk size, epoch mode,
+    multiplier, switch model): the unit-scaled plan must have the caller's
+    κ, ``⌈α/τ⌉`` and κ-window chunk budget ``⌊κ·cap + ε⌋`` on every link
+    and as many §6 τ stretches. Rounding breaks them on a boundary (an
+    ``α/τ`` or ``κ·cap`` a hair off an integer in one unit only).
+    Hyper-edge requests are proved on both transformed fabrics, which must
+    also have the same links and edge groups (the transform compares
+    capacities), and answered on the caller's.
+    """
+    if config.capacity_fn is not None:
+        return None
+    scale, unit = facts.unit()
+    if unit is facts:
+        return None
+    proofs = facts.derive("rescale", _no_proofs)
+    key = (config.chunk_bytes, config.epoch_multiplier,
+           config.epoch_mode is _SLOWEST, config.switch_model is _HYPER)
+    found = proofs.get(key, proofs)
+    if found is proofs:  # not proved yet
+        if len(proofs) >= RESCALE_MEMO_SIZE:
+            proofs.clear()
+        found = proofs[key] = _prove(
+            facts.topology, unit, scale, config,
+            key[3] and bool(facts.topology.switches))
+    return found
+
+
+def _no_proofs(facts: TopologyFacts) -> dict:
+    """A fabric's proofs by request settings, none made yet."""
+    return {}
+
+
+def _prove(caller: Topology, unit: TopologyFacts, scale: float,
+           config: TecclConfig, hyper: bool) -> Rescale | None:
+    canonical = unit.topology
+    try:
+        if hyper:
+            mine, theirs = to_hyper_edges(caller), to_hyper_edges(canonical)
+            if (mine.groups != theirs.groups or mine.topology.links.keys()
+                    != theirs.topology.links.keys()):
+                return None
+            caller, canonical = mine.topology, theirs.topology
+        else:
+            caller = caller.copy()
+        mine, theirs = (build_epoch_plan(fabric, config, 1)
+                        for fabric in (caller, canonical))
+    except ReproError:
+        return None  # an unplannable request fails in its own solve
+    if (mine.occupancy != theirs.occupancy or mine.delay != theirs.delay
+            or _budgets(mine) != _budgets(theirs)
+            or not math.isclose(theirs.tau, mine.tau * scale,
+                                rel_tol=1e-9)):
+        return None
+    return Rescale(scale, unit, caller)
+
+
+def _budgets(plan) -> dict:
+    """Chunks each link's κ-epoch window admits, floored as the MILP's
+    capacity rows and the schedule replay floor them."""
+    return {key: math.floor(plan.occupancy[key] * cap + _EPS)
+            for key, cap in plan.cap_chunks.items()}
+
+
+def hashed_facts(facts: TopologyFacts,
+                 config: TecclConfig) -> TopologyFacts:
+    """The facts entry whose fabric a request's fingerprint hashes."""
+    rescale = rescale_of(facts, config)
+    return facts if rescale is None else rescale.unit
 
 
 def _normalize(value, path: str):
@@ -105,19 +214,6 @@ def canonical_config(config: TecclConfig) -> dict:
     return _normalize(document, "config")
 
 
-def _scale_free(topology_document: dict) -> dict:
-    """Divide every link capacity by the fastest link's, in place: a
-    uniformly renegotiated-bandwidth fabric keeps its near class."""
-    links = topology_document["links"]
-    scale = max((link["capacity"] for link in links), default=0.0)
-    if scale > 0:
-        for link in links:
-            # round the quotient: (0.1*s)/(1.0*s) must hash like 0.1/1.0
-            # for every scale s, not only the bit-exact ones
-            link["capacity"] = round(link["capacity"] / scale, 12)
-    return topology_document
-
-
 def _request_document(topology, demand, config: TecclConfig, method: Method,
                       astar_config: AStarConfig | None,
                       minimize_epochs: bool, near: bool) -> dict:
@@ -146,9 +242,8 @@ def canonical_request(topology: Topology, demand: Demand,
                       astar_config: AStarConfig | None = None,
                       minimize_epochs: bool = False) -> dict:
     """The full canonical document for one ``synthesize()`` invocation."""
-    return _request_document(
-        canonical_topology(topology), canonical_demand(demand), config,
-        method, astar_config, minimize_epochs, near=False)
+    return _document(topology, demand, config, method, astar_config,
+                     minimize_epochs, near=False)
 
 
 def canonical_near_request(topology: Topology, demand: Demand,
@@ -156,19 +251,21 @@ def canonical_near_request(topology: Topology, demand: Demand,
                            method: Method = Method.AUTO,
                            astar_config: AStarConfig | None = None,
                            minimize_epochs: bool = False) -> dict:
-    """The canonical document with horizon/capacity *scalars* factored out.
-
-    Two requests share a near-fingerprint when they describe the same
-    fabric shape, demand and model variant but differ in the horizon
-    ``num_epochs`` (dropped from the document) and a uniform rescaling of
-    link capacities (normalised by the fastest link — a
-    renegotiated-bandwidth fabric keeps its class). Nothing under ``src/``
-    consumes the class any more; the perf ledger still times it
-    (``service.fingerprint.near_us``) and it goes with that layer.
+    """The canonical document with the horizon ``num_epochs`` dropped, so
+    requests that differ only in it share a near-fingerprint. Nothing
+    under ``src/`` consumes the class any more; the perf ledger still
+    times it (``service.fingerprint.near_us``) and it goes with that layer.
     """
+    return _document(topology, demand, config, method, astar_config,
+                     minimize_epochs, near=True)
+
+
+def _document(topology, demand, config, method, astar_config,
+              minimize_epochs, near) -> dict:
+    facts = hashed_facts(topology_facts(topology)[0], config)
     return _request_document(
-        _scale_free(canonical_topology(topology)), canonical_demand(demand),
-        config, method, astar_config, minimize_epochs, near=True)
+        canonical_topology(facts.topology), canonical_demand(demand), config,
+        method, astar_config, minimize_epochs, near)
 
 
 def canonical_json(document) -> str:
@@ -200,10 +297,9 @@ def _demand_fragment(demand: Demand) -> str:
     return canonical_json(canonical_demand(demand))
 
 
-def _topology_fragments(facts: TopologyFacts) -> tuple[str, str]:
-    """Canonical JSON of a fabric: ``(exact, scale-free)``."""
-    document = canonical_topology(facts.topology)
-    return canonical_json(document), canonical_json(_scale_free(document))
+def _topology_fragment(facts: TopologyFacts) -> str:
+    """Canonical JSON of a fabric."""
+    return canonical_json(canonical_topology(facts.topology))
 
 
 @functools.lru_cache(maxsize=256)
@@ -233,7 +329,7 @@ def fingerprint_facts(facts: TopologyFacts, demand: Demand,
         else _remainder.__wrapped__
     payload = remainder(config, method, astar_config, minimize_epochs, near)
     for slot, part in zip(_QUOTED_SLOTS, (
-            facts.derive("json", _topology_fragments)[near],
+            facts.derive("json", _topology_fragment),
             _demand_fragment(demand))):
         payload = payload.replace(slot, part)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -245,8 +341,9 @@ def fingerprint_request(topology: Topology, demand: Demand,
                         astar_config: AStarConfig | None = None,
                         minimize_epochs: bool = False) -> str:
     """Stable fingerprint: equivalent requests hash identically."""
-    return fingerprint_facts(topology_facts(topology)[0], demand, config,
-                             method, astar_config, minimize_epochs)
+    return fingerprint_facts(hashed_facts(topology_facts(topology)[0], config),
+                             demand, config, method, astar_config,
+                             minimize_epochs)
 
 
 def near_fingerprint_request(topology: Topology, demand: Demand,
@@ -255,5 +352,6 @@ def near_fingerprint_request(topology: Topology, demand: Demand,
                              astar_config: AStarConfig | None = None,
                              minimize_epochs: bool = False) -> str:
     """Fingerprint of the :func:`canonical_near_request` equivalence class."""
-    return fingerprint_facts(topology_facts(topology)[0], demand, config,
-                             method, astar_config, minimize_epochs, near=True)
+    return fingerprint_facts(hashed_facts(topology_facts(topology)[0], config),
+                             demand, config, method, astar_config,
+                             minimize_epochs, near=True)

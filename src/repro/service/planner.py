@@ -33,7 +33,7 @@ from repro.obs.explain import ExplainRecord
 from repro.obs.metrics import CounterFields
 from repro.obs.metrics import get_registry as _default_registry
 from repro.service.cache import CacheEntry, ScheduleCache
-from repro.service.fingerprint import fingerprint_facts
+from repro.service.fingerprint import fingerprint_facts, rescale_of
 from repro.service.pool import SolvePool
 from repro.service.schema import PlanRequest, PlanResponse
 from repro.topology.facts import TopologyFacts, topology_facts
@@ -51,14 +51,27 @@ class PlannerStats(CounterFields):
     Fields: ``requests``, ``timeouts``, ``conformance_checks``,
     ``conformance_failures``, ``symmetry_collapses`` (requests rewritten
     onto a canonical demand under a topology automorphism, so symmetric
-    variants share one cache entry).
+    variants share one cache entry), ``scale_collapses`` (requests
+    answered on their fabric in units of its fastest link and rescaled
+    back: every proved request on a fabric not in those units, whether or
+    not another fabric shares the entry).
     """
 
     _FIELDS = ("requests", "timeouts", "conformance_checks",
-               "conformance_failures", "symmetry_collapses")
+               "conformance_failures", "symmetry_collapses",
+               "scale_collapses")
     _PREFIX = "planner"
     _DESCRIPTION = "planner {words} (cumulative)"
     __slots__ = ("registry", "_counters")
+
+
+def _entry_of(value) -> CacheEntry:
+    """A cache entry for what a pool's solve returned: a worker's payload,
+    or an in-process solve's result as its parsed form."""
+    if isinstance(value, SynthesisResult):
+        value.payload = value.to_dict()
+        return CacheEntry(value.payload, value)
+    return CacheEntry(value)
 
 
 class Planner:
@@ -84,20 +97,25 @@ class Planner:
         cache_capacity: in-memory LRU size.
         timeout: default per-request wall-clock budget in seconds
             (``None`` = wait forever); overridable per call.
-        check_conformance: replay every served schedule through the
-            conformance engine (:func:`repro.simulate.check_result`) before
-            handing it out; a non-conformant result becomes a failed
-            response instead of reaching the caller. Covers cache hits too
-            (a stale or corrupted cache entry is exactly what the oracle
-            exists to catch).
+        check_conformance: replay every served schedule, in the caller's
+            node ids and units, through the conformance engine
+            (:func:`repro.simulate.check_result`) before handing it out; a
+            non-conformant result becomes a failed response instead of
+            reaching the caller. Covers cache hits too (a stale or
+            corrupted cache entry is exactly what the oracle exists to
+            catch).
         cache / pool: inject pre-built components (tests, shared caches).
 
-    Each request is rewritten onto the lexicographically minimal
-    relabeling of its demand under the topology's automorphism group
-    before fingerprinting, so symmetric requests collapse to one cache
-    entry; results are relabeled back before being returned. A request
-    whose ``config.solver.symmetry`` is ``"off"`` is left alone, and so is
-    one with priorities, a capacity hook, or the hyper-edge switch model.
+    Each request is rewritten onto its canonical form, which is what is
+    fingerprinted and solved: its fabric in units of the fastest link
+    wherever :func:`~repro.service.fingerprint.rescale_of` proves the
+    model unchanged (so a fleet-wide congestion on a fabric with α = 0
+    is a hit; with α > 0 the event changes ``⌈α/τ⌉`` and misses), and the
+    lexicographically minimal relabeling of its demand under the fabric's
+    automorphism group (not with ``config.solver.symmetry`` ``"off"``,
+    priorities, a capacity hook or the hyper-edge switch model). Results
+    are relabeled and rescaled back before being returned. An in-process
+    miss serves the solved result itself, ``outcome`` dropped.
     """
 
     def __init__(self, *, executor: str = "process",
@@ -173,37 +191,49 @@ class Planner:
         return self.default_timeout if timeout is None else timeout
 
     def _canonical_request(self, facts: TopologyFacts, request: PlanRequest):
-        """Rewrite a request onto its symmetry-canonical demand.
+        """Rewrite a request onto its canonical fabric and demand.
 
-        Returns ``(request, inverse)`` where ``inverse`` is the node
-        permutation mapping results on the canonical instance back to the
-        caller's node ids (``None`` when the request was left alone). The
-        rewrite is an exact relabeling under a *verified* topology
-        automorphism, so the canonical instance has the same optimum; a
-        truncated canonicalization search can only miss a cache collapse,
-        never produce a wrong equivalence.
+        Returns ``served = (facts, demand, inverse, rescale)``: the
+        canonical fabric's facts and the canonical demand, and what maps
+        results back — the node permutation to the caller's ids and the
+        :class:`~repro.service.fingerprint.Rescale` to the caller's units
+        (each ``None`` where nothing was rewritten). The relabeling is an
+        exact one under a *verified* automorphism, so a truncated
+        canonicalization search can only miss a cache collapse, never
+        produce a wrong equivalence. Only a miss builds the canonical
+        :class:`PlanRequest` (:meth:`_solvable`).
         """
         config = request.config
+        rescale = rescale_of(facts, config)
+        if rescale is not None:
+            facts = rescale.unit
         if (config.solver.symmetry == "off" or config.priorities
                 or config.capacity_fn is not None
                 or config.switch_model is SwitchModel.HYPER_EDGE):
-            return request, None
+            return facts, request.demand, None, rescale
         demand, sigma = _symmetry.canonicalize(facts, request.demand)
         if demand is request.demand:
-            return request, None
+            return facts, demand, None, rescale
         self._bump(symmetry_collapses=1)
-        return (replace(request, demand=demand),
-                tuple(_symmetry.invert_permutation(sigma)))
+        return (facts, demand, tuple(_symmetry.invert_permutation(sigma)),
+                rescale)
+
+    @staticmethod
+    def _solvable(request: PlanRequest, served) -> PlanRequest:
+        """The canonical request the pool solves for ``request``."""
+        facts, demand, _, rescale = served
+        return replace(request, demand=demand, topology=(
+            request.topology if rescale is None else facts.topology))
 
     def _start(self, request: PlanRequest):
         """Facts lookup + canonicalize + fingerprint + cache probe + (on
         miss) pool submission — all on the serve clock and inside the
         phase collector.
 
-        Returns ``(request, inverse, fingerprint, pending)``: the canonical
-        request with its relabeling (:meth:`_canonical_request`), and
-        ``pending = (t0, explain, source, coalesced)`` whose
-        ``source`` is the hit's :class:`CacheEntry` or the miss's future.
+        Returns ``(request, served, fingerprint, pending)``: the caller's
+        request, its canonical form (:meth:`_canonical_request`), and
+        ``pending = (t0, explain, source, coalesced)`` whose ``source`` is
+        the hit's :class:`CacheEntry` or the miss's future.
         """
         explain = ExplainRecord(tag=request.tag)
         t0 = time.perf_counter()
@@ -211,21 +241,25 @@ class Planner:
             with _obs.span("planner.canonicalize") as canon_sp:
                 facts, known = topology_facts(request.topology)
                 canon_sp.set_attr(facts="hit" if known else "miss")
-                request, inverse = self._canonical_request(facts, request)
+                served = self._canonical_request(facts, request)
+            facts, demand, inverse, rescale = served
             explain.symmetry_collapsed = inverse is not None
-            self._bump(requests=1)
+            self._stats.inc("requests")
+            if rescale is not None:
+                explain.scale = rescale.scale
+                self._stats.inc("scale_collapses")
             with _obs.span("planner.fingerprint"):
                 fingerprint = explain.fingerprint = fingerprint_facts(
-                    facts, request.demand, request.config, request.method,
+                    facts, demand, request.config, request.method,
                     request.astar_config, request.minimize_epochs)
             with _obs.span("planner.cache_lookup") as lookup_sp, self._lock:
                 entry = self.cache.entry(fingerprint) \
                     if self.cache.get(fingerprint) is not None else None
                 lookup_sp.set_attr(hit=entry is not None)
-            submitted = (entry, False) if entry is not None \
-                else self._submit(request, fingerprint)
+            submitted = (entry, False) if entry is not None else \
+                self._submit(self._solvable(request, served), fingerprint)
         explain.phases.update(phases)
-        return request, inverse, fingerprint, (t0, explain, *submitted)
+        return request, served, fingerprint, (t0, explain, *submitted)
 
     def _submit(self, request: PlanRequest, fingerprint: str):
         """A miss: hand the request to the pool (or join its in-flight
@@ -268,17 +302,28 @@ class Planner:
         if future.cancelled() or future.exception() is not None:
             return
         with self._lock:
-            self.cache.put(fingerprint, future.result())
+            self.cache.put(fingerprint, _entry_of(future.result()))
+
+    def _solved(self, fingerprint: str, value) -> CacheEntry:
+        """The entry a finished solve was archived under, so a miss and
+        the hits after it share one parsed form (a fresh one where the
+        archive has not run yet or was since replaced)."""
+        with self._lock:
+            entry = self.cache.entry(fingerprint)
+        return entry if entry is not None and entry.holds(value) \
+            else _entry_of(value)
 
     def _post_check(self, request: PlanRequest, response: PlanResponse,
-                    canonical: SynthesisResult, raise_errors: bool) -> None:
+                    raise_errors: bool) -> None:
         """Optional conformance replay (``check_conformance``) of the
-        result as solved — ``canonical``, before any relabel-back."""
+        result as served: in the caller's node ids and units, on the
+        caller's fabric it carries (hyper-edge-transformed where that
+        ran)."""
         if not self.check_conformance:
             return
         from repro.simulate import check_result
 
-        report = check_result(canonical, config=request.config)
+        report = check_result(response.result, config=request.config)
         response.conformance = report.to_dict()
         self._bump(conformance_checks=1,
                    conformance_failures=0 if report.ok else 1)
@@ -289,7 +334,7 @@ class Planner:
             if raise_errors:
                 raise ServiceError(response.error)
 
-    def _finish(self, request: PlanRequest, inverse, fingerprint: str,
+    def _finish(self, request: PlanRequest, served, fingerprint: str,
                 pending, *, timeout: float | None,
                 raise_errors: bool) -> PlanResponse:
         explain = pending[1]
@@ -298,7 +343,7 @@ class Planner:
         with _flight.context(fingerprint):
             with _flight.collect_phases() as phases:
                 try:
-                    response = self._finish_inner(request, inverse,
+                    response = self._finish_inner(request, served,
                                                   fingerprint, pending,
                                                   timeout=timeout,
                                                   raise_errors=raise_errors)
@@ -332,9 +377,10 @@ class Planner:
         _obs.event("planner.serve_failed", explain=explain.to_dict())
         _flight.auto_dump("planner-failure")
 
-    def _finish_inner(self, request: PlanRequest, inverse, fingerprint: str,
+    def _finish_inner(self, request: PlanRequest, served, fingerprint: str,
                       pending, *, timeout: float | None,
                       raise_errors: bool) -> PlanResponse:
+        _, _, inverse, rescale = served
         t0, explain, source, coalesced = pending
         hit = isinstance(source, CacheEntry)
         explain.source = "cache" if hit else \
@@ -345,7 +391,8 @@ class Planner:
             tag=request.tag, explain=explain)
         if not hit:
             try:
-                source = CacheEntry(self.pool.wait(source, timeout))
+                source = self._solved(fingerprint,
+                                      self.pool.wait(source, timeout))
             except ReproError as exc:
                 # a ServiceError is the wait timing out; anything else is a
                 # solver-side failure (infeasible, ...)
@@ -356,17 +403,16 @@ class Planner:
                 response.error = str(exc)
                 response.serve_time = time.perf_counter() - t0
                 return self._observe(response)
-        # a hit's entry hands out its shared parsed forms (built on first
-        # use); a fresh solve's throwaway entry parses the pool's payload
+        # the entry's shared parsed forms (built on first use), in the
+        # caller's units, then node ids
         with _obs.span("planner.deserialize"):
-            canonical = response.result = source.result()
+            canonical = response.result = source.result(None, rescale)
         explain.solve = canonical.explain
         if inverse is not None:
             with _obs.span("planner.relabel"):
-                response.result = source.result(inverse)
+                response.result = source.result(inverse, rescale)
         response.serve_time = time.perf_counter() - t0
-        self._post_check(request, response, canonical,
-                         raise_errors and not hit)
+        self._post_check(request, response, raise_errors and not hit)
         if response.ok or not hit:
             return self._observe(response)
         # A *cached* schedule failed its replay: the entry is poisoned
@@ -376,9 +422,10 @@ class Planner:
         _obs.event("planner.cache_poisoned", fingerprint=fingerprint)
         with self._lock:
             self.cache.evict(fingerprint)
-        resubmitted = self._submit(request, fingerprint)
+        resubmitted = self._submit(self._solvable(request, served),
+                                   fingerprint)
         return self._finish_inner(
-            request, inverse, fingerprint, (t0, explain, *resubmitted),
+            request, served, fingerprint, (t0, explain, *resubmitted),
             timeout=timeout, raise_errors=raise_errors)
 
     # ------------------------------------------------------------------

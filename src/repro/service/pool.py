@@ -11,7 +11,9 @@ all start at the same time.
 Work crosses the process boundary as plain dicts (``PlanRequest.to_dict`` /
 ``SynthesisResult.to_dict``), never as live solver objects: dicts are
 trivially picklable and are exactly what the schedule cache stores, so the
-pool's output can be archived without another conversion.
+pool's output can be archived without another conversion. The in-process
+executors hand back the solved result itself (:func:`solve_result`): it
+has no boundary to cross, and the planner serves it without parsing it back.
 
 Three executor kinds are supported:
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import concurrent.futures as _futures
 import threading
+from dataclasses import replace
 
 from repro.errors import ServiceError
 from repro.obs import recorder as _flight
@@ -36,7 +39,14 @@ _EXECUTOR_KINDS = ("process", "thread", "inline")
 
 
 def solve_request(request_dict: dict) -> dict:
-    """Solve one serialised request; module-level so workers can pickle it.
+    """Solve one serialised request into its serialised result;
+    module-level so workers can pickle it (see :func:`solve_result`)."""
+    return solve_result(request_dict).to_dict()
+
+
+def solve_result(request_dict: dict):
+    """Solve one serialised request; the result, ``outcome`` and ``hyper``
+    dropped as in a parsed one, so every serve path hands out the same.
 
     ``request_dict["_obs"]`` is the submitting request's trace carrier:
     activating it stitches this solve's spans (which may run in another
@@ -57,7 +67,7 @@ def solve_request(request_dict: dict) -> dict:
                                 method=request.method,
                                 astar_config=request.astar_config,
                                 minimize_epochs=request.minimize_epochs)
-    return result.to_dict()
+    return replace(result, outcome=None, hyper=None)
 
 
 class PoolStats(CounterFields):
@@ -96,18 +106,21 @@ class SolvePool:
         max_workers: executor width (ignored for ``"inline"``).
         executor: one of ``"process"``, ``"thread"``, ``"inline"``.
         solve_fn: the worker function; overridable for tests. Must be
-            picklable (module-level) when ``executor="process"``.
+            picklable (module-level) when ``executor="process"``. Default:
+            :func:`solve_request` in worker processes, :func:`solve_result`
+            in process.
     """
 
     def __init__(self, max_workers: int | None = None,
                  executor: str = "process",
-                 solve_fn=solve_request) -> None:
+                 solve_fn=None) -> None:
         if executor not in _EXECUTOR_KINDS:
             raise ServiceError(
                 f"unknown executor kind {executor!r}; "
                 f"expected one of {_EXECUTOR_KINDS}")
         self.executor_kind = executor
-        self._solve_fn = solve_fn
+        self._solve_fn = solve_fn or (
+            solve_request if executor == "process" else solve_result)
         self._lock = threading.Lock()
         self._inflight: dict[str, _futures.Future] = {}
         self.stats = PoolStats()
@@ -126,8 +139,10 @@ class SolvePool:
                on_complete=None) -> tuple[_futures.Future, bool]:
         """Submit a solve, or join the identical one already in flight.
 
-        Returns ``(future, coalesced)``: the future resolves to the
-        serialised :class:`~repro.core.solve.SynthesisResult` dict, and
+        Returns ``(future, coalesced)``: the future resolves to what
+        ``solve_fn`` returns — by default the serialised
+        :class:`~repro.core.solve.SynthesisResult` dict from a worker
+        process, the result itself from an in-process executor — and
         ``coalesced`` is True when the request piggybacked on an in-flight
         solve instead of starting its own.
 
@@ -175,7 +190,7 @@ class SolvePool:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def wait(future: _futures.Future, timeout: float | None = None) -> dict:
+    def wait(future: _futures.Future, timeout: float | None = None):
         """Block for a result; maps executor timeouts onto ServiceError.
 
         The underlying solve is *not* cancelled on timeout — it may be

@@ -10,6 +10,10 @@ ignores insertion order — a request rebuilt from JSON lands on the entry of
 the object it was serialised from — and compares fields with ``==``, so
 ``1`` and ``1.0`` share an entry, as their canonical forms already do (and
 a ``-0.0`` alpha shares ``0.0``'s: the same fabric).
+
+An entry also knows its fabric in units of the fastest link's capacity
+c_max (:meth:`TopologyFacts.unit`: capacities ÷ c_max, α × c_max), the one
+entry uniformly rescaled fabrics share, with every derivation made on it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import threading
 from collections import OrderedDict
 
 from repro.obs.metrics import get_registry
-from repro.topology.topology import Topology
+from repro.topology.topology import Link, Topology
 
 #: fabrics remembered, least recently used first out — every live-topology
 #: state of a fleet is a new key, so the memo must evict rather than grow
@@ -39,9 +43,41 @@ class TopologyFacts:
 
     def derive(self, name: str, compute):
         """``compute(self)``, remembered under ``name`` for the entry's life."""
-        if name not in self._derived:
-            self._derived[name] = compute(self)
-        return self._derived[name]
+        try:
+            return self._derived[name]
+        except KeyError:
+            found = self._derived[name] = compute(self)
+            return found
+
+    def unit(self) -> tuple[float, "TopologyFacts"]:
+        """``(c_max, facts)``: the fastest link's capacity and the entry of
+        this fabric in units of it, derived once. A fabric already in those
+        units is its own, with ``c_max`` 1; so is one whose rounding to
+        them would merge two distinct capacities or αs (the unit fabric
+        would have automorphisms the caller's has not)."""
+        return self.derive("unit", _unit)
+
+
+def _unit(facts: TopologyFacts) -> tuple[float, TopologyFacts]:
+    topology = facts.topology
+    scale = max((link.capacity for link in topology.links.values()),
+                default=1.0)
+    unit = Topology(topology.name, topology.num_nodes, topology.switches)
+    for (src, dst), link in topology.links.items():
+        # to 12 digits: quotients from two units differ in their last bits
+        unit.links[src, dst] = Link(
+            src, dst, float(f"{link.capacity / scale:.12g}"),
+            float(f"{link.alpha * scale:.12g}"))
+    if unit.links == topology.links or _kinds(unit) != _kinds(topology):
+        return 1.0, facts
+    return scale, topology_facts(unit)[0]
+
+
+def _kinds(topology: Topology) -> tuple[int, int]:
+    """How many distinct capacities and αs the fabric's links have."""
+    links = topology.links.values()
+    return (len({link.capacity for link in links}),
+            len({link.alpha for link in links}))
 
 
 def _count(event: str) -> None:

@@ -27,10 +27,11 @@ class TestPlannerStats:
         stats = PlannerStats()
         assert stats.to_dict() == {
             "requests": 0, "timeouts": 0, "conformance_checks": 0,
-            "conformance_failures": 0, "symmetry_collapses": 0}
+            "conformance_failures": 0, "symmetry_collapses": 0,
+            "scale_collapses": 0}
         assert list(stats.to_dict()) == [
             "requests", "timeouts", "conformance_checks",
-            "conformance_failures", "symmetry_collapses"]
+            "conformance_failures", "symmetry_collapses", "scale_collapses"]
 
     def test_values_stay_ints(self):
         stats = PlannerStats()
@@ -84,7 +85,7 @@ class TestPlannerFacade:
             stats = planner.stats()
         assert list(stats) == [
             "requests", "timeouts", "conformance_checks",
-            "conformance_failures", "symmetry_collapses",
+            "conformance_failures", "symmetry_collapses", "scale_collapses",
             "hits", "misses", "solves", "coalesced", "cache", "pool"]
         assert list(stats["cache"]) == [
             "hits", "memory_hits", "disk_hits", "misses", "stores",

@@ -144,7 +144,7 @@ class TestSensitivity:
 
 
 class TestCanonicalFormPin:
-    """Golden pins of the canonical form for FINGERPRINT_VERSION == 3.
+    """Golden pins of the canonical form for FINGERPRINT_VERSION == 4.
 
     Any change to the canonical document — a new normalised field, a field
     ordering change, a float formatting change — alters every fingerprint in
@@ -153,11 +153,11 @@ class TestCanonicalFormPin:
     when bumping the version, recompute and update the pinned digest.
     """
 
-    PINNED_VERSION = 3
+    PINNED_VERSION = 4
     # sha256 of json.dumps(canonical_request(...), sort_keys=True,
     # separators=(",", ":")) for the fixed instance below.
-    PINNED_SHA256 = ("34bc8616b09d69965f1465ddee1e49d04ce514e0bad9"
-                     "9b2bc305dc8228c365aa")
+    PINNED_SHA256 = ("2b1f5754b91401c5fc9c54c4e896f3e55ae78537df78"
+                     "16a8fdca8a6fe3458a5e")
 
     @staticmethod
     def _fixed_instance():
@@ -175,6 +175,26 @@ class TestCanonicalFormPin:
         assert fp == self.PINNED_SHA256, (
             "canonical request form changed without a FINGERPRINT_VERSION "
             "bump — persisted caches would silently go stale")
+
+    def test_pin_is_the_canonical_document_digest(self):
+        import hashlib
+        import json
+
+        topo, demand, config = self._fixed_instance()
+        document = canonical_request(topo, demand, config,
+                                     method=Method.MILP)
+        text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == self.PINNED_SHA256
+
+    @pytest.mark.parametrize("capacity", [1.0, 0.775, 3e9])
+    def test_capacity_unit_not_fingerprinted(self, capacity):
+        # v4 semantics: the fabric is hashed in units of its fastest link,
+        # so the α = 0 ring at any uniform capacity shares the pin
+        _topo, demand, config = self._fixed_instance()
+        topo = topology.ring(4, capacity=capacity)
+        assert _fp(topo, demand, config, method=Method.MILP) \
+            == self.PINNED_SHA256
 
     def test_symmetry_knob_not_fingerprinted(self):
         # v2 semantics: the symmetry knob changes how the model is solved,

@@ -372,7 +372,8 @@ class TestHitDoesNoDerivation:
                 assert planner.plan(request).cache_hit
                 return calls["from_dict"]
 
-            assert parses_of_next_hit() == 1   # first hit builds it
+            # an inline miss archives the solved result as the parsed form
+            assert parses_of_next_hit() == 0
             assert parses_of_next_hit() == 0
             planner.cache.put(fingerprint, planner.cache.get(fingerprint))
             assert parses_of_next_hit() == 1   # put: a new entry
@@ -381,7 +382,7 @@ class TestHitDoesNoDerivation:
             assert parses_of_next_hit() == 0
             planner.cache.evict(fingerprint)
             assert not planner.plan(request).cache_hit
-            assert parses_of_next_hit() == 1   # the re-solved entry
+            assert parses_of_next_hit() == 0   # the re-solved entry
 
     def test_shared_result_survives_a_caller_reassigning_its_response(self):
         request = _ring6_request(2)

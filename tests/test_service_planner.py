@@ -322,10 +322,16 @@ class TestRequestDeterminism:
     whether a request solves, never what it is answered with."""
 
     @staticmethod
-    def _dgx1_allgather(capacity_factor: float = 1.0) -> PlanRequest:
+    def _dgx1_allgather(capacity_factor: float = 1.0,
+                        unit: float = 1.0) -> PlanRequest:
         topo = topology.dgx1()
         if capacity_factor != 1.0:
+            # α stays: ⌈α/τ⌉ moves, so this is another model
             topo = topology.scale_capacity(topo, capacity_factor)
+        if unit != 1.0:  # capacities ÷ unit, α × unit: the same model
+            topo = topology.scale_capacity(topo, 1 / unit)
+            for key, link in topo.links.items():
+                topo.links[key] = link.with_alpha(link.alpha * unit)
         return PlanRequest(
             topology=topo, demand=collectives.allgather(topo.gpus, 1),
             config=TecclConfig(chunk_bytes=25e3))
@@ -344,6 +350,18 @@ class TestRequestDeterminism:
             fresh = fresh_planner.plan(self._dgx1_allgather())
         assert not after_sibling.cache_hit and not fresh.cache_hit
         self._same_answer(after_sibling, fresh)
+
+    def test_half_capacity_twin_hits_and_answers_as_a_fresh_planner(self):
+        # capacities halved and α doubled: the time unit doubles
+        with Planner(executor="inline") as planner:
+            planner.plan(self._dgx1_allgather())
+            twin = planner.plan(self._dgx1_allgather(unit=2.0))
+            assert twin.cache_hit and planner.stats()["solves"] == 1
+        with Planner(executor="inline") as fresh_planner:
+            fresh = fresh_planner.plan(self._dgx1_allgather(unit=2.0))
+        assert not fresh.cache_hit
+        self._same_answer(twin, fresh)
+        assert twin.result.finish_time == fresh.result.finish_time
 
     def test_restarted_disk_tier_does_not_change_it(self, tmp_path):
         with Planner(executor="inline", cache_dir=tmp_path) as planner:

@@ -69,10 +69,11 @@ class Demand:
         return sorted({s for s, _ in self._wants})
 
     def chunks_of(self, source: int) -> list[int]:
-        """The source's chunk ids, ascending (read off
-        :attr:`chunk_classes`, not a scan of every want)."""
-        chunks = self.chunk_classes.get(source)
-        return [c for c, _ in chunks[0]] if chunks else []
+        """The source's chunk ids, ascending (a slice of
+        :attr:`chunk_rows`, not a scan of every want)."""
+        keys, sources, _dests = self.chunk_rows
+        lo, hi = sources.searchsorted((source, source + 1))
+        return [c for _s, c in keys[lo:hi]]
 
     def num_chunks(self, source: int) -> int:
         return len(self.chunks_of(source))
@@ -103,27 +104,13 @@ class Demand:
         return not self._wants
 
     @functools.cached_property
-    def chunk_classes(self) -> dict[int, tuple[list, dict]]:
-        """Per source ``(chunks, classes)``: its ``(chunk, destinations)``
-        pairs, chunk ascending, and the chunk ids grouped by destination
-        set, ascending — two chunks of one source with the same destination
-        set are interchangeable, which is what symmetry detection matches
-        on. Computed once per (frozen) instance; read-only."""
-        index: dict[int, tuple[list, dict]] = {}
-        for (s, c) in sorted(self._wants):
-            chunks, classes = index.setdefault(s, ([], {}))
-            chunks.append((c, self._wants[(s, c)]))
-            classes.setdefault(self._wants[(s, c)], []).append(c)
-        return index
-
-    @functools.cached_property
     def chunk_rows(self) -> tuple[list, np.ndarray, np.ndarray]:
         """Every chunk as an array row, in ``(source, chunk)`` order:
         ``(keys, source, dests)`` — the ``(source, chunk)`` keys, each
         row's source, and its destinations ascending, right-aligned and
         padded on the left with -1 to the widest set. What the array
-        passes over the demand (horizon bound, symmetry verification)
-        read. Computed once per (frozen) instance; read-only."""
+        passes over the demand (horizon bound, symmetry detection,
+        verification and canonicalization) read. Computed once per (frozen) instance; read-only."""
         keys = sorted(self._wants)
         sizes = np.fromiter(map(len, map(self._wants.__getitem__, keys)),
                             dtype=np.int64, count=len(keys))

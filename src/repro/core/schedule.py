@@ -128,17 +128,22 @@ class Schedule:
             tau=self.tau, chunk_bytes=self.chunk_bytes,
             num_epochs=self.num_epochs + epoch_offset)
 
-    def relabel(self, perm) -> "Schedule":
+    def relabel(self, perm, chunks=None) -> "Schedule":
         """The same schedule on a renamed fabric: every node id mapped
-        through ``perm`` (old id -> new id). Chunk ids and epochs are
-        untouched — used to translate results solved on a canonical
-        (symmetry-relabeled) instance back to the caller's node ids."""
-        return Schedule(
-            sends=[Send(epoch=s.epoch, source=perm[s.source],
-                        chunk=s.chunk, src=perm[s.src], dst=perm[s.dst])
-                   for s in self.sends],
-            tau=self.tau, chunk_bytes=self.chunk_bytes,
-            num_epochs=self.num_epochs)
+        through ``perm`` (old id -> new id), and each ``(source, chunk)``
+        commodity through ``chunks`` when given (chunk ids are labels too),
+        else its source through ``perm``; epochs are untouched. Translates
+        results solved on a canonical (symmetry-relabeled) instance back to
+        the caller's labels."""
+        commodity = commodity_map(perm, chunks)
+        sends = []
+        for s in self.sends:
+            source, chunk = commodity((s.source, s.chunk))
+            sends.append(Send(epoch=s.epoch, source=source, chunk=chunk,
+                              src=perm[s.src], dst=perm[s.dst]))
+        return Schedule(sends=sends, tau=self.tau,
+                        chunk_bytes=self.chunk_bytes,
+                        num_epochs=self.num_epochs)
 
     def merged_with(self, other: "Schedule") -> "Schedule":
         if abs(other.tau - self.tau) > 1e-15:
@@ -176,6 +181,17 @@ class Schedule:
     def __repr__(self) -> str:
         return (f"Schedule(sends={self.num_sends}, "
                 f"epochs<={self.num_epochs}, tau={self.tau:g}s)")
+
+
+def commodity_map(perm, chunks=None):
+    """What a relabel does to a commodity key: an aggregated source id
+    goes through ``perm``; a ``(source, chunk)`` pair through ``chunks``
+    when given, else only its source through ``perm``."""
+    def commodity(q):
+        if not isinstance(q, tuple):
+            return perm[q]
+        return (perm[q[0]], q[1]) if chunks is None else chunks[q]
+    return commodity
 
 
 @dataclass(frozen=True)
@@ -227,14 +243,11 @@ class FlowSchedule:
         last_read = max((k[2] for k in self.reads), default=-1)
         return max(last_flow, last_read)
 
-    def relabel(self, perm) -> "FlowSchedule":
+    def relabel(self, perm, chunks=None) -> "FlowSchedule":
         """The same fractional schedule on a renamed fabric (see
-        :meth:`Schedule.relabel`). Commodity keys relabel their source —
-        aggregated int keys through ``perm`` directly, ``(source, chunk)``
-        pairs on the source only."""
-        def q_map(q):
-            return (perm[q[0]], q[1]) if isinstance(q, tuple) else perm[q]
-
+        :meth:`Schedule.relabel`): aggregated int commodity keys map
+        through ``perm``, ``(source, chunk)`` pairs as sends do."""
+        q_map = commodity_map(perm, chunks)
         return FlowSchedule(
             flows={(q_map(q), perm[i], perm[j], k): v
                    for (q, i, j, k), v in self.flows.items()},

@@ -21,7 +21,7 @@ from repro.core.config import AStarConfig, SwitchModel, TecclConfig
 from repro.core.epochs import EpochPlan, build_epoch_plan
 from repro.core.lp import LpOutcome, minimize_epochs_lp, solve_lp
 from repro.core.milp import MilpOutcome, solve_milp
-from repro.core.schedule import FlowSchedule, Schedule
+from repro.core.schedule import FlowSchedule, Schedule, commodity_map
 from repro.errors import ModelError
 from repro.obs import recorder as _flight
 from repro.obs.explain import solve_stats_subset
@@ -82,22 +82,28 @@ class SynthesisResult:
     payload: dict | None = field(default=None, init=False, repr=False,
                                  compare=False)
 
-    def relabeled(self, perm) -> "SynthesisResult":
-        """The same result with every node id mapped through ``perm``.
+    def relabeled(self, perm, chunks=None) -> "SynthesisResult":
+        """The same result with every node id mapped through ``perm``
+        and, when given, every ``(source, chunk)`` commodity through
+        ``chunks`` (chunk ids are labels: a canonical demand renumbers
+        each source's chunks).
 
         Translates a result solved on a symmetry-relabeled instance back
-        to the caller's node ids (the planner's cache-canonicalization
-        path): schedule, demand and topology relabel; the epoch plan is
-        invariant under any fabric automorphism (capacities permute onto
-        equal capacities). The raw ``outcome``/``hyper`` records are
-        dropped — they index solver internals in the solved space. Not
-        valid for hyper-transformed results (their schedules live in the
-        rewritten node space; callers gate those out).
+        to the caller's labels (the planner's cache-canonicalization
+        path): schedule, demand and topology relabel (an aggregated LP
+        schedule has no chunk ids, so there only the demand sees
+        ``chunks``); the epoch plan is invariant under any fabric
+        automorphism (capacities permute onto equal capacities). The raw
+        ``outcome``/``hyper`` records are dropped — they index solver
+        internals in the solved space. Not valid for hyper-transformed
+        results (their schedules live in the rewritten node space;
+        callers gate those out).
         """
         from repro.topology.transforms import relabel as _relabel_topology
+        commodity = commodity_map(perm, chunks)
         return replace(
             self,
-            schedule=self.schedule.relabel(perm),
+            schedule=self.schedule.relabel(perm, chunks),
             outcome=None,
             hyper=None,
             topology_used=(None if self.topology_used is None
@@ -106,7 +112,7 @@ class SynthesisResult:
                                name=self.topology_used.name)),
             demand_used=(None if self.demand_used is None
                          else Demand.from_triples(
-                             (perm[s], c, perm[d])
+                             (*commodity((s, c)), perm[d])
                              for (s, c, d) in self.demand_used.triples())))
 
     def rescaled(self, topology: Topology) -> "SynthesisResult":

@@ -35,11 +35,15 @@ and collapses the instance:
   staged replica, with :meth:`ColumnKeys.permutation` and
   :func:`_is_symmetry`, which only it uses.
 * **Cache canonicalization** (:func:`canonicalize_demand`): automorphisms
-  of the topology alone relabel the demand; the lexicographically minimal
-  relabeling is a canonical form, so symmetric requests collapse to one
-  cache entry (used by the planner, salted into ``FINGERPRINT_VERSION``).
-  The group is the fabric's: generators and closure are derived once per
-  topology content (:mod:`repro.topology.facts`), not per request.
+  of the topology alone relabel the demand, and chunk ids are labels: the
+  relabeling whose sorted ``(source, destination set)`` chunk rows are
+  lexicographically least, each source's chunks renumbered in row order,
+  is a canonical form, so symmetric requests collapse to one cache entry
+  (used by the planner, salted into ``FINGERPRINT_VERSION``); a
+  :class:`Relabeling` maps the answer back to the caller's node and chunk
+  labels. The group is the fabric's: generators and closure are derived
+  once per topology content (:mod:`repro.topology.facts`), not per
+  request.
 
 Soundness never rests on the search: the trust layers are (1) exact
 verification of each generator against topology and demand; (2) an exact
@@ -69,7 +73,7 @@ from scipy import sparse
 
 from repro.collectives.demand import Demand
 from repro.core.columns import ColumnTable
-from repro.core.schedule import distinct
+from repro.core.schedule import LinkTable, distinct
 from repro.obs.metrics import get_registry as _default_registry
 from repro.obs.trace import span as _obs_span
 from repro.solver.model import CompiledModel, Model
@@ -129,6 +133,16 @@ def _rank_in_runs(key: np.ndarray) -> np.ndarray:
     rank[order] = np.arange(len(key)) - np.repeat(
         starts, np.diff(np.append(starts, len(key))))
     return rank
+
+
+@functools.lru_cache(maxsize=None)
+def _neighbour_weights(size: int) -> np.ndarray:
+    """Fixed random 40-bit weights, one per (direction, edge colour, far
+    colour) of a refinement; read-only."""
+    weights = np.random.default_rng(0).integers(
+        1, 1 << 40, size=size).astype(float)
+    weights.setflags(write=False)
+    return weights
 
 
 @functools.lru_cache(maxsize=None)
@@ -252,6 +266,19 @@ def _ranks(keys) -> np.ndarray:
     return np.array([rank[key] for key in keys], dtype=np.int64)
 
 
+def _dense_ranks(*columns: np.ndarray) -> np.ndarray:
+    """:func:`_ranks` of the rows of ``columns`` (first column first), as
+    array passes."""
+    order = np.lexsort(columns[::-1])
+    fresh = np.zeros(len(order), dtype=bool)
+    for column in columns:
+        ordered = column[order]
+        fresh[1:] |= ordered[1:] != ordered[:-1]
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.cumsum(fresh)
+    return rank
+
+
 def _target_cell(colors: np.ndarray):
     """The lowest-coloured non-singleton cell; ``None`` when discrete."""
     big = np.flatnonzero(np.bincount(colors) > 1)
@@ -269,19 +296,23 @@ class _Search:
     def __init__(self, topology: Topology, demand: Demand | None) -> None:
         self.topology, self.demand, self.nodes = topology, demand, 0
         n = self.n = topology.num_nodes
-        edges = [(l.src, l.dst, (0, l.capacity, l.alpha))
-                 for l in topology.links.values()]
-        sizes, wanted, pairs = [[] for _ in range(n)], [0] * n, {}
-        for s, (chunks, _classes) in (
-                demand.chunk_classes.items() if demand else ()):
-            for _c, dests in chunks:
-                sizes[s].append(len(dests))
-                for d in dests:
-                    wanted[d] += 1
-                    pairs[(s, d)] = pairs.get((s, d), 0) + 1
-        edges += [(s, d, (1, m, 0.0)) for (s, d), m in pairs.items()]
-        ends = np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2)
-        kind = _ranks([e[2] for e in edges])
+        links = LinkTable(topology)
+        source, dests = (demand.chunk_rows[1:] if demand is not None
+                         else (np.zeros(0, np.int64), np.zeros((0, 0),
+                                                               np.int64)))
+        held = dests >= 0
+        sizes = held.sum(axis=1)
+        wanted = np.bincount(dests[held], minlength=n).tolist()
+        # a demand edge s -> d per pair, coloured by how many chunks it holds
+        count = np.bincount(np.repeat(source, sizes) * n + dests[held],
+                            minlength=n * n)
+        pair = np.flatnonzero(count)
+        count = count[pair]
+        link_kind = _dense_ranks(links.capacity, links.alpha)
+        kind = np.concatenate((link_kind, link_kind.max(initial=-1) + 1
+                               + _dense_ranks(count)))
+        ends = np.stack((np.concatenate((links.src, pair // n)),
+                         np.concatenate((links.dst, pair % n))), axis=1)
         kinds = int(kind.max(initial=-1)) + 1
         # an edge end sees (direction, edge colour, colour at the far end)
         self._ends, self._far = ends.T.ravel(), ends[:, ::-1].T.ravel()
@@ -289,10 +320,13 @@ class _Search:
         # a neighbourhood's key: a sum of fixed random 40-bit weights per
         # (direction, edge colour, far colour), exact in float64; a
         # collision can only merge colours (costing search), never split
-        self._weights = np.random.default_rng(0).integers(
-            1, 1 << 40, size=2 * kinds * n).astype(float)
-        self._start = _ranks([(v in topology.switches, tuple(sorted(sizes[v])),
-                               wanted[v]) for v in range(n)])
+        self._weights = _neighbour_weights(2 * kinds * n)
+        # a node's sorted destination-set sizes: one slice per source
+        ordered = sizes[np.lexsort((sizes, source))].tolist()
+        bounds = np.cumsum(np.bincount(source, minlength=n)).tolist()
+        self._start = _ranks([
+            (v in topology.switches, tuple(ordered[start:end]), wanted[v])
+            for v, start, end in zip(range(n), [0] + bounds, bounds)])
 
     def refine(self, colors: np.ndarray) -> np.ndarray:
         """The coarsest equitable partition finer than ``colors``, coloured
@@ -1036,48 +1070,134 @@ def _generator_closure(facts: TopologyFacts) -> list[tuple[int, ...]]:
     return order
 
 
-def canonicalize(facts: TopologyFacts,
-                 demand: Demand) -> tuple[Demand, list[int]]:
-    """:func:`canonicalize_demand` on an already looked-up facts entry: the
-    fabric's closure is cached, the answer remembered per demand content."""
+@dataclass(frozen=True, eq=False)
+class Relabeling:
+    """How an answer to a canonical demand maps back to the caller's
+    labels: ``perm`` sends a canonical node id to the caller's, ``chunks``
+    a canonical ``(source, chunk)`` commodity to the caller's. Made once
+    per (fabric, demand) canonicalization, so it keys a cache entry's
+    served forms by identity and a hit hashes no map."""
+
+    perm: tuple[int, ...]
+    chunks: dict
+
+
+def _closure_array(facts: TopologyFacts) -> np.ndarray:
+    """The generator closure as one ``(elements, nodes)`` array."""
+    return np.array(facts.derive("closure", _generator_closure),
+                    dtype=np.int64).reshape(-1, facts.topology.num_nodes)
+
+
+def _rows_under(sigmas: np.ndarray, demand: Demand) -> np.ndarray:
+    """``(elements, chunks, 1 + width)``: every chunk's ``(source,
+    destinations ascending)`` row under each node relabeling, -1 padding
+    first, in the demand's chunk order."""
+    _keys, source, dests = demand.chunk_rows
+    padded = np.column_stack((sigmas, np.full(len(sigmas), -1)))
+    image = padded[:, dests]
+    image.sort(axis=2)
+    return np.concatenate((sigmas[:, source][..., None], image), axis=2)
+
+
+def _lex_first(matrix: np.ndarray) -> int:
+    """The first of the lexicographically least rows of ``matrix``."""
+    return int(np.lexsort(matrix.T[::-1])[0])  # stable: ties keep order
+
+
+#: chunk-row entries scored at once per block of closure elements
+CANONICAL_BLOCK = 1 << 18
+
+
+def _least_element(closure: np.ndarray, demand: Demand) -> int:
+    """The first closure element under which the demand's sorted chunk
+    rows are least, scored a block of elements at a time."""
+    _keys, source, dests = demand.chunk_rows
+    step = max(1, CANONICAL_BLOCK // max(1, dests.size + len(source)))
+    firsts, keys = [], []
+    for start in range(0, len(closure), step):
+        rows = _rows_under(closure[start:start + step], demand)
+        elements, chunks, width = rows.shape
+        flat = rows.reshape(-1, width)
+        order = np.lexsort((*flat.T[::-1],
+                            np.repeat(np.arange(elements), chunks)))
+        ranked = flat[order].reshape(elements, chunks * width)
+        first = _lex_first(ranked)
+        firsts.append(start + first)
+        keys.append(ranked[first])
+    return firsts[_lex_first(np.stack(keys))]
+
+
+def _canonical_form(facts: TopologyFacts, demand: Demand) -> tuple:
+    """``(canonical or None, sigma, relabeling or None)`` of ``demand``,
+    found once per demand content and remembered on the fabric's entry."""
     memo = facts.derive("canonical", lambda f: {})
     found = memo.get(demand)
     _default_registry().counter(
         f"canonicalize_memo_{'misses' if found is None else 'hits'}_total",
         "Demand canonicalizations by memo outcome").inc()
     if found is None:
-        triples = demand.triples()
-
-        def relabeled(sigma):
-            return sorted((sigma[s], c, sigma[d]) for (s, c, d) in triples)
-
-        closure = facts.derive("closure", _generator_closure)
-        # min() keeps the first of equal minima: the BFS's strict ``<``
-        sigma = min(closure, key=relabeled)
         if len(memo) >= CANONICAL_MEMO_SIZE:
             memo.clear()
-        # the identity (visited first) winning leaves the demand alone
-        found = memo[demand] = (
-            None if sigma == closure[0]
-            else Demand.from_triples(relabeled(sigma)), sigma)
-    canonical, sigma = found
-    return (demand if canonical is None else canonical), list(sigma)
+        found = memo[demand] = _canonicalized(
+            facts.derive("closure_array", _closure_array), demand)
+    return found
+
+
+def _canonicalized(closure: np.ndarray, demand: Demand) -> tuple:
+    """:func:`_canonical_form` of ``demand`` over ``closure``, computed:
+    the least element's rows in sorted order become the canonical chunks,
+    numbered per source, and the map back pairs each with the caller's
+    chunk it came from."""
+    keys = demand.chunk_rows[0]
+    if not keys:
+        return None, tuple(closure[0].tolist()), None
+    element = _least_element(closure, demand)
+    sigma = closure[element]
+    rows = _rows_under(sigma[None], demand)[0]
+    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep chunk order
+    rows = rows[order]
+    chunk = _rank_in_runs(rows[:, 0])  # rows are grouped by source
+    commodities = list(zip(rows[:, 0].tolist(), chunk.tolist()))
+    chunks = dict(zip(commodities, map(keys.__getitem__, order.tolist())))
+    sigma = tuple(sigma.tolist())
+    if element == 0 and all(q == c for q, c in chunks.items()):
+        return None, sigma, None  # the identity, and every id kept
+    canonical = Demand({q: frozenset(row[row >= 0].tolist())
+                        for q, row in zip(commodities, rows[:, 1:])})
+    return canonical, sigma, Relabeling(
+        tuple(invert_permutation(sigma)), chunks)
+
+
+def canonicalize(facts: TopologyFacts,
+                 demand: Demand) -> tuple[Demand, Relabeling | None]:
+    """:func:`canonicalize_demand` on an already looked-up facts entry,
+    returning the map back to the caller's labels instead of ``sigma``
+    (``None`` where the demand is its own canonical form): the fabric's
+    closure is cached, the answer remembered per demand content."""
+    canonical, _sigma, back = _canonical_form(facts, demand)
+    return (demand if canonical is None else canonical), back
 
 
 def canonicalize_demand(topology: Topology,
                         demand: Demand) -> tuple[Demand, list[int]]:
-    """Lexicographically minimal relabeling of ``demand`` under the
-    topology's automorphism group, with the permutation that achieves it.
+    """The canonical form of ``demand`` under the topology's automorphism
+    group, with the node permutation that achieves it.
 
-    Returns ``(canonical_demand, sigma)`` where ``canonical_demand ==
-    sigma · demand``. Two demands related by a topology automorphism map
-    to the same canonical form whenever the budgeted BFS over the
-    generator closure reaches the global minimum from both — a truncated
-    search can only miss a collapse, never produce a wrong equivalence.
-    ``sigma`` is the identity (and the demand returned as is) when no
-    symmetry improves on it.
+    Chunk ids are labels: a demand is compared by its chunk rows, each a
+    ``(source, sorted destination set)``. The canonical form is the
+    relabeling ``sigma`` whose sorted rows are lexicographically least,
+    with each source's chunks renumbered ``0, 1, ...`` in row order. So
+    two demands related by a topology automorphism and a per-source
+    renumbering of chunk ids map to one canonical form whenever the
+    budgeted BFS over the generator closure reaches the minimum from both
+    — a truncated search can only miss a collapse, never produce a wrong
+    equivalence. Returns ``(canonical_demand, sigma)``; the demand comes
+    back as is, and ``sigma`` is the identity, when it is canonical
+    already.
     """
-    return canonicalize(topology_facts(topology)[0], demand)
+    canonical, sigma, _back = _canonical_form(topology_facts(topology)[0],
+                                              demand)
+    return (demand if canonical is None else canonical), list(sigma)
 
 
 def invert_permutation(perm) -> list[int]:

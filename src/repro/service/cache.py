@@ -95,19 +95,22 @@ class CacheEntry:
         return value is self.payload \
             or value is self._parsed.get((None, None))
 
-    def result(self, inverse: tuple | None = None,
-               rescale=None) -> SynthesisResult:
-        """The deserialised result — mapped through the node permutation
-        ``inverse`` and then onto the caller's fabric of ``rescale`` (a
+    def result(self, inverse=None, rescale=None) -> SynthesisResult:
+        """The deserialised result — mapped back to the caller's node and
+        chunk labels through ``inverse`` (a
+        :class:`~repro.core.symmetry.Relabeling`) and then onto the
+        caller's fabric of ``rescale`` (a
         :class:`~repro.service.fingerprint.Rescale`) when given — built
-        on first request, shared after."""
+        on first request, shared after. Both key the forms by identity:
+        one object per canonicalization and per proof."""
         key = (inverse, rescale)
         found = self._parsed.get(key)
         if found is None:
             if rescale is not None:
                 found = self.result(inverse).rescaled(rescale.topology)
             elif inverse is not None:
-                found = self.result().relabeled(inverse)
+                found = self.result().relabeled(inverse.perm,
+                                                inverse.chunks)
             else:
                 found = SynthesisResult.from_dict(self.payload)
             if len(self._parsed) >= PARSED_PER_ENTRY:

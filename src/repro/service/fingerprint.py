@@ -57,7 +57,11 @@ from repro.topology.transforms import to_hyper_edges
 #: v4: a fabric is hashed in units of its fastest link wherever
 #: :func:`rescale_of` proves the collapse, so uniformly rescaled fabrics
 #: share one entry.
-FINGERPRINT_VERSION = 4
+#: v5: chunk ids left the planner's canonical demand: demands are compared
+#: by their ``(source, destination set)`` chunk rows and each source's
+#: chunks renumbered in row order, so every root of a scatter on a
+#: symmetric fabric shares one entry.
+FINGERPRINT_VERSION = 5
 
 
 @dataclass(frozen=True, eq=False)

@@ -97,8 +97,9 @@ class Planner:
         cache_capacity: in-memory LRU size.
         timeout: default per-request wall-clock budget in seconds
             (``None`` = wait forever); overridable per call.
-        check_conformance: replay every served schedule, in the caller's
-            node ids and units, through the conformance engine
+        check_conformance: replay every served schedule against the
+            request's own fabric and demand, in the caller's node ids,
+            chunk ids and units, through the conformance engine
             (:func:`repro.simulate.check_result`) before handing it out; a
             non-conformant result becomes a failed response instead of
             reaching the caller. Covers cache hits too (a stale or
@@ -110,12 +111,16 @@ class Planner:
     fingerprinted and solved: its fabric in units of the fastest link
     wherever :func:`~repro.service.fingerprint.rescale_of` proves the
     model unchanged (so a fleet-wide congestion on a fabric with α = 0
-    is a hit; with α > 0 the event changes ``⌈α/τ⌉`` and misses), and the
-    lexicographically minimal relabeling of its demand under the fabric's
-    automorphism group (not with ``config.solver.symmetry`` ``"off"``,
-    priorities, a capacity hook or the hyper-edge switch model). Results
-    are relabeled and rescaled back before being returned. An in-process
-    miss serves the solved result itself, ``outcome`` dropped.
+    is a hit; with α > 0 the event changes ``⌈α/τ⌉`` and misses), and its
+    demand's canonical form under the fabric's automorphism group, where
+    chunk ids are labels: the relabeling whose sorted ``(source,
+    destination set)`` chunk rows are lexicographically least, each
+    source's chunks renumbered in row order (not with
+    ``config.solver.symmetry`` ``"off"``, priorities, a capacity hook or
+    the hyper-edge switch model). So every root of a scatter on a ring
+    shares one entry. Results are mapped back to the caller's node and
+    chunk ids and rescaled before being returned. An in-process miss
+    serves the solved result itself, ``outcome`` dropped.
     """
 
     def __init__(self, *, executor: str = "process",
@@ -195,7 +200,8 @@ class Planner:
 
         Returns ``served = (facts, demand, inverse, rescale)``: the
         canonical fabric's facts and the canonical demand, and what maps
-        results back — the node permutation to the caller's ids and the
+        results back — the :class:`~repro.core.symmetry.Relabeling` to the
+        caller's node and chunk ids and the
         :class:`~repro.service.fingerprint.Rescale` to the caller's units
         (each ``None`` where nothing was rewritten). The relabeling is an
         exact one under a *verified* automorphism, so a truncated
@@ -211,12 +217,10 @@ class Planner:
                 or config.capacity_fn is not None
                 or config.switch_model is SwitchModel.HYPER_EDGE):
             return facts, request.demand, None, rescale
-        demand, sigma = _symmetry.canonicalize(facts, request.demand)
-        if demand is request.demand:
-            return facts, demand, None, rescale
-        self._bump(symmetry_collapses=1)
-        return (facts, demand, tuple(_symmetry.invert_permutation(sigma)),
-                rescale)
+        demand, inverse = _symmetry.canonicalize(facts, request.demand)
+        if inverse is not None:
+            self._bump(symmetry_collapses=1)
+        return facts, demand, inverse, rescale
 
     @staticmethod
     def _solvable(request: PlanRequest, served) -> PlanRequest:
@@ -316,14 +320,21 @@ class Planner:
     def _post_check(self, request: PlanRequest, response: PlanResponse,
                     raise_errors: bool) -> None:
         """Optional conformance replay (``check_conformance``) of the
-        result as served: in the caller's node ids and units, on the
-        caller's fabric it carries (hyper-edge-transformed where that
-        ran)."""
+        result as served, against what the caller asked for: the
+        request's fabric and demand, in its node ids and units. A
+        hyper-edge result is replayed in the transformed space it
+        carries (its own fabric and demand)."""
         if not self.check_conformance:
             return
         from repro.simulate import check_result
 
-        report = check_result(response.result, config=request.config)
+        config = request.config
+        if (config.switch_model is SwitchModel.HYPER_EDGE
+                and request.topology.switches):
+            report = check_result(response.result, config=config)
+        else:
+            report = check_result(response.result, topology=request.topology,
+                                  demand=request.demand, config=config)
         response.conformance = report.to_dict()
         self._bump(conformance_checks=1,
                    conformance_failures=0 if report.ok else 1)
@@ -391,8 +402,9 @@ class Planner:
             tag=request.tag, explain=explain)
         if not hit:
             try:
-                source = self._solved(fingerprint,
-                                      self.pool.wait(source, timeout))
+                with _obs.span("planner.wait"):
+                    value = self.pool.wait(source, timeout)
+                source = self._solved(fingerprint, value)
             except ReproError as exc:
                 # a ServiceError is the wait timing out; anything else is a
                 # solver-side failure (infeasible, ...)

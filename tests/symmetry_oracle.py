@@ -1,4 +1,5 @@
-"""The index-pattern automorphism detector, kept as a test oracle.
+"""Test oracles for ``repro.core.symmetry``: the index-pattern
+automorphism detector and a per-request demand canonicalization.
 
 ``repro.core.symmetry.find_generators`` was once this: permutations guessed
 from node *numbers* (rotations and reflections, block rotations and swaps,
@@ -6,6 +7,10 @@ intra-block rotations, transpositions within 1-WL colour classes), each
 verified with ``is_automorphism``, up to 32 kept. It finds a subgroup of
 the group the refinement search finds, and many redundant elements of it —
 which is what the tests of ``reduce_lp``'s stem-orbit skip need.
+
+:func:`oracle_canonicalize_demand` states the planner's canonical demand as
+plainly as it can be stated: chunk ids are labels, so a demand relabeled by
+a closure element is scored by its sorted chunk rows alone.
 """
 
 from repro.collectives.demand import Demand
@@ -119,3 +124,52 @@ def oracle_generators(topology: Topology, demand: Demand | None = None,
             if len(found) >= MAX_GENERATORS:
                 break
     return found
+
+
+def _chunk_rows(demand: Demand, sigma) -> list[tuple]:
+    """The demand's chunk rows under ``sigma``, sorted: ``(source, set
+    size, destinations ascending)`` — chunk ids left out."""
+    rows = {}
+    for s, c, d in demand.triples():
+        rows.setdefault((s, c), []).append(sigma[d])
+    return sorted((sigma[s], len(dests), tuple(sorted(dests)))
+                  for (s, _c), dests in rows.items())
+
+
+def oracle_canonicalize_demand(topology: Topology, demand: Demand):
+    """``(canonical, sigma)`` by a per-request BFS over the closure of the
+    topology-only generators: every visited element scored by its sorted
+    chunk rows, the first least one kept, each source's chunks numbered
+    ``0, 1, ...`` in row order. The demand itself (and the identity) when
+    that changes nothing."""
+    n = topology.num_nodes
+    identity = tuple(range(n))
+    generators = symmetry.find_generators(topology, None)
+    best_sigma, best_key = identity, _chunk_rows(demand, identity)
+    seen, frontier = {identity}, [identity]
+    budget = symmetry.CANONICAL_BFS_BUDGET
+    while frontier and len(seen) < budget:
+        nxt = []
+        for sigma in frontier:
+            for gen in generators:
+                comp = tuple(gen.perm[sigma[i]] for i in range(n))
+                if comp in seen:
+                    continue
+                seen.add(comp)
+                nxt.append(comp)
+                key = _chunk_rows(demand, comp)
+                if key < best_key:
+                    best_key, best_sigma = key, comp
+                if len(seen) >= budget:
+                    break
+            if len(seen) >= budget:
+                break
+        frontier = nxt
+    triples, count = [], {}
+    for s, _size, dests in best_key:
+        c = count[s] = count.get(s, -1) + 1
+        triples += [(s, c, d) for d in dests]
+    canonical = Demand.from_triples(triples)
+    if best_sigma == identity and canonical == demand:
+        return demand, list(identity)
+    return canonical, list(best_sigma)

@@ -144,7 +144,7 @@ class TestSensitivity:
 
 
 class TestCanonicalFormPin:
-    """Golden pins of the canonical form for FINGERPRINT_VERSION == 4.
+    """Golden pins of the canonical form for FINGERPRINT_VERSION == 5.
 
     Any change to the canonical document — a new normalised field, a field
     ordering change, a float formatting change — alters every fingerprint in
@@ -153,11 +153,11 @@ class TestCanonicalFormPin:
     when bumping the version, recompute and update the pinned digest.
     """
 
-    PINNED_VERSION = 4
+    PINNED_VERSION = 5
     # sha256 of json.dumps(canonical_request(...), sort_keys=True,
     # separators=(",", ":")) for the fixed instance below.
-    PINNED_SHA256 = ("2b1f5754b91401c5fc9c54c4e896f3e55ae78537df78"
-                     "16a8fdca8a6fe3458a5e")
+    PINNED_SHA256 = ("3dae81cbe309eb61945f9951ec1d3e25933f908c8595"
+                     "51f24f6fd83fff877cde")
 
     @staticmethod
     def _fixed_instance():

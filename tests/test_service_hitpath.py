@@ -1,8 +1,8 @@
 """The serve hit path: one per-topology facts memo, fragment-assembled
 fingerprints and the cache's parsed-result tier.
 
-Equivalence is pinned against un-memoised oracles (the per-request BFS
-``canonicalize_demand`` of the parent commit lives on here, test-only;
+Equivalence is pinned against un-memoised oracles (a per-request BFS
+``canonicalize_demand`` lives in ``symmetry_oracle.py``, test-only;
 fingerprints are recomputed through the public ``canonical_*_request`` →
 ``fingerprint_canonical`` path), soundness against mutation of the mutable
 ``Topology``, and the hit's cost by *call counts*, never timings.
@@ -14,9 +14,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from symmetry_oracle import oracle_canonicalize_demand
 
 from repro import collectives, obs, topology
-from repro.collectives.demand import Demand
 from repro.core import TecclConfig, symmetry
 from repro.core.solve import SynthesisResult
 from repro.obs import recorder as flight
@@ -44,50 +44,8 @@ def _cold_memos():
 
 
 # ----------------------------------------------------------------------
-# oracles: the parent commit's per-request derivations
+# oracles: per-request derivations
 # ----------------------------------------------------------------------
-def oracle_canonicalize_demand(topo, demand):
-    """The per-request BFS over the generator closure, as it ran before
-    the facts memo: generators searched, closure walked and every element
-    scored on each call."""
-    n = topo.num_nodes
-    identity = list(range(n))
-    generators = symmetry.find_generators(topo, None)
-    if not generators:
-        return demand, identity
-
-    def relabeled(sig):
-        return tuple(sorted((sig[s], c, sig[d])
-                            for (s, c, d) in demand.triples()))
-
-    best_sigma = tuple(identity)
-    best_key = relabeled(best_sigma)
-    seen = {best_sigma}
-    frontier = [best_sigma]
-    budget = symmetry.CANONICAL_BFS_BUDGET
-    while frontier and len(seen) < budget:
-        nxt = []
-        for sigma in frontier:
-            for gen in generators:
-                comp = tuple(gen.perm[sigma[i]] for i in range(n))
-                if comp in seen:
-                    continue
-                seen.add(comp)
-                nxt.append(comp)
-                key = relabeled(comp)
-                if key < best_key:
-                    best_key = key
-                    best_sigma = comp
-                if len(seen) >= budget:
-                    break
-            if len(seen) >= budget:
-                break
-        frontier = nxt
-    if best_sigma == tuple(identity):
-        return demand, identity
-    return Demand.from_triples(best_key), list(best_sigma)
-
-
 def oracle_fingerprints(request: PlanRequest) -> tuple[str, str]:
     key = dict(method=request.method, astar_config=request.astar_config,
                minimize_epochs=request.minimize_epochs)

@@ -34,7 +34,7 @@ back to a private cold solve for that chassis.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.collectives.demand import Demand
 from repro.collectives.patterns import allgather, broadcast
@@ -282,12 +282,14 @@ def hierarchical_allgather(topology: Topology, config: TecclConfig, *,
 
     def solve_one(label: str, fabric: _SubFabric,
                   demand: Demand) -> tuple[SynthesisResult, bool]:
+        phase_config = _on_subfabric(config, fabric)
+
         def cold() -> SynthesisResult:
             with stats_lock:
                 stats["solves"] += 1
             with _obs_span("hier.phase", label=label,
                            gpus=len(fabric.topology.gpus)):
-                return synthesize(fabric.topology, demand, config,
+                return synthesize(fabric.topology, demand, phase_config,
                                   method=method)
 
         key = _phase_fingerprint(fabric.topology, demand, config,
@@ -336,6 +338,21 @@ def hierarchical_allgather(topology: Topology, config: TecclConfig, *,
                          if r.label.startswith("broadcast@")],
         sub_solves=stats["solves"],
         dedup_hits=stats["hits"])
+
+
+def _on_subfabric(config: TecclConfig, fabric: _SubFabric) -> TecclConfig:
+    """``config`` for a solve on ``fabric``'s renumbered nodes.
+
+    ``capacity_fn`` is keyed by the caller's node ids, so every call the
+    phase solve makes is mapped back through ``fabric.to_full`` (which
+    also carries :func:`_induce`'s dead-switch remap).
+    """
+    capacity_fn = config.capacity_fn
+    if capacity_fn is None:
+        return config
+    to_full = fabric.to_full
+    return replace(config, capacity_fn=lambda src, dst, epoch: capacity_fn(
+        to_full[src], to_full[dst], epoch))
 
 
 def _phase_fingerprint(topology: Topology, demand: Demand,

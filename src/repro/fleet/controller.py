@@ -26,6 +26,7 @@ iteration in flight is :func:`repro.failures.repair_schedule`'s business.
 
 from __future__ import annotations
 
+import copy
 import enum
 import hashlib
 import json
@@ -33,13 +34,13 @@ import threading
 import time as _time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from repro.collectives.demand import Demand
 from repro.core.config import TecclConfig
 from repro.core.solve import Method, SynthesisResult
-from repro.errors import FleetError
+from repro.errors import FleetError, ServiceError
 from repro.fleet.estimate import (FabricEstimator, LinkHealth,
                                   LinkTransition)
 from repro.fleet.wal import Encoded, WriteAheadLog
@@ -312,12 +313,17 @@ class ScheduleRegistry:
                 fabric: Topology | None = None) -> RegistryEntry:
         with self._lock:
             self._seq += 1
-            entry = RegistryEntry(job=job, result=result,
-                                  status=ScheduleStatus.PENDING, time=time,
-                                  fabric=fabric, seq=self._seq)
-            if self._journal is not None:
-                self._journal("propose", entry._wire(_encoded(result)))
-            self.history.append(entry)
+            return self._enter(RegistryEntry(
+                job=job, result=result, status=ScheduleStatus.PENDING,
+                time=time, fabric=fabric, seq=self._seq))
+
+    def _enter(self, entry: RegistryEntry) -> RegistryEntry:
+        """:meth:`propose`'s bookkeeping (the caller holds the lock);
+        recovery enters each logged proposal through it as logged."""
+        if self._journal is not None:
+            self._journal("propose", entry._wire(_encoded(entry.result)))
+        self._seq = max(self._seq, entry.seq)
+        self.history.append(entry)
         return entry
 
     def activate(self, entry: RegistryEntry) -> RegistryEntry:
@@ -341,7 +347,12 @@ class ScheduleRegistry:
             self._log("rollback", {"job": entry.job, "seq": entry.seq,
                                    "reason": reason})
             entry.status = ScheduleStatus.ROLLED_BACK
+            entry.conformance_ok = False  # only a failed replay rolls back
             entry.note = reason
+            # the live path rolls back only PENDING entries; recovery also
+            # rolls back an incumbent its re-vet refused
+            if self._active.get(entry.job) is entry:
+                del self._active[entry.job]
         return entry
 
     def retire(self, job: str) -> None:
@@ -352,36 +363,6 @@ class ScheduleRegistry:
                 self._log("retire", {"job": job, "seq": entry.seq})
                 del self._active[job]
                 entry.status = ScheduleStatus.RETIRED
-
-    # ------------------------------------------------------------------
-    # recovery (no journaling: the WAL is the *source* here)
-    # ------------------------------------------------------------------
-    def restore(self, entries: list[RegistryEntry],
-                active: dict[str, int], seq: int) -> None:
-        """Rehydrate from recovered state, bypassing the journal.
-
-        ``entries`` arrive in seq order (the history window); ``active``
-        maps job name to the seq of its incumbent. Every incumbent must
-        already carry an explicit conformance pass — recovery re-vets
-        before calling this, and the invariant holds across restarts.
-        """
-        by_seq = {entry.seq: entry for entry in entries}
-        for job, entry_seq in active.items():
-            entry = by_seq.get(entry_seq)
-            if entry is None:
-                raise FleetError(
-                    f"cannot restore job {job!r}: active entry seq "
-                    f"{entry_seq} is not in the recovered window")
-            if entry.conformance_ok is not True:
-                raise FleetError(
-                    f"refusing to restore job {job!r} without a "
-                    "conformance pass")
-        with self._lock:
-            self.history.clear()
-            self.history.extend(entries)
-            self._active = {job: by_seq[entry_seq]
-                            for job, entry_seq in active.items()}
-            self._seq = max(seq, self._seq)
 
     def active(self, job: str) -> RegistryEntry | None:
         with self._lock:
@@ -626,12 +607,9 @@ class AdaptationController:
         (the registry-state wire schema), so an unparseable snapshot is
         refused at write time rather than at the recovery that needed it.
         """
-        entries: dict[int, RegistryEntry] = {}
         with self.registry._lock:
-            for entry in self.registry.history:
-                entries[entry.seq] = entry
-            for entry in self.registry._active.values():
-                entries[entry.seq] = entry
+            entries = {entry.seq: entry for entry in (
+                *self.registry.history, *self.registry._active.values())}
             active = {job: entry.seq
                       for job, entry in self.registry._active.items()}
             seq = self.registry._seq
@@ -1069,16 +1047,17 @@ class AdaptationController:
     def recover(self) -> dict:
         """Rehydrate the control plane from the WAL; returns provenance.
 
-        Loads the compaction snapshot (if any), replays every *committed*
-        transaction on top, and discards aborted or unfinished ones —
-        the crash-interrupted tail, and any operation that failed mid-way
-        and was compensated (the resumed daemon re-executes what still
-        matters). Every recovered incumbent is re-vetted through the
-        conformance oracle **before** re-activation: a recovery can never
-        silently activate a schedule the oracle would refuse — failed
-        replays are logged, counted, and dropped. Estimator cool-down
-        clocks resume where they stood, so a flap that straddles the
-        crash still yields at most one transition per window.
+        Recovery is replay: the compaction snapshot (if any), then every
+        *committed* record in log order, goes through the transitions the
+        live daemon runs (:meth:`_replay`), journal off — the log is the
+        source; aborted or unfinished operations are the resumed daemon's
+        to re-execute. Every recovered incumbent is then re-vetted by the
+        conformance oracle, and a refused one is rolled back, counted and
+        dropped. Estimator cool-down clocks resume where they stood, so a
+        flap that straddles the crash still yields at most one transition
+        per window. A malformed committed record raises
+        :class:`~repro.errors.FleetError` naming its seq and kind, and
+        leaves the controller fresh.
 
         Must run on a fresh controller (no jobs admitted, no steps
         taken); call it right after construction, before ``start()``.
@@ -1092,54 +1071,18 @@ class AdaptationController:
                     "recover() must run on a fresh controller, before any "
                     "admission or step")
             wal_state = self.wal.load()
-            parsed = _parse_wal(wal_state)
-            dropped: list[dict] = []
-            active: dict[str, int] = {}
-            for job, seq in parsed.active.items():
-                entry = parsed.entries.get(seq)
-                if entry is None:
-                    dropped.append({"job": job, "seq": seq,
-                                    "reason": "stale schedule envelope"})
-                    continue
-                if self._vet(entry.result):
-                    # an explicit re-vet *now*, not trust in the logged
-                    # verdict: solver or oracle semantics may have moved
-                    # under the persisted schedule
-                    entry.conformance_ok = True
-                    entry.status = ScheduleStatus.ACTIVE
-                    active[job] = seq
-                else:
-                    entry.conformance_ok = False
-                    entry.status = ScheduleStatus.ROLLED_BACK
-                    entry.note = "failed conformance replay on recovery"
-                    dropped.append({"job": job, "seq": seq,
-                                    "reason": "failed conformance replay"})
-                    _obs.event("fleet.recovery_drop", job=job, seq=seq)
-                    _flight.auto_dump("recovery-drop")
-            self.registry.restore(
-                [parsed.entries[s] for s in sorted(parsed.entries)],
-                active, parsed.entry_seq)
-            with self._jobs_lock:
-                self.jobs = dict(parsed.jobs)
-            for link, state in parsed.estimator.items():
-                ewma = state["ewma"]
-                if ewma is None and state.get("factor") is not None:
-                    # transition records persist the factor; the declared
-                    # capacity turns it back into the smoothed estimate
-                    ewma = (float(state["factor"])
-                            * self.estimator.estimate(link).capacity)
-                samples = int(state["samples"])
-                if state.get("from_transition"):
-                    # a link that transitioned had cleared min_samples
-                    samples = max(samples, self.estimator.min_samples)
-                self.estimator.restore(
-                    link, health=LinkHealth(state["health"]),
-                    ewma=ewma,
-                    last_transition=state["last_transition"],
-                    samples=samples)
-            self.now = parsed.now
-            self._step_index = parsed.steps_completed
-            self.decisions.extend(parsed.decisions)
+            links, now = copy.deepcopy(self.estimator._links), self.now
+            self.registry = ScheduleRegistry()  # no journal while replaying
+            try:
+                dropped = self._replay_log(wal_state)
+            except BaseException:
+                self.registry = ScheduleRegistry(journal=self._journal)
+                self.jobs, self.estimator._links = {}, links
+                self.decisions.clear()
+                self.now, self._step_index = now, 0
+                raise
+            self.registry._journal = self._journal
+            recovered = len(self.registry.active_jobs())
             self._recoveries.inc()
             self._recovery_dropped.inc(len(dropped))
             self.recovery = {
@@ -1149,18 +1092,135 @@ class AdaptationController:
                 "records_replayed": len(wal_state.records),
                 "records_discarded": len(wal_state.uncommitted),
                 "torn_bytes": wal_state.torn_bytes,
-                "steps_completed": parsed.steps_completed,
-                "jobs": sorted(parsed.jobs),
-                "entries_recovered": len(active),
+                "steps_completed": self._step_index,
+                "jobs": sorted(self.jobs),
+                "entries_recovered": recovered,
                 "entries_dropped": dropped,
             }
-            sp.set_attr(jobs=len(parsed.jobs), recovered=len(active),
+            sp.set_attr(jobs=len(self.jobs), recovered=recovered,
                         dropped=len(dropped))
             # fold everything into a fresh snapshot: replaying the same
             # log twice must not exist as a failure mode
             self.wal.compact(self.registry_state())
             self._last_compact_records = self.wal.records_written
             return self.recovery
+
+    def _replay_log(self, wal_state) -> list[dict]:
+        """Replay the snapshot and committed records, then re-vet every
+        incumbent; returns the dropped ones."""
+        entries: dict[int, RegistryEntry] = {}  # every proposal, by seq
+        stale: dict[str, int] = {}  # job -> unreadable incumbent's seq
+        where = "the snapshot"
+        try:
+            snapshot = wal_state.snapshot
+            if snapshot is not None:
+                check_registry_state(snapshot)
+                # the snapshot, as the records it folded
+                for doc in snapshot["jobs"].values():
+                    self._replay("job_admit", doc, entries, stale)
+                for doc in snapshot["entries"]:
+                    self._replay("propose", doc, entries, stale)
+                for job, seq in snapshot["active"].items():
+                    self._replay("activate", {"job": job, "seq": seq},
+                                 entries, stale)
+                for doc in snapshot["decisions"]:
+                    self._replay("decision", doc, entries, stale)
+                for key, state in snapshot["estimator"].items():
+                    src, _, dst = key.partition("->")
+                    self.estimator.restore(
+                        (int(src), int(dst)),
+                        **{**state, "health": LinkHealth(state["health"])})
+                self.now = float(snapshot["now"])
+                self._step_index = int(snapshot["steps_completed"])
+                self.registry._seq = max(self.registry._seq,
+                                         int(snapshot["entry_seq"]))
+            for record in wal_state.records:
+                where = (f"committed record seq {record.get('seq')} "
+                         f"({record.get('kind')})")
+                if "now" in record:
+                    self.now = max(self.now, float(record["now"]))
+                self._replay(record.get("kind"), record.get("data", {}),
+                             entries, stale)
+        except (AttributeError, KeyError, TypeError, ValueError,
+                FleetError, ServiceError) as exc:
+            raise FleetError(f"cannot recover: {where} is malformed: "
+                             f"{type(exc).__name__}: {exc}") from exc
+        dropped = [{"job": job, "seq": seq,
+                    "reason": "stale schedule envelope"}
+                   for job, seq in stale.items()]
+        for job in self.registry.active_jobs():
+            entry = self.registry.active(job)
+            # an explicit re-vet *now*, not trust in the logged verdict:
+            # solver or oracle semantics may have moved under it
+            if not self._vet(entry.result):
+                self.registry.rollback(
+                    entry, "failed conformance replay on recovery")
+                dropped.append({"job": job, "seq": entry.seq,
+                                "reason": "failed conformance replay"})
+                _obs.event("fleet.recovery_drop", job=job, seq=entry.seq)
+                _flight.auto_dump("recovery-drop")
+        return dropped
+
+    def _replay(self, kind: str, data: dict,
+                entries: dict[int, RegistryEntry],
+                stale: dict[str, int]) -> None:
+        """Apply one committed record through the live transitions.
+
+        ``entries`` holds every recovered proposal by seq. One whose
+        schedule envelope is stale (another package or cache-format
+        version) does not survive; ``stale`` maps a job whose incumbent it
+        was to its seq, and recovery reports the job dropped.
+        """
+        if kind == "job_admit":
+            job = FleetJob.from_dict(data)
+            self.jobs[job.name] = job
+        elif kind == "job_remove":
+            self.jobs.pop(data["job"], None)
+        elif kind == "propose":
+            try:
+                entry = RegistryEntry.from_wire(data)
+            except FleetError:
+                return  # stale envelope: the entry did not survive
+            # a seq already entered is a log replayed over the snapshot
+            # that folded it (a crash between snapshot and truncation)
+            if entry.seq not in entries:
+                entries[entry.seq] = self.registry._enter(entry)
+        elif kind == "activate":
+            job, seq = data["job"], int(data["seq"])
+            entry = entries.get(seq)
+            if entry is None:
+                self.registry.retire(job)  # the incumbent still steps down
+                self.registry._seq = max(self.registry._seq, seq)
+                stale[job] = seq
+                return
+            stale.pop(job, None)
+            # the record *is* the verdict: activate() refuses to journal
+            # one without a pass (the propose record predates vetting)
+            entry.conformance_ok = True
+            self.registry.activate(entry)
+        elif kind == "rollback":
+            entry = entries.get(int(data["seq"]))
+            if entry is not None:
+                self.registry.rollback(entry, str(data.get("reason", "")))
+        elif kind == "retire":
+            self.registry.retire(data["job"])
+            stale.pop(data["job"], None)
+        elif kind == "transition":
+            link = tuple(data["link"])
+            estimate = self.estimator.estimate(link)
+            self.estimator.restore(
+                link, health=LinkHealth(data["new"]),
+                # the factor times the declared capacity is the EWMA
+                ewma=float(data["factor"]) * estimate.capacity,
+                last_transition=float(data["time"]),
+                # a link that transitioned had cleared min_samples
+                samples=max(estimate.samples, self.estimator.min_samples))
+        elif kind == "decision":
+            self.decisions.append(AdaptationDecision.from_dict(data))
+        elif kind == "commit" and data.get("op") == "step":
+            self._step_index = max(self._step_index, int(data["index"]) + 1)
+        # "begin" carries no state; unknown kinds are ignored so a newer
+        # writer's extra record types do not brick recovery
 
     # ------------------------------------------------------------------
     # introspection
@@ -1195,123 +1255,3 @@ class AdaptationController:
                 "fenced": self.wal.fenced(),
             }
         return status
-
-
-@dataclass
-class _ParsedWal:
-    """Control-plane state reconstructed from snapshot + committed log."""
-
-    jobs: dict[str, FleetJob] = field(default_factory=dict)
-    entries: dict[int, RegistryEntry] = field(default_factory=dict)
-    active: dict[str, int] = field(default_factory=dict)
-    estimator: dict[tuple[int, int], dict] = field(default_factory=dict)
-    decisions: list[AdaptationDecision] = field(default_factory=list)
-    now: float = 0.0
-    steps_completed: int = 0
-    entry_seq: int = 0
-
-
-def _parse_link_key(key: str) -> tuple[int, int]:
-    src, _, dst = key.partition("->")
-    return int(src), int(dst)
-
-
-def _parse_wal(wal_state) -> _ParsedWal:
-    """Snapshot + committed records → recovered state.
-
-    Stale schedule envelopes (older package or cache-format version) are
-    skipped here; if one was the incumbent, :meth:`AdaptationController
-    .recover` reports it dropped rather than resurrecting a schedule the
-    current code base never produced.
-    """
-    from repro.errors import ServiceError
-
-    parsed = _ParsedWal()
-    snapshot = wal_state.snapshot
-    if snapshot is not None:
-        try:
-            check_registry_state(snapshot)
-        except ServiceError as exc:
-            raise FleetError(f"cannot recover: {exc}") from exc
-        for name, doc in snapshot["jobs"].items():
-            parsed.jobs[name] = FleetJob.from_dict(doc)
-        for doc in snapshot["entries"]:
-            try:
-                entry = RegistryEntry.from_wire(doc)
-            except FleetError:
-                continue  # stale envelope: the entry did not survive
-            parsed.entries[entry.seq] = entry
-        parsed.active = {job: int(seq)
-                         for job, seq in snapshot["active"].items()}
-        for key, state in snapshot["estimator"].items():
-            parsed.estimator[_parse_link_key(key)] = dict(state)
-        parsed.decisions = [AdaptationDecision.from_dict(doc)
-                            for doc in snapshot["decisions"]]
-        parsed.now = float(snapshot["now"])
-        parsed.steps_completed = int(snapshot["steps_completed"])
-        parsed.entry_seq = int(snapshot["entry_seq"])
-
-    for record in wal_state.records:
-        kind = record.get("kind")
-        data = record.get("data", {})
-        if "now" in record:
-            parsed.now = max(parsed.now, float(record["now"]))
-        if kind == "job_admit":
-            job = FleetJob.from_dict(data)
-            parsed.jobs[job.name] = job
-        elif kind == "job_remove":
-            parsed.jobs.pop(data["job"], None)
-        elif kind == "propose":
-            try:
-                entry = RegistryEntry.from_wire(data)
-            except FleetError:
-                continue
-            parsed.entries[entry.seq] = entry
-            parsed.entry_seq = max(parsed.entry_seq, entry.seq)
-        elif kind == "activate":
-            job, seq = data["job"], int(data["seq"])
-            incumbent = parsed.active.get(job)
-            if incumbent is not None and incumbent in parsed.entries:
-                parsed.entries[incumbent].status = ScheduleStatus.RETIRED
-            if seq in parsed.entries:
-                parsed.entries[seq].status = ScheduleStatus.ACTIVE
-                # the propose record predates vetting (write-ahead), so it
-                # carries no verdict; the activate record *is* the verdict
-                # — the registry refuses to journal one without a pass
-                parsed.entries[seq].conformance_ok = True
-            parsed.active[job] = seq
-            parsed.entry_seq = max(parsed.entry_seq, seq)
-        elif kind == "rollback":
-            seq = int(data["seq"])
-            if seq in parsed.entries:
-                parsed.entries[seq].status = ScheduleStatus.ROLLED_BACK
-                parsed.entries[seq].note = str(data.get("reason", ""))
-                # the controller only rolls back on a failed replay
-                parsed.entries[seq].conformance_ok = False
-        elif kind == "retire":
-            parsed.active.pop(data["job"], None)
-            seq = int(data["seq"])
-            if seq in parsed.entries:
-                parsed.entries[seq].status = ScheduleStatus.RETIRED
-        elif kind == "transition":
-            link = tuple(data["link"])
-            prev = parsed.estimator.get(link, {})
-            parsed.estimator[link] = {
-                "health": data["new"],
-                "ewma": None,  # recover() rebuilds it from the factor
-                "factor": float(data["factor"]),
-                "last_transition": float(data["time"]),
-                "samples": int(prev.get("samples", 0)),
-                "from_transition": True,
-            }
-        elif kind == "decision":
-            parsed.decisions.append(AdaptationDecision.from_dict(data))
-        elif kind == "commit":
-            if data.get("op") == "step":
-                parsed.steps_completed = max(parsed.steps_completed,
-                                             int(data["index"]) + 1)
-        # "begin" markers carry no state ("abort"ed operations never get
-        # here: _split_uncommitted already discarded them); unknown kinds
-        # are ignored so a newer writer's extra record types do not brick
-        # recovery
-    return parsed

@@ -44,10 +44,6 @@ from pathlib import Path
 
 from repro.errors import FleetError
 
-#: bump when the record or snapshot layout changes incompatibly
-WAL_FORMAT_VERSION = 1
-
-
 def atomic_write_json(path: str | Path, doc: dict) -> None:
     """Write ``doc`` as JSON so readers never observe a partial file.
 

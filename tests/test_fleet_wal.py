@@ -25,7 +25,7 @@ from repro.fleet import (AdaptationController, FleetJob, FleetOrchestrator,
                          SyntheticTelemetry, WriteAheadLog,
                          atomic_write_json)
 from repro.fleet.controller import AdaptationDecision, RegistryEntry, \
-    ScheduleStatus
+    ScheduleRegistry, ScheduleStatus
 from repro.service import Planner
 from repro.service.schema import PlanRequest, PlanResponse, \
     check_registry_state
@@ -316,6 +316,38 @@ class TestRecovery:
         assert fresh.status()["recovery"]["recovered"] is True
         fresh.wal.close()
 
+    def test_log_replayed_over_the_snapshot_that_folded_it(
+            self, tmp_path, planner):
+        # a crash between a compaction's snapshot write and its log
+        # truncation leaves both; each logged proposal is entered once
+        topo = tiny_ring()
+        events = [LinkEvent(at=2.0, link=(0, 1), factor=0.4)]
+        daemon = make_controller(topo, planner, tmp_path / "w.wal",
+                                 events=events)
+        daemon.add_job(a2a_job(topo))
+        for _ in range(4):
+            daemon.step()
+        log = daemon.wal.path.read_bytes()
+        daemon.wal.compact(daemon.registry_state())
+        daemon.wal.path.write_bytes(log)  # the truncation never happened
+        daemon.wal.close()
+
+        fresh = make_controller(topo, planner, tmp_path / "w.wal",
+                                takeover=True)
+        provenance = fresh.recover()
+        assert provenance["snapshot"] and provenance["records_replayed"]
+
+        def registry(ctl):
+            return ([(e.seq, e.status, e.conformance_ok)
+                     for e in ctl.registry.history],
+                    {job: ctl.registry.active(job).seq
+                     for job in ctl.registry.active_jobs()})
+
+        assert len(daemon.registry.history) == 2  # the replan happened
+        assert registry(fresh) == registry(daemon)
+        assert fresh._step_index == 4 and sorted(fresh.jobs) == ["a2a"]
+        fresh.wal.close()
+
     def test_uncommitted_tail_is_discarded(self, tmp_path, planner):
         topo = tiny_ring()
         daemon = make_controller(topo, planner, tmp_path / "w.wal")
@@ -498,6 +530,92 @@ class TestRecovery:
         with pytest.raises(FleetError, match="fresh controller"):
             daemon.recover()
         daemon.wal.close()
+
+    @pytest.mark.parametrize("kind, data", [
+        ("job_remove", {}),
+        ("activate", {"job": "a2a", "conformance_ok": True}),
+    ])
+    def test_malformed_committed_record_is_a_typed_error(
+            self, tmp_path, planner, kind, data):
+        topo = tiny_ring()
+        daemon = make_controller(topo, planner, tmp_path / "w.wal")
+        daemon.add_job(a2a_job(topo))
+        daemon.step()
+        daemon.wal.append("begin", {"op": "remove", "job": "a2a"})
+        seq = daemon.wal.append(kind, data)
+        daemon.wal.append("commit", {"op": "remove", "job": "a2a"})
+        daemon.wal.close()
+
+        fresh = make_controller(topo, planner, tmp_path / "w.wal",
+                                takeover=True)
+        links = {link: est.to_dict()
+                 for link, est in fresh.estimator._links.items()}
+        with pytest.raises(FleetError, match=rf"seq {seq} \({kind}\)"):
+            fresh.recover()
+        # the records before the bad one were replayed, then undone
+        assert fresh.jobs == {} and fresh._step_index == 0
+        assert fresh.recovery is None and not fresh.decisions
+        assert fresh.registry.active_jobs() == []
+        assert not fresh.registry.history
+        assert {link: est.to_dict()
+                for link, est in fresh.estimator._links.items()} == links
+        # still fresh: an admission journals and activates as usual
+        entry = fresh.add_job(a2a_job(topo, name="next"))
+        assert entry.status is ScheduleStatus.ACTIVE
+        fresh.wal.close()
+
+    @pytest.mark.parametrize("field, value", [("package", "0.0.0-stale"),
+                                              ("version", -1)])
+    @pytest.mark.parametrize("where", ["log", "snapshot"])
+    def test_stale_incumbent_envelope_is_dropped_never_activated(
+            self, tmp_path, planner, monkeypatch, where, field, value):
+        topo = tiny_ring()
+        # compact_every=1: the admission lands in the snapshot, log empty
+        daemon = make_controller(topo, planner, tmp_path / "w.wal",
+                                 compact_every=1 if where == "snapshot"
+                                 else 256)
+        daemon.add_job(a2a_job(topo))
+        seq = daemon.registry.active("a2a").seq
+        daemon.wal.close()
+
+        # age the incumbent's envelope, as if another package (or cache
+        # format) had written it
+        wal = WriteAheadLog(tmp_path / "w.wal")
+        state = wal.load()
+        assert (state.snapshot is not None) == (where == "snapshot")
+        if where == "snapshot":
+            (doc,) = [d for d in state.snapshot["entries"]
+                      if d["seq"] == seq]
+            doc["result"][field] = value
+            atomic_write_json(wal.snapshot_path, state.snapshot)
+        else:
+            wal.path.unlink()
+            for record in state.records:
+                if record["kind"] == "propose":
+                    record["data"]["result"][field] = value
+                wal.append(record["kind"], record["data"])
+        wal.close()
+
+        activated = []
+        activate = ScheduleRegistry.activate
+        monkeypatch.setattr(
+            ScheduleRegistry, "activate",
+            lambda self, entry: activated.append(entry.job)
+            or activate(self, entry))
+        fresh = make_controller(topo, planner, tmp_path / "w.wal",
+                                takeover=True)
+        provenance = fresh.recover()
+        assert provenance["snapshot"] is (where == "snapshot")
+        assert provenance["entries_recovered"] == 0
+        assert provenance["entries_dropped"] == [
+            {"job": "a2a", "seq": seq, "reason": "stale schedule envelope"}]
+        assert activated == []
+        assert fresh.registry.active("a2a") is None
+        assert sorted(fresh.jobs) == ["a2a"]
+        assert fresh.metrics.snapshot()[
+            "fleet_recovery_dropped_total"]["value"] == 1
+        assert set(fresh.plan_missing()) == {"a2a"}
+        fresh.wal.close()
 
     def test_fenced_daemon_cannot_activate(self, tmp_path, planner):
         """Acceptance: after takeover the old generation never activates."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import collectives, topology
-from repro.core import (Method, TecclConfig, chassis_groups,
+from repro.core import (EpochMode, Method, TecclConfig, chassis_groups,
                         hierarchical_allgather, synthesize)
 from repro.core.hierarchical import ChassisPlan, _induce
 from repro.errors import DemandError, TopologyError
@@ -126,6 +126,26 @@ class TestHierarchicalAllgather:
         plans = chassis_groups(topo, 2)
         out = hierarchical_allgather(topo, cfg(num_epochs=3), chassis=plans)
         assert out.finish_time > 0
+
+    def test_capacity_fn_sees_the_callers_node_ids(self):
+        """Each phase solves on renumbered nodes; the hook must still be
+        asked about the caller's links, in every chassis."""
+        topo = topology.ndv2(2)
+        seen = set()
+
+        def capacity(src, dst, epoch):
+            seen.add((src, dst))
+            link = topo.links.get((src, dst))
+            return 1.0 if link is None else link.capacity
+
+        hierarchical_allgather(
+            topo, cfg(epoch_mode=EpochMode.SLOWEST_LINK,
+                      capacity_fn=capacity),
+            chassis=chassis_groups(topo, 8), method=Method.LP)
+        assert seen and seen <= set(topo.links)
+        for chassis in (range(0, 8), range(8, 16)):
+            assert any(src in chassis and dst in chassis
+                       for src, dst in seen)
 
 
 def _heterogeneous_plans():

@@ -114,7 +114,13 @@ generator by an exact row match. ``repro.core.lp.LpTemplate`` is
 alias left at the old name. ``strips_to_schedule`` (in ``repro.core`` and
 ``repro.core.decompose``) labelled every unit of an aggregated LP commodity
 with one chunk id, so its schedules failed delivery; ``strips_to_events``
-quantises strips with a fresh chunk id per unit.
+quantises strips with a fresh chunk id per unit. Fleet recovery replays
+the WAL through the registry's own transitions, so its second reader is
+gone: ``repro.fleet.controller``'s ``_parse_wal``, ``_ParsedWal`` and
+``_parse_link_key``, and ``ScheduleRegistry.restore``, which installed
+what that reader built. So is ``repro.fleet.wal.WAL_FORMAT_VERSION``, a
+version nothing wrote or read; the snapshot's ``registry_state_version``
+is the one checked.
 
 Two retired *parameters* are checked by signature. One is ``sink`` on
 ``Planner.__init__`` and ``AdaptationController.__init__``. Tracing is
@@ -156,14 +162,18 @@ RETIRED_EXPORTS = (
         "PermutationVerifier", "verify_column_permutation",
         "induced_column_permutation", "column_orbits")),
     ("repro.core", "strips_to_schedule"),
-    ("repro.core.decompose", "strips_to_schedule"))
+    ("repro.core.decompose", "strips_to_schedule"),
+    ("repro.fleet.wal", "WAL_FORMAT_VERSION"),
+    *(("repro.fleet.controller", name) for name in (
+        "_parse_wal", "_ParsedWal", "_parse_link_key")))
 
 #: (module, class, attribute) triples: the class must not have it
 RETIRED_METHODS = (
     *(("repro.solver.model", "Model", name)
       for name in ("add_var", "add_constr", "set_objective", "var")),
     ("repro.solver.options", "SolverOptions", "to_scipy"),
-    ("repro.service.cache", "ScheduleCache", "get_near"))
+    ("repro.service.cache", "ScheduleCache", "get_near"),
+    ("repro.fleet.controller", "ScheduleRegistry", "restore"))
 
 #: (module, class, parameter) triples: the constructor must not take it
 RETIRED_INIT_PARAMS = (
